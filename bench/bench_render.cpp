@@ -2,8 +2,10 @@
 // a dense DFG has an edge between every pair of its m nodes.
 #include <benchmark/benchmark.h>
 
+#include "dfg/builder.hpp"
 #include "dfg/render.hpp"
 #include "dfg/render_svg.hpp"
+#include "testdata.hpp"
 
 namespace {
 
@@ -76,6 +78,19 @@ void BM_LayoutOnly(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LayoutOnly)->Range(4, 64);
+
+/// The wide case a real report lays out: 512 cases x 64 events under
+/// last1, i.e. 258 activities and 25.9k edges.
+void BM_LayoutWide(benchmark::State& state) {
+  const auto g = dfg::build_serial(bench::synthetic_log(42, 512, 64, 64),
+                                   model::Mapping::call_last_components(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dfg::layout_dfg(g, nullptr));
+  }
+  state.counters["activities"] = static_cast<double>(g.nodes().size());
+  state.counters["edges"] = static_cast<double>(g.edges().size());
+}
+BENCHMARK(BM_LayoutWide)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -43,11 +43,8 @@ struct Options {
   std::size_t clients = 4;
   std::size_t requests = 64;       ///< per client
   std::size_t cache_entries = 16;  ///< small enough that eviction happens
-  // Sized so a COLD full report lands in the hundreds of milliseconds
-  // (report rendering is superlinear in events; at 512x64 a single
-  // report takes ~25s and the mix measures nothing but it).
-  std::size_t cases = 128;
-  std::size_t events = 16;  ///< per case
+  std::size_t cases = 512;
+  std::size_t events = 64;  ///< per case
 };
 
 /// Lenient flag loop: unknown flags (notably --benchmark_*) are

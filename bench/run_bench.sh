@@ -463,10 +463,10 @@ EOF
 #   {
 #     "p50_us" / "p99_us": <overall request latency of the mixed
 #         query/report/diff/stat workload, 4 clients x 128 requests
-#         against one resident Catalog (cache capacity 16 — small
-#         enough that eviction happens)>,
-#     "report_p50_us": <the heavyweight verb on its own — a cold full
-#         HTML report dominates the overall p99>,
+#         against one resident Catalog over a 512 x 64 synthetic corpus
+#         (cache capacity 16 — small enough that eviction happens)>,
+#     "report_p50_us" / "report_p99_us": <the heavyweight verb on its
+#         own — a cold full HTML report dominates the overall p99>,
 #     "report_cold_p50_us" / "report_warm_p50_us": <the same verb split
 #         by first-seen vs later-hit: the cold render cost vs the cache
 #         hit that replaces it (first-seen approximation — see
@@ -474,11 +474,13 @@ EOF
 #     "cache_hit_rate": <catalog hits / (hits + misses) at the end of
 #         the run; cold misses and eviction refills included>,
 #     "requests_per_second": <aggregate across clients>,
+#     "nproc": <CPUs of the recording machine>,
 #     "current": <bench_serve's full JSON record (per-verb p50/p99,
 #         cache counters, corpus size)>
 #   }
 python3 - "$serve_raw" "$out_dir/BENCH_serve.json" <<'EOF'
 import json
+import os
 import sys
 
 current = json.load(open(sys.argv[1]))
@@ -488,15 +490,17 @@ out = {
     "p50_us": latency.get("overall", {}).get("p50"),
     "p99_us": latency.get("overall", {}).get("p99"),
     "report_p50_us": latency.get("per_verb", {}).get("report", {}).get("p50"),
+    "report_p99_us": latency.get("per_verb", {}).get("report", {}).get("p99"),
     "report_cold_p50_us": report_split.get("cold", {}).get("p50"),
     "report_warm_p50_us": report_split.get("warm", {}).get("p50"),
     "cache_hit_rate": current.get("cache", {}).get("hit_rate"),
     "requests_per_second": current.get("requests_per_second"),
+    "nproc": os.cpu_count(),
     "current": current,
 }
 json.dump(out, open(sys.argv[2], "w"), indent=1)
 print(f"wrote {sys.argv[2]} (p50_us = {out['p50_us']}, p99_us = {out['p99_us']}, "
-      f"report_p50_us = {out['report_p50_us']}, "
+      f"report_p50_us = {out['report_p50_us']}, report_p99_us = {out['report_p99_us']}, "
       f"report_cold_p50_us = {out['report_cold_p50_us']}, "
       f"report_warm_p50_us = {out['report_warm_p50_us']}, "
       f"cache_hit_rate = {out['cache_hit_rate']}, "

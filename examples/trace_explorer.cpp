@@ -221,9 +221,6 @@ int main(int argc, char** argv) {
     }
 
     // -- analyze -----------------------------------------------------
-    const auto g = streamed_graph ? std::move(*streamed_graph) : dfg::build_serial(log, f);
-    const auto stats = streamed_io ? streamed_io->finalize() : dfg::IoStatistics::compute(log, f);
-
     if (cli.has("timeline")) {
       // Allow the literal two-character sequence "\n" on the command line.
       std::string activity = cli.get("timeline");
@@ -237,6 +234,18 @@ int main(int argc, char** argv) {
     }
 
     const std::string render = cli.get("render");
+    if (render == "report") {
+      // Same ReportOptions builder as the serve path, so the served
+      // report bytes and this offline invocation stay cmp-identical.
+      // The report computes its own graph and statistics, once.
+      const auto report_opts = corpus::query_report_options(query, f);
+      const auto data = report::report_data(log, f, report_opts);
+      const dfg::StatisticsColoring styler(data.stats);
+      std::cout << report::render_report(data, f, &styler, report_opts);
+      return 0;
+    }
+    const auto g = streamed_graph ? std::move(*streamed_graph) : dfg::build_serial(log, f);
+    const auto stats = streamed_io ? streamed_io->finalize() : dfg::IoStatistics::compute(log, f);
     dfg::RenderOptions opts;
     opts.show_ranks = cli.get_bool("ranks");
     const dfg::StatisticsColoring styler(stats);
@@ -244,10 +253,6 @@ int main(int argc, char** argv) {
       std::cout << dfg::render_dot(g, &stats, &styler, opts);
     } else if (render == "svg") {
       std::cout << dfg::render_svg(g, &stats, &styler);
-    } else if (render == "report") {
-      // Same ReportOptions builder as the serve path, so the served
-      // report bytes and this offline invocation stay cmp-identical.
-      std::cout << report::build_report(log, f, &styler, corpus::query_report_options(query, f));
     } else if (render == "summary") {
       ThreadPool pool(cliargs::thread_count(cli));
       std::cout << model::render_case_summaries(model::summarize_cases(log, pool));

@@ -174,10 +174,12 @@ void serve_lines(Catalog& catalog, std::istream& in, std::ostream& out) {
 
 namespace {
 
+/// MSG_NOSIGNAL: a client that hangs up mid-reply costs an EPIPE here,
+/// not a SIGPIPE that would terminate the whole server.
 void write_all(int fd, std::string_view bytes) {
   std::size_t off = 0;
   while (off < bytes.size()) {
-    const auto n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    const auto n = ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return;  // client went away; nothing useful to do

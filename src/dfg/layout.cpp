@@ -2,32 +2,63 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
+#include <utility>
 
 #include "support/strings.hpp"
 
 namespace st::dfg {
 
-const NodeBox* Layout::find(const Activity& a) const {
-  for (const auto& n : nodes) {
-    if (n.activity == a) return &n;
-  }
-  return nullptr;
-}
-
 namespace {
 
-/// Longest-path layering from the start node. Cycles (other than self
-/// loops) are tolerated by bounding the relaxation rounds: after
-/// |V| rounds the remaining back edges are frozen as drawn-back edges.
-std::map<Activity, std::size_t> assign_layers(const Dfg& g) {
-  std::map<Activity, std::size_t> layer;
-  for (const auto& [node, count] : g.nodes()) layer[node] = 0;
+constexpr std::size_t kNone = EdgeGeom::npos;
 
-  const std::size_t rounds = g.nodes().size() + 1;
+/// The graph on dense ids. Ids follow Activity order (the order of
+/// g.nodes()) and cover every node plus every endpoint of a non-self
+/// edge: Dfg::from_parts graphs may name endpoints that nodes() lacks,
+/// and those are laid out like any node. An endpoint named only by its
+/// own self loop gets no id (kNone), so it gets no box either.
+struct IdGraph {
+  std::vector<std::string_view> names;                     ///< id -> activity
+  std::vector<std::pair<std::size_t, std::size_t>> edges;  ///< edge-map order
+  std::size_t end = kNone;                                 ///< the end marker's id
+};
+
+IdGraph intern(const Dfg& g) {
+  std::map<std::string_view, std::size_t> ids;
+  for (const auto& [node, count] : g.nodes()) ids.try_emplace(ids.end(), node);
+  for (const auto& [edge, count] : g.edges()) {
+    if (edge.first == edge.second) continue;
+    ids.try_emplace(edge.first);
+    ids.try_emplace(edge.second);
+  }
+  IdGraph ig;
+  ig.names.reserve(ids.size());
+  for (auto& [name, id] : ids) {
+    id = ig.names.size();
+    ig.names.push_back(name);
+  }
+  const auto id_of = [&](std::string_view a) {
+    const auto it = ids.find(a);
+    return it == ids.end() ? kNone : it->second;
+  };
+  ig.edges.reserve(g.edges().size());
+  for (const auto& [edge, count] : g.edges()) {
+    ig.edges.emplace_back(id_of(edge.first), id_of(edge.second));
+  }
+  ig.end = id_of(Dfg::end_node());
+  return ig;
+}
+
+/// Longest-path layering from the start node. Cycles (other than self
+/// loops) are tolerated by bounding the relaxation to `rounds` passes:
+/// an edge still unrelaxed after them stays a drawn-back edge. The end
+/// marker then goes below everything.
+std::vector<std::size_t> assign_layers(const IdGraph& ig, std::size_t rounds) {
+  std::vector<std::size_t> layer(ig.names.size(), 0);
   for (std::size_t r = 0; r < rounds; ++r) {
     bool changed = false;
-    for (const auto& [edge, count] : g.edges()) {
-      const auto& [from, to] = edge;
+    for (const auto& [from, to] : ig.edges) {
       if (from == to) continue;  // self loop
       if (layer[to] < layer[from] + 1) {
         layer[to] = layer[from] + 1;
@@ -35,19 +66,14 @@ std::map<Activity, std::size_t> assign_layers(const Dfg& g) {
       }
     }
     if (!changed) break;
-    if (r + 1 == rounds) {
-      // A non-self cycle exists; the loop above would oscillate
-      // forever. The layers reached so far are consistent enough to
-      // draw (the residual edges render as back edges).
-      break;
+  }
+  if (ig.end != kNone) {
+    std::size_t max_layer = 0;
+    for (std::size_t v = 0; v < layer.size(); ++v) {
+      if (v != ig.end) max_layer = std::max(max_layer, layer[v]);
     }
+    layer[ig.end] = max_layer + 1;
   }
-  // The end marker goes below everything.
-  std::size_t max_layer = 0;
-  for (const auto& [node, l] : layer) {
-    if (node != Dfg::end_node()) max_layer = std::max(max_layer, l);
-  }
-  if (layer.contains(Dfg::end_node())) layer[Dfg::end_node()] = max_layer + 1;
   return layer;
 }
 
@@ -70,54 +96,66 @@ Layout layout_dfg(const Dfg& g, const IoStatistics* stats, const LayoutOptions& 
   Layout out;
   if (g.nodes().empty()) return out;
 
-  const auto layers = assign_layers(g);
-  std::size_t max_layer = 0;
-  for (const auto& [node, l] : layers) max_layer = std::max(max_layer, l);
+  const IdGraph ig = intern(g);
+  const std::size_t n = ig.names.size();
+  const std::vector<std::size_t> layer = assign_layers(ig, g.nodes().size() + 1);
 
-  // Group nodes by layer (deterministic start order: map order).
-  std::vector<std::vector<Activity>> rows(max_layer + 1);
-  for (const auto& [node, l] : layers) rows[l].push_back(node);
+  // Group nodes by layer (deterministic start order: Activity order).
+  std::vector<std::vector<std::size_t>> rows(*std::max_element(layer.begin(), layer.end()) + 1);
+  for (std::size_t v = 0; v < n; ++v) rows[layer[v]].push_back(v);
+
+  // Neighbours in other layers, in edge-map order. Same-layer
+  // neighbours (self loops included) never count towards a barycenter.
+  std::vector<std::vector<std::size_t>> preds(n);
+  std::vector<std::vector<std::size_t>> succs(n);
+  for (const auto& [from, to] : ig.edges) {
+    if (from == to || layer[from] == layer[to]) continue;
+    succs[from].push_back(to);
+    preds[to].push_back(from);
+  }
 
   // Barycenter sweeps: order each row by the mean position of its
-  // neighbours in the previous row (downward), then upward.
-  std::map<Activity, double> pos;
-  for (auto& row : rows) {
+  // neighbours (predecessors on downward sweeps, successors on upward
+  // ones). A key reads only positions in other rows and, for a node
+  // without neighbours, its own pre-sort position; none of those move
+  // while the row sorts, so each key is computed once up front.
+  std::vector<double> pos(n);
+  for (const auto& row : rows) {
     for (std::size_t i = 0; i < row.size(); ++i) pos[row[i]] = static_cast<double>(i);
   }
-  const auto neighbors_mean = [&](const Activity& node, bool upward) {
-    double sum = 0;
-    std::size_t n = 0;
-    for (const auto& [edge, count] : g.edges()) {
-      const auto& [from, to] = edge;
-      if (upward ? from == node : to == node) {
-        const Activity& other = upward ? to : from;
-        if (layers.at(other) != layers.at(node)) {
-          sum += pos[other];
-          ++n;
-        }
-      }
-    }
-    return n == 0 ? pos[node] : sum / static_cast<double>(n);
-  };
+  std::vector<std::pair<double, std::size_t>> keyed;
   for (std::size_t sweep = 0; sweep < opts.barycenter_sweeps; ++sweep) {
-    const bool upward = sweep % 2 == 1;
+    const auto& neighbours = sweep % 2 == 1 ? succs : preds;
     for (auto& row : rows) {
-      std::stable_sort(row.begin(), row.end(), [&](const Activity& a, const Activity& b) {
-        return neighbors_mean(a, upward) < neighbors_mean(b, upward);
-      });
-      for (std::size_t i = 0; i < row.size(); ++i) pos[row[i]] = static_cast<double>(i);
+      keyed.clear();
+      for (const std::size_t v : row) {
+        double sum = 0;
+        for (const std::size_t u : neighbours[v]) sum += pos[u];
+        keyed.emplace_back(
+            neighbours[v].empty() ? pos[v] : sum / static_cast<double>(neighbours[v].size()), v);
+      }
+      std::stable_sort(keyed.begin(), keyed.end(),
+                       [](const auto& a, const auto& b) { return a.first < b.first; });
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        row[i] = keyed[i].second;
+        pos[row[i]] = static_cast<double>(i);
+      }
     }
   }
 
-  // Size the boxes, place rows centered on the widest row.
+  // Size the boxes, place rows centered on the widest row. Boxes land
+  // in Layout::nodes row by row, which fixes each node's box index.
   std::vector<std::vector<NodeBox>> boxed(rows.size());
+  std::vector<std::size_t> box_of(n);
+  std::size_t boxes = 0;
   double max_row_width = 0;
   for (std::size_t l = 0; l < rows.size(); ++l) {
     double row_width = 0;
-    for (const auto& node : rows[l]) {
+    for (const std::size_t v : rows[l]) {
+      box_of[v] = boxes++;
       NodeBox box;
-      box.activity = node;
-      box.label_lines = label_lines_for(node, stats, opts.show_stats);
+      box.activity = Activity(ig.names[v]);
+      box.label_lines = label_lines_for(box.activity, stats, opts.show_stats);
       std::size_t longest = 1;
       for (const auto& line : box.label_lines) longest = std::max(longest, line.size());
       box.width = static_cast<double>(longest) * opts.char_width + 2 * opts.node_padding;
@@ -133,6 +171,7 @@ Layout layout_dfg(const Dfg& g, const IoStatistics* stats, const LayoutOptions& 
     max_row_width = std::max(max_row_width, row_width);
   }
 
+  out.nodes.reserve(n);
   double y = opts.layer_gap / 2;
   for (auto& row : boxed) {
     double row_width = 0;
@@ -147,20 +186,25 @@ Layout layout_dfg(const Dfg& g, const IoStatistics* stats, const LayoutOptions& 
       box.x = x;
       box.y = y;
       x += box.width + opts.node_gap;
-      out.nodes.push_back(box);
+      out.nodes.push_back(std::move(box));
     }
     y += row_height + opts.layer_gap;
   }
   out.width = max_row_width + 2 * opts.node_gap;
   out.height = y;
 
+  out.edges.reserve(ig.edges.size());
+  auto ids = ig.edges.begin();
   for (const auto& [edge, count] : g.edges()) {
+    const auto [from, to] = *ids++;
     EdgeGeom geom;
     geom.from = edge.first;
     geom.to = edge.second;
+    geom.from_box = from == kNone ? kNone : box_of[from];
+    geom.to_box = to == kNone ? kNone : box_of[to];
     geom.count = count;
     geom.self_loop = edge.first == edge.second;
-    geom.back_edge = !geom.self_loop && layers.at(edge.second) <= layers.at(edge.first);
+    geom.back_edge = !geom.self_loop && layer[to] <= layer[from];
     out.edges.push_back(std::move(geom));
   }
   return out;

@@ -11,12 +11,17 @@
 //   3. coordinates       — nodes sized by their label text, centered
 //      per layer on a common canvas.
 //
+// Activities are interned once into dense ids (in Activity order), and
+// every step works on ids and id-indexed adjacency. With V activities,
+// E edges and R = |nodes| + 1 relaxation rounds at most, layering costs
+// O(R·E) and the barycenter ordering O(sweeps·(V log V + E)): each row's
+// keys are computed once before its sort, not inside the comparator.
+//
 // The result is a plain geometry description consumed by the SVG
 // renderer (render_svg.hpp) and tested independently of any markup.
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -39,8 +44,14 @@ struct NodeBox {
 };
 
 struct EdgeGeom {
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
   Activity from;
   Activity to;
+  /// Indices into Layout::nodes of the two endpoint boxes; npos for an
+  /// endpoint that has no box (one named only by its own self loop).
+  std::size_t from_box = npos;
+  std::size_t to_box = npos;
   std::uint64_t count = 0;
   bool self_loop = false;
   bool back_edge = false;  ///< points to an earlier or equal layer
@@ -51,8 +62,6 @@ struct Layout {
   std::vector<EdgeGeom> edges;
   double width = 0;   ///< canvas size
   double height = 0;
-
-  [[nodiscard]] const NodeBox* find(const Activity& a) const;
 };
 
 struct LayoutOptions {

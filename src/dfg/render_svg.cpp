@@ -58,9 +58,9 @@ void draw_node(std::string& svg, const NodeBox& box, const Styler* styler,
 
 void draw_edge(std::string& svg, const Layout& layout, const EdgeGeom& edge,
                const Styler* styler) {
-  const NodeBox* from = layout.find(edge.from);
-  const NodeBox* to = layout.find(edge.to);
-  if (from == nullptr || to == nullptr) return;
+  if (edge.from_box == EdgeGeom::npos || edge.to_box == EdgeGeom::npos) return;
+  const NodeBox* from = &layout.nodes[edge.from_box];
+  const NodeBox* to = &layout.nodes[edge.to_box];
   std::string color = "#555555";
   if (styler != nullptr) {
     if (const std::string c = styler->edge_color(edge.from, edge.to); !c.empty()) color = c;

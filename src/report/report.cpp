@@ -157,8 +157,8 @@ std::string render_report(const ReportData& data, const model::Mapping& f,
   return html;
 }
 
-std::string build_report(const model::EventLog& log, const model::Mapping& f,
-                         const dfg::Styler* styler, const ReportOptions& opts) {
+ReportData report_data(const model::EventLog& log, const model::Mapping& f,
+                       const ReportOptions& opts) {
   ReportData data;
   data.graph = dfg::build_serial(log, f);
   data.stats = dfg::IoStatistics::compute(log, f);
@@ -169,7 +169,12 @@ std::string build_report(const model::EventLog& log, const model::Mapping& f,
   if (opts.timeline_activity) {
     data.timeline = dfg::IoStatistics::timeline(log, f, *opts.timeline_activity);
   }
-  return render_report(data, f, styler, opts);
+  return data;
+}
+
+std::string build_report(const model::EventLog& log, const model::Mapping& f,
+                         const dfg::Styler* styler, const ReportOptions& opts) {
+  return render_report(report_data(log, f, opts), f, styler, opts);
 }
 
 void write_report_file(const std::string& path, const model::EventLog& log,

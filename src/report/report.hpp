@@ -60,7 +60,7 @@ struct ReportOptions {
 };
 
 /// The precomputed pieces every report section renders from.
-/// build_report fills it from an EventLog; streaming_report fills it
+/// report_data fills it from an EventLog; streaming_report fills it
 /// from one pipeline::run pass.
 struct ReportData {
   dfg::Dfg graph;
@@ -73,7 +73,7 @@ struct ReportData {
   std::optional<model::VariantCounts> variants;
   /// Rendered as a "Data health" section when non-nullopt (streaming
   /// and sharded reports — the paths with an ingestion phase whose
-  /// degradation is worth surfacing; build_report never sets it).
+  /// degradation is worth surfacing; report_data never sets it).
   std::optional<pipeline::DataHealth> health;
   /// Timeline entries of ReportOptions::timeline_activity, when set.
   std::vector<dfg::TimelineEntry> timeline;
@@ -84,8 +84,13 @@ struct ReportData {
 [[nodiscard]] std::string render_report(const ReportData& data, const model::Mapping& f,
                                         const dfg::Styler* styler, const ReportOptions& opts = {});
 
-/// Builds the full report from a materialized log (computes ReportData
-/// and renders it). `styler` may be null (uncolored DFG).
+/// Computes the ReportData of a materialized log: every section but
+/// variants and data health.
+[[nodiscard]] ReportData report_data(const model::EventLog& log, const model::Mapping& f,
+                                     const ReportOptions& opts = {});
+
+/// Builds the full report from a materialized log: render_report over
+/// report_data. `styler` may be null (uncolored DFG).
 [[nodiscard]] std::string build_report(const model::EventLog& log, const model::Mapping& f,
                                        const dfg::Styler* styler, const ReportOptions& opts = {});
 

@@ -11,7 +11,13 @@
 //   - concurrent lookup/evict/insert is clean (this test is in the
 //     TSan job's target list);
 //   - handle_request/serve_lines: canonical echo, payload framing,
-//     graceful error replies, shutdown.
+//     graceful error replies, shutdown;
+//   - the TCP server outlives a client that hangs up mid-reply.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <sstream>
 #include <string>
 #include <thread>
@@ -284,6 +290,61 @@ TEST_F(CatalogTest, StatReportsCorpusAndCacheCounters) {
             std::string::npos)
       << r.payload;
   EXPECT_NE(r.payload.find("\"misses\":1"), std::string::npos) << r.payload;
+}
+
+// -- the TCP server ----------------------------------------------------
+
+int connect_local(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0) return fd;
+  if (fd >= 0) ::close(fd);
+  return -1;
+}
+
+void send_line(int fd, std::string_view bytes) {
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+TEST_F(CatalogTest, ServerSurvivesAClientThatHangsUpMidReply) {
+  auto catalog = make_catalog();
+  Server server(catalog, 0);
+  ThreadPool pool(2);
+  std::thread accept_loop([&] { server.serve_forever(pool); });
+
+  // Ask for reports, then reset the connection without reading a byte.
+  // The server's first reply write fails with ECONNRESET; the next one,
+  // for the pipelined second request, hits a closed socket, which
+  // raises SIGPIPE unless the write suppresses it.
+  const int rude = connect_local(server.port());
+  ASSERT_GE(rude, 0);
+  send_line(rude, "report all\nreport all\nreport all\n");
+  const linger abort_on_close{1, 0};
+  ::setsockopt(rude, SOL_SOCKET, SO_LINGER, &abort_on_close, sizeof abort_on_close);
+  ::close(rude);
+
+  // The process is still alive and a fresh client gets its pong.
+  const int polite = connect_local(server.port());
+  ASSERT_GE(polite, 0);
+  const timeval timeout{10, 0};
+  ::setsockopt(polite, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  send_line(polite, "ping\n");
+  std::string reply;
+  char buf[256];
+  while (!reply.ends_with("pong\n")) {
+    const auto n = ::recv(polite, buf, sizeof buf, 0);
+    if (n <= 0) break;
+    reply.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(polite);
+  server.stop();
+  accept_loop.join();
+  EXPECT_TRUE(reply.starts_with("{\"ok\":true,\"verb\":\"ping\"")) << reply;
+  EXPECT_TRUE(reply.ends_with("pong\n")) << reply;
 }
 
 }  // namespace

@@ -1,13 +1,22 @@
 #include <gtest/gtest.h>
 
+#include "../bench/testdata.hpp"
 #include "dfg/builder.hpp"
 #include "dfg/layout.hpp"
 #include "dfg/render_svg.hpp"
 #include "iosim/commands.hpp"
+#include "support/crc32.hpp"
 #include "testing_util.hpp"
 
 namespace st::dfg {
 namespace {
+
+const NodeBox* find_box(const Layout& layout, const Activity& a) {
+  for (const auto& box : layout.nodes) {
+    if (box.activity == a) return &box;
+  }
+  return nullptr;
+}
 
 Dfg chain_graph() {
   Dfg g;
@@ -17,20 +26,20 @@ Dfg chain_graph() {
 
 TEST(Layout, StartAtTopEndAtBottom) {
   const auto layout = layout_dfg(chain_graph(), nullptr);
-  const auto* start = layout.find(Dfg::start_node());
-  const auto* end = layout.find(Dfg::end_node());
+  const auto* start = find_box(layout, Dfg::start_node());
+  const auto* end = find_box(layout, Dfg::end_node());
   ASSERT_NE(start, nullptr);
   ASSERT_NE(end, nullptr);
   EXPECT_EQ(start->layer, 0u);
-  EXPECT_GT(end->layer, layout.find("c")->layer);
+  EXPECT_GT(end->layer, find_box(layout, "c")->layer);
   EXPECT_LT(start->y, end->y);
 }
 
 TEST(Layout, ChainLayersAreSequential) {
   const auto layout = layout_dfg(chain_graph(), nullptr);
-  EXPECT_EQ(layout.find("a")->layer, 1u);
-  EXPECT_EQ(layout.find("b")->layer, 2u);
-  EXPECT_EQ(layout.find("c")->layer, 3u);
+  EXPECT_EQ(find_box(layout, "a")->layer, 1u);
+  EXPECT_EQ(find_box(layout, "b")->layer, 2u);
+  EXPECT_EQ(find_box(layout, "c")->layer, 3u);
 }
 
 TEST(Layout, EveryNodeInsideCanvas) {
@@ -93,7 +102,7 @@ TEST(Layout, LabelsIncludeStatsWhenProvided) {
   const auto f = model::Mapping::call_top_dirs(2);
   const auto stats = IoStatistics::compute(log, f);
   const auto layout = layout_dfg(dfg::build_serial(log, f), &stats);
-  const auto* node = layout.find("read\n/usr/lib");
+  const auto* node = find_box(layout, "read\n/usr/lib");
   ASSERT_NE(node, nullptr);
   ASSERT_GE(node->label_lines.size(), 3u);  // call, path, Load, (DR)
   EXPECT_EQ(node->label_lines[0], "read");
@@ -152,6 +161,99 @@ TEST(Svg, DeterministicOutput) {
   const auto stats = IoStatistics::compute(log, f);
   const StatisticsColoring styler(stats);
   EXPECT_EQ(render_svg(g, &stats, &styler), render_svg(g, &stats, &styler));
+}
+
+// -- golden bytes ------------------------------------------------------
+//
+// CRC-32 digests of render_svg output, pinned so that a change to the
+// layout's internals cannot move a single byte of the drawn graph.
+
+/// Fully dense DFG over m activities (every ordered pair directly
+/// follows), as bench_render draws it.
+Dfg dense_dfg(std::size_t m) {
+  model::ActivityTrace trace;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      trace.push_back("act" + std::to_string(i));
+      trace.push_back("act" + std::to_string(j));
+    }
+  }
+  Dfg g;
+  g.add_trace(trace);
+  return g;
+}
+
+/// Edges that name activities absent from nodes(): "ghost" sits on a
+/// path, "loner" has only a self loop.
+Dfg orphan_endpoint_graph() {
+  const auto& start = Dfg::start_node();
+  const auto& end = Dfg::end_node();
+  return Dfg::from_parts({{start, 2}, {"a", 3}, {"b", 1}, {end, 2}},
+                         {{{start, "a"}, 2},
+                          {{"a", "ghost"}, 1},
+                          {{"ghost", "b"}, 1},
+                          {{"b", end}, 1},
+                          {{"a", end}, 1},
+                          {{"a", "a"}, 1},
+                          {{"loner", "loner"}, 4}},
+                         2);
+}
+
+std::uint32_t svg_digest(const Dfg& g, const IoStatistics* stats = nullptr,
+                         const Styler* styler = nullptr) {
+  const std::string svg = render_svg(g, stats, styler);
+  return Crc32::of(svg.data(), svg.size());
+}
+
+TEST(SvgGolden, DenseGraphs) {
+  const std::vector<std::pair<std::size_t, std::uint32_t>> golden = {
+      {1, 0xb2bac32du}, {2, 0x1f32fe62u},  {3, 0x9b5c3071u},
+      {8, 0x30f5c33cu}, {17, 0x87478922u}, {64, 0xfd235318u}};
+  for (const auto& [m, digest] : golden) {
+    EXPECT_EQ(svg_digest(dense_dfg(m)), digest) << "m = " << m;
+  }
+}
+
+TEST(SvgGolden, CycleWithSelfLoop) {
+  Dfg g;
+  g.add_trace({"a", "a", "b", "a"});
+  EXPECT_EQ(svg_digest(g), 0x81e80839u);
+}
+
+TEST(SvgGolden, OrphanEdgeEndpoints) {
+  EXPECT_EQ(svg_digest(orphan_endpoint_graph()), 0xe4848a12u);
+}
+
+TEST(Layout, EdgeBoxIndicesPointAtTheirEndpoints) {
+  Dfg cycle;
+  cycle.add_trace({"a", "a", "b", "a"});
+  for (const Dfg& g : {dense_dfg(8), cycle, orphan_endpoint_graph()}) {
+    const auto layout = layout_dfg(g, nullptr);
+    ASSERT_EQ(layout.edges.size(), g.edges().size());
+    for (const auto& e : layout.edges) {
+      if (e.from == "loner") {  // named only by its self loop: no box
+        EXPECT_EQ(e.from_box, EdgeGeom::npos);
+        EXPECT_EQ(e.to_box, EdgeGeom::npos);
+        EXPECT_EQ(find_box(layout, "loner"), nullptr);
+        continue;
+      }
+      ASSERT_LT(e.from_box, layout.nodes.size());
+      ASSERT_LT(e.to_box, layout.nodes.size());
+      EXPECT_EQ(layout.nodes[e.from_box].activity, e.from);
+      EXPECT_EQ(layout.nodes[e.to_box].activity, e.to);
+    }
+  }
+  // The orphan on a path is laid out like any node.
+  EXPECT_NE(find_box(layout_dfg(orphan_endpoint_graph(), nullptr), "ghost"), nullptr);
+}
+
+TEST(SvgGolden, SyntheticLogLast1WithStatistics) {
+  const auto log = bench::synthetic_log(42, 128, 16, 64);
+  const auto f = model::Mapping::call_last_components(1);
+  const auto g = dfg::build_serial(log, f);
+  const auto stats = IoStatistics::compute(log, f);
+  const StatisticsColoring styler(stats);
+  EXPECT_EQ(svg_digest(g, &stats, &styler), 0x8056c373u);
 }
 
 }  // namespace
