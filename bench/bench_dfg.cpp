@@ -1,9 +1,9 @@
 // CPLX-DFG — DFG construction is O(n) and scalable (Sec. V step 3;
 // refs [24][25]).
 //
-// Sweeps the event count for the serial single-pass builder and
-// compares against the parallel map-reduce builder at several pool
-// widths.
+// Sweeps the event count for the serial single-pass builder, and the
+// cost of the Dfg merge the sink-folded construction (pipeline::DfgSink)
+// pays per partial.
 #include <benchmark/benchmark.h>
 
 #include "dfg/builder.hpp"
@@ -26,18 +26,6 @@ void BM_BuildSerial(benchmark::State& state) {
   state.SetComplexityN(static_cast<std::int64_t>(log.total_events()));
 }
 BENCHMARK(BM_BuildSerial)->Range(1 << 10, 1 << 17)->Complexity(benchmark::oN);
-
-/// Map-reduce construction: threads sweep at a fixed event count.
-void BM_BuildParallel(benchmark::State& state) {
-  const auto log = bench::synthetic_log(1, 256, 512, 16);  // 128k events
-  const auto f = model::Mapping::call_top_dirs(2);
-  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dfg::build_parallel(log, f, pool));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(log.total_events()));
-}
-BENCHMARK(BM_BuildParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 /// Merge cost grows with graph size, not event count.
 void BM_DfgMerge(benchmark::State& state) {

@@ -1,7 +1,7 @@
 // OVH-PARSE — strace parsing overhead (Sec. V "overheads").
 //
 // Measures line-level parse throughput, whole-trace reading with
-// unfinished/resumed merging, the chunked parallel reader, and the
+// unfinished/resumed merging, the streamed chunked reader, and the
 // trace-writer round trip. The read path should scale linearly in the
 // line count.
 //
@@ -145,7 +145,20 @@ void BM_ReadTraceMixed(benchmark::State& state) {
 }
 BENCHMARK(BM_ReadTraceMixed)->Range(1 << 14, 1 << 17);
 
-/// The chunked parallel reader on the same corpus (identical output).
+/// Runs the streamed reader over `buffers` and waits for every file:
+/// the results in input order, as the pipeline's stage A hands them on.
+std::vector<strace::ReadResult> read_streamed(
+    std::vector<std::shared_ptr<strace::TraceBuffer>> buffers,
+    const strace::ParallelReadOptions& opts) {
+  std::vector<strace::ReadResult> results(buffers.size());
+  strace::read_trace_buffers_streamed(
+      std::move(buffers), opts,
+      [&results](std::size_t i, strace::ReadResult&& r) { results[i] = std::move(r); })
+      .wait();
+  return results;
+}
+
+/// The streamed chunked reader on the same corpus (identical output).
 void BM_ReadTraceParallelMixed(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::string text = make_mixed_trace(n);
@@ -157,7 +170,7 @@ void BM_ReadTraceParallelMixed(benchmark::State& state) {
     state.PauseTiming();
     auto buffer = std::make_shared<strace::TraceBuffer>(text);
     state.ResumeTiming();
-    benchmark::DoNotOptimize(strace::read_trace_parallel(std::move(buffer), opts));
+    benchmark::DoNotOptimize(read_streamed({std::move(buffer)}, opts));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
@@ -460,8 +473,8 @@ void BM_MixedFiles_PerFileOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_MixedFiles_PerFileOnly)->UseRealTime();
 
-/// PR 1 single-file path applied file by file: intra-file parallelism
-/// only (files processed one after another).
+/// Intra-file parallelism only: the streamed reader on one file at a
+/// time (files processed one after another).
 void BM_MixedFiles_IntraFileOnly(benchmark::State& state) {
   const auto& set = MixedFileSet::instance();
   ThreadPool pool(0);
@@ -472,7 +485,8 @@ void BM_MixedFiles_IntraFileOnly(benchmark::State& state) {
     std::vector<strace::ReadResult> results;
     results.reserve(set.paths().size());
     for (const auto& path : set.paths()) {
-      results.push_back(strace::read_trace_file_parallel(path, opts));
+      results.push_back(
+          std::move(read_streamed({strace::TraceBuffer::from_file_mmap(path)}, opts).front()));
     }
     benchmark::DoNotOptimize(results);
   }
@@ -480,7 +494,7 @@ void BM_MixedFiles_IntraFileOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_MixedFiles_IntraFileOnly)->UseRealTime();
 
-/// This PR: one work queue of (file, chunk) tasks across all files.
+/// Mixed: one work queue of (file, chunk) tasks across all files.
 void BM_MixedFiles_Mixed(benchmark::State& state) {
   const auto& set = MixedFileSet::instance();
   ThreadPool pool(0);
@@ -488,8 +502,9 @@ void BM_MixedFiles_Mixed(benchmark::State& state) {
   opts.pool = &pool;
   opts.min_chunk_bytes = 1 << 18;
   for (auto _ : state) {
-    auto results = strace::read_trace_files_mixed(set.paths(), opts);
-    benchmark::DoNotOptimize(results);
+    std::vector<std::shared_ptr<strace::TraceBuffer>> buffers;
+    for (const auto& path : set.paths()) buffers.push_back(strace::TraceBuffer::from_file_mmap(path));
+    benchmark::DoNotOptimize(read_streamed(std::move(buffers), opts));
   }
   state.SetBytesProcessed(state.iterations() * set.total_bytes());
 }

@@ -1,11 +1,9 @@
 // CPLX-MAP — the mapping application is O(n) and row-independent
 // (Sec. V step 2), plus an end-to-end pipeline benchmark covering
-// Fig. 6's steps: filter -> map -> DFG -> statistics, the
-// staged-vs-streamed trace -> EventLog -> DFG comparison feeding
-// BENCH_pipeline.json's pipeline_overlap_speedup_vs_staged, and the
-// multi-sink comparison (one pipeline::run pass folding DFG + case
-// stats + variants vs the same analytics as N staged passes) feeding
-// multi_sink_single_pass_speedup_vs_staged.
+// Fig. 6's steps: filter -> map -> DFG -> statistics, and the streamed
+// trace -> EventLog -> DFG pass (pipeline::run with one DfgSink, and
+// with DFG + case stats + variants sinks) at 1/2/4 workers, feeding
+// BENCH_pipeline.json's pipeline_scaling and multi_sink_scaling.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -20,14 +18,8 @@
 #include "dfg/builder.hpp"
 #include "dfg/stats.hpp"
 #include "model/activity_log.hpp"
-#include "model/case_stats.hpp"
-#include "model/from_strace.hpp"
-#include "parallel/algorithms.hpp"
 #include "parallel/thread_pool.hpp"
 #include "pipeline/sink.hpp"
-#include "pipeline/stream.hpp"
-#include "strace/filename.hpp"
-#include "strace/reader.hpp"
 #include "support/timeparse.hpp"
 #include "testdata.hpp"
 
@@ -86,7 +78,7 @@ void BM_FullPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_FullPipeline)->Range(1 << 10, 1 << 15);
 
-// ---- staged vs streamed trace -> EventLog -> DFG -----------------------
+// ---- streamed trace -> EventLog -> DFG ---------------------------------
 
 /// On-disk strace corpus: one big file plus a swarm of small ones (the
 /// mixed-parallelism workload), written once and removed at exit.
@@ -162,104 +154,27 @@ class TraceCorpus {
   std::vector<std::string> paths_;
 };
 
-/// The barrier-separated reference: parse ALL files (mixed work queue),
-/// then convert ALL files (parallel_for on the same pool), then
-/// build_parallel — the pre-pipeline construction, kept here as the
-/// baseline pipeline_overlap_speedup_vs_staged is measured against.
-dfg::Dfg staged_trace_to_dfg(const std::vector<std::string>& paths, const model::Mapping& f,
-                             ThreadPool& pool) {
-  std::vector<strace::TraceFileId> ids;
-  ids.reserve(paths.size());
-  for (const auto& p : paths) ids.push_back(*strace::parse_trace_filename(p));
-
-  strace::ParallelReadOptions opts;
-  opts.pool = &pool;
-  auto results = strace::read_trace_files_mixed(paths, opts);  // barrier 1
-
-  const std::size_t n = results.size();
-  const std::size_t chunks = default_chunks(pool, n);
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  std::vector<model::Case> cases(n);
-  std::vector<std::shared_ptr<strace::StringArena>> arenas(chunks);
-  parallel_for(pool, 0, chunks, [&](std::size_t c) {  // barrier 2
-    const std::size_t lo = c * chunk_size;
-    const std::size_t hi = std::min(n, lo + chunk_size);
-    if (lo >= hi) return;
-    auto arena = std::make_shared<strace::StringArena>();
-    for (std::size_t i = lo; i < hi; ++i) {
-      cases[i] = model::case_from_records(ids[i], results[i].records, *arena);
-    }
-    arenas[c] = std::move(arena);
-  });
-  model::EventLog log;
-  for (auto& arena : arenas) {
-    if (arena) log.adopt(std::move(arena));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    log.add_case(std::move(cases[i]));
-    log.adopt(std::move(results[i].buffer));
-  }
-  return dfg::build_parallel(log, f, pool);  // barrier 3
-}
-
-void BM_PipelineStaged(benchmark::State& state) {
-  const auto& paths = TraceCorpus::paths();
-  const auto f = model::Mapping::call_top_dirs(2);
-  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  std::uint64_t traces = 0;
-  for (auto _ : state) {
-    const auto g = staged_trace_to_dfg(paths, f, pool);
-    traces += g.trace_count();
-    benchmark::DoNotOptimize(g);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(traces));
-}
-BENCHMARK(BM_PipelineStaged)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 void BM_PipelineStreamed(benchmark::State& state) {
   const auto& paths = TraceCorpus::paths();
   const auto f = model::Mapping::call_top_dirs(2);
   ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   std::uint64_t traces = 0;
   for (auto _ : state) {
-    const auto result = pipeline::trace_to_dfg(paths, f, pool);
-    traces += result.graph.trace_count();
-    benchmark::DoNotOptimize(result);
+    pipeline::DfgSink sink(f);
+    const auto log = pipeline::run(paths, pool, {&sink});
+    traces += sink.graph().trace_count();
+    benchmark::DoNotOptimize(log);
+    benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(traces));
 }
 BENCHMARK(BM_PipelineStreamed)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// ---- multi-sink single pass vs N staged analytic passes ----------------
+// ---- multi-sink single pass -------------------------------------------
 
-/// The pre-sink workflow: ingest the log (streaming pipeline, the best
-/// ingest-only path), THEN walk the event arrays once per analytic —
-/// graph, case summaries, variant multiset — behind the ingestion
-/// barrier. Baseline for multi_sink_single_pass_speedup_vs_staged.
-void BM_MultiSinkStaged(benchmark::State& state) {
-  const auto& paths = TraceCorpus::paths();
-  const auto f = model::Mapping::call_top_dirs(2);
-  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  std::uint64_t traces = 0;
-  for (auto _ : state) {
-    const auto log = pipeline::event_log_streamed(paths, pool);  // barrier
-    const auto g = dfg::build_parallel(log, f, pool);            // pass 1
-    const auto summaries = model::summarize_cases(log, pool);    // pass 2
-    const auto variants = model::ActivityLog::build(log, f).variants();  // pass 3
-    traces += g.trace_count();
-    benchmark::DoNotOptimize(g);
-    benchmark::DoNotOptimize(summaries);
-    benchmark::DoNotOptimize(variants);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(traces));
-}
-BENCHMARK(BM_MultiSinkStaged)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-/// One pipeline::run pass: the same three analytics fold on the pool
-/// while the files parse — no barrier, no re-walks.
+/// One pipeline::run pass: three analytics fold on the pool while the
+/// files parse — no barrier, no re-walks.
 void BM_MultiSinkSinglePass(benchmark::State& state) {
   const auto& paths = TraceCorpus::paths();
   const auto f = model::Mapping::call_top_dirs(2);

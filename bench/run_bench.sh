@@ -123,17 +123,10 @@ fi
 
 # BENCH_pipeline.json layout:
 #   {
-#     "pipeline_overlap_speedup_vs_staged": <best streamed-over-staged
-#         trace->EventLog->DFG ratio across worker counts; parity is
-#         the ceiling on a 1-CPU box>,
-#     "pipeline_overlap_speedup_by_workers": {"1": .., "2": .., "4": ..},
-#     "pipeline_scaling": {"staged": {...}, "streamed": {...}}  (items/s),
-#     "multi_sink_single_pass_speedup_vs_staged": <best ratio of ONE
-#         pipeline::run pass folding DFG + case stats + variants sinks
-#         over the staged workflow (streamed ingest barrier, then three
-#         separate analytic passes) across worker counts>,
-#     "multi_sink_speedup_by_workers": {"1": .., "2": .., "4": ..},
-#     "multi_sink_scaling": {"staged": {...}, "single_pass": {...}}  (items/s),
+#     "pipeline_scaling": {"streamed": {"1": .., "2": .., "4": ..}}
+#         (items/s of pipeline::run with a DfgSink),
+#     "multi_sink_scaling": {"single_pass": {...}}  (items/s of ONE
+#         pipeline::run pass folding DFG + case stats + variants sinks),
 #     "current": <google-benchmark JSON of bench_pipeline>
 #   }
 python3 - "$pipeline_raw" "$out_dir/BENCH_pipeline.json" <<'EOF'
@@ -156,34 +149,17 @@ def scaling(prefix):
             points[str(w)] = round(ips)
     return points
 
-def ratios(fast, slow):
-    return {w: round(fast[w] / slow[w], 2)
-            for w in fast if w in slow and slow[w]}
-
-staged = scaling("BM_PipelineStaged")
 streamed = scaling("BM_PipelineStreamed")
-by_workers = ratios(streamed, staged)
-best = max(by_workers.values()) if by_workers else None
-
-sink_staged = scaling("BM_MultiSinkStaged")
-sink_single = scaling("BM_MultiSinkSinglePass")
-sink_by_workers = ratios(sink_single, sink_staged)
-sink_best = max(sink_by_workers.values()) if sink_by_workers else None
+single_pass = scaling("BM_MultiSinkSinglePass")
 
 out = {
-    "pipeline_overlap_speedup_vs_staged": best,
-    "pipeline_overlap_speedup_by_workers": by_workers,
-    "pipeline_scaling": {"staged": staged, "streamed": streamed},
-    "multi_sink_single_pass_speedup_vs_staged": sink_best,
-    "multi_sink_speedup_by_workers": sink_by_workers,
-    "multi_sink_scaling": {"staged": sink_staged, "single_pass": sink_single},
+    "pipeline_scaling": {"streamed": streamed},
+    "multi_sink_scaling": {"single_pass": single_pass},
     "current": current,
 }
 json.dump(out, open(sys.argv[2], "w"), indent=1)
-print(f"wrote {sys.argv[2]} (pipeline_overlap_speedup_vs_staged = {best}x, "
-      f"by_workers = {by_workers}, "
-      f"multi_sink_single_pass_speedup_vs_staged = {sink_best}x, "
-      f"multi_sink_by_workers = {sink_by_workers})")
+print(f"wrote {sys.argv[2]} (pipeline_scaling = {streamed}, "
+      f"multi_sink_scaling = {single_pass})")
 EOF
 
 python3 - "$parse_raw" "$repo_root/bench/baseline_seed.json" "$out_dir/BENCH_parse.json" <<'EOF'

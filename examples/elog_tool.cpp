@@ -36,7 +36,7 @@
 #include "model/query.hpp"
 #include "parallel/thread_pool.hpp"
 #include "pipeline/shard.hpp"
-#include "pipeline/stream.hpp"
+#include "pipeline/sink.hpp"
 #include "report/report.hpp"
 #include "support/cli.hpp"
 #include "support/cli_args.hpp"
@@ -291,7 +291,7 @@ int main(int argc, char** argv) {
           log = std::move(result.log);
           std::cout << "wrote single-pass report to " << report_path << "\n";
         } else {
-          log = pipeline::event_log_streamed(files, pool, stream_opts);
+          log = pipeline::run(files, pool, {}, stream_opts);
         }
         elog::write_event_log_file(args[1], log);
       } else {

@@ -40,7 +40,7 @@
 #include "model/case_stats.hpp"
 #include "model/from_strace.hpp"
 #include "parallel/thread_pool.hpp"
-#include "pipeline/stream.hpp"
+#include "pipeline/sink.hpp"
 #include "report/report.hpp"
 #include "support/cli.hpp"
 #include "support/cli_args.hpp"
@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
           streamed_graph = graph_sink.take_graph();
           streamed_io = io_sink.take_partial();
         } else {
-          log = pipeline::event_log_streamed(traces, pool, stream_opts);
+          log = pipeline::run(traces, pool, {}, stream_opts);
         }
       }
       // Ingestion warnings before the union: derived logs drop them.

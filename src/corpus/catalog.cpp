@@ -7,7 +7,7 @@
 #include "dfg/builder.hpp"
 #include "dfg/coloring.hpp"
 #include "elog/store.hpp"
-#include "pipeline/stream.hpp"
+#include "pipeline/sink.hpp"
 #include "support/errors.hpp"
 
 namespace st::corpus {
@@ -58,7 +58,7 @@ void Catalog::load(const std::vector<std::string>& inputs, ThreadPool& pool) {
   if (!traces.empty()) {
     pipeline::StreamOptions stream_opts;
     static_cast<RunPolicy&>(stream_opts) = opts_.policy;
-    log = pipeline::event_log_streamed(traces, pool, stream_opts);
+    log = pipeline::run(traces, pool, {}, stream_opts);
   }
   // Ingestion warnings before the unions: derived logs drop them.
   for (const auto& w : log.warnings()) load_warnings_.push_back(w);
@@ -95,16 +95,8 @@ std::shared_ptr<const dfg::IoStatistics> Catalog::io_stats(const model::Query& q
   return artifact<dfg::IoStatistics>("iostats", &Catalog::compute_io_stats, q);
 }
 
-std::shared_ptr<const dfg::Layout> Catalog::layout(const model::Query& q) {
-  return artifact<dfg::Layout>("layout", &Catalog::compute_layout, q);
-}
-
 std::shared_ptr<const std::vector<model::CaseSummary>> Catalog::summaries(const model::Query& q) {
   return artifact<std::vector<model::CaseSummary>>("summaries", &Catalog::compute_summaries, q);
-}
-
-std::shared_ptr<const model::VariantCounts> Catalog::variants(const model::Query& q) {
-  return artifact<model::VariantCounts>("variants", &Catalog::compute_variants, q);
 }
 
 std::shared_ptr<const std::string> Catalog::report_html(const model::Query& q) {
@@ -193,20 +185,9 @@ std::shared_ptr<const void> Catalog::compute_io_stats(const model::Query& q) {
       dfg::IoStatistics::compute(*filtered(q), mapping_));
 }
 
-std::shared_ptr<const void> Catalog::compute_layout(const model::Query& q) {
-  const auto g = graph(q);
-  const auto stats = io_stats(q);
-  return std::make_shared<const dfg::Layout>(dfg::layout_dfg(*g, stats.get(), {}));
-}
-
 std::shared_ptr<const void> Catalog::compute_summaries(const model::Query& q) {
   return std::make_shared<const std::vector<model::CaseSummary>>(
       model::summarize_cases(*filtered(q)));
-}
-
-std::shared_ptr<const void> Catalog::compute_variants(const model::Query& q) {
-  return std::make_shared<const model::VariantCounts>(
-      model::ActivityLog::build(*filtered(q), mapping_).variants());
 }
 
 std::shared_ptr<const void> Catalog::compute_report(const model::Query& q) {

@@ -4,9 +4,9 @@
 // primitives re-packaged for heavy concurrent READ traffic: load the
 // corpus once (elog v2 containers open by mmap with zero reparse;
 // trace files stream through pipeline::run), hold it immutably behind
-// shared_ptr ownership, and memoize every derived artifact — query-
-// filtered logs, DFGs, layouts, I/O statistics, case summaries,
-// variant multisets, full HTML reports — in a thread-safe LRU cache.
+// shared_ptr ownership, and memoize every derived artifact the serve
+// verbs read — query-filtered logs, DFGs, I/O statistics, case
+// summaries, full HTML reports — in a thread-safe LRU cache.
 //
 // The cache key IS the wire format: artifacts are keyed by the
 // canonical Query::describe() fingerprint (plus the artifact kind), so
@@ -39,10 +39,8 @@
 #include <vector>
 
 #include "dfg/dfg.hpp"
-#include "dfg/layout.hpp"
 #include "dfg/stats.hpp"
 #include "elog/v2_select.hpp"
-#include "model/activity_log.hpp"
 #include "model/case_stats.hpp"
 #include "model/event_log.hpp"
 #include "model/mapping.hpp"
@@ -115,13 +113,9 @@ class Catalog {
   [[nodiscard]] std::shared_ptr<const dfg::Dfg> graph(const model::Query& q);
   /// Activity/I-O statistics of the filtered view.
   [[nodiscard]] std::shared_ptr<const dfg::IoStatistics> io_stats(const model::Query& q);
-  /// Deterministic coordinate layout of graph(q), statistics-sized.
-  [[nodiscard]] std::shared_ptr<const dfg::Layout> layout(const model::Query& q);
   /// Per-case summary rows of the filtered view.
   [[nodiscard]] std::shared_ptr<const std::vector<model::CaseSummary>> summaries(
       const model::Query& q);
-  /// Trace-variant multiset of the filtered view.
-  [[nodiscard]] std::shared_ptr<const model::VariantCounts> variants(const model::Query& q);
   /// The full self-contained HTML report of the filtered view —
   /// byte-identical to `trace_explorer --query <q> --render report`.
   [[nodiscard]] std::shared_ptr<const std::string> report_html(const model::Query& q);
@@ -148,9 +142,7 @@ class Catalog {
   std::shared_ptr<const void> compute_filtered(const model::Query& q);
   std::shared_ptr<const void> compute_graph(const model::Query& q);
   std::shared_ptr<const void> compute_io_stats(const model::Query& q);
-  std::shared_ptr<const void> compute_layout(const model::Query& q);
   std::shared_ptr<const void> compute_summaries(const model::Query& q);
-  std::shared_ptr<const void> compute_variants(const model::Query& q);
   std::shared_ptr<const void> compute_report(const model::Query& q);
 
   CatalogOptions opts_;

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <istream>
@@ -188,15 +189,30 @@ void write_all(int fd, std::string_view bytes) {
   }
 }
 
+/// Longest request line the server buffers. A client that sends more
+/// without a newline gets an error reply and is disconnected, so one
+/// connection cannot grow the server's memory without bound.
+constexpr std::size_t kMaxRequestLine = 64 * 1024;
+
+Response overlong_response() {
+  return error_response("request line exceeds " + std::to_string(kMaxRequestLine) + " bytes");
+}
+
 /// Buffered line reads over a socket.
 class FdLineReader {
  public:
   explicit FdLineReader(int fd) : fd_(fd) {}
 
+  /// False at EOF, on a read error, or once a line outgrows
+  /// kMaxRequestLine (then overlong() is true).
   bool getline(std::string& line) {
     line.clear();
     for (;;) {
       const auto nl = buf_.find('\n', pos_);
+      if ((nl == std::string::npos ? buf_.size() : nl) - pos_ > kMaxRequestLine) {
+        overlong_ = true;
+        return false;
+      }
       if (nl != std::string::npos) {
         line.assign(buf_, pos_, nl - pos_);
         pos_ = nl + 1;
@@ -219,10 +235,13 @@ class FdLineReader {
     }
   }
 
+  [[nodiscard]] bool overlong() const { return overlong_; }
+
  private:
   int fd_;
   std::string buf_;
   std::size_t pos_ = 0;
+  bool overlong_ = false;
 };
 
 int hex_value(char c) {
@@ -307,6 +326,11 @@ void Server::serve_forever(ThreadPool& pool) {
       if (errno == EINTR) continue;
       break;  // stop() shut the listener down (or it genuinely failed)
     }
+    // Reap finished connections so a long-lived server's bookkeeping
+    // stays bounded by its live connections, not its lifetime total.
+    std::erase_if(connections, [](const std::future<void>& c) {
+      return c.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+    });
     connections.push_back(pool.submit([this, fd] { handle_connection(fd); }));
   }
   for (auto& c : connections) c.wait();  // drain in-flight requests
@@ -316,6 +340,7 @@ void Server::handle_connection(int fd) {
   FdLineReader reader(fd);
   std::string line;
   if (!reader.getline(line)) {
+    if (reader.overlong()) write_all(fd, overlong_response().header + "\n");
     ::close(fd);
     return;
   }
@@ -324,7 +349,8 @@ void Server::handle_connection(int fd) {
     std::string header_line;
     while (reader.getline(header_line) && !header_line.empty()) {
     }
-    const Response r = handle_request(catalog_, request_from_http(line));
+    const Response r =
+        reader.overlong() ? overlong_response() : handle_request(catalog_, request_from_http(line));
     const std::string_view body = r.ok ? std::string_view(r.payload) : std::string_view(r.header);
     std::string http = r.ok ? "HTTP/1.0 200 OK\r\n" : "HTTP/1.0 400 Bad Request\r\n";
     http += r.ok && r.header.find("\"verb\":\"report\"") != std::string::npos
@@ -348,7 +374,10 @@ void Server::handle_connection(int fd) {
         return;
       }
     }
-    if (!reader.getline(line)) break;
+    if (!reader.getline(line)) {
+      if (reader.overlong()) write_all(fd, overlong_response().header + "\n");
+      break;
+    }
   }
   ::close(fd);
 }

@@ -77,7 +77,8 @@ void serve_lines(Catalog& catalog, std::istream& in, std::ostream& out);
 /// line starting with "GET " switches the connection to one-shot
 /// HTTP/1.0 (`GET /report?q=fp~%2Fp` — the query string is
 /// percent-decoded, the reply is a proper HTTP response carrying the
-/// payload only).
+/// payload only). A request line longer than 64 KiB gets an ok=false
+/// reply (HTTP 400 on the HTTP path) and the connection is closed.
 class Server {
  public:
   Server(Catalog& catalog, std::uint16_t port);

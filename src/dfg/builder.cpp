@@ -1,7 +1,5 @@
 #include "dfg/builder.hpp"
 
-#include "parallel/algorithms.hpp"
-
 namespace st::dfg {
 
 void add_case_trace(Dfg& g, const model::Case& c, const model::Mapping& f) {
@@ -15,21 +13,6 @@ Dfg build_serial(const model::EventLog& log, const model::Mapping& f) {
   Dfg g;
   for (const model::Case& c : log.cases()) add_case_trace(g, c, f);
   return g;
-}
-
-Dfg build_parallel(const model::EventLog& log, const model::Mapping& f, ThreadPool& pool) {
-  const auto cases = log.cases();
-  return map_reduce(
-      pool, cases.size(), Dfg{},
-      [&](std::size_t lo, std::size_t hi) {
-        Dfg partial;
-        for (std::size_t i = lo; i < hi; ++i) add_case_trace(partial, cases[i], f);
-        return partial;
-      },
-      [](Dfg acc, const Dfg& part) {
-        acc.merge(part);
-        return acc;
-      });
 }
 
 }  // namespace st::dfg

@@ -1,32 +1,23 @@
 // DFG construction directly from an event log and a mapping.
 //
-// build_serial is the single-pass O(n) construction of Sec. V step 3;
-// build_parallel splits the cases over a thread pool and merges the
-// per-chunk partial graphs (the scalable construction of refs
-// [24][25]). Both produce identical graphs — a property the test suite
-// asserts over randomized logs.
+// build_serial is the single-pass O(n) construction of Sec. V step 3.
+// The scalable construction of refs [24][25] — per-task partial graphs
+// merged through the Dfg monoid — is pipeline::DfgSink, which folds
+// add_case_trace per case while the trace files are still parsing.
 #pragma once
-
-#include <cstddef>
 
 #include "dfg/dfg.hpp"
 #include "model/event_log.hpp"
 #include "model/mapping.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace st::dfg {
 
 /// One pass over the cases; no intermediate ActivityLog materialized.
 [[nodiscard]] Dfg build_serial(const model::EventLog& log, const model::Mapping& f);
 
-/// Map-reduce over case chunks on `pool`.
-[[nodiscard]] Dfg build_parallel(const model::EventLog& log, const model::Mapping& f,
-                                 ThreadPool& pool);
-
-/// Folds ONE case's activity trace into `g` — the unit step both
-/// builders are made of, exported so the streaming pipeline
-/// (pipeline/stream.cpp) can grow per-task partial graphs that merge
-/// to exactly what build_parallel produces.
+/// Folds ONE case's activity trace into `g` — the unit step of
+/// build_serial, exported so pipeline::DfgSink can grow per-task
+/// partial graphs that merge to exactly what build_serial produces.
 void add_case_trace(Dfg& g, const model::Case& c, const model::Mapping& f);
 
 }  // namespace st::dfg

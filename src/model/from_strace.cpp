@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "parallel/thread_pool.hpp"
-#include "pipeline/stream.hpp"
+#include "pipeline/sink.hpp"
 
 namespace st::model {
 
@@ -49,15 +49,12 @@ Case case_from_records(const strace::TraceFileId& id,
 }
 
 EventLog event_log_from_files(const std::vector<std::string>& paths, std::size_t threads) {
-  // Rebuilt on the streaming pipeline (pipeline/stream.hpp): each
-  // file's record -> Case conversion is enqueued the moment that
-  // file's parse chunks finish folding, instead of after ALL files
-  // parse — parse and convert overlap on one pool. Output (case
-  // order, event order, warning order) is byte-identical to the old
-  // staged build; name validation and error determinism live in the
-  // pipeline core.
+  // pipeline::run with no sinks: each file's record -> Case conversion
+  // is enqueued the moment that file's parse chunks finish folding, so
+  // parse and convert overlap on one pool; name validation and error
+  // determinism live in the pipeline core.
   ThreadPool pool(threads);
-  return pipeline::event_log_streamed(paths, pool);
+  return pipeline::run(paths, pool, {});
 }
 
 }  // namespace st::model

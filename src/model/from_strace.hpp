@@ -46,7 +46,7 @@ namespace st::model {
 /// must follow the cid_host_rid.st convention; files that do not parse
 /// as such throw ParseError (checked for every path before any I/O;
 /// first offender in input order wins). Built on the streaming
-/// pipeline (pipeline/stream.hpp): files are mmapped and parsed with
+/// pipeline (pipeline::run): files are mmapped and parsed with
 /// mixed per-file + intra-file parallelism over `threads` workers
 /// (0 = hardware concurrency), and each file's record -> Case
 /// conversion is enqueued on the same pool the moment that file's

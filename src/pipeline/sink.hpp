@@ -12,13 +12,12 @@
 //
 //   make_partial()      a fresh accumulator, created per conversion
 //                       task on the pool thread running it;
-//   fold(partial, ctx)  folds one completed Case into that partial,
-//                       right where trace_to_dfg used to fold its
-//                       per-task Dfg — on the pool thread, overlapped
-//                       with parsing of later files. `const`: sinks
-//                       keep all mutable state in the partial, so
-//                       concurrent folds into distinct partials are
-//                       safe by construction;
+//   fold(partial, ctx)  folds one completed Case into that partial
+//                       inside the case's conversion task — on the
+//                       pool thread, overlapped with parsing of later
+//                       files. `const`: sinks keep all mutable state
+//                       in the partial, so concurrent folds into
+//                       distinct partials are safe by construction;
 //   merge(partial)      input-order fold of the partials into the
 //                       sink's output, at assembly on the calling
 //                       thread — the same place (and order) the
@@ -174,9 +173,8 @@ class CaseSink {
 // ---- the analytics, re-expressed as sinks ------------------------------
 
 /// Per-case DFG construction (dfg::add_case_trace folded through the
-/// Dfg monoid). trace_to_dfg is a thin wrapper over run() with this
-/// sink; the result equals dfg::build_parallel / build_serial on the
-/// returned log. `f` must outlive the run.
+/// Dfg monoid); the result equals dfg::build_serial on the returned
+/// log. `f` must outlive the run.
 class DfgSink final : public CaseSink {
  public:
   explicit DfgSink(const model::Mapping& f) : f_(&f) {}

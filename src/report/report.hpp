@@ -111,7 +111,7 @@ struct StreamingReport {
 /// table, variants, activity statistics, edge statistics) fold on the
 /// same pool; the optional timeline renders from the already-folded
 /// IoStatistics partial. The DFG is statistics-colored like the CLI
-/// report paths. Compared to build_report over event_log_streamed,
+/// report paths. Compared to build_report over a pipeline::run log,
 /// this removes the ingestion barrier plus every post-hoc walk, and
 /// adds the variants section.
 /// `extra_sinks` ride the same pass after the report's own sinks —

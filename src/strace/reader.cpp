@@ -71,12 +71,4 @@ ReadResult read_trace_file(const std::string& path, const ReadOptions& opts) {
   return read_trace_buffer(TraceBuffer::from_file_mmap(path), opts);
 }
 
-ReadResult read_trace_text_parallel(std::string_view text, const ParallelReadOptions& opts) {
-  return read_trace_parallel(std::make_shared<TraceBuffer>(std::string(text)), opts);
-}
-
-ReadResult read_trace_file_parallel(const std::string& path, const ParallelReadOptions& opts) {
-  return read_trace_parallel(TraceBuffer::from_file_mmap(path), opts);
-}
-
 }  // namespace st::strace

@@ -13,13 +13,12 @@
 // argument lists and decoded C paths). ReadResult carries the buffer,
 // so records stay valid as long as the result is alive.
 //
-// read_trace_parallel chunks the buffer on line boundaries, parses the
-// chunks on a ThreadPool via map_reduce, and folds per-PID sharded
-// unfinished/resumed state deterministically left-to-right — records,
-// ordering and warnings are byte-identical to the sequential reader.
-// read_trace_buffers_parallel generalizes this to many buffers on one
-// shared work queue (mixed per-file + intra-file parallelism), and
-// file-based entry points mmap the trace instead of copying it.
+// read_trace_buffer is the sequential reference. The parallel reader,
+// read_trace_buffers_streamed, splits every buffer into line chunks,
+// parses all (buffer, chunk) tasks on the caller's ThreadPool and folds
+// each buffer's per-PID unfinished/resumed state deterministically
+// left-to-right — records, ordering and warnings are byte-identical to
+// read_trace_buffer on that buffer.
 #pragma once
 
 #include <cstddef>
@@ -70,40 +69,9 @@ struct ReadResult {
 [[nodiscard]] ReadResult read_trace_file(const std::string& path, const ReadOptions& opts = {});
 
 struct ParallelReadOptions : ReadOptions {
-  std::size_t threads = 0;             ///< pool size when `pool` is null; 0 = hardware
   std::size_t min_chunk_bytes = 1 << 20;  ///< lower bound per parse chunk
-  ThreadPool* pool = nullptr;          ///< reuse an existing pool instead of creating one
+  ThreadPool* pool = nullptr;             ///< required: the pool every parse task runs on
 };
-
-/// Parallel variant of read_trace_buffer: byte-identical output
-/// (records, order, warnings, strict-mode exception) to the sequential
-/// reader, built with per-chunk parses folded left-to-right.
-[[nodiscard]] ReadResult read_trace_parallel(std::shared_ptr<TraceBuffer> buffer,
-                                             const ParallelReadOptions& opts = {});
-
-[[nodiscard]] ReadResult read_trace_text_parallel(std::string_view text,
-                                                  const ParallelReadOptions& opts = {});
-
-[[nodiscard]] ReadResult read_trace_file_parallel(const std::string& path,
-                                                  const ParallelReadOptions& opts = {});
-
-/// Mixed per-file + intra-file parallelism: every buffer is split into
-/// line chunks and ALL (buffer, chunk) parse tasks share one pool's
-/// work queue, so one huge trace plus many small ones saturates every
-/// worker — no either/or between the two parallelism axes. Results are
-/// returned in input order and each is byte-identical to
-/// read_trace_buffer on that buffer (records, order, warnings,
-/// strict-mode exception; on multiple strict failures the lowest input
-/// index wins).
-[[nodiscard]] std::vector<ReadResult> read_trace_buffers_parallel(
-    std::vector<std::shared_ptr<TraceBuffer>> buffers, const ParallelReadOptions& opts = {});
-
-/// Opens every file via TraceBuffer::from_file_mmap (so multi-GB
-/// traces never double-buffer) and parses them with
-/// read_trace_buffers_parallel. Open failures throw IoError for the
-/// first unopenable path in input order, before any parsing starts.
-[[nodiscard]] std::vector<ReadResult> read_trace_files_mixed(
-    const std::vector<std::string>& paths, const ParallelReadOptions& opts = {});
 
 // ---- streamed per-file completion --------------------------------------
 
@@ -162,26 +130,29 @@ class StreamedParse {
   std::shared_ptr<State> state_;
 };
 
-/// Streamed variant of read_trace_buffers_parallel: the same one work
-/// queue of (buffer, chunk) parse tasks, but each buffer's fold runs on
-/// the pool thread that finished its last chunk and `on_file_done`
-/// fires right there — downstream stages can start consuming a file
-/// while other files are still parsing. `on_all_done` (optional) fires
-/// exactly once, normally after the last file settles, whether it
-/// parsed cleanly or failed (on the thread that settled it; inline
-/// when `buffers` is empty) — and EARLY if task submission itself
-/// fails, so consumers can unblock producers parked in a backpressured
-/// hand-off. When opts.pool is null the handle owns a private pool
-/// sized by opts.threads; a caller-provided opts.pool must outlive the
-/// returned handle (destroying the pool first discards chunk tasks
-/// that never started, and the handle's join would then wait forever).
+/// Mixed per-file + intra-file parallelism: every buffer is split into
+/// line chunks and ALL (buffer, chunk) parse tasks share one work queue
+/// on opts.pool, so one huge trace plus many small ones saturates every
+/// worker. Each buffer's fold runs on the pool thread that finished its
+/// last chunk and `on_file_done` fires right there — downstream stages
+/// can start consuming a file while other files are still parsing.
+/// `on_all_done` (optional) fires exactly once, normally after the
+/// last file settles, whether it parsed cleanly or failed (on the
+/// thread that settled it; inline when `buffers` is empty) — and EARLY
+/// if task submission itself fails, so consumers can unblock producers
+/// parked in a backpressured hand-off. opts.pool is required (LogicError when null) and must
+/// outlive the returned handle: destroying the pool first discards
+/// chunk tasks that never started, and the handle's join would then
+/// wait forever.
 [[nodiscard]] StreamedParse read_trace_buffers_streamed(
     std::vector<std::shared_ptr<TraceBuffer>> buffers, const ParallelReadOptions& opts,
     FileReadyFn on_file_done, std::function<void()> on_all_done = {});
 
-/// mmap-opening wrapper (same contract as read_trace_files_mixed's
-/// opening step: IoError for the first unopenable path, before any
-/// parse task is enqueued).
+/// Opens every file via TraceBuffer::from_file_mmap (so multi-GB
+/// traces never double-buffer) and parses them with
+/// read_trace_buffers_streamed. Open failures throw IoError for the
+/// first unopenable path in input order, before any parse task is
+/// enqueued.
 [[nodiscard]] StreamedParse read_trace_files_streamed(const std::vector<std::string>& paths,
                                                       const ParallelReadOptions& opts,
                                                       FileReadyFn on_file_done,

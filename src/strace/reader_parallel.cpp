@@ -31,7 +31,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "parallel/algorithms.hpp"
 #include "parallel/thread_pool.hpp"
 #include "strace/parser.hpp"
 #include "strace/reader.hpp"
@@ -350,49 +349,14 @@ ReadResult finalize_acc(Acc acc, std::shared_ptr<TraceBuffer> buffer, const Read
 
 }  // namespace
 
-ReadResult read_trace_parallel(std::shared_ptr<TraceBuffer> buffer,
-                               const ParallelReadOptions& opts) {
-  const std::string_view text = buffer->text();
-
-  std::optional<ThreadPool> local_pool;
-  ThreadPool* pool = opts.pool;
-  if (pool == nullptr) {
-    local_pool.emplace(opts.threads);
-    pool = &*local_pool;
-  }
-
-  const auto chunks = line_chunks(text, chunk_target(text, opts.min_chunk_bytes, pool->size()));
-
-  const ChunkReader reader{text, opts};
-  Acc acc = map_reduce(
-      *pool, chunks.size(), Acc{},
-      [&](std::size_t lo, std::size_t hi) {
-        Acc local = reader.parse_chunk(chunks[lo].first, chunks[lo].second);
-        for (std::size_t i = lo + 1; i < hi; ++i) {
-          local = reader.fold(std::move(local), reader.parse_chunk(chunks[i].first, chunks[i].second));
-        }
-        return local;
-      },
-      [&](Acc a, Acc b) { return reader.fold(std::move(a), std::move(b)); });
-
-  return finalize_acc(std::move(acc), std::move(buffer), opts);
-}
-
 // ---- streamed per-file completion --------------------------------------
 
 /// Shared state of one streamed parse, owned by the handle alone.
-/// Tasks reference it through a RAW pointer on purpose: the handle
-/// joins before it releases the state (wait for tasks_left == 0, after
-/// which workers only run trivial epilogues), and a shared_ptr capture
-/// would let the last-finishing WORKER destroy the state — and with it
-/// the state-owned private pool, joining the worker's own thread.
+/// Tasks reference it through a RAW pointer: the handle joins before it
+/// releases the state (wait for tasks_left == 0, after which workers
+/// only run trivial epilogues), so the state's lifetime is the
+/// handle's, never a worker's.
 struct StreamedParse::State {
-  // The private pool (when opts.pool was null) is declared first so it
-  // is destroyed last: by then every task has run and dropped its
-  // shared_ptr, so the workers are idle.
-  std::optional<ThreadPool> local_pool;
-  ThreadPool* pool = nullptr;
-
   ParallelReadOptions opts;  ///< stable storage for the ChunkReaders' reference
   std::vector<std::shared_ptr<TraceBuffer>> buffers;
   FileReadyFn on_file;
@@ -543,17 +507,15 @@ void StreamedParse::wait() {
 StreamedParse read_trace_buffers_streamed(std::vector<std::shared_ptr<TraceBuffer>> buffers,
                                           const ParallelReadOptions& opts, FileReadyFn on_file_done,
                                           std::function<void()> on_all_done) {
+  if (opts.pool == nullptr) {
+    throw LogicError("read_trace_buffers_streamed: ParallelReadOptions::pool is required");
+  }
+  ThreadPool& pool = *opts.pool;
   auto state = std::make_shared<StreamedParse::State>();
   state->opts = opts;
   state->buffers = std::move(buffers);
   state->on_file = std::move(on_file_done);
   state->on_done = std::move(on_all_done);
-  if (opts.pool != nullptr) {
-    state->pool = opts.pool;
-  } else {
-    state->local_pool.emplace(opts.threads);
-    state->pool = &*state->local_pool;
-  }
 
   const std::size_t n = state->buffers.size();
   state->files_remaining.store(n, std::memory_order_relaxed);
@@ -561,7 +523,7 @@ StreamedParse read_trace_buffers_streamed(std::vector<std::shared_ptr<TraceBuffe
   for (std::size_t f = 0; f < n; ++f) {
     auto& fs = state->files.emplace_back();
     const std::string_view text = state->buffers[f]->text();
-    fs.chunks = line_chunks(text, chunk_target(text, opts.min_chunk_bytes, state->pool->size()));
+    fs.chunks = line_chunks(text, chunk_target(text, opts.min_chunk_bytes, pool.size()));
     // An empty file still settles through the normal path: one [0, 0)
     // chunk parses to an empty accumulator and finalizes to an empty
     // ReadResult, so on_file_done fires for it like for any other file.
@@ -582,7 +544,7 @@ StreamedParse read_trace_buffers_streamed(std::vector<std::shared_ptr<TraceBuffe
   try {
     for (f = 0; f < n; ++f) {
       for (c = 0; c < state->files[f].chunks.size(); ++c) {
-        (void)state->pool->submit([s, f, c] {
+        (void)pool.submit([s, f, c] {
           s->run_chunk(f, c);
           s->task_finished();
         });
@@ -622,28 +584,6 @@ StreamedParse read_trace_files_streamed(const std::vector<std::string>& paths,
   for (const auto& path : paths) buffers.push_back(TraceBuffer::from_file_mmap(path));
   return read_trace_buffers_streamed(std::move(buffers), opts, std::move(on_file_done),
                                      std::move(on_all_done));
-}
-
-std::vector<ReadResult> read_trace_buffers_parallel(
-    std::vector<std::shared_ptr<TraceBuffer>> buffers, const ParallelReadOptions& opts) {
-  // Rebuilt on the streamed core: identical (buffer, chunk) work queue
-  // and per-file fold, but collected behind a barrier — the callback
-  // fills input-order slots and wait() rethrows the earliest failure.
-  const std::size_t n = buffers.size();
-  std::vector<ReadResult> results(n);
-  auto handle = read_trace_buffers_streamed(
-      std::move(buffers), opts,
-      [&results](std::size_t i, ReadResult&& r) { results[i] = std::move(r); });
-  handle.wait();
-  return results;
-}
-
-std::vector<ReadResult> read_trace_files_mixed(const std::vector<std::string>& paths,
-                                               const ParallelReadOptions& opts) {
-  std::vector<std::shared_ptr<TraceBuffer>> buffers;
-  buffers.reserve(paths.size());
-  for (const auto& path : paths) buffers.push_back(TraceBuffer::from_file_mmap(path));
-  return read_trace_buffers_parallel(std::move(buffers), opts);
 }
 
 }  // namespace st::strace

@@ -16,10 +16,10 @@
 // return.
 //
 // Concurrency: parsing a buffer MUTATES it (interning into arena(),
-// adopt()). At most one read_trace_* call may run on a given buffer
-// at a time — read_trace_parallel synchronizes its own workers, but
-// two overlapping reads of the same buffer are a data race. Records
-// and text() may be read freely once parsing has returned.
+// adopt()). At most one read_trace_* call may run on a given buffer at
+// a time — read_trace_buffers_streamed synchronizes its own workers,
+// but two overlapping reads of the same buffer are a data race.
+// Records and text() may be read freely once parsing has returned.
 #pragma once
 
 #include <deque>

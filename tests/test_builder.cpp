@@ -39,28 +39,27 @@ TEST(Builder, SerialMatchesActivityLogConstruction) {
 }
 
 TEST(Builder, EmptyLogGivesEmptyDfg) {
-  ThreadPool pool(2);
   const auto f = model::Mapping::call_only();
   EXPECT_TRUE(build_serial(model::EventLog{}, f).empty());
-  EXPECT_TRUE(build_parallel(model::EventLog{}, f, pool).empty());
+  EXPECT_TRUE(testing::dfg_via_sink(model::EventLog{}, f, 4).empty());
 }
 
-// Property: the parallel map-reduce construction (refs [24][25]) gives
-// exactly the serial graph, for many random logs and pool widths.
+// Property: the scalable construction (refs [24][25]) — per-group
+// partial graphs folded by pipeline::DfgSink and merged in order —
+// gives exactly the serial graph, for many random logs and groupings.
 struct BuilderParam {
   std::uint64_t seed;
   std::size_t cases;
-  std::size_t threads;
+  std::size_t groups;
 };
 
 class BuilderEquivalence : public ::testing::TestWithParam<BuilderParam> {};
 
-TEST_P(BuilderEquivalence, ParallelEqualsSerial) {
+TEST_P(BuilderEquivalence, GroupedSinkFoldEqualsSerial) {
   const auto param = GetParam();
   const auto log = random_log(param.seed, param.cases, 40);
   const auto f = model::Mapping::call_top_dirs(2);
-  ThreadPool pool(param.threads);
-  EXPECT_EQ(build_serial(log, f), build_parallel(log, f, pool));
+  EXPECT_EQ(build_serial(log, f), testing::dfg_via_sink(log, f, param.groups));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -71,15 +70,14 @@ INSTANTIATE_TEST_SUITE_P(
                       BuilderParam{10, 255, 8}, BuilderParam{11, 256, 5}),
     [](const ::testing::TestParamInfo<BuilderParam>& param_info) {
       return "seed" + std::to_string(param_info.param.seed) + "_cases" +
-             std::to_string(param_info.param.cases) + "_threads" + std::to_string(param_info.param.threads);
+             std::to_string(param_info.param.cases) + "_groups" + std::to_string(param_info.param.groups);
     });
 
 TEST(Builder, PartialMappingDropsEventsInBothPaths) {
   const auto log = random_log(12, 25, 30);
   const auto f = model::Mapping::call_top_dirs(2).filtered_fp("/usr");
-  ThreadPool pool(4);
   const Dfg serial = build_serial(log, f);
-  EXPECT_EQ(serial, build_parallel(log, f, pool));
+  EXPECT_EQ(serial, testing::dfg_via_sink(log, f, 4));
   for (const auto& a : serial.activities()) {
     EXPECT_NE(a.find("/usr"), std::string::npos);
   }

@@ -12,7 +12,9 @@
 //     TSan job's target list);
 //   - handle_request/serve_lines: canonical echo, payload framing,
 //     graceful error replies, shutdown;
-//   - the TCP server outlives a client that hangs up mid-reply.
+//   - the TCP server outlives a client that hangs up mid-reply, and
+//     answers an overlong request line with an error instead of
+//     buffering it without bound.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -30,7 +32,7 @@
 #include "dfg/coloring.hpp"
 #include "model/query.hpp"
 #include "parallel/thread_pool.hpp"
-#include "pipeline/stream.hpp"
+#include "pipeline/sink.hpp"
 #include "report/report.hpp"
 #include "testing_corpus.hpp"
 
@@ -63,7 +65,7 @@ class CatalogTest : public st::testing::CorpusTest {
 TEST_F(CatalogTest, LoadMatchesTheOfflinePipeline) {
   auto catalog = make_catalog();
   ThreadPool pool(2);
-  const auto offline = pipeline::event_log_streamed(corpus_, pool);
+  const auto offline = pipeline::run(corpus_, pool, {});
   st::testing::expect_same_log(*catalog.base(), offline);
   // warnings live on load_warnings(), the base log itself keeps them too
   EXPECT_EQ(catalog.load_warnings(), offline.warnings());
@@ -192,7 +194,7 @@ TEST_F(CatalogTest, ConcurrentMixedAccessStaysCoherent) {
           case 0: EXPECT_NE(catalog.filtered(q), nullptr); break;
           case 1: EXPECT_NE(catalog.graph(q), nullptr); break;
           case 2: EXPECT_NE(catalog.summaries(q), nullptr); break;
-          default: EXPECT_NE(catalog.variants(q), nullptr); break;
+          default: EXPECT_NE(catalog.io_stats(q), nullptr); break;
         }
       }
     });
@@ -310,6 +312,32 @@ void send_line(int fd, std::string_view bytes) {
             static_cast<ssize_t>(bytes.size()));
 }
 
+/// Reads until the reply ends with `suffix`, EOF, an error or the
+/// socket's receive timeout.
+std::string recv_until(int fd, std::string_view suffix) {
+  std::string reply;
+  char buf[256];
+  while (!reply.ends_with(suffix)) {
+    const auto n = ::recv(fd, buf, sizeof buf, 0);
+    if (n <= 0) break;
+    reply.append(buf, static_cast<std::size_t>(n));
+  }
+  return reply;
+}
+
+/// A fresh client's ping, answered within 10 s — proof the server is
+/// still serving.
+std::string ping(std::uint16_t port) {
+  const int fd = connect_local(port);
+  if (fd < 0) return "connect failed";
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  send_line(fd, "ping\n");
+  std::string reply = recv_until(fd, "pong\n");
+  ::close(fd);
+  return reply;
+}
+
 TEST_F(CatalogTest, ServerSurvivesAClientThatHangsUpMidReply) {
   auto catalog = make_catalog();
   Server server(catalog, 0);
@@ -328,22 +356,43 @@ TEST_F(CatalogTest, ServerSurvivesAClientThatHangsUpMidReply) {
   ::close(rude);
 
   // The process is still alive and a fresh client gets its pong.
-  const int polite = connect_local(server.port());
-  ASSERT_GE(polite, 0);
-  const timeval timeout{10, 0};
-  ::setsockopt(polite, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
-  send_line(polite, "ping\n");
-  std::string reply;
-  char buf[256];
-  while (!reply.ends_with("pong\n")) {
-    const auto n = ::recv(polite, buf, sizeof buf, 0);
-    if (n <= 0) break;
-    reply.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(polite);
+  const std::string reply = ping(server.port());
   server.stop();
   accept_loop.join();
   EXPECT_TRUE(reply.starts_with("{\"ok\":true,\"verb\":\"ping\"")) << reply;
+  EXPECT_TRUE(reply.ends_with("pong\n")) << reply;
+}
+
+TEST_F(CatalogTest, ServerRejectsAnOverlongRequestLine) {
+  auto catalog = make_catalog();
+  Server server(catalog, 0);
+  ThreadPool pool(2);
+  std::thread accept_loop([&] { server.serve_forever(pool); });
+
+  // 128 KiB with no newline: the server must not buffer it forever but
+  // answer with an error header and hang up.
+  const int greedy = connect_local(server.port());
+  ASSERT_GE(greedy, 0);
+  const timeval timeout{5, 0};
+  ::setsockopt(greedy, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  ::setsockopt(greedy, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
+  const std::string flood(128 * 1024, 'x');
+  std::size_t sent = 0;
+  while (sent < flood.size()) {  // the server may hang up before taking it all
+    const auto n = ::send(greedy, flood.data() + sent, flood.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  const std::string rejection = recv_until(greedy, "}\n");
+  ::close(greedy);
+
+  // The overlong client cost the server nothing: the next one is served.
+  const std::string reply = ping(server.port());
+  server.stop();
+  accept_loop.join();
+  EXPECT_TRUE(rejection.starts_with("{\"ok\":false,\"error\":\"request line exceeds"))
+      << rejection;
+  EXPECT_TRUE(rejection.ends_with("}\n")) << rejection;
   EXPECT_TRUE(reply.ends_with("pong\n")) << reply;
 }
 

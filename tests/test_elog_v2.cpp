@@ -16,11 +16,11 @@
 #include "elog/v2_store.hpp"
 #include "parallel/thread_pool.hpp"
 #include "pipeline/sink.hpp"
-#include "pipeline/stream.hpp"
 #include "strace/trace_buffer.hpp"
 #include "support/crc32.hpp"
 #include "support/errors.hpp"
 #include "support/timeparse.hpp"
+#include "testing_corpus.hpp"
 #include "testing_util.hpp"
 
 namespace st::elog {
@@ -288,38 +288,7 @@ TEST(ElogV2Writer, IncrementalWriteMatchesBulkWrite) {
 
 // ---- streamed sink: byte identity at any worker count ------------------
 
-std::string ts(Micros t) { return format_time_of_day(t); }
-
-std::string make_clean_trace(std::size_t lines, std::uint64_t pid) {
-  std::string text;
-  Micros t = 36000000000;  // 10:00:00
-  const std::string p = std::to_string(pid);
-  for (std::size_t i = 0; i < lines; ++i) {
-    t += 100;
-    switch (i % 5) {
-      case 0:
-        text += p + "  " + ts(t) + " read(3</p/data/f>, \"\"..., 512) = 512 <0.000040>\n";
-        break;
-      case 1:
-        text += p + "  " + ts(t) +
-                " openat(AT_FDCWD, \"/p/scratch/ssf/test\", O_RDWR|O_CREAT, 0644) = 5 "
-                "<0.000150>\n";
-        break;
-      case 2:
-        text += p + "  " + ts(t) +
-                " pwrite64(5</p/scratch/ssf/test>, \"\"..., 1048576, 33554432) = 1048576 "
-                "<0.000294>\n";
-        break;
-      case 3:
-        text += p + "  " + ts(t) + " read(3</p/data/f>, <unfinished ...>\n";
-        break;
-      default:
-        text += p + "  " + ts(t) + " <... read resumed> \"\"..., 405) = 404 <0.000223>\n";
-        break;
-    }
-  }
-  return text;
-}
+using st::testing::make_clean_trace;
 
 class ElogV2Import : public ::testing::Test {
  protected:
@@ -349,7 +318,7 @@ class ElogV2Import : public ::testing::Test {
 TEST_F(ElogV2Import, SinkWriteIsByteIdenticalToStagedWriteAtAnyWorkerCount) {
   // The reference: a staged write of the (deterministic) streamed log.
   ThreadPool ref_pool(1);
-  const auto ref_log = pipeline::event_log_streamed(paths_, ref_pool);
+  const auto ref_log = pipeline::run(paths_, ref_pool, {});
   const std::string staged = v2_bytes(ref_log);
 
   for (const std::size_t workers : {1u, 2u, 4u}) {
@@ -376,7 +345,7 @@ TEST_F(ElogV2Import, SinkWriteIsByteIdenticalToStagedWriteAtAnyWorkerCount) {
 
 TEST_F(ElogV2Import, ImportedV1AndV2AgreeWithEachOtherAndTheTraces) {
   ThreadPool pool(3);
-  const auto from_traces = pipeline::event_log_streamed(paths_, pool);
+  const auto from_traces = pipeline::run(paths_, pool, {});
   // v1 route
   std::stringstream v1;
   write_event_log(v1, from_traces);

@@ -26,7 +26,6 @@
 #include "parallel/thread_pool.hpp"
 #include "pipeline/shard.hpp"
 #include "pipeline/sink.hpp"
-#include "pipeline/stream.hpp"
 #include "report/report.hpp"
 #include "strace/trace_buffer.hpp"
 #include "support/errors.hpp"
@@ -39,10 +38,6 @@ using fault::Kind;
 using fault::ScopedFault;
 using fault::Spec;
 using testing::expect_same_log;
-
-/// `run(paths, pool, {})` is ambiguous between the span and the
-/// brace-list overloads; name the empty sink set once.
-constexpr std::initializer_list<pipeline::CaseSink*> kNoSinks = {};
 
 Spec spec(Kind kind, std::uint64_t nth = 1, std::uint32_t hang_ms = 200) {
   Spec s;
@@ -154,15 +149,15 @@ class Faults : public testing::CorpusTest {
 TEST_F(Faults, ErrorAtEveryPipelineSiteIsATypedIoErrorStrict) {
   const auto paths = make_corpus();
   ThreadPool pool(2);
-  const model::EventLog reference = pipeline::event_log_streamed(paths, pool);
+  const model::EventLog reference = pipeline::run(paths, pool, {});
   for (const char* site : kPipelineSites) {
     {
       const ScopedFault f(site, spec(Kind::kError));
-      EXPECT_THROW((void)pipeline::event_log_streamed(paths, pool), IoError) << site;
+      EXPECT_THROW((void)pipeline::run(paths, pool, {}), IoError) << site;
     }
     // The failed run left nothing behind: a clean rerun on the same
     // pool is byte-identical.
-    expect_same_log(reference, pipeline::event_log_streamed(paths, pool));
+    expect_same_log(reference, pipeline::run(paths, pool, {}));
   }
 }
 
@@ -183,10 +178,10 @@ TEST_F(Faults, FailingRunNeverHalfMergesASink) {
 TEST_F(Faults, HangAtEveryPipelineSiteOnlyDelaysTheRun) {
   const auto paths = make_corpus();
   ThreadPool pool(2);
-  const model::EventLog reference = pipeline::event_log_streamed(paths, pool);
+  const model::EventLog reference = pipeline::run(paths, pool, {});
   for (const char* site : kPipelineSites) {
     const ScopedFault f(site, spec(Kind::kHang, 1, 30));
-    expect_same_log(reference, pipeline::event_log_streamed(paths, pool));
+    expect_same_log(reference, pipeline::run(paths, pool, {}));
   }
 }
 
@@ -199,7 +194,7 @@ TEST_F(Faults, KeepGoingQuarantinesAnInjectedOpenFailure) {
   // run() opens buffers in input order, so hit 1 is paths[0].
   const ScopedFault f("reader.open", spec(Kind::kError));
   pipeline::DataHealth health;
-  const auto log = pipeline::run(paths, pool, kNoSinks, opts, &health);
+  const auto log = pipeline::run(paths, pool, {}, opts, &health);
   EXPECT_EQ(log.case_count(), paths.size() - 1);
   ASSERT_FALSE(log.warnings().empty());
   EXPECT_EQ(log.warnings().front(),
@@ -219,7 +214,7 @@ TEST_F(Faults, KeepGoingQuarantinesAnInjectedConvertFailure) {
   opts.keep_going = true;
   const ScopedFault f("pipeline.convert", spec(Kind::kError));
   pipeline::DataHealth health;
-  const auto log = pipeline::run(paths, pool, kNoSinks, opts, &health);
+  const auto log = pipeline::run(paths, pool, {}, opts, &health);
   EXPECT_EQ(log.case_count(), 0u);
   ASSERT_EQ(log.warnings().size(), 1u);
   EXPECT_EQ(log.warnings().front(),
@@ -248,12 +243,12 @@ TEST_F(Faults, KeepGoingSkipsAMissingFileWithAPinnedWarning) {
   paths.insert(paths.begin() + 1, missing);
   ThreadPool pool(2);
 
-  EXPECT_THROW((void)pipeline::event_log_streamed(paths, pool), IoError);  // strict
+  EXPECT_THROW((void)pipeline::run(paths, pool, {}), IoError);  // strict
 
   pipeline::StreamOptions opts;
   opts.keep_going = true;
   pipeline::DataHealth health;
-  const auto log = pipeline::run(paths, pool, kNoSinks, opts, &health);
+  const auto log = pipeline::run(paths, pool, {}, opts, &health);
   EXPECT_EQ(log.case_count(), paths.size() - 1);
   EXPECT_EQ(health.files_skipped, 1u);
   bool found = false;
@@ -303,14 +298,14 @@ TEST_F(Faults, ZeroByteTraceIsAnEmptyCaseInBothModes) {
             strace::TraceBuffer::from_file_mmap(paths[0])->text());
 
   ThreadPool pool(2);
-  const auto strict = pipeline::event_log_streamed(paths, pool);
+  const auto strict = pipeline::run(paths, pool, {});
   EXPECT_EQ(strict.case_count(), 1u);
   EXPECT_EQ(strict.total_events(), 0u);
   EXPECT_TRUE(strict.warnings().empty());
 
   pipeline::StreamOptions opts;
   opts.keep_going = true;
-  expect_same_log(strict, pipeline::event_log_streamed(paths, pool, opts));
+  expect_same_log(strict, pipeline::run(paths, pool, {}, opts));
 
   pipeline::ShardOptions sopts;
   sopts.shards = 2;
@@ -333,7 +328,7 @@ TEST_F(Faults, TruncatedFinalLineWarnsIdenticallyInBothModes) {
             strace::TraceBuffer::from_file_mmap(paths[0])->text());
 
   ThreadPool pool(2);
-  const auto strict = pipeline::event_log_streamed(paths, pool);
+  const auto strict = pipeline::run(paths, pool, {});
   ASSERT_FALSE(strict.warnings().empty());
   // The fragment is line 11; "never resumed" warnings sort after line
   // warnings, so search rather than assume it's last.
@@ -348,7 +343,7 @@ TEST_F(Faults, TruncatedFinalLineWarnsIdenticallyInBothModes) {
 
   pipeline::StreamOptions opts;
   opts.keep_going = true;
-  expect_same_log(strict, pipeline::event_log_streamed(paths, pool, opts));
+  expect_same_log(strict, pipeline::run(paths, pool, {}, opts));
 
   pipeline::ShardOptions sopts;
   sopts.shards = 2;
@@ -360,7 +355,7 @@ TEST_F(Faults, TruncatedFinalLineWarnsIdenticallyInBothModes) {
 TEST_F(Faults, ElogCrcFaultQuarantinesOneCaseUnderKeepGoing) {
   const auto paths = make_corpus();
   ThreadPool pool(2);
-  const auto log = pipeline::event_log_streamed(paths, pool);
+  const auto log = pipeline::run(paths, pool, {});
   const std::string elog_path = (dir_ / "corpus.elog").string();
   elog::write_event_log_v2_file(elog_path, log);
 
@@ -387,7 +382,7 @@ TEST_F(Faults, ElogOpenFaultIsStructuralEvenUnderKeepGoing) {
   const auto paths = make_corpus();
   ThreadPool pool(2);
   const std::string elog_path = (dir_ / "corpus.elog").string();
-  elog::write_event_log_v2_file(elog_path, pipeline::event_log_streamed(paths, pool));
+  elog::write_event_log_v2_file(elog_path, pipeline::run(paths, pool, {}));
   const ScopedFault f("elog.open", spec(Kind::kError));
   EXPECT_THROW((void)elog::read_event_log_file(elog_path, elog::ElogReadOptions{true}), IoError);
 }
@@ -400,7 +395,7 @@ TEST_F(Faults, ElogIndexFaultFailsIndexedQueriesButNotPlainReads) {
   const auto paths = make_corpus();
   ThreadPool pool(2);
   const std::string elog_path = (dir_ / "corpus.elog").string();
-  elog::write_event_log_v2_file(elog_path, pipeline::event_log_streamed(paths, pool));
+  elog::write_event_log_v2_file(elog_path, pipeline::run(paths, pool, {}));
   const auto mapped = elog::open_v2(elog_path);
   const auto base = elog::read_event_log_v2(mapped);
   const auto q = model::Query::parse("calls{read}");

@@ -1,10 +1,12 @@
 // End-to-end coverage for the mmap + arena + mixed-parallel ingestion
 // architecture:
 //   - from_file_mmap and from_file produce byte-identical ReadResults,
-//   - read_trace_buffers_parallel (one work queue of (file, chunk)
-//     tasks) matches the sequential reader file by file,
-//   - event_log_from_files: EventLog owns the storage its events view
-//     into (valid after every intermediate is gone, including through
+//   - read_trace_files_streamed (one work queue of (file, chunk)
+//     tasks on the caller's pool) matches the sequential reader file
+//     by file,
+//   - event_log_from_files equals testing::staged_log at 1/2/4
+//     workers; the EventLog owns the storage its events view into
+//     (valid after every intermediate is gone, including through
 //     derived logs), and reader warnings surface via
 //     EventLog::warnings() ordered by file then line,
 //   - error propagation is deterministic (first path in input order).
@@ -19,73 +21,20 @@
 
 #include "iosim/ior.hpp"
 #include "model/from_strace.hpp"
+#include "parallel/thread_pool.hpp"
 #include "strace/reader.hpp"
 #include "strace/writer.hpp"
 #include "support/errors.hpp"
-#include "support/timeparse.hpp"
+#include "testing_corpus.hpp"
 
 namespace st {
 namespace {
 
-namespace fs = std::filesystem;
+using testing::make_trace;
 
-std::string ts(Micros t) { return format_time_of_day(t); }
-
-/// A trace body with reads, opens, cross-line resume pairs and — when
-/// `with_noise` — lines that provoke reader warnings.
-std::string make_trace(std::size_t lines, bool with_noise, std::uint64_t pid_base = 7) {
-  std::string text;
-  Micros t = 36000000000;  // 10:00:00
-  for (std::size_t i = 0; i < lines; ++i) {
-    t += 100;
-    const std::string pid = std::to_string(pid_base + i % 2);
-    switch (i % 5) {
-      case 0:
-        text += pid + "  " + ts(t) + " read(3</p/data/f>, \"\"..., 512) = 512 <0.000040>\n";
-        break;
-      case 1:
-        text += pid + "  " + ts(t) +
-                " openat(AT_FDCWD, \"/p/scratch/ssf/test\", O_RDWR|O_CREAT, 0644) = 5 "
-                "<0.000150>\n";
-        break;
-      case 2:
-        text += pid + "  " + ts(t) +
-                " pwrite64(5</p/scratch/ssf/test>, \"\"..., 1048576, 33554432) = 1048576 "
-                "<0.000294>\n";
-        break;
-      case 3:
-        if (with_noise && i % 15 == 3) {
-          text += pid + "  " + ts(t) + " not_a_call_line\n";
-        } else {
-          text += pid + "  " + ts(t) + " read(3</p/data/f>, <unfinished ...>\n";
-        }
-        break;
-      default:
-        text += pid + "  " + ts(t) + " <... read resumed> \"\"..., 405) = 404 <0.000223>\n";
-        break;
-    }
-  }
-  return text;
-}
-
-class TempTraceDir : public ::testing::Test {
+class TempTraceDir : public testing::CorpusTest {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("st_ingest_" + std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-    fs::create_directories(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  std::string write_file(const std::string& name, const std::string& text) {
-    const fs::path p = dir_ / name;
-    std::ofstream out(p, std::ios::binary | std::ios::trunc);
-    out << text;
-    return p.string();
-  }
-
-  fs::path dir_;
+  TempTraceDir() : CorpusTest("st_ingest") {}
 };
 
 void expect_same_result(const strace::ReadResult& a, const strace::ReadResult& b) {
@@ -140,42 +89,35 @@ TEST_F(MixedParallel, OneBigPlusManySmallMatchesSequential) {
                                           static_cast<std::uint64_t>(100 + i))));
   }
 
+  ThreadPool pool(3);
   strace::ParallelReadOptions opts;
-  opts.threads = 3;
+  opts.pool = &pool;
   opts.min_chunk_bytes = 256;  // force many chunks per file
-  const auto mixed = strace::read_trace_files_mixed(paths, opts);
-  ASSERT_EQ(mixed.size(), paths.size());
+  std::vector<strace::ReadResult> mixed(paths.size());
+  strace::read_trace_files_streamed(
+      paths, opts, [&mixed](std::size_t i, strace::ReadResult&& r) { mixed[i] = std::move(r); })
+      .wait();
   for (std::size_t i = 0; i < paths.size(); ++i) {
     const auto seq = strace::read_trace_file(paths[i]);
     expect_same_result(seq, mixed[i]);
   }
 }
 
-TEST_F(MixedParallel, EventLogMatchesPerFileSequentialBuild) {
+TEST_F(MixedParallel, EventLogMatchesStagedLogAt124Workers) {
+  // Case order, events, warning strings and their order are
+  // byte-identical to the sequential per-file build at any width.
   std::vector<std::string> paths;
   paths.push_back(write_file("big_nodeA_9001.st", make_trace(1200, true)));
   paths.push_back(write_file("s1_nodeB_9002.st", make_trace(55, true, 50)));
   paths.push_back(write_file("s2_nodeA_9003.st", make_trace(70, false, 60)));
-
-  const auto log = model::event_log_from_files(paths, /*threads=*/4);
-
-  // Reference: one file at a time through the sequential reader.
-  model::EventLog ref;
-  for (const auto& p : paths) {
-    const auto id = strace::parse_trace_filename(p);
-    ASSERT_TRUE(id);
-    const auto result = strace::read_trace_file(p);
-    ref.add_case(model::case_from_records(*id, result.records, ref.arena()));
-    ref.adopt(result.buffer);
+  for (int i = 0; i < 5; ++i) {
+    paths.push_back(write_file("s_nodeB_" + std::to_string(i + 4) + ".st",
+                               make_trace(35 + static_cast<std::size_t>(i), true,
+                                          static_cast<std::uint64_t>(200 + i))));
   }
-
-  ASSERT_EQ(log.case_count(), ref.case_count());
-  for (std::size_t c = 0; c < log.case_count(); ++c) {
-    const auto& a = log.cases()[c];
-    const auto& b = ref.cases()[c];
-    ASSERT_EQ(a.id(), b.id());
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a.events()[i], b.events()[i]);
+  const auto reference = testing::staged_log(paths);
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    testing::expect_same_log(reference, model::event_log_from_files(paths, workers));
   }
 }
 
@@ -215,31 +157,6 @@ TEST_F(MixedParallel, WarningsOrderedByFileThenLine) {
   EXPECT_EQ(log.warnings().front().rfind(paths[0] + ": ", 0), 0u);
   // Derived logs do not inherit ingestion warnings.
   EXPECT_TRUE(log.filter_fp("/p").warnings().empty());
-}
-
-TEST_F(MixedParallel, ParallelConversionIdenticalToSingleWorker) {
-  // The record -> Case conversion fans out on the pool; everything
-  // observable — case order, events, warning strings and their order —
-  // must be byte-identical to a 1-worker build.
-  std::vector<std::string> paths;
-  paths.push_back(write_file("big_nodeA_1.st", make_trace(900, true)));
-  for (int i = 0; i < 5; ++i) {
-    paths.push_back(write_file("s_nodeB_" + std::to_string(i + 2) + ".st",
-                               make_trace(35 + static_cast<std::size_t>(i), true,
-                                          static_cast<std::uint64_t>(200 + i))));
-  }
-  const auto serial = model::event_log_from_files(paths, /*threads=*/1);
-  const auto parallel = model::event_log_from_files(paths, /*threads=*/4);
-
-  ASSERT_EQ(parallel.case_count(), serial.case_count());
-  for (std::size_t c = 0; c < serial.case_count(); ++c) {
-    const auto& a = serial.cases()[c];
-    const auto& b = parallel.cases()[c];
-    ASSERT_EQ(a.id(), b.id());
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a.events()[i], b.events()[i]);
-  }
-  EXPECT_EQ(parallel.warnings(), serial.warnings());
 }
 
 TEST_F(MixedParallel, IdenticalConsecutiveWarningsAreDeduped) {

@@ -1,14 +1,15 @@
 // Parallel-vs-sequential ingestion equivalence and the TraceBuffer
 // lifetime contract.
 //
-// read_trace_parallel promises byte-identical output to the sequential
-// reader: same records in the same order, same warning strings, same
-// strict-mode exception. The corpus generator below is adversarial on
-// purpose — multi-PID interleaved unfinished/resumed pairs (often
-// spanning chunk boundaries), overwritten unfinished records, resumed
-// records with no match, call-name mismatches, signals, exits,
-// ERESTARTSYS, malformed and blank lines — and the parallel reader is
-// forced into many small chunks so every fold path is exercised.
+// The streamed reader (read_trace_buffers_streamed) promises output
+// byte-identical to read_trace_buffer: same records in the same order,
+// same warning strings, same strict-mode exception. The corpus
+// generator below is adversarial on purpose — multi-PID interleaved
+// unfinished/resumed pairs (often spanning chunk boundaries),
+// overwritten unfinished records, resumed records with no match,
+// call-name mismatches, signals, exits, ERESTARTSYS, malformed and
+// blank lines — and the streamed reader runs on an explicit pool with
+// 256-byte chunks so every fold path is exercised.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,9 +21,12 @@
 #include "support/errors.hpp"
 #include "support/rng.hpp"
 #include "support/timeparse.hpp"
+#include "testing_corpus.hpp"
 
 namespace st::strace {
 namespace {
+
+using testing::read_streamed;
 
 std::string ts(Micros t) { return format_time_of_day(t); }
 
@@ -113,22 +117,42 @@ void expect_same_records(const ReadResult& seq, const ReadResult& par) {
   }
 }
 
-ParallelReadOptions tiny_chunks(const ReadOptions& base) {
-  ParallelReadOptions opts;
-  static_cast<ReadOptions&>(opts) = base;
-  opts.threads = 3;
-  opts.min_chunk_bytes = 256;  // force many chunks and many folds
-  return opts;
+/// One text through the streamed reader (tiny chunks on `workers`).
+ReadResult read_text_streamed(std::string_view text, const ReadOptions& opts = {},
+                              std::size_t workers = 3) {
+  return std::move(
+      read_streamed({std::make_shared<TraceBuffer>(std::string(text))}, opts, workers).front());
 }
 
-TEST(ParallelReader, EquivalentOnAdversarialCorpus) {
+TEST(ParallelReader, EquivalentOnAdversarialCorpusAt1234Workers) {
   for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 1234ULL}) {
     const std::string text = make_corpus(seed, 600);
     const ReadOptions opts;  // defaults: drop signals/exits/restarts, strict=false
     const auto seq = read_trace_text(text, opts);
-    const auto par = read_trace_text_parallel(text, tiny_chunks(opts));
-    expect_same_records(seq, par);
-    EXPECT_EQ(seq.warnings, par.warnings) << "seed " << seed;
+    for (const std::size_t workers : {1u, 2u, 3u, 4u}) {
+      const auto par = read_text_streamed(text, opts, workers);
+      expect_same_records(seq, par);
+      EXPECT_EQ(seq.warnings, par.warnings) << "seed " << seed << ", workers " << workers;
+    }
+  }
+}
+
+TEST(ParallelReader, ManyBuffersShareOneWorkQueue) {
+  // Every adversarial corpus in ONE streamed call: (buffer, chunk)
+  // tasks of all files interleave on the pool, and each file still
+  // matches its own sequential read.
+  std::vector<std::string> texts;
+  std::vector<std::shared_ptr<TraceBuffer>> buffers;
+  for (const std::uint64_t seed : {3ULL, 5ULL, 11ULL, 13ULL, 17ULL}) {
+    texts.push_back(make_corpus(seed, 150 + seed * 40));
+    buffers.push_back(std::make_shared<TraceBuffer>(texts.back()));
+  }
+  const auto par = read_streamed(std::move(buffers));
+  ASSERT_EQ(par.size(), texts.size());
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    const auto seq = read_trace_text(texts[i]);
+    expect_same_records(seq, par[i]);
+    EXPECT_EQ(seq.warnings, par[i].warnings) << "buffer " << i;
   }
 }
 
@@ -139,7 +163,7 @@ TEST(ParallelReader, EquivalentWithFiltersDisabled) {
   opts.drop_exits = false;
   const std::string text = make_corpus(99, 600);
   const auto seq = read_trace_text(text, opts);
-  const auto par = read_trace_text_parallel(text, tiny_chunks(opts));
+  const auto par = read_text_streamed(text, opts);
   expect_same_records(seq, par);
   EXPECT_EQ(seq.warnings, par.warnings);
 }
@@ -152,10 +176,8 @@ TEST(ParallelReader, EquivalentOnCleanSingleChunkAndManyChunks) {
   }
   const auto seq = read_trace_text(text);
   for (const std::size_t chunk_bytes : {std::size_t{1} << 20, std::size_t{128}}) {
-    ParallelReadOptions opts;
-    opts.threads = 2;
-    opts.min_chunk_bytes = chunk_bytes;
-    const auto par = read_trace_text_parallel(text, opts);
+    const auto par = std::move(
+        read_streamed({std::make_shared<TraceBuffer>(text)}, {}, 2, chunk_bytes).front());
     expect_same_records(seq, par);
     EXPECT_TRUE(par.warnings.empty());
   }
@@ -174,7 +196,7 @@ TEST(ParallelReader, CrossChunkResumePairsMerge) {
   text += "1  " + ts(t += 10) + " <... read resumed> \"\"..., 405) = 404 <0.000223>\n";
   text += "2  " + ts(t += 10) + " <... write resumed> ) = 8192 <0.000100>\n";
   const auto seq = read_trace_text(text);
-  const auto par = read_trace_text_parallel(text, tiny_chunks({}));
+  const auto par = read_text_streamed(text);
   EXPECT_TRUE(seq.warnings.empty());
   expect_same_records(seq, par);
   EXPECT_EQ(seq.warnings, par.warnings);
@@ -207,7 +229,7 @@ TEST(ParallelReader, StrictModeThrowsSameErrorAsSequential) {
     seq_what = e.what();
   }
   try {
-    (void)read_trace_text_parallel(text, tiny_chunks(opts));
+    (void)read_text_streamed(text, opts);
   } catch (const ParseError& e) {
     par_what = e.what();
   }
@@ -262,7 +284,7 @@ TEST(TraceBufferLifetime, SharedBufferServesManyReads) {
   }
   auto buffer = std::make_shared<TraceBuffer>(text);
   const auto a = read_trace_buffer(buffer);
-  const auto b = read_trace_parallel(buffer, tiny_chunks({}));
+  const auto b = std::move(read_streamed({buffer}).front());
   expect_same_records(a, b);
   // Both results share the same byte storage: zero-copy means the
   // sequential records literally point into the buffer's text.

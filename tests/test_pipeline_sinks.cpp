@@ -1,6 +1,7 @@
 // Acceptance tests for the CaseSink substrate (pipeline/sink.hpp):
 //   - every sink's output is byte-identical to its staged counterpart
-//     at 1, 2 and 4 workers: the DFG (build_serial/build_parallel),
+//     at 1, 2 and 4 workers, computed from testing::staged_log (the
+//     sequential per-file read + convert): the DFG (build_serial),
 //     case summaries (summarize_cases, serial and pooled), the
 //     activity log (ActivityLog::build), the variant multiset
 //     (ActivityLog::build().variants()) and the query-filtered log
@@ -18,8 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -28,140 +27,21 @@
 #include "dfg/builder.hpp"
 #include "model/activity_log.hpp"
 #include "model/case_stats.hpp"
-#include "model/from_strace.hpp"
 #include "model/query.hpp"
 #include "parallel/thread_pool.hpp"
-#include "pipeline/stream.hpp"
-#include "strace/reader.hpp"
 #include "support/errors.hpp"
-#include "support/timeparse.hpp"
+#include "testing_corpus.hpp"
 
 namespace st {
 namespace {
 
-namespace fs = std::filesystem;
+using testing::expect_same_log;
+using testing::make_clean_trace;
 
-std::string ts(Micros t) { return format_time_of_day(t); }
-
-/// A trace body with reads, opens, cross-line resume pairs and — when
-/// `with_noise` — lines that provoke reader warnings.
-std::string make_trace(std::size_t lines, bool with_noise, std::uint64_t pid_base = 7) {
-  std::string text;
-  Micros t = 36000000000;  // 10:00:00
-  for (std::size_t i = 0; i < lines; ++i) {
-    t += 100;
-    const std::string pid = std::to_string(pid_base + i % 2);
-    switch (i % 5) {
-      case 0:
-        text += pid + "  " + ts(t) + " read(3</p/data/f>, \"\"..., 512) = 512 <0.000040>\n";
-        break;
-      case 1:
-        text += pid + "  " + ts(t) +
-                " openat(AT_FDCWD, \"/p/scratch/ssf/test\", O_RDWR|O_CREAT, 0644) = 5 "
-                "<0.000150>\n";
-        break;
-      case 2:
-        text += pid + "  " + ts(t) +
-                " pwrite64(5</p/scratch/ssf/test>, \"\"..., 1048576, 33554432) = 1048576 "
-                "<0.000294>\n";
-        break;
-      case 3:
-        if (with_noise && i % 15 == 3) {
-          text += pid + "  " + ts(t) + " not_a_call_line\n";
-        } else {
-          text += pid + "  " + ts(t) + " read(3</p/data/f>, <unfinished ...>\n";
-        }
-        break;
-      default:
-        text += pid + "  " + ts(t) + " <... read resumed> \"\"..., 405) = 404 <0.000223>\n";
-        break;
-    }
-  }
-  return text;
-}
-
-/// A strict-clean trace (no warnings), so strict-mode error tests can
-/// inject failures precisely where they want them.
-std::string make_clean_trace(std::size_t lines, std::uint64_t pid) {
-  std::string text;
-  Micros t = 36000000000;
-  const std::string p = std::to_string(pid);
-  for (std::size_t i = 0; i < lines; ++i) {
-    t += 100;
-    switch (i % 5) {
-      case 0:
-        text += p + "  " + ts(t) + " read(3</p/data/f>, \"\"..., 512) = 512 <0.000040>\n";
-        break;
-      case 1:
-        text += p + "  " + ts(t) +
-                " openat(AT_FDCWD, \"/p/scratch/ssf/test\", O_RDWR|O_CREAT, 0644) = 5 "
-                "<0.000150>\n";
-        break;
-      case 2:
-        text += p + "  " + ts(t) +
-                " pwrite64(5</p/scratch/ssf/test>, \"\"..., 1048576, 33554432) = 1048576 "
-                "<0.000294>\n";
-        break;
-      case 3:
-        text += p + "  " + ts(t) + " read(3</p/data/f>, <unfinished ...>\n";
-        break;
-      default:
-        text += p + "  " + ts(t) + " <... read resumed> \"\"..., 405) = 404 <0.000223>\n";
-        break;
-    }
-  }
-  return text;
-}
-
-class PipelineSinks : public ::testing::Test {
+class PipelineSinks : public testing::CorpusTest {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("st_sinks_" + std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-    fs::create_directories(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  std::string write_file(const std::string& name, const std::string& text) {
-    const fs::path p = dir_ / name;
-    std::ofstream out(p, std::ios::binary | std::ios::trunc);
-    out << text;
-    return p.string();
-  }
-
-  /// One big file, several small ones, with and without noise, multiple
-  /// hosts, plus an empty file (empty case, empty variant).
-  std::vector<std::string> make_corpus() {
-    std::vector<std::string> paths;
-    paths.push_back(write_file("big_nodeA_9001.st", make_trace(900, true)));
-    for (int i = 0; i < 4; ++i) {
-      paths.push_back(write_file(
-          "s" + std::to_string(i) + "_node" + (i % 2 ? "B" : "C") + "_" +
-              std::to_string(9100 + i) + ".st",
-          make_trace(30 + static_cast<std::size_t>(i) * 7, i % 2 == 0,
-                     static_cast<std::uint64_t>(100 + i))));
-    }
-    paths.push_back(write_file("empty_nodeA_9200.st", ""));
-    return paths;
-  }
-
-  fs::path dir_;
+  PipelineSinks() : CorpusTest("st_sinks") {}
 };
-
-void expect_same_log(const model::EventLog& a, const model::EventLog& b) {
-  ASSERT_EQ(a.case_count(), b.case_count());
-  for (std::size_t c = 0; c < a.case_count(); ++c) {
-    const auto& ca = a.cases()[c];
-    const auto& cb = b.cases()[c];
-    ASSERT_EQ(ca.id(), cb.id()) << "case " << c;
-    ASSERT_EQ(ca.size(), cb.size()) << "case " << c;
-    for (std::size_t i = 0; i < ca.size(); ++i) {
-      ASSERT_EQ(ca.events()[i], cb.events()[i]) << "case " << c << " event " << i;
-    }
-  }
-  EXPECT_EQ(a.warnings(), b.warnings());
-}
 
 void expect_same_activity_log(const model::ActivityLog& a, const model::ActivityLog& b) {
   EXPECT_EQ(a.variants(), b.variants());
@@ -185,8 +65,8 @@ TEST_F(PipelineSinks, EverySinkMatchesItsStagedCounterpartAt124Workers) {
   const auto f = model::Mapping::call_top_dirs(2);
   const auto q = test_query();
 
-  // Staged references, all computed from a separately-ingested log.
-  const auto reference = model::event_log_from_files(paths, 1);
+  // Staged references, all computed from the sequential oracle.
+  const auto reference = testing::staged_log(paths);
   const auto ref_graph = dfg::build_serial(reference, f);
   const auto ref_summaries = model::summarize_cases(reference);
   const auto ref_activity = model::ActivityLog::build(reference, f);
@@ -195,7 +75,7 @@ TEST_F(PipelineSinks, EverySinkMatchesItsStagedCounterpartAt124Workers) {
   for (const std::size_t workers : {1u, 2u, 4u}) {
     ThreadPool pool(workers);
     pipeline::StreamOptions opts;
-    opts.min_chunk_bytes = 512;  // force many chunks per file
+    opts.min_chunk_bytes = 256;  // force many chunks per file
 
     pipeline::DfgSink graph_sink(f);
     pipeline::CaseStatsSink stats_sink;
@@ -208,7 +88,6 @@ TEST_F(PipelineSinks, EverySinkMatchesItsStagedCounterpartAt124Workers) {
 
     expect_same_log(reference, log);
     EXPECT_EQ(graph_sink.graph(), ref_graph) << workers;
-    EXPECT_EQ(graph_sink.graph(), dfg::build_parallel(log, f, pool)) << workers;
     EXPECT_EQ(stats_sink.summaries(), ref_summaries) << workers;
     EXPECT_EQ(stats_sink.summaries(), model::summarize_cases(log, pool)) << workers;
     expect_same_activity_log(activity_sink.log(), ref_activity);
@@ -222,14 +101,14 @@ TEST_F(PipelineSinks, QueueCapacityOneIsStillByteIdentical) {
   // the parse -> convert hand-off completely; output may not change.
   const auto paths = make_corpus();
   const auto f = model::Mapping::call_top_dirs(2);
-  const auto reference = model::event_log_from_files(paths, 1);
+  const auto reference = testing::staged_log(paths);
   const auto ref_graph = dfg::build_serial(reference, f);
   const auto ref_summaries = model::summarize_cases(reference);
 
   for (const std::size_t workers : {1u, 4u}) {
     ThreadPool pool(workers);
     pipeline::StreamOptions opts;
-    opts.min_chunk_bytes = 512;
+    opts.min_chunk_bytes = 256;
     opts.queue_capacity = 1;
 
     pipeline::DfgSink graph_sink(f);
@@ -238,24 +117,7 @@ TEST_F(PipelineSinks, QueueCapacityOneIsStillByteIdentical) {
     expect_same_log(reference, log);
     EXPECT_EQ(graph_sink.graph(), ref_graph) << workers;
     EXPECT_EQ(stats_sink.summaries(), ref_summaries) << workers;
-
-    // The wrappers honor the option too.
-    const auto streamed = pipeline::event_log_streamed(paths, pool, opts);
-    expect_same_log(reference, streamed);
-    const auto result = pipeline::trace_to_dfg(paths, f, pool, opts);
-    EXPECT_EQ(result.graph, ref_graph) << workers;
   }
-}
-
-TEST_F(PipelineSinks, TraceToDfgIsAThinWrapperOverRun) {
-  const auto paths = make_corpus();
-  const auto f = model::Mapping::call_last_components(1);
-  ThreadPool pool(3);
-  pipeline::DfgSink sink(f);
-  const auto log = pipeline::run(paths, pool, {&sink});
-  const auto wrapped = pipeline::trace_to_dfg(paths, f, pool);
-  expect_same_log(log, wrapped.log);
-  EXPECT_EQ(sink.graph(), wrapped.graph);
 }
 
 TEST_F(PipelineSinks, EmptyInputs) {

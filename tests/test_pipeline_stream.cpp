@@ -1,136 +1,52 @@
 // Acceptance tests for the streaming trace -> EventLog -> DFG pipeline
-// (pipeline/stream.hpp):
-//   - streamed output is byte-identical to the staged path (sequential
-//     per-file read + convert + build_parallel): case order, event
-//     order, warning strings and their order, graph equality — at 1, 2
-//     and 4 workers,
-//   - trace_to_dfg's graph equals dfg::build_parallel on the same log,
+// (pipeline::run over read_trace_files_streamed):
+//   - streamed output is byte-identical to testing::staged_log (the
+//     sequential per-file read + convert): case order, event order,
+//     warning strings and their order — at 1, 2 and 4 workers with
+//     tiny chunks — and a DfgSink's graph equals dfg::build_serial,
 //   - per-file fold completion (read_trace_files_streamed) matches the
-//     sequential reader file by file,
+//     sequential reader file by file; the streamed reader runs only on
+//     a caller-provided pool,
 //   - lifetime: the log owns every view after all intermediates die,
 //   - error propagation is deterministic (lowest input index wins) and
 //     a malformed file mid-batch shuts the pipeline down cleanly with
 //     no task left touching destroyed state (ASan-verified).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "dfg/builder.hpp"
 #include "model/from_strace.hpp"
 #include "parallel/thread_pool.hpp"
-#include "pipeline/stream.hpp"
+#include "pipeline/sink.hpp"
 #include "strace/reader.hpp"
 #include "strace/writer.hpp"
 #include "support/errors.hpp"
-#include "support/timeparse.hpp"
+#include "testing_corpus.hpp"
 
 namespace st {
 namespace {
 
-namespace fs = std::filesystem;
+using testing::expect_same_log;
+using testing::make_clean_trace;
+using testing::make_trace;
+using testing::staged_log;
 
-std::string ts(Micros t) { return format_time_of_day(t); }
-
-/// A trace body with reads, opens, cross-line resume pairs and — when
-/// `with_noise` — lines that provoke reader warnings.
-std::string make_trace(std::size_t lines, bool with_noise, std::uint64_t pid_base = 7) {
-  std::string text;
-  Micros t = 36000000000;  // 10:00:00
-  for (std::size_t i = 0; i < lines; ++i) {
-    t += 100;
-    const std::string pid = std::to_string(pid_base + i % 2);
-    switch (i % 5) {
-      case 0:
-        text += pid + "  " + ts(t) + " read(3</p/data/f>, \"\"..., 512) = 512 <0.000040>\n";
-        break;
-      case 1:
-        text += pid + "  " + ts(t) +
-                " openat(AT_FDCWD, \"/p/scratch/ssf/test\", O_RDWR|O_CREAT, 0644) = 5 "
-                "<0.000150>\n";
-        break;
-      case 2:
-        text += pid + "  " + ts(t) +
-                " pwrite64(5</p/scratch/ssf/test>, \"\"..., 1048576, 33554432) = 1048576 "
-                "<0.000294>\n";
-        break;
-      case 3:
-        if (with_noise && i % 15 == 3) {
-          text += pid + "  " + ts(t) + " not_a_call_line\n";
-        } else {
-          text += pid + "  " + ts(t) + " read(3</p/data/f>, <unfinished ...>\n";
-        }
-        break;
-      default:
-        text += pid + "  " + ts(t) + " <... read resumed> \"\"..., 405) = 404 <0.000223>\n";
-        break;
-    }
-  }
-  return text;
-}
-
-/// A strict-clean trace: one pid, every unfinished/resumed pair
-/// matches, no noise — parses without a single warning, so strict-mode
-/// tests can inject failures precisely where they want them.
-std::string make_clean_trace(std::size_t lines, std::uint64_t pid) {
-  std::string text;
-  Micros t = 36000000000;  // 10:00:00
-  const std::string p = std::to_string(pid);
-  for (std::size_t i = 0; i < lines; ++i) {
-    t += 100;
-    switch (i % 5) {
-      case 0:
-        text += p + "  " + ts(t) + " read(3</p/data/f>, \"\"..., 512) = 512 <0.000040>\n";
-        break;
-      case 1:
-        text += p + "  " + ts(t) +
-                " openat(AT_FDCWD, \"/p/scratch/ssf/test\", O_RDWR|O_CREAT, 0644) = 5 "
-                "<0.000150>\n";
-        break;
-      case 2:
-        text += p + "  " + ts(t) +
-                " pwrite64(5</p/scratch/ssf/test>, \"\"..., 1048576, 33554432) = 1048576 "
-                "<0.000294>\n";
-        break;
-      case 3:
-        text += p + "  " + ts(t) + " read(3</p/data/f>, <unfinished ...>\n";
-        break;
-      default:
-        text += p + "  " + ts(t) + " <... read resumed> \"\"..., 405) = 404 <0.000223>\n";
-        break;
-    }
-  }
-  return text;
-}
-
-class TempTraceDir : public ::testing::Test {
+class PipelineStream : public testing::CorpusTest {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("st_pipeline_" + std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-    fs::create_directories(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  std::string write_file(const std::string& name, const std::string& text) {
-    const fs::path p = dir_ / name;
-    std::ofstream out(p, std::ios::binary | std::ios::trunc);
-    out << text;
-    return p.string();
-  }
+  PipelineStream() : CorpusTest("st_pipeline") {}
 
   /// A randomized-shape corpus: one big file, several small ones, with
   /// and without noise, multiple hosts. Distinct salts produce distinct
   /// FILE NAMES too, so two corpora can coexist (and be parsed
   /// concurrently) in one test.
-  std::vector<std::string> make_corpus(std::uint64_t salt = 0) {
+  std::vector<std::string> make_salted_corpus(std::uint64_t salt) {
     const std::string tag = "c" + std::to_string(salt);
     std::vector<std::string> paths;
     paths.push_back(write_file("big" + tag + "_nodeA_9001.st", make_trace(1100 + salt % 37, true)));
@@ -144,94 +60,53 @@ class TempTraceDir : public ::testing::Test {
     paths.push_back(write_file("empty" + tag + "_nodeA_9200.st", ""));
     return paths;
   }
-
-  fs::path dir_;
 };
-
-/// The STAGED reference: sequential per-file read, serial conversion,
-/// warnings prefixed and deduped exactly like the staged builder did.
-model::EventLog staged_log(const std::vector<std::string>& paths) {
-  model::EventLog log;
-  for (const auto& p : paths) {
-    const auto id = strace::parse_trace_filename(p);
-    EXPECT_TRUE(id.has_value()) << p;
-    const auto result = strace::read_trace_file(p);
-    log.add_case(model::case_from_records(*id, result.records, log.arena()));
-    log.adopt(result.buffer);
-    for (const auto& warning : result.warnings) {
-      const std::string prefixed = p + ": " + warning;
-      if (!log.warnings().empty() && log.warnings().back() == prefixed) continue;
-      log.add_warning(prefixed);
-    }
-  }
-  return log;
-}
-
-void expect_same_log(const model::EventLog& a, const model::EventLog& b) {
-  ASSERT_EQ(a.case_count(), b.case_count());
-  for (std::size_t c = 0; c < a.case_count(); ++c) {
-    const auto& ca = a.cases()[c];
-    const auto& cb = b.cases()[c];
-    ASSERT_EQ(ca.id(), cb.id()) << "case " << c;
-    ASSERT_EQ(ca.size(), cb.size()) << "case " << c;
-    for (std::size_t i = 0; i < ca.size(); ++i) {
-      ASSERT_EQ(ca.events()[i], cb.events()[i]) << "case " << c << " event " << i;
-    }
-  }
-  EXPECT_EQ(a.warnings(), b.warnings());
-}
 
 // ---- byte-identity with the staged path --------------------------------
 
-using PipelineStream = TempTraceDir;
-
 TEST_F(PipelineStream, StreamedLogMatchesStagedAt124Workers) {
-  const auto paths = make_corpus();
+  const auto paths = make_salted_corpus(0);
   const auto reference = staged_log(paths);
   for (const std::size_t workers : {1u, 2u, 4u}) {
     ThreadPool pool(workers);
     pipeline::StreamOptions opts;
-    opts.min_chunk_bytes = 512;  // force many chunks per file
-    const auto log = pipeline::event_log_streamed(paths, pool, opts);
-    expect_same_log(reference, log);
+    opts.min_chunk_bytes = 256;  // force many chunks per file
+    expect_same_log(reference, pipeline::run(paths, pool, {}, opts));
   }
 }
 
-TEST_F(PipelineStream, TraceToDfgMatchesStagedBuildParallel) {
-  const auto paths = make_corpus(3);
+TEST_F(PipelineStream, DfgSinkMatchesBuildSerialAt124Workers) {
+  const auto paths = make_salted_corpus(3);
   const auto reference = staged_log(paths);
   const auto f = model::Mapping::call_top_dirs(2);
   for (const std::size_t workers : {1u, 2u, 4u}) {
     ThreadPool pool(workers);
     pipeline::StreamOptions opts;
-    opts.min_chunk_bytes = 512;
-    const auto result = pipeline::trace_to_dfg(paths, f, pool, opts);
-    expect_same_log(reference, result.log);
-    // The streamed graph equals both the staged build_parallel and a
-    // build over the streamed log itself.
-    EXPECT_EQ(result.graph, dfg::build_parallel(reference, f, pool));
-    EXPECT_EQ(result.graph, dfg::build_serial(result.log, f));
+    opts.min_chunk_bytes = 256;
+    pipeline::DfgSink sink(f);
+    const auto log = pipeline::run(paths, pool, {&sink}, opts);
+    expect_same_log(reference, log);
+    EXPECT_EQ(sink.graph(), dfg::build_serial(reference, f)) << workers;
   }
 }
 
 TEST_F(PipelineStream, RepeatedRunsAreDeterministic) {
   // Scheduling may differ run to run; output may not.
-  const auto paths = make_corpus(7);
+  const auto paths = make_salted_corpus(7);
   ThreadPool pool(4);
   pipeline::StreamOptions opts;
   opts.min_chunk_bytes = 256;
   opts.queue_capacity = 2;  // tight queue: exercise backpressure
-  const auto first = pipeline::event_log_streamed(paths, pool, opts);
+  const auto first = pipeline::run(paths, pool, {}, opts);
   for (int round = 0; round < 5; ++round) {
-    const auto log = pipeline::event_log_streamed(paths, pool, opts);
-    expect_same_log(first, log);
+    expect_same_log(first, pipeline::run(paths, pool, {}, opts));
   }
 }
 
 TEST_F(PipelineStream, EventLogFromFilesIsTheStreamingPath) {
   // The public entry point is rebuilt on the pipeline; it must still
   // match the staged reference byte for byte.
-  const auto paths = make_corpus(11);
+  const auto paths = make_salted_corpus(11);
   const auto reference = staged_log(paths);
   expect_same_log(reference, model::event_log_from_files(paths, 1));
   expect_same_log(reference, model::event_log_from_files(paths, 4));
@@ -239,18 +114,19 @@ TEST_F(PipelineStream, EventLogFromFilesIsTheStreamingPath) {
 
 TEST_F(PipelineStream, EmptyInputs) {
   ThreadPool pool(2);
-  const auto log = pipeline::event_log_streamed({}, pool);
-  EXPECT_EQ(log.case_count(), 0u);
-  const auto result = pipeline::trace_to_dfg({}, model::Mapping::call_only(), pool);
-  EXPECT_TRUE(result.graph.empty());
+  const auto f = model::Mapping::call_only();
+  pipeline::DfgSink sink(f);
+  EXPECT_EQ(pipeline::run({}, pool, {&sink}).case_count(), 0u);
+  EXPECT_TRUE(sink.graph().empty());
 }
 
 // ---- per-file fold completion (reader layer) ---------------------------
 
 TEST_F(PipelineStream, StreamedReaderMatchesSequentialPerFile) {
-  const auto paths = make_corpus(5);
+  const auto paths = make_salted_corpus(5);
+  ThreadPool pool(3);
   strace::ParallelReadOptions opts;
-  opts.threads = 3;
+  opts.pool = &pool;
   opts.min_chunk_bytes = 256;
 
   std::mutex mu;
@@ -284,10 +160,11 @@ TEST_F(PipelineStream, StreamedReaderMatchesSequentialPerFile) {
 TEST_F(PipelineStream, StreamedHandleMoveAssignmentJoinsReplacedParse) {
   // Assigning over a live handle must join the old parse first — its
   // tasks hold raw pointers into the replaced state.
-  const auto batch1 = make_corpus(21);
-  const auto batch2 = make_corpus(22);
+  const auto batch1 = make_salted_corpus(21);
+  const auto batch2 = make_salted_corpus(22);
+  ThreadPool pool(3);
   strace::ParallelReadOptions opts;
-  opts.threads = 3;
+  opts.pool = &pool;
   opts.min_chunk_bytes = 256;
 
   std::mutex mu;
@@ -315,8 +192,9 @@ TEST_F(PipelineStream, StreamedHandleMoveAssignmentJoinsReplacedParse) {
 
 TEST_F(PipelineStream, StreamedReaderZeroFilesStillSignalsAllDone) {
   std::atomic<int> done_calls{0};
+  ThreadPool pool(2);
   strace::ParallelReadOptions opts;
-  opts.threads = 2;
+  opts.pool = &pool;
   auto handle = strace::read_trace_files_streamed(
       {}, opts, [](std::size_t, strace::ReadResult&&) { FAIL() << "no files to deliver"; },
       [&] { done_calls.fetch_add(1); });
@@ -325,16 +203,30 @@ TEST_F(PipelineStream, StreamedReaderZeroFilesStillSignalsAllDone) {
   EXPECT_FALSE(handle.error().has_value());
 }
 
+TEST_F(PipelineStream, StreamedReaderWithoutAPoolIsALogicError) {
+  // The reader never spins up threads of its own: every parse task
+  // runs on the caller's pool, so a missing pool is a programming
+  // error, reported before any callback fires.
+  const auto paths = make_salted_corpus(9);
+  bool called = false;
+  EXPECT_THROW((void)strace::read_trace_files_streamed(
+                   paths, strace::ParallelReadOptions{},
+                   [&](std::size_t, strace::ReadResult&&) { called = true; },
+                   [&] { called = true; }),
+               LogicError);
+  EXPECT_FALSE(called);
+}
+
 // ---- lifetime ----------------------------------------------------------
 
 TEST_F(PipelineStream, LogOwnsEveryViewAfterIntermediatesDie) {
-  const auto paths = make_corpus(13);
+  const auto paths = make_salted_corpus(13);
   model::EventLog log;
   {
     ThreadPool pool(3);
     pipeline::StreamOptions opts;
-    opts.min_chunk_bytes = 512;
-    log = pipeline::event_log_streamed(paths, pool, opts);
+    opts.min_chunk_bytes = 256;
+    log = pipeline::run(paths, pool, {}, opts);
   }  // pool and every pipeline intermediate destroyed here
   // Overwrite the files on disk: the log must not notice.
   for (const auto& p : paths) {
@@ -360,7 +252,7 @@ TEST_F(PipelineStream, BadFileNameThrowsFirstInInputOrderBeforeIo) {
                                           (dir_ / "alsobad.st").string()};
   ThreadPool pool(2);
   try {
-    (void)pipeline::event_log_streamed(paths, pool);
+    (void)pipeline::run(paths, pool, {});
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_NE(std::string(e.what()).find("nounderscore"), std::string::npos) << e.what();
@@ -387,11 +279,11 @@ TEST_F(PipelineStream, MalformedFileMidBatchShutsDownCleanly) {
   opts.strict = true;
   opts.min_chunk_bytes = 256;
   opts.queue_capacity = 1;  // maximal backpressure while failing
+  const auto f = model::Mapping::call_only();
   for (int round = 0; round < 10; ++round) {
-    EXPECT_THROW((void)pipeline::event_log_streamed(paths, pool, opts), ParseError)
-        << "round " << round;
-    EXPECT_THROW((void)pipeline::trace_to_dfg(paths, model::Mapping::call_only(), pool, opts),
-                 ParseError)
+    EXPECT_THROW((void)pipeline::run(paths, pool, {}, opts), ParseError) << "round " << round;
+    pipeline::DfgSink sink(f);
+    EXPECT_THROW((void)pipeline::run(paths, pool, {&sink}, opts), ParseError)
         << "round " << round;
   }
   // The pool survives the failed runs and is still usable.
@@ -399,7 +291,7 @@ TEST_F(PipelineStream, MalformedFileMidBatchShutsDownCleanly) {
   // Non-strict, the same batch builds fine and the defect is a warning.
   pipeline::StreamOptions lenient;
   lenient.min_chunk_bytes = 256;
-  const auto log = pipeline::event_log_streamed(paths, pool, lenient);
+  const auto log = pipeline::run(paths, pool, {}, lenient);
   EXPECT_EQ(log.case_count(), paths.size());
   ASSERT_FALSE(log.warnings().empty());
   EXPECT_NE(log.warnings().front().find("bad_nodeA_3.st"), std::string::npos);
@@ -420,7 +312,7 @@ TEST_F(PipelineStream, LowestInputIndexErrorWinsDeterministically) {
   opts.min_chunk_bytes = 256;
   for (int round = 0; round < 15; ++round) {
     try {
-      (void)pipeline::event_log_streamed(paths, pool, opts);
+      (void)pipeline::run(paths, pool, {}, opts);
       FAIL() << "expected ParseError, round " << round;
     } catch (const ParseError& e) {
       // The strict error for bad1 (input index 1) must win over bad2's.

@@ -2,7 +2,7 @@
 //   - strace record -> writer -> parser round trip,
 //   - event log -> elog -> event log round trip,
 //   - DFG structural invariants (flow conservation) on random logs,
-//   - serial == parallel == merged-partition DFG construction,
+//   - serial == sink-folded == merged-partition DFG construction,
 //   - interleaved writer round trip on random multi-pid schedules.
 // Each property runs under several seeds via TEST_P.
 #include <gtest/gtest.h>
@@ -157,12 +157,13 @@ TEST_P(PipelineProperty, MergedPartitionEqualsWhole) {
   EXPECT_EQ(merged, whole);
 }
 
-TEST_P(PipelineProperty, ParallelBuildEqualsSerial) {
+TEST_P(PipelineProperty, SinkFoldedBuildEqualsSerial) {
   Xoshiro256 rng(GetParam());
   const auto log = random_event_log(rng, 24);
   const auto f = model::Mapping::call_top_dirs(2);
-  ThreadPool pool(4);
-  EXPECT_EQ(dfg::build_serial(log, f), dfg::build_parallel(log, f, pool));
+  for (const std::size_t groups : {1u, 2u, 4u}) {
+    EXPECT_EQ(dfg::build_serial(log, f), testing::dfg_via_sink(log, f, groups)) << groups;
+  }
 }
 
 TEST_P(PipelineProperty, ActivityLogMultiplicitiesSumToCaseCount) {

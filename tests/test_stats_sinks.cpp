@@ -20,7 +20,6 @@
 
 #include "dfg/edge_stats.hpp"
 #include "dfg/stats.hpp"
-#include "model/from_strace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "testing_corpus.hpp"
 #include "testing_util.hpp"
@@ -69,7 +68,7 @@ TEST_F(StatsSinks, SinksMatchComputeBitwiseAt1247Workers) {
   const auto paths = make_corpus();
   const auto f = model::Mapping::call_top_dirs(2);
 
-  const auto reference = model::event_log_from_files(paths, 1);
+  const auto reference = testing::staged_log(paths);
   const auto ref_io = dfg::IoStatistics::compute(reference, f);
   const auto ref_edges = dfg::EdgeStatistics::compute(reference, f);
   ASSERT_FALSE(ref_io.per_activity().empty());
@@ -92,7 +91,7 @@ TEST_F(StatsSinks, SinksMatchComputeBitwiseAt1247Workers) {
 TEST_F(StatsSinks, QueueCapacityOneIsStillBitwiseIdentical) {
   const auto paths = make_corpus();
   const auto f = model::Mapping::call_top_dirs(2);
-  const auto reference = model::event_log_from_files(paths, 1);
+  const auto reference = testing::staged_log(paths);
   const auto ref_io = dfg::IoStatistics::compute(reference, f);
   const auto ref_edges = dfg::EdgeStatistics::compute(reference, f);
 
@@ -116,7 +115,7 @@ TEST_F(StatsSinks, PartialTimelineMatchesStaticTimeline) {
   // timeline builds from a materialized log — for every activity.
   const auto paths = make_corpus();
   const auto f = model::Mapping::call_top_dirs(2);
-  const auto reference = model::event_log_from_files(paths, 1);
+  const auto reference = testing::staged_log(paths);
 
   ThreadPool pool(3);
   pipeline::IoStatsSink io_sink(f);

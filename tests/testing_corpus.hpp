@@ -1,13 +1,16 @@
-// Shared synthetic strace corpus for pipeline-level tests
-// (test_stats_sinks, test_shard): the same trace shape
-// test_pipeline_sinks pioneered — reads with sizes and durations (the
-// FP-sensitive rate samples), opens, writes, cross-line resume pairs,
-// optional warning noise — plus a gtest fixture that writes it into a
-// per-test temp directory as a small multi-host corpus.
+// Shared synthetic strace corpus for pipeline-level tests: reads with
+// sizes and durations (the FP-sensitive rate samples), opens, writes,
+// cross-line resume pairs, optional warning noise — plus a gtest
+// fixture that writes it into a per-test temp directory as a small
+// multi-host corpus.
 //
-// Also the exact-equality helpers of ISSUE 7: doubles are compared by
-// BIT PATTERN (std::bit_cast), because the determinism contract is
-// bit-identity, not approximate equality.
+// Also the sequential oracles the parallel paths are checked against:
+// staged_log (the per-file sequential read + convert pipeline::run
+// must reproduce) and read_streamed (the streamed reader on an explicit
+// pool, for comparison with read_trace_buffer), and the exact-equality
+// helpers: doubles are compared by BIT PATTERN (std::bit_cast),
+// because the determinism contract is bit-identity, not approximate
+// equality.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -16,51 +19,107 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "dfg/stats.hpp"
 #include "model/event_log.hpp"
+#include "model/from_strace.hpp"
+#include "parallel/thread_pool.hpp"
+#include "strace/filename.hpp"
+#include "strace/reader.hpp"
 #include "support/timeparse.hpp"
 
 namespace st::testing {
 
-/// A trace body with reads, opens, cross-line resume pairs and — when
-/// `with_noise` — lines that provoke reader warnings.
+/// Line `i` of the corpus's five-line cycle: a read, an openat, a
+/// pwrite64, an unfinished read and its resumption. `noise` replaces
+/// the unfinished read with a line the reader warns about.
+inline std::string trace_line(std::size_t i, const std::string& pid, Micros t, bool noise) {
+  const std::string prefix = pid + "  " + format_time_of_day(t);
+  switch (i % 5) {
+    case 0:
+      return prefix + " read(3</p/data/f>, \"\"..., 512) = 512 <0.000040>\n";
+    case 1:
+      return prefix +
+             " openat(AT_FDCWD, \"/p/scratch/ssf/test\", O_RDWR|O_CREAT, 0644) = 5 "
+             "<0.000150>\n";
+    case 2:
+      return prefix +
+             " pwrite64(5</p/scratch/ssf/test>, \"\"..., 1048576, 33554432) = 1048576 "
+             "<0.000294>\n";
+    case 3:
+      return prefix + (noise ? " not_a_call_line\n" : " read(3</p/data/f>, <unfinished ...>\n");
+    default:
+      return prefix + " <... read resumed> \"\"..., 405) = 404 <0.000223>\n";
+  }
+}
+
+/// A trace body over two alternating pids (so resume pairs cross pids
+/// and the reader warns) and — when `with_noise` — malformed lines.
 inline std::string make_trace(std::size_t lines, bool with_noise, std::uint64_t pid_base = 7) {
   std::string text;
   Micros t = 36000000000;  // 10:00:00
   for (std::size_t i = 0; i < lines; ++i) {
     t += 100;
-    const std::string pid = std::to_string(pid_base + i % 2);
-    const std::string ts = format_time_of_day(t);
-    switch (i % 5) {
-      case 0:
-        text += pid + "  " + ts + " read(3</p/data/f>, \"\"..., 512) = 512 <0.000040>\n";
-        break;
-      case 1:
-        text += pid + "  " + ts +
-                " openat(AT_FDCWD, \"/p/scratch/ssf/test\", O_RDWR|O_CREAT, 0644) = 5 "
-                "<0.000150>\n";
-        break;
-      case 2:
-        text += pid + "  " + ts +
-                " pwrite64(5</p/scratch/ssf/test>, \"\"..., 1048576, 33554432) = 1048576 "
-                "<0.000294>\n";
-        break;
-      case 3:
-        if (with_noise && i % 15 == 3) {
-          text += pid + "  " + ts + " not_a_call_line\n";
-        } else {
-          text += pid + "  " + ts + " read(3</p/data/f>, <unfinished ...>\n";
-        }
-        break;
-      default:
-        text += pid + "  " + ts + " <... read resumed> \"\"..., 405) = 404 <0.000223>\n";
-        break;
-    }
+    text += trace_line(i, std::to_string(pid_base + i % 2), t, with_noise && i % 15 == 3);
   }
   return text;
+}
+
+/// A strict-clean trace: one pid, every unfinished/resumed pair
+/// matches, no noise — parses without a single warning, so strict-mode
+/// tests can inject failures precisely where they want them.
+inline std::string make_clean_trace(std::size_t lines, std::uint64_t pid) {
+  std::string text;
+  Micros t = 36000000000;  // 10:00:00
+  for (std::size_t i = 0; i < lines; ++i) {
+    t += 100;
+    text += trace_line(i, std::to_string(pid), t, false);
+  }
+  return text;
+}
+
+/// The sequential reference for pipeline::run and event_log_from_files:
+/// every file read by the sequential reader and converted in input
+/// order, warnings prefixed with the path and consecutive duplicates
+/// collapsed.
+inline model::EventLog staged_log(const std::vector<std::string>& paths) {
+  model::EventLog log;
+  for (const auto& p : paths) {
+    const auto id = strace::parse_trace_filename(p);
+    EXPECT_TRUE(id.has_value()) << p;
+    const auto result = strace::read_trace_file(p);
+    log.add_case(model::case_from_records(*id, result.records, log.arena()));
+    log.adopt(result.buffer);
+    for (const auto& warning : result.warnings) {
+      const std::string prefixed = p + ": " + warning;
+      if (!log.warnings().empty() && log.warnings().back() == prefixed) continue;
+      log.add_warning(prefixed);
+    }
+  }
+  return log;
+}
+
+/// The streamed reader over `buffers` on its own `workers`-thread pool,
+/// with chunks as small as `min_chunk_bytes` so every fold path runs.
+/// Results come back in input order; the first failure is rethrown
+/// like StreamedParse::wait().
+inline std::vector<strace::ReadResult> read_streamed(
+    std::vector<std::shared_ptr<strace::TraceBuffer>> buffers, const strace::ReadOptions& base = {},
+    std::size_t workers = 3, std::size_t min_chunk_bytes = 256) {
+  ThreadPool pool(workers);
+  strace::ParallelReadOptions opts;
+  static_cast<strace::ReadOptions&>(opts) = base;
+  opts.pool = &pool;
+  opts.min_chunk_bytes = min_chunk_bytes;
+  std::vector<strace::ReadResult> results(buffers.size());
+  strace::read_trace_buffers_streamed(
+      std::move(buffers), opts,
+      [&results](std::size_t i, strace::ReadResult&& r) { results[i] = std::move(r); })
+      .wait();
+  return results;
 }
 
 /// Per-test temp directory + the standard corpus: one big noisy file,
@@ -104,7 +163,7 @@ class CorpusTest : public ::testing::Test {
   std::string prefix_;
 };
 
-/// Bitwise double equality — the ISSUE 7 acceptance criterion.
+/// Bitwise double equality.
 /// EXPECT_EQ on doubles would pass for -0.0 vs +0.0; the bit pattern
 /// may not.
 inline void expect_same_bits(double a, double b, const std::string& what) {

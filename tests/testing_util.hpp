@@ -6,11 +6,16 @@
 // to thread ownership around.
 #pragma once
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "dfg/dfg.hpp"
 #include "model/event_log.hpp"
+#include "model/mapping.hpp"
+#include "pipeline/sink.hpp"
 #include "strace/arena.hpp"
 
 namespace st::testing {
@@ -52,6 +57,26 @@ inline model::Case make_case(std::string cid, std::uint64_t rid, std::vector<mod
     e.pid = rid + 12;
   }
   return model::Case(model::CaseId{std::move(cid), std::move(host), rid}, std::move(events));
+}
+
+/// The Dfg monoid as pipeline::DfgSink drives it, without the pool: the
+/// cases split into `groups` contiguous runs, each run folded into its
+/// own partial, the partials merged in input order.
+inline dfg::Dfg dfg_via_sink(const model::EventLog& log, const model::Mapping& f,
+                             std::size_t groups) {
+  pipeline::DfgSink sink(f);
+  const std::shared_ptr<strace::StringArena> no_arena;
+  const std::shared_ptr<strace::TraceBuffer> no_buffer;
+  const auto cases = log.cases();
+  const std::size_t per_group = std::max<std::size_t>(1, (cases.size() + groups - 1) / groups);
+  for (std::size_t lo = 0; lo < cases.size(); lo += per_group) {
+    auto partial = sink.make_partial();
+    for (std::size_t i = lo; i < std::min(cases.size(), lo + per_group); ++i) {
+      sink.fold(*partial, {cases[i], no_arena, no_buffer});
+    }
+    sink.merge(std::move(partial));
+  }
+  return sink.take_graph();
 }
 
 }  // namespace st::testing
