@@ -25,6 +25,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "dfg/export.hpp"
@@ -52,8 +53,6 @@ st::pipeline::ShardOptions shard_options(const st::CliParser& cli) {
   st::pipeline::ShardOptions opts;
   opts.mapping = cli.get("map");
   opts.worker_threads = st::cliargs::thread_count(cli);
-  if (cli.has("fp")) opts.query_fp = cli.get("fp");
-  if (cli.has("calls")) opts.query_calls = cli.get("calls");
   static_cast<st::RunPolicy&>(opts.stream) = st::cliargs::run_policy(cli);
   return opts;
 }
@@ -236,6 +235,11 @@ int main(int argc, char** argv) {
           "fold-shard|merge-partials|report-sharded ...");
     }
     const std::string& command = args[0];
+    if (command != "filter" && (cli.has("fp") || cli.has("calls"))) {
+      // Only filter applies a query; any other verb would silently
+      // ignore it and write unfiltered output.
+      throw ParseError("--fp/--calls apply to filter only, not " + command);
+    }
 
     if (command == "info") {
       if (args.size() != 2) throw ParseError("info takes one elog file");
@@ -278,42 +282,31 @@ int main(int argc, char** argv) {
       const bool v1 = cliargs::write_v1(cli);
       pipeline::StreamOptions stream_opts;
       static_cast<RunPolicy&>(stream_opts) = cliargs::run_policy(cli);
+      // The default v2 container is written by a sink on the pass; v1
+      // is written from the assembled log afterwards.
+      std::optional<elog::ElogV2Writer> writer;
+      std::optional<elog::ElogV2WriterSink> sink;
+      std::vector<pipeline::CaseSink*> extra;
+      if (!v1) {
+        writer.emplace(args[1], elog::ElogV2WriterOptions{write_index_flag(cli)});
+        extra.push_back(&sink.emplace(*writer));
+      }
       model::EventLog log;
+      if (cli.has("stream-report")) {
+        // One streamed pass, three artifact families: the report's
+        // sinks, the container sink and the assembled log.
+        auto result =
+            report::streaming_report(files, cliargs::mapping(cli), pool, {}, stream_opts, extra);
+        write_bytes(cli.get("stream-report"), result.html);
+        log = std::move(result.log);
+        std::cout << "wrote single-pass report to " << cli.get("stream-report") << "\n";
+      } else {
+        log = pipeline::run(files, pool, extra, stream_opts);
+      }
       if (v1) {
-        if (cli.has("stream-report")) {
-          auto result =
-              report::streaming_report(files, cliargs::mapping(cli), pool, {}, stream_opts);
-          const std::string& report_path = cli.get("stream-report");
-          std::ofstream out(report_path, std::ios::trunc);
-          if (!out || !(out << result.html)) {
-            throw IoError("cannot write report file: " + report_path);
-          }
-          log = std::move(result.log);
-          std::cout << "wrote single-pass report to " << report_path << "\n";
-        } else {
-          log = pipeline::run(files, pool, {}, stream_opts);
-        }
         elog::write_event_log_file(args[1], log);
       } else {
-        elog::ElogV2Writer writer(args[1], elog::ElogV2WriterOptions{write_index_flag(cli)});
-        elog::ElogV2WriterSink sink(writer);
-        if (cli.has("stream-report")) {
-          // One streamed pass, three artifact families: the report's
-          // sinks, the container sink and the assembled log.
-          pipeline::CaseSink* extra[] = {&sink};
-          auto result = report::streaming_report(files, cliargs::mapping(cli), pool, {},
-                                                 stream_opts, extra);
-          const std::string& report_path = cli.get("stream-report");
-          std::ofstream out(report_path, std::ios::trunc);
-          if (!out || !(out << result.html)) {
-            throw IoError("cannot write report file: " + report_path);
-          }
-          log = std::move(result.log);
-          std::cout << "wrote single-pass report to " << report_path << "\n";
-        } else {
-          log = pipeline::run(files, pool, {&sink}, stream_opts);
-        }
-        writer.finalize();
+        writer->finalize();
       }
       for (const auto& w : log.warnings()) std::cerr << "warning: " << w << "\n";
       std::cout << "imported " << files.size() << " trace files (" << log.total_events()

@@ -117,8 +117,8 @@ int main(int argc, char** argv) {
     const auto f = cliargs::mapping(cli);
 
     if (cli.get_bool("stream-report")) {
-      // One streamed pass: DfgSink + CaseStatsSink + VariantsSink fold
-      // while the trace files parse — no ingestion barrier, no
+      // One streamed pass: the report's sinks (pipeline::fold_report)
+      // fold while the trace files parse — no ingestion barrier, no
       // per-analytic re-walks of the event arrays.
       bool any_trace = false;
       for (const auto& p : cli.positional()) {
@@ -235,13 +235,9 @@ int main(int argc, char** argv) {
 
     const std::string render = cli.get("render");
     if (render == "report") {
-      // Same ReportOptions builder as the serve path, so the served
-      // report bytes and this offline invocation stay cmp-identical.
-      // The report computes its own graph and statistics, once.
-      const auto report_opts = corpus::query_report_options(query, f);
-      const auto data = report::report_data(log, f, report_opts);
-      const dfg::StatisticsColoring styler(data.stats);
-      std::cout << report::render_report(data, f, &styler, report_opts);
+      // The serve path's own report function, so the served report
+      // bytes and this offline invocation stay cmp-identical.
+      std::cout << corpus::query_report(log, query, f);
       return 0;
     }
     const auto g = streamed_graph ? std::move(*streamed_graph) : dfg::build_serial(log, f);

@@ -19,6 +19,14 @@ report::ReportOptions query_report_options(const model::Query& q, const model::M
   return opts;
 }
 
+std::string query_report(const model::EventLog& view, const model::Query& q,
+                         const model::Mapping& f) {
+  const auto opts = query_report_options(q, f);
+  const auto data = report::report_data(view, f, opts);
+  const dfg::StatisticsColoring styler(data.stats);
+  return report::render_report(data, f, &styler, opts);
+}
+
 /// The LRU memo table. One mutex guards everything; computations run
 /// OUTSIDE the lock (the map holds shared_futures, so latecomers to an
 /// in-flight key block on the winner without holding the mutex).
@@ -191,11 +199,7 @@ std::shared_ptr<const void> Catalog::compute_summaries(const model::Query& q) {
 }
 
 std::shared_ptr<const void> Catalog::compute_report(const model::Query& q) {
-  const auto log = filtered(q);
-  const auto stats = io_stats(q);
-  const dfg::StatisticsColoring styler(*stats);
-  return std::make_shared<const std::string>(
-      report::build_report(*log, mapping_, &styler, query_report_options(q, mapping_)));
+  return std::make_shared<const std::string>(query_report(*filtered(q), q, mapping_));
 }
 
 }  // namespace st::corpus

@@ -25,9 +25,9 @@
 //
 // Determinism contract: every artifact is byte-identical to the
 // offline CLI path over the same inputs — filtered logs use the same
-// serial Query::apply, reports the same build_report with the same
-// ReportOptions (query_report_options below is shared with
-// trace_explorer), so CI can cmp served bytes against the batch tool.
+// serial Query::apply, reports the same query_report below that
+// trace_explorer --render report calls, so CI can cmp served bytes
+// against the batch tool.
 #pragma once
 
 #include <cstddef>
@@ -78,6 +78,13 @@ struct CacheStats {
 /// byte-identical HTML by construction.
 [[nodiscard]] report::ReportOptions query_report_options(const model::Query& q,
                                                          const model::Mapping& f);
+
+/// The HTML report of a query's filtered `view`: report_data once, a
+/// StatisticsColoring of its statistics, render_report with
+/// query_report_options — the one definition behind the served
+/// `report` verb and trace_explorer's --render report.
+[[nodiscard]] std::string query_report(const model::EventLog& view, const model::Query& q,
+                                       const model::Mapping& f);
 
 class Catalog {
  public:

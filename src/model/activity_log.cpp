@@ -25,38 +25,16 @@ void merge_variant_counts(VariantCounts& to, VariantCounts&& from) {
   }
 }
 
-void ActivityLog::add_case(const Case& c, const Mapping& f) {
-  ActivityTrace trace = activity_trace(c, f);
-  for (const Activity& a : trace) activities_.insert(a);
-  total_instances_ += trace.size();
-  per_case_.emplace(c.id(), trace);
-  ++variants_[std::move(trace)];
-  ++case_count_;
-}
-
-void ActivityLog::merge(ActivityLog&& other) {
-  merge_variant_counts(variants_, std::move(other.variants_));
-  per_case_.merge(std::move(other.per_case_));  // first-wins, like emplace
-  activities_.merge(std::move(other.activities_));
-  case_count_ += other.case_count_;
-  total_instances_ += other.total_instances_;
-}
-
-ActivityLog ActivityLog::from_parts(VariantCounts variants, std::map<CaseId, ActivityTrace> per_case,
-                                    std::set<Activity> activities, std::size_t case_count,
-                                    std::size_t total_instances) {
-  ActivityLog out;
-  out.variants_ = std::move(variants);
-  out.per_case_ = std::move(per_case);
-  out.activities_ = std::move(activities);
-  out.case_count_ = case_count;
-  out.total_instances_ = total_instances;
-  return out;
-}
-
 ActivityLog ActivityLog::build(const EventLog& log, const Mapping& f) {
   ActivityLog out;
-  for (const Case& c : log.cases()) out.add_case(c, f);
+  for (const Case& c : log.cases()) {
+    ActivityTrace trace = activity_trace(c, f);
+    for (const Activity& a : trace) out.activities_.insert(a);
+    out.total_instances_ += trace.size();
+    out.per_case_.emplace(c.id(), trace);
+    ++out.variants_[std::move(trace)];
+    ++out.case_count_;
+  }
   return out;
 }
 

@@ -31,13 +31,13 @@ using VariantCounts = std::map<ActivityTrace, std::size_t>;
 
 /// σ_f(c): one case's activity trace — every mapped activity, in event
 /// order (f is partial; unmapped events are skipped). The single
-/// definition ActivityLog::add_case and the streaming VariantsSink
-/// both build from, so their variant multisets cannot drift apart.
+/// definition ActivityLog::build and the streaming VariantsSink both
+/// fold, so their variant multisets cannot drift apart.
 [[nodiscard]] ActivityTrace activity_trace(const Case& c, const Mapping& f);
 
 /// Folds `from` into `to` (multiplicities add) by moving map nodes —
-/// the trace keys of the consumed map are never copied. Shared by
-/// ActivityLog::merge and the streaming VariantsSink.
+/// the trace keys of the consumed map are never copied. Shared by the
+/// streaming VariantsSink and the shard-partial merge.
 void merge_variant_counts(VariantCounts& to, VariantCounts&& from);
 
 class ActivityLog {
@@ -48,29 +48,6 @@ class ActivityLog {
   /// contribute an empty trace — kept so the multiplicity of the empty
   /// variant reports unmapped cases.
   static ActivityLog build(const EventLog& log, const Mapping& f);
-
-  /// Folds one case's activity trace in — the per-case unit step
-  /// build() iterates and the streaming pipeline's ActivityLogSink
-  /// folds on pool threads (into private partials; ActivityLog itself
-  /// is not thread-safe).
-  void add_case(const Case& c, const Mapping& f);
-
-  /// Monoid merge: multiplicities add, per-case traces and the
-  /// activity set union. Folding per-case partials in input order
-  /// produces exactly build()'s result (all containers are ordered, so
-  /// the merge is order-insensitive up to duplicate CaseIds, where the
-  /// first merged trace wins — matching build()'s first-wins emplace).
-  void merge(ActivityLog&& other);
-
-  /// Reconstructs a log from its observable parts — the inverse of the
-  /// five accessors below, used by the shard partial codec. All fields
-  /// are carried explicitly (case_count can exceed per_case.size()
-  /// when duplicate CaseIds were merged first-wins).
-  [[nodiscard]] static ActivityLog from_parts(VariantCounts variants,
-                                              std::map<CaseId, ActivityTrace> per_case,
-                                              std::set<Activity> activities,
-                                              std::size_t case_count,
-                                              std::size_t total_instances);
 
   /// Distinct traces with multiplicities, deterministically ordered
   /// (lexicographic by trace). Σ multiplicities == case count.

@@ -101,9 +101,8 @@ class Query {
   /// The per-case unit of apply(): nullopt when the case-level
   /// restrictions drop the case, otherwise the case filtered to the
   /// matching events (possibly empty — empty cases are kept, like
-  /// filter_fp). Both apply() overloads and the streaming QuerySink
-  /// are folds of this over the cases; thread-safe (const, uses the
-  /// precompiled call set).
+  /// filter_fp). Both apply() overloads are folds of this over the
+  /// cases; thread-safe (const, uses the precompiled call set).
   [[nodiscard]] std::optional<Case> apply_case(const Case& c) const;
 
   /// Applies case restrictions, then event restrictions.

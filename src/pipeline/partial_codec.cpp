@@ -1,13 +1,10 @@
 #include "pipeline/partial_codec.hpp"
 
 #include <bit>
-#include <sstream>
 #include <utility>
 
 #include "elog/format.hpp"
 #include "elog/v2_format.hpp"
-#include "elog/v2_store.hpp"
-#include "strace/trace_buffer.hpp"
 #include "support/crc32.hpp"
 #include "support/errors.hpp"
 #include "support/faultpoint.hpp"
@@ -26,6 +23,11 @@ using elog::zigzag_decode;
 using elog::zigzag_encode;
 
 [[noreturn]] void fail(const std::string& what) { throw IoError("partial blob: " + what); }
+
+/// The assigned section kinds; 5 and 7 are retired (see the header).
+[[nodiscard]] constexpr bool known_kind(std::uint32_t kind) {
+  return kind >= 1 && kind <= 9 && kind != 5 && kind != 7;
+}
 
 void put_svarint(std::string& out, std::int64_t v) { put_uvarint(out, zigzag_encode(v)); }
 
@@ -177,7 +179,7 @@ PartialReader::PartialReader(std::string_view blob) {
     const std::uint64_t length = load_u64(p + 8);
     p += 16;
     if (reserved != 0) fail("nonzero reserved field");
-    if (kind < 1 || kind > 9) fail("unknown section kind");
+    if (!known_kind(kind)) fail("unknown section kind");
     if (length > static_cast<std::uint64_t>(end - p) ||
         static_cast<std::uint64_t>(end - p) - length < 4)
       fail("section length exceeds blob");
@@ -317,47 +319,6 @@ std::vector<model::CaseSummary> decode_case_stats_partial(const PartialReader& r
   return out;
 }
 
-void encode_activity_log_partial(PartialWriter& w, const model::ActivityLog& log) {
-  std::string s;
-  put_variant_counts(w, s, log.variants());
-  put_uvarint(s, log.per_case().size());
-  for (const auto& [id, trace] : log.per_case()) {
-    put_case_id(w, s, id);
-    put_uvarint(s, trace.size());
-    for (const model::Activity& a : trace) put_uvarint(s, w.intern(a));
-  }
-  put_uvarint(s, log.activities().size());
-  for (const model::Activity& a : log.activities()) put_uvarint(s, w.intern(a));
-  put_uvarint(s, log.case_count());
-  put_uvarint(s, log.total_activity_instances());
-  w.add_section(PartialSection::kActivityLog, std::move(s));
-}
-
-model::ActivityLog decode_activity_log_partial(const PartialReader& r) {
-  Cursor c(r.section(PartialSection::kActivityLog));
-  model::VariantCounts variants = read_variant_counts(r, c);
-  std::map<model::CaseId, model::ActivityTrace> per_case;
-  const std::size_t cases = c.count();
-  for (std::size_t i = 0; i < cases; ++i) {
-    model::CaseId id = read_case_id(r, c);
-    const std::size_t len = c.count();
-    model::ActivityTrace trace;
-    trace.reserve(len);
-    for (std::size_t j = 0; j < len; ++j) trace.emplace_back(r.pool_string(c.uvarint()));
-    per_case.emplace_hint(per_case.end(), std::move(id), std::move(trace));
-  }
-  std::set<model::Activity> activities;
-  const std::size_t acts = c.count();
-  for (std::size_t i = 0; i < acts; ++i) {
-    activities.emplace_hint(activities.end(), r.pool_string(c.uvarint()));
-  }
-  const auto case_count = static_cast<std::size_t>(c.uvarint());
-  const auto total_instances = static_cast<std::size_t>(c.uvarint());
-  c.expect_exhausted();
-  return model::ActivityLog::from_parts(std::move(variants), std::move(per_case),
-                                        std::move(activities), case_count, total_instances);
-}
-
 void encode_variants_partial(PartialWriter& w, const model::VariantCounts& v) {
   std::string s;
   put_variant_counts(w, s, v);
@@ -369,18 +330,6 @@ model::VariantCounts decode_variants_partial(const PartialReader& r) {
   model::VariantCounts out = read_variant_counts(r, c);
   c.expect_exhausted();
   return out;
-}
-
-void encode_query_log_partial(PartialWriter& w, const model::EventLog& log) {
-  std::ostringstream bytes;
-  elog::write_event_log_v2(bytes, log);
-  w.add_section(PartialSection::kQueryLog, std::move(bytes).str());
-}
-
-model::EventLog decode_query_log_partial(const PartialReader& r) {
-  auto buffer = std::make_shared<strace::TraceBuffer>(
-      std::string(r.section(PartialSection::kQueryLog)));
-  return elog::read_event_log_v2(elog::MappedElog::from_buffer(std::move(buffer)));
 }
 
 void encode_io_stats_partial(PartialWriter& w, const dfg::IoStatistics::Partial& p) {
@@ -493,17 +442,9 @@ void ShardPartial::merge(ShardPartial&& other) {
   case_summaries.insert(case_summaries.end(),
                         std::make_move_iterator(other.case_summaries.begin()),
                         std::make_move_iterator(other.case_summaries.end()));
-  activity_log.merge(std::move(other.activity_log));
   model::merge_variant_counts(variants, std::move(other.variants));
   io.merge(std::move(other.io));
   edges.merge(std::move(other.edges));
-  if (other.filtered) {
-    if (!filtered) {
-      filtered = std::move(other.filtered);
-    } else {
-      *filtered = model::EventLog::merge(*filtered, *other.filtered);
-    }
-  }
 }
 
 std::string encode_shard_partial(const ShardPartial& p) {
@@ -520,11 +461,9 @@ std::string encode_shard_partial(const ShardPartial& p) {
   w.add_section(PartialSection::kMeta, std::move(meta));
   encode_dfg_partial(w, p.graph);
   encode_case_stats_partial(w, p.case_summaries);
-  encode_activity_log_partial(w, p.activity_log);
   encode_variants_partial(w, p.variants);
   encode_io_stats_partial(w, p.io);
   encode_edge_stats_partial(w, p.edges);
-  if (p.filtered) encode_query_log_partial(w, *p.filtered);
   return w.finish();
 }
 
@@ -551,11 +490,9 @@ ShardPartial decode_shard_partial(std::string_view blob) {
   meta.expect_exhausted();
   p.graph = decode_dfg_partial(r);
   p.case_summaries = decode_case_stats_partial(r);
-  p.activity_log = decode_activity_log_partial(r);
   p.variants = decode_variants_partial(r);
   p.io = decode_io_stats_partial(r);
   p.edges = decode_edge_stats_partial(r);
-  if (r.has_section(PartialSection::kQueryLog)) p.filtered = decode_query_log_partial(r);
   return p;
 }
 

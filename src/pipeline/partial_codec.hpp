@@ -31,16 +31,18 @@
 //                  quarantined)
 //   3 Dfg          nodes, edges, trace count
 //   4 CaseStats    CaseSummary sequence (input order)
-//   5 ActivityLog  variants + per-case traces + activity set + counters
-//   6 Variants     the variant multiset alone
-//   7 QueryLog     the query-filtered EventLog as embedded elog v2 bytes
+//   6 Variants     the variant multiset
 //   8 IoStats      IoStatistics::Partial (per-case contributions)
 //   9 EdgeStats    EdgeStatistics::Partial (integer edge-gap map)
+//
+// Every section is one the report renders from (report/report.hpp's
+// render_sharded_report). Kinds 5 and 7 are retired and rejected like
+// any unassigned kind, so a blob from an older writer that still
+// carries them fails loudly instead of decoding partially.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -51,7 +53,6 @@
 #include "dfg/stats.hpp"
 #include "model/activity_log.hpp"
 #include "model/case_stats.hpp"
-#include "model/event_log.hpp"
 #include "pipeline/sink.hpp"
 
 namespace st::pipeline {
@@ -63,9 +64,7 @@ enum class PartialSection : std::uint32_t {
   kMeta = 2,
   kDfg = 3,
   kCaseStats = 4,
-  kActivityLog = 5,
   kVariants = 6,
-  kQueryLog = 7,
   kIoStats = 8,
   kEdgeStats = 9,
 };
@@ -129,16 +128,8 @@ void encode_dfg_partial(PartialWriter& w, const dfg::Dfg& g);
 void encode_case_stats_partial(PartialWriter& w, const std::vector<model::CaseSummary>& s);
 [[nodiscard]] std::vector<model::CaseSummary> decode_case_stats_partial(const PartialReader& r);
 
-void encode_activity_log_partial(PartialWriter& w, const model::ActivityLog& log);
-[[nodiscard]] model::ActivityLog decode_activity_log_partial(const PartialReader& r);
-
 void encode_variants_partial(PartialWriter& w, const model::VariantCounts& v);
 [[nodiscard]] model::VariantCounts decode_variants_partial(const PartialReader& r);
-
-/// The filtered log travels as embedded elog v2 bytes; the decoded log
-/// owns its storage (it adopts the in-memory container buffer).
-void encode_query_log_partial(PartialWriter& w, const model::EventLog& log);
-[[nodiscard]] model::EventLog decode_query_log_partial(const PartialReader& r);
 
 void encode_io_stats_partial(PartialWriter& w, const dfg::IoStatistics::Partial& p);
 [[nodiscard]] dfg::IoStatistics::Partial decode_io_stats_partial(const PartialReader& r);
@@ -148,9 +139,10 @@ void encode_edge_stats_partial(PartialWriter& w, const dfg::EdgeStatistics::Part
 
 // ---- the shard unit ----------------------------------------------------
 
-/// Everything one shard's pipeline::run pass produced: the partial of
-/// every analytic sink plus the run metadata. The unit fold-shard
-/// encodes, the coordinator merges.
+/// Everything one pipeline::run pass folds for the report: the partial
+/// of each of the report's sinks plus the run metadata. The unit
+/// fold-shard encodes, the coordinator merges, and the in-process
+/// streamed report finalizes as a single shard.
 struct ShardPartial {
   std::uint64_t case_count = 0;
   std::uint64_t total_events = 0;
@@ -160,12 +152,9 @@ struct ShardPartial {
   DataHealth health;
   dfg::Dfg graph;
   std::vector<model::CaseSummary> case_summaries;
-  model::ActivityLog activity_log;
   model::VariantCounts variants;
   dfg::IoStatistics::Partial io;
   dfg::EdgeStatistics::Partial edges;
-  /// Present iff the shard ran a query; the filtered log.
-  std::optional<model::EventLog> filtered;
 
   /// Input-order monoid fold — mirrors, analytic by analytic, exactly
   /// what pipeline::run's per-task merges do, so folding shard

@@ -12,18 +12,17 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <thread>
 #include <utility>
 
 #include "model/mapping.hpp"
-#include "model/query.hpp"
 #include "parallel/thread_pool.hpp"
 #include "strace/filename.hpp"
 #include "support/errors.hpp"
 #include "support/faultpoint.hpp"
-#include "support/strings.hpp"
 
 extern char** environ;
 
@@ -179,14 +178,6 @@ class Supervisor {
     if (opts_.worker_threads != 0) {
       args.emplace_back("--threads");
       args.emplace_back(std::to_string(opts_.worker_threads));
-    }
-    if (opts_.query_fp) {
-      args.emplace_back("--fp");
-      args.emplace_back(*opts_.query_fp);
-    }
-    if (opts_.query_calls) {
-      args.emplace_back("--calls");
-      args.emplace_back(*opts_.query_calls);
     }
     if (opts_.stream.keep_going) args.emplace_back("--keep-going");
     args.emplace_back("--shard-index");
@@ -352,49 +343,36 @@ std::vector<std::string> ShardRunReport::to_lines() const {
   return lines;
 }
 
-std::string fold_shard(const std::vector<std::string>& paths, const ShardOptions& opts) {
-  const model::Mapping f = model::mapping_by_name(opts.mapping);
-  ThreadPool pool(opts.worker_threads);
-
+ReportFold fold_report(const std::vector<std::string>& paths, const model::Mapping& f,
+                       ThreadPool& pool, const StreamOptions& stream_opts,
+                       std::span<CaseSink* const> extra_sinks) {
   DfgSink graph_sink(f);
   CaseStatsSink stats_sink;
-  ActivityLogSink activity_sink(f);
   VariantsSink variants_sink(f);
   IoStatsSink io_sink(f);
   EdgeStatsSink edge_sink(f);
-  std::optional<QuerySink> query_sink;
-  std::vector<CaseSink*> sinks = {&graph_sink, &stats_sink,
-                                  &activity_sink, &variants_sink,
-                                  &io_sink, &edge_sink};
-  if (opts.query_fp || opts.query_calls) {
-    model::Query query;
-    if (opts.query_fp) query = query.fp_contains(*opts.query_fp);
-    if (opts.query_calls) {
-      std::vector<std::string> families;
-      for (const auto part : split(*opts.query_calls, ',')) families.emplace_back(part);
-      query = query.calls(std::move(families));
-    }
-    query_sink.emplace(std::move(query));
-    sinks.push_back(&*query_sink);
-  }
+  std::vector<CaseSink*> sinks = {&graph_sink, &stats_sink, &variants_sink, &io_sink,
+                                  &edge_sink};
+  sinks.insert(sinks.end(), extra_sinks.begin(), extra_sinks.end());
 
-  DataHealth health;
-  const model::EventLog log =
-      run(paths, pool, std::span<CaseSink* const>(sinks), opts.stream, &health);
-
-  ShardPartial p;
-  p.case_count = log.case_count();
-  p.total_events = log.total_events();
-  p.warnings = log.warnings();
-  p.health = std::move(health);  // only the counters travel in the blob
+  ReportFold out;
+  ShardPartial& p = out.partial;
+  out.log = run(paths, pool, std::span<CaseSink* const>(sinks), stream_opts, &p.health);
+  p.case_count = out.log.case_count();
+  p.total_events = out.log.total_events();
+  p.warnings = out.log.warnings();
   p.graph = graph_sink.take_graph();
   p.case_summaries = stats_sink.take_summaries();
-  p.activity_log = activity_sink.take_log();
   p.variants = variants_sink.take_variants();
   p.io = io_sink.take_partial();
   p.edges = edge_sink.take_partial();
-  if (query_sink) p.filtered = query_sink->take_log();
-  return encode_shard_partial(p);
+  return out;
+}
+
+std::string fold_shard(const std::vector<std::string>& paths, const ShardOptions& opts) {
+  const model::Mapping f = model::mapping_by_name(opts.mapping);
+  ThreadPool pool(opts.worker_threads);
+  return encode_shard_partial(fold_report(paths, f, pool, opts.stream).partial);
 }
 
 ShardedAnalytics finalize_shards(std::vector<ShardPartial> parts) {
@@ -407,12 +385,10 @@ ShardedAnalytics finalize_shards(std::vector<ShardPartial> parts) {
   out.warnings = std::move(total.warnings);
   out.graph = std::move(total.graph);
   out.case_summaries = std::move(total.case_summaries);
-  out.activity_log = std::move(total.activity_log);
   out.variants = std::move(total.variants);
   out.io_stats = total.io.finalize();
   out.edge_stats = total.edges.finalize();
   out.io_partial = std::move(total.io);
-  out.filtered = std::move(total.filtered);
   // Counters summed shard by shard; the class tally is recomputed from
   // the merged warning list so it matches the streamed run exactly.
   out.health = std::move(total.health);

@@ -19,7 +19,6 @@
 //   - fold_shard_exe = <path>  each shard is a spawned subprocess:
 //                                <exe> fold-shard <out.partial>
 //                                      --map <name> [--threads N]
-//                                      [--fp S] [--calls a,b]
 //                                      [--keep-going]
 //                                      [--shard-index I] <traces...>
 //                              (elog_tool implements the verb). The
@@ -48,7 +47,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -75,11 +74,6 @@ struct ShardOptions {
   /// Path of the fold-shard subprocess binary (elog_tool); empty runs
   /// every shard in-process (still through the codec).
   std::string fold_shard_exe;
-
-  /// Optional streamed query (QuerySink) — the shard's filtered log
-  /// travels in the blob. `query_calls` is comma-separated families.
-  std::optional<std::string> query_fp;
-  std::optional<std::string> query_calls;
 
   /// Streaming knobs for in-process folds. Only `keep_going` crosses
   /// the process boundary (as --keep-going — it changes output);
@@ -131,15 +125,12 @@ struct ShardedAnalytics {
   std::vector<std::string> warnings;
   dfg::Dfg graph;
   std::vector<model::CaseSummary> case_summaries;
-  model::ActivityLog activity_log;
   model::VariantCounts variants;
   dfg::IoStatistics io_stats;
   dfg::EdgeStatistics edge_stats;
   /// The merged (pre-finalize) IoStatistics partial — timelines render
   /// from it without a log.
   dfg::IoStatistics::Partial io_partial;
-  /// Present iff a query ran: the filtered log, cases in input order.
-  std::optional<model::EventLog> filtered;
   /// Data-health counters summed across shards + warning classes
   /// recomputed from the merged warning list (== the streamed run's).
   DataHealth health;
@@ -147,15 +138,33 @@ struct ShardedAnalytics {
   ShardRunReport shard_report;
 };
 
-/// One shard's whole job: streams `paths` through pipeline::run with
-/// every analytic sink (plus a QuerySink when opts carries a query)
-/// and returns the encoded ShardPartial blob. This is the body of the
-/// `elog_tool fold-shard` verb and of in-process sharding alike.
+/// What one report fold produced: the report partial and the
+/// assembled log of the same pass.
+struct ReportFold {
+  ShardPartial partial;
+  model::EventLog log;
+};
+
+/// The report's one fold: a single pipeline::run over `paths` with the
+/// report's five sinks (DFG, case table, variants, activity statistics,
+/// edge statistics) plus `extra_sinks`, which ride the same pass after
+/// them. Every sink-side report goes through here — fold_shard encodes
+/// the partial, report::streaming_report finalizes it as one shard.
+[[nodiscard]] ReportFold fold_report(const std::vector<std::string>& paths,
+                                     const model::Mapping& f, ThreadPool& pool,
+                                     const StreamOptions& stream_opts = {},
+                                     std::span<CaseSink* const> extra_sinks = {});
+
+/// One shard's whole job: fold_report over `paths` on a fresh pool of
+/// opts.worker_threads, returned as the encoded ShardPartial blob. This
+/// is the body of the `elog_tool fold-shard` verb and of in-process
+/// sharding alike.
 [[nodiscard]] std::string fold_shard(const std::vector<std::string>& paths,
                                      const ShardOptions& opts);
 
-/// Input-order merge + finalize of decoded shard partials — the
-/// coordinator's reduce step, exposed for tests and merge-partials.
+/// Input-order merge + finalize of report partials — the coordinator's
+/// reduce step, also run by merge-partials and (over one partial) by
+/// report::streaming_report.
 [[nodiscard]] ShardedAnalytics finalize_shards(std::vector<ShardPartial> parts);
 
 /// Splits `paths` across opts.shards shards, folds each (subprocess or

@@ -5,7 +5,6 @@
 #include <future>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "dfg/builder.hpp"
@@ -361,26 +360,6 @@ void CaseStatsSink::merge(std::unique_ptr<SinkPartial> p) {
   acc_.merge(std::move(static_cast<CaseStatsPartial&>(*p).acc));
 }
 
-// ---- ActivityLogSink ---------------------------------------------------
-
-namespace {
-struct ActivityLogPartial final : SinkPartial {
-  model::ActivityLog log;
-};
-}  // namespace
-
-std::unique_ptr<SinkPartial> ActivityLogSink::make_partial() const {
-  return std::make_unique<ActivityLogPartial>();
-}
-
-void ActivityLogSink::fold(SinkPartial& p, const CaseContext& ctx) const {
-  static_cast<ActivityLogPartial&>(p).log.add_case(ctx.c, *f_);
-}
-
-void ActivityLogSink::merge(std::unique_ptr<SinkPartial> p) {
-  log_.merge(std::move(static_cast<ActivityLogPartial&>(*p).log));
-}
-
 // ---- VariantsSink ------------------------------------------------------
 
 namespace {
@@ -394,7 +373,7 @@ std::unique_ptr<SinkPartial> VariantsSink::make_partial() const {
 }
 
 void VariantsSink::fold(SinkPartial& p, const CaseContext& ctx) const {
-  // model::activity_trace is the same definition ActivityLog::add_case
+  // model::activity_trace is the same definition ActivityLog::build
   // folds, so the multiset is byte-identical to
   // ActivityLog::build(log, f).variants().
   ++static_cast<VariantsPartial&>(p).counts[model::activity_trace(ctx.c, *f_)];
@@ -442,39 +421,6 @@ void EdgeStatsSink::fold(SinkPartial& p, const CaseContext& ctx) const {
 
 void EdgeStatsSink::merge(std::unique_ptr<SinkPartial> p) {
   partial_.merge(std::move(static_cast<EdgeStatsPartial&>(*p).p));
-}
-
-// ---- QuerySink ---------------------------------------------------------
-
-namespace {
-struct QueryPartial final : SinkPartial {
-  std::optional<model::Case> kept;  ///< nullopt: case-level restrictions drop it
-  std::shared_ptr<strace::StringArena> arena;
-  std::shared_ptr<strace::TraceBuffer> buffer;
-};
-}  // namespace
-
-std::unique_ptr<SinkPartial> QuerySink::make_partial() const {
-  return std::make_unique<QueryPartial>();
-}
-
-void QuerySink::fold(SinkPartial& p, const CaseContext& ctx) const {
-  auto& partial = static_cast<QueryPartial&>(p);
-  partial.kept = query_.apply_case(ctx.c);
-  if (partial.kept) {
-    // The filtered case's events still view into the source storage;
-    // the filtered log must own it independently of the primary log.
-    partial.arena = ctx.arena;
-    partial.buffer = ctx.buffer;
-  }
-}
-
-void QuerySink::merge(std::unique_ptr<SinkPartial> p) {
-  auto& partial = static_cast<QueryPartial&>(*p);
-  if (!partial.kept) return;
-  if (partial.arena) log_.adopt(std::move(partial.arena));
-  log_.add_case(std::move(*partial.kept));
-  if (partial.buffer) log_.adopt(std::move(partial.buffer));
 }
 
 }  // namespace st::pipeline

@@ -2,10 +2,10 @@
 // the abstraction that turns the PR 4 trace -> EventLog -> DFG chain
 // into the repo's analytics substrate. One streamed pass over the
 // trace bytes can now feed ANY set of analytics, instead of the DFG
-// alone: the graph build, per-case summaries, trace variants, a full
-// activity log and query pre-filtering all ride the same conversion
-// tasks on the same ThreadPool, where previously each of them was a
-// separate barrier-delimited walk over a fully materialized EventLog.
+// alone: the graph build, per-case summaries, trace variants and the
+// activity and edge statistics all ride the same conversion tasks on
+// the same ThreadPool, where previously each of them was a separate
+// barrier-delimited walk over a fully materialized EventLog.
 //
 // A sink is monoid-shaped, mirroring the Dfg merge the DFG build has
 // always used (refs [24][25] of the paper):
@@ -31,8 +31,8 @@
 // parse errors on input index), and NO merge() runs on a failing run —
 // a sink is either fully folded or still empty, never half-merged.
 // Lifetime: the per-task arena and TraceBuffer of a case reach fold()
-// through the context, so sinks whose output escapes the run
-// (QuerySink's filtered log) can adopt them; the run adopts them into
+// through the context, so sinks whose output keeps views into the case
+// (the elog v2 writer sink) can adopt them; the run adopts them into
 // its primary EventLog before anything escapes either way.
 //
 // Usage — one pass, many analytics:
@@ -62,7 +62,6 @@
 #include "model/case_stats.hpp"
 #include "model/event_log.hpp"
 #include "model/mapping.hpp"
-#include "model/query.hpp"
 #include "strace/reader.hpp"
 #include "support/run_policy.hpp"
 
@@ -210,24 +209,6 @@ class CaseStatsSink final : public CaseSink {
   model::CaseSummaries acc_;
 };
 
-/// Full activity log L_f(C) — identical to ActivityLog::build on the
-/// returned log. `f` must outlive the run.
-class ActivityLogSink final : public CaseSink {
- public:
-  explicit ActivityLogSink(const model::Mapping& f) : f_(&f) {}
-
-  [[nodiscard]] std::unique_ptr<SinkPartial> make_partial() const override;
-  void fold(SinkPartial& p, const CaseContext& ctx) const override;
-  void merge(std::unique_ptr<SinkPartial> p) override;
-
-  [[nodiscard]] const model::ActivityLog& log() const { return log_; }
-  [[nodiscard]] model::ActivityLog take_log() { return std::move(log_); }
-
- private:
-  const model::Mapping* f_;
-  model::ActivityLog log_;
-};
-
 /// Just the variant multiset — byte-identical to
 /// ActivityLog::build(log, f).variants(), without carrying per-case
 /// traces when only the multiplicities matter. `f` must outlive the run.
@@ -293,30 +274,6 @@ class EdgeStatsSink final : public CaseSink {
  private:
   const model::Mapping* f_;
   dfg::EdgeStatistics::Partial partial_;
-};
-
-/// Streaming pre-filter: applies a Query (its precompiled flat
-/// call-family set does a binary search per event) to every case as it
-/// converts, producing a filtered EventLog byte-identical to
-/// Query::apply on the returned log — cases the query drops never
-/// reach assembly. The filtered log adopts each kept case's arena and
-/// TraceBuffer, so it stands alone (correct owner adoption); like
-/// every derived log it carries no ingestion warnings.
-class QuerySink final : public CaseSink {
- public:
-  explicit QuerySink(model::Query q) : query_(std::move(q)) {}
-
-  [[nodiscard]] std::unique_ptr<SinkPartial> make_partial() const override;
-  void fold(SinkPartial& p, const CaseContext& ctx) const override;
-  void merge(std::unique_ptr<SinkPartial> p) override;
-
-  [[nodiscard]] const model::Query& query() const { return query_; }
-  [[nodiscard]] const model::EventLog& log() const { return log_; }
-  [[nodiscard]] model::EventLog take_log() { return std::move(log_); }
-
- private:
-  model::Query query_;
-  model::EventLog log_;
 };
 
 }  // namespace st::pipeline

@@ -190,45 +190,15 @@ StreamingReport streaming_report(const std::vector<std::string>& paths, const mo
                                  ThreadPool& pool, const ReportOptions& opts,
                                  const pipeline::StreamOptions& stream_opts,
                                  std::span<pipeline::CaseSink* const> extra_sinks) {
-  // The single pass: every analytic of the report folds on the pool
-  // while the files parse — plus any caller sinks. Nothing below walks
-  // the assembled log again.
-  pipeline::DfgSink graph_sink(f);
-  pipeline::CaseStatsSink stats_sink;
-  pipeline::VariantsSink variants_sink(f);
-  pipeline::IoStatsSink io_sink(f);
-  pipeline::EdgeStatsSink edge_sink(f);
-  std::vector<pipeline::CaseSink*> sinks = {&graph_sink, &stats_sink, &variants_sink, &io_sink,
-                                            &edge_sink};
-  sinks.insert(sinks.end(), extra_sinks.begin(), extra_sinks.end());
-  StreamingReport out;
-  pipeline::DataHealth health;
-  out.log = pipeline::run(paths, pool, std::span<pipeline::CaseSink* const>(sinks), stream_opts,
-                          &health);
-
-  ReportData data;
-  data.health = std::move(health);
-  data.graph = graph_sink.take_graph();
-  data.case_summaries = stats_sink.take_summaries();
-  data.variants = variants_sink.take_variants();
-  data.case_count = out.log.case_count();
-  data.total_events = out.log.total_events();
-  const dfg::IoStatistics::Partial io_partial = io_sink.take_partial();
-  data.stats = io_partial.finalize();
-  data.edge_stats = edge_sink.finalize();
-  if (opts.timeline_activity) {
-    data.timeline = io_partial.timeline(*opts.timeline_activity);
-  }
-
-  const dfg::StatisticsColoring styler(data.stats);
-  out.html = render_report(data, f, &styler, opts);
-  return out;
+  pipeline::ReportFold fold = pipeline::fold_report(paths, f, pool, stream_opts, extra_sinks);
+  std::vector<pipeline::ShardPartial> parts;
+  parts.push_back(std::move(fold.partial));
+  return {render_sharded_report(pipeline::finalize_shards(std::move(parts)), f, opts),
+          std::move(fold.log)};
 }
 
 std::string render_sharded_report(const pipeline::ShardedAnalytics& analytics,
                                   const model::Mapping& f, const ReportOptions& opts) {
-  // The exact ReportData assembly of streaming_report, fed from the
-  // merged shard partials instead of live sinks.
   ReportData data;
   data.graph = analytics.graph;
   data.case_summaries = analytics.case_summaries;

@@ -12,19 +12,22 @@
 //
 // Everything is embedded: one .html file, no external assets.
 //
-// Two ways to produce it:
-//   - build_report(log, ...): the staged path — computes every section
-//     from a materialized EventLog;
-//   - streaming_report(paths, ...): the single-pass path — composes
-//     DfgSink + CaseStatsSink + VariantsSink + IoStatsSink +
-//     EdgeStatsSink on pipeline::run, so EVERY section — graph, case
-//     table, variants, activity and edge statistics, timeline — is
-//     folded on the pool WHILE the trace files parse; no section walks
-//     the assembled log after the pass (the staged post-pass is gone,
-//     and the doubles still match compute() bit for bit thanks to the
-//     deterministic summation tree in dfg/stats.hpp).
-// Both render through the same ReportData core, so a section looks
-// identical no matter which path produced it.
+// Two ways to fill its ReportData:
+//   - report_data(log, ...): the staged path — computes every section
+//     from a materialized EventLog (build_report, the served and
+//     trace_explorer query reports; the oracle the tests hold the
+//     folded path to);
+//   - render_sharded_report(analytics, ...): the folded path — renders
+//     merged pipeline::ShardPartial "report partials". Every section —
+//     graph, case table, variants, activity and edge statistics,
+//     timeline — was folded on the pool WHILE the trace files parsed
+//     (pipeline::fold_report), and the doubles still match compute()
+//     bit for bit thanks to the deterministic summation tree in
+//     dfg/stats.hpp. streaming_report is this path over a single
+//     in-process fold; fold-shard / merge-partials / report-sharded are
+//     it over many.
+// Both render through render_report, so a section looks identical no
+// matter which path produced it.
 #pragma once
 
 #include <optional>
@@ -60,8 +63,8 @@ struct ReportOptions {
 };
 
 /// The precomputed pieces every report section renders from.
-/// report_data fills it from an EventLog; streaming_report fills it
-/// from one pipeline::run pass.
+/// report_data fills it from an EventLog; render_sharded_report fills
+/// it from merged report partials.
 struct ReportData {
   dfg::Dfg graph;
   dfg::IoStatistics stats;
@@ -106,14 +109,13 @@ struct StreamingReport {
   model::EventLog log;
 };
 
-/// Single-pass report straight from trace files: one pipeline::run
-/// streams parse -> convert while the report's five sinks (DFG, case
-/// table, variants, activity statistics, edge statistics) fold on the
-/// same pool; the optional timeline renders from the already-folded
-/// IoStatistics partial. The DFG is statistics-colored like the CLI
-/// report paths. Compared to build_report over a pipeline::run log,
-/// this removes the ingestion barrier plus every post-hoc walk, and
-/// adds the variants section.
+/// Single-pass report straight from trace files: pipeline::fold_report
+/// streams parse -> convert while the report's five sinks fold on the
+/// same pool, and the one resulting partial renders through
+/// render_sharded_report(finalize_shards({partial})) — so this IS the
+/// one-shard sharded report. Compared to build_report over a
+/// pipeline::run log, this removes the ingestion barrier plus every
+/// post-hoc walk, and adds the variants and data-health sections.
 /// `extra_sinks` ride the same pass after the report's own sinks —
 /// elog_tool import hangs its ElogV2WriterSink here, so one streamed
 /// pass yields both the report and the container.
@@ -124,12 +126,11 @@ struct StreamingReport {
                                                std::span<pipeline::CaseSink* const> extra_sinks = {});
 
 /// Renders the report from merged shard analytics (pipeline::run_sharded
-/// or finalize_shards over decoded fold-shard blobs), statistics-colored
-/// like streaming_report. Because the shard merge is the same monoid
-/// fold the streamed pass runs, the HTML is BYTE-identical to
-/// streaming_report over the same files with the same options — `cmp`
-/// is the acceptance test. `f` must be the mapping the shards folded
-/// with (by short name).
+/// or finalize_shards over decoded fold-shard blobs), statistics-colored;
+/// the only place a ReportData is filled from sink output. Because the
+/// shard merge is the same monoid fold one streamed pass runs, the HTML
+/// is BYTE-identical at any shard count — `cmp` is the acceptance test.
+/// `f` must be the mapping the shards folded with (by short name).
 [[nodiscard]] std::string render_sharded_report(const pipeline::ShardedAnalytics& analytics,
                                                 const model::Mapping& f,
                                                 const ReportOptions& opts = {});

@@ -6,7 +6,7 @@
 //   - hit/miss/evict semantics of the LRU memo table, including
 //     single-flight deduplication under a stampede;
 //   - cached artifacts are byte-identical to uncached recomputation
-//     and to the offline CLI path (build_report with the shared
+//     and to the staged oracle (build_report with the shared
 //     query_report_options);
 //   - concurrent lookup/evict/insert is clean (this test is in the
 //     TSan job's target list);
@@ -136,8 +136,8 @@ TEST_F(CatalogTest, CachedArtifactsMatchUncachedRecomputation) {
   auto cold = make_catalog();
   EXPECT_EQ(*cold.report_html(q), *cached_first);
 
-  // And the offline path: the same build_report call trace_explorer
-  // --render report makes.
+  // And the staged oracle: build_report over Query::apply with the
+  // shared options — what query_report must reproduce.
   const auto view = q.apply(*cold.base());
   const auto stats = dfg::IoStatistics::compute(view, cold.mapping());
   const dfg::StatisticsColoring styler(stats);
@@ -162,12 +162,11 @@ TEST_F(CatalogTest, SingleFlightUnderStampede) {
   // Everyone got the same object, and the report was computed ONCE.
   for (int i = 1; i < kThreads; ++i) EXPECT_EQ(results[0].get(), results[i].get());
   const auto s = catalog.cache_stats();
-  // report -> filtered + iostats dependencies: 3 distinct keys, each
-  // computed exactly once regardless of the stampede. Hits: the other
-  // kThreads-1 requesters, plus compute_io_stats re-reading the
-  // already-cached filtered log.
-  EXPECT_EQ(s.misses, 3u);
-  EXPECT_EQ(s.hits, static_cast<std::uint64_t>(kThreads));
+  // report -> filtered dependency: 2 distinct keys, each computed
+  // exactly once regardless of the stampede (the report computes its
+  // statistics itself, once). Hits: the other kThreads-1 requesters.
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.hits, static_cast<std::uint64_t>(kThreads - 1));
 }
 
 TEST_F(CatalogTest, ConcurrentMixedAccessStaysCoherent) {

@@ -7,7 +7,8 @@
 //     as IoError — never silently wrong analytics,
 //   - hand-crafted valid-CRC-but-bad-content sections still fail
 //     loudly (pool ids out of range, booleans out of range, element
-//     counts exceeding the payload).
+//     counts exceeding the payload), and so do unassigned section kinds
+//     — the retired 5 (activity log) and 7 (query log) included.
 #include "pipeline/partial_codec.hpp"
 
 #include <gtest/gtest.h>
@@ -19,7 +20,6 @@
 #include "dfg/builder.hpp"
 #include "model/activity_log.hpp"
 #include "model/case_stats.hpp"
-#include "model/query.hpp"
 #include "support/errors.hpp"
 #include "testing_corpus.hpp"
 #include "testing_util.hpp"
@@ -33,7 +33,6 @@ using pipeline::PartialWriter;
 using pipeline::ShardPartial;
 using testing::ev;
 using testing::expect_same_io_stats;
-using testing::expect_same_log;
 using testing::make_case;
 
 model::EventLog sample_log() {
@@ -60,8 +59,7 @@ model::EventLog other_log() {
 
 /// Builds the ShardPartial a fold over `log` would produce (hand-built
 /// here so the codec is tested in isolation from the pipeline).
-ShardPartial sample_partial(const model::EventLog& log, bool with_query,
-                            std::vector<std::string> warnings) {
+ShardPartial sample_partial(const model::EventLog& log, std::vector<std::string> warnings) {
   const auto f = model::Mapping::call_top_dirs(2);
   ShardPartial p;
   p.case_count = log.case_count();
@@ -69,22 +67,12 @@ ShardPartial sample_partial(const model::EventLog& log, bool with_query,
   p.warnings = std::move(warnings);
   p.graph = dfg::build_serial(log, f);
   p.case_summaries = model::summarize_cases(log);
-  p.activity_log = model::ActivityLog::build(log, f);
-  p.variants = p.activity_log.variants();
+  p.variants = model::ActivityLog::build(log, f).variants();
   for (const auto& c : log.cases()) {
     p.io.add_case(c, f);
     p.edges.add_case(c, f);
   }
-  if (with_query) p.filtered = model::Query().calls({"read"}).apply(log);
   return p;
-}
-
-void expect_same_activity_log(const model::ActivityLog& a, const model::ActivityLog& b) {
-  EXPECT_EQ(a.variants(), b.variants());
-  EXPECT_EQ(a.per_case(), b.per_case());
-  EXPECT_EQ(a.activities(), b.activities());
-  EXPECT_EQ(a.case_count(), b.case_count());
-  EXPECT_EQ(a.total_activity_instances(), b.total_activity_instances());
 }
 
 void expect_same_shard_partial(const ShardPartial& a, const ShardPartial& b) {
@@ -93,12 +81,9 @@ void expect_same_shard_partial(const ShardPartial& a, const ShardPartial& b) {
   EXPECT_EQ(a.warnings, b.warnings);
   EXPECT_EQ(a.graph, b.graph);
   EXPECT_EQ(a.case_summaries, b.case_summaries);
-  expect_same_activity_log(a.activity_log, b.activity_log);
   EXPECT_EQ(a.variants, b.variants);
   EXPECT_EQ(a.io, b.io);
   EXPECT_EQ(a.edges, b.edges);
-  ASSERT_EQ(a.filtered.has_value(), b.filtered.has_value());
-  if (a.filtered) expect_same_log(*a.filtered, *b.filtered);
 }
 
 // ---- per-type round trips ----------------------------------------------
@@ -108,8 +93,7 @@ TEST(PartialCodec, EveryPairRoundTripsExactly) {
   const auto f = model::Mapping::call_top_dirs(2);
   const auto graph = dfg::build_serial(log, f);
   const auto summaries = model::summarize_cases(log);
-  const auto activity_log = model::ActivityLog::build(log, f);
-  const auto filtered = model::Query().calls({"read"}).apply(log);
+  const auto variants = model::ActivityLog::build(log, f).variants();
   dfg::IoStatistics::Partial io;
   dfg::EdgeStatistics::Partial edges;
   for (const auto& c : log.cases()) {
@@ -122,9 +106,7 @@ TEST(PartialCodec, EveryPairRoundTripsExactly) {
   PartialWriter w;
   pipeline::encode_dfg_partial(w, graph);
   pipeline::encode_case_stats_partial(w, summaries);
-  pipeline::encode_activity_log_partial(w, activity_log);
-  pipeline::encode_variants_partial(w, activity_log.variants());
-  pipeline::encode_query_log_partial(w, filtered);
+  pipeline::encode_variants_partial(w, variants);
   pipeline::encode_io_stats_partial(w, io);
   pipeline::encode_edge_stats_partial(w, edges);
   const std::string blob = w.finish();
@@ -132,21 +114,14 @@ TEST(PartialCodec, EveryPairRoundTripsExactly) {
   const PartialReader r(blob);
   EXPECT_EQ(pipeline::decode_dfg_partial(r), graph);
   EXPECT_EQ(pipeline::decode_case_stats_partial(r), summaries);
-  expect_same_activity_log(pipeline::decode_activity_log_partial(r), activity_log);
-  EXPECT_EQ(pipeline::decode_variants_partial(r), activity_log.variants());
-  expect_same_log(pipeline::decode_query_log_partial(r), filtered);
+  EXPECT_EQ(pipeline::decode_variants_partial(r), variants);
   EXPECT_EQ(pipeline::decode_io_stats_partial(r), io);
   EXPECT_EQ(pipeline::decode_edge_stats_partial(r), edges);
 }
 
-TEST(PartialCodec, ShardPartialRoundTripsWithAndWithoutQuery) {
-  for (const bool with_query : {false, true}) {
-    const ShardPartial p =
-        sample_partial(sample_log(), with_query, {"big_nodeA_9001.st: line 4: noise"});
-    const std::string blob = pipeline::encode_shard_partial(p);
-    const ShardPartial q = pipeline::decode_shard_partial(blob);
-    expect_same_shard_partial(p, q);
-  }
+TEST(PartialCodec, ShardPartialRoundTrips) {
+  const ShardPartial p = sample_partial(sample_log(), {"big_nodeA_9001.st: line 4: noise"});
+  expect_same_shard_partial(p, pipeline::decode_shard_partial(pipeline::encode_shard_partial(p)));
 }
 
 TEST(PartialCodec, ReencodingADecodedBlobIsByteStable) {
@@ -154,7 +129,7 @@ TEST(PartialCodec, ReencodingADecodedBlobIsByteStable) {
   // reproduce the canonical bytes — the property that lets the
   // coordinator (or a cache) treat blobs as content-addressable.
   const std::string blob =
-      pipeline::encode_shard_partial(sample_partial(sample_log(), true, {"w: warn"}));
+      pipeline::encode_shard_partial(sample_partial(sample_log(), {"w: warn"}));
   EXPECT_EQ(pipeline::encode_shard_partial(pipeline::decode_shard_partial(blob)), blob);
 }
 
@@ -164,13 +139,13 @@ TEST(PartialCodec, DecodeThenMergeEqualsDirectMerge) {
   const std::vector<std::string> w1 = {"a.st: warn", "shared: tail warn"};
   const std::vector<std::string> w2 = {"shared: tail warn", "b.st: warn"};
 
-  ShardPartial direct = sample_partial(sample_log(), true, w1);
-  direct.merge(sample_partial(other_log(), true, w2));
+  ShardPartial direct = sample_partial(sample_log(), w1);
+  direct.merge(sample_partial(other_log(), w2));
 
   ShardPartial via = pipeline::decode_shard_partial(
-      pipeline::encode_shard_partial(sample_partial(sample_log(), true, w1)));
+      pipeline::encode_shard_partial(sample_partial(sample_log(), w1)));
   via.merge(pipeline::decode_shard_partial(
-      pipeline::encode_shard_partial(sample_partial(other_log(), true, w2))));
+      pipeline::encode_shard_partial(sample_partial(other_log(), w2))));
 
   expect_same_shard_partial(direct, via);
   EXPECT_EQ(direct.warnings,
@@ -184,7 +159,7 @@ TEST(PartialCodec, DecodeThenMergeEqualsDirectMerge) {
 
 TEST(PartialCodec, EveryTruncationIsIoError) {
   const std::string blob =
-      pipeline::encode_shard_partial(sample_partial(sample_log(), false, {"a.st: warn"}));
+      pipeline::encode_shard_partial(sample_partial(sample_log(), {"a.st: warn"}));
   for (std::size_t len = 0; len < blob.size(); ++len) {
     EXPECT_THROW((void)pipeline::decode_shard_partial(blob.substr(0, len)), IoError)
         << "prefix length " << len;
@@ -193,7 +168,7 @@ TEST(PartialCodec, EveryTruncationIsIoError) {
 
 TEST(PartialCodec, EverySingleBitFlipIsIoError) {
   const std::string blob =
-      pipeline::encode_shard_partial(sample_partial(sample_log(), false, {"a.st: warn"}));
+      pipeline::encode_shard_partial(sample_partial(sample_log(), {"a.st: warn"}));
   std::string mutated = blob;
   for (std::size_t i = 0; i < blob.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) {
@@ -209,6 +184,19 @@ TEST(PartialCodec, GarbageBlobsAreIoError) {
   EXPECT_THROW((void)pipeline::decode_shard_partial(""), IoError);
   EXPECT_THROW((void)pipeline::decode_shard_partial("not a partial blob at all"), IoError);
   EXPECT_THROW((void)pipeline::decode_shard_partial(std::string(64, '\0')), IoError);
+}
+
+TEST(PartialCodec, UnknownSectionKindIsIoError) {
+  // Unassigned kinds — below, between (the retired 5 and 7) and above
+  // the assigned ones — fail the eager validation even behind a valid
+  // checksum, before any decoder runs.
+  for (const std::uint32_t kind : {0u, 5u, 7u, 10u, 0xFFFFFFFFu}) {
+    PartialWriter w;
+    w.add_section(static_cast<PartialSection>(kind), "x");
+    const std::string blob = w.finish();
+    EXPECT_THROW((void)PartialReader(blob), IoError) << "kind " << kind;
+    EXPECT_THROW((void)pipeline::decode_shard_partial(blob), IoError) << "kind " << kind;
+  }
 }
 
 TEST(PartialCodec, MissingRequiredSectionIsIoError) {

@@ -2,13 +2,10 @@
 //   - every sink's output is byte-identical to its staged counterpart
 //     at 1, 2 and 4 workers, computed from testing::staged_log (the
 //     sequential per-file read + convert): the DFG (build_serial),
-//     case summaries (summarize_cases, serial and pooled), the
-//     activity log (ActivityLog::build), the variant multiset
-//     (ActivityLog::build().variants()) and the query-filtered log
-//     (Query::apply) — all produced by ONE streamed pass,
+//     case summaries (summarize_cases, serial and pooled) and the
+//     variant multiset (ActivityLog::build().variants()) — all
+//     produced by ONE streamed pass,
 //   - queue capacity 1 (maximal backpressure) is still byte-identical,
-//   - QuerySink's filtered log owns its views independently of the
-//     primary log (correct owner adoption),
 //   - a sink whose fold throws mid-stream follows the
 //     lowest-input-index-wins error contract — against other sink
 //     failures AND against strict-mode parse errors — never merges a
@@ -27,7 +24,6 @@
 #include "dfg/builder.hpp"
 #include "model/activity_log.hpp"
 #include "model/case_stats.hpp"
-#include "model/query.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/errors.hpp"
 #include "testing_corpus.hpp"
@@ -43,34 +39,17 @@ class PipelineSinks : public testing::CorpusTest {
   PipelineSinks() : CorpusTest("st_sinks") {}
 };
 
-void expect_same_activity_log(const model::ActivityLog& a, const model::ActivityLog& b) {
-  EXPECT_EQ(a.variants(), b.variants());
-  EXPECT_EQ(a.per_case(), b.per_case());
-  EXPECT_EQ(a.activities(), b.activities());
-  EXPECT_EQ(a.case_count(), b.case_count());
-  EXPECT_EQ(a.total_activity_instances(), b.total_activity_instances());
-}
-
-model::Query test_query() {
-  return model::Query()
-      .calls({"read", "write"})
-      .fp_contains("/p/")
-      .cids({"big", "s0", "s1", "s3", "empty"});
-}
-
 // ---- byte-identity with the staged counterparts ------------------------
 
 TEST_F(PipelineSinks, EverySinkMatchesItsStagedCounterpartAt124Workers) {
   const auto paths = make_corpus();
   const auto f = model::Mapping::call_top_dirs(2);
-  const auto q = test_query();
 
   // Staged references, all computed from the sequential oracle.
   const auto reference = testing::staged_log(paths);
   const auto ref_graph = dfg::build_serial(reference, f);
   const auto ref_summaries = model::summarize_cases(reference);
-  const auto ref_activity = model::ActivityLog::build(reference, f);
-  const auto ref_filtered = q.apply(reference);
+  const auto ref_variants = model::ActivityLog::build(reference, f).variants();
 
   for (const std::size_t workers : {1u, 2u, 4u}) {
     ThreadPool pool(workers);
@@ -79,20 +58,14 @@ TEST_F(PipelineSinks, EverySinkMatchesItsStagedCounterpartAt124Workers) {
 
     pipeline::DfgSink graph_sink(f);
     pipeline::CaseStatsSink stats_sink;
-    pipeline::ActivityLogSink activity_sink(f);
     pipeline::VariantsSink variants_sink(f);
-    pipeline::QuerySink query_sink(q);
-    const auto log = pipeline::run(
-        paths, pool,
-        {&graph_sink, &stats_sink, &activity_sink, &variants_sink, &query_sink}, opts);
+    const auto log = pipeline::run(paths, pool, {&graph_sink, &stats_sink, &variants_sink}, opts);
 
     expect_same_log(reference, log);
     EXPECT_EQ(graph_sink.graph(), ref_graph) << workers;
     EXPECT_EQ(stats_sink.summaries(), ref_summaries) << workers;
     EXPECT_EQ(stats_sink.summaries(), model::summarize_cases(log, pool)) << workers;
-    expect_same_activity_log(activity_sink.log(), ref_activity);
-    EXPECT_EQ(variants_sink.variants(), ref_activity.variants()) << workers;
-    expect_same_log(ref_filtered, query_sink.log());
+    EXPECT_EQ(variants_sink.variants(), ref_variants) << workers;
   }
 }
 
@@ -132,43 +105,6 @@ TEST_F(PipelineSinks, EmptyInputs) {
   EXPECT_TRUE(graph_sink.graph().empty());
   EXPECT_TRUE(stats_sink.summaries().empty());
   EXPECT_TRUE(variants_sink.variants().empty());
-}
-
-// ---- lifetime ----------------------------------------------------------
-
-TEST_F(PipelineSinks, FilteredLogOwnsItsViewsIndependently) {
-  // The QuerySink log must stand alone: after the primary log, the
-  // pool and every pipeline intermediate are destroyed, every view of
-  // the filtered log must still dereference to the same bytes (the
-  // adopted per-case arenas and TraceBuffers are what keep them alive
-  // — ASan turns a missed adoption into a hard failure under the
-  // sanitize preset).
-  const auto paths = make_corpus();
-  model::EventLog filtered;
-  std::vector<std::string> expected_calls;
-  {
-    ThreadPool pool(3);
-    pipeline::QuerySink query_sink(model::Query().calls({"read", "write"}));
-    const auto log = pipeline::run(paths, pool, {&query_sink});
-    filtered = query_sink.take_log();
-    ASSERT_GT(filtered.total_events(), 0u);
-    ASSERT_LT(filtered.total_events(), log.total_events());
-    for (const auto& c : filtered.cases()) {
-      for (const auto& e : c.events()) expected_calls.emplace_back(e.call);
-    }
-  }  // primary log, pool and every pipeline intermediate destroyed here
-  EXPECT_TRUE(filtered.warnings().empty());  // derived view: no ingestion warnings
-  std::size_t i = 0;
-  for (const auto& c : filtered.cases()) {
-    EXPECT_FALSE(c.id().cid.empty());
-    for (const auto& e : c.events()) {
-      EXPECT_EQ(e.call, expected_calls[i++]);  // full deref, not just size
-      EXPECT_EQ(e.cid, c.id().cid);
-      EXPECT_EQ(e.host, c.id().host);
-      EXPECT_TRUE(e.call == "read" || e.call == "pwrite64") << e.call;
-    }
-  }
-  EXPECT_EQ(i, expected_calls.size());
 }
 
 // ---- error paths -------------------------------------------------------

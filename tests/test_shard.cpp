@@ -8,15 +8,14 @@
 #include "pipeline/shard.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdlib>
 #include <filesystem>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "dfg/stats.hpp"
-#include "model/query.hpp"
 #include "parallel/thread_pool.hpp"
 #include "pipeline/sink.hpp"
 #include "report/report.hpp"
@@ -27,7 +26,6 @@ namespace st {
 namespace {
 
 using testing::expect_same_io_stats;
-using testing::expect_same_log;
 
 class Shard : public testing::CorpusTest {
  protected:
@@ -86,25 +84,19 @@ TEST_F(Shard, TimelineSectionSurvivesTheShardBoundary) {
   EXPECT_EQ(report::render_sharded_report(analytics, f, report_opts), reference.html);
 }
 
-TEST_F(Shard, QueryFilteredLogCrossesTheShardBoundaryIntact) {
-  const auto paths = make_corpus();
-  const auto f = model::mapping_by_name("top2");
-
-  // Reference: the same query as a streamed QuerySink.
-  ThreadPool pool(3);
-  pipeline::QuerySink query_sink(
-      model::Query().fp_contains("/p/").calls({"read", "write"}));
-  (void)pipeline::run(paths, pool, {&query_sink});
-  const model::EventLog ref_filtered = query_sink.take_log();
-  ASSERT_GT(ref_filtered.total_events(), 0u);
-
-  for (const std::size_t shards : {1u, 3u}) {
-    auto opts = base_options(shards);
-    opts.query_fp = "/p/";
-    opts.query_calls = "read,write";
-    const auto analytics = pipeline::run_sharded(paths, opts);
-    ASSERT_TRUE(analytics.filtered.has_value()) << shards;
-    expect_same_log(ref_filtered, *analytics.filtered);
+TEST_F(Shard, BlobCarriesOnlyReportSections) {
+  // The blob holds exactly what the report renders: meta, DFG, case
+  // table, variants, activity and edge statistics — no activity-log (5)
+  // or query-log (7) section.
+  const std::string blob = pipeline::fold_shard(make_corpus(), base_options(1));
+  const pipeline::PartialReader r(blob);
+  using K = pipeline::PartialSection;
+  for (const K kind : {K::kMeta, K::kDfg, K::kCaseStats, K::kVariants, K::kIoStats,
+                       K::kEdgeStats}) {
+    EXPECT_TRUE(r.has_section(kind)) << static_cast<int>(kind);
+  }
+  for (const int retired : {5, 7}) {
+    EXPECT_FALSE(r.has_section(static_cast<K>(retired))) << retired;
   }
 }
 
@@ -115,7 +107,6 @@ TEST_F(Shard, EmptyInputProducesEmptyAnalytics) {
   EXPECT_TRUE(analytics.warnings.empty());
   EXPECT_TRUE(analytics.graph.empty());
   EXPECT_TRUE(analytics.io_partial.empty());
-  EXPECT_FALSE(analytics.filtered.has_value());
 }
 
 // ---- the subprocess path (gated on the built elog_tool) ----------------
@@ -142,24 +133,29 @@ TEST_F(Shard, SpawnedFoldShardMatchesInProcessByteForByte) {
   }
 }
 
-TEST_F(Shard, SpawnedQueryCrossesTheProcessBoundary) {
+TEST_F(Shard, ReportShardedRejectsQueryFlags) {
+  // Only `elog_tool filter` applies --fp/--calls; the sharded report
+  // must refuse them (exit 1) rather than write an unfiltered report.
   const char* exe = std::getenv("ST_ELOG_TOOL");
   if (exe == nullptr || *exe == '\0' || !std::filesystem::exists(exe)) {
     GTEST_SKIP() << "ST_ELOG_TOOL unset or not built (ctest exports the path)";
   }
   const auto paths = make_corpus();
-
-  auto in_proc = base_options(2);
-  in_proc.query_fp = "/p/";
-  in_proc.query_calls = "read,write";
-  auto spawned = in_proc;
-  spawned.fold_shard_exe = exe;
-
-  const auto a = pipeline::run_sharded(paths, in_proc);
-  const auto b = pipeline::run_sharded(paths, spawned);
-  ASSERT_TRUE(a.filtered.has_value());
-  ASSERT_TRUE(b.filtered.has_value());
-  expect_same_log(*a.filtered, *b.filtered);
+  const std::string out = (dir_ / "report.html").string();
+  const auto report_sharded = [&](const std::string& flags) {
+    std::string cmd = std::string("'") + exe + "' report-sharded '" + out + "' --map top2" + flags;
+    for (const auto& p : paths) cmd += " '" + p + "'";
+    cmd += " >/dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+  for (const char* flags : {" --fp /p/", " --calls read"}) {
+    EXPECT_EQ(report_sharded(flags), 1) << flags;
+    EXPECT_FALSE(std::filesystem::exists(out)) << flags;
+  }
+  // Control: the same invocation without the query flags succeeds.
+  EXPECT_EQ(report_sharded(""), 0);
+  EXPECT_TRUE(std::filesystem::exists(out));
 }
 
 // ---- error paths -------------------------------------------------------
