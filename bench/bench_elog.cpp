@@ -24,6 +24,8 @@
 #include "elog/store.hpp"
 #include "elog/v2_store.hpp"
 #include "model/from_strace.hpp"
+#include "support/crc32.hpp"
+#include "support/rng.hpp"
 #include "support/timeparse.hpp"
 #include "testdata.hpp"
 
@@ -189,6 +191,19 @@ void BM_ElogReadV2(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(data.size()));
 }
 BENCHMARK(BM_ElogReadV2)->Range(1 << 10, 1 << 16);
+
+// ---- the checksum every v1 chunk, v2 section and partial blob pays ----
+
+void BM_Crc32(benchmark::State& state) {
+  std::string data(static_cast<std::size_t>(state.range(0)), '\0');
+  Xoshiro256 rng(8);
+  for (char& c : data) c = static_cast<char>(rng.next() >> 56);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32::of(data.data(), data.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(1 << 20)->Arg(16 << 20);
 
 }  // namespace
 

@@ -2,9 +2,9 @@
 // where n is the event count and m the number of distinct activities.
 //
 // Two sweeps: n at fixed m, and m at fixed n. (The max-concurrency
-// sweep adds an O(k log k) term per activity; with n events split
-// over m activities that totals O(n log(n/m)), dominated by O(mn)
-// for the paper's "m should be small" regime.)
+// sweep adds a term linear in each activity's k events, a radix pass
+// per 11 significant bits of its time span; with n events split over
+// m activities that totals O(n), dominated by O(mn).)
 #include <benchmark/benchmark.h>
 
 #include "dfg/stats.hpp"

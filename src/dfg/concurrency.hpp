@@ -1,11 +1,15 @@
 // Max-concurrency (paper Eq. 14–16) and timeline intervals (Fig. 5).
 //
 // Each event contributes the half-open-ish interval
-// t(e) = (start, start + dur). get_max_concurrency sorts by start and
-// sweeps with a min-heap of end times; two events are concurrent when
-// the earlier one's end is strictly greater than the later one's start
+// t(e) = (start, start + dur). Two events are concurrent when the
+// earlier one's end is strictly greater than the later one's start
 // ("the end time of the first event is greater than the start time of
-// the last event").
+// the last event"), so [a,b) and [b,c) do not overlap and zero-length
+// intervals overlap nothing. The maximum is reached at some start s,
+// and the intervals open there are #{start <= s} - #{end <= s}: only
+// the two sorted columns of starts and ends matter, never which end
+// belongs to which start. The sweep radix-sorts both columns and walks
+// them with two pointers.
 #pragma once
 
 #include <cstddef>
@@ -23,8 +27,17 @@ struct Interval {
 };
 
 /// Highest number of simultaneously open intervals. Zero-length
-/// intervals never overlap anything. O(k log k).
+/// intervals never overlap anything. Linear in the number of intervals
+/// for the radix passes over the significant bits of their time span.
 [[nodiscard]] std::size_t get_max_concurrency(std::vector<Interval> intervals);
+
+/// The same maximum over intervals given as two columns: `starts[i]`
+/// and `ends[i]` of every NON-EMPTY interval (end > start), in any
+/// order and pairing. Sorts both columns in place; `buffer` is radix
+/// sort storage the caller may reuse across calls.
+[[nodiscard]] std::size_t max_concurrency_of_columns(std::vector<Micros>& starts,
+                                                     std::vector<Micros>& ends,
+                                                     std::vector<Micros>& buffer);
 
 /// Interval of one event plus its owning case — the rows of the
 /// timeline plot.

@@ -1,7 +1,8 @@
 #include "dfg/stats.hpp"
 
 #include <algorithm>
-#include <set>
+#include <cstdint>
+#include <unordered_map>
 #include <utility>
 
 #include "model/case_walk.hpp"
@@ -64,12 +65,19 @@ IoStatistics IoStatistics::Partial::finalize() const {
   struct Gathered {
     ActivityStat stat;
     std::vector<double> rate_sums;  ///< one leaf per contributing case, input order
-    std::vector<Interval> intervals;
-    std::set<model::CaseId> cases;
+    std::vector<std::uint32_t> cases;  ///< dense ids of the contributing case ids
+    std::vector<Micros> starts;        ///< of the non-empty intervals
+    std::vector<Micros> ends;
   };
   std::map<model::Activity, Gathered> acc;
+  // Case ids interned once, so counting an activity's ranks compares
+  // integers instead of id strings.
+  std::unordered_map<model::CaseId, std::uint32_t> case_ids;
 
   for (const CaseContribution& c : cases_) {
+    if (c.activities.empty()) continue;  // filtered logs keep many such cases
+    const std::uint32_t id =
+        case_ids.try_emplace(c.id, static_cast<std::uint32_t>(case_ids.size())).first->second;
     for (const auto& [activity, con] : c.activities) {
       Gathered& slot = acc[activity];
       slot.stat.total_dur += con.total_dur;
@@ -78,8 +86,12 @@ IoStatistics IoStatistics::Partial::finalize() const {
       slot.stat.has_bytes = slot.stat.has_bytes || con.has_bytes;
       slot.stat.rate_samples += con.rate_samples;
       if (con.rate_samples > 0) slot.rate_sums.push_back(con.rate_sum);
-      slot.intervals.insert(slot.intervals.end(), con.intervals.begin(), con.intervals.end());
-      slot.cases.insert(c.id);
+      slot.cases.push_back(id);
+      for (const Interval& iv : con.intervals) {
+        if (iv.end <= iv.start) continue;
+        slot.starts.push_back(iv.start);
+        slot.ends.push_back(iv.end);
+      }
     }
   }
 
@@ -87,6 +99,7 @@ IoStatistics IoStatistics::Partial::finalize() const {
   for (const auto& [activity, slot] : acc) {
     out.total_dur_ += slot.stat.total_dur;
   }
+  std::vector<Micros> sort_buffer;
   for (auto& [activity, slot] : acc) {
     ActivityStat stat = slot.stat;
     stat.rel_dur = out.total_dur_ > 0
@@ -96,8 +109,10 @@ IoStatistics IoStatistics::Partial::finalize() const {
                          ? deterministic_pairwise_sum(slot.rate_sums) /
                                static_cast<double>(stat.rate_samples)
                          : 0.0;
-    stat.max_concurrency = get_max_concurrency(std::move(slot.intervals));
-    stat.rank_count = slot.cases.size();
+    stat.max_concurrency = max_concurrency_of_columns(slot.starts, slot.ends, sort_buffer);
+    std::sort(slot.cases.begin(), slot.cases.end());
+    stat.rank_count = static_cast<std::size_t>(
+        std::unique(slot.cases.begin(), slot.cases.end()) - slot.cases.begin());
     out.stats_.emplace(activity, std::move(stat));
   }
   return out;

@@ -102,8 +102,9 @@ class IoStatistics {
 
     /// Sums everything once: integers plainly, the per-case rate sums
     /// through deterministic_pairwise_sum (one leaf per contributing
-    /// case, in input order), intervals concatenated into the
-    /// (multiset-pure) concurrency sweep.
+    /// case, in input order), and every case's non-empty intervals
+    /// gathered per activity into one start column and one end column
+    /// for the (multiset-pure) concurrency sweep.
     [[nodiscard]] IoStatistics finalize() const;
 
     /// t_f(a, C) from the already-folded contributions: per-case

@@ -1,4 +1,8 @@
-// CRC-32 (ISO-HDLC / zlib polynomial 0xEDB88320), table-driven.
+// CRC-32 (ISO-HDLC / zlib polynomial 0xEDB88320), slicing-by-16:
+// sixteen 256-entry tables fold 16 input bytes per step, read as
+// little-endian words (no alignment or host byte-order assumption),
+// and a bytewise loop finishes the tail. The polynomial and the values
+// are part of the on-disk formats and match zlib's crc32().
 //
 // Used by the elog container to checksum every chunk so that storage
 // corruption is detected at read time instead of producing silently

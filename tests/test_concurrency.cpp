@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 
 #include "support/rng.hpp"
 
@@ -86,16 +88,35 @@ std::size_t brute_force(const std::vector<Interval>& intervals) {
 class MaxConcurrencyProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MaxConcurrencyProperty, MatchesBruteForceOnRandomIntervals) {
+  // Negative starts, spans up to 2^62 (several radix digits), starts
+  // and ends drawn from tiny pools (ties), zero-length and reversed
+  // intervals, and sizes on both sides of the small-input cutoff
+  // (rounds 0-3 always take the radix path).
   Xoshiro256 rng(GetParam());
-  for (int round = 0; round < 50; ++round) {
+  constexpr unsigned kSpanBits[] = {4, 11, 12, 23, 40, 62};
+  for (int round = 0; round < 30; ++round) {
+    const unsigned bits = kSpanBits[rng.below(std::size(kSpanBits))];
+    const std::uint64_t span = std::uint64_t{1} << bits;
+    const Micros base = -static_cast<Micros>(rng.below(std::uint64_t{1} << 61));
+    const bool ties = rng.below(2) == 0;
+    std::vector<Micros> pool(1 + rng.below(6));
+    for (Micros& v : pool) v = static_cast<Micros>(rng.below(span));
+    const std::size_t n = round < 4 ? 1024 + rng.below(3073) : 1 + rng.below(1200);
     std::vector<Interval> intervals;
-    const std::size_t n = 1 + rng.below(40);
     for (std::size_t i = 0; i < n; ++i) {
-      const Micros start = static_cast<Micros>(rng.below(200));
-      const Micros len = static_cast<Micros>(rng.below(50));
+      const Micros start =
+          base + (ties ? pool[rng.below(pool.size())] : static_cast<Micros>(rng.below(span)));
+      Micros len = 0;
+      switch (rng.below(5)) {
+        case 0: break;  // zero-length
+        case 1: len = -static_cast<Micros>(rng.below(span / 2 + 1)); break;
+        case 2: len = pool[rng.below(pool.size())] / 2 + 1; break;
+        default: len = static_cast<Micros>(1 + rng.below(span / 2)); break;
+      }
       intervals.push_back({start, start + len});
     }
-    EXPECT_EQ(get_max_concurrency(intervals), brute_force(intervals));
+    ASSERT_EQ(get_max_concurrency(intervals), brute_force(intervals))
+        << "round " << round << " bits " << bits << " n " << n;
   }
 }
 

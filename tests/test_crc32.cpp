@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
+#include <vector>
+
+#include "support/rng.hpp"
 
 namespace st {
 namespace {
@@ -38,6 +43,52 @@ TEST(Crc32, AllByteValues) {
   for (int i = 0; i < 256; ++i) data.push_back(static_cast<char>(i));
   // Stable regression value (self-consistency across refactors).
   EXPECT_EQ(Crc32::of(data.data(), data.size()), 0x29058C73u);
+}
+
+/// Bytewise reference: the textbook one-bit-at-a-time zlib CRC-32,
+/// independent of Crc32's tables.
+std::uint32_t reference_crc(const unsigned char* p, std::size_t len) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<unsigned char> out(n);
+  for (unsigned char& b : out) b = static_cast<unsigned char>(rng.next() >> 56);
+  return out;
+}
+
+TEST(Crc32, EveryLengthAtEveryOffsetMatchesReference) {
+  // Covers every 16-byte block count, every tail length and every
+  // start misalignment.
+  const auto buf = random_bytes(300 + 16, 1);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(Crc32::of(buf.data() + offset, len), reference_crc(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32, UpdateSplitAtEveryPointMatchesReference) {
+  const auto buf = random_bytes(200, 2);
+  const std::uint32_t want = reference_crc(buf.data(), buf.size());
+  for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
+    Crc32 c;
+    c.update(buf.data(), cut);
+    c.update(buf.data() + cut, buf.size() - cut);
+    ASSERT_EQ(c.value(), want) << "cut " << cut;
+  }
+}
+
+TEST(Crc32, OneMebibyteMatchesReference) {
+  const auto buf = random_bytes(std::size_t{1} << 20, 3);
+  EXPECT_EQ(Crc32::of(buf.data(), buf.size()), reference_crc(buf.data(), buf.size()));
 }
 
 }  // namespace

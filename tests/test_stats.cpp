@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "support/rng.hpp"
 #include "testing_util.hpp"
 
 namespace st::dfg {
@@ -140,6 +145,58 @@ TEST(Stats, EmptyLog) {
   const auto stats = IoStatistics::compute(model::EventLog{}, model::Mapping::call_only());
   EXPECT_TRUE(stats.per_activity().empty());
   EXPECT_EQ(stats.total_duration(), 0);
+}
+
+/// Max over interval starts of the intervals strictly containing it,
+/// zero-length intervals ignored: the oracle for Eq. 16.
+std::size_t brute_force_concurrency(const std::vector<TimelineEntry>& entries) {
+  std::size_t best = 0;
+  for (const auto& probe : entries) {
+    if (probe.interval.end <= probe.interval.start) continue;
+    std::size_t n = 0;
+    for (const auto& other : entries) {
+      const Interval& iv = other.interval;
+      if (iv.end > iv.start && iv.start <= probe.interval.start && probe.interval.start < iv.end) {
+        ++n;
+      }
+    }
+    best = std::max(best, n);
+  }
+  return best;
+}
+
+TEST(Stats, MaxConcurrencyMatchesBruteForceOverTimeline) {
+  // 64 cases whose events share a few start times (ties across cases)
+  // and include zero-duration calls; under call_only every activity
+  // has thousands of intervals, under top2 some have fewer than a
+  // thousand, so both sides of the sweep's small-input cutoff run.
+  Xoshiro256 rng(5);
+  const std::vector<std::string> calls = {"read", "write", "openat", "lseek"};
+  const std::vector<std::string> paths = {"/p/a/x", "/p/b/y", "/usr/lib/z"};
+  model::EventLog log;
+  for (std::uint64_t rid = 1; rid <= 64; ++rid) {
+    std::vector<model::Event> events;
+    Micros t = static_cast<Micros>(rng.below(4)) * 1000;
+    for (int i = 0; i < 200; ++i) {
+      // Half the durations land on the 500 us start grid, so ends touch
+      // later starts (touching intervals are not concurrent).
+      const Micros dur = rng.below(2) == 0 ? static_cast<Micros>(rng.below(10)) * 500
+                                           : static_cast<Micros>(rng.below(5000));
+      events.push_back(ev(calls[rng.below(calls.size())], paths[rng.below(paths.size())], t, dur,
+                          512));
+      t += static_cast<Micros>(rng.below(3)) * 500;
+    }
+    log.add_case(make_case("mc", rid, std::move(events), "h" + std::to_string(rid % 3)));
+  }
+  for (const auto& f : {model::Mapping::call_only(), model::Mapping::call_top_dirs(2)}) {
+    const auto stats = IoStatistics::compute(log, f);
+    ASSERT_FALSE(stats.per_activity().empty());
+    for (const auto& [activity, stat] : stats.per_activity()) {
+      EXPECT_EQ(stat.max_concurrency,
+                brute_force_concurrency(IoStatistics::timeline(log, f, activity)))
+          << activity;
+    }
+  }
 }
 
 TEST(Timeline, CollectsIntervalsOfOneActivity) {
