@@ -2,17 +2,16 @@
 // the headline of the v2 format: "import once, analyze many times".
 //
 // The paper stores processed traces in one HDF5 file; elog is our
-// stand-in. The BM_OpenFirstQuery* trio measures the interactive
-// workflow cost — open a stored corpus and answer one query — three
+// stand-in. The BM_OpenFirstQuery* pair measures the interactive
+// workflow cost — open a stored corpus and answer one query — two
 // ways over the SAME trace data:
 //
 //   V2       mmap the columnar container, footer/table/directory only,
 //            materialize just the queried case (zero-parse open);
-//   V1       stream-parse the chunk container front to back;
 //   Reparse  no container at all: re-ingest the raw strace text.
 //
 // run_bench.sh turns these into BENCH_elog.json's
-// open_speedup_v2_vs_v1 / open_speedup_v2_vs_reparse.
+// open_speedup_v2_vs_reparse.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -21,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "elog/store.hpp"
 #include "elog/v2_store.hpp"
 #include "model/from_strace.hpp"
 #include "support/crc32.hpp"
@@ -65,10 +63,9 @@ std::string make_clean_trace(std::size_t lines, std::uint64_t pid) {
 }
 
 /// One imported corpus, generated once per benchmark process: raw
-/// strace text files plus the same events stored as elog v1 and v2.
+/// strace text files plus the same events stored as elog v2.
 struct ElogCorpus {
   std::vector<std::string> trace_paths;
-  std::string v1_path;
   std::string v2_path;
 };
 
@@ -88,9 +85,7 @@ const ElogCorpus& corpus() {
       out.trace_paths.push_back(p.string());
     }
     const auto log = model::event_log_from_files(out.trace_paths);
-    out.v1_path = (dir / "corpus_v1.elog").string();
     out.v2_path = (dir / "corpus_v2.elog").string();
-    elog::write_event_log_file(out.v1_path, log);
     elog::write_event_log_v2_file(out.v2_path, log);
     return out;
   }();
@@ -116,17 +111,6 @@ void BM_OpenFirstQueryV2(benchmark::State& state) {
 }
 BENCHMARK(BM_OpenFirstQueryV2)->Unit(benchmark::kMicrosecond);
 
-void BM_OpenFirstQueryV1(benchmark::State& state) {
-  const auto& cor = corpus();
-  for (auto _ : state) {
-    const auto log = elog::read_event_log_file(cor.v1_path);
-    benchmark::DoNotOptimize(first_case_query(log.cases()[0]));
-    benchmark::DoNotOptimize(log.total_events());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_OpenFirstQueryV1)->Unit(benchmark::kMicrosecond);
-
 void BM_OpenFirstQueryReparse(benchmark::State& state) {
   const auto& cor = corpus();
   for (auto _ : state) {
@@ -138,18 +122,7 @@ void BM_OpenFirstQueryReparse(benchmark::State& state) {
 }
 BENCHMARK(BM_OpenFirstQueryReparse)->Unit(benchmark::kMicrosecond);
 
-// ---- full (de)serialization throughput, both container versions --------
-
-void BM_ElogWrite(benchmark::State& state) {
-  const auto log = bench::synthetic_log(6, 32, static_cast<std::size_t>(state.range(0)) / 32, 16);
-  for (auto _ : state) {
-    std::ostringstream out;
-    elog::write_event_log(out, log);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(log.total_events()));
-}
-BENCHMARK(BM_ElogWrite)->Range(1 << 10, 1 << 16);
+// ---- full (de)serialization throughput ---------------------------------
 
 void BM_ElogWriteV2(benchmark::State& state) {
   const auto log = bench::synthetic_log(6, 32, static_cast<std::size_t>(state.range(0)) / 32, 16);
@@ -162,23 +135,9 @@ void BM_ElogWriteV2(benchmark::State& state) {
 }
 BENCHMARK(BM_ElogWriteV2)->Range(1 << 10, 1 << 16);
 
-void BM_ElogRead(benchmark::State& state) {
-  const auto log = bench::synthetic_log(7, 32, static_cast<std::size_t>(state.range(0)) / 32, 16);
-  std::ostringstream out;
-  elog::write_event_log(out, log);
-  const std::string data = out.str();
-  for (auto _ : state) {
-    std::istringstream in(data);
-    benchmark::DoNotOptimize(elog::read_event_log(in));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(log.total_events()));
-  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(data.size()));
-}
-BENCHMARK(BM_ElogRead)->Range(1 << 10, 1 << 16);
-
 void BM_ElogReadV2(benchmark::State& state) {
   // Full materialization of every case (the worst case for v2; the
-  // open-and-first-query trio above shows the lazy win).
+  // open-and-first-query pair above shows the lazy win).
   const auto log = bench::synthetic_log(7, 32, static_cast<std::size_t>(state.range(0)) / 32, 16);
   std::ostringstream out;
   elog::write_event_log_v2(out, log);
@@ -192,7 +151,7 @@ void BM_ElogReadV2(benchmark::State& state) {
 }
 BENCHMARK(BM_ElogReadV2)->Range(1 << 10, 1 << 16);
 
-// ---- the checksum every v1 chunk, v2 section and partial blob pays ----
+// ---- the checksum every v2 section and partial blob pays --------------
 
 void BM_Crc32(benchmark::State& state) {
   std::string data(static_cast<std::size_t>(state.range(0)), '\0');

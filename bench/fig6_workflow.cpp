@@ -16,7 +16,7 @@
 
 #include "dfg/builder.hpp"
 #include "dfg/render.hpp"
-#include "elog/store.hpp"
+#include "elog/v2_store.hpp"
 #include "iosim/commands.hpp"
 #include "support/strings.hpp"
 
@@ -25,12 +25,14 @@ int main() {
   // 0) The HDF5-like event-log container.
   const auto full_log = model::EventLog::merge(iosim::make_ls_traces().to_event_log(),
                                                iosim::make_ls_l_traces().to_event_log());
-  std::stringstream container;
-  elog::write_event_log(container, full_log);
-  auto event_log = elog::read_event_log(container);
+  std::ostringstream container(std::ios::binary);
+  elog::write_event_log_v2(container, full_log);
+  const std::size_t container_bytes = container.view().size();
+  auto event_log = elog::read_event_log_v2(elog::MappedElog::from_buffer(
+      std::make_shared<strace::TraceBuffer>(std::move(container).str())));
   std::cout << "0) event log: " << event_log.case_count() << " cases, "
-            << event_log.total_events() << " events ("
-            << container.str().size() << " bytes in the container)\n";
+            << event_log.total_events() << " events (" << container_bytes
+            << " bytes in the container)\n";
 
   // 1) Filter the event log.
   event_log = event_log.filter_fp("/usr/lib");

@@ -251,14 +251,10 @@ EOF
 
 # BENCH_elog.json layout:
 #   {
-#     "open_speedup_v2_vs_v1": <open + first case query: mmap'd columnar
-#         v2 over the front-to-back v1 chunk parse, same corpus>,
-#     "open_speedup_v2_vs_reparse": <same v2 path over re-ingesting the
-#         raw strace text (this PR's acceptance metric: >= 10x)>,
-#     "open_micros": {"v2": .., "v1": .., "reparse": ..}  (real time),
-#     "write_speedup_v2_vs_v1" / "read_speedup_v2_vs_v1": <full-log
-#         (de)serialization throughput ratio at the largest size point;
-#         read is full materialization, v2's worst case>,
+#     "open_speedup_v2_vs_reparse": <open + first case query on the
+#         mmap'd columnar v2 container over re-ingesting the raw strace
+#         text of the same corpus (acceptance metric: >= 10x)>,
+#     "open_micros": {"v2": .., "reparse": ..}  (real time),
 #     "current": <google-benchmark JSON of bench_elog>
 #   }
 python3 - "$elog_raw" "$out_dir/BENCH_elog.json" <<'EOF'
@@ -279,27 +275,17 @@ def ratio(num, den):
     return round(num / den, 2)
 
 v2 = metric("BM_OpenFirstQueryV2", "real_time")
-v1 = metric("BM_OpenFirstQueryV1", "real_time")
 reparse = metric("BM_OpenFirstQueryReparse", "real_time")
 
 out = {
-    "open_speedup_v2_vs_v1": ratio(v1, v2),
     "open_speedup_v2_vs_reparse": ratio(reparse, v2),
     "open_micros": {"v2": round(v2, 1) if v2 else None,
-                    "v1": round(v1, 1) if v1 else None,
                     "reparse": round(reparse, 1) if reparse else None},
-    "write_speedup_v2_vs_v1": ratio(metric("BM_ElogWriteV2/65536", "items_per_second"),
-                                    metric("BM_ElogWrite/65536", "items_per_second")),
-    "read_speedup_v2_vs_v1": ratio(metric("BM_ElogReadV2/65536", "items_per_second"),
-                                   metric("BM_ElogRead/65536", "items_per_second")),
     "current": current,
 }
 json.dump(out, open(sys.argv[2], "w"), indent=1)
-print(f"wrote {sys.argv[2]} (open_speedup_v2_vs_v1 = {out['open_speedup_v2_vs_v1']}x, "
-      f"open_speedup_v2_vs_reparse = {out['open_speedup_v2_vs_reparse']}x, "
-      f"open_micros = {out['open_micros']}, "
-      f"write_speedup_v2_vs_v1 = {out['write_speedup_v2_vs_v1']}x, "
-      f"read_speedup_v2_vs_v1 = {out['read_speedup_v2_vs_v1']}x)")
+print(f"wrote {sys.argv[2]} (open_speedup_v2_vs_reparse = {out['open_speedup_v2_vs_reparse']}x, "
+      f"open_micros = {out['open_micros']})")
 EOF
 
 # BENCH_shard.json layout:

@@ -15,7 +15,7 @@
 #include <fstream>
 #include <iostream>
 
-#include "elog/store.hpp"
+#include "elog/v2_store.hpp"
 #include "iosim/campaign.hpp"
 #include "dfg/builder.hpp"
 #include "model/case_stats.hpp"
@@ -88,8 +88,8 @@ int main(int argc, char** argv) {
   }
 
   // Processed containers, as the paper stores them ("a single HDF5 file").
-  elog::write_event_log_file(out + "/ssf_fpp.elog", iosim::ssf_fpp_campaign(scale));
-  elog::write_event_log_file(out + "/mpiio.elog", iosim::mpiio_campaign(scale));
+  elog::write_event_log_v2_file(out + "/ssf_fpp.elog", iosim::ssf_fpp_campaign(scale));
+  elog::write_event_log_v2_file(out + "/mpiio.elog", iosim::mpiio_campaign(scale));
   std::cout << "  -> " << out << "/ssf_fpp.elog, " << out << "/mpiio.elog\n";
 
   // HTML reports (DFG as SVG + statistics tables), one per experiment.

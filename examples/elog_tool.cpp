@@ -7,8 +7,7 @@
 //   ./elog_tool import out.elog a_host1_9042.st... # strace -> elog
 //   ./elog_tool import out.elog a_host1_9042.st... --stream-report r.html
 //                       # same single pass also folds the HTML report
-//   ./elog_tool convert out.elog in.elog           # v1 <-> v2 (lossless)
-//   ./elog_tool convert out.elog in.elog --reindex # old v2 gains indexes
+//   ./elog_tool convert out.elog in.elog           # re-encode + (re)index
 //   ./elog_tool stat run.elog [source.st...]       # format/section stats
 //   ./elog_tool fold-shard out.partial a_h1_1.st.. # one shard's partials
 //   ./elog_tool merge-partials r.html s0.partial.. # reduce + render
@@ -16,16 +15,15 @@
 //                       # spawn fold-shard workers, merge, render —
 //                       # byte-identical to import --stream-report
 //
-// Commands that write a container produce the columnar mmap-able v2
-// format by default ("import once, analyze many times"); --v1 selects
-// the legacy chunk stream. Readers accept both transparently.
+// Commands that write a container produce the columnar mmap-able elog
+// v2 format ("import once, analyze many times"), with the advisory
+// index sections unless --no-index asks for a bare file.
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <optional>
 #include <utility>
 
 #include "dfg/export.hpp"
@@ -82,26 +80,15 @@ void write_bytes(const std::string& path, std::string_view bytes) {
   }
 }
 
-void write_log(const std::string& path, const st::model::EventLog& log, bool v1,
-               bool write_index = true) {
-  if (v1) {
-    st::elog::write_event_log_file(path, log);
-  } else {
-    st::elog::write_event_log_v2_file(path, log, st::elog::ElogV2WriterOptions{write_index});
-  }
+/// The writer options of every container-writing verb: index
+/// sections unless --no-index asks for a bare file.
+st::elog::ElogV2WriterOptions writer_options(const st::CliParser& cli) {
+  return st::elog::ElogV2WriterOptions{!cli.get_bool("no-index")};
 }
 
-/// v2 index sections are written unless --no-index asks for a bare file.
-bool write_index_flag(const st::CliParser& cli) { return !cli.get_bool("no-index"); }
-
-/// First 8 bytes of `path` (the container magic of either version).
-std::string sniff_magic(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw st::IoError("cannot open elog file: " + path);
-  std::string magic(8, '\0');
-  in.read(magic.data(), 8);
-  magic.resize(static_cast<std::size_t>(in.gcount()));
-  return magic;
+void write_log(const std::string& path, const st::model::EventLog& log,
+               const st::CliParser& cli) {
+  st::elog::write_event_log_v2_file(path, log, writer_options(cli));
 }
 
 std::uint64_t file_bytes(const std::string& path) {
@@ -111,8 +98,8 @@ std::uint64_t file_bytes(const std::string& path) {
   return size;
 }
 
-void stat_v2(const std::string& path, const st::CliParser& cli,
-             const std::vector<std::string>& sources) {
+void stat_elog(const std::string& path, const st::CliParser& cli,
+               const std::vector<std::string>& sources) {
   using st::elog::SectionKind;
   const auto mapped = st::elog::open_v2(path);
   std::cout << path << ": elog v2, " << mapped->case_count() << " cases, "
@@ -181,21 +168,6 @@ void stat_v2(const std::string& path, const st::CliParser& cli,
   }
 }
 
-void stat_v1(const std::string& path, const st::CliParser& cli,
-             const std::vector<std::string>& sources) {
-  // v1 has no section index: statting it is a full (CRC-checked) read.
-  const auto log = st::elog::read_event_log_file(path);
-  std::cout << path << ": elog v1, " << log.case_count() << " cases, " << log.total_events()
-            << " events, " << file_bytes(path) << " bytes (full reparse)\n";
-  if (!sources.empty()) {
-    std::uint64_t source_bytes = 0;
-    for (const auto& s : sources) source_bytes += file_bytes(s);
-    std::cout << "compression: " << file_bytes(path) << " / " << source_bytes
-              << " source trace bytes\n";
-  }
-  if (cli.get_bool("verify")) std::cout << "verify: ok (every chunk crc checked)\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -210,15 +182,10 @@ int main(int argc, char** argv) {
       "import: also write a single-pass HTML report (DFG + case table + variants, "
       "folded in the same streamed pass that fills the elog) to this file",
       /*takes_path=*/true);
-  cliargs::add_format_flags(cli);
   cli.add_flag("verify", "stat: run the full per-section crc pass", std::nullopt, true);
   cli.add_flag("no-index",
-               "write v2 without the advisory index sections (zone maps, id sets, "
-               "posting list); readers fall back to the column scan",
-               std::nullopt, true);
-  cli.add_flag("reindex",
-               "convert: (re)build the index sections — the v2 default, spelled out; "
-               "rejects --v1 and --no-index",
+               "write the container without the advisory index sections (zone maps, id "
+               "sets, posting list); readers fall back to the column scan",
                std::nullopt, true);
   cliargs::add_shards_flag(cli, "report-sharded: number of fold-shard worker processes", "2");
   cliargs::add_keep_going_flag(cli, "unreadable trace files / CRC-failing v2 cases");
@@ -253,7 +220,7 @@ int main(int argc, char** argv) {
       for (std::size_t i = 2; i < args.size(); ++i) {
         merged = model::EventLog::merge(merged, read_elog(args[i], cli));
       }
-      write_log(args[1], merged, cliargs::write_v1(cli), write_index_flag(cli));
+      write_log(args[1], merged, cli);
       std::cout << "wrote " << merged.case_count() << " cases to " << args[1] << "\n";
     } else if (command == "filter") {
       if (args.size() != 3) throw ParseError("filter takes an output and one input");
@@ -266,31 +233,24 @@ int main(int argc, char** argv) {
       }
       ThreadPool pool(cliargs::thread_count(cli));
       const auto filtered = query.apply(read_elog(args[2], cli), pool);
-      write_log(args[1], filtered, cliargs::write_v1(cli), write_index_flag(cli));
+      write_log(args[1], filtered, cli);
       std::cout << "query [" << query.describe() << "] kept " << filtered.total_events()
                 << " events; wrote " << args[1] << "\n";
     } else if (command == "import") {
       // strace text -> elog container, through the streaming pipeline:
       // zero-copy mmap parse and record -> Case conversion overlap on
-      // one pool (cid_host_rid.st naming required). The default v2
-      // container is written by a sink ON that pass — cases stream
-      // into the file as they convert, byte-identical to a staged
-      // write at any worker count.
+      // one pool (cid_host_rid.st naming required). The container is
+      // written by a sink ON that pass — cases stream into the file as
+      // they convert, byte-identical to a staged write at any worker
+      // count.
       if (args.size() < 3) throw ParseError("import takes an output and >= 1 trace files");
       const std::vector<std::string> files(args.begin() + 2, args.end());
       ThreadPool pool(cliargs::thread_count(cli));
-      const bool v1 = cliargs::write_v1(cli);
       pipeline::StreamOptions stream_opts;
       static_cast<RunPolicy&>(stream_opts) = cliargs::run_policy(cli);
-      // The default v2 container is written by a sink on the pass; v1
-      // is written from the assembled log afterwards.
-      std::optional<elog::ElogV2Writer> writer;
-      std::optional<elog::ElogV2WriterSink> sink;
-      std::vector<pipeline::CaseSink*> extra;
-      if (!v1) {
-        writer.emplace(args[1], elog::ElogV2WriterOptions{write_index_flag(cli)});
-        extra.push_back(&sink.emplace(*writer));
-      }
+      elog::ElogV2Writer writer(args[1], writer_options(cli));
+      elog::ElogV2WriterSink sink(writer);
+      const std::vector<pipeline::CaseSink*> extra{&sink};
       model::EventLog log;
       if (cli.has("stream-report")) {
         // One streamed pass, three artifact families: the report's
@@ -303,39 +263,23 @@ int main(int argc, char** argv) {
       } else {
         log = pipeline::run(files, pool, extra, stream_opts);
       }
-      if (v1) {
-        elog::write_event_log_file(args[1], log);
-      } else {
-        writer->finalize();
-      }
+      writer.finalize();
       for (const auto& w : log.warnings()) std::cerr << "warning: " << w << "\n";
       std::cout << "imported " << files.size() << " trace files (" << log.total_events()
                 << " events) into " << args[1] << "\n";
     } else if (command == "convert") {
-      // Lossless re-encode between container versions (the reader
-      // dispatches on magic, so either direction just works). A v2
-      // write always rebuilds the index sections, so converting an
-      // index-free (or pre-index) v2 file upgrades it; --reindex
-      // spells that intent and rejects contradicting flags.
+      // Lossless re-encode. The write rebuilds the index sections, so
+      // converting an index-free file (or one written before the index
+      // existed) upgrades it; --no-index strips them instead.
       if (args.size() != 3) throw ParseError("convert takes an output and one input");
-      if (cli.get_bool("reindex") && (cliargs::write_v1(cli) || cli.get_bool("no-index"))) {
-        throw ParseError("--reindex writes indexed v2; drop --v1/--no-index");
-      }
       const auto log = read_elog(args[2], cli);
-      write_log(args[1], log, cliargs::write_v1(cli), write_index_flag(cli));
-      std::cout << "converted " << args[2] << " -> " << args[1] << " ("
-                << (cliargs::write_v1(cli) ? "v1" : "v2") << ", " << log.case_count() << " cases)\n";
+      write_log(args[1], log, cli);
+      std::cout << "converted " << args[2] << " -> " << args[1] << " (" << log.case_count()
+                << " cases)\n";
     } else if (command == "stat") {
       if (args.size() < 2) throw ParseError("stat takes an elog file [+ source traces]");
       const std::vector<std::string> sources(args.begin() + 2, args.end());
-      const std::string magic = sniff_magic(args[1]);
-      if (magic == elog::kMagicV2) {
-        stat_v2(args[1], cli, sources);
-      } else if (magic == elog::kMagic) {
-        stat_v1(args[1], cli, sources);
-      } else {
-        throw IoError("elog: bad magic");
-      }
+      stat_elog(args[1], cli, sources);
     } else if (command == "fold-shard") {
       // One shard of a sharded analysis: stream the given trace files
       // through pipeline::run with EVERY analytic sink and write the

@@ -9,7 +9,7 @@
 
 #include "dfg/builder.hpp"
 #include "dfg/render.hpp"
-#include "elog/store.hpp"
+#include "elog/v2_store.hpp"
 #include "iosim/campaign.hpp"
 #include "support/cli.hpp"
 #include "support/errors.hpp"
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
             << " events (openat/read/write variants)\n\n";
 
   if (cli.has("elog")) {
-    elog::write_event_log_file(cli.get("elog"), log);
+    elog::write_event_log_v2_file(cli.get("elog"), log);
     std::cout << "stored event log to " << cli.get("elog") << "\n\n";
   }
 

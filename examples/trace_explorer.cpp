@@ -1,8 +1,8 @@
 // trace_explorer: the "DFG as an interactive query" workflow from the
 // paper, as a CLI. Load trace files (cid_host_rid.st) and/or .elog
-// containers — mixed freely; v2 containers open by mmap with no
-// reparse — apply a query and a mapping, and inspect the resulting
-// DFG, statistics, trace variants or an activity timeline.
+// containers — mixed freely; containers open by mmap with no reparse —
+// apply a query and a mapping, and inspect the resulting DFG,
+// statistics, trace variants or an activity timeline.
 //
 //   ./trace_explorer a_host1_9042.st b_host1_9157.st \
 //       --filter /usr/lib --map last2 --render dot
@@ -34,7 +34,6 @@
 #include "dfg/builder.hpp"
 #include "dfg/render.hpp"
 #include "dfg/render_svg.hpp"
-#include "elog/store.hpp"
 #include "elog/v2_select.hpp"
 #include "iosim/commands.hpp"
 #include "model/case_stats.hpp"
@@ -157,6 +156,7 @@ int main(int argc, char** argv) {
     }
     const auto query = query_from_flags(cli);
     const bool restricted = cli.has("filter") || cli.has("query");
+    ThreadPool pool(cliargs::thread_count(cli));
     model::EventLog log;
     std::vector<elog::IndexedSegment> segments;
     std::optional<dfg::Dfg> streamed_graph;
@@ -166,52 +166,26 @@ int main(int argc, char** argv) {
       log = model::EventLog::merge(iosim::make_ls_traces().to_event_log(),
                                    iosim::make_ls_l_traces().to_event_log());
     } else {
-      // .elog containers and raw trace files mix freely: containers
-      // load via read_event_log_file (v2 by mmap, zero reparse; v1 by
-      // chunk parse), traces go through the streaming pipeline, and
-      // everything is unioned into one log.
-      std::vector<std::string> elogs;
-      std::vector<std::string> traces;
-      for (const auto& p : cli.positional()) {
-        (p.ends_with(".elog") ? elogs : traces).push_back(p);
-      }
-      if (!traces.empty()) {
-        // Streaming pipeline: zero-copy mmap parse, record -> Case
-        // conversion and (when nothing narrows or extends the log
-        // afterwards) DFG construction all overlap on one shared pool.
-        ThreadPool pool(cliargs::thread_count(cli));
-        pipeline::StreamOptions stream_opts;
-        static_cast<RunPolicy&>(stream_opts) = cliargs::run_policy(cli);
-        if (!restricted && elogs.empty()) {
-          // Nothing narrows or extends the log afterwards, so the DFG
-          // AND the activity statistics fold in the same pass — no
-          // staged post-pass walk of the assembled log.
-          pipeline::DfgSink graph_sink(f);
-          pipeline::IoStatsSink io_sink(f);
-          log = pipeline::run(traces, pool, {&graph_sink, &io_sink}, stream_opts);
-          streamed_graph = graph_sink.take_graph();
-          streamed_io = io_sink.take_partial();
-        } else {
-          log = pipeline::run(traces, pool, {}, stream_opts);
-        }
-      }
-      // Ingestion warnings before the union: derived logs drop them.
-      for (const auto& w : log.warnings()) std::cerr << "warning: " << w << "\n";
-      for (const auto& p : elogs) {
-        try {
-          auto part =
-              elog::read_event_log_file_indexed(p, elog::ElogReadOptions{cliargs::run_policy(cli)});
-          if (part.mapped) {
-            // Cleanly-read v2 container: remember the slice so --query
-            // runs through the indexed planner (byte-identical result).
-            segments.push_back(elog::IndexedSegment{log.case_count(), part.log.case_count(),
-                                                    std::move(part.mapped)});
-          }
-          log = model::EventLog::merge(log, std::move(part.log));
-        } catch (const IoError& e) {
-          if (!cli.get_bool("keep-going")) throw;
-          std::cerr << "warning: " << p << ": skipped: " << e.what() << "\n";
-        }
+      // The loader serve mode uses too: traces stream through the
+      // pipeline (zero-copy mmap parse and record -> Case conversion
+      // overlap on the pool), containers open by mmap, and everything
+      // is unioned into one log. When nothing narrows or extends the
+      // traces' log afterwards, the DFG AND the activity statistics
+      // fold in that same pass — no staged post-pass walk of the log.
+      const bool fold_in_pass =
+          !restricted && std::none_of(cli.positional().begin(), cli.positional().end(),
+                                      [](const std::string& p) { return p.ends_with(".elog"); });
+      pipeline::DfgSink graph_sink(f);
+      pipeline::IoStatsSink io_sink(f);
+      std::vector<pipeline::CaseSink*> sinks;
+      if (fold_in_pass) sinks = {&graph_sink, &io_sink};
+      auto loaded = corpus::load_corpus(cli.positional(), pool, cliargs::run_policy(cli), sinks);
+      for (const auto& w : loaded.warnings) std::cerr << "warning: " << w << "\n";
+      log = std::move(loaded.log);
+      segments = std::move(loaded.segments);
+      if (fold_in_pass) {
+        streamed_graph = graph_sink.take_graph();
+        streamed_io = io_sink.take_partial();
       }
     }
     if (restricted) {
@@ -250,7 +224,6 @@ int main(int argc, char** argv) {
     } else if (render == "svg") {
       std::cout << dfg::render_svg(g, &stats, &styler);
     } else if (render == "summary") {
-      ThreadPool pool(cliargs::thread_count(cli));
       std::cout << model::render_case_summaries(model::summarize_cases(log, pool));
     } else if (render == "ascii") {
       std::cout << dfg::render_ascii(g, &stats, &styler, opts);

@@ -12,6 +12,42 @@
 
 namespace st::corpus {
 
+LoadedCorpus load_corpus(const std::vector<std::string>& inputs, ThreadPool& pool,
+                         const RunPolicy& policy,
+                         std::span<pipeline::CaseSink* const> trace_sinks) {
+  std::vector<std::string> elogs;
+  std::vector<std::string> traces;
+  for (const auto& p : inputs) {
+    (p.ends_with(".elog") ? elogs : traces).push_back(p);
+  }
+  LoadedCorpus out;
+  if (!traces.empty()) {
+    pipeline::StreamOptions stream_opts;
+    static_cast<RunPolicy&>(stream_opts) = policy;
+    out.log = pipeline::run(traces, pool, trace_sinks, stream_opts);
+  }
+  out.warnings = out.log.warnings();
+  for (const auto& p : elogs) {
+    try {
+      auto part = elog::read_event_log_file_indexed(p, elog::ElogReadOptions{policy});
+      for (const auto& w : part.log.warnings()) out.warnings.push_back(p + ": " + w);
+      if (part.mapped) {
+        // A cleanly-read v2 container: its cases land contiguously at
+        // the current tail of the merged log, so record the slice for
+        // the indexed query planner.
+        out.segments.push_back(elog::IndexedSegment{out.log.case_count(),
+                                                    part.log.case_count(),
+                                                    std::move(part.mapped)});
+      }
+      out.log = model::EventLog::merge(out.log, std::move(part.log));
+    } catch (const IoError& e) {
+      if (!policy.keep_going) throw;
+      out.warnings.push_back(p + ": skipped: " + e.what());
+    }
+  }
+  return out;
+}
+
 report::ReportOptions query_report_options(const model::Query& q, const model::Mapping& f) {
   report::ReportOptions opts;
   opts.title = "trace_explorer report";
@@ -55,40 +91,10 @@ Catalog& Catalog::operator=(Catalog&&) noexcept = default;
 
 void Catalog::load(const std::vector<std::string>& inputs, ThreadPool& pool) {
   if (base_) throw LogicError("Catalog::load: already loaded (the catalog is immutable)");
-  // Same partition-and-merge order as the CLI tools' positional
-  // inputs, so the base log is byte-identical to the offline path.
-  std::vector<std::string> elogs;
-  std::vector<std::string> traces;
-  for (const auto& p : inputs) {
-    (p.ends_with(".elog") ? elogs : traces).push_back(p);
-  }
-  model::EventLog log;
-  if (!traces.empty()) {
-    pipeline::StreamOptions stream_opts;
-    static_cast<RunPolicy&>(stream_opts) = opts_.policy;
-    log = pipeline::run(traces, pool, {}, stream_opts);
-  }
-  // Ingestion warnings before the unions: derived logs drop them.
-  for (const auto& w : log.warnings()) load_warnings_.push_back(w);
-  for (const auto& p : elogs) {
-    try {
-      auto part = elog::read_event_log_file_indexed(p, elog::ElogReadOptions{opts_.policy});
-      for (const auto& w : part.log.warnings()) load_warnings_.push_back(p + ": " + w);
-      if (part.mapped) {
-        // A cleanly-read v2 container: its cases land contiguously at
-        // the current tail of the merged log, so record the slice for
-        // the indexed query planner.
-        segments_.push_back(elog::IndexedSegment{log.case_count(),
-                                                 part.log.case_count(),
-                                                 std::move(part.mapped)});
-      }
-      log = model::EventLog::merge(log, std::move(part.log));
-    } catch (const IoError& e) {
-      if (!opts_.policy.keep_going) throw;
-      load_warnings_.push_back(p + ": skipped: " + e.what());
-    }
-  }
-  base_ = std::make_shared<const model::EventLog>(std::move(log));
+  auto loaded = load_corpus(inputs, pool, opts_.policy);
+  segments_ = std::move(loaded.segments);
+  load_warnings_ = std::move(loaded.warnings);
+  base_ = std::make_shared<const model::EventLog>(std::move(loaded.log));
 }
 
 std::shared_ptr<const model::EventLog> Catalog::filtered(const model::Query& q) {

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -48,6 +49,10 @@
 #include "parallel/thread_pool.hpp"
 #include "report/report.hpp"
 #include "support/run_policy.hpp"
+
+namespace st::pipeline {
+class CaseSink;
+}  // namespace st::pipeline
 
 namespace st::corpus {
 
@@ -73,6 +78,30 @@ struct CacheStats {
   std::size_t entries = 0;
 };
 
+/// A loaded corpus: the base log, its v2-backed slices for the indexed
+/// query planner, and every warning the load produced.
+struct LoadedCorpus {
+  model::EventLog log;
+  /// Cleanly-read v2 containers, as (sorted, non-overlapping) slices
+  /// of `log`. Empty = queries always scan.
+  std::vector<elog::IndexedSegment> segments;
+  /// Trace ingestion warnings ("<path>: line N: ..."), then per
+  /// container in input order "<path>: <quarantine warning>" and, under
+  /// keep_going, "<path>: skipped: <error>". Collected here because
+  /// EventLog::merge drops every input log's own warnings.
+  std::vector<std::string> warnings;
+};
+
+/// The one loader behind Catalog::load and trace_explorer's positional
+/// inputs: .elog containers and cid_host_rid.st trace files mix
+/// freely. Traces stream through pipeline::run on `pool` (folding
+/// `trace_sinks` on the same pass), then containers merge in input
+/// order. `policy.keep_going` quarantines CRC-failing container cases
+/// and skips unreadable containers with a warning.
+[[nodiscard]] LoadedCorpus load_corpus(const std::vector<std::string>& inputs, ThreadPool& pool,
+                                       const RunPolicy& policy,
+                                       std::span<pipeline::CaseSink* const> trace_sinks = {});
+
 /// The ReportOptions of a query-driven report — ONE place, so the
 /// serve path and trace_explorer's offline --render report produce
 /// byte-identical HTML by construction.
@@ -93,12 +122,9 @@ class Catalog {
   Catalog(Catalog&&) noexcept;        // movable (hand a catalog to the server)
   Catalog& operator=(Catalog&&) noexcept;
 
-  /// Loads the corpus: .elog containers (v2 by mmap, v1 by chunk
-  /// parse) and cid_host_rid.st trace files mix freely, exactly like
-  /// the CLI tools' positional inputs — traces stream through
-  /// pipeline::run on `pool`, then containers merge in input order, so
-  /// the base log is byte-identical to trace_explorer's. Call once,
-  /// before serving; the catalog is immutable afterwards.
+  /// Loads the corpus through load_corpus, so the base log is
+  /// byte-identical to trace_explorer's over the same inputs. Call
+  /// once, before serving; the catalog is immutable afterwards.
   void load(const std::vector<std::string>& inputs, ThreadPool& pool);
 
   /// The unfiltered corpus (shared, immutable).

@@ -1,17 +1,14 @@
-// elog store: EventLog <-> container (file or stream).
+// elog store: path-level entry points for reading an elog container.
 //
 // Mirrors the paper's HDF5 layout: one group per case with columns
-// pid / call / start / dur / fp / size sorted by start. call and fp
-// are dictionary-encoded against a per-case string pool (file paths
-// repeat heavily in syscall traces, so this is also the main size
-// win). Writing preserves case order; reading rebuilds Cases whose
-// events are re-sorted by start (idempotent for valid files).
+// pid / call / start / dur / fp / size sorted by start. The container
+// is elog v2 (v2_format.hpp): opening maps the file and decodes only
+// the footer, section table and case directory; these functions then
+// materialize every case into an EventLog that adopts the mapping.
+// Writers live in v2_store.hpp (write_event_log_v2_file, ElogV2Writer).
 #pragma once
 
-#include <fstream>
-#include <istream>
 #include <memory>
-#include <ostream>
 #include <string>
 
 #include "model/event_log.hpp"
@@ -21,69 +18,29 @@ namespace st::elog {
 
 class MappedElog;
 
-/// Serializes a whole event log.
-void write_event_log(std::ostream& out, const model::EventLog& log);
-void write_event_log_file(const std::string& path, const model::EventLog& log);
-
-/// Deserializes either container version (the 8-byte magic is sniffed;
-/// STELOG1 parses the chunk stream, STELOG2 dispatches to the columnar
-/// reader in v2_store.hpp — read_event_log_file uses its mmap fast
-/// path). Throws IoError on truncation/corruption and ParseError on
-/// malformed case names.
-[[nodiscard]] model::EventLog read_event_log(std::istream& in);
-[[nodiscard]] model::EventLog read_event_log_file(const std::string& path);
-
 /// keep_going (inherited RunPolicy, support/run_policy.hpp) == true: a
-/// v2 case section failing CRC is quarantined with a warning on the
+/// case section failing CRC is quarantined with a warning on the
 /// returned log instead of aborting the read (v2_store.hpp
-/// V2ReadOptions). v1 stays fail-fast either way — its chunk stream
-/// has no per-case recovery boundary.
+/// V2ReadOptions).
 struct ElogReadOptions : RunPolicy {};
 
-/// Graceful-degradation variant of read_event_log_file.
+/// Reads a whole container. Throws IoError on a missing, short,
+/// truncated, corrupt or non-v2 file.
 [[nodiscard]] model::EventLog read_event_log_file(const std::string& path,
-                                                  const ElogReadOptions& opts);
+                                                  const ElogReadOptions& opts = {});
 
 /// read_event_log_file plus the mapped container handle when (and only
-/// when) the file is a CLEANLY-read v2 corpus: no quarantined cases, so
-/// the log's case numbering lines up 1:1 with the container's and the
-/// indexed query planner (elog/v2_select.hpp) may evaluate predicates
-/// directly on the mapped columns. v1 files, and v2 reads that
-/// quarantined anything under keep_going, come back with mapped ==
-/// nullptr — queries over them take the materialized path.
+/// when) the read was CLEAN: no quarantined cases, so the log's case
+/// numbering lines up 1:1 with the container's and the indexed query
+/// planner (elog/v2_select.hpp) may evaluate predicates directly on
+/// the mapped columns. A read that quarantined anything under
+/// keep_going comes back with mapped == nullptr — queries over it take
+/// the materialized path.
 struct LoadedElog {
   model::EventLog log;
   std::shared_ptr<MappedElog> mapped;
 };
 [[nodiscard]] LoadedElog read_event_log_file_indexed(const std::string& path,
                                                      const ElogReadOptions& opts = {});
-
-/// Incremental writer: cases are appended one at a time (e.g. as trace
-/// files finish parsing) without holding the whole log in memory. The
-/// case count lives at a fixed offset after the magic and is patched
-/// on finalize(); a file that was never finalized fails to read
-/// (missing FEND), so partial writes cannot be mistaken for complete
-/// logs.
-class ElogAppender {
- public:
-  explicit ElogAppender(const std::string& path);
-  ElogAppender(const ElogAppender&) = delete;
-  ElogAppender& operator=(const ElogAppender&) = delete;
-  /// Finalizes implicitly if finalize() was not called (errors are
-  /// swallowed in the destructor; call finalize() to observe them).
-  ~ElogAppender();
-
-  void append(const model::Case& c);
-
-  /// Writes the FEND chunk and patches the case count. Idempotent.
-  void finalize();
-
-  [[nodiscard]] std::size_t cases_written() const { return cases_written_; }
-
- private:
-  std::ofstream out_;
-  std::size_t cases_written_ = 0;
-  bool finalized_ = false;
-};
 
 }  // namespace st::elog

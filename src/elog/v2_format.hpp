@@ -1,14 +1,13 @@
 // elog v2: the columnar, mmap-native corpus format ("STELOG2\0").
 //
-// Where v1 (format.hpp) is a chunk stream that must be parsed front to
-// back, v2 is laid out so that opening a corpus does ZERO parse work:
+// v2 is laid out so that opening a corpus does ZERO parse work:
 // a footer at the file tail points at a section table, the table
 // indexes every section by (kind, case, offset, length), and all event
 // data lives in fixed-width or self-delimiting columns that EventLog
 // views can be built over lazily, straight from the mapping. All
 // integers are little-endian; every multi-byte load goes through the
-// memcpy-based load_* helpers shared with format.hpp (no pointer-cast
-// UB, byte-order independent).
+// byte-assembly load_* helpers of format.hpp (no pointer-cast UB,
+// byte-order independent).
 //
 //   file    := magic[8] | section* | table | footer[32]
 //   section := raw bytes, 8-byte-aligned start, zero padding between

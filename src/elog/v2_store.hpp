@@ -1,9 +1,8 @@
 // elog v2 store: write EventLogs into the columnar mmap format and
 // open corpora with zero parse work (format spec: v2_format.hpp).
 //
-// The read side inverts the v1 contract: instead of re-materializing
-// every string and column through a stream parser, open_v2 maps the
-// file (TraceBuffer::from_file_mmap — the same owner the ingestion
+// The read side does no stream parsing: instead of re-materializing
+// every string and column, open_v2 maps the file (TraceBuffer::from_file_mmap — the same owner the ingestion
 // path uses) and reads ONLY the footer, the section table and the case
 // directory. EventLog views are built lazily per case straight over
 // the mapping: Event call/fp/cid/host are string_views into the mapped
@@ -168,7 +167,7 @@ void write_event_log_v2_file(const std::string& path, const model::EventLog& log
 class MappedElog {
  public:
   /// Opens a corpus over any byte owner (open_v2 maps a file; tests
-  /// and the istream dispatch wrap in-memory bytes). Validates the
+  /// and benchmarks wrap in-memory bytes). Validates the
   /// footer, section table and case directory; throws IoError on any
   /// structural defect.
   [[nodiscard]] static std::shared_ptr<MappedElog> from_buffer(

@@ -25,8 +25,8 @@ namespace st::model {
 using ActivityTrace = std::vector<Activity>;
 
 /// The variant multiset of an activity log: distinct traces with their
-/// multiplicities (the ⟨a,a,b⟩² notation). Shared by ActivityLog, the
-/// variant diff (model/variants.hpp) and the streaming VariantsSink.
+/// multiplicities (the ⟨a,a,b⟩² notation). Shared by ActivityLog and the
+/// streaming VariantsSink.
 using VariantCounts = std::map<ActivityTrace, std::size_t>;
 
 /// σ_f(c): one case's activity trace — every mapped activity, in event

@@ -9,7 +9,8 @@ void CliParser::add_flag(std::string name, std::string description,
                          std::optional<std::string> default_value, bool boolean) {
   Flag f;
   f.description = std::move(description);
-  f.value = std::move(default_value);
+  f.default_value = std::move(default_value);
+  f.value = f.default_value;
   f.boolean = boolean;
   flags_.emplace(std::move(name), std::move(f));
 }
@@ -82,7 +83,7 @@ std::string CliParser::usage(std::string_view program) const {
     out += "  --" + name;
     if (!f.boolean) out += " <value>";
     out += "  " + f.description;
-    if (f.value && !f.boolean) out += " (default: " + *f.value + ")";
+    if (f.default_value && !f.boolean) out += " (default: " + *f.default_value + ")";
     out += "\n";
   }
   return out;

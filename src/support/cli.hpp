@@ -37,7 +37,8 @@ class CliParser {
  private:
   struct Flag {
     std::string description;
-    std::optional<std::string> value;
+    std::optional<std::string> default_value;  ///< as declared; usage() prints it
+    std::optional<std::string> value;          ///< default_value until parse() sets it
     bool boolean = false;
     bool is_set = false;
   };

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "support/errors.hpp"
-
 namespace st::cliargs {
 
 void add_threads_flag(CliParser& cli, const std::string& what) {
@@ -32,17 +30,6 @@ void add_map_flag(CliParser& cli, const std::string& what, const std::string& de
 
 model::Mapping mapping(const CliParser& cli) {
   return model::mapping_by_name(cli.get("map"));
-}
-
-void add_format_flags(CliParser& cli) {
-  cli.add_flag("v1", "write the legacy STELOG1 chunk-stream format", std::nullopt, true);
-  cli.add_flag("v2", "write the columnar mmap-able STELOG2 format (the default)", std::nullopt,
-               true);
-}
-
-bool write_v1(const CliParser& cli) {
-  if (cli.has("v1") && cli.has("v2")) throw ParseError("--v1 and --v2 are exclusive");
-  return cli.has("v1");
 }
 
 void add_shards_flag(CliParser& cli, const std::string& what, const std::string& default_count) {

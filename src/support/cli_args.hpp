@@ -1,14 +1,14 @@
 // Shared flag vocabulary for the CLI tools (ISSUE 9).
 //
 // trace_explorer and elog_tool grew the same flags independently —
-// --threads, --keep-going, --map, --v1/--v2, --shards, --stream-report
-// — each with its own registration string and its own decode helper.
-// This header defines every shared flag ONCE as an add_*_flag /
-// decoder pair, so a new surface (the serve subcommand) inherits the
-// exact semantics (negative-thread clamping, --v1/--v2 exclusivity,
-// the mapping registry) instead of re-implementing them. Per-tool
-// wording that genuinely differs (what "keep going" quarantines, what
-// the mapping is used for) stays a parameter; behavior does not.
+// --threads, --keep-going, --map, --shards, --stream-report — each
+// with its own registration string and its own decode helper. This
+// header defines every shared flag ONCE as an add_*_flag / decoder
+// pair, so a new surface (the serve subcommand) inherits the exact
+// semantics (negative-thread clamping, the mapping registry) instead
+// of re-implementing them. Per-tool wording that genuinely differs
+// (what "keep going" quarantines, what the mapping is used for) stays
+// a parameter; behavior does not.
 #pragma once
 
 #include <cstddef>
@@ -43,12 +43,6 @@ void add_map_flag(CliParser& cli, const std::string& what, const std::string& de
 /// --map resolved through the shared registry (model::mapping_by_name,
 /// so coordinator and spawned workers cannot drift).
 [[nodiscard]] model::Mapping mapping(const CliParser& cli);
-
-/// --v1 / --v2 (booleans): elog container output format selection.
-void add_format_flags(CliParser& cli);
-
-/// Output format decision: v2 unless --v1 (both at once is a typo).
-[[nodiscard]] bool write_v1(const CliParser& cli);
 
 /// --shards <n>: worker-process count for sharded runs.
 void add_shards_flag(CliParser& cli, const std::string& what, const std::string& default_count);

@@ -1,8 +1,8 @@
 // RunPolicy — the keep-going family of execution policy, in one place.
 //
-// Streaming ingest (pipeline::StreamOptions), elog v1 reads
-// (elog::ElogReadOptions) and elog v2 reads (elog::V2ReadOptions) all
-// offer the same decision: abort on the first data error, or quarantine
+// Streaming ingest (pipeline::StreamOptions), path-level elog reads
+// (elog::ElogReadOptions) and mapped elog reads (elog::V2ReadOptions)
+// all offer the same decision: abort on the first data error, or quarantine
 // the bad unit (line / file / section) and keep going. Before ISSUE 9
 // each of the three option structs re-declared its own `keep_going`
 // bool; now they inherit this struct, so code that threads policy

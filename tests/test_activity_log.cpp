@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "iosim/campaign.hpp"
 #include "testing_util.hpp"
 
 namespace st::model {
@@ -84,6 +85,19 @@ TEST(ActivityLog, EmptyLog) {
   EXPECT_EQ(al.case_count(), 0u);
   EXPECT_TRUE(al.variants().empty());
   EXPECT_TRUE(al.activities().empty());
+}
+
+TEST(ActivityLog, HomogeneousSpmdRunHasOneVariantPerRun) {
+  // All ranks of one IOR run behave identically up to activity level
+  // — but rank-dependent file names (FPP) split the variants.
+  iosim::CampaignScale scale = iosim::CampaignScale::small();
+  auto options = iosim::make_ssf_options(scale);
+  options.keep_files = true;  // -k: rank 0 would otherwise add unlinkat events
+  const auto ssf = iosim::run_ior(options).to_event_log();
+  const auto f = Mapping::call_site(SitePathMap::juwels_like(), 1);
+  const auto al = ActivityLog::build(ssf, f);
+  EXPECT_EQ(al.variants().size(), 1u);  // every rank: same activity trace
+  EXPECT_EQ(al.variants().begin()->second, static_cast<std::size_t>(scale.num_ranks));
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // artifacts, and the serve request loop in front of it.
 //
 //   - loading mixes traces like the offline pipeline (byte-identical
-//     base log);
+//     base log), and a keep-going load reports quarantined container
+//     cases;
 //   - hit/miss/evict semantics of the LRU memo table, including
 //     single-flight deduplication under a stampede;
 //   - cached artifacts are byte-identical to uncached recomputation
@@ -20,6 +21,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -30,6 +32,7 @@
 #include "corpus/catalog.hpp"
 #include "corpus/serve.hpp"
 #include "dfg/coloring.hpp"
+#include "elog/v2_store.hpp"
 #include "model/query.hpp"
 #include "parallel/thread_pool.hpp"
 #include "pipeline/sink.hpp"
@@ -69,6 +72,49 @@ TEST_F(CatalogTest, LoadMatchesTheOfflinePipeline) {
   st::testing::expect_same_log(*catalog.base(), offline);
   // warnings live on load_warnings(), the base log itself keeps them too
   EXPECT_EQ(catalog.load_warnings(), offline.warnings());
+}
+
+TEST_F(CatalogTest, KeepGoingLoadReportsQuarantinedContainerCases) {
+  // A container whose first case fails its CRC: a strict load throws,
+  // a keep_going load drops the case AND says so — the warning must
+  // survive the merge into the base log, which drops the part's own.
+  ThreadPool pool(2);
+  const auto log = pipeline::run(corpus_, pool, {});
+  const std::string path = write_file("corpus.elog", "");
+  elog::write_event_log_v2_file(path, log);
+  std::uint64_t flip_at = 0;
+  {
+    const auto mapped = elog::open_v2(path);
+    for (const elog::SectionEntry& e : mapped->sections()) {
+      if (e.kind == elog::SectionKind::kColPid && e.case_index == 0 && e.length > 0) {
+        flip_at = e.offset;
+      }
+    }
+  }
+  ASSERT_NE(flip_at, 0u);
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(flip_at));
+    const char byte = static_cast<char>(f.get() ^ 0x01);
+    f.seekp(static_cast<std::streamoff>(flip_at));
+    f.put(byte);
+  }
+
+  EXPECT_THROW((void)load_corpus({path}, pool, RunPolicy{}), IoError);
+
+  const auto loaded = load_corpus({path}, pool, RunPolicy{true});
+  EXPECT_EQ(loaded.log.case_count(), log.case_count() - 1);
+  EXPECT_TRUE(loaded.segments.empty());  // quarantines disable the index
+  ASSERT_EQ(loaded.warnings.size(), 1u);
+  const std::string expected = path + ": case 0 (big_nodeA_9001) quarantined: ";
+  EXPECT_EQ(loaded.warnings[0].substr(0, expected.size()), expected);
+
+  CatalogOptions opts;
+  opts.policy.keep_going = true;
+  Catalog catalog(opts);
+  catalog.load({path}, pool);
+  EXPECT_EQ(catalog.load_warnings(), loaded.warnings);
+  EXPECT_EQ(catalog.base()->case_count(), log.case_count() - 1);
 }
 
 TEST_F(CatalogTest, HitMissEvictSemantics) {

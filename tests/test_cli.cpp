@@ -115,5 +115,18 @@ TEST(Cli, UsageListsFlags) {
   EXPECT_NE(usage.find("default: 96"), std::string::npos);
 }
 
+TEST(Cli, UsageShowsDeclaredDefaultsNotParsedValues) {
+  // usage() is printed after a failed run: it must describe the flags,
+  // not echo the user's own arguments back as defaults.
+  CliParser p = make_parser();
+  const char* argv[] = {"prog", "--ranks", "4", "--out", "/tmp/x"};
+  p.parse(5, argv);
+  EXPECT_EQ(p.get_int("ranks"), 4);
+  const std::string usage = p.usage("prog");
+  EXPECT_NE(usage.find("default: 96"), std::string::npos);
+  EXPECT_EQ(usage.find("default: 4"), std::string::npos);
+  EXPECT_EQ(usage.find("/tmp/x"), std::string::npos);  // --out has no default
+}
+
 }  // namespace
 }  // namespace st

@@ -19,6 +19,7 @@
 #include "strace/trace_buffer.hpp"
 #include "support/crc32.hpp"
 #include "support/errors.hpp"
+#include "support/rng.hpp"
 #include "support/timeparse.hpp"
 #include "testing_corpus.hpp"
 #include "testing_util.hpp"
@@ -92,18 +93,77 @@ TEST(ElogV2, RoundTripThroughFileUsesMmap) {
   fs::remove(path);
 }
 
-TEST(ElogV2, StoreDispatchReadsV2Stream) {
-  // read_event_log sniffs the magic: v2 bytes through the generic
-  // istream entry point.
-  std::stringstream buf(v2_bytes(sample_log()));
-  EXPECT_TRUE(logs_equal(sample_log(), read_event_log(buf)));
-}
-
-TEST(ElogV2, StoreDispatchReadsV2File) {
+TEST(ElogV2, StoreReadsV2File) {
   const std::string path = ::testing::TempDir() + "/v2_dispatch.elog";
   write_event_log_v2_file(path, sample_log());
   EXPECT_TRUE(logs_equal(sample_log(), read_event_log_file(path)));
+  const auto loaded = read_event_log_file_indexed(path);
+  EXPECT_TRUE(logs_equal(sample_log(), loaded.log));
+  EXPECT_NE(loaded.mapped, nullptr);  // a clean read keeps the mapping
   fs::remove(path);
+}
+
+TEST(ElogV2, StoreMissingFileThrows) {
+  EXPECT_THROW((void)read_event_log_file("/nonexistent/x.elog"), IoError);
+}
+
+TEST(ElogV2, StoreRejectsNonV2Files) {
+  // Garbage, an older container (the same magic with version byte 1),
+  // and files shorter than the 8-byte magic are all typed IoErrors on
+  // the path entry points.
+  const std::string path = ::testing::TempDir() + "/v2_not_v2.elog";
+  std::string older(kMagicV2);
+  older[6] = '1';
+  older[7] = '\n';
+  older.append(64, '\0');
+  for (const std::string& bytes :
+       {std::string("NOTELOG0rest of data, long enough to hold a footer......"), older,
+        std::string("STELOG"), std::string()}) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    EXPECT_THROW((void)read_event_log_file_indexed(path), IoError) << bytes.size() << " bytes";
+    EXPECT_THROW((void)read_event_log_file(path), IoError) << bytes.size() << " bytes";
+  }
+  fs::remove(path);
+}
+
+TEST(ElogV2, PreservesEventOrderAndIdentity) {
+  const auto reloaded = read_event_log_v2(open_bytes(v2_bytes(sample_log())));
+  const auto* a = reloaded.find_case(model::CaseId{"a", "host1", 9042});
+  ASSERT_NE(a, nullptr);
+  ASSERT_EQ(a->size(), 3u);
+  EXPECT_EQ(a->events()[0].start, 100);
+  EXPECT_EQ(a->events()[1].start, 400);
+  EXPECT_EQ(a->events()[2].call, "write");
+  const auto* c = reloaded.find_case(model::CaseId{"b", "node2", 9157});
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->events()[0].call, "openat");
+  EXPECT_EQ(c->events()[0].cid, "b");
+  EXPECT_EQ(c->events()[0].host, "node2");
+  EXPECT_EQ(c->events()[0].rid, 9157u);
+  EXPECT_EQ(c->events()[0].size, -1);
+}
+
+TEST(ElogV2, LargeRandomLogRoundTrips) {
+  Xoshiro256 rng(7);
+  model::EventLog log;
+  for (int c = 0; c < 20; ++c) {
+    std::vector<model::Event> events;
+    const std::size_t n = rng.below(200);
+    for (std::size_t i = 0; i < n; ++i) {
+      events.push_back(ev(rng.below(2) != 0 ? "read" : "write",
+                          "/p/" + std::to_string(rng.below(10)),
+                          static_cast<Micros>(rng.below(100000)),
+                          static_cast<Micros>(rng.below(500)),
+                          static_cast<std::int64_t>(rng.below(1 << 20)) - 1));
+    }
+    log.add_case(make_case("r", static_cast<std::uint64_t>(c + 1), std::move(events)));
+  }
+  const auto mapped = open_bytes(v2_bytes(log));
+  mapped->verify();
+  EXPECT_TRUE(logs_equal(log, read_event_log_v2(mapped)));
 }
 
 TEST(ElogV2, RoundTripEmptyLog) {
@@ -137,19 +197,6 @@ TEST(ElogV2, AdoptionKeepsViewsAliveAfterMappingHandleIsDropped) {
   fs::remove(path);
 }
 
-TEST(ElogV2, ConvertV1ToV2ToV1IsLossless) {
-  const auto log = sample_log();
-  std::stringstream v1a;
-  write_event_log(v1a, log);
-  const auto from_v1 = read_event_log(v1a);
-  const auto from_v2 = read_event_log_v2(open_bytes(v2_bytes(from_v1)));
-  std::stringstream v1b;
-  write_event_log(v1b, from_v2);
-  EXPECT_TRUE(logs_equal(log, read_event_log(v1b)));
-  // And the v2 -> v1 -> v2 re-encode is byte-identical.
-  EXPECT_EQ(v2_bytes(from_v1), v2_bytes(from_v2));
-}
-
 // ---- layout properties -------------------------------------------------
 
 TEST(ElogV2, SectionsAreEightByteAligned) {
@@ -160,8 +207,8 @@ TEST(ElogV2, SectionsAreEightByteAligned) {
 }
 
 TEST(ElogV2, StringPoolIsSharedAcrossCases) {
-  // The same path used from several cases must land in the file once —
-  // v1's per-case pools store it once per case.
+  // The same path used from several cases must land in the file once:
+  // one file-level pool, not one pool per case.
   model::EventLog log;
   const std::string path = "/p/scratch/ssf/a-rather-long-shared-file-path";
   for (std::uint64_t c = 1; c <= 4; ++c) {
@@ -343,21 +390,15 @@ TEST_F(ElogV2Import, SinkWriteIsByteIdenticalToStagedWriteAtAnyWorkerCount) {
   EXPECT_EQ(std::move(out).str(), staged);
 }
 
-TEST_F(ElogV2Import, ImportedV1AndV2AgreeWithEachOtherAndTheTraces) {
+TEST_F(ElogV2Import, ImportedV2AgreesWithTheTraces) {
   ThreadPool pool(3);
   const auto from_traces = pipeline::run(paths_, pool, {});
-  // v1 route
-  std::stringstream v1;
-  write_event_log(v1, from_traces);
-  const auto from_v1 = read_event_log(v1);
-  // v2 route, via the streamed sink
   std::ostringstream v2(std::ios::binary);
   ElogV2Writer writer(v2);
   ElogV2WriterSink sink(writer);
   (void)pipeline::run(paths_, pool, {&sink});
   writer.finalize();
   const auto from_v2 = read_event_log_v2(open_bytes(std::move(v2).str()));
-  EXPECT_TRUE(logs_equal(from_traces, from_v1));
   EXPECT_TRUE(logs_equal(from_traces, from_v2));
 }
 
@@ -508,7 +549,7 @@ TEST(ElogV2Index, ReencodeIsByteStableAndReindexesBareFiles) {
   write_event_log_v2(bare_out, log, ElogV2WriterOptions{false});
   const std::string bare = std::move(bare_out).str();
   ASSERT_NE(indexed, bare);
-  // convert --reindex's core contract: re-encoding a log read from an
+  // convert's core contract: re-encoding a log read from an
   // index-free file produces exactly the indexed bytes, and re-encoding
   // an already-indexed file is byte-stable.
   EXPECT_EQ(v2_bytes(read_event_log_v2(open_bytes(bare))), indexed);

@@ -8,8 +8,8 @@
 #include "dfg/builder.hpp"
 #include "dfg/diff.hpp"
 #include "dfg/stats.hpp"
-#include "dfg/validate.hpp"
 #include "iosim/campaign.hpp"
+#include "paper_oracles.hpp"
 
 namespace st {
 namespace {
@@ -120,8 +120,8 @@ TEST_F(FullScaleFigures, Fig9PartitionClasses) {
 
 TEST_F(FullScaleFigures, GraphInvariantsHoldAtScale) {
   const auto f = model::Mapping::call_site(model::SitePathMap::juwels_like(), 1);
-  EXPECT_TRUE(dfg::validate(dfg::build_serial(cx(), f)).empty());
-  EXPECT_TRUE(dfg::validate(dfg::build_serial(cy(), f)).empty());
+  EXPECT_TRUE(testing::flow_violations(dfg::build_serial(cx(), f)).empty());
+  EXPECT_TRUE(testing::flow_violations(dfg::build_serial(cy(), f)).empty());
 }
 
 TEST_F(FullScaleFigures, DeterministicAcrossRebuilds) {

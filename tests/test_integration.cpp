@@ -10,6 +10,7 @@
 #include "dfg/builder.hpp"
 #include "dfg/render.hpp"
 #include "elog/store.hpp"
+#include "elog/v2_store.hpp"
 #include "iosim/campaign.hpp"
 #include "iosim/commands.hpp"
 #include "model/from_strace.hpp"
@@ -37,9 +38,10 @@ TEST(Integration, LsWorkflowFromDiskFiles) {
 
   // Store in the elog container (the paper's single-HDF5-file step)
   // and read back.
-  std::stringstream elog_buf;
-  elog::write_event_log(elog_buf, log);
-  const auto reloaded = elog::read_event_log(elog_buf);
+  std::ostringstream elog_buf(std::ios::binary);
+  elog::write_event_log_v2(elog_buf, log);
+  const auto reloaded = elog::read_event_log_v2(elog::MappedElog::from_buffer(
+      std::make_shared<strace::TraceBuffer>(std::move(elog_buf).str())));
   EXPECT_EQ(reloaded.case_count(), 6u);
   EXPECT_EQ(reloaded.total_events(), log.total_events());
 
@@ -121,7 +123,7 @@ TEST(Integration, PartitionColoringOnSsfVsFpp) {
 TEST(Integration, ElogFilePersistsCampaign) {
   const auto log = iosim::ssf_fpp_campaign(iosim::CampaignScale::small());
   const std::string path = ::testing::TempDir() + "/campaign.elog";
-  elog::write_event_log_file(path, log);
+  elog::write_event_log_v2_file(path, log);
   const auto reloaded = elog::read_event_log_file(path);
   EXPECT_EQ(reloaded.case_count(), log.case_count());
   EXPECT_EQ(reloaded.total_events(), log.total_events());

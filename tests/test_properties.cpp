@@ -10,8 +10,8 @@
 #include <sstream>
 
 #include "dfg/builder.hpp"
-#include "dfg/validate.hpp"
-#include "elog/store.hpp"
+#include "elog/v2_store.hpp"
+#include "paper_oracles.hpp"
 #include "strace/parser.hpp"
 #include "strace/reader.hpp"
 #include "strace/writer.hpp"
@@ -118,9 +118,10 @@ TEST_P(PipelineProperty, RecordWriterParserRoundTrip) {
 TEST_P(PipelineProperty, ElogRoundTripPreservesEverything) {
   Xoshiro256 rng(GetParam());
   const auto log = random_event_log(rng, 12);
-  std::stringstream buf;
-  elog::write_event_log(buf, log);
-  const auto reloaded = elog::read_event_log(buf);
+  std::ostringstream buf(std::ios::binary);
+  elog::write_event_log_v2(buf, log);
+  const auto reloaded = elog::read_event_log_v2(elog::MappedElog::from_buffer(
+      std::make_shared<strace::TraceBuffer>(std::move(buf).str())));
   ASSERT_EQ(reloaded.case_count(), log.case_count());
   for (std::size_t i = 0; i < log.case_count(); ++i) {
     const auto& a = log.cases()[i];
@@ -139,8 +140,8 @@ TEST_P(PipelineProperty, DfgFlowConservation) {
   for (const auto& f : {model::Mapping::call_only(), model::Mapping::call_top_dirs(2),
                         model::Mapping::call_top_dirs(2).filtered_fp("/p")}) {
     const auto g = dfg::build_serial(log, f);
-    EXPECT_TRUE(dfg::validate(g).empty())
-        << "mapping " << f.name() << ": " << dfg::validate(g).front();
+    EXPECT_TRUE(testing::flow_violations(g).empty())
+        << "mapping " << f.name() << ": " << testing::flow_violations(g).front();
   }
 }
 

@@ -7,7 +7,7 @@
 #include "dfg/builder.hpp"
 #include "dfg/stats.hpp"
 #include "iosim/campaign.hpp"
-#include "model/skew.hpp"
+#include "paper_oracles.hpp"
 #include "support/rng.hpp"
 #include "testing_util.hpp"
 
@@ -16,6 +16,7 @@ namespace {
 
 using testing::ev;
 using testing::make_case;
+using testing::shift_host_clocks;
 
 EventLog two_host_log() {
   EventLog log;
