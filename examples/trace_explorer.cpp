@@ -24,14 +24,13 @@
 // With no positional arguments it demos on the built-in ls / ls -l
 // traces of Fig. 2.
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <iostream>
-#include <optional>
 #include <utility>
 
 #include "corpus/catalog.hpp"
 #include "corpus/serve.hpp"
-#include "dfg/builder.hpp"
 #include "dfg/render.hpp"
 #include "dfg/render_svg.hpp"
 #include "elog/v2_select.hpp"
@@ -133,7 +132,7 @@ int main(int argc, char** argv) {
         // The streaming report covers the whole trace by design; a
         // silently unfiltered report would be worse than an error.
         throw ParseError("--stream-report reports on ALL events; drop --filter/--query (use "
-                         "--render report for a filtered staged report)");
+                         "--render report for a filtered report)");
       }
       ThreadPool pool(cliargs::thread_count(cli));
       pipeline::StreamOptions stream_opts;
@@ -155,12 +154,9 @@ int main(int argc, char** argv) {
       return 0;
     }
     const auto query = query_from_flags(cli);
-    const bool restricted = cli.has("filter") || cli.has("query");
     ThreadPool pool(cliargs::thread_count(cli));
     model::EventLog log;
     std::vector<elog::IndexedSegment> segments;
-    std::optional<dfg::Dfg> streamed_graph;
-    std::optional<dfg::IoStatistics::Partial> streamed_io;
     if (cli.positional().empty()) {
       std::cerr << "(no inputs; demoing on the built-in ls / ls -l traces)\n";
       log = model::EventLog::merge(iosim::make_ls_traces().to_event_log(),
@@ -169,41 +165,28 @@ int main(int argc, char** argv) {
       // The loader serve mode uses too: traces stream through the
       // pipeline (zero-copy mmap parse and record -> Case conversion
       // overlap on the pool), containers open by mmap, and everything
-      // is unioned into one log. When nothing narrows or extends the
-      // traces' log afterwards, the DFG AND the activity statistics
-      // fold in that same pass — no staged post-pass walk of the log.
-      const bool fold_in_pass =
-          !restricted && std::none_of(cli.positional().begin(), cli.positional().end(),
-                                      [](const std::string& p) { return p.ends_with(".elog"); });
-      pipeline::DfgSink graph_sink(f);
-      pipeline::IoStatsSink io_sink(f);
-      std::vector<pipeline::CaseSink*> sinks;
-      if (fold_in_pass) sinks = {&graph_sink, &io_sink};
-      auto loaded = corpus::load_corpus(cli.positional(), pool, cliargs::run_policy(cli), sinks);
+      // is unioned into one log. Every render below folds that log's
+      // cases, whichever kind of input they came from.
+      auto loaded = corpus::load_corpus(cli.positional(), pool, cliargs::run_policy(cli));
       for (const auto& w : loaded.warnings) std::cerr << "warning: " << w << "\n";
       log = std::move(loaded.log);
       segments = std::move(loaded.segments);
-      if (fold_in_pass) {
-        streamed_graph = graph_sink.take_graph();
-        streamed_io = io_sink.take_partial();
-      }
     }
-    if (restricted) {
+    if (cli.has("filter") || cli.has("query")) {
       log = !segments.empty() && elog::query_index_enabled()
                 ? elog::apply_query_indexed(query, log, segments)
                 : query.apply(log);
     }
 
     // -- analyze -----------------------------------------------------
+    // The renders that need no graph and no statistics come first.
     if (cli.has("timeline")) {
       // Allow the literal two-character sequence "\n" on the command line.
       std::string activity = cli.get("timeline");
       if (const auto pos = activity.find("\\n"); pos != std::string::npos) {
         activity.replace(pos, 2, "\n");
       }
-      std::cout << dfg::render_timeline(streamed_io
-                                            ? streamed_io->timeline(activity)
-                                            : dfg::IoStatistics::timeline(log, f, activity));
+      std::cout << dfg::render_timeline(dfg::IoStatistics::timeline(log, f, activity));
       return 0;
     }
 
@@ -211,23 +194,14 @@ int main(int argc, char** argv) {
     if (render == "report") {
       // The serve path's own report function, so the served report
       // bytes and this offline invocation stay cmp-identical.
-      std::cout << corpus::query_report(log, query, f);
+      std::cout << corpus::query_report(log, query, f, &pool);
       return 0;
     }
-    const auto g = streamed_graph ? std::move(*streamed_graph) : dfg::build_serial(log, f);
-    const auto stats = streamed_io ? streamed_io->finalize() : dfg::IoStatistics::compute(log, f);
-    dfg::RenderOptions opts;
-    opts.show_ranks = cli.get_bool("ranks");
-    const dfg::StatisticsColoring styler(stats);
-    if (render == "dot") {
-      std::cout << dfg::render_dot(g, &stats, &styler, opts);
-    } else if (render == "svg") {
-      std::cout << dfg::render_svg(g, &stats, &styler);
-    } else if (render == "summary") {
-      std::cout << model::render_case_summaries(model::summarize_cases(log, pool));
-    } else if (render == "ascii") {
-      std::cout << dfg::render_ascii(g, &stats, &styler, opts);
-    } else if (render == "variants") {
+    if (render == "summary") {
+      std::cout << model::render_case_summaries(model::summarize_cases(log));
+      return 0;
+    }
+    if (render == "variants") {
       const auto al = model::ActivityLog::build(log, f);
       for (const auto& [trace, mult] : al.variants()) {
         std::cout << "x" << mult << ": <";
@@ -240,6 +214,23 @@ int main(int argc, char** argv) {
         }
         std::cout << ">\n";
       }
+      return 0;
+    }
+    pipeline::DfgSink graph_sink(f);
+    pipeline::IoStatsSink io_sink(f);
+    const std::array<pipeline::CaseSink*, 2> sinks{&graph_sink, &io_sink};
+    pipeline::fold_cases(log.cases(), sinks, &pool);
+    const auto g = graph_sink.take_graph();
+    const auto stats = io_sink.finalize();
+    dfg::RenderOptions opts;
+    opts.show_ranks = cli.get_bool("ranks");
+    const dfg::StatisticsColoring styler(stats);
+    if (render == "dot") {
+      std::cout << dfg::render_dot(g, &stats, &styler, opts);
+    } else if (render == "svg") {
+      std::cout << dfg::render_svg(g, &stats, &styler);
+    } else if (render == "ascii") {
+      std::cout << dfg::render_ascii(g, &stats, &styler, opts);
     } else if (render == "stats") {
       for (const auto& [a, s] : stats.per_activity()) {
         std::string flat = a;

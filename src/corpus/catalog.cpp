@@ -13,8 +13,7 @@
 namespace st::corpus {
 
 LoadedCorpus load_corpus(const std::vector<std::string>& inputs, ThreadPool& pool,
-                         const RunPolicy& policy,
-                         std::span<pipeline::CaseSink* const> trace_sinks) {
+                         const RunPolicy& policy) {
   std::vector<std::string> elogs;
   std::vector<std::string> traces;
   for (const auto& p : inputs) {
@@ -24,7 +23,7 @@ LoadedCorpus load_corpus(const std::vector<std::string>& inputs, ThreadPool& poo
   if (!traces.empty()) {
     pipeline::StreamOptions stream_opts;
     static_cast<RunPolicy&>(stream_opts) = policy;
-    out.log = pipeline::run(traces, pool, trace_sinks, stream_opts);
+    out.log = pipeline::run(traces, pool, {}, stream_opts);
   }
   out.warnings = out.log.warnings();
   for (const auto& p : elogs) {
@@ -56,9 +55,9 @@ report::ReportOptions query_report_options(const model::Query& q, const model::M
 }
 
 std::string query_report(const model::EventLog& view, const model::Query& q,
-                         const model::Mapping& f) {
+                         const model::Mapping& f, ThreadPool* pool) {
   const auto opts = query_report_options(q, f);
-  const auto data = report::report_data(view, f, opts);
+  const auto data = report::report_data(view, f, opts, pool);
   const dfg::StatisticsColoring styler(data.stats);
   return report::render_report(data, f, &styler, opts);
 }

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -49,10 +48,6 @@
 #include "parallel/thread_pool.hpp"
 #include "report/report.hpp"
 #include "support/run_policy.hpp"
-
-namespace st::pipeline {
-class CaseSink;
-}  // namespace st::pipeline
 
 namespace st::corpus {
 
@@ -94,13 +89,12 @@ struct LoadedCorpus {
 
 /// The one loader behind Catalog::load and trace_explorer's positional
 /// inputs: .elog containers and cid_host_rid.st trace files mix
-/// freely. Traces stream through pipeline::run on `pool` (folding
-/// `trace_sinks` on the same pass), then containers merge in input
-/// order. `policy.keep_going` quarantines CRC-failing container cases
-/// and skips unreadable containers with a warning.
+/// freely. Traces stream through pipeline::run on `pool`, then
+/// containers merge in input order. `policy.keep_going` quarantines
+/// CRC-failing container cases and skips unreadable containers with a
+/// warning.
 [[nodiscard]] LoadedCorpus load_corpus(const std::vector<std::string>& inputs, ThreadPool& pool,
-                                       const RunPolicy& policy,
-                                       std::span<pipeline::CaseSink* const> trace_sinks = {});
+                                       const RunPolicy& policy);
 
 /// The ReportOptions of a query-driven report — ONE place, so the
 /// serve path and trace_explorer's offline --render report produce
@@ -108,12 +102,16 @@ struct LoadedCorpus {
 [[nodiscard]] report::ReportOptions query_report_options(const model::Query& q,
                                                          const model::Mapping& f);
 
-/// The HTML report of a query's filtered `view`: report_data once, a
-/// StatisticsColoring of its statistics, render_report with
+/// The HTML report of a query's filtered `view`: the report's sinks
+/// folded over its cases (report::report_data on `pool`, inline when
+/// null), a StatisticsColoring of the statistics, render_report with
 /// query_report_options — the one definition behind the served
-/// `report` verb and trace_explorer's --render report.
+/// `report` verb and trace_explorer's --render report. The bytes do not
+/// depend on the pool. Catalog misses pass none: under serve_forever a
+/// miss already runs on a pool worker, and a fold that waited on its
+/// own pool could starve it.
 [[nodiscard]] std::string query_report(const model::EventLog& view, const model::Query& q,
-                                       const model::Mapping& f);
+                                       const model::Mapping& f, ThreadPool* pool = nullptr);
 
 class Catalog {
  public:

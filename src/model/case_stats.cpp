@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "model/query.hpp"
-#include "parallel/algorithms.hpp"
-#include "parallel/thread_pool.hpp"
 #include "support/si.hpp"
 
 namespace st::model {
@@ -45,26 +43,6 @@ std::vector<CaseSummary> summarize_cases(const EventLog& log) {
   CaseSummaries acc;
   acc.summaries.reserve(log.case_count());
   for (const Case& c : log.cases()) acc.add(c);
-  return std::move(acc.summaries);
-}
-
-std::vector<CaseSummary> summarize_cases(const EventLog& log, ThreadPool& pool) {
-  const std::span<const Case> cases = log.cases();
-  // Chunked map-reduce over the CaseSummaries monoid: chunks fold
-  // left-to-right, so the output order is the case order — identical
-  // to the serial overload.
-  CaseSummaries acc = map_reduce(
-      pool, cases.size(), CaseSummaries{},
-      [&cases](std::size_t lo, std::size_t hi) {
-        CaseSummaries partial;
-        partial.summaries.reserve(hi - lo);
-        for (std::size_t i = lo; i < hi; ++i) partial.add(cases[i]);
-        return partial;
-      },
-      [](CaseSummaries a, CaseSummaries b) {
-        a.merge(std::move(b));
-        return a;
-      });
   return std::move(acc.summaries);
 }
 

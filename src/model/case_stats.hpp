@@ -10,10 +10,6 @@
 
 #include "model/event_log.hpp"
 
-namespace st {
-class ThreadPool;
-}
-
 namespace st::model {
 
 struct CaseSummary {
@@ -37,11 +33,10 @@ struct CaseSummary {
 [[nodiscard]] CaseSummary summarize_case(const Case& c);
 
 /// Monoid-shaped accumulator of case summaries: the per-case
-/// summarize + input-order merge core every consumer — the serial
-/// overload, the pooled map-reduce overload and the streaming
-/// pipeline's CaseStatsSink — is built from. Summaries appear in
-/// add()/merge() call order, so folding cases in input order
-/// reproduces the serial summarize_cases byte for byte.
+/// summarize + input-order merge core both consumers — summarize_cases
+/// and the pipeline's CaseStatsSink — are built from. Summaries appear
+/// in add()/merge() call order, so folding cases in input order
+/// reproduces summarize_cases byte for byte.
 struct CaseSummaries {
   std::vector<CaseSummary> summaries;
 
@@ -54,10 +49,6 @@ struct CaseSummaries {
 
 /// One summary per case, in the log's case order.
 [[nodiscard]] std::vector<CaseSummary> summarize_cases(const EventLog& log);
-
-/// Same summaries in the same order, with per-case work fanned out
-/// over `pool` (chunked map-reduce over the CaseSummaries monoid).
-[[nodiscard]] std::vector<CaseSummary> summarize_cases(const EventLog& log, ThreadPool& pool);
 
 /// Text table of the summaries (deterministic; one row per case).
 [[nodiscard]] std::string render_case_summaries(const std::vector<CaseSummary>& summaries);

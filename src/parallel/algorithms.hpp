@@ -1,10 +1,11 @@
 // Parallel bulk algorithms on top of ThreadPool.
 //
 //  - parallel_for: static chunking of an index range,
-//  - parallel_map: element-wise transform preserving input order,
-//  - map_reduce: per-chunk map + associative reduce; this is exactly the
-//    shape used for scalable DFG construction (per-case graphs merged
-//    with an abelian fold, refs [24][25] of the paper).
+//  - parallel_map: element-wise transform preserving input order.
+//
+// The per-chunk fold + ordered merge of the DFG construction (per-case
+// graphs merged with an abelian fold, refs [24][25] of the paper) is
+// pipeline::fold_cases, over the analytics sinks.
 //
 // Exception contract: every task is always awaited before an exception
 // propagates, and the exception rethrown on the calling thread is the
@@ -35,23 +36,6 @@ namespace detail {
 
 /// Waits for every future, then rethrows the exception of the earliest
 /// chunk that failed (futures are in chunk order).
-template <class R>
-std::vector<R> await_all(std::vector<std::future<R>>& futures) {
-  std::vector<R> results;
-  results.reserve(futures.size());
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      results.push_back(f.get());
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-      results.emplace_back();  // placeholder keeps chunk indices aligned
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  return results;
-}
-
 inline void await_all(std::vector<std::future<void>>& futures) {
   std::exception_ptr first_error;
   for (auto& f : futures) {
@@ -95,29 +79,6 @@ auto parallel_map(ThreadPool& pool, const std::vector<T>& in, Fn fn)
   std::vector<R> out(in.size());
   parallel_for(pool, 0, in.size(), [&](std::size_t i) { out[i] = fn(in[i]); });
   return out;
-}
-
-/// Chunked map-reduce. `map` produces an accumulator from a [lo, hi)
-/// sub-range of indices; `reduce(a, b)` folds two accumulators and must
-/// be associative. The fold order over chunks is deterministic
-/// (left-to-right over the chunk index) so commutativity is NOT required.
-template <class Acc, class MapFn, class ReduceFn>
-Acc map_reduce(ThreadPool& pool, std::size_t n, Acc identity, MapFn map, ReduceFn reduce) {
-  if (n == 0) return identity;
-  const std::size_t chunks = default_chunks(pool, n);
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  std::vector<std::future<Acc>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = c * chunk_size;
-    if (lo >= n) break;
-    const std::size_t hi = std::min(n, lo + chunk_size);
-    futures.push_back(pool.submit([lo, hi, &map] { return map(lo, hi); }));
-  }
-  std::vector<Acc> partials = detail::await_all(futures);
-  Acc acc = std::move(identity);
-  for (auto& p : partials) acc = reduce(std::move(acc), std::move(p));
-  return acc;
 }
 
 }  // namespace st

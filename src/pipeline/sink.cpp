@@ -1,14 +1,19 @@
 #include "pipeline/sink.hpp"
 
+#include <malloc.h>
+
+#include <algorithm>
 #include <cstddef>
 #include <exception>
 #include <future>
 #include <limits>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "dfg/builder.hpp"
 #include "model/from_strace.hpp"
+#include "parallel/algorithms.hpp"
 #include "parallel/stage_queue.hpp"
 #include "parallel/thread_pool.hpp"
 #include "strace/filename.hpp"
@@ -318,6 +323,40 @@ model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
                     DataHealth* health) {
   return run(paths, pool, std::span<CaseSink* const>(sinks.begin(), sinks.size()), opts,
              health);
+}
+
+void fold_cases(std::span<const model::Case> cases, std::span<CaseSink* const> sinks,
+                ThreadPool* pool) {
+  // One chunk inline; on a pool, parallel_for's chunk count.
+  const std::size_t target = pool == nullptr ? 1 : default_chunks(*pool, cases.size());
+  const std::size_t per = std::max<std::size_t>(1, (cases.size() + target - 1) / target);
+  std::vector<std::vector<std::unique_ptr<SinkPartial>>> parts((cases.size() + per - 1) / per);
+  // The cases' owner holds their storage; there is nothing to adopt.
+  const std::shared_ptr<strace::StringArena> no_arena;
+  const std::shared_ptr<strace::TraceBuffer> no_buffer;
+  const auto fold_chunk = [&](std::size_t k) {
+    FAULT_POINT("sink.fold");
+    for (CaseSink* sink : sinks) parts[k].push_back(sink->make_partial());
+    for (const model::Case& c : cases.subspan(k * per, std::min(per, cases.size() - k * per))) {
+      const CaseContext ctx{c, no_arena, no_buffer};
+      for (std::size_t s = 0; s < sinks.size(); ++s) sinks[s]->fold(*parts[k][s], ctx);
+    }
+  };
+  if (pool == nullptr) {
+    for (std::size_t k = 0; k < parts.size(); ++k) fold_chunk(k);
+  } else {
+    // The workers allocate their partials from their own malloc arenas,
+    // which cannot reuse the pages the caller's arena has free (a
+    // loader's transient copies, say); hand those back first, so the
+    // partials do not stack on top of them in resident memory.
+    malloc_trim(0);
+    // Awaits every chunk; the lowest failing chunk's error propagates.
+    parallel_for(*pool, 0, parts.size(), fold_chunk);
+  }
+  // Only now, with every chunk folded: a failing fold merges nothing.
+  for (auto& partials : parts) {
+    for (std::size_t s = 0; s < sinks.size(); ++s) sinks[s]->merge(std::move(partials[s]));
+  }
 }
 
 // ---- DfgSink -----------------------------------------------------------

@@ -44,6 +44,14 @@
 //   st::model::EventLog log =
 //       st::pipeline::run(paths, pool, {&graph, &stats, &variants});
 //   use(graph.take_graph(), stats.take_summaries(), variants.take_variants());
+//
+//   // Cases already in a log (a container's, a query's view): the same
+//   // sinks, folded in chunks on the pool (inline with a null pool).
+//   st::pipeline::DfgSink g(f);
+//   st::pipeline::IoStatsSink io(f);
+//   const std::array<st::pipeline::CaseSink*, 2> sinks{&g, &io};
+//   st::pipeline::fold_cases(log.cases(), sinks, &pool);
+//   use(g.take_graph(), io.finalize());
 #pragma once
 
 #include <cstddef>
@@ -168,6 +176,16 @@ class CaseSink {
 [[nodiscard]] model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
                                   std::initializer_list<CaseSink*> sinks,
                                   const StreamOptions& opts = {}, DataHealth* health = nullptr);
+
+/// Folds cases already in memory into every sink: contiguous chunks on
+/// `pool` (one chunk inline when it is null), one partial per sink per
+/// chunk, merged in chunk order on the calling thread — the output is
+/// the staged computation's at any worker count. fold() sees a null
+/// arena and buffer: the cases' owner keeps their storage alive. run()'s
+/// error contract: every chunk is awaited, the lowest chunk's error is
+/// rethrown and no sink sees a merge. Not callable from a task on `pool`.
+void fold_cases(std::span<const model::Case> cases, std::span<CaseSink* const> sinks,
+                ThreadPool* pool);
 
 // ---- the analytics, re-expressed as sinks ------------------------------
 

@@ -1,9 +1,9 @@
 #include "report/report.hpp"
 
 #include <algorithm>
+#include <array>
 #include <fstream>
 
-#include "dfg/builder.hpp"
 #include "dfg/render.hpp"
 #include "dfg/render_svg.hpp"
 #include "support/errors.hpp"
@@ -158,17 +158,21 @@ std::string render_report(const ReportData& data, const model::Mapping& f,
 }
 
 ReportData report_data(const model::EventLog& log, const model::Mapping& f,
-                       const ReportOptions& opts) {
+                       const ReportOptions& opts, ThreadPool* pool) {
+  pipeline::DfgSink graph(f);
+  pipeline::CaseStatsSink cases;
+  pipeline::IoStatsSink io(f);
+  pipeline::EdgeStatsSink edges(f);
+  const std::array<pipeline::CaseSink*, 4> sinks{&graph, &cases, &io, &edges};
+  pipeline::fold_cases(log.cases(), sinks, pool);
   ReportData data;
-  data.graph = dfg::build_serial(log, f);
-  data.stats = dfg::IoStatistics::compute(log, f);
-  data.edge_stats = dfg::EdgeStatistics::compute(log, f);
-  data.case_summaries = model::summarize_cases(log);
+  data.graph = graph.take_graph();
+  data.stats = io.finalize();
+  data.edge_stats = edges.finalize();
+  data.case_summaries = cases.take_summaries();
   data.case_count = log.case_count();
   data.total_events = log.total_events();
-  if (opts.timeline_activity) {
-    data.timeline = dfg::IoStatistics::timeline(log, f, *opts.timeline_activity);
-  }
+  if (opts.timeline_activity) data.timeline = io.partial().timeline(*opts.timeline_activity);
   return data;
 }
 

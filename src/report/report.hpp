@@ -12,22 +12,21 @@
 //
 // Everything is embedded: one .html file, no external assets.
 //
-// Two ways to fill its ReportData:
-//   - report_data(log, ...): the staged path — computes every section
-//     from a materialized EventLog (build_report, the served and
-//     trace_explorer query reports; the oracle the tests hold the
-//     folded path to);
-//   - render_sharded_report(analytics, ...): the folded path — renders
-//     merged pipeline::ShardPartial "report partials". Every section —
-//     graph, case table, variants, activity and edge statistics,
-//     timeline — was folded on the pool WHILE the trace files parsed
-//     (pipeline::fold_report), and the doubles still match compute()
-//     bit for bit thanks to the deterministic summation tree in
-//     dfg/stats.hpp. streaming_report is this path over a single
-//     in-process fold; fold-shard / merge-partials / report-sharded are
-//     it over many.
-// Both render through render_report, so a section looks identical no
-// matter which path produced it.
+// One way to fill its ReportData: the report's sinks (pipeline/sink.hpp)
+// folded over cases, from one of two case sources —
+//   - report_data(log, ..., pool): an EventLog's cases, folded in
+//     contiguous chunks on the caller's pool (pipeline::fold_cases) —
+//     build_report, the served and trace_explorer query reports;
+//   - render_sharded_report(analytics, ...): trace files, folded on the
+//     pool WHILE they parse (pipeline::fold_report) and merged from
+//     pipeline::ShardPartial "report partials" — streaming_report is
+//     this over a single in-process fold; fold-shard / merge-partials /
+//     report-sharded are it over many. This source also renders the
+//     variants and data-health sections.
+// The doubles match the staged IoStatistics::compute bit for bit at any
+// chunking, thanks to the deterministic summation tree in dfg/stats.hpp,
+// and both sources render through render_report, so a section looks
+// identical no matter which source produced it.
 #pragma once
 
 #include <optional>
@@ -87,10 +86,12 @@ struct ReportData {
 [[nodiscard]] std::string render_report(const ReportData& data, const model::Mapping& f,
                                         const dfg::Styler* styler, const ReportOptions& opts = {});
 
-/// Computes the ReportData of a materialized log: every section but
-/// variants and data health.
+/// Computes the ReportData of a materialized log — every section but
+/// variants and data health — in one fold of the report's sinks over
+/// its cases: on `pool`, or inline when it is null. The bytes do not
+/// depend on the pool.
 [[nodiscard]] ReportData report_data(const model::EventLog& log, const model::Mapping& f,
-                                     const ReportOptions& opts = {});
+                                     const ReportOptions& opts = {}, ThreadPool* pool = nullptr);
 
 /// Builds the full report from a materialized log: render_report over
 /// report_data. `styler` may be null (uncolored DFG).
@@ -114,8 +115,8 @@ struct StreamingReport {
 /// same pool, and the one resulting partial renders through
 /// render_sharded_report(finalize_shards({partial})) — so this IS the
 /// one-shard sharded report. Compared to build_report over a
-/// pipeline::run log, this removes the ingestion barrier plus every
-/// post-hoc walk, and adds the variants and data-health sections.
+/// pipeline::run log, this removes the ingestion barrier plus the
+/// post-hoc fold, and adds the variants and data-health sections.
 /// `extra_sinks` ride the same pass after the report's own sinks —
 /// elog_tool import hangs its ElogV2WriterSink here, so one streamed
 /// pass yields both the report and the container.
@@ -126,10 +127,10 @@ struct StreamingReport {
                                                std::span<pipeline::CaseSink* const> extra_sinks = {});
 
 /// Renders the report from merged shard analytics (pipeline::run_sharded
-/// or finalize_shards over decoded fold-shard blobs), statistics-colored;
-/// the only place a ReportData is filled from sink output. Because the
-/// shard merge is the same monoid fold one streamed pass runs, the HTML
-/// is BYTE-identical at any shard count — `cmp` is the acceptance test.
+/// or finalize_shards over decoded fold-shard blobs), statistics-colored.
+/// Because the shard merge is the same monoid fold one streamed pass
+/// runs, the HTML is BYTE-identical at any shard count — `cmp` is the
+/// acceptance test.
 /// `f` must be the mapping the shards folded with (by short name).
 [[nodiscard]] std::string render_sharded_report(const pipeline::ShardedAnalytics& analytics,
                                                 const model::Mapping& f,

@@ -1,5 +1,6 @@
 // Reference checks for two of the paper's claims, shared by the
-// figure, property and clock-skew suites.
+// figure, property and clock-skew suites, and the staged report oracle
+// the report suites hold the folded report to.
 //
 // flow_violations: any graph produced by build_serial, a sink fold or
 // a merge satisfies flow conservation — every activity node is entered
@@ -19,6 +20,11 @@
 // per-host offset to every event's start timestamp (durations
 // untouched), producing the log an unsynchronized cluster would have
 // recorded, so the claim can be asserted on the shifted log.
+//
+// staged_report_data: a report's sections computed the staged way, one
+// serial pass per section (Sec. V step 3's DFG, Sec. IV-B's activity
+// statistics, the edge gaps, the case table) — what report_data's one
+// fold of the report's sinks must reproduce field by field.
 #pragma once
 
 #include <map>
@@ -26,8 +32,14 @@
 #include <utility>
 #include <vector>
 
+#include "dfg/builder.hpp"
 #include "dfg/dfg.hpp"
+#include "dfg/edge_stats.hpp"
+#include "dfg/stats.hpp"
+#include "model/case_stats.hpp"
 #include "model/event_log.hpp"
+#include "model/mapping.hpp"
+#include "report/report.hpp"
 
 namespace st::testing {
 
@@ -85,6 +97,23 @@ inline model::EventLog shift_host_clocks(const model::EventLog& log,
     out.add_case(model::Case(c.id(), std::move(events)));
   }
   return out;
+}
+
+/// The staged ReportData of `log`: every section but variants and
+/// data health, each from its own pass over the log.
+inline report::ReportData staged_report_data(const model::EventLog& log, const model::Mapping& f,
+                                             const report::ReportOptions& opts = {}) {
+  report::ReportData data;
+  data.graph = dfg::build_serial(log, f);
+  data.stats = dfg::IoStatistics::compute(log, f);
+  data.edge_stats = dfg::EdgeStatistics::compute(log, f);
+  data.case_summaries = model::summarize_cases(log);
+  data.case_count = log.case_count();
+  data.total_events = log.total_events();
+  if (opts.timeline_activity) {
+    data.timeline = dfg::IoStatistics::timeline(log, f, *opts.timeline_activity);
+  }
+  return data;
 }
 
 }  // namespace st::testing

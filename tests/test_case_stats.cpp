@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "iosim/commands.hpp"
-#include "parallel/thread_pool.hpp"
 #include "testing_util.hpp"
 
 namespace st::model {
@@ -64,31 +63,6 @@ TEST(CaseStats, RenderIsDeterministicTable) {
   EXPECT_NE(text.find("a_host1_1"), std::string::npos);
   EXPECT_NE(text.find("b_host1_2"), std::string::npos);
   EXPECT_NE(text.find("events"), std::string::npos);
-}
-
-TEST(CaseStats, ParallelSummariesIdenticalToSerial) {
-  EventLog log = sample();
-  for (int i = 0; i < 10; ++i) {
-    log.add_case(make_case("bulk", 10 + i,
-                           {ev("read", "/p/f", i, 3, 256), ev("write", "/p/f", i + 5, 4, 128),
-                            ev("openat", "/p/f", i + 9, 1)}));
-  }
-  ThreadPool pool(3);
-  const auto serial = summarize_cases(log);
-  const auto parallel = summarize_cases(log, pool);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(parallel[i].id, serial[i].id) << i;
-    EXPECT_EQ(parallel[i].events, serial[i].events) << i;
-    EXPECT_EQ(parallel[i].calls, serial[i].calls) << i;
-    EXPECT_EQ(parallel[i].bytes_read, serial[i].bytes_read) << i;
-    EXPECT_EQ(parallel[i].bytes_written, serial[i].bytes_written) << i;
-    EXPECT_EQ(parallel[i].total_dur, serial[i].total_dur) << i;
-    EXPECT_EQ(parallel[i].first_start, serial[i].first_start) << i;
-    EXPECT_EQ(parallel[i].last_end, serial[i].last_end) << i;
-  }
-  // The rendered table is byte-identical, too.
-  EXPECT_EQ(render_case_summaries(parallel), render_case_summaries(serial));
 }
 
 TEST(CaseStats, LsTracesMatchFig2Totals) {

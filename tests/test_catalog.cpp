@@ -7,8 +7,8 @@
 //   - hit/miss/evict semantics of the LRU memo table, including
 //     single-flight deduplication under a stampede;
 //   - cached artifacts are byte-identical to uncached recomputation
-//     and to the staged oracle (build_report with the shared
-//     query_report_options);
+//     and to the staged oracle (testing::staged_report_data rendered
+//     with the shared query_report_options);
 //   - concurrent lookup/evict/insert is clean (this test is in the
 //     TSan job's target list);
 //   - handle_request/serve_lines: canonical echo, payload framing,
@@ -34,6 +34,7 @@
 #include "dfg/coloring.hpp"
 #include "elog/v2_store.hpp"
 #include "model/query.hpp"
+#include "paper_oracles.hpp"
 #include "parallel/thread_pool.hpp"
 #include "pipeline/sink.hpp"
 #include "report/report.hpp"
@@ -182,14 +183,13 @@ TEST_F(CatalogTest, CachedArtifactsMatchUncachedRecomputation) {
   auto cold = make_catalog();
   EXPECT_EQ(*cold.report_html(q), *cached_first);
 
-  // And the staged oracle: build_report over Query::apply with the
-  // shared options — what query_report must reproduce.
+  // And the staged oracle over Query::apply with the shared options —
+  // what query_report's fold must reproduce.
   const auto view = q.apply(*cold.base());
-  const auto stats = dfg::IoStatistics::compute(view, cold.mapping());
-  const dfg::StatisticsColoring styler(stats);
-  const auto offline =
-      report::build_report(view, cold.mapping(), &styler, query_report_options(q, cold.mapping()));
-  EXPECT_EQ(offline, *cached_first);
+  const auto opts = query_report_options(q, cold.mapping());
+  const auto data = testing::staged_report_data(view, cold.mapping(), opts);
+  const dfg::StatisticsColoring styler(data.stats);
+  EXPECT_EQ(report::render_report(data, cold.mapping(), &styler, opts), *cached_first);
 }
 
 TEST_F(CatalogTest, SingleFlightUnderStampede) {

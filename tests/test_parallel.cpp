@@ -189,42 +189,5 @@ TEST(ParallelMap, PreservesOrder) {
   for (std::size_t i = 0; i < in.size(); ++i) EXPECT_EQ(out[i], static_cast<int>(i) * 2);
 }
 
-TEST(MapReduce, SumsChunks) {
-  ThreadPool pool(4);
-  const std::size_t n = 10000;
-  const auto total = map_reduce(
-      pool, n, std::int64_t{0},
-      [](std::size_t lo, std::size_t hi) {
-        std::int64_t s = 0;
-        for (std::size_t i = lo; i < hi; ++i) s += static_cast<std::int64_t>(i);
-        return s;
-      },
-      [](std::int64_t a, std::int64_t b) { return a + b; });
-  EXPECT_EQ(total, static_cast<std::int64_t>(n) * (n - 1) / 2);
-}
-
-TEST(MapReduce, EmptyReturnsIdentity) {
-  ThreadPool pool(2);
-  const auto v = map_reduce(
-      pool, 0, 123, [](std::size_t, std::size_t) { return 0; },
-      [](int a, int b) { return a + b; });
-  EXPECT_EQ(v, 123);
-}
-
-TEST(MapReduce, NonCommutativeReduceIsOrdered) {
-  // The fold must be left-to-right over chunks: string concatenation
-  // of chunk ranges must reproduce the full sequence in order.
-  ThreadPool pool(4);
-  const auto s = map_reduce(
-      pool, 26, std::string{},
-      [](std::size_t lo, std::size_t hi) {
-        std::string part;
-        for (std::size_t i = lo; i < hi; ++i) part.push_back(static_cast<char>('a' + i));
-        return part;
-      },
-      [](std::string a, const std::string& b) { return std::move(a) + b; });
-  EXPECT_EQ(s, "abcdefghijklmnopqrstuvwxyz");
-}
-
 }  // namespace
 }  // namespace st

@@ -9,6 +9,7 @@
 #include "iosim/campaign.hpp"
 #include "iosim/commands.hpp"
 #include "model/from_strace.hpp"
+#include "paper_oracles.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/errors.hpp"
 #include "support/timeparse.hpp"
@@ -154,21 +155,20 @@ TEST_F(StreamingReportTest, SinglePassReportHasEverySectionPlusVariants) {
 
 TEST_F(StreamingReportTest, SectionsMatchTheStagedReport) {
   // The sink-produced sections (graph SVG, case table, metadata) must
-  // render byte-identically to build_report over the same log; the
-  // streaming report only ADDS the variants section and the
-  // statistics coloring.
+  // render byte-identically to the staged oracle over the same log; the
+  // streaming report only ADDS the variants and data-health sections.
   const auto f = model::Mapping::call_top_dirs(2);
   ThreadPool pool(2);
   const auto streamed = streaming_report(paths_, f, pool);
 
   const auto log = model::event_log_from_files(paths_, 1);
-  const auto stats = dfg::IoStatistics::compute(log, f);
-  const dfg::StatisticsColoring styler(stats);
-  const auto staged = build_report(log, f, &styler);
+  const auto data = testing::staged_report_data(log, f);
+  const dfg::StatisticsColoring styler(data.stats);
+  const auto staged = render_report(data, f, &styler);
 
   // Identical up to the streaming-only sections: the streamed html with
   // the "Trace variants" and "Data health" sections cut out equals the
-  // staged html (build_report never has a DataHealth to render).
+  // staged html (the staged oracle has no DataHealth to render).
   std::string stripped = streamed.html;
   for (const char* heading : {"<h2>Trace variants</h2>", "<h2>Data health</h2>"}) {
     const auto begin = stripped.find(heading);
