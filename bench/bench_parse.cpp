@@ -146,7 +146,7 @@ void BM_ReadTraceMixed(benchmark::State& state) {
 BENCHMARK(BM_ReadTraceMixed)->Range(1 << 14, 1 << 17);
 
 /// Runs the streamed reader over `buffers` and waits for every file:
-/// the results in input order, as the pipeline's stage A hands them on.
+/// the results in input order.
 std::vector<strace::ReadResult> read_streamed(
     std::vector<std::shared_ptr<strace::TraceBuffer>> buffers,
     const strace::ParallelReadOptions& opts) {

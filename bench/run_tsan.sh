@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
 # Sibling of run_sanitize.sh: builds the ThreadSanitizer preset and
-# race-checks the concurrency-dense handoff code — the streamed
-# reader's (file, chunk) work queue (test_parallel_reader,
-# test_ingest_mixed), the StageQueue / ThreadPool pipeline
-# (test_stage_queue, test_pipeline_stream, test_pipeline_sinks) plus
-# the sink partials and shard coordinator (test_stats_sinks,
-# test_shard; elog_tool is built so the posix_spawn subprocess tests
-# run instead of skipping) plus the supervisor's kill/retry path under
-# injected faults (test_faults) and the serve-mode catalog
-# (test_catalog: single-flight stampedes and concurrent mixed access
-# against the LRU memo table). ASan proves the pipeline's lifetime
-# story; this proves its synchronization story. CI runs the same
-# selection in the tsan job.
+# race-checks the concurrency-dense code — the streamed reader's
+# (file, chunk) work queue (test_parallel_reader, test_ingest_mixed),
+# pipeline::run's per-file convert and sink folds on the parsing pool
+# thread (test_pipeline_stream, test_pipeline_sinks) plus the sink
+# partials and shard coordinator (test_stats_sinks, test_shard;
+# elog_tool is built so the posix_spawn subprocess tests run instead of
+# skipping) plus the supervisor's kill/retry path under injected faults
+# (test_faults), the serve-mode catalog (test_catalog: single-flight
+# stampedes and concurrent mixed access against the LRU memo table) and
+# pipeline::fold_cases' chunk folds on the pool (test_log_fold). ASan
+# proves the pipeline's lifetime story; this proves its
+# synchronization story. CI's tsan job runs the same --target and -R
+# lists.
 #
 #   bench/run_tsan.sh [build-dir]
 #
@@ -26,13 +27,13 @@ cmake -S "$repo_root" -B "$build_dir" \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "$build_dir" -j "$(nproc)" \
-  --target test_parallel_reader test_ingest_mixed test_stage_queue \
+  --target test_parallel_reader test_ingest_mixed \
   test_pipeline_stream test_pipeline_sinks test_stats_sinks test_shard \
-  test_faults test_catalog elog_tool
+  test_faults test_catalog test_log_fold elog_tool
 
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ctest --test-dir "$build_dir" \
-  -R 'test_parallel_reader|test_ingest_mixed|test_stage_queue|test_pipeline_stream|test_pipeline_sinks|test_stats_sinks|test_shard|test_faults|test_catalog' \
+  -R 'test_parallel_reader|test_ingest_mixed|test_pipeline_stream|test_pipeline_sinks|test_stats_sinks|test_shard|test_faults|test_catalog|test_log_fold' \
   --output-on-failure
 
 echo "tsan suite passed"

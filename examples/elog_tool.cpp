@@ -238,11 +238,11 @@ int main(int argc, char** argv) {
                 << " events; wrote " << args[1] << "\n";
     } else if (command == "import") {
       // strace text -> elog container, through the streaming pipeline:
-      // zero-copy mmap parse and record -> Case conversion overlap on
-      // one pool (cid_host_rid.st naming required). The container is
-      // written by a sink ON that pass — cases stream into the file as
-      // they convert, byte-identical to a staged write at any worker
-      // count.
+      // zero-copy mmap parse on one pool, each file converted to a Case
+      // on the thread that finished its parse (cid_host_rid.st naming
+      // required). The container is written by a sink ON that pass —
+      // cases stream into the file as they convert, byte-identical to a
+      // staged write at any worker count.
       if (args.size() < 3) throw ParseError("import takes an output and >= 1 trace files");
       const std::vector<std::string> files(args.begin() + 2, args.end());
       ThreadPool pool(cliargs::thread_count(cli));

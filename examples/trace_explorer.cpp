@@ -163,8 +163,8 @@ int main(int argc, char** argv) {
                                    iosim::make_ls_l_traces().to_event_log());
     } else {
       // The loader serve mode uses too: traces stream through the
-      // pipeline (zero-copy mmap parse and record -> Case conversion
-      // overlap on the pool), containers open by mmap, and everything
+      // pipeline (zero-copy mmap parse on the pool, each file converted
+      // on the thread that finished its parse), containers open by mmap, and everything
       // is unioned into one log. Every render below folds that log's
       // cases, whichever kind of input they came from.
       auto loaded = corpus::load_corpus(cli.positional(), pool, cliargs::run_policy(cli));

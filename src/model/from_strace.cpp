@@ -50,9 +50,8 @@ Case case_from_records(const strace::TraceFileId& id,
 
 EventLog event_log_from_files(const std::vector<std::string>& paths, std::size_t threads) {
   // pipeline::run with no sinks: each file's record -> Case conversion
-  // is enqueued the moment that file's parse chunks finish folding, so
-  // parse and convert overlap on one pool; name validation and error
-  // determinism live in the pipeline core.
+  // runs on the pool thread that finished that file's parse; name
+  // validation and error determinism live in the pipeline core.
   ThreadPool pool(threads);
   return pipeline::run(paths, pool, {});
 }

@@ -49,10 +49,9 @@ namespace st::model {
 /// pipeline (pipeline::run): files are mmapped and parsed with
 /// mixed per-file + intra-file parallelism over `threads` workers
 /// (0 = hardware concurrency), and each file's record -> Case
-/// conversion is enqueued on the same pool the moment that file's
-/// parse chunks finish folding (per-task arenas adopted into the log),
-/// so parse and convert overlap while case order, event order and
-/// warning order stay identical to a single-worker build. Reader
+/// conversion runs on the pool thread that finished that file's parse
+/// (per-file arenas adopted into the log), while case order, event
+/// order and warning order stay identical to a single-worker build. Reader
 /// warnings land in EventLog::warnings() deterministically ordered by
 /// file then line, with identical consecutive messages collapsed to
 /// the first occurrence.

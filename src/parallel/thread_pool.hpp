@@ -44,8 +44,9 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  /// Schedules `fn(args...)`; the returned future carries the result or
-  /// the thrown exception.
+  /// Schedules `fn(args...)` behind every task already queued: tasks
+  /// start in submission order (FIFO). The returned future carries the
+  /// result or the thrown exception.
   template <class F, class... Args>
   auto submit(F&& fn, Args&&... args) -> std::future<std::invoke_result_t<F, Args...>> {
     using R = std::invoke_result_t<F, Args...>;

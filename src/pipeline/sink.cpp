@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <exception>
-#include <future>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -14,7 +13,6 @@
 #include "dfg/builder.hpp"
 #include "model/from_strace.hpp"
 #include "parallel/algorithms.hpp"
-#include "parallel/stage_queue.hpp"
 #include "parallel/thread_pool.hpp"
 #include "strace/filename.hpp"
 #include "support/errors.hpp"
@@ -24,20 +22,14 @@ namespace st::pipeline {
 
 namespace {
 
-/// Output of one file's convert task (stage B): the case, its string
-/// owners, and one folded partial per sink.
+/// One file's converted case, its string owners, and one folded
+/// partial per sink.
 struct Converted {
   model::Case c;
   std::shared_ptr<strace::StringArena> arena;  ///< the case's interned cid/host
   std::shared_ptr<strace::TraceBuffer> buffer;  ///< the records' storage
   std::vector<std::string> warnings;            ///< raw reader warnings
   std::vector<std::unique_ptr<SinkPartial>> partials;  ///< one per sink, sink order
-};
-
-/// One parsed file travelling from stage A to stage B.
-struct Ready {
-  std::size_t index = 0;
-  strace::ReadResult result;
 };
 
 constexpr std::size_t kNoError = std::numeric_limits<std::size_t>::max();
@@ -149,82 +141,46 @@ model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
   strace::ParallelReadOptions read_opts = opts;
   read_opts.pool = &pool;
 
-  // Stage A -> B hand-off. The queue is shared_ptr-held because the
-  // callbacks run on pool threads; the handle's join() below ensures
-  // they are all gone before this frame unwinds either way.
-  const std::size_t capacity =
-      opts.queue_capacity != 0 ? opts.queue_capacity : 2 * pool.size();
-  auto queue = std::make_shared<StageQueue<Ready>>(capacity);
-
-  auto handle = strace::read_trace_buffers_streamed(
-      std::move(buffers), read_opts,
-      [queue](std::size_t i, strace::ReadResult&& r) {
-        // A throw here (injected) lands in the parse stage's per-file
-        // error slot: the file quarantines or aborts like any parse
-        // failure, and its Ready never reaches the dispatcher.
-        FAULT_POINT("queue.push");
-        // push() blocks while the dispatcher is behind — backpressure
-        // on the parse stage. A false return (queue closed early by the
-        // unwind guard below) just drops the result of a failing run.
-        (void)queue->push(Ready{i, std::move(r)});
-      },
-      [queue] { queue->close(); });
-
-  // Close the queue on EVERY exit path. If this frame unwinds before
-  // the dispatcher loop drains the queue (allocation failure below),
-  // pool workers blocked in push() must wake BEFORE ~StreamedParse
-  // joins them — close() is what wakes them, and it is idempotent, so
-  // the normal path's on-all-done close makes this a no-op.
-  struct QueueCloser {
-    StageQueue<Ready>* q;
-    ~QueueCloser() { q->close(); }
-  } queue_closer{queue.get()};
-
-  // Dispatcher: the moment a file's parse finishes, its conversion —
-  // and every sink's fold of the resulting case — goes onto the same
-  // pool, so parse, convert and analytics overlap. `converted` is
-  // allocated HERE, before any conversion is dispatched: no throwing
-  // operation may sit between dispatch and the await loop, or the
-  // frame could unwind while tasks still point into `ids`/`sinks`.
-  std::vector<std::future<Converted>> futures(live);
+  // Each file converts, and every sink folds its case, the moment its
+  // parse settles: inside the reader's per-file callback, on the pool
+  // thread that finished the file's last chunk. Both slot vectors are
+  // sized before the first parse task starts, so each callback writes
+  // only its own slot, and they outlive the handle, whose join (here or
+  // in its destructor) guarantees no callback is still running.
   std::vector<Converted> converted(live);
-  std::exception_ptr dispatch_error;
-  while (auto ready = queue->pop()) {
-    if (dispatch_error) continue;  // keep draining so stage A can finish
-    const std::size_t i = ready->index;
-    try {
-      futures[i] = pool.submit(
-          [sinks, id = &ids[live_to_orig[i]], result = std::move(ready->result)]() mutable {
-            FAULT_POINT("pipeline.convert");
-            Converted out;
-            // Small blocks: this arena holds exactly one case's
-            // interned cid/host, and a swarm of small trace files must
-            // not pin a 64 KiB block each.
-            out.arena = std::make_shared<strace::StringArena>(256);
-            out.c = model::case_from_records(*id, result.records, *out.arena);
-            out.warnings = std::move(result.warnings);
-            out.buffer = std::move(result.buffer);
-            out.partials.reserve(sinks.size());
-            const CaseContext ctx{out.c, out.arena, out.buffer};
-            FAULT_POINT("sink.fold");
-            for (CaseSink* sink : sinks) {
-              auto partial = sink->make_partial();
-              sink->fold(*partial, ctx);
-              out.partials.push_back(std::move(partial));
-            }
-            return out;
-          });
-    } catch (...) {
-      dispatch_error = std::current_exception();
-    }
-  }
+  std::vector<std::exception_ptr> convert_errors(live);
+  auto handle = strace::read_trace_buffers_streamed(
+      std::move(buffers), read_opts, [&](std::size_t i, strace::ReadResult&& result) {
+        // Never throws: an exception escaping here would be recorded as
+        // the file's parse failure ("skipped" rather than "case
+        // quarantined" under keep_going).
+        try {
+          FAULT_POINT("pipeline.convert");
+          Converted out;
+          // Small blocks: this arena holds exactly one case's interned
+          // cid/host, and a swarm of small trace files must not pin a
+          // 64 KiB block each.
+          out.arena = std::make_shared<strace::StringArena>(256);
+          out.c = model::case_from_records(ids[live_to_orig[i]], result.records, *out.arena);
+          out.warnings = std::move(result.warnings);
+          out.buffer = std::move(result.buffer);
+          out.partials.reserve(sinks.size());
+          const CaseContext ctx{out.c, out.arena, out.buffer};
+          FAULT_POINT("sink.fold");
+          for (CaseSink* sink : sinks) {
+            auto partial = sink->make_partial();
+            sink->fold(*partial, ctx);
+            out.partials.push_back(std::move(partial));
+          }
+          converted[i] = std::move(out);
+        } catch (...) {
+          convert_errors[i] = std::current_exception();
+        }
+      });
 
-  // Queue closed: stage A has settled every file. Join the parse side,
-  // then await EVERY conversion before any exception may propagate —
-  // nothing may still reference ids/futures/sinks when this frame
-  // unwinds. A sink fold that threw surfaces here through its task's
-  // future, competing with parse errors under the same
-  // lowest-input-index-wins rule.
+  // Every file has settled once the parse joins. A sink fold that threw
+  // competes with parse errors under the same lowest-input-index-wins
+  // rule.
   handle.join();
   std::size_t err_index = kNoError;
   std::exception_ptr err;
@@ -235,18 +191,13 @@ model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
     }
   };
   for (std::size_t i = 0; i < live; ++i) {
-    if (!futures[i].valid()) continue;  // parse failed or dispatch stopped
-    try {
-      converted[i] = futures[i].get();
-    } catch (...) {
-      auto e = std::current_exception();
-      std::string what;
-      if (keep_going && quarantinable(e, what)) {
-        disp[live_to_orig[i]] = Disp::kQuarantined;
-        reason[live_to_orig[i]] = std::move(what);
-      } else {
-        note(i, std::move(e));
-      }
+    if (!convert_errors[i]) continue;
+    std::string what;
+    if (keep_going && quarantinable(convert_errors[i], what)) {
+      disp[live_to_orig[i]] = Disp::kQuarantined;
+      reason[live_to_orig[i]] = std::move(what);
+    } else {
+      note(i, convert_errors[i]);
     }
   }
   // A file either failed to parse or failed to convert, never both, so
@@ -260,7 +211,6 @@ model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
       note(parse_error.file_index, parse_error.error);
     }
   }
-  if (!err && dispatch_error) err = dispatch_error;
   if (err) std::rethrow_exception(err);  // before any merge: sinks stay empty
 
   // The one shot the injection matrix gets at the merge phase: BEFORE

@@ -3,21 +3,22 @@
 // into the repo's analytics substrate. One streamed pass over the
 // trace bytes can now feed ANY set of analytics, instead of the DFG
 // alone: the graph build, per-case summaries, trace variants and the
-// activity and edge statistics all ride the same conversion tasks on
-// the same ThreadPool, where previously each of them was a separate
-// barrier-delimited walk over a fully materialized EventLog.
+// activity and edge statistics all fold each file's case on the pool
+// thread that finished parsing it, where previously each of them was a
+// separate barrier-delimited walk over a fully materialized EventLog.
 //
 // A sink is monoid-shaped, mirroring the Dfg merge the DFG build has
 // always used (refs [24][25] of the paper):
 //
-//   make_partial()      a fresh accumulator, created per conversion
-//                       task on the pool thread running it;
+//   make_partial()      a fresh accumulator, created per converted
+//                       file on the pool thread converting it;
 //   fold(partial, ctx)  folds one completed Case into that partial
-//                       inside the case's conversion task — on the
-//                       pool thread, overlapped with parsing of later
-//                       files. `const`: sinks keep all mutable state
-//                       in the partial, so concurrent folds into
-//                       distinct partials are safe by construction;
+//                       right after its conversion, on the pool thread
+//                       that finished the file's parse, while other
+//                       files may still parse. `const`: sinks keep all
+//                       mutable state in the partial, so concurrent
+//                       folds into distinct partials are safe by
+//                       construction;
 //   merge(partial)      input-order fold of the partials into the
 //                       sink's output, at assembly on the calling
 //                       thread — the same place (and order) the
@@ -25,8 +26,8 @@
 //
 // Determinism contract (same as the PR 4 pipeline, asserted by
 // tests/test_pipeline_sinks.cpp): every sink's output is byte-identical
-// to its staged counterpart at any worker count and any queue
-// capacity, merge() runs strictly in input order, errors propagate
+// to its staged counterpart at any worker count and any chunk size,
+// merge() runs strictly in input order, errors propagate
 // with lowest-input-index-wins (a sink fold that throws competes with
 // parse errors on input index), and NO merge() runs on a failing run —
 // a sink is either fully folded or still empty, never half-merged.
@@ -88,14 +89,7 @@ namespace st::pipeline {
 /// ..." before conversion, "<path>: case quarantined: ..." after) and
 /// the run completes over the surviving inputs; LogicError and
 /// foreign exceptions still abort either way.
-struct StreamOptions : strace::ParallelReadOptions, RunPolicy {
-  /// Capacity of the completion queue between the parse and convert
-  /// stages; 0 = 2x the pool size. Smaller values bound memory on huge
-  /// batches (parse stalls until conversion catches up — capacity 1 is
-  /// the maximal-backpressure degeneration and still byte-identical),
-  /// larger values decouple the stages further.
-  std::size_t queue_capacity = 0;
-};
+struct StreamOptions : strace::ParallelReadOptions, RunPolicy {};
 
 /// What a run ingested, dropped and complained about — the report's
 /// "Data health" section. Counters travel through shard partials and
@@ -156,10 +150,11 @@ class CaseSink {
 };
 
 /// Drives one streamed parse -> convert pass over `paths` and folds
-/// every completed Case into every sink, all on `pool` (the PR 4
-/// overlap: conversion and sink folds of early files run while later
-/// files still parse). Returns the assembled EventLog — byte-identical
-/// to the staged per-file build (case, event and warning order), with
+/// every completed Case into every sink, all on `pool`: a file converts
+/// and folds on the pool thread that finished its last parse chunk, so
+/// with one worker file i folds right after file i parses, before file
+/// i+1 starts. Returns the assembled EventLog — byte-identical to the
+/// staged per-file build (case, event and warning order), with
 /// per-task arenas and TraceBuffers adopted before it escapes. File
 /// names must follow cid_host_rid.st (ParseError for the first
 /// offender, checked before any I/O); on any failure every task is

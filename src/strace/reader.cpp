@@ -46,9 +46,8 @@ ReadResult read_trace_buffer(std::shared_ptr<TraceBuffer> buffer, const ReadOpti
         break;
       }
       if (!complete) break;
-      if (opts.drop_signals && complete->kind == RecordKind::Signal) break;
-      if (opts.drop_exits && complete->kind == RecordKind::Exit) break;
-      if (opts.drop_restarts && complete->is_restart()) break;
+      if (complete->kind == RecordKind::Signal || complete->kind == RecordKind::Exit) break;
+      if (complete->is_restart()) break;
       result.records.push_back(*complete);
     } while (false);
 

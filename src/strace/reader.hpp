@@ -39,11 +39,10 @@ class ThreadPool;
 
 namespace st::strace {
 
+/// The Sec. III rules (merge, drop signals, exits and ERESTARTSYS
+/// calls) always apply; only the handling of malformed lines varies.
 struct ReadOptions {
-  bool drop_restarts = true;   ///< ignore ERESTARTSYS calls (paper rule)
-  bool drop_signals = true;    ///< drop --- SIGxxx --- records
-  bool drop_exits = true;      ///< drop +++ exited +++ records
-  bool strict = false;         ///< rethrow line parse errors instead of warning
+  bool strict = false;  ///< rethrow line parse errors instead of warning
 };
 
 struct ReadResult {
@@ -78,13 +77,16 @@ struct ParallelReadOptions : ReadOptions {
 /// Called the moment ONE buffer's parse chunks have all folded — from
 /// the pool thread that finished the file's last chunk, at most once
 /// per file, possibly out of input order. The ReadResult is identical
-/// to what read_trace_buffer would have produced for that buffer.
+/// to what read_trace_buffer would have produced for that buffer. The
+/// callback's own work (pipeline::run converts and folds the file here)
+/// runs on that thread too, before the thread takes its next task; an
+/// exception escaping it is recorded as that file's parse failure.
 using FileReadyFn = std::function<void(std::size_t file_index, ReadResult&&)>;
 
 /// Handle to an in-flight streamed parse. read_trace_*_streamed return
 /// it immediately after enqueueing every (file, chunk) parse task; the
-/// pipeline layer overlaps downstream stages with the parse by reacting
-/// to the per-file callbacks while the handle is live.
+/// per-file callbacks run while the handle is live, and join() waits
+/// for the last of them.
 class StreamedParse {
  public:
   struct Error {
@@ -123,8 +125,7 @@ class StreamedParse {
  private:
   struct State;
   friend StreamedParse read_trace_buffers_streamed(std::vector<std::shared_ptr<TraceBuffer>>,
-                                                   const ParallelReadOptions&, FileReadyFn,
-                                                   std::function<void()>);
+                                                   const ParallelReadOptions&, FileReadyFn);
   explicit StreamedParse(std::shared_ptr<State> state) : state_(std::move(state)) {}
 
   std::shared_ptr<State> state_;
@@ -134,19 +135,16 @@ class StreamedParse {
 /// line chunks and ALL (buffer, chunk) parse tasks share one work queue
 /// on opts.pool, so one huge trace plus many small ones saturates every
 /// worker. Each buffer's fold runs on the pool thread that finished its
-/// last chunk and `on_file_done` fires right there — downstream stages
-/// can start consuming a file while other files are still parsing.
-/// `on_all_done` (optional) fires exactly once, normally after the
-/// last file settles, whether it parsed cleanly or failed (on the
-/// thread that settled it; inline when `buffers` is empty) — and EARLY
-/// if task submission itself fails, so consumers can unblock producers
-/// parked in a backpressured hand-off. opts.pool is required (LogicError when null) and must
-/// outlive the returned handle: destroying the pool first discards
-/// chunk tasks that never started, and the handle's join would then
-/// wait forever.
+/// last chunk and `on_file_done` fires right there. Tasks run in
+/// submission order (files in input order), and a callback runs before
+/// its thread takes another task, so consuming a file never waits for
+/// the parse of the files after it. opts.pool is required (LogicError
+/// when null) and must outlive the returned handle: destroying the
+/// pool first discards chunk tasks that never started, and the
+/// handle's join would then wait forever.
 [[nodiscard]] StreamedParse read_trace_buffers_streamed(
     std::vector<std::shared_ptr<TraceBuffer>> buffers, const ParallelReadOptions& opts,
-    FileReadyFn on_file_done, std::function<void()> on_all_done = {});
+    FileReadyFn on_file_done);
 
 /// Opens every file via TraceBuffer::from_file_mmap (so multi-GB
 /// traces never double-buffer) and parses them with
@@ -155,7 +153,6 @@ class StreamedParse {
 /// enqueued.
 [[nodiscard]] StreamedParse read_trace_files_streamed(const std::vector<std::string>& paths,
                                                       const ParallelReadOptions& opts,
-                                                      FileReadyFn on_file_done,
-                                                      std::function<void()> on_all_done = {});
+                                                      FileReadyFn on_file_done);
 
 }  // namespace st::strace

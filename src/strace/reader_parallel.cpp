@@ -67,11 +67,9 @@ struct Acc {
   std::vector<StringArena> arenas;
 };
 
-bool keep_record(const RawRecord& rec, const ReadOptions& opts) {
-  if (opts.drop_signals && rec.kind == RecordKind::Signal) return false;
-  if (opts.drop_exits && rec.kind == RecordKind::Exit) return false;
-  if (opts.drop_restarts && rec.is_restart()) return false;
-  return true;
+/// The paper's Sec. III drop rules: signals, exits and ERESTARTSYS calls.
+bool keep_record(const RawRecord& rec) {
+  return rec.kind != RecordKind::Signal && rec.kind != RecordKind::Exit && !rec.is_restart();
 }
 
 ParseError unmatched_resumed_error(std::uint64_t pid) {
@@ -128,7 +126,7 @@ struct ChunkReader {
         case RecordKind::Complete:
         case RecordKind::Signal:
         case RecordKind::Exit:
-          if (keep_record(*rec, opts)) acc.records.push_back(*rec);
+          if (keep_record(*rec)) acc.records.push_back(*rec);
           break;
         case RecordKind::Unfinished: {
           if (acc.seen.insert(rec->pid).second) acc.shadowed.insert(rec->pid);
@@ -144,7 +142,7 @@ struct ChunkReader {
             try {
               RawRecord merged =
                   detail::merge_resumed_pair(std::move(unfinished), *rec, arena);
-              if (keep_record(merged, opts)) acc.records.push_back(merged);
+              if (keep_record(merged)) acc.records.push_back(merged);
             } catch (const ParseError& e) {
               if (opts.strict) note_error(acc, lineno, e);
               acc.warnings.push_back({lineno, e.what()});
@@ -196,7 +194,7 @@ struct ChunkReader {
         try {
           placeholder =
               detail::merge_resumed_pair(std::move(unfinished), placeholder, merge_arena);
-          if (!keep_record(placeholder, opts)) dead.push_back(u.record_index);
+          if (!keep_record(placeholder)) dead.push_back(u.record_index);
         } catch (const ParseError& e) {
           if (opts.strict) note_error(a, a.lines + u.line, e);
           fold_warnings.push_back({u.line, e.what()});
@@ -360,7 +358,6 @@ struct StreamedParse::State {
   ParallelReadOptions opts;  ///< stable storage for the ChunkReaders' reference
   std::vector<std::shared_ptr<TraceBuffer>> buffers;
   FileReadyFn on_file;
-  std::function<void()> on_done;
 
   /// Sentinel chunk index ranking fold/finalize/callback errors after
   /// every real chunk of the same file.
@@ -377,8 +374,6 @@ struct StreamedParse::State {
     std::exception_ptr error;
   };
   std::deque<FileState> files;  // deque: FileState holds atomics (immovable)
-  std::atomic<std::size_t> files_remaining{0};
-  std::atomic<bool> done_fired{false};  ///< on_done runs exactly once
 
   // Earliest failure in (file, chunk) input order.
   mutable std::mutex err_mutex;
@@ -443,21 +438,6 @@ struct StreamedParse::State {
     // Chunk state is dead weight once the file settled; free it early.
     fs.accs.clear();
     fs.accs.shrink_to_fit();
-    if (files_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      try {
-        fire_done();
-      } catch (...) {
-        note_error(f, kFoldStage, std::current_exception());
-      }
-    }
-  }
-
-  /// Invokes on_done at most once. Normally fired by the last settling
-  /// file; the submit-failure path fires it EARLY so a downstream
-  /// consumer (the pipeline's StageQueue close) can wake producers
-  /// blocked in push before anyone tries to join them.
-  void fire_done() {
-    if (on_done && !done_fired.exchange(true, std::memory_order_acq_rel)) on_done();
   }
 
   void task_finished() {
@@ -505,8 +485,8 @@ void StreamedParse::wait() {
 }
 
 StreamedParse read_trace_buffers_streamed(std::vector<std::shared_ptr<TraceBuffer>> buffers,
-                                          const ParallelReadOptions& opts, FileReadyFn on_file_done,
-                                          std::function<void()> on_all_done) {
+                                          const ParallelReadOptions& opts,
+                                          FileReadyFn on_file_done) {
   if (opts.pool == nullptr) {
     throw LogicError("read_trace_buffers_streamed: ParallelReadOptions::pool is required");
   }
@@ -515,10 +495,8 @@ StreamedParse read_trace_buffers_streamed(std::vector<std::shared_ptr<TraceBuffe
   state->opts = opts;
   state->buffers = std::move(buffers);
   state->on_file = std::move(on_file_done);
-  state->on_done = std::move(on_all_done);
 
   const std::size_t n = state->buffers.size();
-  state->files_remaining.store(n, std::memory_order_relaxed);
   std::size_t total_chunks = 0;
   for (std::size_t f = 0; f < n; ++f) {
     auto& fs = state->files.emplace_back();
@@ -534,10 +512,6 @@ StreamedParse read_trace_buffers_streamed(std::vector<std::shared_ptr<TraceBuffe
   }
   state->tasks_left = total_chunks;
 
-  if (n == 0) {
-    state->fire_done();  // nothing will ever settle
-    return StreamedParse(std::move(state));
-  }
   std::size_t f = 0;
   std::size_t c = 0;
   auto* s = state.get();  // raw on purpose — see the State comment
@@ -551,18 +525,9 @@ StreamedParse read_trace_buffers_streamed(std::vector<std::shared_ptr<TraceBuffe
       }
     }
   } catch (...) {
-    // submit() failed (allocation, pool shut down). Fire on_done FIRST:
-    // a downstream consumer reacts by closing its hand-off queue, which
-    // wakes any worker already parked in a blocking push — otherwise
-    // running the rest inline (whose callbacks would push with nobody
-    // popping) and the join below could both wait forever. Then run the
-    // chunks that never made it onto the pool inline so every counter
-    // settles, and join the ones that did before the exception escapes.
-    try {
-      state->fire_done();
-    } catch (...) {
-      // the submit failure below is the error that matters
-    }
+    // submit() failed (allocation, pool shut down). Run the chunks that
+    // never made it onto the pool inline so every counter settles, and
+    // join the ones that did before the exception escapes.
     for (; f < n; ++f, c = 0) {
       for (; c < state->files[f].chunks.size(); ++c) {
         state->run_chunk(f, c);
@@ -577,13 +542,11 @@ StreamedParse read_trace_buffers_streamed(std::vector<std::shared_ptr<TraceBuffe
 }
 
 StreamedParse read_trace_files_streamed(const std::vector<std::string>& paths,
-                                        const ParallelReadOptions& opts, FileReadyFn on_file_done,
-                                        std::function<void()> on_all_done) {
+                                        const ParallelReadOptions& opts, FileReadyFn on_file_done) {
   std::vector<std::shared_ptr<TraceBuffer>> buffers;
   buffers.reserve(paths.size());
   for (const auto& path : paths) buffers.push_back(TraceBuffer::from_file_mmap(path));
-  return read_trace_buffers_streamed(std::move(buffers), opts, std::move(on_file_done),
-                                     std::move(on_all_done));
+  return read_trace_buffers_streamed(std::move(buffers), opts, std::move(on_file_done));
 }
 
 }  // namespace st::strace

@@ -6,9 +6,9 @@
 //
 //   reader.open       TraceBuffer file open (mmap and read paths)
 //   reader.chunk      one chunk's parse task
-//   queue.push        the parse -> convert StageQueue hand-off
-//   pipeline.convert  a file's record -> Case conversion task
-//   sink.fold         the per-case sink folds on the pool thread
+//   pipeline.convert  a file's record -> Case conversion, on the pool
+//                     thread that finished the file's parse
+//   sink.fold         the per-case sink folds right after it
 //   sink.merge        the input-order sink merge phase (fires before
 //                     the first merge, so "a failing run merges
 //                     nothing" stays true under injection)

@@ -378,16 +378,6 @@ TEST_F(ElogV2Import, SinkWriteIsByteIdenticalToStagedWriteAtAnyWorkerCount) {
     EXPECT_EQ(std::move(out).str(), staged) << "workers " << workers;
     EXPECT_TRUE(logs_equal(ref_log, log));
   }
-  // Maximal backpressure (queue capacity 1) must not change a byte.
-  ThreadPool pool(4);
-  pipeline::StreamOptions opts;
-  opts.queue_capacity = 1;
-  std::ostringstream out(std::ios::binary);
-  ElogV2Writer writer(out);
-  ElogV2WriterSink sink(writer);
-  (void)pipeline::run(paths_, pool, {&sink}, opts);
-  writer.finalize();
-  EXPECT_EQ(std::move(out).str(), staged);
 }
 
 TEST_F(ElogV2Import, ImportedV2AgreesWithTheTraces) {

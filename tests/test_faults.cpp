@@ -142,8 +142,7 @@ class Faults : public testing::CorpusTest {
   Faults() : CorpusTest("st_faults") {}
 
   static constexpr const char* kPipelineSites[] = {
-      "reader.open", "reader.chunk", "queue.push",
-      "pipeline.convert", "sink.fold", "sink.merge"};
+      "reader.open", "reader.chunk", "pipeline.convert", "sink.fold", "sink.merge"};
 };
 
 TEST_F(Faults, ErrorAtEveryPipelineSiteIsATypedIoErrorStrict) {
@@ -207,7 +206,7 @@ TEST_F(Faults, KeepGoingQuarantinesAnInjectedOpenFailure) {
 }
 
 TEST_F(Faults, KeepGoingQuarantinesAnInjectedConvertFailure) {
-  // Single file: the one convert task is deterministically the target.
+  // Single file: its one conversion is deterministically the target.
   const std::vector<std::string> paths = {write_file("only_nodeA_1.st", testing::make_trace(40, false))};
   ThreadPool pool(2);
   pipeline::StreamOptions opts;

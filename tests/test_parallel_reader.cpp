@@ -51,7 +51,7 @@ std::string make_corpus(std::uint64_t seed, std::size_t lines) {
       case 1:  // openat with quoted path + annotated return
         text += pid_ts + "openat(AT_FDCWD, \"rel/file\", O_RDONLY) = 5</p/abs/file> <0.000150>\n";
         break;
-      case 2:  // ERESTARTSYS (dropped by default options)
+      case 2:  // ERESTARTSYS (always dropped, a Sec. III rule)
         text += pid_ts + "read(3</p/f>, \"\"..., 100) = -1 ERESTARTSYS (To be restarted) <0.000005>\n";
         break;
       case 3:  // signal
@@ -127,7 +127,7 @@ ReadResult read_text_streamed(std::string_view text, const ReadOptions& opts = {
 TEST(ParallelReader, EquivalentOnAdversarialCorpusAt1234Workers) {
   for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 1234ULL}) {
     const std::string text = make_corpus(seed, 600);
-    const ReadOptions opts;  // defaults: drop signals/exits/restarts, strict=false
+    const ReadOptions opts;  // strict=false
     const auto seq = read_trace_text(text, opts);
     for (const std::size_t workers : {1u, 2u, 3u, 4u}) {
       const auto par = read_text_streamed(text, opts, workers);
@@ -154,18 +154,6 @@ TEST(ParallelReader, ManyBuffersShareOneWorkQueue) {
     expect_same_records(seq, par[i]);
     EXPECT_EQ(seq.warnings, par[i].warnings) << "buffer " << i;
   }
-}
-
-TEST(ParallelReader, EquivalentWithFiltersDisabled) {
-  ReadOptions opts;
-  opts.drop_restarts = false;
-  opts.drop_signals = false;
-  opts.drop_exits = false;
-  const std::string text = make_corpus(99, 600);
-  const auto seq = read_trace_text(text, opts);
-  const auto par = read_text_streamed(text, opts);
-  expect_same_records(seq, par);
-  EXPECT_EQ(seq.warnings, par.warnings);
 }
 
 TEST(ParallelReader, EquivalentOnCleanSingleChunkAndManyChunks) {

@@ -5,7 +5,6 @@
 //     case summaries (summarize_cases) and the variant multiset
 //     (ActivityLog::build().variants()) — all produced by ONE
 //     streamed pass,
-//   - queue capacity 1 (maximal backpressure) is still byte-identical,
 //   - a sink whose fold throws mid-stream follows the
 //     lowest-input-index-wins error contract — against other sink
 //     failures AND against strict-mode parse errors — never merges a
@@ -68,30 +67,6 @@ TEST_F(PipelineSinks, EverySinkMatchesItsStagedCounterpartAt124Workers) {
   }
 }
 
-TEST_F(PipelineSinks, QueueCapacityOneIsStillByteIdentical) {
-  // Maximal backpressure degeneration: a 1-slot StageQueue serializes
-  // the parse -> convert hand-off completely; output may not change.
-  const auto paths = make_corpus();
-  const auto f = model::Mapping::call_top_dirs(2);
-  const auto reference = testing::staged_log(paths);
-  const auto ref_graph = dfg::build_serial(reference, f);
-  const auto ref_summaries = model::summarize_cases(reference);
-
-  for (const std::size_t workers : {1u, 4u}) {
-    ThreadPool pool(workers);
-    pipeline::StreamOptions opts;
-    opts.min_chunk_bytes = 256;
-    opts.queue_capacity = 1;
-
-    pipeline::DfgSink graph_sink(f);
-    pipeline::CaseStatsSink stats_sink;
-    const auto log = pipeline::run(paths, pool, {&graph_sink, &stats_sink}, opts);
-    expect_same_log(reference, log);
-    EXPECT_EQ(graph_sink.graph(), ref_graph) << workers;
-    EXPECT_EQ(stats_sink.summaries(), ref_summaries) << workers;
-  }
-}
-
 TEST_F(PipelineSinks, EmptyInputs) {
   ThreadPool pool(2);
   const auto f = model::Mapping::call_only();
@@ -144,7 +119,6 @@ TEST_F(PipelineSinks, ThrowingFoldIsDeterministicAndMergesNothing) {
   ThreadPool pool(4);
   pipeline::StreamOptions opts;
   opts.min_chunk_bytes = 256;
-  opts.queue_capacity = 1;  // maximal backpressure while failing
   for (int round = 0; round < 10; ++round) {
     // Two sinks poisoned on different files: the error of the LOWER
     // input index ("b", index 1) must win every round, regardless of
@@ -217,7 +191,6 @@ TEST_F(PipelineSinks, PoolDestructionAfterThrowingRunLeaksNoContinuation) {
     ThreadPool pool(4);
     pipeline::StreamOptions opts;
     opts.min_chunk_bytes = 256;
-    opts.queue_capacity = 1;
     ThrowingSink sink("b");
     pipeline::DfgSink graph_sink(f);
     EXPECT_THROW((void)pipeline::run(paths, pool, {&graph_sink, &sink}, opts),

@@ -4,6 +4,8 @@
 //     sequential per-file read + convert): case order, event order,
 //     warning strings and their order — at 1, 2 and 4 workers with
 //     tiny chunks — and a DfgSink's graph equals dfg::build_serial,
+//   - each file converts and folds on the thread that finished its
+//     parse, before a one-worker pool parses the next file,
 //   - per-file fold completion (read_trace_files_streamed) matches the
 //     sequential reader file by file; the streamed reader runs only on
 //     a caller-provided pool,
@@ -13,7 +15,7 @@
 //     no task left touching destroyed state (ASan-verified).
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <cstdint>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -28,6 +30,7 @@
 #include "strace/reader.hpp"
 #include "strace/writer.hpp"
 #include "support/errors.hpp"
+#include "support/faultpoint.hpp"
 #include "testing_corpus.hpp"
 
 namespace st {
@@ -96,7 +99,6 @@ TEST_F(PipelineStream, RepeatedRunsAreDeterministic) {
   ThreadPool pool(4);
   pipeline::StreamOptions opts;
   opts.min_chunk_bytes = 256;
-  opts.queue_capacity = 2;  // tight queue: exercise backpressure
   const auto first = pipeline::run(paths, pool, {}, opts);
   for (int round = 0; round < 5; ++round) {
     expect_same_log(first, pipeline::run(paths, pool, {}, opts));
@@ -120,6 +122,60 @@ TEST_F(PipelineStream, EmptyInputs) {
   EXPECT_TRUE(sink.graph().empty());
 }
 
+// ---- each file converts and folds right after its own parse -----------
+
+/// Records, per file, how many parse chunks had run when the file's
+/// case reached fold().
+class ChunkCountProbe final : public pipeline::CaseSink {
+ public:
+  struct Partial final : pipeline::SinkPartial {
+    std::uint64_t chunks_parsed = 0;
+  };
+
+  [[nodiscard]] std::unique_ptr<pipeline::SinkPartial> make_partial() const override {
+    return std::make_unique<Partial>();
+  }
+  void fold(pipeline::SinkPartial& p, const pipeline::CaseContext&) const override {
+    static_cast<Partial&>(p).chunks_parsed = fault::hits("reader.chunk");
+  }
+  void merge(std::unique_ptr<pipeline::SinkPartial> p) override {
+    seen.push_back(static_cast<Partial&>(*p).chunks_parsed);
+  }
+
+  std::vector<std::uint64_t> seen;  ///< input order
+};
+
+TEST_F(PipelineStream, EachFileFoldsBeforeTheNextFileParses) {
+#ifdef ST_NO_FAULT_POINTS
+  GTEST_SKIP() << "fault points are compiled out: there are no chunk hits to count";
+#else
+  // One worker parses every file as one chunk and runs tasks in
+  // submission order, so file i's fold must follow exactly i+1 chunk
+  // parses — it may not wait until every file has parsed.
+  std::vector<std::string> paths;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    paths.push_back(write_file("f" + std::to_string(i) + "_nodeA_" + std::to_string(100 + i) +
+                                   ".st",
+                               make_clean_trace(40, 10 + i)));
+  }
+  // Armed but never firing: the site counts its hits.
+  fault::Spec never;
+  never.kind = fault::Kind::kHang;
+  never.nth = 1'000'000;
+  never.hang_ms = 0;
+  const fault::ScopedFault counting("reader.chunk", never);
+
+  ThreadPool pool(1);
+  ChunkCountProbe probe;
+  const auto log = pipeline::run(paths, pool, {&probe});
+  EXPECT_EQ(log.case_count(), paths.size());
+  ASSERT_EQ(probe.seen.size(), paths.size());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    EXPECT_EQ(probe.seen[i], i + 1) << "file " << i;
+  }
+#endif
+}
+
 // ---- per-file fold completion (reader layer) ---------------------------
 
 TEST_F(PipelineStream, StreamedReaderMatchesSequentialPerFile) {
@@ -131,19 +187,15 @@ TEST_F(PipelineStream, StreamedReaderMatchesSequentialPerFile) {
 
   std::mutex mu;
   std::vector<std::optional<strace::ReadResult>> streamed(paths.size());
-  std::atomic<int> done_calls{0};
   {
     auto handle = strace::read_trace_files_streamed(
-        paths, opts,
-        [&](std::size_t i, strace::ReadResult&& r) {
+        paths, opts, [&](std::size_t i, strace::ReadResult&& r) {
           std::lock_guard lock(mu);
           ASSERT_FALSE(streamed[i].has_value()) << "file " << i << " delivered twice";
           streamed[i] = std::move(r);
-        },
-        [&] { done_calls.fetch_add(1); });
+        });
     handle.wait();
   }
-  EXPECT_EQ(done_calls.load(), 1);
   for (std::size_t i = 0; i < paths.size(); ++i) {
     ASSERT_TRUE(streamed[i].has_value()) << paths[i];
     const auto seq = strace::read_trace_file(paths[i]);
@@ -190,19 +242,6 @@ TEST_F(PipelineStream, StreamedHandleMoveAssignmentJoinsReplacedParse) {
   for (std::size_t i = 0; i < batch2.size(); ++i) EXPECT_EQ(delivered2[i], 1) << i;
 }
 
-TEST_F(PipelineStream, StreamedReaderZeroFilesStillSignalsAllDone) {
-  std::atomic<int> done_calls{0};
-  ThreadPool pool(2);
-  strace::ParallelReadOptions opts;
-  opts.pool = &pool;
-  auto handle = strace::read_trace_files_streamed(
-      {}, opts, [](std::size_t, strace::ReadResult&&) { FAIL() << "no files to deliver"; },
-      [&] { done_calls.fetch_add(1); });
-  handle.wait();
-  EXPECT_EQ(done_calls.load(), 1);
-  EXPECT_FALSE(handle.error().has_value());
-}
-
 TEST_F(PipelineStream, StreamedReaderWithoutAPoolIsALogicError) {
   // The reader never spins up threads of its own: every parse task
   // runs on the caller's pool, so a missing pool is a programming
@@ -211,8 +250,7 @@ TEST_F(PipelineStream, StreamedReaderWithoutAPoolIsALogicError) {
   bool called = false;
   EXPECT_THROW((void)strace::read_trace_files_streamed(
                    paths, strace::ParallelReadOptions{},
-                   [&](std::size_t, strace::ReadResult&&) { called = true; },
-                   [&] { called = true; }),
+                   [&](std::size_t, strace::ReadResult&&) { called = true; }),
                LogicError);
   EXPECT_FALSE(called);
 }
@@ -262,7 +300,7 @@ TEST_F(PipelineStream, BadFileNameThrowsFirstInInputOrderBeforeIo) {
 TEST_F(PipelineStream, MalformedFileMidBatchShutsDownCleanly) {
   // Regression for pipeline shutdown ordering: a strict-mode parse
   // error in the MIDDLE of the batch throws while later files are
-  // still parsing and conversions are still enqueued. Every task must
+  // still parsing and other files are still converting. Every task must
   // be awaited before the rethrow — under ASan this test fails loudly
   // if any continuation touches a destroyed arena or stack slot.
   std::vector<std::string> paths;
@@ -278,7 +316,6 @@ TEST_F(PipelineStream, MalformedFileMidBatchShutsDownCleanly) {
   pipeline::StreamOptions opts;
   opts.strict = true;
   opts.min_chunk_bytes = 256;
-  opts.queue_capacity = 1;  // maximal backpressure while failing
   const auto f = model::Mapping::call_only();
   for (int round = 0; round < 10; ++round) {
     EXPECT_THROW((void)pipeline::run(paths, pool, {}, opts), ParseError) << "round " << round;

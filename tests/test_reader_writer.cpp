@@ -43,14 +43,6 @@ TEST(Reader, DropsRestartsByDefault) {
   EXPECT_EQ(result.records[0].retval, 5);
 }
 
-TEST(Reader, KeepsRestartsWhenAsked) {
-  ReadOptions opts;
-  opts.drop_restarts = false;
-  const auto result = read_trace_text(
-      "1  10:00:00.000001 read(3</a>, ..., 5) = -1 ERESTARTSYS (x) <0.000001>\n", opts);
-  EXPECT_EQ(result.records.size(), 1u);
-}
-
 TEST(Reader, DropsSignalsAndExitsByDefault) {
   const std::string text =
       "1  10:00:00.000001 --- SIGCHLD {} ---\n"
