@@ -1,10 +1,10 @@
 #include "corpus/catalog.hpp"
 
+#include <array>
 #include <future>
 #include <mutex>
 #include <utility>
 
-#include "dfg/builder.hpp"
 #include "dfg/coloring.hpp"
 #include "elog/store.hpp"
 #include "pipeline/sink.hpp"
@@ -189,13 +189,20 @@ std::shared_ptr<const void> Catalog::compute_filtered(const model::Query& q) {
   return std::make_shared<const model::EventLog>(q.apply(*base_));
 }
 
+// Misses fold inline (a null pool): they already run on a pool worker.
+
 std::shared_ptr<const void> Catalog::compute_graph(const model::Query& q) {
-  return std::make_shared<const dfg::Dfg>(dfg::build_serial(*filtered(q), mapping_));
+  pipeline::DfgSink graph(mapping_);
+  const std::array<pipeline::CaseSink*, 1> sinks{&graph};
+  pipeline::fold_cases(filtered(q)->cases(), sinks, nullptr);
+  return std::make_shared<const dfg::Dfg>(graph.take_graph());
 }
 
 std::shared_ptr<const void> Catalog::compute_io_stats(const model::Query& q) {
-  return std::make_shared<const dfg::IoStatistics>(
-      dfg::IoStatistics::compute(*filtered(q), mapping_));
+  pipeline::IoStatsSink io(mapping_);
+  const std::array<pipeline::CaseSink*, 1> sinks{&io};
+  pipeline::fold_cases(filtered(q)->cases(), sinks, nullptr);
+  return std::make_shared<const dfg::IoStatistics>(io.finalize());
 }
 
 std::shared_ptr<const void> Catalog::compute_summaries(const model::Query& q) {

@@ -2,12 +2,15 @@
 
 namespace st::dfg {
 
+namespace {
+
+/// Folds ONE case's activity trace into `g` — the unit step of
+/// build_serial.
 void add_case_trace(Dfg& g, const model::Case& c, const model::Mapping& f) {
-  // model::activity_trace is THE per-case mapped-event walk
-  // (model/case_walk.hpp) — shared with IoStatistics/EdgeStatistics so
-  // the graph and the statistics cannot drift on event order.
   g.add_trace(model::activity_trace(c, f), 1);
 }
+
+}  // namespace
 
 Dfg build_serial(const model::EventLog& log, const model::Mapping& f) {
   Dfg g;

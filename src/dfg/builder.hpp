@@ -1,9 +1,12 @@
 // DFG construction directly from an event log and a mapping.
 //
-// build_serial is the single-pass O(n) construction of Sec. V step 3.
-// The scalable construction of refs [24][25] — per-task partial graphs
-// merged through the Dfg monoid — is pipeline::DfgSink, which folds
-// add_case_trace per case while the trace files are still parsing.
+// build_serial is the single-pass O(n) construction of Sec. V step 3,
+// in strings: each case's activity trace goes into Dfg::add_trace. It
+// is the reference for the scalable construction of refs [24][25],
+// pipeline::DfgSink, which counts per-task partial graphs over dense
+// activity ids (model/mapped_case.hpp) while the trace files are still
+// parsing, names them once per partial and merges them through the
+// Dfg monoid.
 #pragma once
 
 #include "dfg/dfg.hpp"
@@ -14,10 +17,5 @@ namespace st::dfg {
 
 /// One pass over the cases; no intermediate ActivityLog materialized.
 [[nodiscard]] Dfg build_serial(const model::EventLog& log, const model::Mapping& f);
-
-/// Folds ONE case's activity trace into `g` — the unit step of
-/// build_serial, exported so pipeline::DfgSink can grow per-task
-/// partial graphs that merge to exactly what build_serial produces.
-void add_case_trace(Dfg& g, const model::Case& c, const model::Mapping& f);
 
 }  // namespace st::dfg

@@ -2,15 +2,17 @@
 
 #include <utility>
 
+#include "model/mapped_case.hpp"
+
 namespace st::dfg {
 
 const Activity& Dfg::start_node() {
-  static const Activity kStart = "●";  // ● BLACK CIRCLE
+  static const Activity kStart(model::kStartActivity);  // ● BLACK CIRCLE
   return kStart;
 }
 
 const Activity& Dfg::end_node() {
-  static const Activity kEnd = "■";  // ■ BLACK SQUARE
+  static const Activity kEnd(model::kEndActivity);  // ■ BLACK SQUARE
   return kEnd;
 }
 

@@ -4,28 +4,18 @@
 #include <optional>
 #include <utility>
 
-#include "model/case_walk.hpp"
-
 namespace st::dfg {
 
 void EdgeStatistics::Partial::add_case(const model::Case& c, const model::Mapping& f) {
   std::optional<model::Activity> prev_activity;
   Micros prev_end = 0;
-  model::for_each_mapped_event(c, f, [&](model::Activity&& activity, const model::Event& e) {
-    if (prev_activity) {
-      EdgeStat& stat = stats_[{*prev_activity, activity}];
-      ++stat.count;
-      const Micros gap = e.start - prev_end;
-      if (gap >= 0) {
-        stat.total_gap += gap;
-        stat.max_gap = std::max(stat.max_gap, gap);
-      } else {
-        ++stat.overlapped;
-      }
-    }
+  for (const model::Event& e : c.events()) {
+    auto activity = f(e);
+    if (!activity) continue;
+    if (prev_activity) stats_[{*prev_activity, *activity}].add(e.start - prev_end);
     prev_activity = std::move(activity);
     prev_end = e.end();
-  });
+  }
 }
 
 void EdgeStatistics::Partial::merge(Partial&& other) {

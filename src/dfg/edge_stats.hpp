@@ -14,10 +14,14 @@
 //
 // Every accumulator here is an integer, so the per-case Partial merge
 // below is a plain commutative sum: any grouping of cases — worker
-// partials, shard blobs, the serial loop — produces identical maps,
-// and compute() delegates to it (ISSUE 7).
+// partials, shard blobs, the serial loop — produces identical maps.
+// compute() is the string-keyed oracle (f per event, add_case per
+// case); the streaming EdgeStatsSink (pipeline/sink.hpp) counts the
+// same observations by activity-id pair through EdgeStat::add and
+// names each edge once per partial (from_stats).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -33,6 +37,18 @@ struct EdgeStat {
   Micros total_gap = 0;           ///< Σ max(0, gap)
   Micros max_gap = 0;
   std::uint64_t overlapped = 0;   ///< observations with negative gap
+
+  /// Records one directly-follows observation with time `gap` from
+  /// the end of the first event to the start of the second.
+  void add(Micros gap) {
+    ++count;
+    if (gap >= 0) {
+      total_gap += gap;
+      max_gap = std::max(max_gap, gap);
+    } else {
+      ++overlapped;
+    }
+  }
 
   [[nodiscard]] double mean_gap() const {
     return count > 0 ? static_cast<double>(total_gap) / static_cast<double>(count) : 0.0;
@@ -50,7 +66,9 @@ class EdgeStatistics {
   /// compute, streamed EdgeStatsSink, decoded shard blobs) are exact.
   class Partial {
    public:
-    /// Folds one case's directly-follows gaps (edges never span cases).
+    /// Folds one case's directly-follows gaps (edges never span cases)
+    /// — the string-keyed reference; EdgeStatsSink counts by activity
+    /// ids and hands its map over through from_stats.
     void add_case(const model::Case& c, const model::Mapping& f);
 
     /// Integer sums per edge: counts and gaps add, max_gap maxes.
@@ -69,8 +87,8 @@ class EdgeStatistics {
     std::map<Edge, EdgeStat> stats_;
   };
 
-  /// Single pass over the cases; start/end markers carry no gaps and
-  /// are not included. Delegates to the Partial path above.
+  /// Single pass over the cases, in strings (add_case per case);
+  /// start/end markers carry no gaps and are not included.
   [[nodiscard]] static EdgeStatistics compute(const model::EventLog& log,
                                               const model::Mapping& f);
 

@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "model/case_walk.hpp"
 #include "support/si.hpp"
 
 namespace st::dfg {
@@ -30,24 +29,27 @@ double deterministic_pairwise_sum(std::span<const double> xs) {
          deterministic_pairwise_sum(xs.subspan(half));
 }
 
+void IoStatistics::ActivityContribution::add(const model::Event& e) {
+  total_dur += e.dur;
+  ++event_count;
+  if (e.has_size()) {
+    bytes += e.size;
+    has_bytes = true;
+    if (e.dur > 0) {
+      rate_sum += static_cast<double>(e.size) /
+                  (static_cast<double>(e.dur) / static_cast<double>(kMicrosPerSecond));
+      ++rate_samples;
+    }
+  }
+  intervals.push_back(Interval{e.start, e.end()});
+}
+
 void IoStatistics::Partial::add_case(const model::Case& c, const model::Mapping& f) {
   CaseContribution contribution;
   contribution.id = c.id();
-  model::for_each_mapped_event(c, f, [&](model::Activity&& a, const model::Event& e) {
-    ActivityContribution& slot = contribution.activities[std::move(a)];
-    slot.total_dur += e.dur;
-    ++slot.event_count;
-    if (e.has_size()) {
-      slot.bytes += e.size;
-      slot.has_bytes = true;
-      if (e.dur > 0) {
-        slot.rate_sum += static_cast<double>(e.size) /
-                         (static_cast<double>(e.dur) / static_cast<double>(kMicrosPerSecond));
-        ++slot.rate_samples;
-      }
-    }
-    slot.intervals.push_back(Interval{e.start, e.end()});
-  });
+  for (const model::Event& e : c.events()) {
+    if (auto a = f(e)) contribution.activities[std::move(*a)].add(e);
+  }
   cases_.push_back(std::move(contribution));
 }
 

@@ -11,15 +11,19 @@
 // The figures combine them as:
 //   "Load: rd (bytes)"   and   "DR: mc x rate MB/s"      (Eq. 10, 17)
 //
-// Determinism (ISSUE 7): the only floating-point accumulator here is
-// the per-activity rate sum, and FP addition is not associative — so
-// the statistics are built as per-case Partials whose merge is pure
+// Determinism: the only floating-point accumulator here is the
+// per-activity rate sum, and FP addition is not associative — so the
+// statistics are built as per-case contributions whose merge is pure
 // CONCATENATION (bitwise exact, associative), and every double is
 // summed exactly once, in finalize(), through a fixed-shape pairwise
 // tree whose summation order is a function of the input index alone.
-// compute(), the streaming IoStatsSink and the shard-parallel
-// coordinator all run the identical add_case -> merge -> finalize
-// path, so their doubles are bit-identical at any worker or shard
+// Within a case, each activity's events fold in event order through
+// ActivityContribution::add. compute() is the string-keyed oracle: it
+// runs f per event and add_case per case. The streaming IoStatsSink
+// (pipeline/sink.hpp) reaches the same CaseContributions from the
+// case's activity ids, naming each activity once per case; it and the
+// shard-parallel coordinator then share merge -> finalize with
+// compute(), so their doubles are bit-identical at any worker or shard
 // count.
 #pragma once
 
@@ -76,6 +80,9 @@ class IoStatistics {
     std::uint64_t rate_samples = 0;
     std::vector<Interval> intervals;  ///< in event order
 
+    /// Folds one event of this activity; call in event order.
+    void add(const model::Event& e);
+
     [[nodiscard]] bool operator==(const ActivityContribution&) const = default;
   };
 
@@ -92,7 +99,9 @@ class IoStatistics {
   /// single place sums happen, identically on every path.
   class Partial {
    public:
-    /// Folds one case (one in-order walk of its mapped events).
+    /// Folds one case (one in-order walk of its mapped events) — the
+    /// string-keyed reference; IoStatsSink appends contributions it
+    /// builds from the case's activity ids (from_cases + merge).
     void add_case(const model::Case& c, const model::Mapping& f);
 
     /// Concatenation: appends `other`'s cases after this one's.
@@ -126,8 +135,8 @@ class IoStatistics {
   };
 
   /// Single pass over the events + per-activity grouping (the O(mn)
-  /// step of Sec. V). Delegates to the Partial path above, so the
-  /// streamed/sharded runs are bit-identical to this serial compute.
+  /// step of Sec. V), in strings: add_case per case, then finalize —
+  /// the reference the streamed/sharded runs are bit-identical to.
   [[nodiscard]] static IoStatistics compute(const model::EventLog& log, const model::Mapping& f);
 
   [[nodiscard]] const std::map<model::Activity, ActivityStat>& per_activity() const {

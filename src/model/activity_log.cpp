@@ -2,14 +2,14 @@
 
 #include <utility>
 
-#include "model/case_walk.hpp"
-
 namespace st::model {
 
 ActivityTrace activity_trace(const Case& c, const Mapping& f) {
   ActivityTrace trace;
   trace.reserve(c.size());
-  for_each_mapped_event(c, f, [&](Activity&& a, const Event&) { trace.push_back(std::move(a)); });
+  for (const Event& e : c.events()) {
+    if (auto a = f(e)) trace.push_back(std::move(*a));
+  }
   return trace;
 }
 

@@ -30,9 +30,10 @@ using ActivityTrace = std::vector<Activity>;
 using VariantCounts = std::map<ActivityTrace, std::size_t>;
 
 /// σ_f(c): one case's activity trace — every mapped activity, in event
-/// order (f is partial; unmapped events are skipped). The single
-/// definition ActivityLog::build and the streaming VariantsSink both
-/// fold, so their variant multisets cannot drift apart.
+/// order (f is partial; unmapped events are skipped). What
+/// ActivityLog::build and build_serial fold, and the string-keyed
+/// reference for the streaming VariantsSink, which folds the same
+/// sequence as activity ids (model/mapped_case.hpp).
 [[nodiscard]] ActivityTrace activity_trace(const Case& c, const Mapping& f);
 
 /// Folds `from` into `to` (multiplicities add) by moving map nodes —

@@ -4,13 +4,15 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <limits>
+#include <map>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "dfg/builder.hpp"
 #include "model/from_strace.hpp"
 #include "parallel/algorithms.hpp"
 #include "parallel/thread_pool.hpp"
@@ -33,6 +35,84 @@ struct Converted {
 };
 
 constexpr std::size_t kNoError = std::numeric_limits<std::size_t>::max();
+
+constexpr std::size_t kUnmapped = std::numeric_limits<std::size_t>::max();
+
+/// The distinct mappings among a run's sinks (by address, in sink
+/// order) and the one each sink folds: kUnmapped for a sink without.
+struct MappingPlan {
+  std::vector<const model::Mapping*> mappings;
+  std::vector<std::size_t> of_sink;
+
+  explicit MappingPlan(std::span<CaseSink* const> sinks) {
+    of_sink.reserve(sinks.size());
+    for (const CaseSink* sink : sinks) {
+      const model::Mapping* f = sink->mapping();
+      if (f == nullptr) {
+        of_sink.push_back(kUnmapped);
+        continue;
+      }
+      const auto it = std::find(mappings.begin(), mappings.end(), f);
+      of_sink.push_back(static_cast<std::size_t>(it - mappings.begin()));
+      if (it == mappings.end()) mappings.push_back(f);
+    }
+  }
+};
+
+/// One task's fold — a file in run(), a chunk in fold_cases: a partial
+/// per sink, and per distinct mapping an activity dictionary that lives
+/// as long as the task, so each case is mapped once per mapping however
+/// many sinks fold it.
+class TaskFold {
+ public:
+  TaskFold(std::span<CaseSink* const> sinks, const MappingPlan& plan)
+      : sinks_(sinks), plan_(plan), dicts_(plan.mappings.size()), mapped_(plan.mappings.size()) {
+    partials_.reserve(sinks.size());
+    for (const CaseSink* sink : sinks) partials_.push_back(sink->make_partial());
+  }
+
+  void fold(const model::Case& c, const std::shared_ptr<strace::StringArena>& arena,
+            const std::shared_ptr<strace::TraceBuffer>& buffer) {
+    for (std::size_t m = 0; m < mapped_.size(); ++m) {
+      model::map_case(c, *plan_.mappings[m], dicts_[m], mapped_[m]);
+    }
+    for (std::size_t s = 0; s < sinks_.size(); ++s) {
+      const std::size_t m = plan_.of_sink[s];
+      const bool mapped = m != kUnmapped;
+      sinks_[s]->fold(*partials_[s], CaseContext{c, arena, buffer, mapped ? &mapped_[m] : nullptr,
+                                                 mapped ? &dicts_[m] : nullptr});
+    }
+  }
+
+  /// Seals every partial while the dictionaries are alive and hands the
+  /// partials over, in sink order.
+  std::vector<std::unique_ptr<SinkPartial>> seal() && {
+    for (std::size_t s = 0; s < sinks_.size(); ++s) {
+      const std::size_t m = plan_.of_sink[s];
+      sinks_[s]->seal(*partials_[s], m == kUnmapped ? nullptr : &dicts_[m]);
+    }
+    return std::move(partials_);
+  }
+
+ private:
+  std::span<CaseSink* const> sinks_;
+  const MappingPlan& plan_;
+  std::vector<model::ActivityDict> dicts_;
+  std::vector<model::MappedCase> mapped_;
+  std::vector<std::unique_ptr<SinkPartial>> partials_;
+};
+
+/// The (from, to) key of an id-keyed edge map.
+std::uint64_t edge_key(std::uint32_t from, std::uint32_t to) {
+  return (static_cast<std::uint64_t>(from) << 32) | to;
+}
+
+/// The names of an edge key's endpoints.
+std::pair<model::Activity, model::Activity> edge_names(std::uint64_t key,
+                                                       const model::ActivityDict& dict) {
+  return {dict.name(static_cast<std::uint32_t>(key >> 32)),
+          dict.name(static_cast<std::uint32_t>(key))};
+}
 
 /// What happened to one input file, in input-index order.
 enum class Disp : unsigned char {
@@ -147,6 +227,7 @@ model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
   // sized before the first parse task starts, so each callback writes
   // only its own slot, and they outlive the handle, whose join (here or
   // in its destructor) guarantees no callback is still running.
+  const MappingPlan plan(sinks);
   std::vector<Converted> converted(live);
   std::vector<std::exception_ptr> convert_errors(live);
   auto handle = strace::read_trace_buffers_streamed(
@@ -164,14 +245,10 @@ model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
           out.c = model::case_from_records(ids[live_to_orig[i]], result.records, *out.arena);
           out.warnings = std::move(result.warnings);
           out.buffer = std::move(result.buffer);
-          out.partials.reserve(sinks.size());
-          const CaseContext ctx{out.c, out.arena, out.buffer};
           FAULT_POINT("sink.fold");
-          for (CaseSink* sink : sinks) {
-            auto partial = sink->make_partial();
-            sink->fold(*partial, ctx);
-            out.partials.push_back(std::move(partial));
-          }
+          TaskFold task(sinks, plan);
+          task.fold(out.c, out.arena, out.buffer);
+          out.partials = std::move(task).seal();
           converted[i] = std::move(out);
         } catch (...) {
           convert_errors[i] = std::current_exception();
@@ -281,16 +358,17 @@ void fold_cases(std::span<const model::Case> cases, std::span<CaseSink* const> s
   const std::size_t target = pool == nullptr ? 1 : default_chunks(*pool, cases.size());
   const std::size_t per = std::max<std::size_t>(1, (cases.size() + target - 1) / target);
   std::vector<std::vector<std::unique_ptr<SinkPartial>>> parts((cases.size() + per - 1) / per);
+  const MappingPlan plan(sinks);
   // The cases' owner holds their storage; there is nothing to adopt.
   const std::shared_ptr<strace::StringArena> no_arena;
   const std::shared_ptr<strace::TraceBuffer> no_buffer;
   const auto fold_chunk = [&](std::size_t k) {
     FAULT_POINT("sink.fold");
-    for (CaseSink* sink : sinks) parts[k].push_back(sink->make_partial());
+    TaskFold task(sinks, plan);
     for (const model::Case& c : cases.subspan(k * per, std::min(per, cases.size() - k * per))) {
-      const CaseContext ctx{c, no_arena, no_buffer};
-      for (std::size_t s = 0; s < sinks.size(); ++s) sinks[s]->fold(*parts[k][s], ctx);
+      task.fold(c, no_arena, no_buffer);
     }
+    parts[k] = std::move(task).seal();
   };
   if (pool == nullptr) {
     for (std::size_t k = 0; k < parts.size(); ++k) fold_chunk(k);
@@ -313,7 +391,10 @@ void fold_cases(std::span<const model::Case> cases, std::span<CaseSink* const> s
 
 namespace {
 struct DfgPartial final : SinkPartial {
-  dfg::Dfg graph;
+  std::vector<std::uint64_t> nodes;                        ///< count by activity id
+  std::unordered_map<std::uint64_t, std::uint64_t> edges;  ///< count by edge_key
+  std::uint64_t traces = 0;
+  dfg::Dfg graph;  ///< the counts by name, from seal()
 };
 }  // namespace
 
@@ -322,7 +403,34 @@ std::unique_ptr<SinkPartial> DfgSink::make_partial() const {
 }
 
 void DfgSink::fold(SinkPartial& p, const CaseContext& ctx) const {
-  dfg::add_case_trace(static_cast<DfgPartial&>(p).graph, ctx.c, *f_);
+  // Dfg::add_trace over ids: the markers count once per trace, and an
+  // activity named like a marker shares its id.
+  auto& part = static_cast<DfgPartial&>(p);
+  part.nodes.resize(ctx.activities->size());
+  ++part.traces;
+  ++part.nodes[model::ActivityDict::kStart];
+  ++part.nodes[model::ActivityDict::kEnd];
+  std::uint32_t prev = model::ActivityDict::kStart;
+  for (const std::uint32_t a : ctx.mapped->activities) {
+    ++part.nodes[a];
+    ++part.edges[edge_key(prev, a)];
+    prev = a;
+  }
+  ++part.edges[edge_key(prev, model::ActivityDict::kEnd)];
+}
+
+void DfgSink::seal(SinkPartial& p, const model::ActivityDict* activities) const {
+  auto& part = static_cast<DfgPartial&>(p);
+  std::map<model::Activity, std::uint64_t> nodes;
+  for (std::uint32_t a = 0; a < part.nodes.size(); ++a) {
+    if (part.nodes[a] > 0) nodes.emplace(activities->name(a), part.nodes[a]);
+  }
+  std::map<std::pair<model::Activity, model::Activity>, std::uint64_t> edges;
+  for (const auto& [key, count] : part.edges) edges.emplace(edge_names(key, *activities), count);
+  part.graph = dfg::Dfg::from_parts(std::move(nodes), std::move(edges), part.traces);
+  // A run's partials wait for the input-order merge: keep only names.
+  part.nodes = {};
+  part.edges = {};
 }
 
 void DfgSink::merge(std::unique_ptr<SinkPartial> p) {
@@ -353,7 +461,8 @@ void CaseStatsSink::merge(std::unique_ptr<SinkPartial> p) {
 
 namespace {
 struct VariantsPartial final : SinkPartial {
-  model::VariantCounts counts;
+  std::map<std::vector<std::uint32_t>, std::size_t> traces;  ///< σ_f(c) as ids
+  model::VariantCounts counts;                                ///< by name, from seal()
 };
 }  // namespace
 
@@ -362,10 +471,20 @@ std::unique_ptr<SinkPartial> VariantsSink::make_partial() const {
 }
 
 void VariantsSink::fold(SinkPartial& p, const CaseContext& ctx) const {
-  // model::activity_trace is the same definition ActivityLog::build
-  // folds, so the multiset is byte-identical to
-  // ActivityLog::build(log, f).variants().
-  ++static_cast<VariantsPartial&>(p).counts[model::activity_trace(ctx.c, *f_)];
+  ++static_cast<VariantsPartial&>(p).traces[ctx.mapped->activities];
+}
+
+void VariantsSink::seal(SinkPartial& p, const model::ActivityDict* activities) const {
+  // The dictionary is injective, so distinct id traces name distinct
+  // traces: the multiset is ActivityLog::build(log, f).variants()'s.
+  auto& part = static_cast<VariantsPartial&>(p);
+  for (const auto& [ids, count] : part.traces) {
+    model::ActivityTrace trace;
+    trace.reserve(ids.size());
+    for (const std::uint32_t a : ids) trace.push_back(activities->name(a));
+    part.counts.emplace(std::move(trace), count);
+  }
+  part.traces = {};
 }
 
 void VariantsSink::merge(std::unique_ptr<SinkPartial> p) {
@@ -375,8 +494,13 @@ void VariantsSink::merge(std::unique_ptr<SinkPartial> p) {
 // ---- IoStatsSink -------------------------------------------------------
 
 namespace {
+constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
+
 struct IoStatsPartial final : SinkPartial {
-  dfg::IoStatistics::Partial p;
+  std::vector<dfg::IoStatistics::CaseContribution> cases;
+  // Per-case scratch: the slot of each activity id the case touched.
+  std::vector<std::uint32_t> slot_of;
+  std::vector<std::pair<std::uint32_t, dfg::IoStatistics::ActivityContribution>> slots;
 };
 }  // namespace
 
@@ -385,18 +509,47 @@ std::unique_ptr<SinkPartial> IoStatsSink::make_partial() const {
 }
 
 void IoStatsSink::fold(SinkPartial& p, const CaseContext& ctx) const {
-  static_cast<IoStatsPartial&>(p).p.add_case(ctx.c, *f_);
+  // IoStatistics::Partial::add_case over ids: each activity's events
+  // fold in event order, and the case's activities are named once.
+  auto& part = static_cast<IoStatsPartial&>(p);
+  part.slot_of.resize(ctx.activities->size(), kNoSlot);
+  const model::MappedCase& m = *ctx.mapped;
+  const auto events = ctx.c.events();
+  for (std::size_t k = 0; k < m.activities.size(); ++k) {
+    std::uint32_t& slot = part.slot_of[m.activities[k]];
+    if (slot == kNoSlot) {
+      slot = static_cast<std::uint32_t>(part.slots.size());
+      part.slots.emplace_back(m.activities[k], dfg::IoStatistics::ActivityContribution{});
+    }
+    part.slots[slot].second.add(events[m.events[k]]);
+  }
+  dfg::IoStatistics::CaseContribution contribution;
+  contribution.id = ctx.c.id();
+  for (auto& [a, con] : part.slots) {
+    contribution.activities.emplace(ctx.activities->name(a), std::move(con));
+    part.slot_of[a] = kNoSlot;
+  }
+  part.slots.clear();
+  part.cases.push_back(std::move(contribution));
+}
+
+void IoStatsSink::seal(SinkPartial& p, const model::ActivityDict* /*activities*/) const {
+  auto& part = static_cast<IoStatsPartial&>(p);
+  part.slot_of = {};
+  part.slots = {};
 }
 
 void IoStatsSink::merge(std::unique_ptr<SinkPartial> p) {
-  partial_.merge(std::move(static_cast<IoStatsPartial&>(*p).p));
+  partial_.merge(
+      dfg::IoStatistics::Partial::from_cases(std::move(static_cast<IoStatsPartial&>(*p).cases)));
 }
 
 // ---- EdgeStatsSink -----------------------------------------------------
 
 namespace {
 struct EdgeStatsPartial final : SinkPartial {
-  dfg::EdgeStatistics::Partial p;
+  std::unordered_map<std::uint64_t, dfg::EdgeStat> edges;  ///< by edge_key
+  dfg::EdgeStatistics::Partial p;                          ///< by name, from seal()
 };
 }  // namespace
 
@@ -405,7 +558,22 @@ std::unique_ptr<SinkPartial> EdgeStatsSink::make_partial() const {
 }
 
 void EdgeStatsSink::fold(SinkPartial& p, const CaseContext& ctx) const {
-  static_cast<EdgeStatsPartial&>(p).p.add_case(ctx.c, *f_);
+  // EdgeStatistics::Partial::add_case over ids.
+  auto& part = static_cast<EdgeStatsPartial&>(p);
+  const model::MappedCase& m = *ctx.mapped;
+  const auto events = ctx.c.events();
+  for (std::size_t k = 1; k < m.activities.size(); ++k) {
+    part.edges[edge_key(m.activities[k - 1], m.activities[k])].add(
+        events[m.events[k]].start - events[m.events[k - 1]].end());
+  }
+}
+
+void EdgeStatsSink::seal(SinkPartial& p, const model::ActivityDict* activities) const {
+  auto& part = static_cast<EdgeStatsPartial&>(p);
+  std::map<dfg::EdgeStatistics::Edge, dfg::EdgeStat> stats;
+  for (const auto& [key, stat] : part.edges) stats.emplace(edge_names(key, *activities), stat);
+  part.p = dfg::EdgeStatistics::Partial::from_stats(std::move(stats));
+  part.edges = {};
 }
 
 void EdgeStatsSink::merge(std::unique_ptr<SinkPartial> p) {

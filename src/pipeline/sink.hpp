@@ -10,8 +10,9 @@
 // A sink is monoid-shaped, mirroring the Dfg merge the DFG build has
 // always used (refs [24][25] of the paper):
 //
-//   make_partial()      a fresh accumulator, created per converted
-//                       file on the pool thread converting it;
+//   make_partial()      a fresh accumulator, created per task (one
+//                       converted file in run(), one chunk of cases in
+//                       fold_cases) on the pool thread running it;
 //   fold(partial, ctx)  folds one completed Case into that partial
 //                       right after its conversion, on the pool thread
 //                       that finished the file's parse, while other
@@ -19,10 +20,26 @@
 //                       mutable state in the partial, so concurrent
 //                       folds into distinct partials are safe by
 //                       construction;
+//   seal(partial, dict) once per partial, on the same thread, after its
+//                       task's last fold: where a sink that counted by
+//                       activity id turns its counts back into names
+//                       and drops its id-keyed state, which would
+//                       otherwise wait for the merge;
 //   merge(partial)      input-order fold of the partials into the
 //                       sink's output, at assembly on the calling
 //                       thread — the same place (and order) the
 //                       pipeline assembles cases and warnings.
+//
+// Map each event once. A sink that folds activities names its mapping
+// f through mapping(); run() and fold_cases apply each distinct f once
+// per case, into a MappedCase of activity ids interned in the task's
+// ActivityDict (model/mapped_case.hpp), and pass both in the
+// CaseContext. So DfgSink, VariantsSink, IoStatsSink and EdgeStatsSink
+// count in id-indexed vectors and integer-keyed maps, and strings come
+// back once per (partial, key) in seal() — once per (case, activity)
+// for the I/O statistics — into the same Dfg, VariantCounts and
+// statistics partials as the string-keyed references (build_serial,
+// ActivityLog, IoStatistics::compute, EdgeStatistics::compute).
 //
 // Determinism contract (same as the PR 4 pipeline, asserted by
 // tests/test_pipeline_sinks.cpp): every sink's output is byte-identical
@@ -70,6 +87,7 @@
 #include "model/activity_log.hpp"
 #include "model/case_stats.hpp"
 #include "model/event_log.hpp"
+#include "model/mapped_case.hpp"
 #include "model/mapping.hpp"
 #include "strace/reader.hpp"
 #include "support/run_policy.hpp"
@@ -122,26 +140,43 @@ class SinkPartial {
 };
 
 /// What fold() sees of one converted case, beyond the case itself: the
-/// owners of its string storage. `arena` holds the case's interned
-/// cid/host, `buffer` the parsed trace bytes its call/fp views point
-/// into (null for cases that did not come from a parsed buffer). Copy
-/// the shared_ptrs into the partial if the sink's output outlives the
-/// run with views intact.
+/// owners of its string storage, and the case as activity ids. `arena`
+/// holds the case's interned cid/host, `buffer` the parsed trace bytes
+/// its call/fp views point into (null for cases that did not come from
+/// a parsed buffer). Copy the shared_ptrs into the partial if the
+/// sink's output outlives the run with views intact. `mapped` is the
+/// case under the sink's mapping(), its ids drawn from `activities`,
+/// the task's dictionary for that mapping; both are null for a sink
+/// whose mapping() is.
 struct CaseContext {
   const model::Case& c;
   const std::shared_ptr<strace::StringArena>& arena;
   const std::shared_ptr<strace::TraceBuffer>& buffer;
+  const model::MappedCase* mapped = nullptr;
+  const model::ActivityDict* activities = nullptr;
 };
 
 class CaseSink {
  public:
   virtual ~CaseSink() = default;
 
+  /// The mapping f whose activity ids fold() reads from the context;
+  /// null (the default) for a sink that reads only the events. Sinks
+  /// returning the same Mapping share one mapping pass per case. The
+  /// mapping must outlive the run.
+  [[nodiscard]] virtual const model::Mapping* mapping() const { return nullptr; }
+
   [[nodiscard]] virtual std::unique_ptr<SinkPartial> make_partial() const = 0;
 
   /// Folds one case into `p`. Runs on a pool thread; must touch no
   /// sink state outside `p`.
   virtual void fold(SinkPartial& p, const CaseContext& ctx) const = 0;
+
+  /// Finishes `p` after its task's last fold, on the same thread, while
+  /// `activities` (the task's dictionary for mapping(); null when it
+  /// is null) is still alive: the last point ids can be named. Default:
+  /// nothing.
+  virtual void seal(SinkPartial& /*p*/, const model::ActivityDict* /*activities*/) const {}
 
   /// Folds a task's partial into the sink's output. Called on the
   /// thread running pipeline::run, strictly in input order, only on
@@ -173,10 +208,11 @@ class CaseSink {
                                   const StreamOptions& opts = {}, DataHealth* health = nullptr);
 
 /// Folds cases already in memory into every sink: contiguous chunks on
-/// `pool` (one chunk inline when it is null), one partial per sink per
-/// chunk, merged in chunk order on the calling thread — the output is
-/// the staged computation's at any worker count. fold() sees a null
-/// arena and buffer: the cases' owner keeps their storage alive. run()'s
+/// `pool` (one chunk inline when it is null), one partial and one
+/// activity dictionary per mapping per chunk, merged in chunk order on
+/// the calling thread — the output is the staged computation's at any
+/// worker count. fold() sees a null arena and buffer: the cases' owner
+/// keeps their storage alive. run()'s
 /// error contract: every chunk is awaited, the lowest chunk's error is
 /// rethrown and no sink sees a merge. Not callable from a task on `pool`.
 void fold_cases(std::span<const model::Case> cases, std::span<CaseSink* const> sinks,
@@ -184,15 +220,18 @@ void fold_cases(std::span<const model::Case> cases, std::span<CaseSink* const> s
 
 // ---- the analytics, re-expressed as sinks ------------------------------
 
-/// Per-case DFG construction (dfg::add_case_trace folded through the
-/// Dfg monoid); the result equals dfg::build_serial on the returned
-/// log. `f` must outlive the run.
+/// Per-case DFG construction: node and edge counts by activity id per
+/// task, named once per partial and merged through the Dfg monoid; the
+/// result equals dfg::build_serial on the returned log. `f` must
+/// outlive the run.
 class DfgSink final : public CaseSink {
  public:
   explicit DfgSink(const model::Mapping& f) : f_(&f) {}
 
+  [[nodiscard]] const model::Mapping* mapping() const override { return f_; }
   [[nodiscard]] std::unique_ptr<SinkPartial> make_partial() const override;
   void fold(SinkPartial& p, const CaseContext& ctx) const override;
+  void seal(SinkPartial& p, const model::ActivityDict* activities) const override;
   void merge(std::unique_ptr<SinkPartial> p) override;
 
   [[nodiscard]] const dfg::Dfg& graph() const { return graph_; }
@@ -229,8 +268,10 @@ class VariantsSink final : public CaseSink {
  public:
   explicit VariantsSink(const model::Mapping& f) : f_(&f) {}
 
+  [[nodiscard]] const model::Mapping* mapping() const override { return f_; }
   [[nodiscard]] std::unique_ptr<SinkPartial> make_partial() const override;
   void fold(SinkPartial& p, const CaseContext& ctx) const override;
+  void seal(SinkPartial& p, const model::ActivityDict* activities) const override;
   void merge(std::unique_ptr<SinkPartial> p) override;
 
   [[nodiscard]] const model::VariantCounts& variants() const { return variants_; }
@@ -242,18 +283,21 @@ class VariantsSink final : public CaseSink {
 };
 
 /// Activity statistics (Load / bytes / DR / max-concurrency / ranks)
-/// as a sink: fold() walks one case into an IoStatistics::Partial,
-/// merge() CONCATENATES partials in input order (no FP arithmetic, so
-/// worker count cannot change bits), and finalize() runs the
-/// fixed-shape pairwise double-sum tree — bit-identical to
-/// IoStatistics::compute on the returned log, asserted with exact
-/// double equality by test_stats_sinks. `f` must outlive the run.
+/// as a sink: fold() gathers one case's contributions by activity id
+/// and names them into an IoStatistics::CaseContribution, merge()
+/// CONCATENATES them in input order (no FP arithmetic, so worker count
+/// cannot change bits), and finalize() runs the fixed-shape pairwise
+/// double-sum tree — bit-identical to IoStatistics::compute on the
+/// returned log, asserted with exact double equality by
+/// test_stats_sinks. `f` must outlive the run.
 class IoStatsSink final : public CaseSink {
  public:
   explicit IoStatsSink(const model::Mapping& f) : f_(&f) {}
 
+  [[nodiscard]] const model::Mapping* mapping() const override { return f_; }
   [[nodiscard]] std::unique_ptr<SinkPartial> make_partial() const override;
   void fold(SinkPartial& p, const CaseContext& ctx) const override;
+  void seal(SinkPartial& p, const model::ActivityDict* activities) const override;
   void merge(std::unique_ptr<SinkPartial> p) override;
 
   /// The merged (un-finalized) partial — what a shard worker encodes,
@@ -276,8 +320,10 @@ class EdgeStatsSink final : public CaseSink {
  public:
   explicit EdgeStatsSink(const model::Mapping& f) : f_(&f) {}
 
+  [[nodiscard]] const model::Mapping* mapping() const override { return f_; }
   [[nodiscard]] std::unique_ptr<SinkPartial> make_partial() const override;
   void fold(SinkPartial& p, const CaseContext& ctx) const override;
+  void seal(SinkPartial& p, const model::ActivityDict* activities) const override;
   void merge(std::unique_ptr<SinkPartial> p) override;
 
   [[nodiscard]] const dfg::EdgeStatistics::Partial& partial() const { return partial_; }

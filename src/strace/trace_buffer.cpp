@@ -1,6 +1,9 @@
 #include "strace/trace_buffer.hpp"
 
+#include <cerrno>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 #include "support/errors.hpp"
 #include "support/faultpoint.hpp"
@@ -23,15 +26,20 @@ TraceBuffer::~TraceBuffer() {
 
 std::shared_ptr<TraceBuffer> TraceBuffer::from_file(const std::string& path) {
   FAULT_POINT("reader.open");
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  // A directory opens as a stream on some platforms, then reports a
+  // nonsense size; it is never a trace.
+  std::error_code ec;
+  if (std::filesystem::is_directory(path, ec)) throw IoError("trace file is a directory: " + path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw IoError("cannot open trace file: " + path);
-  const std::streamsize size = in.tellg();
-  if (size < 0) throw IoError("cannot stat trace file: " + path);
-  in.seekg(0);
-  std::string text(static_cast<std::size_t>(size), '\0');
-  if (size > 0 && !in.read(text.data(), size)) {
-    throw IoError("cannot read trace file: " + path);
+  // Read to the end rather than sizing by seek: pipes and devices have
+  // no size.
+  std::string text;
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
   }
+  if (in.bad()) throw IoError("cannot read trace file: " + path);
   return std::make_shared<TraceBuffer>(std::move(text));
 }
 
@@ -42,20 +50,33 @@ std::shared_ptr<TraceBuffer> TraceBuffer::from_file_mmap(const std::string& path
   FAULT_POINT("reader.open");
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) throw IoError("cannot open trace file: " + path);
+  // The mapping keeps its own reference to the file.
+  const struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
   struct stat st{};
-  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-    ::close(fd);
-    // Pipes/devices cannot be mapped or sized; the read path handles
-    // anything open() accepted, and errors consistently otherwise.
-    return from_file(path);
+  if (::fstat(fd, &st) != 0) throw IoError("cannot stat trace file: " + path);
+  if (S_ISDIR(st.st_mode)) throw IoError("trace file is a directory: " + path);
+  if (!S_ISREG(st.st_mode)) {
+    // Pipes and devices cannot be mapped or sized, and a pipe's bytes
+    // are gone once read: take them from this descriptor, to the end.
+    std::string text;
+    char chunk[1 << 16];
+    for (;;) {
+      const ssize_t got = ::read(fd, chunk, sizeof chunk);
+      if (got == 0) break;
+      if (got < 0) {
+        if (errno == EINTR) continue;
+        throw IoError("cannot read trace file: " + path);
+      }
+      text.append(chunk, static_cast<std::size_t>(got));
+    }
+    return std::make_shared<TraceBuffer>(std::move(text));
   }
   const auto size = static_cast<std::size_t>(st.st_size);
-  if (size == 0) {
-    ::close(fd);
-    return std::make_shared<TraceBuffer>(std::string());
-  }
+  if (size == 0) return std::make_shared<TraceBuffer>(std::string());
   void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);  // the mapping keeps its own reference to the file
   if (map == MAP_FAILED) return from_file(path);
 #ifdef MADV_SEQUENTIAL
   ::madvise(map, size, MADV_SEQUENTIAL);  // parse is one forward pass

@@ -41,14 +41,15 @@ class TraceBuffer {
 
   ~TraceBuffer();
 
-  /// Reads the whole file with a single read() into the buffer.
-  /// Throws IoError if the file cannot be opened.
+  /// Reads the file — or pipe, or device — to its end into the buffer.
+  /// Throws IoError if it cannot be opened or read, or is a directory.
   [[nodiscard]] static std::shared_ptr<TraceBuffer> from_file(const std::string& path);
 
   /// Maps the file read-only instead of copying it, so multi-GB traces
-  /// never double-buffer (page cache + heap). Falls back to from_file
-  /// on platforms without mmap, for empty files, and when the mapping
-  /// fails — the returned buffer is indistinguishable to callers.
+  /// never double-buffer (page cache + heap). Pipes and devices are
+  /// read to their end from the same descriptor; platforms without mmap
+  /// and failed mappings fall back to from_file — the returned buffer
+  /// is indistinguishable to callers. A directory is an IoError.
   [[nodiscard]] static std::shared_ptr<TraceBuffer> from_file_mmap(const std::string& path);
 
   [[nodiscard]] std::string_view text() const { return view_; }

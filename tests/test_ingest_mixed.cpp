@@ -1,6 +1,7 @@
 // End-to-end coverage for the mmap + arena + mixed-parallel ingestion
 // architecture:
 //   - from_file_mmap and from_file produce byte-identical ReadResults,
+//     read pipes to their end and reject a directory with an IoError,
 //   - read_trace_files_streamed (one work queue of (file, chunk)
 //     tasks on the caller's pool) matches the sequential reader file
 //     by file,
@@ -17,6 +18,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "iosim/ior.hpp"
@@ -26,6 +28,10 @@
 #include "strace/writer.hpp"
 #include "support/errors.hpp"
 #include "testing_corpus.hpp"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/stat.h>
+#endif
 
 namespace st {
 namespace {
@@ -75,6 +81,42 @@ TEST_F(MmapVsRead, MissingFileThrows) {
   EXPECT_THROW((void)strace::TraceBuffer::from_file_mmap((dir_ / "nope.st").string()),
                IoError);
 }
+
+TEST_F(MmapVsRead, DirectoryIsATypedIoErrorInBothLoaders) {
+  // A directory named like a trace used to be sized through its stream
+  // and die in std::bad_alloc.
+  const auto path = (dir_ / "x_h_1.st").string();
+  std::filesystem::create_directory(path);
+  for (const auto& load : {&strace::TraceBuffer::from_file, &strace::TraceBuffer::from_file_mmap}) {
+    try {
+      (void)load(path);
+      ADD_FAILURE() << "a directory loaded as a trace";
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("is a directory"), std::string::npos) << e.what();
+    }
+  }
+}
+
+#if defined(__unix__) || defined(__APPLE__)
+TEST_F(MmapVsRead, PipeReadsLikeTheFile) {
+  // A pipe has no size and cannot be mapped: both loaders read it to
+  // its end, into the same bytes the file gives.
+  const std::string text = make_trace(300, /*with_noise=*/true);
+  const auto file = write_file("a_host1_3.st", text);
+  const auto fifo = (dir_ / "p_host1_4.st").string();
+  for (const auto& load : {&strace::TraceBuffer::from_file, &strace::TraceBuffer::from_file_mmap}) {
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+    std::thread writer([&] { std::ofstream(fifo, std::ios::binary) << text; });
+    const auto buffer = load(fifo);
+    writer.join();
+    EXPECT_FALSE(buffer->is_mapped());
+    EXPECT_EQ(buffer->text(), text);
+    expect_same_result(strace::read_trace_buffer(buffer),
+                       strace::read_trace_buffer(strace::TraceBuffer::from_file(file)));
+    std::filesystem::remove(fifo);
+  }
+}
+#endif
 
 // ---- mixed parallelism -------------------------------------------------
 

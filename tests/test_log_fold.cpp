@@ -8,7 +8,9 @@
 //     workers, over the ls traces, the noisy multi-host corpus of
 //     testing_corpus.hpp, a 37-case synthetic log (no chunking divides
 //     it evenly), an empty log and a log whose cases map no events,
-//     under four mappings, with and without a timeline;
+//     under every mapping of testing::mappings_under_test (the seven
+//     registry names, a filtered one, one naming events like the DFG's
+//     markers and one that maps nothing), with and without a timeline;
 //   - fold_cases' error contract: a sink throwing in two chunks
 //     surfaces the lower chunk's error every time, no sink sees a
 //     merge and the pool stays usable; an armed sink.fold fault is a
@@ -105,7 +107,7 @@ std::string render(const report::ReportData& data, const model::Mapping& f,
 TEST_P(LogFold, MatchesTheStagedOracleAtAnyPool) {
   const auto& [source, mapping, with_timeline] = GetParam();
   const model::EventLog log = log_of(source);
-  model::Mapping f = model::mapping_by_name(mapping);
+  model::Mapping f = testing::mapping_under_test(mapping);
   if (source == Source::kUnmapped) {
     f = f.filtered(mapping + "-none", [](const model::Event&) { return false; });
   }
@@ -124,6 +126,10 @@ TEST_P(LogFold, MatchesTheStagedOracleAtAnyPool) {
     ASSERT_FALSE(staged.timeline.empty());  // the timeline case really has entries
   }
   const std::string staged_html = render(staged, f, opts);
+  if (mapping == "markers" && source == Source::kLs) {
+    // Reads really are named like the start marker and merge with it.
+    ASSERT_GT(staged.graph.node_count(dfg::Dfg::start_node()), staged.graph.trace_count());
+  }
 
   ThreadPool pool1(1);
   ThreadPool pool2(2);
@@ -140,7 +146,7 @@ INSTANTIATE_TEST_SUITE_P(
     SourcesMappingsTimelines, LogFold,
     ::testing::Combine(::testing::Values(Source::kLs, Source::kNoisyCorpus, Source::kSynthetic,
                                          Source::kEmpty, Source::kUnmapped),
-                       ::testing::Values("call", "top2", "last1", "site"), ::testing::Bool()),
+                       ::testing::ValuesIn(testing::mappings_under_test()), ::testing::Bool()),
     [](const ::testing::TestParamInfo<Param>& info) {
       return source_name(std::get<0>(info.param)) + "_" + std::get<1>(info.param) +
              (std::get<2>(info.param) ? "_timeline" : "");

@@ -5,6 +5,12 @@
 //     case summaries (summarize_cases) and the variant multiset
 //     (ActivityLog::build().variants()) — all produced by ONE
 //     streamed pass,
+//   - map once: the DFG, variants, I/O statistics (partial and
+//     finalized, doubles bit for bit) and edge statistics folded over
+//     activity ids equal their string-keyed oracles under every mapping
+//     of testing::mappings_under_test at 1 and 4 workers, and sinks
+//     holding two different mappings in one run (or fold_cases) each
+//     match their own oracle,
 //   - a sink whose fold throws mid-stream follows the
 //     lowest-input-index-wins error contract — against other sink
 //     failures AND against strict-mode parse errors — never merges a
@@ -16,16 +22,20 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dfg/builder.hpp"
+#include "dfg/edge_stats.hpp"
+#include "dfg/stats.hpp"
 #include "model/activity_log.hpp"
 #include "model/case_stats.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/errors.hpp"
 #include "testing_corpus.hpp"
+#include "testing_util.hpp"
 
 namespace st {
 namespace {
@@ -64,6 +74,78 @@ TEST_F(PipelineSinks, EverySinkMatchesItsStagedCounterpartAt124Workers) {
     EXPECT_EQ(graph_sink.graph(), ref_graph) << workers;
     EXPECT_EQ(stats_sink.summaries(), ref_summaries) << workers;
     EXPECT_EQ(variants_sink.variants(), ref_variants) << workers;
+  }
+}
+
+// ---- map once: the id folds vs the string oracles -----------------------
+
+/// The string-keyed reference for IoStatsSink's partial: one add_case
+/// per case, in log order.
+dfg::IoStatistics::Partial io_partial_oracle(const model::EventLog& log, const model::Mapping& f) {
+  dfg::IoStatistics::Partial p;
+  for (const model::Case& c : log.cases()) p.add_case(c, f);
+  return p;
+}
+
+TEST_F(PipelineSinks, MapOnceMatchesTheStringOraclesUnderEveryMappingAt14Workers) {
+  const auto paths = make_corpus();
+  const auto reference = testing::staged_log(paths);
+  for (const std::string& name : testing::mappings_under_test()) {
+    const model::Mapping f = testing::mapping_under_test(name);
+    const auto ref_graph = dfg::build_serial(reference, f);
+    const auto ref_variants = model::ActivityLog::build(reference, f).variants();
+    const auto ref_io = io_partial_oracle(reference, f);
+    const auto ref_edges = dfg::EdgeStatistics::compute(reference, f);
+    for (const std::size_t workers : {1u, 4u}) {
+      SCOPED_TRACE(name + " at " + std::to_string(workers) + " workers");
+      ThreadPool pool(workers);
+      pipeline::StreamOptions opts;
+      opts.min_chunk_bytes = 256;
+      pipeline::DfgSink graph(f);
+      pipeline::VariantsSink variants(f);
+      pipeline::IoStatsSink io(f);
+      pipeline::EdgeStatsSink edges(f);
+      (void)pipeline::run(paths, pool, {&graph, &variants, &io, &edges}, opts);
+      EXPECT_EQ(graph.graph(), ref_graph);
+      EXPECT_EQ(variants.variants(), ref_variants);
+      EXPECT_EQ(io.partial(), ref_io);
+      testing::expect_same_io_stats(io.finalize(), ref_io.finalize());
+      EXPECT_EQ(edges.finalize().per_edge(), ref_edges.per_edge());
+    }
+  }
+}
+
+TEST_F(PipelineSinks, SinksUnderTwoMappingsEachMatchTheirOracle) {
+  // Two Mapping objects among one run's sinks: each case is mapped once
+  // per mapping, into that mapping's dictionary, and every sink reads
+  // its own mapping's ids — through run() and through fold_cases.
+  const auto paths = make_corpus();
+  const auto reference = testing::staged_log(paths);
+  const model::Mapping f = model::mapping_by_name("top2");
+  const model::Mapping g = model::mapping_by_name("last1");
+  ThreadPool pool(4);
+  for (const bool streamed : {true, false}) {
+    SCOPED_TRACE(streamed ? "run" : "fold_cases");
+    pipeline::DfgSink graph_f(f);
+    pipeline::DfgSink graph_g(g);
+    pipeline::CaseStatsSink cases;
+    pipeline::IoStatsSink io_f(f);
+    pipeline::VariantsSink variants_g(g);
+    pipeline::EdgeStatsSink edges_g(g);
+    const std::vector<pipeline::CaseSink*> sinks = {&graph_f, &graph_g, &cases,
+                                                    &io_f,    &variants_g, &edges_g};
+    if (streamed) {
+      (void)pipeline::run(paths, pool, std::span<pipeline::CaseSink* const>(sinks));
+    } else {
+      pipeline::fold_cases(reference.cases(), sinks, &pool);
+    }
+    EXPECT_EQ(graph_f.graph(), dfg::build_serial(reference, f));
+    EXPECT_EQ(graph_g.graph(), dfg::build_serial(reference, g));
+    EXPECT_NE(graph_f.graph(), graph_g.graph());
+    EXPECT_EQ(cases.summaries(), model::summarize_cases(reference));
+    EXPECT_EQ(io_f.partial(), io_partial_oracle(reference, f));
+    EXPECT_EQ(variants_g.variants(), model::ActivityLog::build(reference, g).variants());
+    EXPECT_EQ(edges_g.finalize().per_edge(), dfg::EdgeStatistics::compute(reference, g).per_edge());
   }
 }
 

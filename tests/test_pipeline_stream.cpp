@@ -10,12 +10,16 @@
 //     sequential reader file by file; the streamed reader runs only on
 //     a caller-provided pool,
 //   - lifetime: the log owns every view after all intermediates die,
+//   - a directory named like a trace is a typed IoError, skipped with a
+//     warning under keep_going,
 //   - error propagation is deterministic (lowest input index wins) and
 //     a malformed file mid-batch shuts the pipeline down cleanly with
 //     no task left touching destroyed state (ASan-verified).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -295,6 +299,37 @@ TEST_F(PipelineStream, BadFileNameThrowsFirstInInputOrderBeforeIo) {
   } catch (const ParseError& e) {
     EXPECT_NE(std::string(e.what()).find("nounderscore"), std::string::npos) << e.what();
   }
+}
+
+TEST_F(PipelineStream, DirectoryNamedLikeATraceIsAnIoErrorOrSkipped) {
+  auto paths = make_corpus();
+  const std::string dir = (dir_ / "x_h_1.st").string();
+  std::filesystem::create_directory(dir);
+  paths.insert(paths.begin() + 2, dir);
+  ThreadPool pool(2);
+  const auto f = model::Mapping::call_only();
+
+  pipeline::DfgSink strict_graph(f);
+  try {
+    (void)pipeline::run(paths, pool, {&strict_graph});
+    FAIL() << "expected IoError";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("is a directory"), std::string::npos) << e.what();
+  }
+  EXPECT_TRUE(strict_graph.graph().empty());
+
+  pipeline::StreamOptions opts;
+  opts.keep_going = true;
+  pipeline::DataHealth health;
+  pipeline::DfgSink graph(f);
+  const auto log = pipeline::run(paths, pool, {&graph}, opts, &health);
+  EXPECT_EQ(log.case_count(), paths.size() - 1);
+  EXPECT_EQ(health.files_skipped, 1u);
+  EXPECT_EQ(health.files_ingested, paths.size() - 1);
+  const std::string warning = dir + ": skipped: io error: trace file is a directory: " + dir;
+  EXPECT_NE(std::find(log.warnings().begin(), log.warnings().end(), warning),
+            log.warnings().end());
+  EXPECT_EQ(graph.graph(), dfg::build_serial(log, f));
 }
 
 TEST_F(PipelineStream, MalformedFileMidBatchShutsDownCleanly) {
