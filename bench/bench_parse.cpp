@@ -221,7 +221,6 @@ std::size_t scan_corpus(std::string_view text, bool scalar,
 void BM_ScanKernel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::string text = make_mixed_trace(n);
-  strace::kernels::set_scan_kernel_mode(strace::kernels::ScanKernelMode::Simd);
   std::vector<std::string_view> argv;
   for (auto _ : state) {
     benchmark::DoNotOptimize(scan_corpus(text, /*scalar=*/false, argv));
@@ -241,21 +240,6 @@ void BM_ScanScalar(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_ScanScalar)->Arg(1 << 17);
-
-/// The portable SWAR word path, pinned regardless of compiled-in SIMD,
-/// so the trajectory records what non-x86/ARM targets would see.
-void BM_ScanSwar(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::string text = make_mixed_trace(n);
-  strace::kernels::set_scan_kernel_mode(strace::kernels::ScanKernelMode::Swar);
-  std::vector<std::string_view> argv;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scan_corpus(text, /*scalar=*/false, argv));
-  }
-  strace::kernels::set_scan_kernel_mode(strace::kernels::ScanKernelMode::Simd);
-  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
-}
-BENCHMARK(BM_ScanSwar)->Arg(1 << 17);
 
 // ---- event-log construction (model layer) ------------------------------
 

@@ -202,8 +202,6 @@ if mixed and per_file and intra:
 # acceptance metric: >= 1.3x).
 scan_speedup = ratio(metric("BM_ScanKernel/131072", "bytes_per_second"),
                      metric("BM_ScanScalar/131072", "bytes_per_second"))
-swar_speedup = ratio(metric("BM_ScanSwar/131072", "bytes_per_second"),
-                     metric("BM_ScanScalar/131072", "bytes_per_second"))
 
 # Multi-thread scaling points (1/2/4 workers). On a 1-CPU host the
 # multi-worker points record contention, not speedup — the scaling
@@ -233,7 +231,6 @@ out = {
     "event_log_speedup_vs_copying": elog_speedup,
     "mixed_vs_best_either_or": mixed_vs_best,
     "scan_kernel_speedup_vs_scalar": scan_speedup,
-    "scan_swar_speedup_vs_scalar": swar_speedup,
     "convert_scaling": convert_scaling,
     "convert_parallel_speedup": parallel_speedup(convert_scaling),
     "query_scaling": query_scaling,

@@ -9,23 +9,19 @@
 # stay free of misaligned loads and signed-overflow UB even on the
 # corruption-sweep inputs.
 #
-#   bench/run_sanitize.sh [--kernels-scalar] [build-dir]
+#   bench/run_sanitize.sh [build-dir]
 #
-# --kernels-scalar forces the scan layer onto the scalar fallback
-# (ST_SCAN_KERNELS=scalar) for the whole suite, so the reference loops
-# get the same sanitized coverage as the SWAR/SIMD kernels that
-# normally run.
+# test_scan_kernels calls the scalar references and the SWAR fallback
+# directly, so they run sanitized next to the kernels compiled in.
 #
 # Requires a compiler with -fsanitize=address,undefined (gcc/clang).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 
-kernels_scalar=0
 build_dir=""
 for arg in "$@"; do
   case "$arg" in
-    --kernels-scalar) kernels_scalar=1 ;;
     --*) echo "unknown option: $arg" >&2; exit 2 ;;
     *) build_dir="$arg" ;;
   esac
@@ -38,11 +34,6 @@ cmake -S "$repo_root" -B "$build_dir" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "$build_dir" -j "$(nproc)"
 
-if [[ "$kernels_scalar" -eq 1 ]]; then
-  export ST_SCAN_KERNELS=scalar
-  echo "scan kernels forced to scalar fallback (ST_SCAN_KERNELS=scalar)"
-fi
-
 # halt_on_error keeps the first report readable; detect_leaks stays on
 # deliberately — the arenas are owned, not leaked, and the suite must
 # prove it.
@@ -50,8 +41,4 @@ ASAN_OPTIONS="halt_on_error=1" \
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 
-if [[ "$kernels_scalar" -eq 1 ]]; then
-  echo "sanitizer suite passed (scalar kernels)"
-else
-  echo "sanitizer suite passed"
-fi
+echo "sanitizer suite passed"

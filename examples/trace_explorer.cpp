@@ -173,9 +173,7 @@ int main(int argc, char** argv) {
       segments = std::move(loaded.segments);
     }
     if (cli.has("filter") || cli.has("query")) {
-      log = !segments.empty() && elog::query_index_enabled()
-                ? elog::apply_query_indexed(query, log, segments)
-                : query.apply(log);
+      log = elog::apply_query_indexed(query, log, segments);
     }
 
     // -- analyze -----------------------------------------------------

@@ -179,14 +179,11 @@ std::shared_ptr<const void> Catalog::memoized(const std::string& key,
 
 std::shared_ptr<const void> Catalog::compute_filtered(const model::Query& q) {
   if (!base_) throw LogicError("Catalog: load() the corpus before querying it");
-  if (!segments_.empty() && elog::query_index_enabled()) {
-    // Byte-identical to q.apply(*base_) by the v2_select contract (the
-    // equivalence tests and the CI serve cmp hold it there), so the
-    // cache key and every derived artifact are unchanged.
-    return std::make_shared<const model::EventLog>(
-        elog::apply_query_indexed(q, *base_, segments_));
-  }
-  return std::make_shared<const model::EventLog>(q.apply(*base_));
+  // Byte-identical to q.apply(*base_) by the v2_select contract (the
+  // equivalence tests and the CI serve cmp hold it there), so the cache
+  // key and every derived artifact are unchanged.
+  return std::make_shared<const model::EventLog>(
+      elog::apply_query_indexed(q, *base_, segments_));
 }
 
 // Misses fold inline (a null pool): they already run on a pool worker.

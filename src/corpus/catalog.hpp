@@ -137,8 +137,8 @@ class Catalog {
   /// The query-filtered view of the corpus. Cases backed by cleanly-
   /// loaded v2 containers are selected through the indexed planner
   /// (elog/v2_select.hpp) — byte-identical to Query::apply by contract,
-  /// so cache keys, wire bytes and the offline path are unchanged;
-  /// ST_QUERY_INDEX=off forces the materialized scan for A/B cmp.
+  /// so cache keys, wire bytes and the offline path are unchanged; the
+  /// other cases go through Query::apply_case.
   [[nodiscard]] std::shared_ptr<const model::EventLog> filtered(const model::Query& q);
   /// DFG of the filtered view under the catalog mapping.
   [[nodiscard]] std::shared_ptr<const dfg::Dfg> graph(const model::Query& q);

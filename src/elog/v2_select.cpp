@@ -1,33 +1,16 @@
 #include "elog/v2_select.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <optional>
 #include <string_view>
 
 #include "elog/format.hpp"
-#include "strace/scan_kernels.hpp"
 #include "support/errors.hpp"
 #include "support/strings.hpp"
 
 namespace st::elog {
 
 namespace {
-
-// ---- enable switch -----------------------------------------------------
-
-bool env_enables_index() {
-  const char* v = std::getenv("ST_QUERY_INDEX");
-  if (v == nullptr) return true;
-  const std::string_view s(v);
-  return !(s == "off" || s == "0" || s == "scan" || s == "false");
-}
-
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{env_enables_index()};
-  return flag;
-}
 
 // ---- compiled query ----------------------------------------------------
 
@@ -219,9 +202,7 @@ model::Case scan_case(const MappedElog& m, const CompiledQuery& cq, std::size_t 
   model::CaseId id = m.case_id(i);
 
   std::vector<std::uint64_t> call_mask;
-  const bool use_mask =
-      cq.single_call_id.has_value() && rows >= 8 &&
-      strace::kernels::scan_kernel_mode() != strace::kernels::ScanKernelMode::Scalar;
+  const bool use_mask = cq.single_call_id.has_value() && rows >= 8;
   if (use_mask) fill_eq_mask_u32(cols.call, rows, *cq.single_call_id, call_mask);
 
   std::vector<model::Event> events;
@@ -292,14 +273,6 @@ std::optional<model::Case> select_case(const MappedElog& m, const SegmentState& 
 }
 
 }  // namespace
-
-bool query_index_enabled() {
-  return enabled_flag().load(std::memory_order_relaxed);
-}
-
-void set_query_index_enabled(bool enabled) {
-  enabled_flag().store(enabled, std::memory_order_relaxed);
-}
 
 model::EventLog select_v2(const std::shared_ptr<MappedElog>& mapped,
                           const model::Query& q) {

@@ -20,8 +20,8 @@
 //   3. SCAN     the residual predicate over the raw u32/varint columns
 //      of surviving cases, materializing Events only for rows that
 //      pass (a SWAR two-lane u32 matcher prefilters the call column
-//      when the accept set is a single id; honors
-//      strace::scan_kernel_mode()).
+//      of cases with 8 or more rows when the accept set is a single
+//      id).
 //
 // The contract throughout: the result is BYTE-IDENTICAL to
 // Query::apply on the fully materialized log — same cases in the same
@@ -40,15 +40,6 @@
 #include "model/query.hpp"
 
 namespace st::elog {
-
-/// False when the environment disables the indexed path
-/// (ST_QUERY_INDEX=off|0|scan|false — the CI knob that forces
-/// Query::apply so served bytes can be cmp'd against the scan path).
-[[nodiscard]] bool query_index_enabled();
-
-/// Programmatic override of the same switch, for tests that exercise
-/// both paths in one process. Thread-safe (relaxed atomic).
-void set_query_index_enabled(bool enabled);
 
 /// One v2-backed slice of a merged corpus: cases [first_case,
 /// first_case + case_count) of the base log are, in order, the cases
@@ -70,7 +61,8 @@ struct IndexedSegment {
 /// segment routed through the indexed columnar path and everything
 /// else through Query::apply_case. Segments must be sorted by
 /// first_case and non-overlapping (LogicError otherwise); a segment
-/// with a null mapped pointer is simply not indexed.
+/// with a null mapped pointer is simply not indexed. With no segments
+/// this is exactly Query::apply.
 [[nodiscard]] model::EventLog apply_query_indexed(const model::Query& q,
                                                   const model::EventLog& base,
                                                   std::span<const IndexedSegment> segments);

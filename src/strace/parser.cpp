@@ -133,7 +133,7 @@ void parse_result_suffix(RawRecord& rec, std::string_view suffix) {
     }
   }
 
-  if (s.empty() || s == "?") return;  // "?" := call did not return
+  if (s.empty()) return;
 
   // Return token: integer, hex pointer, or fd-with-path annotation.
   std::size_t tok_end = 0;
@@ -149,8 +149,9 @@ void parse_result_suffix(RawRecord& rec, std::string_view suffix) {
     rec.retval = std::nullopt;  // pointer return (mmap etc.); not a size
   }
 
-  // Errno name follows a negative return: "-1 ENOENT (No such file...)".
-  if (rec.retval && *rec.retval < 0) {
+  // Errno name follows a negative return, or "?" for a call that did
+  // not return: "-1 ENOENT (No such file...)", "? ERESTARTSYS (...)".
+  if ((rec.retval && *rec.retval < 0) || ret_tok == "?") {
     const std::string_view rest = trim(s.substr(tok_end));
     std::size_t name_end = 0;
     while (name_end < rest.size() && !is_ascii_ws(rest[name_end])) ++name_end;

@@ -14,11 +14,11 @@
 // so records stay valid as long as the result is alive.
 //
 // read_trace_buffer is the sequential reference. The parallel reader,
-// read_trace_buffers_streamed, splits every buffer into line chunks,
-// parses all (buffer, chunk) tasks on the caller's ThreadPool and folds
-// each buffer's per-PID unfinished/resumed state deterministically
-// left-to-right — records, ordering and warnings are byte-identical to
-// read_trace_buffer on that buffer.
+// read_trace_buffers_streamed, splits every buffer into line chunks and
+// parses all (buffer, chunk) tasks on the caller's ThreadPool; chunks
+// leave unfinished/resumed halves in place, and the join feeds them in
+// line order to one ResumeMerger — records, ordering and warnings are
+// byte-identical to read_trace_buffer on that buffer.
 #pragma once
 
 #include <cstddef>
@@ -74,7 +74,7 @@ struct ParallelReadOptions : ReadOptions {
 
 // ---- streamed per-file completion --------------------------------------
 
-/// Called the moment ONE buffer's parse chunks have all folded — from
+/// Called the moment ONE buffer's parse chunks have all joined — from
 /// the pool thread that finished the file's last chunk, at most once
 /// per file, possibly out of input order. The ReadResult is identical
 /// to what read_trace_buffer would have produced for that buffer. The
@@ -100,7 +100,7 @@ class StreamedParse {
   /// state and must not outlive it.
   StreamedParse& operator=(StreamedParse&& other) noexcept;
 
-  /// Joins: no parse/fold task or callback is running or pending after
+  /// Joins: no parse task or callback is running or pending after
   /// this returns (also run by the destructor — tasks never leak).
   ~StreamedParse();
 
@@ -108,7 +108,7 @@ class StreamedParse {
   void join();
 
   /// After join(): the earliest failure in input order — lowest file
-  /// index first, lowest chunk within the file; fold/finalize errors
+  /// index first, lowest chunk within the file; join errors
   /// (strict-mode parse errors surface there) and exceptions escaping
   /// the on_file_done callback rank after the file's chunk errors.
   [[nodiscard]] std::optional<Error> error() const;
@@ -134,7 +134,7 @@ class StreamedParse {
 /// Mixed per-file + intra-file parallelism: every buffer is split into
 /// line chunks and ALL (buffer, chunk) parse tasks share one work queue
 /// on opts.pool, so one huge trace plus many small ones saturates every
-/// worker. Each buffer's fold runs on the pool thread that finished its
+/// worker. Each buffer's join runs on the pool thread that finished its
 /// last chunk and `on_file_done` fires right there. Tasks run in
 /// submission order (files in input order), and a callback runs before
 /// its thread takes another task, so consuming a file never waits for

@@ -1,34 +1,24 @@
 // Parallel trace ingestion: chunk the TraceBuffer on line boundaries,
-// parse chunks concurrently on the ThreadPool, and fold the per-chunk
-// accumulators deterministically left-to-right.
+// parse the chunks concurrently on the ThreadPool, and join them on the
+// pool thread that finished the file's last chunk.
 //
-// Each chunk is parsed with per-PID sharded merger state:
-//  - `pending`:    unfinished calls still open at the chunk's end,
-//  - `unresolved`: resumed records whose unfinished part must live in
-//                  an earlier chunk (the pid's first event here),
-//  - `shadowed`:   pids whose first event in the chunk is Unfinished —
-//                  the sequential merger would silently overwrite
-//                  (drop) any pending record carried in from the left,
-//  - `seen`:       pids with any unfinished/resumed event, deciding
-//                  whether a missing match is definitive or may still
-//                  resolve against chunks further left.
-// The fold replays exactly what the sequential ResumeMerger would do at
-// each chunk boundary, so records, their order, every warning string
-// and the strict-mode exception are byte-identical to
-// read_trace_buffer. The acceptance test (test_parallel_reader)
-// asserts this on adversarial multi-PID corpora.
+// A chunk task keeps the records Sec. III keeps and merges nothing:
+// every unfinished or resumed half stays in place, with its line
+// number. The join concatenates the chunks and, only when the file has
+// halves, feeds them in line order to one ResumeMerger — the rule the
+// sequential reader applies — so records, their order, every warning
+// string and the strict-mode exception are byte-identical to
+// read_trace_buffer. test_parallel_reader asserts this on adversarial
+// multi-PID corpora.
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <exception>
-#include <iterator>
 #include <limits>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "parallel/thread_pool.hpp"
@@ -43,28 +33,26 @@ namespace st::strace {
 
 namespace {
 
-struct LocalWarning {
-  std::size_t line = 0;  // 1-based, relative to the accumulator's first line
+struct LineWarning {
+  std::size_t line = 0;  // 1-based
   std::string text;
 };
 
-struct Unresolved {
-  std::size_t record_index = 0;  // placeholder position in Acc::records
-  std::size_t line = 0;          // 1-based, relative to the accumulator
+/// An unfinished or resumed record left in place for the join.
+struct Half {
+  std::size_t record = 0;  // index into the records
+  std::size_t line = 0;    // 1-based
 };
 
-struct Acc {
-  bool empty = true;  // identity element for the fold
-  std::vector<RawRecord> records;  // output; unresolved placeholders keep kind == Resumed
-  std::vector<LocalWarning> warnings;       // sorted by line
-  std::vector<Unresolved> unresolved;       // sorted by record_index and line
-  std::unordered_map<std::uint64_t, RawRecord> pending;
-  std::unordered_set<std::uint64_t> seen;
-  std::unordered_set<std::uint64_t> shadowed;
+/// One parsed chunk. Lines and record indices are relative to it.
+struct Chunk {
+  std::vector<RawRecord> records;  // kept records, and every half in place
+  std::vector<Half> halves;
+  std::vector<LineWarning> warnings;
   std::size_t lines = 0;
-  std::exception_ptr error;  // strict mode: earliest error by line
-  std::size_t error_line = std::numeric_limits<std::size_t>::max();
-  std::vector<StringArena> arenas;
+  std::exception_ptr error;  // strict mode: the chunk's first parse error
+  std::size_t error_line = 0;
+  StringArena arena;
 };
 
 /// The paper's Sec. III drop rules: signals, exits and ERESTARTSYS calls.
@@ -72,184 +60,118 @@ bool keep_record(const RawRecord& rec) {
   return rec.kind != RecordKind::Signal && rec.kind != RecordKind::Exit && !rec.is_restart();
 }
 
-ParseError unmatched_resumed_error(std::uint64_t pid) {
-  return ParseError("resumed record for pid " + std::to_string(pid) +
-                    " without matching unfinished record");
+bool is_half(const RawRecord& rec) {
+  return rec.kind == RecordKind::Unfinished || rec.kind == RecordKind::Resumed;
 }
 
-void note_error(Acc& acc, std::size_t line, const ParseError& err) {
-  if (line < acc.error_line) {
-    acc.error_line = line;
-    acc.error = std::make_exception_ptr(err);
+/// Parses the byte range [begin, end) of `text`. `begin` is a line
+/// start; `end` is one past a '\n' or text.size().
+Chunk parse_chunk(std::string_view text, std::size_t begin, std::size_t end, bool strict) {
+  FAULT_POINT("reader.chunk");
+  Chunk chunk;
+  const auto newlines = std::count(text.begin() + static_cast<std::ptrdiff_t>(begin),
+                                   text.begin() + static_cast<std::ptrdiff_t>(end), '\n');
+  chunk.records.reserve(static_cast<std::size_t>(newlines) + 1);
+
+  std::size_t start = begin;
+  while (start < end) {
+    const std::size_t nl = kernels::find_byte(text, start, '\n');
+    const std::size_t stop = nl == kernels::npos || nl >= end ? end : nl;
+    const std::string_view line = text.substr(start, stop - start);
+    const std::size_t lineno = ++chunk.lines;
+    start = stop + 1;
+
+    if (trim(line).empty()) continue;
+    std::optional<RawRecord> rec;
+    try {
+      rec = parse_line(line, chunk.arena);
+    } catch (const ParseError& e) {
+      if (!strict) {
+        chunk.warnings.push_back({lineno, e.what()});
+      } else if (!chunk.error) {
+        chunk.error = std::current_exception();
+        chunk.error_line = lineno;
+      }
+      continue;
+    }
+    if (!rec) continue;
+    if (is_half(*rec)) {
+      chunk.halves.push_back({chunk.records.size(), lineno});
+      chunk.records.push_back(*rec);
+    } else if (keep_record(*rec)) {
+      chunk.records.push_back(*rec);
+    }
   }
+  return chunk;
 }
 
-/// Chunk parser + left-to-right folder, parameterized on ReadOptions.
-struct ChunkReader {
-  std::string_view text;
-  const ReadOptions& opts;
+/// Joins one file's chunks, in order, into the ReadResult
+/// read_trace_buffer returns for `buffer`. The halves go through a
+/// ResumeMerger in line order: a merged record takes the resumed
+/// half's slot if keep_record holds, and every other half is dropped.
+/// Merge warnings interleave with parse warnings by line, strict mode
+/// rethrows the earliest error, and the chunk arenas move into the
+/// buffer so every view stays alive.
+ReadResult join_chunks(std::vector<Chunk>& chunks, std::shared_ptr<TraceBuffer> buffer,
+                       const ReadOptions& opts) {
+  ReadResult result;
+  result.buffer = std::move(buffer);
+  std::vector<Half> halves;
+  std::vector<LineWarning> warnings;
+  std::exception_ptr error;
+  std::size_t error_line = std::numeric_limits<std::size_t>::max();
+  std::size_t lines = 0;
+  for (Chunk& chunk : chunks) {
+    for (const Half& h : chunk.halves) {
+      halves.push_back({result.records.size() + h.record, lines + h.line});
+    }
+    for (LineWarning& w : chunk.warnings) warnings.push_back({lines + w.line, std::move(w.text)});
+    if (chunk.error && !error) {
+      error = chunk.error;
+      error_line = lines + chunk.error_line;
+    }
+    if (result.records.empty()) {
+      result.records = std::move(chunk.records);
+    } else {
+      result.records.insert(result.records.end(), chunk.records.begin(), chunk.records.end());
+    }
+    result.buffer->adopt(std::move(chunk.arena));
+    lines += chunk.lines;
+  }
 
-  /// Parses the byte range [begin, end) with chunk-local merger state.
-  /// `begin` is a line start; `end` is one past a '\n' or text.size().
-  [[nodiscard]] Acc parse_chunk(std::size_t begin, std::size_t end) const {
-    FAULT_POINT("reader.chunk");
-    Acc acc;
-    acc.empty = false;
-    acc.arenas.emplace_back();
-    StringArena& arena = acc.arenas.back();
-    const auto newlines =
-        std::count(text.begin() + static_cast<std::ptrdiff_t>(begin),
-                   text.begin() + static_cast<std::ptrdiff_t>(end), '\n');
-    acc.records.reserve(static_cast<std::size_t>(newlines) + 1);
-
-    std::size_t start = begin;
-    while (start < end) {
-      const std::size_t nl = kernels::find_byte(text, start, '\n');
-      const std::size_t stop = nl == kernels::npos || nl >= end ? end : nl;
-      const std::string_view line = text.substr(start, stop - start);
-      ++acc.lines;
-      const std::size_t lineno = acc.lines;
-      start = stop + 1;
-
-      if (trim(line).empty()) continue;
-      std::optional<RawRecord> rec;
+  std::vector<RawRecord> never_resumed;
+  if (!halves.empty()) {
+    const std::size_t parse_warnings = warnings.size();
+    ResumeMerger merger(result.buffer->arena());
+    for (const Half& h : halves) {
+      if (h.line > error_line) break;  // strict: that parse error comes first
+      RawRecord& slot = result.records[h.record];
       try {
-        rec = parse_line(line, arena);
+        if (auto merged = merger.feed(slot); merged && keep_record(*merged)) slot = *merged;
       } catch (const ParseError& e) {
-        if (opts.strict) note_error(acc, lineno, e);
-        acc.warnings.push_back({lineno, e.what()});
-        continue;
-      }
-      if (!rec) continue;
-
-      switch (rec->kind) {
-        case RecordKind::Complete:
-        case RecordKind::Signal:
-        case RecordKind::Exit:
-          if (keep_record(*rec)) acc.records.push_back(*rec);
-          break;
-        case RecordKind::Unfinished: {
-          if (acc.seen.insert(rec->pid).second) acc.shadowed.insert(rec->pid);
-          acc.pending.insert_or_assign(rec->pid, *rec);  // overwrite drops silently
-          break;
-        }
-        case RecordKind::Resumed: {
-          const bool first_event = acc.seen.insert(rec->pid).second;
-          const auto it = acc.pending.find(rec->pid);
-          if (it != acc.pending.end()) {
-            RawRecord unfinished = std::move(it->second);
-            acc.pending.erase(it);
-            try {
-              RawRecord merged =
-                  detail::merge_resumed_pair(std::move(unfinished), *rec, arena);
-              if (keep_record(merged)) acc.records.push_back(merged);
-            } catch (const ParseError& e) {
-              if (opts.strict) note_error(acc, lineno, e);
-              acc.warnings.push_back({lineno, e.what()});
-            }
-          } else if (first_event) {
-            // May match an unfinished record in an earlier chunk: emit
-            // a placeholder, resolved (or dropped) at fold time.
-            acc.records.push_back(*rec);
-            acc.unresolved.push_back({acc.records.size() - 1, lineno});
-          } else {
-            // The chunk already owned this pid's state, so the
-            // sequential merger would definitively fail here.
-            const ParseError err = unmatched_resumed_error(rec->pid);
-            if (opts.strict) note_error(acc, lineno, err);
-            acc.warnings.push_back({lineno, err.what()});
-          }
-          break;
-        }
+        if (opts.strict) throw;
+        warnings.push_back({h.line, e.what()});
       }
     }
-    return acc;
+    std::inplace_merge(
+        warnings.begin(), warnings.begin() + static_cast<std::ptrdiff_t>(parse_warnings),
+        warnings.end(),
+        [](const LineWarning& x, const LineWarning& y) { return x.line < y.line; });
+    never_resumed = merger.take_pending();
+    std::erase_if(result.records, is_half);
   }
+  if (error) std::rethrow_exception(error);
 
-  /// Folds the right neighbour `b` into `a`.
-  [[nodiscard]] Acc fold(Acc a, Acc b) const {
-    if (a.empty) return b;
-    if (b.empty) return a;
-
-    // b's leading Unfinished records silently drop whatever `a` still
-    // had pending for those pids (the sequential merger's overwrite).
-    for (const auto pid : b.shadowed) {
-      a.pending.erase(pid);
-      if (a.seen.insert(pid).second) a.shadowed.insert(pid);
-    }
-
-    // Resolve b's leading resumed placeholders against a's pending.
-    StringArena& merge_arena = b.arenas.empty() ? a.arenas.back() : b.arenas.back();
-    std::vector<std::size_t> dead;            // placeholder indices in b.records to drop
-    std::vector<LocalWarning> fold_warnings;  // lines relative to b
-    std::vector<Unresolved> surviving;        // still unresolved, indices relative to b
-    for (const auto& u : b.unresolved) {
-      RawRecord& placeholder = b.records[u.record_index];
-      const std::uint64_t pid = placeholder.pid;
-      const auto it = a.pending.find(pid);
-      if (it != a.pending.end()) {
-        RawRecord unfinished = std::move(it->second);
-        a.pending.erase(it);
-        a.seen.insert(pid);
-        try {
-          placeholder =
-              detail::merge_resumed_pair(std::move(unfinished), placeholder, merge_arena);
-          if (!keep_record(placeholder)) dead.push_back(u.record_index);
-        } catch (const ParseError& e) {
-          if (opts.strict) note_error(a, a.lines + u.line, e);
-          fold_warnings.push_back({u.line, e.what()});
-          dead.push_back(u.record_index);
-        }
-      } else if (a.seen.contains(pid)) {
-        const ParseError err = unmatched_resumed_error(pid);
-        if (opts.strict) note_error(a, a.lines + u.line, err);
-        fold_warnings.push_back({u.line, err.what()});
-        dead.push_back(u.record_index);
-      } else {
-        a.seen.insert(pid);
-        surviving.push_back(u);
-      }
-    }
-
-    // Append b's surviving records, remapping surviving placeholders.
-    std::size_t di = 0;
-    std::size_t si = 0;
-    a.records.reserve(a.records.size() + b.records.size() - dead.size());
-    for (std::size_t i = 0; i < b.records.size(); ++i) {
-      if (di < dead.size() && dead[di] == i) {
-        ++di;
-        continue;
-      }
-      if (si < surviving.size() && surviving[si].record_index == i) {
-        a.unresolved.push_back({a.records.size(), a.lines + surviving[si].line});
-        ++si;
-      }
-      a.records.push_back(std::move(b.records[i]));
-    }
-
-    // Warnings: b's own and the fold's, merged by line, offset into a.
-    std::vector<LocalWarning> merged_warnings;
-    merged_warnings.reserve(b.warnings.size() + fold_warnings.size());
-    std::merge(b.warnings.begin(), b.warnings.end(), fold_warnings.begin(), fold_warnings.end(),
-               std::back_inserter(merged_warnings),
-               [](const LocalWarning& x, const LocalWarning& y) { return x.line < y.line; });
-    a.warnings.reserve(a.warnings.size() + merged_warnings.size());
-    for (auto& w : merged_warnings) {
-      a.warnings.push_back({a.lines + w.line, std::move(w.text)});
-    }
-
-    if (b.error && a.lines + b.error_line < a.error_line) {
-      a.error = b.error;
-      a.error_line = a.lines + b.error_line;
-    }
-
-    for (auto& [pid, rec] : b.pending) a.pending.insert_or_assign(pid, std::move(rec));
-    for (const auto pid : b.seen) a.seen.insert(pid);
-    for (auto& arena : b.arenas) a.arenas.push_back(std::move(arena));
-    a.lines += b.lines;
-    return a;
+  result.warnings.reserve(warnings.size() + never_resumed.size());
+  for (const LineWarning& w : warnings) {
+    result.warnings.push_back("line " + std::to_string(w.line) + ": " + w.text);
   }
-};
+  for (const RawRecord& rec : never_resumed) {
+    result.warnings.push_back("unfinished call never resumed: pid " + std::to_string(rec.pid) +
+                              " " + std::string(rec.call));
+  }
+  return result;
+}
 
 /// Splits `text` into at most `want` ranges, each ending one past a
 /// '\n' (the last ends at text.size()).
@@ -275,74 +197,13 @@ std::vector<std::pair<std::size_t, std::size_t>> line_chunks(std::string_view te
 
 /// Chunk count for one buffer: enough to spread across the pool, never
 /// below min_chunk_bytes per chunk. A single-worker pool gets a single
-/// chunk — splitting buys nothing there and the cross-chunk fold
-/// (record moves, merger-state replay) is pure overhead.
+/// chunk — splitting buys nothing there and the join's record moves
+/// are pure overhead.
 std::size_t chunk_target(std::string_view text, std::size_t min_chunk_bytes,
                          std::size_t pool_size) {
   if (pool_size <= 1) return 1;
   const std::size_t min_chunk = std::max<std::size_t>(1, min_chunk_bytes);
   return std::clamp<std::size_t>(text.size() / min_chunk, 1, pool_size * 4);
-}
-
-/// Turns the fully folded accumulator of one buffer into the public
-/// ReadResult: drops definitively unmatched placeholders, renders the
-/// warning strings, rethrows the strict-mode error, and hands the
-/// chunk arenas to the buffer so every view stays alive.
-ReadResult finalize_acc(Acc acc, std::shared_ptr<TraceBuffer> buffer, const ReadOptions& opts) {
-  ReadResult result;
-  result.buffer = std::move(buffer);
-
-  // Placeholders that survived every fold have no unfinished part
-  // anywhere to their left: definitive failures, like the sequential
-  // merger feeding a resumed record with empty pending state.
-  std::vector<LocalWarning> tail_warnings;
-  std::vector<std::size_t> dead;
-  for (const auto& u : acc.unresolved) {
-    const ParseError err = unmatched_resumed_error(acc.records[u.record_index].pid);
-    if (opts.strict) note_error(acc, u.line, err);
-    tail_warnings.push_back({u.line, err.what()});
-    dead.push_back(u.record_index);
-  }
-
-  if (opts.strict && acc.error) std::rethrow_exception(acc.error);
-
-  if (!dead.empty()) {
-    std::size_t di = 0;
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < acc.records.size(); ++i) {
-      if (di < dead.size() && dead[di] == i) {
-        ++di;
-        continue;
-      }
-      acc.records[w++] = std::move(acc.records[i]);
-    }
-    acc.records.resize(w);
-  }
-
-  std::vector<LocalWarning> all_warnings;
-  all_warnings.reserve(acc.warnings.size() + tail_warnings.size());
-  std::merge(acc.warnings.begin(), acc.warnings.end(), tail_warnings.begin(),
-             tail_warnings.end(), std::back_inserter(all_warnings),
-             [](const LocalWarning& x, const LocalWarning& y) { return x.line < y.line; });
-  result.warnings.reserve(all_warnings.size() + acc.pending.size());
-  for (auto& w : all_warnings) {
-    result.warnings.push_back("line " + std::to_string(w.line) + ": " + w.text);
-  }
-
-  // "Never resumed" warnings, sorted by pid like ResumeMerger::take_pending.
-  std::vector<RawRecord> still_pending;
-  still_pending.reserve(acc.pending.size());
-  for (auto& [pid, rec] : acc.pending) still_pending.push_back(std::move(rec));
-  std::sort(still_pending.begin(), still_pending.end(),
-            [](const RawRecord& x, const RawRecord& y) { return x.pid < y.pid; });
-  for (const auto& rec : still_pending) {
-    result.warnings.push_back("unfinished call never resumed: pid " + std::to_string(rec.pid) +
-                              " " + std::string(rec.call));
-  }
-
-  result.records = std::move(acc.records);
-  for (auto& arena : acc.arenas) result.buffer->adopt(std::move(arena));
-  return result;
 }
 
 }  // namespace
@@ -355,17 +216,17 @@ ReadResult finalize_acc(Acc acc, std::shared_ptr<TraceBuffer> buffer, const Read
 /// only run trivial epilogues), so the state's lifetime is the
 /// handle's, never a worker's.
 struct StreamedParse::State {
-  ParallelReadOptions opts;  ///< stable storage for the ChunkReaders' reference
+  ParallelReadOptions opts;
   std::vector<std::shared_ptr<TraceBuffer>> buffers;
   FileReadyFn on_file;
 
-  /// Sentinel chunk index ranking fold/finalize/callback errors after
-  /// every real chunk of the same file.
-  static constexpr std::size_t kFoldStage = std::numeric_limits<std::size_t>::max();
+  /// Sentinel chunk index ranking join/callback errors after every
+  /// real chunk of the same file.
+  static constexpr std::size_t kJoinStage = std::numeric_limits<std::size_t>::max();
 
   struct FileState {
     std::vector<std::pair<std::size_t, std::size_t>> chunks;
-    std::vector<Acc> accs;                  ///< one slot per chunk
+    std::vector<Chunk> parsed;              ///< one slot per chunk
     std::atomic<std::size_t> remaining{0};  ///< chunks still parsing
     std::atomic<bool> failed{false};        ///< any chunk of this file threw
     // This file's earliest error by chunk (err_mutex): what keep_going
@@ -389,8 +250,8 @@ struct StreamedParse::State {
   void note_error(std::size_t f, std::size_t c, std::exception_ptr e) {
     files[f].failed.store(true, std::memory_order_release);
     std::lock_guard lock(err_mutex);
-    // `!error` matters when the file's only failure is a fold/finalize
-    // error: kFoldStage equals the slot's initial error_chunk, so a
+    // `!error` matters when the file's only failure is a join error:
+    // kJoinStage equals the slot's initial error_chunk, so a
     // strictly-less guard would never record it.
     if (!files[f].error || c < files[f].error_chunk) {
       files[f].error_chunk = c;
@@ -408,36 +269,31 @@ struct StreamedParse::State {
   void run_chunk(std::size_t f, std::size_t c) {
     FileState& fs = files[f];
     try {
-      const ChunkReader reader{buffers[f]->text(), opts};
-      fs.accs[c] = reader.parse_chunk(fs.chunks[c].first, fs.chunks[c].second);
+      fs.parsed[c] =
+          parse_chunk(buffers[f]->text(), fs.chunks[c].first, fs.chunks[c].second, opts.strict);
     } catch (...) {
       note_error(f, c, std::current_exception());
     }
     if (fs.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) file_done(f);
   }
 
-  /// Runs on the pool thread that finished file f's last chunk: fold
-  /// left-to-right, finalize, hand the ReadResult downstream.
+  /// Runs on the pool thread that finished file f's last chunk: join
+  /// the chunks and hand the ReadResult downstream.
   void file_done(std::size_t f) {
     FileState& fs = files[f];
     if (!fs.failed.load(std::memory_order_acquire)) {
       try {
-        const ChunkReader reader{buffers[f]->text(), opts};
-        Acc acc;
-        for (auto& chunk_acc : fs.accs) {
-          acc = reader.fold(std::move(acc), std::move(chunk_acc));
-        }
-        // finalize_acc rethrows strict-mode parse errors — recorded
+        // join_chunks rethrows strict-mode parse errors — recorded
         // below so the lowest-input-index contract covers them too.
-        ReadResult result = finalize_acc(std::move(acc), std::move(buffers[f]), opts);
+        ReadResult result = join_chunks(fs.parsed, std::move(buffers[f]), opts);
         if (on_file) on_file(f, std::move(result));
       } catch (...) {
-        note_error(f, kFoldStage, std::current_exception());
+        note_error(f, kJoinStage, std::current_exception());
       }
     }
     // Chunk state is dead weight once the file settled; free it early.
-    fs.accs.clear();
-    fs.accs.shrink_to_fit();
+    fs.parsed.clear();
+    fs.parsed.shrink_to_fit();
   }
 
   void task_finished() {
@@ -503,10 +359,10 @@ StreamedParse read_trace_buffers_streamed(std::vector<std::shared_ptr<TraceBuffe
     const std::string_view text = state->buffers[f]->text();
     fs.chunks = line_chunks(text, chunk_target(text, opts.min_chunk_bytes, pool.size()));
     // An empty file still settles through the normal path: one [0, 0)
-    // chunk parses to an empty accumulator and finalizes to an empty
-    // ReadResult, so on_file_done fires for it like for any other file.
+    // chunk parses to an empty chunk and joins to an empty ReadResult,
+    // so on_file_done fires for it like for any other file.
     if (fs.chunks.empty()) fs.chunks.emplace_back(0, 0);
-    fs.accs.resize(fs.chunks.size());
+    fs.parsed.resize(fs.chunks.size());
     fs.remaining.store(fs.chunks.size(), std::memory_order_relaxed);
     total_chunks += fs.chunks.size();
   }

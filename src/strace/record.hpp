@@ -47,7 +47,7 @@ struct RawRecord {
   std::string_view path;
 
   std::optional<std::int64_t> retval;       ///< value after '='
-  std::string_view errno_name;              ///< "ERESTARTSYS", "EAGAIN", ... when retval < 0
+  std::string_view errno_name;              ///< "ERESTARTSYS", "EAGAIN", ... after a negative or "?" return
   std::optional<Micros> duration;           ///< <0.000203> -> 203 (-T)
   std::optional<std::int64_t> requested;    ///< bytes requested (rw calls: 3rd argument)
 

@@ -9,11 +9,11 @@
 // when the literal actually contains escapes.
 //
 // The scanners run on the vectorized kernels of strace/scan_kernels.hpp
-// (SWAR/SSE2/NEON word scans instead of a branch per byte); the
+// (AVX2/SSE2/NEON/SWAR block scans instead of a branch per byte); the
 // original byte loops are kept as *_scalar reference implementations,
 // and the differential fuzz test (test_scan_kernels) asserts the
 // kernel-backed versions are byte-identical to them on adversarial
-// inputs under every kernel mode.
+// inputs.
 #pragma once
 
 #include <cstddef>

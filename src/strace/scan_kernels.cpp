@@ -1,9 +1,7 @@
 #include "strace/scan_kernels.hpp"
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__AVX2__)
@@ -21,22 +19,6 @@
 namespace st::strace::kernels {
 
 namespace {
-
-// ---- mode control ------------------------------------------------------
-
-ScanKernelMode mode_from_env() {
-  const char* env = std::getenv("ST_SCAN_KERNELS");
-  if (env == nullptr) return ScanKernelMode::Simd;
-  const std::string_view v(env);
-  if (v == "scalar") return ScanKernelMode::Scalar;
-  if (v == "swar") return ScanKernelMode::Swar;
-  return ScanKernelMode::Simd;  // "simd", "auto", anything else
-}
-
-std::atomic<ScanKernelMode>& mode_state() {
-  static std::atomic<ScanKernelMode> mode{mode_from_env()};
-  return mode;
-}
 
 // ---- SWAR primitives ---------------------------------------------------
 
@@ -135,12 +117,12 @@ inline __m128i sse2_structural(__m128i w) {
 #if defined(ST_SCAN_HAVE_AVX2)
 
 /// 32-byte blocks (-mavx2 / release-native builds). The sub-32-byte
-/// tail is handed to `tail_fn` — the callers finish it on the 16-byte
-/// SSE2 scan, so only the final sub-16 bytes ever go scalar. Same
-/// memory-safety contract as the other backends: whole blocks only,
-/// never a load past s.data() + s.size().
-template <class BlockFn, class TailFn>
-std::size_t scan_avx2(std::string_view s, std::size_t pos, BlockFn block_fn, TailFn tail_fn) {
+/// tail is finished on the 16-byte SSE2 scan, so only the final sub-16
+/// bytes ever go scalar. Same memory-safety contract as the other
+/// backends: whole blocks only, never a load past s.data() + s.size().
+template <class BlockFn, class BlockFn16, class ScalarPred>
+std::size_t scan_avx2(std::string_view s, std::size_t pos, BlockFn block_fn,
+                      BlockFn16 block_fn16, ScalarPred scalar_pred) {
   const char* p = s.data();
   const std::size_t n = s.size();
   std::size_t i = pos;
@@ -151,7 +133,7 @@ std::size_t scan_avx2(std::string_view s, std::size_t pos, BlockFn block_fn, Tai
       return i + static_cast<std::size_t>(std::countr_zero(mask));
     }
   }
-  return tail_fn(i);
+  return scan_sse2(s, i, block_fn16, scalar_pred);
 }
 
 inline __m256i avx2_structural(__m256i w) {
@@ -210,16 +192,6 @@ inline uint8x16_t neon_structural(uint8x16_t w) {
 #endif
 
 }  // namespace
-
-// ---- mode control ------------------------------------------------------
-
-ScanKernelMode scan_kernel_mode() {
-  return mode_state().load(std::memory_order_relaxed);
-}
-
-void set_scan_kernel_mode(ScanKernelMode mode) {
-  mode_state().store(mode, std::memory_order_relaxed);
-}
 
 std::string_view scan_kernel_backend() {
 #if defined(ST_SCAN_HAVE_AVX2)
@@ -280,65 +252,15 @@ std::size_t find_structural_swar(std::string_view s, std::size_t pos) {
       [](char b) { return is_structural_byte(b); });
 }
 
-// ---- AVX2 (32-byte blocks; falls back to the 16-byte SIMD path) --------
+// ---- the kernels: the widest backend compiled in -----------------------
 
-std::size_t find_byte_avx2(std::string_view s, std::size_t pos, char c) {
+std::size_t find_byte(std::string_view s, std::size_t pos, char c) {
 #if defined(ST_SCAN_HAVE_AVX2)
   const __m256i pat = _mm256_set1_epi8(c);
+  const __m128i pat16 = _mm_set1_epi8(c);
   return scan_avx2(
       s, pos, [pat](__m256i w) { return _mm256_cmpeq_epi8(w, pat); },
-      [&](std::size_t i) {
-        const __m128i pat16 = _mm_set1_epi8(c);
-        return scan_sse2(
-            s, i, [pat16](__m128i w) { return _mm_cmpeq_epi8(w, pat16); },
-            [c](char b) { return b == c; });
-      });
-#else
-  return find_byte_simd(s, pos, c);
-#endif
-}
-
-std::size_t find_quote_or_backslash_avx2(std::string_view s, std::size_t pos) {
-#if defined(ST_SCAN_HAVE_AVX2)
-  return scan_avx2(
-      s, pos,
-      [](__m256i w) {
-        return _mm256_or_si256(_mm256_cmpeq_epi8(w, _mm256_set1_epi8('"')),
-                               _mm256_cmpeq_epi8(w, _mm256_set1_epi8('\\')));
-      },
-      [&](std::size_t i) {
-        return scan_sse2(
-            s, i,
-            [](__m128i w) {
-              return _mm_or_si128(_mm_cmpeq_epi8(w, _mm_set1_epi8('"')),
-                                  _mm_cmpeq_epi8(w, _mm_set1_epi8('\\')));
-            },
-            [](char b) { return b == '"' || b == '\\'; });
-      });
-#else
-  return find_quote_or_backslash_simd(s, pos);
-#endif
-}
-
-std::size_t find_structural_avx2(std::string_view s, std::size_t pos) {
-#if defined(ST_SCAN_HAVE_AVX2)
-  return scan_avx2(
-      s, pos, [](__m256i w) { return avx2_structural(w); },
-      [&](std::size_t i) {
-        return scan_sse2(
-            s, i, [](__m128i w) { return sse2_structural(w); },
-            [](char b) { return is_structural_byte(b); });
-      });
-#else
-  return find_structural_simd(s, pos);
-#endif
-}
-
-// ---- SIMD (best compiled-in backend; SWAR when none) -------------------
-
-std::size_t find_byte_simd(std::string_view s, std::size_t pos, char c) {
-#if defined(ST_SCAN_HAVE_AVX2)
-  return find_byte_avx2(s, pos, c);
+      [pat16](__m128i w) { return _mm_cmpeq_epi8(w, pat16); }, [c](char b) { return b == c; });
 #elif defined(ST_SCAN_HAVE_SSE2)
   const __m128i pat = _mm_set1_epi8(c);
   return scan_sse2(
@@ -354,9 +276,19 @@ std::size_t find_byte_simd(std::string_view s, std::size_t pos, char c) {
 #endif
 }
 
-std::size_t find_quote_or_backslash_simd(std::string_view s, std::size_t pos) {
+std::size_t find_quote_or_backslash(std::string_view s, std::size_t pos) {
 #if defined(ST_SCAN_HAVE_AVX2)
-  return find_quote_or_backslash_avx2(s, pos);
+  return scan_avx2(
+      s, pos,
+      [](__m256i w) {
+        return _mm256_or_si256(_mm256_cmpeq_epi8(w, _mm256_set1_epi8('"')),
+                               _mm256_cmpeq_epi8(w, _mm256_set1_epi8('\\')));
+      },
+      [](__m128i w) {
+        return _mm_or_si128(_mm_cmpeq_epi8(w, _mm_set1_epi8('"')),
+                            _mm_cmpeq_epi8(w, _mm_set1_epi8('\\')));
+      },
+      [](char b) { return b == '"' || b == '\\'; });
 #elif defined(ST_SCAN_HAVE_SSE2)
   return scan_sse2(
       s, pos,
@@ -377,9 +309,12 @@ std::size_t find_quote_or_backslash_simd(std::string_view s, std::size_t pos) {
 #endif
 }
 
-std::size_t find_structural_simd(std::string_view s, std::size_t pos) {
+std::size_t find_structural(std::string_view s, std::size_t pos) {
 #if defined(ST_SCAN_HAVE_AVX2)
-  return find_structural_avx2(s, pos);
+  return scan_avx2(
+      s, pos, [](__m256i w) { return avx2_structural(w); },
+      [](__m128i w) { return sse2_structural(w); },
+      [](char b) { return is_structural_byte(b); });
 #elif defined(ST_SCAN_HAVE_SSE2)
   return scan_sse2(
       s, pos, [](__m128i w) { return sse2_structural(w); },
@@ -391,35 +326,6 @@ std::size_t find_structural_simd(std::string_view s, std::size_t pos) {
 #else
   return find_structural_swar(s, pos);
 #endif
-}
-
-// ---- dispatch ----------------------------------------------------------
-
-std::size_t find_byte(std::string_view s, std::size_t pos, char c) {
-  switch (scan_kernel_mode()) {
-    case ScanKernelMode::Scalar: return find_byte_scalar(s, pos, c);
-    case ScanKernelMode::Swar: return find_byte_swar(s, pos, c);
-    case ScanKernelMode::Simd: break;
-  }
-  return find_byte_simd(s, pos, c);
-}
-
-std::size_t find_quote_or_backslash(std::string_view s, std::size_t pos) {
-  switch (scan_kernel_mode()) {
-    case ScanKernelMode::Scalar: return find_quote_or_backslash_scalar(s, pos);
-    case ScanKernelMode::Swar: return find_quote_or_backslash_swar(s, pos);
-    case ScanKernelMode::Simd: break;
-  }
-  return find_quote_or_backslash_simd(s, pos);
-}
-
-std::size_t find_structural(std::string_view s, std::size_t pos) {
-  switch (scan_kernel_mode()) {
-    case ScanKernelMode::Scalar: return find_structural_scalar(s, pos);
-    case ScanKernelMode::Swar: return find_structural_swar(s, pos);
-    case ScanKernelMode::Simd: break;
-  }
-  return find_structural_simd(s, pos);
 }
 
 }  // namespace st::strace::kernels

@@ -27,15 +27,13 @@
 // AddressSanitizer, which the asan-ubsan preset runs over the whole
 // suite.
 //
-// Backend selection: compile-time feature detection picks AVX2
-// (32-byte blocks, when compiled with -mavx2 / -march=native), then
-// SSE2 (all x86-64) or NEON (aarch64) for the Simd mode, falling back
-// to SWAR. Under AVX2 the sub-32-byte tail is finished on the SSE2
-// path, so only the final sub-16 bytes go scalar. The active mode can
-// be forced — per process via the ST_SCAN_KERNELS environment variable
-// ("scalar" | "swar" | "simd"), or at runtime via
-// set_scan_kernel_mode() — so the differential fuzz test and
-// bench/run_sanitize.sh --kernels-scalar can drive every path.
+// Backend selection is fixed at compile time: AVX2 (32-byte blocks,
+// when compiled with -mavx2 / -march=native), then SSE2 (all x86-64)
+// or NEON (aarch64), and SWAR otherwise. Under AVX2 the sub-32-byte
+// tail is finished on the SSE2 path, so only the final sub-16 bytes go
+// scalar. The *_scalar loops are the references and *_swar is the
+// portable fallback; test_scan_kernels holds find_* and find_*_swar
+// against the references.
 #pragma once
 
 #include <cstddef>
@@ -45,19 +43,8 @@ namespace st::strace::kernels {
 
 inline constexpr std::size_t npos = std::string_view::npos;
 
-/// Which implementation the dispatching kernels use.
-///  - Simd:   best vector path compiled in (AVX2/SSE2/NEON), else SWAR.
-///  - Swar:   portable 64-bit word scan.
-///  - Scalar: reference byte loop (the pre-kernel behaviour).
-enum class ScanKernelMode { Simd, Swar, Scalar };
-
-/// Process-wide kernel mode. Defaults to Simd; initialized once from
-/// ST_SCAN_KERNELS if set. Reads are relaxed-atomic (hot path).
-[[nodiscard]] ScanKernelMode scan_kernel_mode();
-void set_scan_kernel_mode(ScanKernelMode mode);
-
-/// Name of the backend Simd mode resolves to: "avx2", "sse2", "neon"
-/// or "swar".
+/// Name of the backend find_* run on: "avx2", "sse2", "neon" or
+/// "swar".
 [[nodiscard]] std::string_view scan_kernel_backend();
 
 /// True for the structural class the scanners stop on:  " ( ) [ ] { } ,
@@ -77,7 +64,7 @@ void set_scan_kernel_mode(ScanKernelMode mode);
   }
 }
 
-// -- dispatching kernels (honor scan_kernel_mode) ------------------------
+// -- the kernels (the backend compiled in) -------------------------------
 
 /// Index of the first `c` at or after `pos`, npos if none.
 [[nodiscard]] std::size_t find_byte(std::string_view s, std::size_t pos, char c);
@@ -89,7 +76,7 @@ void set_scan_kernel_mode(ScanKernelMode mode);
 /// `pos`, npos if none.
 [[nodiscard]] std::size_t find_structural(std::string_view s, std::size_t pos);
 
-// -- fixed-backend entry points (differential testing / benchmarks) ------
+// -- the references and the portable fallback ----------------------------
 
 [[nodiscard]] std::size_t find_byte_scalar(std::string_view s, std::size_t pos, char c);
 [[nodiscard]] std::size_t find_quote_or_backslash_scalar(std::string_view s, std::size_t pos);
@@ -98,19 +85,5 @@ void set_scan_kernel_mode(ScanKernelMode mode);
 [[nodiscard]] std::size_t find_byte_swar(std::string_view s, std::size_t pos, char c);
 [[nodiscard]] std::size_t find_quote_or_backslash_swar(std::string_view s, std::size_t pos);
 [[nodiscard]] std::size_t find_structural_swar(std::string_view s, std::size_t pos);
-
-/// SIMD entry points resolve to the widest vector backend compiled in
-/// (AVX2, then SSE2/NEON) and fall back to the SWAR implementation
-/// when none is (scan_kernel_backend() == "swar").
-[[nodiscard]] std::size_t find_byte_simd(std::string_view s, std::size_t pos, char c);
-[[nodiscard]] std::size_t find_quote_or_backslash_simd(std::string_view s, std::size_t pos);
-[[nodiscard]] std::size_t find_structural_simd(std::string_view s, std::size_t pos);
-
-/// AVX2 entry points fall back to the 16-byte SIMD path when the
-/// translation unit was not compiled with AVX2 (they are then
-/// identical to the *_simd functions — safe to fuzz unconditionally).
-[[nodiscard]] std::size_t find_byte_avx2(std::string_view s, std::size_t pos, char c);
-[[nodiscard]] std::size_t find_quote_or_backslash_avx2(std::string_view s, std::size_t pos);
-[[nodiscard]] std::size_t find_structural_avx2(std::string_view s, std::size_t pos);
 
 }  // namespace st::strace::kernels

@@ -7,9 +7,10 @@
 // generator below is adversarial on purpose — multi-PID interleaved
 // unfinished/resumed pairs (often spanning chunk boundaries),
 // overwritten unfinished records, resumed records with no match,
-// call-name mismatches, signals, exits, ERESTARTSYS, malformed and
-// blank lines — and the streamed reader runs on an explicit pool with
-// 256-byte chunks so every fold path is exercised.
+// call-name mismatches, signals, exits, ERESTARTSYS (whole and split
+// across unfinished/resumed halves), malformed and blank lines — and
+// the streamed reader runs on an explicit pool with 256-byte chunks so
+// halves straddle chunk boundaries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -69,9 +70,15 @@ std::string make_corpus(std::uint64_t seed, std::size_t lines) {
       case 7:  // blank line
         text += "\n";
         break;
-      case 8:  // resumed — matches pending, mismatches its name, or dangles
-        if (!open_call.empty() && rng.below(4) == 0) {
+      case 8: {  // resumed — matches, mismatches its name, is interrupted, or dangles
+        const std::uint64_t roll = open_call.empty() ? 4 : rng.below(4);
+        if (roll == 0) {
           text += pid_ts + "<... mismatched_call resumed> \"\"..., 512) = 512 <0.000080>\n";
+          open_call.clear();
+        } else if (roll == 1) {  // merges, then dropped by the ERESTARTSYS rule
+          text += pid_ts + "<... " + open_call +
+                  " resumed> ) = ? ERESTARTSYS (To be restarted if SA_RESTART is set) "
+                  "<0.000010>\n";
           open_call.clear();
         } else {
           text += pid_ts + "<... " + (open_call.empty() ? std::string("read") : open_call) +
@@ -79,6 +86,7 @@ std::string make_corpus(std::uint64_t seed, std::size_t lines) {
           open_call.clear();
         }
         break;
+      }
       case 9:   // unfinished (may silently overwrite an earlier one)
       case 10: {
         const bool write = rng.below(2) == 0;
@@ -124,15 +132,33 @@ ReadResult read_text_streamed(std::string_view text, const ReadOptions& opts = {
       read_streamed({std::make_shared<TraceBuffer>(std::string(text))}, opts, workers).front());
 }
 
+/// The ParseError message `read` throws, or "" when it returns.
+template <class Read>
+std::string parse_error_of(Read read) {
+  try {
+    (void)read();
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return {};
+}
+
 TEST(ParallelReader, EquivalentOnAdversarialCorpusAt1234Workers) {
+  ReadOptions strict;
+  strict.strict = true;
   for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 1234ULL}) {
     const std::string text = make_corpus(seed, 600);
     const ReadOptions opts;  // strict=false
     const auto seq = read_trace_text(text, opts);
+    const std::string seq_error = parse_error_of([&] { return read_trace_text(text, strict); });
+    ASSERT_FALSE(seq_error.empty());
     for (const std::size_t workers : {1u, 2u, 3u, 4u}) {
       const auto par = read_text_streamed(text, opts, workers);
       expect_same_records(seq, par);
       EXPECT_EQ(seq.warnings, par.warnings) << "seed " << seed << ", workers " << workers;
+      EXPECT_EQ(seq_error,
+                parse_error_of([&] { return read_text_streamed(text, strict, workers); }))
+          << "seed " << seed << ", workers " << workers;
     }
   }
 }
@@ -178,11 +204,15 @@ TEST(ParallelReader, CrossChunkResumePairsMerge) {
   Micros t = 36000000000;
   text += "1  " + ts(t += 10) + " read(3</p/a>, <unfinished ...>\n";
   text += "2  " + ts(t += 10) + " write(4</p/b>, \"\"..., 8192, <unfinished ...>\n";
+  text += "3  " + ts(t += 10) + " read(5</p/c>, <unfinished ...>\n";
   for (int i = 0; i < 40; ++i) {
     text += "9  " + ts(t += 10) + " read(3</p/f>, \"\"..., 512) = 512 <0.000040>\n";
   }
   text += "1  " + ts(t += 10) + " <... read resumed> \"\"..., 405) = 404 <0.000223>\n";
   text += "2  " + ts(t += 10) + " <... write resumed> ) = 8192 <0.000100>\n";
+  text += "3  " + ts(t += 10) +
+          " <... read resumed> ) = ? ERESTARTSYS (To be restarted if SA_RESTART is set) "
+          "<0.000010>\n";
   const auto seq = read_trace_text(text);
   const auto par = read_text_streamed(text);
   EXPECT_TRUE(seq.warnings.empty());
@@ -195,6 +225,9 @@ TEST(ParallelReader, CrossChunkResumePairsMerge) {
   EXPECT_EQ(merged_read->kind, RecordKind::Complete);
   EXPECT_EQ(merged_read->retval, 404);
   EXPECT_EQ(merged_read->path, "/p/a");
+  // The interrupted pair merged and was dropped (Sec. III).
+  EXPECT_TRUE(std::none_of(par.records.begin(), par.records.end(),
+                           [](const RawRecord& r) { return r.pid == 3; }));
 }
 
 TEST(ParallelReader, StrictModeThrowsSameErrorAsSequential) {
@@ -209,20 +242,9 @@ TEST(ParallelReader, StrictModeThrowsSameErrorAsSequential) {
   }
   ReadOptions opts;
   opts.strict = true;
-  std::string seq_what;
-  std::string par_what;
-  try {
-    (void)read_trace_text(text, opts);
-  } catch (const ParseError& e) {
-    seq_what = e.what();
-  }
-  try {
-    (void)read_text_streamed(text, opts);
-  } catch (const ParseError& e) {
-    par_what = e.what();
-  }
+  const std::string seq_what = parse_error_of([&] { return read_trace_text(text, opts); });
   ASSERT_FALSE(seq_what.empty());
-  EXPECT_EQ(seq_what, par_what);
+  EXPECT_EQ(seq_what, parse_error_of([&] { return read_text_streamed(text, opts); }));
 }
 
 TEST(TraceBufferLifetime, RecordsOutliveTheSourceString) {

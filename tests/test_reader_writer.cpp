@@ -43,6 +43,18 @@ TEST(Reader, DropsRestartsByDefault) {
   EXPECT_EQ(result.records[0].retval, 5);
 }
 
+TEST(Reader, DropsARestartSplitAcrossUnfinishedAndResumed) {
+  const std::string text =
+      "1  10:00:00.000001 read(3</a>, <unfinished ...>\n"
+      "2  10:00:00.000002 read(4</b>, ..., 5) = 5 <0.000001>\n"
+      "1  10:00:00.000003 <... read resumed> ) = ? ERESTARTSYS (To be restarted if SA_RESTART "
+      "is set) <0.000010>\n";
+  const auto result = read_trace_text(text);
+  ASSERT_EQ(result.records.size(), 1u);
+  EXPECT_EQ(result.records[0].pid, 2u);
+  EXPECT_TRUE(result.warnings.empty());
+}
+
 TEST(Reader, DropsSignalsAndExitsByDefault) {
   const std::string text =
       "1  10:00:00.000001 --- SIGCHLD {} ---\n"
