@@ -101,6 +101,38 @@ std::string make_mixed_trace(std::size_t lines) {
   return text;
 }
 
+/// Adversarial shape for the resume merge: about 36 % of the lines are
+/// unfinished/resumed halves over 16 interleaved pids, so many resumed
+/// halves find no pending half (or one of another call), some
+/// unfinished halves never resume, and 1 line in 40 is garbage — every
+/// one a warning. 120k lines are ~8.9 MB with ~43k halves and ~20k
+/// warnings.
+std::string make_adversarial_trace(std::size_t lines) {
+  static const char* const kCalls[] = {"read", "write", "pread64"};
+  std::string text;
+  text.reserve(lines * 76);
+  std::uint64_t state = 0x9E3779B97F4A7C15ull;
+  for (std::size_t i = 0; i < lines; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    const std::uint64_t r = state >> 33;
+    const std::string pid = std::to_string(100 + r % 16);
+    const char* call = kCalls[(r >> 8) % 3];
+    const std::string ts = format_time_of_day(static_cast<Micros>(i * 100));
+    const std::uint64_t kind = (r >> 16) % 100;
+    if (kind < 18) {
+      text += pid + "  " + ts + " " + call + "(3</p/scratch/adv/f>, <unfinished ...>\n";
+    } else if (kind < 36) {
+      text += pid + "  " + ts + " <... " + call + " resumed> \"\"..., 4096) = 4096 <0.000031>\n";
+    } else if (kind < 38) {
+      text += pid + "  " + ts + " garbage(\n";
+    } else {
+      text += pid + "  " + ts + " " + call +
+              "(3</p/scratch/adv/f>, \"\"..., 4096) = 4096 <0.000012>\n";
+    }
+  }
+  return text;
+}
+
 /// O(n) whole-trace read; the n sweep verifies linear scaling.
 void BM_ReadTraceText(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -176,6 +208,36 @@ void BM_ReadTraceParallelMixed(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_ReadTraceParallelMixed)->Range(1 << 14, 1 << 17);
+
+/// The adversarial trace through the sequential reader and through the
+/// streamed reader at 1 and 4 workers (1 MiB chunks: 9 of them). The
+/// lenient resume merge reports each unmatched or mismatched resumed
+/// half as a warning without a throw.
+void BM_ReadTraceAdversarial(benchmark::State& state) {
+  const std::string text = make_adversarial_trace(120000);
+  const auto workers = static_cast<std::size_t>(state.range(0));
+  ThreadPool pool(workers == 0 ? 1 : workers);
+  strace::ParallelReadOptions opts;
+  opts.pool = &pool;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto buffer = std::make_shared<strace::TraceBuffer>(text);
+    state.ResumeTiming();
+    if (workers == 0) {
+      benchmark::DoNotOptimize(strace::read_trace_buffer(std::move(buffer)));
+    } else {
+      benchmark::DoNotOptimize(read_streamed({std::move(buffer)}, opts));
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
+}
+// Arg 0: the sequential reader; 1 and 4: the streamed reader's workers.
+BENCHMARK(BM_ReadTraceAdversarial)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // ---- scan kernels ------------------------------------------------------
 

@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
 # Sibling of run_sanitize.sh: builds the ThreadSanitizer preset and
 # race-checks the concurrency-dense code — the streamed reader's
-# (file, chunk) work queue (test_parallel_reader, test_ingest_mixed),
-# pipeline::run's per-file convert and sink folds on the parsing pool
-# thread (test_pipeline_stream, test_pipeline_sinks) plus the sink
-# partials and shard coordinator (test_stats_sinks, test_shard;
+# (file, chunk) work queue, its files submitted one by one while the
+# calling thread opens the next (test_parallel_reader,
+# test_ingest_mixed), pipeline::run's per-file convert and sink folds
+# on the parsing pool thread and its merge cursor, handed between pool
+# threads by a try-lock as files settle (test_pipeline_stream,
+# test_pipeline_sinks), the activity statistics finalized as tasks on
+# the pool (test_stats), plus the sink partials and shard coordinator
+# (test_stats_sinks, test_shard;
 # elog_tool is built so the posix_spawn subprocess tests run instead of
 # skipping) plus the supervisor's kill/retry path under injected faults
 # (test_faults), the serve-mode catalog (test_catalog: single-flight
@@ -28,12 +32,12 @@ cmake -S "$repo_root" -B "$build_dir" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "$build_dir" -j "$(nproc)" \
   --target test_parallel_reader test_ingest_mixed \
-  test_pipeline_stream test_pipeline_sinks test_stats_sinks test_shard \
+  test_pipeline_stream test_pipeline_sinks test_stats_sinks test_stats test_shard \
   test_faults test_catalog test_log_fold elog_tool
 
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ctest --test-dir "$build_dir" \
-  -R 'test_parallel_reader|test_ingest_mixed|test_pipeline_stream|test_pipeline_sinks|test_stats_sinks|test_shard|test_faults|test_catalog|test_log_fold' \
+  -R 'test_parallel_reader|test_ingest_mixed|test_pipeline_stream|test_pipeline_sinks|test_stats_sinks|test_stats|test_shard|test_faults|test_catalog|test_log_fold' \
   --output-on-failure
 
 echo "tsan suite passed"

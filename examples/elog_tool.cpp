@@ -41,6 +41,7 @@
 #include "support/cli_args.hpp"
 #include "support/errors.hpp"
 #include "support/faultpoint.hpp"
+#include "support/publish.hpp"
 #include "support/strings.hpp"
 
 namespace {
@@ -71,13 +72,6 @@ std::string self_exe(const char* argv0) {
   const auto path = std::filesystem::read_symlink("/proc/self/exe", ec);
   if (!ec) return path.string();
   return argv0;
-}
-
-void write_bytes(const std::string& path, std::string_view bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out || !out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()))) {
-    throw st::IoError("cannot write file: " + path);
-  }
 }
 
 /// The writer options of every container-writing verb: index
@@ -257,16 +251,23 @@ int main(int argc, char** argv) {
         // sinks, the container sink and the assembled log.
         auto result =
             report::streaming_report(files, cliargs::mapping(cli), pool, {}, stream_opts, extra);
-        write_bytes(cli.get("stream-report"), result.html);
+        publish_file(cli.get("stream-report"), result.html);
         log = std::move(result.log);
         std::cout << "wrote single-pass report to " << cli.get("stream-report") << "\n";
       } else {
         log = pipeline::run(files, pool, extra, stream_opts);
       }
-      writer.finalize();
+      // Publish the container on the now idle pool while this thread
+      // prints the warnings and frees the log: replacing a large file
+      // costs about as long as that teardown. Nothing here throws before
+      // get(), so the task never outlives the writer.
+      auto published = pool.submit([&writer] { writer.finalize(); });
       for (const auto& w : log.warnings()) std::cerr << "warning: " << w << "\n";
-      std::cout << "imported " << files.size() << " trace files (" << log.total_events()
-                << " events) into " << args[1] << "\n";
+      const std::uint64_t events = log.total_events();
+      log = model::EventLog{};
+      published.get();
+      std::cout << "imported " << files.size() << " trace files (" << events << " events) into "
+                << args[1] << "\n";
     } else if (command == "convert") {
       // Lossless re-encode. The write rebuilds the index sections, so
       // converting an index-free file (or one written before the index
@@ -295,7 +296,7 @@ int main(int argc, char** argv) {
       if (cli.has("shard-index")) {
         FAULT_POINT("shard.child#" + cli.get("shard-index"));
       }
-      write_bytes(args[1], pipeline::fold_shard(files, shard_options(cli)));
+      publish_file(args[1], pipeline::fold_shard(files, shard_options(cli)));
     } else if (command == "merge-partials") {
       // The coordinator's reduce step as its own verb: decode blobs
       // (any corruption -> IoError via the codec's CRCs), merge them
@@ -312,9 +313,10 @@ int main(int argc, char** argv) {
         if (in.bad()) throw IoError("cannot read shard partial: " + args[i]);
         parts.push_back(pipeline::decode_shard_partial(std::move(bytes).str()));
       }
-      const auto analytics = pipeline::finalize_shards(std::move(parts));
+      ThreadPool pool(cliargs::thread_count(cli));
+      const auto analytics = pipeline::finalize_shards(std::move(parts), &pool);
       for (const auto& w : analytics.warnings) std::cerr << "warning: " << w << "\n";
-      write_bytes(args[1], report::render_sharded_report(analytics, cliargs::mapping(cli)));
+      publish_file(args[1], report::render_sharded_report(analytics, cliargs::mapping(cli)));
       std::cout << "merged " << (args.size() - 2) << " shard partials ("
                 << analytics.case_count << " cases) into " << args[1] << "\n";
     } else if (command == "report-sharded") {
@@ -334,7 +336,7 @@ int main(int argc, char** argv) {
       for (const auto& line : analytics.shard_report.to_lines()) {
         std::cerr << "shard-recovery: " << line << "\n";
       }
-      write_bytes(args[1], report::render_sharded_report(analytics, cliargs::mapping(cli)));
+      publish_file(args[1], report::render_sharded_report(analytics, cliargs::mapping(cli)));
       std::cout << "sharded report over " << files.size() << " trace files (x" << sopts.shards
                 << " workers) written to " << args[1] << "\n";
     } else if (command == "export") {

@@ -44,6 +44,14 @@ void Dfg::merge(const Dfg& other) {
   trace_count_ += other.trace_count_;
 }
 
+void Dfg::merge(Dfg&& other) {
+  if (empty()) {
+    *this = std::move(other);
+    return;
+  }
+  merge(other);
+}
+
 Dfg Dfg::from_parts(std::map<Activity, std::uint64_t> nodes,
                     std::map<std::pair<Activity, Activity>, std::uint64_t> edges,
                     std::uint64_t trace_count) {

@@ -41,6 +41,8 @@ class Dfg {
 
   /// Monoid fold: adds all node/edge weights of `other` into *this.
   void merge(const Dfg& other);
+  /// The same; takes `other` over whole when this graph is empty.
+  void merge(Dfg&& other);
 
   /// Reconstructs a graph from its observable parts — the inverse of
   /// (nodes(), edges(), trace_count()), used by the shard partial

@@ -1,10 +1,16 @@
 #include "dfg/stats.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <exception>
+#include <future>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
+#include "parallel/algorithms.hpp"
+#include "parallel/thread_pool.hpp"
 #include "support/si.hpp"
 
 namespace st::dfg {
@@ -63,59 +69,117 @@ void IoStatistics::Partial::merge(Partial&& other) {
   other.cases_.clear();
 }
 
-IoStatistics IoStatistics::Partial::finalize() const {
-  struct Gathered {
-    ActivityStat stat;
-    std::vector<double> rate_sums;  ///< one leaf per contributing case, input order
-    std::vector<std::uint32_t> cases;  ///< dense ids of the contributing case ids
-    std::vector<Micros> starts;        ///< of the non-empty intervals
-    std::vector<Micros> ends;
+namespace {
+
+/// One activity's share of finalize: its contributions in input order,
+/// each with the dense id of its case, and the statistic they sum to.
+struct ActivityJob {
+  struct Source {
+    std::uint32_t case_id;
+    const IoStatistics::ActivityContribution* con;
   };
-  std::map<model::Activity, Gathered> acc;
+  std::vector<Source> sources;
+  std::size_t intervals = 0;  ///< the job's size, for largest-first order
+  ActivityStat stat;
+
+  /// Sums the contributions: integers plainly, the per-case rate sums
+  /// through deterministic_pairwise_sum (one leaf per contributing
+  /// case, in input order), the non-empty intervals into one start and
+  /// one end column for the (multiset-pure) concurrency sweep.
+  void run() {
+    std::vector<double> rate_sums;
+    std::vector<std::uint32_t> cases;
+    std::vector<Micros> starts;
+    std::vector<Micros> ends;
+    cases.reserve(sources.size());
+    starts.reserve(intervals);
+    ends.reserve(intervals);
+    for (const auto& [case_id, con] : sources) {
+      stat.total_dur += con->total_dur;
+      stat.event_count += con->event_count;
+      stat.bytes += con->bytes;
+      stat.has_bytes = stat.has_bytes || con->has_bytes;
+      stat.rate_samples += con->rate_samples;
+      if (con->rate_samples > 0) rate_sums.push_back(con->rate_sum);
+      cases.push_back(case_id);
+      for (const Interval& iv : con->intervals) {
+        if (iv.end <= iv.start) continue;
+        starts.push_back(iv.start);
+        ends.push_back(iv.end);
+      }
+    }
+    stat.mean_rate = stat.rate_samples > 0 ? deterministic_pairwise_sum(rate_sums) /
+                                                 static_cast<double>(stat.rate_samples)
+                                           : 0.0;
+    std::vector<Micros> sort_buffer;
+    stat.max_concurrency = max_concurrency_of_columns(starts, ends, sort_buffer);
+    std::sort(cases.begin(), cases.end());
+    stat.rank_count = static_cast<std::size_t>(std::unique(cases.begin(), cases.end()) -
+                                               cases.begin());
+    sources = {};
+  }
+};
+
+}  // namespace
+
+IoStatistics IoStatistics::Partial::finalize(ThreadPool* pool) const {
+  // One serial pass lists each activity's contributions. Activities
+  // key by views into the cases' own map keys (the partial is const
+  // and outlives this call), ordered as the Activity strings are.
+  std::map<std::string_view, ActivityJob> jobs;
   // Case ids interned once, so counting an activity's ranks compares
   // integers instead of id strings.
   std::unordered_map<model::CaseId, std::uint32_t> case_ids;
-
   for (const CaseContribution& c : cases_) {
     if (c.activities.empty()) continue;  // filtered logs keep many such cases
     const std::uint32_t id =
         case_ids.try_emplace(c.id, static_cast<std::uint32_t>(case_ids.size())).first->second;
     for (const auto& [activity, con] : c.activities) {
-      Gathered& slot = acc[activity];
-      slot.stat.total_dur += con.total_dur;
-      slot.stat.event_count += con.event_count;
-      slot.stat.bytes += con.bytes;
-      slot.stat.has_bytes = slot.stat.has_bytes || con.has_bytes;
-      slot.stat.rate_samples += con.rate_samples;
-      if (con.rate_samples > 0) slot.rate_sums.push_back(con.rate_sum);
-      slot.cases.push_back(id);
-      for (const Interval& iv : con.intervals) {
-        if (iv.end <= iv.start) continue;
-        slot.starts.push_back(iv.start);
-        slot.ends.push_back(iv.end);
-      }
+      ActivityJob& job = jobs[activity];
+      job.sources.push_back({id, &con});
+      job.intervals += con.intervals.size();
     }
   }
 
-  IoStatistics out;
-  for (const auto& [activity, slot] : acc) {
-    out.total_dur_ += slot.stat.total_dur;
+  // Each activity sums alone, in the same order whichever thread runs
+  // it, so the doubles are the same bits inline and on the pool. On the
+  // pool, workers (and this thread) take activities largest first.
+  std::vector<ActivityJob*> order;
+  order.reserve(jobs.size());
+  for (auto& [activity, job] : jobs) order.push_back(&job);
+  if (pool == nullptr || pool->size() <= 1 || order.size() <= 1) {
+    for (ActivityJob* job : order) job->run();
+  } else {
+    std::stable_sort(order.begin(), order.end(), [](const ActivityJob* x, const ActivityJob* y) {
+      return x->intervals > y->intervals;
+    });
+    std::atomic<std::size_t> next{0};
+    const auto take = [&] {
+      for (std::size_t k = next++; k < order.size(); k = next++) order[k]->run();
+    };
+    std::vector<std::future<void>> workers;
+    std::exception_ptr error;
+    try {
+      const std::size_t helpers = std::min(pool->size(), order.size() - 1);
+      for (std::size_t w = 0; w < helpers; ++w) workers.push_back(pool->submit(take));
+      take();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    // The tasks use this frame: every one is awaited before anything
+    // propagates.
+    st::detail::await_all(workers);
+    if (error) std::rethrow_exception(error);
   }
-  std::vector<Micros> sort_buffer;
-  for (auto& [activity, slot] : acc) {
-    ActivityStat stat = slot.stat;
+
+  IoStatistics out;
+  for (const auto& [activity, job] : jobs) out.total_dur_ += job.stat.total_dur;
+  for (auto& [activity, job] : jobs) {
+    ActivityStat& stat = job.stat;
     stat.rel_dur = out.total_dur_ > 0
                        ? static_cast<double>(stat.total_dur) / static_cast<double>(out.total_dur_)
                        : 0.0;
-    stat.mean_rate = stat.rate_samples > 0
-                         ? deterministic_pairwise_sum(slot.rate_sums) /
-                               static_cast<double>(stat.rate_samples)
-                         : 0.0;
-    stat.max_concurrency = max_concurrency_of_columns(slot.starts, slot.ends, sort_buffer);
-    std::sort(slot.cases.begin(), slot.cases.end());
-    stat.rank_count = static_cast<std::size_t>(
-        std::unique(slot.cases.begin(), slot.cases.end()) - slot.cases.begin());
-    out.stats_.emplace(activity, std::move(stat));
+    out.stats_.emplace_hint(out.stats_.end(), model::Activity(activity), stat);
   }
   return out;
 }

@@ -38,6 +38,10 @@
 #include "model/event_log.hpp"
 #include "model/mapping.hpp"
 
+namespace st {
+class ThreadPool;
+}  // namespace st
+
 namespace st::dfg {
 
 struct ActivityStat {
@@ -109,12 +113,17 @@ class IoStatistics {
     /// added — so ((s0+s1)+s2) and (s0+(s1+s2)) are bitwise equal.
     void merge(Partial&& other);
 
-    /// Sums everything once: integers plainly, the per-case rate sums
-    /// through deterministic_pairwise_sum (one leaf per contributing
-    /// case, in input order), and every case's non-empty intervals
-    /// gathered per activity into one start column and one end column
-    /// for the (multiset-pure) concurrency sweep.
-    [[nodiscard]] IoStatistics finalize() const;
+    /// Sums everything once. One serial pass lists each activity's
+    /// (case, contribution) pairs in input order; then each activity
+    /// sums alone — integers plainly, the per-case rate sums through
+    /// deterministic_pairwise_sum (one leaf per contributing case, in
+    /// input order), and its non-empty intervals into one start column
+    /// and one end column for the (multiset-pure) concurrency sweep.
+    /// With a `pool`, the activities run as tasks on it (and on the
+    /// calling thread), largest first; every double is the same bits
+    /// either way, since an activity's summation order does not depend
+    /// on where it runs. Not callable from a task on `pool`.
+    [[nodiscard]] IoStatistics finalize(ThreadPool* pool = nullptr) const;
 
     /// t_f(a, C) from the already-folded contributions: per-case
     /// intervals of `a` in input/event order, sorted by start —

@@ -126,8 +126,7 @@ ElogV2Writer::ElogV2Writer(std::ostream& out, ElogV2WriterOptions opts)
 }
 
 ElogV2Writer::ElogV2Writer(const std::string& path, ElogV2WriterOptions opts)
-    : owned_out_(path, std::ios::binary | std::ios::trunc), out_(&owned_out_), opts_(opts) {
-  if (!owned_out_) throw IoError("cannot create elog file: " + path);
+    : file_(std::make_unique<PublishedFile>(path)), out_(&file_->stream()), opts_(opts) {
   write_raw(kMagicV2);
 }
 
@@ -284,6 +283,7 @@ void ElogV2Writer::finalize() {
   out_->flush();
   if (!*out_) throw IoError("elog v2 write failed");
   finalized_ = true;
+  if (file_) file_->publish();
 }
 
 void write_event_log_v2(std::ostream& out, const model::EventLog& log,
@@ -811,11 +811,14 @@ void ElogV2WriterSink::fold(pipeline::SinkPartial& p, const pipeline::CaseContex
   partial.items.push_back({encode_case(ctx.c), ctx.arena, ctx.buffer});
 }
 
-void ElogV2WriterSink::merge(std::unique_ptr<pipeline::SinkPartial> p) {
+void ElogV2WriterSink::absorb(pipeline::SinkPartial& /*acc*/,
+                              std::unique_ptr<pipeline::SinkPartial> p) const {
   auto& partial = static_cast<V2SinkPartial&>(*p);
   for (V2SinkPartial::Item& item : partial.items) {
     writer_->append_encoded(std::move(item.ec));
   }
 }
+
+void ElogV2WriterSink::merge(std::unique_ptr<pipeline::SinkPartial> /*acc*/) {}
 
 }  // namespace st::elog

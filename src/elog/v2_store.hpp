@@ -18,13 +18,12 @@
 // dictionary on any thread, and ElogV2Writer::append_encoded() interns
 // the local dictionary into the file-level pool and writes the
 // sections — strictly in append order, so the streamed
-// ElogV2WriterSink (fold = encode, merge = append) produces a file
+// ElogV2WriterSink (fold = encode, absorb = append) produces a file
 // byte-identical to a staged write_event_log_v2 at any worker count.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -38,6 +37,7 @@
 #include "model/event_log.hpp"
 #include "pipeline/sink.hpp"
 #include "strace/trace_buffer.hpp"
+#include "support/publish.hpp"
 
 namespace st::elog {
 
@@ -49,7 +49,7 @@ namespace st::elog {
 /// its partial).
 struct EncodedCase {
   /// Owned (not views): the CaseId they come from is moved into the
-  /// assembled log before merge() runs, and SSO moves would dangle a
+  /// assembled log before absorb() runs, and SSO moves would dangle a
   /// view. The event-column views below point into the case's arena /
   /// TraceBuffer instead, which the partial keeps alive.
   std::string cid;
@@ -95,10 +95,13 @@ struct ElogV2WriterOptions {
 
 /// Streaming v2 writer: cases are appended one at a time; the string
 /// pool, case directory, index sections and section table/footer are
-/// written by finalize(). No seeking — any ostream works. A writer
-/// destroyed WITHOUT finalize() leaves a file with no footer, which
-/// every reader rejects (IoError): partial writes cannot be mistaken
-/// for corpora.
+/// written by finalize(). No seeking — any ostream works. The path
+/// constructor writes a sibling temporary (support/publish.hpp) that
+/// finalize() renames over `path`: a writer destroyed WITHOUT
+/// finalize() removes it and leaves whatever `path` held untouched.
+/// On the ostream constructor such a writer leaves a prefix with no
+/// footer, which every reader rejects (IoError): partial writes cannot
+/// be mistaken for corpora.
 class ElogV2Writer {
  public:
   explicit ElogV2Writer(std::ostream& out, ElogV2WriterOptions opts = {});
@@ -114,7 +117,8 @@ class ElogV2Writer {
   /// sections. Throws LogicError after finalize().
   void append_encoded(EncodedCase&& ec);
 
-  /// Writes pool + directory + table + footer. Idempotent.
+  /// Writes pool + directory + table + footer, then publishes the
+  /// file of the path constructor. Idempotent.
   void finalize();
 
   [[nodiscard]] std::size_t cases_written() const { return cases_; }
@@ -125,7 +129,7 @@ class ElogV2Writer {
                    std::uint32_t aux = 0);
   [[nodiscard]] std::uint32_t intern(std::string_view s);
 
-  std::ofstream owned_out_;  ///< backing stream for the path ctor
+  std::unique_ptr<PublishedFile> file_;  ///< the path ctor's output
   std::ostream* out_;
   std::uint64_t offset_ = 0;
   std::vector<SectionEntry> entries_;
@@ -316,17 +320,21 @@ struct V2ReadOptions : RunPolicy {};
 
 /// CaseSink writing elog v2 in the same streamed pipeline::run pass as
 /// any other analytic: fold() encodes the case's columns on the pool
-/// thread (carrying the case's owners in the partial), merge() appends
-/// to the writer strictly in input order. The caller finalizes the
-/// writer after a successful run; on a failed run nothing was merged,
-/// so the unfinalized (unreadable) file is the only artifact.
+/// thread (carrying the case's owners in the partial), absorb() appends
+/// to the writer strictly in input order at the merge cursor, while
+/// later files still parse; merge() has nothing left to do. The caller
+/// finalizes (publishes) the writer after a successful run; after a
+/// failed one the writer is destroyed unfinalized, which removes its
+/// temporary and leaves the destination as it was.
 class ElogV2WriterSink final : public pipeline::CaseSink {
  public:
   explicit ElogV2WriterSink(ElogV2Writer& writer) : writer_(&writer) {}
 
   [[nodiscard]] std::unique_ptr<pipeline::SinkPartial> make_partial() const override;
   void fold(pipeline::SinkPartial& p, const pipeline::CaseContext& ctx) const override;
-  void merge(std::unique_ptr<pipeline::SinkPartial> p) override;
+  void absorb(pipeline::SinkPartial& acc,
+              std::unique_ptr<pipeline::SinkPartial> p) const override;
+  void merge(std::unique_ptr<pipeline::SinkPartial> acc) override;
 
  private:
   ElogV2Writer* writer_;

@@ -375,7 +375,7 @@ std::string fold_shard(const std::vector<std::string>& paths, const ShardOptions
   return encode_shard_partial(fold_report(paths, f, pool, opts.stream).partial);
 }
 
-ShardedAnalytics finalize_shards(std::vector<ShardPartial> parts) {
+ShardedAnalytics finalize_shards(std::vector<ShardPartial> parts, ThreadPool* pool) {
   ShardPartial total;
   for (ShardPartial& p : parts) total.merge(std::move(p));
 
@@ -386,7 +386,7 @@ ShardedAnalytics finalize_shards(std::vector<ShardPartial> parts) {
   out.graph = std::move(total.graph);
   out.case_summaries = std::move(total.case_summaries);
   out.variants = std::move(total.variants);
-  out.io_stats = total.io.finalize();
+  out.io_stats = total.io.finalize(pool);
   out.edge_stats = total.edges.finalize();
   out.io_partial = std::move(total.io);
   // Counters summed shard by shard; the class tally is recomputed from
@@ -433,7 +433,8 @@ ShardedAnalytics run_sharded(const std::vector<std::string>& paths, const ShardO
     report = std::move(spawned.report);
   }
 
-  ShardedAnalytics out = finalize_shards(std::move(parts));
+  ThreadPool pool(opts.worker_threads);
+  ShardedAnalytics out = finalize_shards(std::move(parts), &pool);
   out.shard_report = std::move(report);
   return out;
 }

@@ -164,8 +164,11 @@ struct ReportFold {
 
 /// Input-order merge + finalize of report partials — the coordinator's
 /// reduce step, also run by merge-partials and (over one partial) by
-/// report::streaming_report.
-[[nodiscard]] ShardedAnalytics finalize_shards(std::vector<ShardPartial> parts);
+/// report::streaming_report. With a `pool`, the activity statistics
+/// finalize on it (IoStatistics::Partial::finalize); the bytes are the
+/// same either way.
+[[nodiscard]] ShardedAnalytics finalize_shards(std::vector<ShardPartial> parts,
+                                               ThreadPool* pool = nullptr);
 
 /// Splits `paths` across opts.shards shards, folds each (subprocess or
 /// in-process per opts.fold_shard_exe), decodes and merges the blobs

@@ -3,6 +3,7 @@
 #include <malloc.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -33,8 +34,6 @@ struct Converted {
   std::vector<std::string> warnings;            ///< raw reader warnings
   std::vector<std::unique_ptr<SinkPartial>> partials;  ///< one per sink, sink order
 };
-
-constexpr std::size_t kNoError = std::numeric_limits<std::size_t>::max();
 
 constexpr std::size_t kUnmapped = std::numeric_limits<std::size_t>::max();
 
@@ -121,6 +120,50 @@ enum class Disp : unsigned char {
   kQuarantined,  ///< parsed, but its case failed to convert or fold
 };
 
+/// One input file's way to the merge cursor. The callbacks of its
+/// parse write `converted` or `error`; `settled` (stored last) hands
+/// the slot to the cursor, which alone reads and clears it.
+struct FileSlot {
+  std::atomic<bool> settled{false};
+  Converted converted;
+  std::exception_ptr error;   ///< a parse, convert or fold failure
+  Disp on_error = Disp::kOk;  ///< what `error` makes of the file under keep_going
+  Disp disp = Disp::kOk;
+  std::string reason;  ///< why the file was skipped or quarantined
+
+  /// Settles a file this thread skipped before its parse.
+  void settle_skipped(std::string why) {
+    disp = Disp::kSkipped;
+    reason = std::move(why);
+    settled.store(true);
+  }
+};
+
+/// One run-local accumulator per sink: absorb() folds a task's partials
+/// in, in the order it is called; merge() hands each sink its
+/// accumulator, once.
+class Accumulators {
+ public:
+  explicit Accumulators(std::span<CaseSink* const> sinks) : sinks_(sinks) {
+    acc_.reserve(sinks.size());
+    for (const CaseSink* sink : sinks) acc_.push_back(sink->make_partial());
+  }
+
+  void absorb(std::vector<std::unique_ptr<SinkPartial>>& partials) {
+    for (std::size_t s = 0; s < sinks_.size(); ++s) {
+      sinks_[s]->absorb(*acc_[s], std::move(partials[s]));
+    }
+  }
+
+  void merge() && {
+    for (std::size_t s = 0; s < sinks_.size(); ++s) sinks_[s]->merge(std::move(acc_[s]));
+  }
+
+ private:
+  std::span<CaseSink* const> sinks_;
+  std::vector<std::unique_ptr<SinkPartial>> acc_;
+};
+
 /// Rethrows `e` to classify it. Data-shaped failures — IoError and
 /// ParseError, which include injected faults — may be quarantined
 /// under keep_going; LogicError and foreign exceptions never are.
@@ -172,12 +215,7 @@ model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
                     DataHealth* health) {
   const std::size_t n = paths.size();
   const bool keep_going = opts.keep_going;
-
-  // Per-input-file disposition, settled as the stages advance; under
-  // keep_going a data failure flips a file to kSkipped/kQuarantined
-  // with the reason instead of aborting the run.
-  std::vector<Disp> disp(n, Disp::kOk);
-  std::vector<std::string> reason(n);
+  std::vector<FileSlot> slots(n);
 
   // Validate every file name before any I/O: the error for a bad name
   // is deterministic (first offender in input order) and cheap.
@@ -187,123 +225,24 @@ model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
     if (!id) {
       const ParseError err("trace file name does not follow cid_host_rid.st: " + paths[i]);
       if (!keep_going) throw err;
-      disp[i] = Disp::kSkipped;
-      reason[i] = err.what();
+      slots[i].settle_skipped(err.what());
       continue;
     }
     ids[i] = std::move(*id);
   }
 
-  // Open every surviving file in input order (same first-unopenable
-  // IoError contract read_trace_files_streamed had). Live indices are
-  // dense over the files that actually parse; input order is preserved,
-  // so lowest-live-index error ranking equals lowest-input-index.
-  std::vector<std::shared_ptr<strace::TraceBuffer>> buffers;
-  std::vector<std::size_t> live_to_orig;
-  std::vector<std::size_t> orig_to_live(n, kNoError);
-  buffers.reserve(n);
-  live_to_orig.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (disp[i] != Disp::kOk) continue;
-    try {
-      auto buffer = strace::TraceBuffer::from_file_mmap(paths[i]);
-      orig_to_live[i] = buffers.size();
-      live_to_orig.push_back(i);
-      buffers.push_back(std::move(buffer));
-    } catch (const IoError& e) {
-      if (!keep_going) throw;
-      disp[i] = Disp::kSkipped;
-      reason[i] = e.what();
-    }
-  }
-  const std::size_t live = buffers.size();
-
-  strace::ParallelReadOptions read_opts = opts;
-  read_opts.pool = &pool;
-
-  // Each file converts, and every sink folds its case, the moment its
-  // parse settles: inside the reader's per-file callback, on the pool
-  // thread that finished the file's last chunk. Both slot vectors are
-  // sized before the first parse task starts, so each callback writes
-  // only its own slot, and they outlive the handle, whose join (here or
-  // in its destructor) guarantees no callback is still running.
-  const MappingPlan plan(sinks);
-  std::vector<Converted> converted(live);
-  std::vector<std::exception_ptr> convert_errors(live);
-  auto handle = strace::read_trace_buffers_streamed(
-      std::move(buffers), read_opts, [&](std::size_t i, strace::ReadResult&& result) {
-        // Never throws: an exception escaping here would be recorded as
-        // the file's parse failure ("skipped" rather than "case
-        // quarantined" under keep_going).
-        try {
-          FAULT_POINT("pipeline.convert");
-          Converted out;
-          // Small blocks: this arena holds exactly one case's interned
-          // cid/host, and a swarm of small trace files must not pin a
-          // 64 KiB block each.
-          out.arena = std::make_shared<strace::StringArena>(256);
-          out.c = model::case_from_records(ids[live_to_orig[i]], result.records, *out.arena);
-          out.warnings = std::move(result.warnings);
-          out.buffer = std::move(result.buffer);
-          FAULT_POINT("sink.fold");
-          TaskFold task(sinks, plan);
-          task.fold(out.c, out.arena, out.buffer);
-          out.partials = std::move(task).seal();
-          converted[i] = std::move(out);
-        } catch (...) {
-          convert_errors[i] = std::current_exception();
-        }
-      });
-
-  // Every file has settled once the parse joins. A sink fold that threw
-  // competes with parse errors under the same lowest-input-index-wins
-  // rule.
-  handle.join();
-  std::size_t err_index = kNoError;
-  std::exception_ptr err;
-  const auto note = [&](std::size_t i, std::exception_ptr e) {
-    if (i < err_index) {
-      err_index = i;
-      err = std::move(e);
-    }
-  };
-  for (std::size_t i = 0; i < live; ++i) {
-    if (!convert_errors[i]) continue;
-    std::string what;
-    if (keep_going && quarantinable(convert_errors[i], what)) {
-      disp[live_to_orig[i]] = Disp::kQuarantined;
-      reason[live_to_orig[i]] = std::move(what);
-    } else {
-      note(i, convert_errors[i]);
-    }
-  }
-  // A file either failed to parse or failed to convert, never both, so
-  // each input index settles exactly once across the two loops.
-  for (const auto& parse_error : handle.errors()) {
-    std::string what;
-    if (keep_going && quarantinable(parse_error.error, what)) {
-      disp[live_to_orig[parse_error.file_index]] = Disp::kSkipped;
-      reason[live_to_orig[parse_error.file_index]] = std::move(what);
-    } else {
-      note(parse_error.file_index, parse_error.error);
-    }
-  }
-  if (err) std::rethrow_exception(err);  // before any merge: sinks stay empty
-
-  // The one shot the injection matrix gets at the merge phase: BEFORE
-  // the first merge, so a firing fault still leaves every sink empty —
-  // never half-merged.
-  FAULT_POINT("sink.merge");
-
-  // Assembly, strictly in input order: case order, event order and
-  // warning order come out byte-identical to the staged path, and
-  // every sink's partials merge in the same order. Arenas and buffers
-  // are adopted before the log escapes (lifetime contract). Skipped
-  // and quarantined files contribute their structured warning at their
-  // input-order slot and nothing else.
+  // The merge cursor: input-order assembly of the log, the health
+  // counters and every sink's accumulator, run by whichever pool
+  // thread settles a file while no other thread holds it. Everything
+  // below is touched only by the cursor's holder (and, after the join,
+  // by this thread).
   model::EventLog log;
   DataHealth h;
   h.files_requested = n;
+  Accumulators acc(sinks);
+  std::size_t next = 0;           // the first slot not yet assembled
+  bool stalled = false;           // slot `next` fails the run
+  std::atomic<bool> busy{false};  // the cursor's try-lock
   std::string prefixed;  // reused "<path>: <warning>" buffer
   const auto add_warning = [&log](std::string& text) {
     // A malformed region repeating the same defect floods the log
@@ -311,17 +250,26 @@ model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
     if (!log.warnings().empty() && log.warnings().back() == text) return;
     log.add_warning(text);
   };
-  for (std::size_t i = 0; i < n; ++i) {
-    if (disp[i] != Disp::kOk) {
+  // Assembles slot i: case order, event order and warning order come
+  // out byte-identical to the staged path. Skipped and quarantined
+  // files contribute their structured warning at their input-order
+  // slot and nothing else. False when the slot's error fails the run.
+  const auto assemble = [&](std::size_t i) {
+    FileSlot& slot = slots[i];
+    if (slot.error) {
+      if (!keep_going || !quarantinable(slot.error, slot.reason)) return false;
+      slot.disp = slot.on_error;
+    }
+    if (slot.disp != Disp::kOk) {
       prefixed.clear();
       prefixed += paths[i];
-      prefixed += disp[i] == Disp::kSkipped ? ": skipped: " : ": case quarantined: ";
-      prefixed += reason[i];
+      prefixed += slot.disp == Disp::kSkipped ? ": skipped: " : ": case quarantined: ";
+      prefixed += slot.reason;
       add_warning(prefixed);
-      ++(disp[i] == Disp::kSkipped ? h.files_skipped : h.cases_quarantined);
-      continue;
+      ++(slot.disp == Disp::kSkipped ? h.files_skipped : h.cases_quarantined);
+      return true;
     }
-    Converted& cv = converted[orig_to_live[i]];
+    Converted& cv = slot.converted;
     if (cv.arena) log.adopt(std::move(cv.arena));
     log.add_case(std::move(cv.c));
     if (cv.buffer) log.adopt(std::move(cv.buffer));
@@ -333,10 +281,117 @@ model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
       prefixed += warning;
       add_warning(prefixed);
     }
-    for (std::size_t s = 0; s < sinks.size(); ++s) {
-      sinks[s]->merge(std::move(cv.partials[s]));
+    acc.absorb(cv.partials);
+    cv = Converted{};
+    return true;
+  };
+  // Try-lock, assemble every settled prefix slot, unlock. A slot that
+  // settles while another thread holds the cursor is picked up by that
+  // thread's re-check after it unlocks (all seq_cst: either the holder
+  // sees the flag or the settler wins the lock), so no settled prefix
+  // waits for the join.
+  const auto advance = [&] {
+    while (!busy.exchange(true)) {
+      while (!stalled && next < n && slots[next].settled.load()) {
+        try {
+          stalled = !assemble(next);
+        } catch (...) {
+          // An absorb that throws leaves the accumulators half-folded:
+          // that fails the run under either policy.
+          slots[next].error = std::current_exception();
+          stalled = true;
+        }
+        if (!stalled) ++next;
+      }
+      const std::size_t at = next;
+      const bool stop = stalled;
+      busy.store(false);
+      if (stop || at == n || !slots[at].settled.load()) return;
     }
+  };
+
+  strace::ParallelReadOptions read_opts = opts;
+  read_opts.pool = &pool;
+  const MappingPlan plan(sinks);
+  // The parse's file indices are dense over the files it was given.
+  std::vector<std::size_t> orig_of(n);
+  // Each file converts, and every sink folds its case, the moment its
+  // parse settles: inside the reader's per-file callback, on the pool
+  // thread that finished the file's last chunk. The callback writes
+  // only its own slot; the settle hook then publishes the slot to the
+  // cursor and tries to advance it. Everything they reference is
+  // declared before the handle, whose join (below, or in its
+  // destructor) leaves no callback running.
+  strace::StreamedParse parse(
+      read_opts,
+      [&](std::size_t k, strace::ReadResult&& result) {
+        const std::size_t i = orig_of[k];
+        // Never throws: an exception escaping here would be recorded as
+        // the file's parse failure ("skipped" rather than "case
+        // quarantined" under keep_going).
+        try {
+          FAULT_POINT("pipeline.convert");
+          Converted out;
+          // Small blocks: this arena holds exactly one case's interned
+          // cid/host, and a swarm of small trace files must not pin a
+          // 64 KiB block each.
+          out.arena = std::make_shared<strace::StringArena>(256);
+          out.c = model::case_from_records(ids[i], result.records, *out.arena);
+          out.warnings = std::move(result.warnings);
+          out.buffer = std::move(result.buffer);
+          FAULT_POINT("sink.fold");
+          TaskFold task(sinks, plan);
+          task.fold(out.c, out.arena, out.buffer);
+          out.partials = std::move(task).seal();
+          slots[i].converted = std::move(out);
+        } catch (...) {
+          slots[i].error = std::current_exception();
+          slots[i].on_error = Disp::kQuarantined;
+        }
+      },
+      [&](std::size_t k, std::exception_ptr parse_error) {
+        FileSlot& slot = slots[orig_of[k]];
+        if (parse_error) {
+          slot.error = std::move(parse_error);
+          slot.on_error = Disp::kSkipped;
+        }
+        slot.settled.store(true);
+        advance();
+      });
+
+  std::size_t live = 0;
+  // Open each surviving file in input order, on this thread, and submit
+  // its chunks before opening the next, so the opens overlap the parse.
+  // Fail fast: an unopenable file is the run's error, whatever failed
+  // before it — stop submitting, join (the handle's destructor) and
+  // rethrow; nothing merges.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (slots[i].settled.load()) continue;  // a bad name, under keep_going
+    std::shared_ptr<strace::TraceBuffer> buffer;
+    try {
+      buffer = strace::TraceBuffer::from_file_mmap(paths[i]);
+    } catch (const IoError& e) {
+      if (!keep_going) throw;
+      slots[i].settle_skipped(e.what());
+      continue;
+    }
+    orig_of[live++] = i;
+    (void)parse.add(std::move(buffer));
   }
+
+  // Every file has settled once the parse joins; the cursor then takes
+  // whatever no settle hook got to, and stops at the lowest input
+  // index whose error fails the run (a sink fold that threw competes
+  // with parse errors under that one rule).
+  parse.join();
+  advance();
+  if (stalled) std::rethrow_exception(slots[next].error);  // sinks stay empty
+
+  // The one shot the injection matrix gets at the merge phase: BEFORE
+  // the first merge, so a firing fault still leaves every sink empty —
+  // never half-merged.
+  FAULT_POINT("sink.merge");
+  std::move(acc).merge();
   if (health != nullptr) {
     h.files_ingested = n - h.files_skipped - h.cases_quarantined;
     h.classify(log.warnings());
@@ -382,9 +437,9 @@ void fold_cases(std::span<const model::Case> cases, std::span<CaseSink* const> s
     parallel_for(*pool, 0, parts.size(), fold_chunk);
   }
   // Only now, with every chunk folded: a failing fold merges nothing.
-  for (auto& partials : parts) {
-    for (std::size_t s = 0; s < sinks.size(); ++s) sinks[s]->merge(std::move(partials[s]));
-  }
+  Accumulators acc(sinks);
+  for (auto& partials : parts) acc.absorb(partials);
+  std::move(acc).merge();
 }
 
 // ---- DfgSink -----------------------------------------------------------
@@ -433,8 +488,12 @@ void DfgSink::seal(SinkPartial& p, const model::ActivityDict* activities) const 
   part.edges = {};
 }
 
-void DfgSink::merge(std::unique_ptr<SinkPartial> p) {
-  graph_.merge(static_cast<DfgPartial&>(*p).graph);
+void DfgSink::absorb(SinkPartial& acc, std::unique_ptr<SinkPartial> p) const {
+  static_cast<DfgPartial&>(acc).graph.merge(std::move(static_cast<DfgPartial&>(*p).graph));
+}
+
+void DfgSink::merge(std::unique_ptr<SinkPartial> acc) {
+  graph_.merge(std::move(static_cast<DfgPartial&>(*acc).graph));
 }
 
 // ---- CaseStatsSink -----------------------------------------------------
@@ -453,8 +512,12 @@ void CaseStatsSink::fold(SinkPartial& p, const CaseContext& ctx) const {
   static_cast<CaseStatsPartial&>(p).acc.add(ctx.c);
 }
 
-void CaseStatsSink::merge(std::unique_ptr<SinkPartial> p) {
-  acc_.merge(std::move(static_cast<CaseStatsPartial&>(*p).acc));
+void CaseStatsSink::absorb(SinkPartial& acc, std::unique_ptr<SinkPartial> p) const {
+  static_cast<CaseStatsPartial&>(acc).acc.merge(std::move(static_cast<CaseStatsPartial&>(*p).acc));
+}
+
+void CaseStatsSink::merge(std::unique_ptr<SinkPartial> acc) {
+  acc_.merge(std::move(static_cast<CaseStatsPartial&>(*acc).acc));
 }
 
 // ---- VariantsSink ------------------------------------------------------
@@ -487,8 +550,13 @@ void VariantsSink::seal(SinkPartial& p, const model::ActivityDict* activities) c
   part.traces = {};
 }
 
-void VariantsSink::merge(std::unique_ptr<SinkPartial> p) {
-  model::merge_variant_counts(variants_, std::move(static_cast<VariantsPartial&>(*p).counts));
+void VariantsSink::absorb(SinkPartial& acc, std::unique_ptr<SinkPartial> p) const {
+  model::merge_variant_counts(static_cast<VariantsPartial&>(acc).counts,
+                              std::move(static_cast<VariantsPartial&>(*p).counts));
+}
+
+void VariantsSink::merge(std::unique_ptr<SinkPartial> acc) {
+  model::merge_variant_counts(variants_, std::move(static_cast<VariantsPartial&>(*acc).counts));
 }
 
 // ---- IoStatsSink -------------------------------------------------------
@@ -539,9 +607,20 @@ void IoStatsSink::seal(SinkPartial& p, const model::ActivityDict* /*activities*/
   part.slots = {};
 }
 
-void IoStatsSink::merge(std::unique_ptr<SinkPartial> p) {
+void IoStatsSink::absorb(SinkPartial& acc, std::unique_ptr<SinkPartial> p) const {
+  auto& into = static_cast<IoStatsPartial&>(acc).cases;
+  auto& from = static_cast<IoStatsPartial&>(*p).cases;
+  if (into.empty()) {
+    into = std::move(from);
+  } else {
+    into.insert(into.end(), std::make_move_iterator(from.begin()),
+                std::make_move_iterator(from.end()));
+  }
+}
+
+void IoStatsSink::merge(std::unique_ptr<SinkPartial> acc) {
   partial_.merge(
-      dfg::IoStatistics::Partial::from_cases(std::move(static_cast<IoStatsPartial&>(*p).cases)));
+      dfg::IoStatistics::Partial::from_cases(std::move(static_cast<IoStatsPartial&>(*acc).cases)));
 }
 
 // ---- EdgeStatsSink -----------------------------------------------------
@@ -576,8 +655,12 @@ void EdgeStatsSink::seal(SinkPartial& p, const model::ActivityDict* activities) 
   part.edges = {};
 }
 
-void EdgeStatsSink::merge(std::unique_ptr<SinkPartial> p) {
-  partial_.merge(std::move(static_cast<EdgeStatsPartial&>(*p).p));
+void EdgeStatsSink::absorb(SinkPartial& acc, std::unique_ptr<SinkPartial> p) const {
+  static_cast<EdgeStatsPartial&>(acc).p.merge(std::move(static_cast<EdgeStatsPartial&>(*p).p));
+}
+
+void EdgeStatsSink::merge(std::unique_ptr<SinkPartial> acc) {
+  partial_.merge(std::move(static_cast<EdgeStatsPartial&>(*acc).p));
 }
 
 }  // namespace st::pipeline

@@ -10,9 +10,11 @@
 // A sink is monoid-shaped, mirroring the Dfg merge the DFG build has
 // always used (refs [24][25] of the paper):
 //
-//   make_partial()      a fresh accumulator, created per task (one
+//   make_partial()      a fresh accumulator: one per task (one
 //                       converted file in run(), one chunk of cases in
-//                       fold_cases) on the pool thread running it;
+//                       fold_cases), created on the pool thread running
+//                       it, and one per run, the run-local accumulator
+//                       the tasks' partials are absorbed into;
 //   fold(partial, ctx)  folds one completed Case into that partial
 //                       right after its conversion, on the pool thread
 //                       that finished the file's parse, while other
@@ -24,11 +26,20 @@
 //                       task's last fold: where a sink that counted by
 //                       activity id turns its counts back into names
 //                       and drops its id-keyed state, which would
-//                       otherwise wait for the merge;
-//   merge(partial)      input-order fold of the partials into the
-//                       sink's output, at assembly on the calling
-//                       thread — the same place (and order) the
-//                       pipeline assembles cases and warnings.
+//                       otherwise wait for the absorb;
+//   absorb(acc, partial) folds a task's partial into the run-local
+//                       accumulator, strictly in input order. In run()
+//                       it runs at the merge cursor: on whichever pool
+//                       thread settles a file while no other thread
+//                       holds the cursor, which then absorbs every
+//                       settled prefix file (and, after the join, on
+//                       the calling thread). Never concurrently with
+//                       another absorb of the same run. `const` like
+//                       fold: the accumulator is the run's, not the
+//                       sink's;
+//   merge(acc)          hands the accumulator to the sink's output,
+//                       exactly once per successful run, on the calling
+//                       thread after the join.
 //
 // Map each event once. A sink that folds activities names its mapping
 // f through mapping(); run() and fold_cases apply each distinct f once
@@ -41,13 +52,16 @@
 // statistics partials as the string-keyed references (build_serial,
 // ActivityLog, IoStatistics::compute, EdgeStatistics::compute).
 //
-// Determinism contract (same as the PR 4 pipeline, asserted by
-// tests/test_pipeline_sinks.cpp): every sink's output is byte-identical
-// to its staged counterpart at any worker count and any chunk size,
-// merge() runs strictly in input order, errors propagate
-// with lowest-input-index-wins (a sink fold that throws competes with
-// parse errors on input index), and NO merge() runs on a failing run —
-// a sink is either fully folded or still empty, never half-merged.
+// Determinism contract (asserted by tests/test_pipeline_sinks.cpp):
+// every sink's output is byte-identical to its staged counterpart at
+// any worker count and any chunk size, absorb() runs strictly in input
+// order, errors propagate with lowest-input-index-wins (a sink fold
+// that throws competes with parse errors on input index), and NO
+// merge() runs on a failing run — a sink is either fully folded or
+// still empty, never half-merged. A failing run may have absorbed a
+// prefix of its files into accumulators it then drops; only the
+// container sink's absorb has an effect outside the run (it appends to
+// its writer, whose unpublished file a failed run discards).
 // Lifetime: the per-task arena and TraceBuffer of a case reach fold()
 // through the context, so sinks whose output keeps views into the case
 // (the elog v2 writer sink) can adopt them; the run adopts them into
@@ -133,7 +147,7 @@ struct DataHealth {
 [[nodiscard]] std::string_view classify_warning(std::string_view warning);
 
 /// One sink's per-conversion-task accumulator. Sinks define their own
-/// derived type and downcast in fold()/merge().
+/// derived type and downcast in fold()/absorb()/merge().
 class SinkPartial {
  public:
   virtual ~SinkPartial() = default;
@@ -178,26 +192,36 @@ class CaseSink {
   /// nothing.
   virtual void seal(SinkPartial& /*p*/, const model::ActivityDict* /*activities*/) const {}
 
-  /// Folds a task's partial into the sink's output. Called on the
-  /// thread running pipeline::run, strictly in input order, only on
-  /// successful runs.
-  virtual void merge(std::unique_ptr<SinkPartial> p) = 0;
+  /// Folds a task's partial `p` into the run-local accumulator `acc`
+  /// (a make_partial() of this sink). Strictly in input order, never
+  /// concurrently with another absorb of the same run, on whichever
+  /// thread holds the merge cursor.
+  virtual void absorb(SinkPartial& acc, std::unique_ptr<SinkPartial> p) const = 0;
+
+  /// Folds the run's accumulator into the sink's output: once per
+  /// successful run, on the thread that called run() or fold_cases,
+  /// after every task finished. Never on a failing run.
+  virtual void merge(std::unique_ptr<SinkPartial> acc) = 0;
 };
 
 /// Drives one streamed parse -> convert pass over `paths` and folds
-/// every completed Case into every sink, all on `pool`: a file converts
-/// and folds on the pool thread that finished its last parse chunk, so
-/// with one worker file i folds right after file i parses, before file
-/// i+1 starts. Returns the assembled EventLog — byte-identical to the
+/// every completed Case into every sink, all on `pool`: the calling
+/// thread opens file i and submits its parse before opening file i+1;
+/// a file converts and folds on the pool thread that finished its last
+/// parse chunk, so with one worker file i folds right after file i
+/// parses, before file i+1 starts; the merge cursor then assembles the
+/// log and absorbs the partials of every settled prefix file as it
+/// goes. Returns the assembled EventLog — byte-identical to the
 /// staged per-file build (case, event and warning order), with
 /// per-task arenas and TraceBuffers adopted before it escapes. File
 /// names must follow cid_host_rid.st (ParseError for the first
 /// offender, checked before any I/O); on any failure every task is
 /// awaited, the lowest-input-index error is rethrown and no sink sees
-/// a merge. Under opts.keep_going data failures quarantine their file
-/// instead (see StreamOptions). `health`, when non-null, receives the
-/// run's DataHealth either way. `opts.pool` is ignored — `pool` is
-/// used.
+/// a merge — except that an unopenable file, found while earlier files
+/// parse, is the error whatever failed before it. Under
+/// opts.keep_going data failures quarantine their file instead (see
+/// StreamOptions). `health`, when non-null, receives the run's
+/// DataHealth either way. `opts.pool` is ignored — `pool` is used.
 [[nodiscard]] model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
                                   std::span<CaseSink* const> sinks,
                                   const StreamOptions& opts = {}, DataHealth* health = nullptr);
@@ -209,9 +233,9 @@ class CaseSink {
 
 /// Folds cases already in memory into every sink: contiguous chunks on
 /// `pool` (one chunk inline when it is null), one partial and one
-/// activity dictionary per mapping per chunk, merged in chunk order on
-/// the calling thread — the output is the staged computation's at any
-/// worker count. fold() sees a null arena and buffer: the cases' owner
+/// activity dictionary per mapping per chunk, absorbed in chunk order
+/// on the calling thread and merged once — the output is the staged
+/// computation's at any worker count. fold() sees a null arena and buffer: the cases' owner
 /// keeps their storage alive. run()'s
 /// error contract: every chunk is awaited, the lowest chunk's error is
 /// rethrown and no sink sees a merge. Not callable from a task on `pool`.
@@ -232,7 +256,8 @@ class DfgSink final : public CaseSink {
   [[nodiscard]] std::unique_ptr<SinkPartial> make_partial() const override;
   void fold(SinkPartial& p, const CaseContext& ctx) const override;
   void seal(SinkPartial& p, const model::ActivityDict* activities) const override;
-  void merge(std::unique_ptr<SinkPartial> p) override;
+  void absorb(SinkPartial& acc, std::unique_ptr<SinkPartial> p) const override;
+  void merge(std::unique_ptr<SinkPartial> acc) override;
 
   [[nodiscard]] const dfg::Dfg& graph() const { return graph_; }
   [[nodiscard]] dfg::Dfg take_graph() { return std::move(graph_); }
@@ -248,7 +273,8 @@ class CaseStatsSink final : public CaseSink {
  public:
   [[nodiscard]] std::unique_ptr<SinkPartial> make_partial() const override;
   void fold(SinkPartial& p, const CaseContext& ctx) const override;
-  void merge(std::unique_ptr<SinkPartial> p) override;
+  void absorb(SinkPartial& acc, std::unique_ptr<SinkPartial> p) const override;
+  void merge(std::unique_ptr<SinkPartial> acc) override;
 
   [[nodiscard]] const std::vector<model::CaseSummary>& summaries() const {
     return acc_.summaries;
@@ -272,7 +298,8 @@ class VariantsSink final : public CaseSink {
   [[nodiscard]] std::unique_ptr<SinkPartial> make_partial() const override;
   void fold(SinkPartial& p, const CaseContext& ctx) const override;
   void seal(SinkPartial& p, const model::ActivityDict* activities) const override;
-  void merge(std::unique_ptr<SinkPartial> p) override;
+  void absorb(SinkPartial& acc, std::unique_ptr<SinkPartial> p) const override;
+  void merge(std::unique_ptr<SinkPartial> acc) override;
 
   [[nodiscard]] const model::VariantCounts& variants() const { return variants_; }
   [[nodiscard]] model::VariantCounts take_variants() { return std::move(variants_); }
@@ -284,10 +311,10 @@ class VariantsSink final : public CaseSink {
 
 /// Activity statistics (Load / bytes / DR / max-concurrency / ranks)
 /// as a sink: fold() gathers one case's contributions by activity id
-/// and names them into an IoStatistics::CaseContribution, merge()
-/// CONCATENATES them in input order (no FP arithmetic, so worker count
-/// cannot change bits), and finalize() runs the fixed-shape pairwise
-/// double-sum tree — bit-identical to IoStatistics::compute on the
+/// and names them into an IoStatistics::CaseContribution, absorb() and
+/// merge() CONCATENATE them in input order (no FP arithmetic, so worker
+/// count cannot change bits), and finalize() runs the fixed-shape
+/// pairwise double-sum tree — bit-identical to IoStatistics::compute on the
 /// returned log, asserted with exact double equality by
 /// test_stats_sinks. `f` must outlive the run.
 class IoStatsSink final : public CaseSink {
@@ -298,15 +325,19 @@ class IoStatsSink final : public CaseSink {
   [[nodiscard]] std::unique_ptr<SinkPartial> make_partial() const override;
   void fold(SinkPartial& p, const CaseContext& ctx) const override;
   void seal(SinkPartial& p, const model::ActivityDict* activities) const override;
-  void merge(std::unique_ptr<SinkPartial> p) override;
+  void absorb(SinkPartial& acc, std::unique_ptr<SinkPartial> p) const override;
+  void merge(std::unique_ptr<SinkPartial> acc) override;
 
   /// The merged (un-finalized) partial — what a shard worker encodes,
   /// and what timeline() renders from.
   [[nodiscard]] const dfg::IoStatistics::Partial& partial() const { return partial_; }
   [[nodiscard]] dfg::IoStatistics::Partial take_partial() { return std::move(partial_); }
 
-  /// Runs the deterministic summation tree over the folded cases.
-  [[nodiscard]] dfg::IoStatistics finalize() const { return partial_.finalize(); }
+  /// Runs the deterministic summation tree over the folded cases,
+  /// activities as tasks on `pool` when it is non-null.
+  [[nodiscard]] dfg::IoStatistics finalize(ThreadPool* pool = nullptr) const {
+    return partial_.finalize(pool);
+  }
 
  private:
   const model::Mapping* f_;
@@ -324,7 +355,8 @@ class EdgeStatsSink final : public CaseSink {
   [[nodiscard]] std::unique_ptr<SinkPartial> make_partial() const override;
   void fold(SinkPartial& p, const CaseContext& ctx) const override;
   void seal(SinkPartial& p, const model::ActivityDict* activities) const override;
-  void merge(std::unique_ptr<SinkPartial> p) override;
+  void absorb(SinkPartial& acc, std::unique_ptr<SinkPartial> p) const override;
+  void merge(std::unique_ptr<SinkPartial> acc) override;
 
   [[nodiscard]] const dfg::EdgeStatistics::Partial& partial() const { return partial_; }
   [[nodiscard]] dfg::EdgeStatistics::Partial take_partial() { return std::move(partial_); }

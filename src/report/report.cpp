@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <fstream>
 
 #include "dfg/render.hpp"
 #include "dfg/render_svg.hpp"
-#include "support/errors.hpp"
+#include "support/publish.hpp"
 #include "support/si.hpp"
 
 namespace st::report {
@@ -184,10 +183,7 @@ std::string build_report(const model::EventLog& log, const model::Mapping& f,
 void write_report_file(const std::string& path, const model::EventLog& log,
                        const model::Mapping& f, const dfg::Styler* styler,
                        const ReportOptions& opts) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw IoError("cannot create report file: " + path);
-  out << build_report(log, f, styler, opts);
-  if (!out) throw IoError("report write failed: " + path);
+  publish_file(path, build_report(log, f, styler, opts));
 }
 
 StreamingReport streaming_report(const std::vector<std::string>& paths, const model::Mapping& f,
@@ -197,7 +193,7 @@ StreamingReport streaming_report(const std::vector<std::string>& paths, const mo
   pipeline::ReportFold fold = pipeline::fold_report(paths, f, pool, stream_opts, extra_sinks);
   std::vector<pipeline::ShardPartial> parts;
   parts.push_back(std::move(fold.partial));
-  return {render_sharded_report(pipeline::finalize_shards(std::move(parts)), f, opts),
+  return {render_sharded_report(pipeline::finalize_shards(std::move(parts), &pool), f, opts),
           std::move(fold.log)};
 }
 

@@ -274,13 +274,14 @@ std::optional<RawRecord> parse_line(std::string_view line) {
   return parse_line(line, thread_arena());
 }
 
-namespace detail {
+namespace {
 
+/// Merges an Unfinished record with its Resumed completion of the same
+/// call: args are joined (interned into `arena`), retval/errno/duration
+/// come from the resumed part, and path/requested are re-extracted in
+/// place from the merged argument list (split once — no probe record
+/// copies).
 RawRecord merge_resumed_pair(RawRecord unfinished, const RawRecord& resumed, StringArena& arena) {
-  if (unfinished.call != resumed.call) {
-    throw ParseError("resumed call '" + std::string(resumed.call) + "' does not match unfinished '" +
-                     std::string(unfinished.call) + "' for pid " + std::to_string(resumed.pid));
-  }
   RawRecord merged = std::move(unfinished);
   merged.kind = RecordKind::Complete;
   // Start timestamp stays from the unfinished part; duration and
@@ -302,9 +303,27 @@ RawRecord merge_resumed_pair(RawRecord unfinished, const RawRecord& resumed, Str
   return merged;
 }
 
-}  // namespace detail
+}  // namespace
 
 std::optional<RawRecord> ResumeMerger::feed(RawRecord rec) {
+  std::string reason;
+  auto out = advance(std::move(rec), reason);
+  if (!reason.empty()) throw ParseError(reason);
+  return out;
+}
+
+std::optional<RawRecord> ResumeMerger::feed(RawRecord rec, std::string& problem) {
+  std::string reason;
+  auto out = advance(std::move(rec), reason);
+  if (reason.empty()) {
+    problem.clear();
+  } else {
+    problem = ParseError(reason).what();
+  }
+  return out;
+}
+
+std::optional<RawRecord> ResumeMerger::advance(RawRecord rec, std::string& reason) {
   switch (rec.kind) {
     case RecordKind::Complete:
     case RecordKind::Signal:
@@ -317,12 +336,18 @@ std::optional<RawRecord> ResumeMerger::feed(RawRecord rec) {
     case RecordKind::Resumed: {
       const auto it = pending_.find(rec.pid);
       if (it == pending_.end()) {
-        throw ParseError("resumed record for pid " + std::to_string(rec.pid) +
-                         " without matching unfinished record");
+        reason = "resumed record for pid " + std::to_string(rec.pid) +
+                 " without matching unfinished record";
+        return std::nullopt;
       }
       RawRecord pending = std::move(it->second);
       pending_.erase(it);
-      return detail::merge_resumed_pair(std::move(pending), rec, *arena_);
+      if (pending.call != rec.call) {
+        reason = "resumed call '" + std::string(rec.call) + "' does not match unfinished '" +
+                 std::string(pending.call) + "' for pid " + std::to_string(rec.pid);
+        return std::nullopt;
+      }
+      return merge_resumed_pair(std::move(pending), rec, *arena_);
     }
   }
   return std::nullopt;

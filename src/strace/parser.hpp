@@ -24,6 +24,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -44,18 +45,6 @@ namespace st::strace {
 /// lives until thread exit. `line` must still outlive the record.
 [[nodiscard]] std::optional<RawRecord> parse_line(std::string_view line);
 
-namespace detail {
-
-/// Merges an Unfinished record with its Resumed completion: args are
-/// joined (interned into `arena`), retval/errno/duration come from the
-/// resumed part, and path/requested are re-extracted in place from the
-/// merged argument list (split once — no probe record copies).
-/// Throws ParseError when the call names do not match.
-[[nodiscard]] RawRecord merge_resumed_pair(RawRecord unfinished, const RawRecord& resumed,
-                                           StringArena& arena);
-
-}  // namespace detail
-
 /// Stateful merger of <unfinished ...> / <... resumed> pairs.
 ///
 /// feed() returns a record when one becomes complete: a Complete input
@@ -73,7 +62,16 @@ class ResumeMerger {
   /// merged records are then only valid while the merger is alive.
   ResumeMerger() : owned_(std::make_unique<StringArena>()), arena_(owned_.get()) {}
 
+  /// Throws ParseError for a Resumed record with no pending half of
+  /// its pid, or one whose call differs from that half's (the half is
+  /// dropped).
   [[nodiscard]] std::optional<RawRecord> feed(RawRecord rec);
+
+  /// The lenient form: where feed(rec) would throw, returns nullopt and
+  /// sets `problem` to the exception's what() text instead — the same
+  /// state change, without the cost of a throw per bad record.
+  /// Otherwise clears `problem`.
+  [[nodiscard]] std::optional<RawRecord> feed(RawRecord rec, std::string& problem);
 
   /// Unfinished records that never resumed (e.g. the process was
   /// killed mid-call), sorted by pid. Clears the internal state.
@@ -82,6 +80,10 @@ class ResumeMerger {
   [[nodiscard]] std::size_t pending_count() const { return pending_.size(); }
 
  private:
+  /// Both forms' body: sets `reason` (the ParseError message) where
+  /// feed(rec) throws.
+  std::optional<RawRecord> advance(RawRecord rec, std::string& reason);
+
   std::unique_ptr<StringArena> owned_;
   StringArena* arena_;
   std::unordered_map<std::uint64_t, RawRecord> pending_;  // keyed by pid

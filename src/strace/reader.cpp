@@ -18,6 +18,7 @@ ReadResult read_trace_buffer(std::shared_ptr<TraceBuffer> buffer, const ReadOpti
       static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) + 1);
 
   ResumeMerger merger(arena);
+  std::string problem;  // the lenient merger's verdict on the last record
   std::size_t lineno = 0;
   std::size_t start = 0;
   while (start <= text.size()) {
@@ -37,12 +38,10 @@ ReadResult read_trace_buffer(std::shared_ptr<TraceBuffer> buffer, const ReadOpti
         break;
       }
       if (!rec) break;
-      std::optional<RawRecord> complete;
-      try {
-        complete = merger.feed(std::move(*rec));
-      } catch (const ParseError& e) {
-        if (opts.strict) throw;
-        result.warnings.push_back("line " + std::to_string(lineno) + ": " + e.what());
+      std::optional<RawRecord> complete =
+          opts.strict ? merger.feed(std::move(*rec)) : merger.feed(std::move(*rec), problem);
+      if (!problem.empty()) {
+        result.warnings.push_back("line " + std::to_string(lineno) + ": " + problem);
         break;
       }
       if (!complete) break;

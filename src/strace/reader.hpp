@@ -83,8 +83,14 @@ struct ParallelReadOptions : ReadOptions {
 /// exception escaping it is recorded as that file's parse failure.
 using FileReadyFn = std::function<void(std::size_t file_index, ReadResult&&)>;
 
-/// Handle to an in-flight streamed parse. read_trace_*_streamed return
-/// it immediately after enqueueing every (file, chunk) parse task; the
+/// Called once per file when it has settled, after on_file_done
+/// returned or with the file's earliest error (null when it has none),
+/// on the same pool thread. Must not throw.
+using FileSettledFn = std::function<void(std::size_t file_index, std::exception_ptr error)>;
+
+/// Handle to an in-flight streamed parse. Files join it one at a time
+/// through add(), which splits the buffer into line chunks and submits
+/// them at once, so a caller can open file i+1 while file i parses; the
 /// per-file callbacks run while the handle is live, and join() waits
 /// for the last of them.
 class StreamedParse {
@@ -94,6 +100,11 @@ class StreamedParse {
     std::exception_ptr error;
   };
 
+  /// An empty parse on opts.pool (LogicError when null), which must
+  /// outlive the handle: destroying the pool first discards chunk
+  /// tasks that never started, and join would then wait forever.
+  StreamedParse(const ParallelReadOptions& opts, FileReadyFn on_file_done,
+                FileSettledFn on_settled = {});
   StreamedParse(StreamedParse&&) noexcept = default;
   /// Joins the parse currently held (like the destructor would) before
   /// taking over `other`'s — tasks of the replaced parse reference its
@@ -103,6 +114,10 @@ class StreamedParse {
   /// Joins: no parse task or callback is running or pending after
   /// this returns (also run by the destructor — tasks never leak).
   ~StreamedParse();
+
+  /// Submits one file's parse tasks and returns its file index (0, 1,
+  /// ... in add order). Call from one thread, never after join().
+  std::size_t add(std::shared_ptr<TraceBuffer> buffer);
 
   /// Blocks until every task and callback has finished. Never throws.
   void join();
@@ -124,10 +139,6 @@ class StreamedParse {
 
  private:
   struct State;
-  friend StreamedParse read_trace_buffers_streamed(std::vector<std::shared_ptr<TraceBuffer>>,
-                                                   const ParallelReadOptions&, FileReadyFn);
-  explicit StreamedParse(std::shared_ptr<State> state) : state_(std::move(state)) {}
-
   std::shared_ptr<State> state_;
 };
 
@@ -138,10 +149,8 @@ class StreamedParse {
 /// last chunk and `on_file_done` fires right there. Tasks run in
 /// submission order (files in input order), and a callback runs before
 /// its thread takes another task, so consuming a file never waits for
-/// the parse of the files after it. opts.pool is required (LogicError
-/// when null) and must outlive the returned handle: destroying the
-/// pool first discards chunk tasks that never started, and the
-/// handle's join would then wait forever.
+/// the parse of the files after it. opts.pool is required and must
+/// outlive the returned handle (see StreamedParse).
 [[nodiscard]] StreamedParse read_trace_buffers_streamed(
     std::vector<std::shared_ptr<TraceBuffer>> buffers, const ParallelReadOptions& opts,
     FileReadyFn on_file_done);

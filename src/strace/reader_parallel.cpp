@@ -143,14 +143,15 @@ ReadResult join_chunks(std::vector<Chunk>& chunks, std::shared_ptr<TraceBuffer> 
   if (!halves.empty()) {
     const std::size_t parse_warnings = warnings.size();
     ResumeMerger merger(result.buffer->arena());
+    std::string problem;
     for (const Half& h : halves) {
       if (h.line > error_line) break;  // strict: that parse error comes first
       RawRecord& slot = result.records[h.record];
-      try {
-        if (auto merged = merger.feed(slot); merged && keep_record(*merged)) slot = *merged;
-      } catch (const ParseError& e) {
-        if (opts.strict) throw;
-        warnings.push_back({h.line, e.what()});
+      auto merged = opts.strict ? merger.feed(slot) : merger.feed(slot, problem);
+      if (!problem.empty()) {
+        warnings.push_back({h.line, std::move(problem)});
+      } else if (merged && keep_record(*merged)) {
+        slot = *merged;
       }
     }
     std::inplace_merge(
@@ -211,20 +212,22 @@ std::size_t chunk_target(std::string_view text, std::size_t min_chunk_bytes,
 // ---- streamed per-file completion --------------------------------------
 
 /// Shared state of one streamed parse, owned by the handle alone.
-/// Tasks reference it through a RAW pointer: the handle joins before it
-/// releases the state (wait for tasks_left == 0, after which workers
-/// only run trivial epilogues), so the state's lifetime is the
-/// handle's, never a worker's.
+/// Tasks reference it and their file through RAW pointers: the handle
+/// joins before it releases the state (wait for tasks_left == 0, after
+/// which workers only run trivial epilogues), so the state's lifetime
+/// is the handle's, never a worker's.
 struct StreamedParse::State {
   ParallelReadOptions opts;
-  std::vector<std::shared_ptr<TraceBuffer>> buffers;
   FileReadyFn on_file;
+  FileSettledFn on_settled;
 
   /// Sentinel chunk index ranking join/callback errors after every
   /// real chunk of the same file.
   static constexpr std::size_t kJoinStage = std::numeric_limits<std::size_t>::max();
 
   struct FileState {
+    std::size_t index = 0;  ///< input index
+    std::shared_ptr<TraceBuffer> buffer;
     std::vector<std::pair<std::size_t, std::size_t>> chunks;
     std::vector<Chunk> parsed;              ///< one slot per chunk
     std::atomic<std::size_t> remaining{0};  ///< chunks still parsing
@@ -234,7 +237,9 @@ struct StreamedParse::State {
     std::size_t error_chunk = std::numeric_limits<std::size_t>::max();
     std::exception_ptr error;
   };
-  std::deque<FileState> files;  // deque: FileState holds atomics (immovable)
+  // A deque: add() appends while tasks of earlier files hold pointers
+  // to their FileState (and FileState holds atomics, so it cannot move).
+  std::deque<FileState> files;
 
   // Earliest failure in (file, chunk) input order.
   mutable std::mutex err_mutex;
@@ -247,18 +252,18 @@ struct StreamedParse::State {
   std::condition_variable done_cv;
   std::size_t tasks_left = 0;
 
-  void note_error(std::size_t f, std::size_t c, std::exception_ptr e) {
-    files[f].failed.store(true, std::memory_order_release);
+  void note_error(FileState& fs, std::size_t c, std::exception_ptr e) {
+    fs.failed.store(true, std::memory_order_release);
     std::lock_guard lock(err_mutex);
     // `!error` matters when the file's only failure is a join error:
     // kJoinStage equals the slot's initial error_chunk, so a
     // strictly-less guard would never record it.
-    if (!files[f].error || c < files[f].error_chunk) {
-      files[f].error_chunk = c;
-      files[f].error = e;
+    if (!fs.error || c < fs.error_chunk) {
+      fs.error_chunk = c;
+      fs.error = e;
     }
-    if (f < err_file || (f == err_file && c < err_chunk)) {
-      err_file = f;
+    if (fs.index < err_file || (fs.index == err_file && c < err_chunk)) {
+      err_file = fs.index;
       err_chunk = c;
       err = std::move(e);
     }
@@ -266,34 +271,41 @@ struct StreamedParse::State {
 
   /// Body of one (file, chunk) task. Never throws: every failure is
   /// recorded via note_error so propagation stays deterministic.
-  void run_chunk(std::size_t f, std::size_t c) {
-    FileState& fs = files[f];
+  void run_chunk(FileState& fs, std::size_t c) {
     try {
       fs.parsed[c] =
-          parse_chunk(buffers[f]->text(), fs.chunks[c].first, fs.chunks[c].second, opts.strict);
+          parse_chunk(fs.buffer->text(), fs.chunks[c].first, fs.chunks[c].second, opts.strict);
     } catch (...) {
-      note_error(f, c, std::current_exception());
+      note_error(fs, c, std::current_exception());
     }
-    if (fs.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) file_done(f);
+    if (fs.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) file_done(fs);
   }
 
-  /// Runs on the pool thread that finished file f's last chunk: join
-  /// the chunks and hand the ReadResult downstream.
-  void file_done(std::size_t f) {
-    FileState& fs = files[f];
+  /// Runs on the pool thread that finished the file's last chunk: join
+  /// the chunks, hand the ReadResult downstream, report the file settled.
+  void file_done(FileState& fs) {
     if (!fs.failed.load(std::memory_order_acquire)) {
       try {
         // join_chunks rethrows strict-mode parse errors — recorded
         // below so the lowest-input-index contract covers them too.
-        ReadResult result = join_chunks(fs.parsed, std::move(buffers[f]), opts);
-        if (on_file) on_file(f, std::move(result));
+        ReadResult result = join_chunks(fs.parsed, std::move(fs.buffer), opts);
+        if (on_file) on_file(fs.index, std::move(result));
       } catch (...) {
-        note_error(f, kJoinStage, std::current_exception());
+        note_error(fs, kJoinStage, std::current_exception());
       }
     }
     // Chunk state is dead weight once the file settled; free it early.
     fs.parsed.clear();
     fs.parsed.shrink_to_fit();
+    fs.buffer.reset();
+    if (on_settled) {
+      std::exception_ptr error;
+      {
+        std::lock_guard lock(err_mutex);
+        error = fs.error;
+      }
+      on_settled(fs.index, std::move(error));
+    }
   }
 
   void task_finished() {
@@ -301,6 +313,17 @@ struct StreamedParse::State {
     if (--tasks_left == 0) done_cv.notify_all();
   }
 };
+
+StreamedParse::StreamedParse(const ParallelReadOptions& opts, FileReadyFn on_file_done,
+                             FileSettledFn on_settled) {
+  if (opts.pool == nullptr) {
+    throw LogicError("StreamedParse: ParallelReadOptions::pool is required");
+  }
+  state_ = std::make_shared<State>();
+  state_->opts = opts;
+  state_->on_file = std::move(on_file_done);
+  state_->on_settled = std::move(on_settled);
+}
 
 StreamedParse::~StreamedParse() { join(); }
 
@@ -310,6 +333,45 @@ StreamedParse& StreamedParse::operator=(StreamedParse&& other) noexcept {
     state_ = std::move(other.state_);
   }
   return *this;
+}
+
+std::size_t StreamedParse::add(std::shared_ptr<TraceBuffer> buffer) {
+  State& s = *state_;
+  ThreadPool& pool = *s.opts.pool;
+  State::FileState& fs = s.files.emplace_back();
+  fs.index = s.files.size() - 1;
+  fs.buffer = std::move(buffer);
+  const std::string_view text = fs.buffer->text();
+  fs.chunks = line_chunks(text, chunk_target(text, s.opts.min_chunk_bytes, pool.size()));
+  // An empty file still settles through the normal path: one [0, 0)
+  // chunk parses to an empty chunk and joins to an empty ReadResult,
+  // so on_file_done fires for it like for any other file.
+  if (fs.chunks.empty()) fs.chunks.emplace_back(0, 0);
+  fs.parsed.resize(fs.chunks.size());
+  fs.remaining.store(fs.chunks.size(), std::memory_order_relaxed);
+  {
+    std::lock_guard lock(s.done_mutex);
+    s.tasks_left += fs.chunks.size();
+  }
+  std::size_t c = 0;
+  try {
+    for (; c < fs.chunks.size(); ++c) {
+      (void)pool.submit([sp = &s, fp = &fs, c] {
+        sp->run_chunk(*fp, c);
+        sp->task_finished();
+      });
+    }
+  } catch (...) {
+    // submit() failed (allocation, pool shut down). Run the chunks that
+    // never made it onto the pool inline so every counter settles; the
+    // ones that did are joined by the handle.
+    for (; c < fs.chunks.size(); ++c) {
+      s.run_chunk(fs, c);
+      s.task_finished();
+    }
+    throw;
+  }
+  return fs.index;
 }
 
 void StreamedParse::join() {
@@ -329,8 +391,8 @@ std::vector<StreamedParse::Error> StreamedParse::errors() const {
   std::vector<Error> out;
   if (!state_) return out;
   std::lock_guard lock(state_->err_mutex);
-  for (std::size_t f = 0; f < state_->files.size(); ++f) {
-    if (state_->files[f].error) out.push_back({f, state_->files[f].error});
+  for (const State::FileState& fs : state_->files) {
+    if (fs.error) out.push_back({fs.index, fs.error});
   }
   return out;
 }
@@ -343,58 +405,9 @@ void StreamedParse::wait() {
 StreamedParse read_trace_buffers_streamed(std::vector<std::shared_ptr<TraceBuffer>> buffers,
                                           const ParallelReadOptions& opts,
                                           FileReadyFn on_file_done) {
-  if (opts.pool == nullptr) {
-    throw LogicError("read_trace_buffers_streamed: ParallelReadOptions::pool is required");
-  }
-  ThreadPool& pool = *opts.pool;
-  auto state = std::make_shared<StreamedParse::State>();
-  state->opts = opts;
-  state->buffers = std::move(buffers);
-  state->on_file = std::move(on_file_done);
-
-  const std::size_t n = state->buffers.size();
-  std::size_t total_chunks = 0;
-  for (std::size_t f = 0; f < n; ++f) {
-    auto& fs = state->files.emplace_back();
-    const std::string_view text = state->buffers[f]->text();
-    fs.chunks = line_chunks(text, chunk_target(text, opts.min_chunk_bytes, pool.size()));
-    // An empty file still settles through the normal path: one [0, 0)
-    // chunk parses to an empty chunk and joins to an empty ReadResult,
-    // so on_file_done fires for it like for any other file.
-    if (fs.chunks.empty()) fs.chunks.emplace_back(0, 0);
-    fs.parsed.resize(fs.chunks.size());
-    fs.remaining.store(fs.chunks.size(), std::memory_order_relaxed);
-    total_chunks += fs.chunks.size();
-  }
-  state->tasks_left = total_chunks;
-
-  std::size_t f = 0;
-  std::size_t c = 0;
-  auto* s = state.get();  // raw on purpose — see the State comment
-  try {
-    for (f = 0; f < n; ++f) {
-      for (c = 0; c < state->files[f].chunks.size(); ++c) {
-        (void)pool.submit([s, f, c] {
-          s->run_chunk(f, c);
-          s->task_finished();
-        });
-      }
-    }
-  } catch (...) {
-    // submit() failed (allocation, pool shut down). Run the chunks that
-    // never made it onto the pool inline so every counter settles, and
-    // join the ones that did before the exception escapes.
-    for (; f < n; ++f, c = 0) {
-      for (; c < state->files[f].chunks.size(); ++c) {
-        state->run_chunk(f, c);
-        state->task_finished();
-      }
-    }
-    StreamedParse cleanup(std::move(state));
-    cleanup.join();
-    throw;
-  }
-  return StreamedParse(std::move(state));
+  StreamedParse parse(opts, std::move(on_file_done));
+  for (auto& buffer : buffers) (void)parse.add(std::move(buffer));
+  return parse;
 }
 
 StreamedParse read_trace_files_streamed(const std::vector<std::string>& paths,

@@ -22,6 +22,9 @@
 //   shard.child       elog_tool's fold-shard verb (subprocess only;
 //                     shard.child#<i> targets one coordinator-assigned
 //                     shard index)
+//   publish           an output file's rename over its destination
+//                     (support/publish.hpp): firing leaves the previous
+//                     file untouched
 //
 // A site is armed via the environment —
 //

@@ -167,6 +167,7 @@ class ThrowingSink final : public pipeline::CaseSink {
       throw std::runtime_error("sink poisoned on " + ctx.c.id().cid);
     }
   }
+  void absorb(pipeline::SinkPartial&, std::unique_ptr<pipeline::SinkPartial>) const override {}
   void merge(std::unique_ptr<pipeline::SinkPartial>) override { ++merges_; }
 
   [[nodiscard]] int merges() const { return merges_; }

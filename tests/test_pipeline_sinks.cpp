@@ -21,7 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
+#include <sstream>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -30,9 +32,11 @@
 #include "dfg/builder.hpp"
 #include "dfg/edge_stats.hpp"
 #include "dfg/stats.hpp"
+#include "elog/v2_store.hpp"
 #include "model/activity_log.hpp"
 #include "model/case_stats.hpp"
 #include "parallel/thread_pool.hpp"
+#include "strace/filename.hpp"
 #include "support/errors.hpp"
 #include "testing_corpus.hpp"
 #include "testing_util.hpp"
@@ -166,10 +170,13 @@ TEST_F(PipelineSinks, EmptyInputs) {
 // ---- error paths -------------------------------------------------------
 
 /// Throws while folding the case whose cid matches; counts merges so
-/// tests can assert that failing runs never merge anything.
+/// tests can assert that failing runs never merge anything. A
+/// `data_error` sink throws an IoError, which keep_going quarantines;
+/// otherwise a std::runtime_error, which fails any run.
 class ThrowingSink final : public pipeline::CaseSink {
  public:
-  explicit ThrowingSink(std::string poison_cid) : poison_cid_(std::move(poison_cid)) {}
+  explicit ThrowingSink(std::string poison_cid, bool data_error = false)
+      : poison_cid_(std::move(poison_cid)), data_error_(data_error) {}
 
   std::unique_ptr<pipeline::SinkPartial> make_partial() const override {
     return std::make_unique<pipeline::SinkPartial>();
@@ -177,16 +184,19 @@ class ThrowingSink final : public pipeline::CaseSink {
 
   void fold(pipeline::SinkPartial&, const pipeline::CaseContext& ctx) const override {
     if (ctx.c.id().cid == poison_cid_) {
+      if (data_error_) throw IoError("sink poisoned on " + poison_cid_);
       throw std::runtime_error("sink poisoned on " + poison_cid_);
     }
   }
 
+  void absorb(pipeline::SinkPartial&, std::unique_ptr<pipeline::SinkPartial>) const override {}
   void merge(std::unique_ptr<pipeline::SinkPartial>) override { ++merges_; }
 
   [[nodiscard]] int merges() const { return merges_; }
 
  private:
   std::string poison_cid_;
+  bool data_error_;
   int merges_ = 0;
 };
 
@@ -220,6 +230,23 @@ TEST_F(PipelineSinks, ThrowingFoldIsDeterministicAndMergesNothing) {
     EXPECT_EQ(early.merges(), 0) << round;
     EXPECT_EQ(late.merges(), 0) << round;
     EXPECT_TRUE(graph_sink.graph().empty()) << round;
+
+    // Only the LAST input poisoned: the merge cursor has absorbed every
+    // file before it when it reaches the failure, and still no sink
+    // sees a merge.
+    ThrowingSink last("d");
+    pipeline::DfgSink last_graph(f);
+    pipeline::IoStatsSink last_io(f);
+    try {
+      (void)pipeline::run(paths, pool, {&last_graph, &last_io, &last}, opts);
+      FAIL() << "expected the poisoned fold to throw, round " << round;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("poisoned on d"), std::string::npos)
+          << "round " << round << ": " << e.what();
+    }
+    EXPECT_EQ(last.merges(), 0) << round;
+    EXPECT_TRUE(last_graph.graph().empty()) << round;
+    EXPECT_TRUE(last_io.partial().empty()) << round;
   }
   // The pool survives the failed runs and is still usable.
   EXPECT_EQ(pool.submit([] { return 42; }).get(), 42);
@@ -255,6 +282,114 @@ TEST_F(PipelineSinks, SinkErrorCompetesWithParseErrorByInputIndex) {
       EXPECT_THROW((void)pipeline::run(paths, pool, {&sink}, opts), ParseError)
           << "round " << round;
     }
+  }
+}
+
+TEST_F(PipelineSinks, UnopenableFileOutranksAnEarlierParseErrorWhenFailingFast) {
+  // Files open on the calling thread while earlier files parse; an
+  // open error still fails the run whatever failed before it.
+  std::vector<std::string> paths;
+  paths.push_back(write_file("a_nodeA_1.st", make_clean_trace(300, 40)));
+  paths.push_back(write_file("bad_nodeA_2.st", "8  10:00:00.000000 garbage line\n"));
+  paths.push_back(write_file("c_nodeA_3.st", make_clean_trace(300, 50)));
+  paths.push_back((dir_ / "ghost_nodeA_4.st").string());
+  paths.push_back(write_file("e_nodeA_5.st", make_clean_trace(300, 60)));
+
+  const auto f = model::Mapping::call_only();
+  ThreadPool pool(4);
+  pipeline::StreamOptions opts;
+  opts.strict = true;
+  opts.min_chunk_bytes = 256;
+  for (int round = 0; round < 10; ++round) {
+    ThrowingSink sink("zzz");
+    pipeline::DfgSink graph_sink(f);
+    try {
+      (void)pipeline::run(paths, pool, {&graph_sink, &sink}, opts);
+      FAIL() << "expected an error, round " << round;
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("ghost_nodeA_4.st"), std::string::npos)
+          << "round " << round << ": " << e.what();
+    }
+    EXPECT_EQ(sink.merges(), 0) << round;
+    EXPECT_TRUE(graph_sink.graph().empty()) << round;
+  }
+}
+
+TEST_F(PipelineSinks, KeepGoingCursorMatchesTheStagedOracleAt124Workers) {
+  // A skipped file (missing), an unparseable-as-a-file entry (a
+  // directory named like a trace) and a quarantined case, all mid-input,
+  // with chunks far smaller than the files: the cursor must still
+  // assemble the log, the health counters and every sink exactly as the
+  // staged per-file path does.
+  auto paths = make_corpus();
+  const std::string missing = (dir_ / "ghost_nodeB_77.st").string();
+  const std::string directory = (dir_ / "dir_nodeB_78.st").string();
+  std::filesystem::create_directories(directory);
+  paths.insert(paths.begin() + 1, missing);
+  paths.insert(paths.begin() + 3, directory);
+  paths.push_back(write_file("tail_nodeC_79.st", make_clean_trace(200, 90)));
+  const std::string poisoned = "s2";  // s2_nodeC_9102.st, after both skips
+  const auto f = model::mapping_by_name("top2");
+
+  // The staged oracle: survivors read and converted one by one, the
+  // structured warnings at their input-order slots.
+  model::EventLog reference;
+  std::vector<std::string> survivors;
+  for (const std::string& p : paths) {
+    if (p == missing) {
+      reference.add_warning(p + ": skipped: io error: cannot open trace file: " + p);
+    } else if (p == directory) {
+      reference.add_warning(p + ": skipped: io error: trace file is a directory: " + p);
+    } else if (strace::parse_trace_filename(p)->cid == poisoned) {
+      reference.add_warning(p + ": case quarantined: io error: sink poisoned on " + poisoned);
+    } else {
+      const auto one = testing::staged_log({p});
+      reference.add_case(model::Case(one.cases()[0].id(),
+                                     std::vector<model::Event>(one.cases()[0].events().begin(),
+                                                               one.cases()[0].events().end())));
+      reference.adopt_owners_of(one);
+      for (const auto& w : one.warnings()) reference.add_warning(w);
+      survivors.push_back(p);
+    }
+  }
+  std::ostringstream ref_elog;
+  elog::write_event_log_v2(ref_elog, reference);
+
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    ThreadPool pool(workers);
+    pipeline::StreamOptions opts;
+    opts.keep_going = true;
+    opts.min_chunk_bytes = 64;
+    ThrowingSink quarantine(poisoned, /*data_error=*/true);
+    pipeline::DfgSink graph(f);
+    pipeline::CaseStatsSink cases;
+    pipeline::VariantsSink variants(f);
+    pipeline::IoStatsSink io(f);
+    pipeline::EdgeStatsSink edges(f);
+    std::ostringstream elog_bytes;
+    {
+      elog::ElogV2Writer writer(elog_bytes);
+      elog::ElogV2WriterSink container(writer);
+      pipeline::DataHealth health;
+      const auto log = pipeline::run(
+          paths, pool, {&graph, &cases, &quarantine, &variants, &io, &edges, &container}, opts,
+          &health);
+      writer.finalize();
+      expect_same_log(reference, log);
+      EXPECT_EQ(health.files_requested, paths.size());
+      EXPECT_EQ(health.files_skipped, 2u);
+      EXPECT_EQ(health.cases_quarantined, 1u);
+      EXPECT_EQ(health.files_ingested, survivors.size());
+    }
+    EXPECT_EQ(quarantine.merges(), 1);
+    EXPECT_EQ(graph.graph(), dfg::build_serial(reference, f));
+    EXPECT_EQ(cases.summaries(), model::summarize_cases(reference));
+    EXPECT_EQ(variants.variants(), model::ActivityLog::build(reference, f).variants());
+    EXPECT_EQ(io.partial(), io_partial_oracle(reference, f));
+    testing::expect_same_io_stats(io.finalize(&pool), dfg::IoStatistics::compute(reference, f));
+    EXPECT_EQ(edges.finalize().per_edge(), dfg::EdgeStatistics::compute(reference, f).per_edge());
+    EXPECT_EQ(elog_bytes.str(), ref_elog.str());
   }
 }
 

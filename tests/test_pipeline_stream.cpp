@@ -133,7 +133,8 @@ TEST_F(PipelineStream, EmptyInputs) {
 class ChunkCountProbe final : public pipeline::CaseSink {
  public:
   struct Partial final : pipeline::SinkPartial {
-    std::uint64_t chunks_parsed = 0;
+    std::uint64_t chunks_parsed = 0;  ///< a file's
+    std::vector<std::uint64_t> seen;  ///< the run's accumulator
   };
 
   [[nodiscard]] std::unique_ptr<pipeline::SinkPartial> make_partial() const override {
@@ -142,8 +143,11 @@ class ChunkCountProbe final : public pipeline::CaseSink {
   void fold(pipeline::SinkPartial& p, const pipeline::CaseContext&) const override {
     static_cast<Partial&>(p).chunks_parsed = fault::hits("reader.chunk");
   }
-  void merge(std::unique_ptr<pipeline::SinkPartial> p) override {
-    seen.push_back(static_cast<Partial&>(*p).chunks_parsed);
+  void absorb(pipeline::SinkPartial& acc, std::unique_ptr<pipeline::SinkPartial> p) const override {
+    static_cast<Partial&>(acc).seen.push_back(static_cast<Partial&>(*p).chunks_parsed);
+  }
+  void merge(std::unique_ptr<pipeline::SinkPartial> acc) override {
+    seen = std::move(static_cast<Partial&>(*acc).seen);
   }
 
   std::vector<std::uint64_t> seen;  ///< input order

@@ -6,7 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "parallel/thread_pool.hpp"
 #include "support/rng.hpp"
+#include "testing_corpus.hpp"
 #include "testing_util.hpp"
 
 namespace st::dfg {
@@ -196,6 +198,46 @@ TEST(Stats, MaxConcurrencyMatchesBruteForceOverTimeline) {
                 brute_force_concurrency(IoStatistics::timeline(log, f, activity)))
           << activity;
     }
+  }
+}
+
+TEST(Stats, PooledFinalizeIsBitIdenticalToInline) {
+  // One dominant activity (most intervals, so it runs first on the
+  // pool), many small ones, zero-length intervals, cases with no
+  // activity at all, and one case id in both of two shard partials.
+  Xoshiro256 rng(11);
+  const auto f = model::Mapping::call_top_dirs(2);
+  const auto shard = [&](std::uint64_t lo, std::uint64_t hi) {
+    IoStatistics::Partial p;
+    for (std::uint64_t rid = lo; rid <= hi; ++rid) {
+      std::vector<model::Event> events;
+      if (rid % 9 != 0) {  // every ninth case has no event
+        Micros t = static_cast<Micros>(rng.below(1000));
+        for (int i = 0; i < 600; ++i) {
+          const Micros dur = rng.below(4) == 0 ? 0 : static_cast<Micros>(rng.below(3000));
+          const std::int64_t size = static_cast<std::int64_t>(rng.below(1 << 20));
+          const bool small = rng.below(10) == 0;
+          const std::string fp =
+              small ? "/s/" + std::to_string(rng.below(24)) + "/f" : "/big/data/f";
+          events.push_back(ev(small ? "write" : "read", fp, t, dur, size));
+          t += static_cast<Micros>(rng.below(700));
+        }
+      }
+      p.add_case(make_case("pf", rid, std::move(events), "h" + std::to_string(rid % 4)), f);
+    }
+    return p;
+  };
+  IoStatistics::Partial merged = shard(1, 40);
+  merged.merge(shard(40, 70));  // rid 40 in both shards
+
+  const IoStatistics inline_stats = merged.finalize();
+  const ActivityStat* big = inline_stats.find("read\n/big/data");
+  ASSERT_NE(big, nullptr);
+  EXPECT_EQ(big->rank_count, 70u - 70u / 9);  // rid 40 counted once, empty cases not at all
+  ASSERT_GT(inline_stats.per_activity().size(), 10u);
+  for (const std::size_t workers : {2u, 4u}) {
+    ThreadPool pool(workers);
+    testing::expect_same_io_stats(merged.finalize(&pool), inline_stats);
   }
 }
 
