@@ -13,7 +13,9 @@
 # skipping) plus the supervisor's kill/retry path under injected faults
 # (test_faults), the serve-mode catalog (test_catalog: single-flight
 # stampedes and concurrent mixed access against the LRU memo table) and
-# pipeline::fold_cases' chunk folds on the pool (test_log_fold). ASan
+# pipeline::fold_cases' chunk folds on the pool (test_log_fold), the
+# pooled container decode (test_elog_v2) and map_case's memo under
+# pipeline::run (test_mapping). ASan
 # proves the pipeline's lifetime story; this proves its
 # synchronization story. CI's tsan job runs the same --target and -R
 # lists.
@@ -33,11 +35,11 @@ cmake -S "$repo_root" -B "$build_dir" \
 cmake --build "$build_dir" -j "$(nproc)" \
   --target test_parallel_reader test_ingest_mixed \
   test_pipeline_stream test_pipeline_sinks test_stats_sinks test_stats test_shard \
-  test_faults test_catalog test_log_fold elog_tool
+  test_faults test_catalog test_log_fold test_elog_v2 test_mapping elog_tool
 
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ctest --test-dir "$build_dir" \
-  -R 'test_parallel_reader|test_ingest_mixed|test_pipeline_stream|test_pipeline_sinks|test_stats_sinks|test_stats|test_shard|test_faults|test_catalog|test_log_fold' \
+  -R 'test_parallel_reader|test_ingest_mixed|test_pipeline_stream|test_pipeline_sinks|test_stats_sinks|test_stats|test_shard|test_faults|test_catalog|test_log_fold|test_elog_v2|test_mapping' \
   --output-on-failure
 
 echo "tsan suite passed"

@@ -196,12 +196,17 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (render == "summary") {
-      std::cout << model::render_case_summaries(model::summarize_cases(log));
+      pipeline::CaseStatsSink cases;
+      const std::array<pipeline::CaseSink*, 1> sinks{&cases};
+      pipeline::fold_cases(log.cases(), sinks, &pool);
+      std::cout << model::render_case_summaries(cases.summaries());
       return 0;
     }
     if (render == "variants") {
-      const auto al = model::ActivityLog::build(log, f);
-      for (const auto& [trace, mult] : al.variants()) {
+      pipeline::VariantsSink variants(f);
+      const std::array<pipeline::CaseSink*, 1> sinks{&variants};
+      pipeline::fold_cases(log.cases(), sinks, &pool);
+      for (const auto& [trace, mult] : variants.variants()) {
         std::cout << "x" << mult << ": <";
         bool first = true;
         for (const auto& a : trace) {
@@ -219,7 +224,7 @@ int main(int argc, char** argv) {
     const std::array<pipeline::CaseSink*, 2> sinks{&graph_sink, &io_sink};
     pipeline::fold_cases(log.cases(), sinks, &pool);
     const auto g = graph_sink.take_graph();
-    const auto stats = io_sink.finalize();
+    const auto stats = io_sink.finalize(&pool);
     dfg::RenderOptions opts;
     opts.show_ranks = cli.get_bool("ranks");
     const dfg::StatisticsColoring styler(stats);

@@ -28,7 +28,7 @@ LoadedCorpus load_corpus(const std::vector<std::string>& inputs, ThreadPool& poo
   out.warnings = out.log.warnings();
   for (const auto& p : elogs) {
     try {
-      auto part = elog::read_event_log_file_indexed(p, elog::ElogReadOptions{policy});
+      auto part = elog::read_event_log_file_indexed(p, elog::ElogReadOptions{policy}, &pool);
       for (const auto& w : part.log.warnings()) out.warnings.push_back(p + ": " + w);
       if (part.mapped) {
         // A cleanly-read v2 container: its cases land contiguously at
@@ -38,7 +38,7 @@ LoadedCorpus load_corpus(const std::vector<std::string>& inputs, ThreadPool& poo
                                                     part.log.case_count(),
                                                     std::move(part.mapped)});
       }
-      out.log = model::EventLog::merge(out.log, std::move(part.log));
+      out.log = model::EventLog::merge(std::move(out.log), std::move(part.log));
     } catch (const IoError& e) {
       if (!policy.keep_going) throw;
       out.warnings.push_back(p + ": skipped: " + e.what());

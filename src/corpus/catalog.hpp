@@ -89,8 +89,9 @@ struct LoadedCorpus {
 
 /// The one loader behind Catalog::load and trace_explorer's positional
 /// inputs: .elog containers and cid_host_rid.st trace files mix
-/// freely. Traces stream through pipeline::run on `pool`, then
-/// containers merge in input order. `policy.keep_going` quarantines
+/// freely. Traces stream through pipeline::run on `pool`, then each
+/// container's cases decode on `pool` and move (no event is copied)
+/// into the log, containers in input order. `policy.keep_going` quarantines
 /// CRC-failing container cases and skips unreadable containers with a
 /// warning.
 [[nodiscard]] LoadedCorpus load_corpus(const std::vector<std::string>& inputs, ThreadPool& pool,

@@ -14,6 +14,10 @@
 #include "model/event_log.hpp"
 #include "support/run_policy.hpp"
 
+namespace st {
+class ThreadPool;
+}  // namespace st
+
 namespace st::elog {
 
 class MappedElog;
@@ -40,7 +44,10 @@ struct LoadedElog {
   model::EventLog log;
   std::shared_ptr<MappedElog> mapped;
 };
+/// With a `pool`, the cases decode on it (read_event_log_v2's pooled
+/// read; same log, same warnings and errors).
 [[nodiscard]] LoadedElog read_event_log_file_indexed(const std::string& path,
-                                                     const ElogReadOptions& opts = {});
+                                                     const ElogReadOptions& opts = {},
+                                                     ThreadPool* pool = nullptr);
 
 }  // namespace st::elog

@@ -1,9 +1,11 @@
 #include "elog/v2_store.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <unordered_map>
 #include <utility>
 
+#include "parallel/algorithms.hpp"
 #include "support/crc32.hpp"
 #include "support/errors.hpp"
 #include "support/faultpoint.hpp"
@@ -665,16 +667,15 @@ model::Case MappedElog::case_at(std::size_t i) const {
   const std::string_view host = pool_string(cr.host_id);
   const auto rows = static_cast<std::size_t>(cr.rows);
 
+  std::vector<model::Event> events(rows);
   const SectionEntry& start_e = entries_[cr.col[2]];
-  std::vector<std::int64_t> starts;
-  starts.reserve(rows);
   if (start_e.aux == kStartEncodingVarint) {
     const char* p = file_.data() + start_e.offset;
     const char* end = p + start_e.length;
     std::int64_t prev = 0;
-    for (std::size_t r = 0; r < rows; ++r) {
+    for (model::Event& e : events) {
       prev = wrap_add(prev, zigzag_decode(read_uvarint(&p, end)));
-      starts.push_back(prev);
+      e.start = prev;
     }
     if (p != end) throw IoError("elog v2: start column has trailing bytes");
   } else {
@@ -682,7 +683,7 @@ model::Case MappedElog::case_at(std::size_t i) const {
     std::int64_t prev = 0;
     for (std::size_t r = 0; r < rows; ++r) {
       prev = wrap_add(prev, load_i64(p + r * 8));
-      starts.push_back(prev);
+      events[r].start = prev;
     }
   }
 
@@ -692,20 +693,16 @@ model::Case MappedElog::case_at(std::size_t i) const {
   const char* fp = file_.data() + entries_[cr.col[4]].offset;
   const char* size = file_.data() + entries_[cr.col[5]].offset;
 
-  std::vector<model::Event> events;
-  events.reserve(rows);
   for (std::size_t r = 0; r < rows; ++r) {
-    model::Event e;
+    model::Event& e = events[r];
     e.cid = cid;
     e.host = host;
     e.rid = cr.rid;
     e.pid = load_u64(pid + r * 8);
     e.call = pool_string(load_u32(call + r * 4));
-    e.start = starts[r];
     e.dur = load_i64(dur + r * 8);
     e.fp = pool_string(load_u32(fp + r * 4));
     e.size = load_i64(size + r * 8);
-    events.push_back(e);
   }
   return model::Case(model::CaseId{std::string(cid), std::string(host), cr.rid},
                      std::move(events));
@@ -754,20 +751,41 @@ std::shared_ptr<MappedElog> open_v2(const std::string& path) {
 }
 
 model::EventLog read_event_log_v2(std::shared_ptr<MappedElog> mapped) {
-  model::EventLog log;
-  for (std::size_t i = 0; i < mapped->case_count(); ++i) log.add_case(mapped->case_at(i));
-  // The events view straight into the mapping; the log owns it now.
-  log.adopt(std::move(mapped));
-  return log;
+  return read_event_log_v2(std::move(mapped), V2ReadOptions{});
 }
 
-model::EventLog read_event_log_v2(std::shared_ptr<MappedElog> mapped,
-                                  const V2ReadOptions& opts) {
-  if (!opts.keep_going) return read_event_log_v2(std::move(mapped));
-  model::EventLog log;
-  for (std::size_t i = 0; i < mapped->case_count(); ++i) {
+model::EventLog read_event_log_v2(std::shared_ptr<MappedElog> mapped, const V2ReadOptions& opts,
+                                  ThreadPool* pool) {
+  // Each case decodes into its own slot; a failure is kept, not
+  // thrown, so the pass below meets every case in case order whatever
+  // the workers' schedule.
+  const std::size_t n = mapped->case_count();
+  std::vector<model::Case> cases(n);
+  std::vector<std::exception_ptr> errors(n);
+  const auto decode = [&](std::size_t i) {
     try {
-      log.add_case(mapped->case_at(i));
+      cases[i] = mapped->case_at(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  };
+  if (pool != nullptr) {
+    parallel_for(*pool, 0, n, decode);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      decode(i);
+      if (errors[i] && !opts.keep_going) break;  // fail fast: touch nothing more
+    }
+  }
+  model::EventLog log;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!errors[i]) {
+      log.add_case(std::move(cases[i]));
+      continue;
+    }
+    if (!opts.keep_going) std::rethrow_exception(errors[i]);
+    try {
+      std::rethrow_exception(errors[i]);
     } catch (const IoError& e) {
       // One corrupt section loses its case, not the corpus. The label
       // prefers the case id, but the pool holding it may itself be the
@@ -780,6 +798,7 @@ model::EventLog read_event_log_v2(std::shared_ptr<MappedElog> mapped,
       log.add_warning(label + " quarantined: " + e.what());
     }
   }
+  // The events view straight into the mapping; the log owns it now.
   log.adopt(std::move(mapped));
   return log;
 }

@@ -314,9 +314,20 @@ class MappedElog {
 /// IoError propagates).
 struct V2ReadOptions : RunPolicy {};
 
-/// Graceful-degradation variant of read_event_log_v2.
+/// Graceful-degradation variant of read_event_log_v2, decoding on
+/// `pool` when it is non-null: case_at(i) for every i, in contiguous
+/// chunks on the workers, each into its own slot, then one pass in case
+/// order assembles the log. The result does not depend on the pool or
+/// its width: fail fast rethrows the error of the LOWEST failing case
+/// (after every chunk has finished), keep_going quarantines every
+/// failing case with the serial reader's warning text, in case order.
+/// Without a pool the cases decode in order on the calling thread and
+/// fail fast stops at the first failure, so the section CRCs are
+/// validated in a fixed order (the "elog.crc" fault point counts on it).
+/// Not callable from a task on `pool`.
 [[nodiscard]] model::EventLog read_event_log_v2(std::shared_ptr<MappedElog> mapped,
-                                                const V2ReadOptions& opts);
+                                                const V2ReadOptions& opts,
+                                                ThreadPool* pool = nullptr);
 
 /// CaseSink writing elog v2 in the same streamed pipeline::run pass as
 /// any other analytic: fold() encodes the case's columns on the pool

@@ -1,6 +1,7 @@
 #include "model/event_log.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <unordered_set>
 
 #include "support/errors.hpp"
@@ -9,8 +10,12 @@
 namespace st::model {
 
 Case::Case(CaseId id, std::vector<Event> events) : id_(std::move(id)), events_(std::move(events)) {
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const Event& a, const Event& b) { return a.start < b.start; });
+  const auto by_start = [](const Event& a, const Event& b) { return a.start < b.start; };
+  // Decoders and parsers mostly hand over sorted events; a stable sort
+  // of a sorted range is the identity, so skip it.
+  if (!std::is_sorted(events_.begin(), events_.end(), by_start)) {
+    std::stable_sort(events_.begin(), events_.end(), by_start);
+  }
 }
 
 Case Case::filtered(const std::function<bool(const Event&)>& pred) const {
@@ -78,18 +83,24 @@ std::pair<EventLog, EventLog> EventLog::partition(
 }
 
 EventLog EventLog::merge(const EventLog& a, const EventLog& b) {
-  EventLog out;
-  out.adopt_owners_of(a);
-  out.adopt_owners_of(b);
+  return merge(EventLog(a), EventLog(b));
+}
+
+EventLog EventLog::merge(EventLog&& a, EventLog&& b) {
   std::unordered_set<CaseId> seen;
   for (const auto* log : {&a, &b}) {
     for (const auto& c : log->cases()) {
       if (!seen.insert(c.id()).second) {
         throw LogicError("EventLog::merge: duplicate case " + c.id().to_string());
       }
-      out.add_case(c);
     }
   }
+  EventLog out;
+  out.cases_ = std::move(a.cases_);
+  out.cases_.reserve(out.cases_.size() + b.cases_.size());
+  std::move(b.cases_.begin(), b.cases_.end(), std::back_inserter(out.cases_));
+  out.owners_ = std::move(a.owners_);
+  out.adopt_owners_of(b);
   return out;
 }
 

@@ -41,7 +41,8 @@ class Case {
 
   /// Takes ownership of `events` and stable-sorts them by start
   /// timestamp (ties keep input order, matching the paper's "start of
-  /// e_i is less than or equal to that of e_{i+1}").
+  /// e_i is less than or equal to that of e_{i+1}"); events already in
+  /// that order are kept as they are, without a sort.
   Case(CaseId id, std::vector<Event> events);
 
   [[nodiscard]] const CaseId& id() const { return id_; }
@@ -117,6 +118,10 @@ class EventLog {
   /// duplicate CaseIds are rejected with LogicError because no two
   /// events (and hence cases) may be identical (Sec. IV).
   [[nodiscard]] static EventLog merge(const EventLog& a, const EventLog& b);
+
+  /// The same union by move: no event is copied. Duplicates are checked
+  /// before anything moves, and rejected with the same LogicError.
+  [[nodiscard]] static EventLog merge(EventLog&& a, EventLog&& b);
 
  private:
   std::vector<Case> cases_;

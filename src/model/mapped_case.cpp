@@ -19,6 +19,24 @@ std::uint32_t ActivityDict::intern(Activity&& a) {
   return it->second;
 }
 
+std::uint32_t ActivityDict::map(const Event& e, const Mapping& f) {
+  const auto eval = [&] {
+    auto a = f(e);
+    return a ? intern(std::move(*a)) : kUnmapped;
+  };
+  if (f.key() != Mapping::Key::kCallFp) return eval();
+  if (memo_of_ != f.key_id()) {
+    memo_.clear();
+    memo_of_ = f.key_id();
+  }
+  if (const auto it = memo_.find(CallFpView{e.call, e.fp}); it != memo_.end()) {
+    return it->second;
+  }
+  const std::uint32_t id = eval();
+  memo_.emplace(CallFp(e.call, e.fp), id);
+  return id;
+}
+
 void map_case(const Case& c, const Mapping& f, ActivityDict& dict, MappedCase& out) {
   const auto events = c.events();
   if (events.size() > std::numeric_limits<std::uint32_t>::max()) {
@@ -30,8 +48,8 @@ void map_case(const Case& c, const Mapping& f, ActivityDict& dict, MappedCase& o
   out.activities.reserve(events.size());
   out.events.reserve(events.size());
   for (std::uint32_t i = 0; i < events.size(); ++i) {
-    if (auto a = f(events[i])) {
-      out.activities.push_back(dict.intern(std::move(*a)));
+    if (const std::uint32_t id = dict.map(events[i], f); id != ActivityDict::kUnmapped) {
+      out.activities.push_back(id);
       out.events.push_back(i);
     }
   }

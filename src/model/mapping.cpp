@@ -34,11 +34,20 @@ SitePathMap SitePathMap::juwels_like() {
   return map;
 }
 
+Mapping Mapping::keyed_by_call_fp(std::string name, Fn fn) {
+  Mapping f(std::move(name), std::move(fn));
+  f.key_id_ = std::make_shared<const char>('\0');
+  return f;
+}
+
 Mapping Mapping::filtered_fp(std::string_view substr) const {
-  return filtered(name_ + "|fp~" + std::string(substr),
-                  [needle = std::string(substr)](const Event& e) {
-                    return contains(e.fp, needle);
-                  });
+  Mapping f = filtered(name_ + "|fp~" + std::string(substr),
+                       [needle = std::string(substr)](const Event& e) {
+                         return contains(e.fp, needle);
+                       });
+  // A predicate on fp keeps a function of (call, fp) one.
+  if (key() == Key::kCallFp) return keyed_by_call_fp(std::move(f.name_), std::move(f.fn_));
+  return f;
 }
 
 Mapping Mapping::filtered(std::string name, std::function<bool(const Event&)> pred) const {
@@ -50,26 +59,27 @@ Mapping Mapping::filtered(std::string name, std::function<bool(const Event&)> pr
 }
 
 Mapping Mapping::call_top_dirs(int levels) {
-  return Mapping("call_top_dirs(" + std::to_string(levels) + ")",
-                 [levels](const Event& e) -> std::optional<Activity> {
-                   return std::string(e.call) + "\n" + top_dirs(e.fp, levels);
-                 });
+  return keyed_by_call_fp("call_top_dirs(" + std::to_string(levels) + ")",
+                          [levels](const Event& e) -> std::optional<Activity> {
+                            return std::string(e.call) + "\n" + top_dirs(e.fp, levels);
+                          });
 }
 
 Mapping Mapping::call_last_components(int n) {
-  return Mapping("call_last_components(" + std::to_string(n) + ")",
-                 [n](const Event& e) -> std::optional<Activity> {
-                   return std::string(e.call) + "\n" + last_components(e.fp, n);
-                 });
+  return keyed_by_call_fp("call_last_components(" + std::to_string(n) + ")",
+                          [n](const Event& e) -> std::optional<Activity> {
+                            return std::string(e.call) + "\n" + last_components(e.fp, n);
+                          });
 }
 
 Mapping Mapping::call_only() {
-  return Mapping("call_only",
-                 [](const Event& e) -> std::optional<Activity> { return std::string(e.call); });
+  return keyed_by_call_fp("call_only", [](const Event& e) -> std::optional<Activity> {
+    return std::string(e.call);
+  });
 }
 
 Mapping Mapping::call_site(SitePathMap map, int extra_levels) {
-  return Mapping(
+  return keyed_by_call_fp(
       "call_site(+" + std::to_string(extra_levels) + ")",
       [map = std::move(map), extra_levels](const Event& e) -> std::optional<Activity> {
         const auto m = map.match(e.fp);

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -58,9 +59,22 @@ class SitePathMap {
   std::string default_label_ = "Node Local";
 };
 
+/// The key a mapping declares: what of an event its value may depend
+/// on. The declaration is fixed by how the mapping is built, never set
+/// by a caller:
+///   kEvent   any field of the event. `custom`, `filtered(name, pred)`
+///            and the public constructor: f runs once per event;
+///   kCallFp  the event's (call, fp) alone. The four factories, and
+///            `filtered_fp` over one of them: f(e) == f(e') whenever
+///            e.call == e'.call and e.fp == e'.fp, so map_case
+///            (model/mapped_case.hpp) may evaluate f once per distinct
+///            (call, fp) and reuse the result for every event sharing
+///            it. Copies of such a mapping share one memo identity
+///            (key_id()), so they may share one memo.
 class Mapping {
  public:
   using Fn = std::function<std::optional<Activity>(const Event&)>;
+  enum class Key { kEvent, kCallFp };
 
   Mapping() = default;
   Mapping(std::string name, Fn fn) : name_(std::move(name)), fn_(std::move(fn)) {}
@@ -73,13 +87,22 @@ class Mapping {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] bool valid() const { return static_cast<bool>(fn_); }
 
+  /// The declared key (see Key).
+  [[nodiscard]] Key key() const { return key_id_ ? Key::kCallFp : Key::kEvent; }
+
+  /// For a kCallFp mapping, a token shared by it and its copies only:
+  /// two mappings with the same token are the same function of
+  /// (call, fp). Null for a kEvent mapping.
+  [[nodiscard]] const std::shared_ptr<const void>& key_id() const { return key_id_; }
+
   // -- composition ---------------------------------------------------
 
   /// Restricts the mapping to events whose fp contains `substr`
-  /// (e.g. the "/usr/lib" query of Fig. 4).
+  /// (e.g. the "/usr/lib" query of Fig. 4). Keeps a kCallFp key.
   [[nodiscard]] Mapping filtered_fp(std::string_view substr) const;
 
-  /// Restricts the mapping with an arbitrary predicate.
+  /// Restricts the mapping with an arbitrary predicate. The result is
+  /// keyed kEvent: the predicate may read any field.
   [[nodiscard]] Mapping filtered(std::string name,
                                  std::function<bool(const Event&)> pred) const;
 
@@ -108,8 +131,12 @@ class Mapping {
   }
 
  private:
+  /// A kCallFp mapping (the factories and filtered_fp build these).
+  [[nodiscard]] static Mapping keyed_by_call_fp(std::string name, Fn fn);
+
   std::string name_;
   Fn fn_;
+  std::shared_ptr<const void> key_id_;  ///< non-null iff kCallFp
 };
 
 /// The registry behind every CLI --map flag AND the shard protocol:

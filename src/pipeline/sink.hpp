@@ -45,7 +45,8 @@
 // f through mapping(); run() and fold_cases apply each distinct f once
 // per case, into a MappedCase of activity ids interned in the task's
 // ActivityDict (model/mapped_case.hpp), and pass both in the
-// CaseContext. So DfgSink, VariantsSink, IoStatsSink and EdgeStatsSink
+// CaseContext. A registry mapping runs once per distinct (call, fp) of
+// the task, through the dictionary's memo. So DfgSink, VariantsSink, IoStatsSink and EdgeStatsSink
 // count in id-indexed vectors and integer-keyed maps, and strings come
 // back once per (partial, key) in seal() — once per (case, activity)
 // for the I/O statistics — into the same Dfg, VariantCounts and

@@ -166,7 +166,7 @@ ReportData report_data(const model::EventLog& log, const model::Mapping& f,
   pipeline::fold_cases(log.cases(), sinks, pool);
   ReportData data;
   data.graph = graph.take_graph();
-  data.stats = io.finalize();
+  data.stats = io.finalize(pool);
   data.edge_stats = edges.finalize();
   data.case_summaries = cases.take_summaries();
   data.case_count = log.case_count();

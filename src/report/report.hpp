@@ -88,8 +88,8 @@ struct ReportData {
 
 /// Computes the ReportData of a materialized log — every section but
 /// variants and data health — in one fold of the report's sinks over
-/// its cases: on `pool`, or inline when it is null. The bytes do not
-/// depend on the pool.
+/// its cases and the I/O statistics' finalize: on `pool`, or inline
+/// when it is null. The bytes do not depend on the pool.
 [[nodiscard]] ReportData report_data(const model::EventLog& log, const model::Mapping& f,
                                      const ReportOptions& opts = {}, ThreadPool* pool = nullptr);
 

@@ -75,6 +75,29 @@ TEST_F(CatalogTest, LoadMatchesTheOfflinePipeline) {
   EXPECT_EQ(catalog.load_warnings(), offline.warnings());
 }
 
+TEST_F(CatalogTest, ContainersSharingACaseIdAreRejectedLikeAnyMerge) {
+  // Containers move into the base log; a case id in two of them is the
+  // merge's LogicError, under keep_going too (it is no data fault of
+  // either file).
+  ThreadPool pool(2);
+  const auto log = pipeline::run(corpus_, pool, {});
+  const std::string a = write_file("a.elog", "");
+  const std::string b = write_file("b.elog", "");
+  elog::write_event_log_v2_file(a, log);
+  elog::write_event_log_v2_file(b, log.filter_cases([](const model::Case& c) {
+    return c.id().cid == "s2";
+  }));
+  for (const bool keep_going : {false, true}) {
+    try {
+      (void)load_corpus({a, b}, pool, RunPolicy{keep_going});
+      ADD_FAILURE() << "a duplicate case loaded";
+    } catch (const LogicError& e) {
+      EXPECT_EQ(std::string(e.what()), "logic error: EventLog::merge: duplicate case s2_nodeC_9102");
+    }
+  }
+  EXPECT_EQ(load_corpus({a}, pool, RunPolicy{}).log.case_count(), log.case_count());
+}
+
 TEST_F(CatalogTest, KeepGoingLoadReportsQuarantinedContainerCases) {
   // A container whose first case fails its CRC: a strict load throws,
   // a keep_going load drops the case AND says so — the warning must

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "model/event_log.hpp"
 #include "model/from_strace.hpp"
 #include "strace/parser.hpp"
@@ -81,6 +86,23 @@ TEST(Case, StableSortKeepsTiesInInputOrder) {
   EXPECT_EQ(c.events()[1].fp, "/second");
 }
 
+TEST(Case, UnsortedInputStillStableSortsAndSortedInputIsKept) {
+  // Sorted input skips the sort; anything else still gets the stable
+  // sort, ties in input order.
+  auto c = make_case("a", 1, {ev("read", "/c", 300, 5), ev("read", "/t1", 100, 5),
+                              ev("write", "/t2", 100, 5), ev("read", "/a", 50, 5),
+                              ev("read", "/t3", 100, 5)});
+  std::vector<std::string_view> order;
+  for (const Event& e : c.events()) order.push_back(e.fp);
+  EXPECT_EQ(order, (std::vector<std::string_view>{"/a", "/t1", "/t2", "/t3", "/c"}));
+
+  const auto sorted = make_case("a", 1, {ev("read", "/x", 100, 5), ev("read", "/y", 100, 5),
+                                         ev("read", "/z", 200, 5)});
+  order.clear();
+  for (const Event& e : sorted.events()) order.push_back(e.fp);
+  EXPECT_EQ(order, (std::vector<std::string_view>{"/x", "/y", "/z"}));
+}
+
 TEST(Case, FilteredKeepsOrder) {
   auto c = make_case("a", 1, {ev("read", "/a", 100, 5), ev("write", "/b", 200, 5),
                               ev("read", "/c", 300, 5)});
@@ -145,6 +167,43 @@ TEST(EventLog, MergeRejectsDuplicateCases) {
   EventLog a;
   a.add_case(make_case("a", 1, {ev("read", "/x", 0, 1)}));
   EXPECT_THROW((void)EventLog::merge(a, a), LogicError);
+}
+
+TEST(EventLog, MergeByMoveEqualsTheCopyingMerge) {
+  const auto a = two_command_log();
+  EventLog b;
+  b.add_case(make_case("c", 4, {ev("read", "/y", 0, 1), ev("write", "/z", 3, 1)}));
+  const auto copied = EventLog::merge(a, b);
+  const auto moved = EventLog::merge(EventLog(a), EventLog(b));
+  ASSERT_EQ(moved.case_count(), copied.case_count());
+  for (std::size_t i = 0; i < copied.case_count(); ++i) {
+    EXPECT_EQ(moved.cases()[i].id(), copied.cases()[i].id());
+    EXPECT_TRUE(std::ranges::equal(moved.cases()[i].events(), copied.cases()[i].events()));
+  }
+}
+
+TEST(EventLog, MergeByMoveRejectsDuplicatesWithTheSameErrorAndMovesNothing) {
+  EventLog a;
+  a.add_case(make_case("a", 1, {ev("read", "/x", 0, 1)}));
+  EventLog b;
+  b.add_case(make_case("b", 2, {ev("read", "/y", 0, 1)}));
+  b.add_case(make_case("a", 1, {ev("write", "/z", 0, 1)}));
+  std::string copied_error;
+  try {
+    (void)EventLog::merge(a, b);
+  } catch (const LogicError& e) {
+    copied_error = e.what();
+  }
+  EXPECT_EQ(copied_error, "logic error: EventLog::merge: duplicate case a_host1_1");
+  try {
+    (void)EventLog::merge(std::move(a), std::move(b));
+    ADD_FAILURE() << "a duplicate case merged";
+  } catch (const LogicError& e) {
+    EXPECT_EQ(e.what(), copied_error);
+  }
+  // The check runs before anything moves.
+  EXPECT_EQ(a.case_count(), 1u);
+  EXPECT_EQ(b.case_count(), 2u);
 }
 
 TEST(CaseId, ToStringMatchesFileConvention) {
