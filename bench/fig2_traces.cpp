@@ -5,6 +5,7 @@
 // the simultaneous-multiprocessing case of Fig. 2c: an unfinished/
 // resumed pair and its merge.
 #include <iostream>
+#include <string>
 
 #include "iosim/commands.hpp"
 #include "strace/parser.hpp"
@@ -30,8 +31,9 @@ int main() {
   std::cout << unfinished << "\n" << resumed << "\n";
 
   strace::ResumeMerger merger;
-  (void)merger.feed(*strace::parse_line(unfinished));
-  const auto merged = merger.feed(*strace::parse_line(resumed));
+  std::string problem;
+  (void)merger.feed(*strace::parse_line(unfinished), problem);
+  const auto merged = merger.feed(*strace::parse_line(resumed), problem);
   std::cout << "merged -> " << strace::format_record(*merged) << "\n";
   std::cout << "         (start kept from the unfinished record, duration/"
                "transfer size from the resumed record)\n";

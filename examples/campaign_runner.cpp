@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <utility>
 
 #include "elog/v2_store.hpp"
 #include "iosim/campaign.hpp"
@@ -66,7 +67,7 @@ int main(int argc, char** argv) {
     const std::string dir = out + "/traces/" + run.name;
     traces.write_files(dir);
     std::cout << "  -> " << traces.traces.size() << " trace files in " << dir << "\n";
-    all_cases = model::EventLog::merge(all_cases, traces.to_event_log());
+    all_cases = model::EventLog::merge(std::move(all_cases), traces.to_event_log());
 
     if (cli.get_bool("verify")) {
       // Round-trip check: the written strace text must re-ingest (via

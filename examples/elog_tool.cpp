@@ -212,7 +212,7 @@ int main(int argc, char** argv) {
       if (args.size() < 4) throw ParseError("merge takes an output and >= 2 inputs");
       model::EventLog merged;
       for (std::size_t i = 2; i < args.size(); ++i) {
-        merged = model::EventLog::merge(merged, read_elog(args[i], cli));
+        merged = model::EventLog::merge(std::move(merged), read_elog(args[i], cli));
       }
       write_log(args[1], merged, cli);
       std::cout << "wrote " << merged.case_count() << " cases to " << args[1] << "\n";

@@ -56,6 +56,16 @@ st::model::Query query_from_flags(const st::CliParser& cli) {
   return q;
 }
 
+/// --timeline's activity. The literal two-character sequence "\n" on
+/// the command line stands for the newline between call and path.
+std::string timeline_activity(const st::CliParser& cli) {
+  std::string activity = cli.get("timeline");
+  if (const auto pos = activity.find("\\n"); pos != std::string::npos) {
+    activity.replace(pos, 2, "\n");
+  }
+  return activity;
+}
+
 int run_serve(const st::CliParser& cli) {
   using namespace st;
   corpus::CatalogOptions copts;
@@ -140,13 +150,7 @@ int main(int argc, char** argv) {
       report::ReportOptions report_opts;
       report_opts.title = "trace_explorer report";
       report_opts.description = "single-pass streaming report, mapping: " + f.name();
-      if (cli.has("timeline")) {
-        std::string activity = cli.get("timeline");
-        if (const auto pos = activity.find("\\n"); pos != std::string::npos) {
-          activity.replace(pos, 2, "\n");
-        }
-        report_opts.timeline_activity = std::move(activity);
-      }
+      if (cli.has("timeline")) report_opts.timeline_activity = timeline_activity(cli);
       const auto result =
           report::streaming_report(cli.positional(), f, pool, report_opts, stream_opts);
       for (const auto& w : result.log.warnings()) std::cerr << "warning: " << w << "\n";
@@ -179,12 +183,8 @@ int main(int argc, char** argv) {
     // -- analyze -----------------------------------------------------
     // The renders that need no graph and no statistics come first.
     if (cli.has("timeline")) {
-      // Allow the literal two-character sequence "\n" on the command line.
-      std::string activity = cli.get("timeline");
-      if (const auto pos = activity.find("\\n"); pos != std::string::npos) {
-        activity.replace(pos, 2, "\n");
-      }
-      std::cout << dfg::render_timeline(dfg::IoStatistics::timeline(log, f, activity));
+      const auto entries = dfg::IoStatistics::timeline(log, f, timeline_activity(cli));
+      std::cout << dfg::render_timeline(entries);
       return 0;
     }
 

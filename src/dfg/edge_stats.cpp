@@ -61,18 +61,4 @@ const EdgeStat* EdgeStatistics::find(const model::Activity& from,
   return it == stats_.end() ? nullptr : &it->second;
 }
 
-const EdgeStatistics::Edge* EdgeStatistics::slowest_edge() const {
-  // Strict > over the ordered map: equal means keep the first —
-  // lexicographically smallest — edge. Pinned by test_stats_sinks.
-  const Edge* best = nullptr;
-  double best_gap = -1.0;
-  for (const auto& [edge, stat] : stats_) {
-    if (stat.mean_gap() > best_gap) {
-      best_gap = stat.mean_gap();
-      best = &edge;
-    }
-  }
-  return best;
-}
-
 }  // namespace st::dfg

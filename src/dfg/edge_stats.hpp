@@ -96,12 +96,6 @@ class EdgeStatistics {
   [[nodiscard]] const EdgeStat* find(const model::Activity& from,
                                      const model::Activity& to) const;
 
-  /// Edge with the largest mean gap — the dominant stall. Tie-break is
-  /// pinned: strict > over the ordered edge map, so among equal means
-  /// the LEXICOGRAPHICALLY SMALLEST edge wins, on every path (sharded
-  /// and in-process reports must render byte-identical labels).
-  [[nodiscard]] const Edge* slowest_edge() const;
-
  private:
   friend class Partial;
   std::map<Edge, EdgeStat> stats_;

@@ -40,23 +40,4 @@ std::string stats_to_csv(const IoStatistics& stats) {
   return out;
 }
 
-std::string edges_to_csv(const Dfg& g) {
-  std::string out = "from,to,count\n";
-  for (const auto& [edge, count] : g.edges()) {
-    out += csv_field(flat(edge.first)) + "," + csv_field(flat(edge.second)) + "," +
-           std::to_string(count) + "\n";
-  }
-  return out;
-}
-
-std::string edge_stats_to_csv(const EdgeStatistics& stats) {
-  std::string out = "from,to,count,mean_gap_us,max_gap_us,overlapped\n";
-  for (const auto& [edge, s] : stats.per_edge()) {
-    out += csv_field(flat(edge.first)) + "," + csv_field(flat(edge.second)) + "," +
-           std::to_string(s.count) + "," + format_fixed(s.mean_gap(), 1) + "," +
-           std::to_string(s.max_gap) + "," + std::to_string(s.overlapped) + "\n";
-  }
-  return out;
-}
-
 }  // namespace st::dfg

@@ -8,8 +8,6 @@
 
 #include <string>
 
-#include "dfg/dfg.hpp"
-#include "dfg/edge_stats.hpp"
 #include "dfg/stats.hpp"
 
 namespace st::dfg {
@@ -18,14 +16,7 @@ namespace st::dfg {
 /// activity,events,rel_dur,total_dur_us,bytes,mean_rate_bps,max_concurrency,ranks
 [[nodiscard]] std::string stats_to_csv(const IoStatistics& stats);
 
-/// One row per edge: from,to,count
-[[nodiscard]] std::string edges_to_csv(const Dfg& g);
-
-/// One row per edge with gap statistics:
-/// from,to,count,mean_gap_us,max_gap_us,overlapped
-[[nodiscard]] std::string edge_stats_to_csv(const EdgeStatistics& stats);
-
-/// RFC-4180 field quoting (used by all exporters; exposed for tests).
+/// RFC-4180 field quoting (used by stats_to_csv; exposed for tests).
 [[nodiscard]] std::string csv_field(const std::string& value);
 
 }  // namespace st::dfg

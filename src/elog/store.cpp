@@ -11,7 +11,7 @@ model::EventLog read_event_log_file(const std::string& path, const ElogReadOptio
 LoadedElog read_event_log_file_indexed(const std::string& path, const ElogReadOptions& opts,
                                        ThreadPool* pool) {
   auto mapped = open_v2(path);
-  model::EventLog log = read_event_log_v2(mapped, V2ReadOptions{opts.keep_going}, pool);
+  model::EventLog log = read_event_log_v2(mapped, opts, pool);
   // Quarantines break the 1:1 case correspondence the planner needs;
   // such a log is served by the materialized path.
   const bool clean = log.warnings().empty() && log.case_count() == mapped->case_count();

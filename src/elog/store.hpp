@@ -25,7 +25,7 @@ class MappedElog;
 /// keep_going (inherited RunPolicy, support/run_policy.hpp) == true: a
 /// case section failing CRC is quarantined with a warning on the
 /// returned log instead of aborting the read (v2_store.hpp
-/// V2ReadOptions).
+/// read_event_log_v2).
 struct ElogReadOptions : RunPolicy {};
 
 /// Reads a whole container. Throws IoError on a missing, short,

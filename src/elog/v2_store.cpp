@@ -750,12 +750,8 @@ std::shared_ptr<MappedElog> open_v2(const std::string& path) {
   return MappedElog::from_buffer(strace::TraceBuffer::from_file_mmap(path));
 }
 
-model::EventLog read_event_log_v2(std::shared_ptr<MappedElog> mapped) {
-  return read_event_log_v2(std::move(mapped), V2ReadOptions{});
-}
-
-model::EventLog read_event_log_v2(std::shared_ptr<MappedElog> mapped, const V2ReadOptions& opts,
-                                  ThreadPool* pool) {
+model::EventLog read_event_log_v2(std::shared_ptr<MappedElog> mapped,
+                                  const ElogReadOptions& opts, ThreadPool* pool) {
   // Each case decodes into its own slot; a failure is kept, not
   // thrown, so the pass below meets every case in case order whatever
   // the workers' schedule.

@@ -33,6 +33,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "elog/store.hpp"
 #include "elog/v2_format.hpp"
 #include "model/event_log.hpp"
 #include "pipeline/sink.hpp"
@@ -120,8 +121,6 @@ class ElogV2Writer {
   /// Writes pool + directory + table + footer, then publishes the
   /// file of the path constructor. Idempotent.
   void finalize();
-
-  [[nodiscard]] std::size_t cases_written() const { return cases_; }
 
  private:
   void write_raw(std::string_view bytes);
@@ -304,20 +303,14 @@ class MappedElog {
 [[nodiscard]] std::shared_ptr<MappedElog> open_v2(const std::string& path);
 
 /// Materializes every case into an EventLog that adopts `mapped`, so
-/// the log stands alone like any other ingested log.
-[[nodiscard]] model::EventLog read_event_log_v2(std::shared_ptr<MappedElog> mapped);
-
-/// keep_going (inherited RunPolicy, support/run_policy.hpp) == true: a
-/// case whose sections fail CRC (or decode) is quarantined with a
-/// "case N (id) quarantined: ..." warning on the returned log instead
-/// of aborting the read. false: identical to the plain overload (first
-/// IoError propagates).
-struct V2ReadOptions : RunPolicy {};
-
-/// Graceful-degradation variant of read_event_log_v2, decoding on
-/// `pool` when it is non-null: case_at(i) for every i, in contiguous
-/// chunks on the workers, each into its own slot, then one pass in case
-/// order assembles the log. The result does not depend on the pool or
+/// the log stands alone like any other ingested log. opts.keep_going
+/// == true: a case whose sections fail CRC (or decode) is quarantined
+/// with a "case N (id) quarantined: ..." warning on the returned log
+/// instead of aborting the read; false: the first IoError propagates.
+///
+/// The cases decode on `pool` when it is non-null: case_at(i) for
+/// every i, in contiguous chunks on the workers, each into its own
+/// slot, then one pass in case order assembles the log. The result does not depend on the pool or
 /// its width: fail fast rethrows the error of the LOWEST failing case
 /// (after every chunk has finished), keep_going quarantines every
 /// failing case with the serial reader's warning text, in case order.
@@ -326,7 +319,7 @@ struct V2ReadOptions : RunPolicy {};
 /// validated in a fixed order (the "elog.crc" fault point counts on it).
 /// Not callable from a task on `pool`.
 [[nodiscard]] model::EventLog read_event_log_v2(std::shared_ptr<MappedElog> mapped,
-                                                const V2ReadOptions& opts,
+                                                const ElogReadOptions& opts = {},
                                                 ThreadPool* pool = nullptr);
 
 /// CaseSink writing elog v2 in the same streamed pipeline::run pass as

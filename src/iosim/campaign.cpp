@@ -1,5 +1,7 @@
 #include "iosim/campaign.hpp"
 
+#include <utility>
+
 namespace st::iosim {
 
 CampaignScale CampaignScale::small() {
@@ -47,11 +49,12 @@ IorOptions make_fpp_options(const CampaignScale& scale) {
 }
 
 model::EventLog ssf_fpp_campaign(const CampaignScale& scale, const CostModel& model) {
-  const model::EventLog ssf = run_ior(make_ssf_options(scale), model).to_event_log();
-  const model::EventLog fpp = run_ior(make_fpp_options(scale), model).to_event_log();
+  model::EventLog ssf = run_ior(make_ssf_options(scale), model).to_event_log();
+  model::EventLog fpp = run_ior(make_fpp_options(scale), model).to_event_log();
   // The paper records "events related to variants of read, write and
   // openat system calls" for this experiment.
-  return filter_call_families(model::EventLog::merge(ssf, fpp), {"openat", "read", "write"});
+  return filter_call_families(model::EventLog::merge(std::move(ssf), std::move(fpp)),
+                              {"openat", "read", "write"});
 }
 
 IorOptions make_posix_options(const CampaignScale& scale) {
@@ -74,11 +77,11 @@ IorOptions make_mpiio_options(const CampaignScale& scale) {
 }
 
 model::EventLog mpiio_campaign(const CampaignScale& scale, const CostModel& model) {
-  const model::EventLog posix = run_ior(make_posix_options(scale), model).to_event_log();
-  const model::EventLog mpiio = run_ior(make_mpiio_options(scale), model).to_event_log();
+  model::EventLog posix = run_ior(make_posix_options(scale), model).to_event_log();
+  model::EventLog mpiio = run_ior(make_mpiio_options(scale), model).to_event_log();
   // "In addition to variants of read, write, and openat, we also
   // record the events related to lseek" (Sec. V-B).
-  return filter_call_families(model::EventLog::merge(posix, mpiio),
+  return filter_call_families(model::EventLog::merge(std::move(posix), std::move(mpiio)),
                               {"openat", "read", "write", "lseek"});
 }
 

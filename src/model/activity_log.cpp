@@ -30,8 +30,6 @@ ActivityLog ActivityLog::build(const EventLog& log, const Mapping& f) {
   for (const Case& c : log.cases()) {
     ActivityTrace trace = activity_trace(c, f);
     for (const Activity& a : trace) out.activities_.insert(a);
-    out.total_instances_ += trace.size();
-    out.per_case_.emplace(c.id(), trace);
     ++out.variants_[std::move(trace)];
     ++out.case_count_;
   }

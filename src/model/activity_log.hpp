@@ -5,10 +5,7 @@
 // resulting activity sequence σ_f(c) is one *trace*; the activity-log
 // is the multiset of all traces, i.e. identical sequences are stored
 // once with a multiplicity — the ⟨a,a,b⟩² notation of the paper.
-//
-// The per-case trace is also retained (keyed by CaseId) because the
-// timeline plot (Fig. 5) and the "Ranks:" annotations need to know
-// which cases touched an activity.
+// One case's trace is activity_trace(c, f).
 #pragma once
 
 #include <cstddef>
@@ -54,21 +51,15 @@ class ActivityLog {
   /// (lexicographic by trace). Σ multiplicities == case count.
   [[nodiscard]] const VariantCounts& variants() const { return variants_; }
 
-  /// Trace of one case, in event order.
-  [[nodiscard]] const std::map<CaseId, ActivityTrace>& per_case() const { return per_case_; }
-
   /// All distinct activities appearing in any trace, ordered.
   [[nodiscard]] const std::set<Activity>& activities() const { return activities_; }
 
   [[nodiscard]] std::size_t case_count() const { return case_count_; }
-  [[nodiscard]] std::size_t total_activity_instances() const { return total_instances_; }
 
  private:
   VariantCounts variants_;
-  std::map<CaseId, ActivityTrace> per_case_;
   std::set<Activity> activities_;
   std::size_t case_count_ = 0;
-  std::size_t total_instances_ = 0;
 };
 
 }  // namespace st::model

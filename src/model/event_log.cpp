@@ -61,15 +61,6 @@ EventLog EventLog::filter_events(const std::function<bool(const Event&)>& pred) 
   return out;
 }
 
-EventLog EventLog::filter_cases(const std::function<bool(const Case&)>& pred) const {
-  EventLog out;
-  out.adopt_owners_of(*this);
-  for (const auto& c : cases_) {
-    if (pred(c)) out.add_case(c);
-  }
-  return out;
-}
-
 std::pair<EventLog, EventLog> EventLog::partition(
     const std::function<bool(const Case&)>& pred) const {
   EventLog green;

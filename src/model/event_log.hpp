@@ -106,9 +106,6 @@ class EventLog {
   /// Generic event-level filter.
   [[nodiscard]] EventLog filter_events(const std::function<bool(const Event&)>& pred) const;
 
-  /// Keeps only cases satisfying `pred`.
-  [[nodiscard]] EventLog filter_cases(const std::function<bool(const Case&)>& pred) const;
-
   /// Splits cases into (matching, rest) — the G/R partition of
   /// Sec. IV-C.
   [[nodiscard]] std::pair<EventLog, EventLog> partition(

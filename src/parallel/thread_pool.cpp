@@ -32,11 +32,6 @@ ThreadPool::~ThreadPool() {
   // workers are gone, so task destructors cannot deadlock or race.
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
 void ThreadPool::worker_loop() {
   while (true) {
     std::function<void()> task;
@@ -49,14 +44,8 @@ void ThreadPool::worker_loop() {
       }
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
     }
     task();  // exceptions are captured by the packaged_task wrapper
-    {
-      std::lock_guard lock(mutex_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
   }
 }
 

@@ -39,7 +39,7 @@ class ThreadPool {
   /// queued are DISCARDED (their futures report broken_promise) — a
   /// queued continuation must never run while its submitter's state is
   /// being torn down. Callers that need completion await their futures
-  /// or call wait_idle() first, as every algorithm in this repo does.
+  /// first, as every algorithm in this repo does.
   ~ThreadPool();
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
@@ -64,9 +64,6 @@ class ThreadPool {
     return result;
   }
 
-  /// Blocks until every task submitted so far has finished.
-  void wait_idle();
-
  private:
   void worker_loop();
 
@@ -74,8 +71,6 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_;
-  std::condition_variable idle_cv_;
-  std::size_t active_ = 0;
   bool stopping_ = false;
 };
 

@@ -233,6 +233,11 @@ std::string_view PartialReader::pool_string(std::uint64_t id) const {
 }
 
 // ---- per-sink pairs ----------------------------------------------------
+// Each pair is exact: decode(encode(x)) == x, bit for bit (doubles
+// travel as u64 bit patterns). test_partial_codec reaches them through
+// encode_shard_partial / decode_shard_partial.
+
+namespace {
 
 void encode_dfg_partial(PartialWriter& w, const dfg::Dfg& g) {
   std::string s;
@@ -425,6 +430,8 @@ dfg::EdgeStatistics::Partial decode_edge_stats_partial(const PartialReader& r) {
   c.expect_exhausted();
   return dfg::EdgeStatistics::Partial::from_stats(std::move(stats));
 }
+
+}  // namespace
 
 // ---- the shard unit ----------------------------------------------------
 

@@ -118,25 +118,6 @@ class PartialReader {
   const char* pool_blob_ = nullptr;
 };
 
-// ---- per-sink encode/decode pairs --------------------------------------
-// Each pair is exact: decode(encode(x)) == x, bit for bit (doubles
-// travel as u64 bit patterns). Tested per type in test_partial_codec.
-
-void encode_dfg_partial(PartialWriter& w, const dfg::Dfg& g);
-[[nodiscard]] dfg::Dfg decode_dfg_partial(const PartialReader& r);
-
-void encode_case_stats_partial(PartialWriter& w, const std::vector<model::CaseSummary>& s);
-[[nodiscard]] std::vector<model::CaseSummary> decode_case_stats_partial(const PartialReader& r);
-
-void encode_variants_partial(PartialWriter& w, const model::VariantCounts& v);
-[[nodiscard]] model::VariantCounts decode_variants_partial(const PartialReader& r);
-
-void encode_io_stats_partial(PartialWriter& w, const dfg::IoStatistics::Partial& p);
-[[nodiscard]] dfg::IoStatistics::Partial decode_io_stats_partial(const PartialReader& r);
-
-void encode_edge_stats_partial(PartialWriter& w, const dfg::EdgeStatistics::Partial& p);
-[[nodiscard]] dfg::EdgeStatistics::Partial decode_edge_stats_partial(const PartialReader& r);
-
 // ---- the shard unit ----------------------------------------------------
 
 /// Everything one pipeline::run pass folds for the report: the partial

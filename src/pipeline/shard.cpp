@@ -119,14 +119,14 @@ struct SpawnedResult {
   ShardRunReport report;
 };
 
-/// The supervising coordinator (ISSUE 8). Spawns one fold-shard
-/// subprocess per split and polls them: a clean exit's blob is read and
-/// decoded (missing, unreadable or CRC-rejected blobs are RETRYABLE
-/// failures, same as a crash or a deadline kill); a failed attempt
+/// The supervising coordinator. Spawns one fold-shard subprocess per
+/// split and polls them: a clean exit's blob is read and decoded
+/// (missing, unreadable or CRC-rejected blobs are RETRYABLE failures,
+/// same as a crash or a deadline kill); a failed attempt
 /// respawns with backoff, up to opts.max_attempts, with ST_FAULTS
 /// scrubbed from the retry environment; an exhausted shard falls back
-/// to an in-process fold. Only a shard whose fallback also failed (or
-/// was disabled) is fatal — reported lowest shard index first.
+/// to an in-process fold. Only a shard whose fallback also failed is
+/// fatal — reported lowest shard index first.
 class Supervisor {
  public:
   Supervisor(const std::vector<std::vector<std::string>>& splits, const ShardOptions& opts)
@@ -195,8 +195,7 @@ class Supervisor {
       ::posix_spawn_file_actions_init(&actions);
       add_close_inherited_fds(actions);
       pid_t pid = -1;
-      char** env =
-          s.attempts == 1 || opts_.keep_faults_on_retry ? environ : retry_environment();
+      char** env = s.attempts == 1 ? environ : retry_environment();
       const int rc = ::posix_spawn(&pid, opts_.fold_shard_exe.c_str(), &actions, nullptr,
                                    argv.data(), env);
       ::posix_spawn_file_actions_destroy(&actions);
@@ -228,21 +227,15 @@ class Supervisor {
       start_attempt(i);  // bounded mutual recursion: depth <= max_attempts
       return;
     }
-    if (opts_.fallback_in_process) {
-      try {
-        // The subprocess was an optimization; the bytes are still
-        // reachable right here. Still through the codec, so the two
-        // paths cannot drift.
-        s.part = decode_shard_partial(fold_shard(splits_[i], opts_));
-        rep.fell_back = true;
-        return;
-      } catch (const Error& e) {
-        s.fatal = "shard " + std::to_string(i) + ": in-process fallback failed: " + e.what();
-        return;
-      }
+    try {
+      // The subprocess was an optimization; the bytes are still
+      // reachable right here. Still through the codec, so the two
+      // paths cannot drift.
+      s.part = decode_shard_partial(fold_shard(splits_[i], opts_));
+      rep.fell_back = true;
+    } catch (const Error& e) {
+      s.fatal = "shard " + std::to_string(i) + ": in-process fallback failed: " + e.what();
     }
-    s.fatal = "shard " + std::to_string(i) + ": fold-shard failed after " +
-              std::to_string(s.attempts) + " attempt(s): " + rep.failures.back();
   }
 
   void poll_until_settled() {

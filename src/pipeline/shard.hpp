@@ -33,9 +33,8 @@
 //                              in-process fold_shard fallback — a
 //                              transiently failing child still yields
 //                              output byte-identical to the clean run.
-//                              Only exhausted shards (fallback failed
-//                              or disabled) throw, lowest shard index
-//                              first. What happened per shard lands in
+//                              Only shards whose fallback failed too
+//                              throw, lowest shard index first. What happened per shard lands in
 //                              ShardedAnalytics::shard_report, NEVER in
 //                              the analytics warnings (which must stay
 //                              byte-identical to the streamed run).
@@ -77,8 +76,8 @@ struct ShardOptions {
 
   /// Streaming knobs for in-process folds. Only `keep_going` crosses
   /// the process boundary (as --keep-going — it changes output);
-  /// memory-behavior knobs are not forwarded, by the determinism
-  /// contract they cannot change any output byte.
+  /// `min_chunk_bytes` is not forwarded: by the determinism contract
+  /// it cannot change any output byte.
   StreamOptions stream;
 
   // -- supervision (spawned mode only) -----------------------------------
@@ -88,16 +87,10 @@ struct ShardOptions {
   /// Sleep before retry r is attempt_backoff_ms * r (linear).
   std::uint32_t retry_backoff_ms = 10;
   /// Wall-clock budget per attempt; expiry SIGKILLs the child and
-  /// counts as a failed attempt. 0 disables the deadline.
+  /// counts as a failed attempt. 0 disables the deadline. After the
+  /// last failed attempt the shard folds in-process: the subprocess is
+  /// an optimization, not the only way to the bytes.
   std::uint32_t shard_timeout_ms = 120'000;
-  /// After the last failed attempt, fold the shard in-process (the
-  /// subprocess is an optimization, not the only way to the bytes).
-  /// false: exhausted shards throw IoError instead.
-  bool fallback_in_process = true;
-  /// Keep ST_FAULTS in retried children's environment (tests of the
-  /// persistent-failure -> fallback path; default scrubs it so
-  /// injected one-shot faults heal on retry).
-  bool keep_faults_on_retry = false;
 };
 
 /// What supervision did, per shard — surfaced via `elog_tool

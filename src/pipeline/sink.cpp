@@ -310,7 +310,8 @@ model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
     }
   };
 
-  strace::ParallelReadOptions read_opts = opts;
+  strace::ParallelReadOptions read_opts;
+  read_opts.min_chunk_bytes = opts.min_chunk_bytes;
   read_opts.pool = &pool;
   const MappingPlan plan(sinks);
   // The parse's file indices are dense over the files it was given.

@@ -122,7 +122,11 @@ namespace st::pipeline {
 /// ..." before conversion, "<path>: case quarantined: ..." after) and
 /// the run completes over the surviving inputs; LogicError and
 /// foreign exceptions still abort either way.
-struct StreamOptions : strace::ParallelReadOptions, RunPolicy {};
+struct StreamOptions : RunPolicy {
+  /// Lower bound per parse chunk (strace::ParallelReadOptions). It
+  /// changes how a file splits across the pool, never an output byte.
+  std::size_t min_chunk_bytes = 1 << 20;
+};
 
 /// What a run ingested, dropped and complained about — the report's
 /// "Data health" section. Counters travel through shard partials and
@@ -222,7 +226,7 @@ class CaseSink {
 /// parse, is the error whatever failed before it. Under
 /// opts.keep_going data failures quarantine their file instead (see
 /// StreamOptions). `health`, when non-null, receives the run's
-/// DataHealth either way. `opts.pool` is ignored — `pool` is used.
+/// DataHealth either way.
 [[nodiscard]] model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
                                   std::span<CaseSink* const> sinks,
                                   const StreamOptions& opts = {}, DataHealth* health = nullptr);

@@ -305,25 +305,8 @@ RawRecord merge_resumed_pair(RawRecord unfinished, const RawRecord& resumed, Str
 
 }  // namespace
 
-std::optional<RawRecord> ResumeMerger::feed(RawRecord rec) {
-  std::string reason;
-  auto out = advance(std::move(rec), reason);
-  if (!reason.empty()) throw ParseError(reason);
-  return out;
-}
-
 std::optional<RawRecord> ResumeMerger::feed(RawRecord rec, std::string& problem) {
-  std::string reason;
-  auto out = advance(std::move(rec), reason);
-  if (reason.empty()) {
-    problem.clear();
-  } else {
-    problem = ParseError(reason).what();
-  }
-  return out;
-}
-
-std::optional<RawRecord> ResumeMerger::advance(RawRecord rec, std::string& reason) {
+  problem.clear();
   switch (rec.kind) {
     case RecordKind::Complete:
     case RecordKind::Signal:
@@ -336,15 +319,18 @@ std::optional<RawRecord> ResumeMerger::advance(RawRecord rec, std::string& reaso
     case RecordKind::Resumed: {
       const auto it = pending_.find(rec.pid);
       if (it == pending_.end()) {
-        reason = "resumed record for pid " + std::to_string(rec.pid) +
-                 " without matching unfinished record";
+        problem = ParseError("resumed record for pid " + std::to_string(rec.pid) +
+                             " without matching unfinished record")
+                      .what();
         return std::nullopt;
       }
       RawRecord pending = std::move(it->second);
       pending_.erase(it);
       if (pending.call != rec.call) {
-        reason = "resumed call '" + std::string(rec.call) + "' does not match unfinished '" +
-                 std::string(pending.call) + "' for pid " + std::to_string(rec.pid);
+        problem = ParseError("resumed call '" + std::string(rec.call) +
+                             "' does not match unfinished '" + std::string(pending.call) +
+                             "' for pid " + std::to_string(rec.pid))
+                      .what();
         return std::nullopt;
       }
       return merge_resumed_pair(std::move(pending), rec, *arena_);

@@ -62,14 +62,10 @@ class ResumeMerger {
   /// merged records are then only valid while the merger is alive.
   ResumeMerger() : owned_(std::make_unique<StringArena>()), arena_(owned_.get()) {}
 
-  /// Throws ParseError for a Resumed record with no pending half of
-  /// its pid, or one whose call differs from that half's (the half is
-  /// dropped).
-  [[nodiscard]] std::optional<RawRecord> feed(RawRecord rec);
-
-  /// The lenient form: where feed(rec) would throw, returns nullopt and
-  /// sets `problem` to the exception's what() text instead — the same
-  /// state change, without the cost of a throw per bad record.
+  /// A Resumed record with no pending half of its pid, or one whose
+  /// call differs from that half's (the half is dropped), returns
+  /// nullopt and sets `problem` to the ParseError text describing it
+  /// — a warning, without the cost of a throw per bad record.
   /// Otherwise clears `problem`.
   [[nodiscard]] std::optional<RawRecord> feed(RawRecord rec, std::string& problem);
 
@@ -77,13 +73,7 @@ class ResumeMerger {
   /// killed mid-call), sorted by pid. Clears the internal state.
   [[nodiscard]] std::vector<RawRecord> take_pending();
 
-  [[nodiscard]] std::size_t pending_count() const { return pending_.size(); }
-
  private:
-  /// Both forms' body: sets `reason` (the ParseError message) where
-  /// feed(rec) throws.
-  std::optional<RawRecord> advance(RawRecord rec, std::string& reason);
-
   std::unique_ptr<StringArena> owned_;
   StringArena* arena_;
   std::unordered_map<std::uint64_t, RawRecord> pending_;  // keyed by pid

@@ -9,7 +9,7 @@
 
 namespace st::strace {
 
-ReadResult read_trace_buffer(std::shared_ptr<TraceBuffer> buffer, const ReadOptions& opts) {
+ReadResult read_trace_buffer(std::shared_ptr<TraceBuffer> buffer) {
   ReadResult result;
   result.buffer = std::move(buffer);
   const std::string_view text = result.buffer->text();
@@ -18,7 +18,7 @@ ReadResult read_trace_buffer(std::shared_ptr<TraceBuffer> buffer, const ReadOpti
       static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) + 1);
 
   ResumeMerger merger(arena);
-  std::string problem;  // the lenient merger's verdict on the last record
+  std::string problem;  // the merger's verdict on the last record
   std::size_t lineno = 0;
   std::size_t start = 0;
   while (start <= text.size()) {
@@ -33,13 +33,11 @@ ReadResult read_trace_buffer(std::shared_ptr<TraceBuffer> buffer, const ReadOpti
       try {
         rec = parse_line(line, arena);
       } catch (const ParseError& e) {
-        if (opts.strict) throw;
         result.warnings.push_back("line " + std::to_string(lineno) + ": " + e.what());
         break;
       }
       if (!rec) break;
-      std::optional<RawRecord> complete =
-          opts.strict ? merger.feed(std::move(*rec)) : merger.feed(std::move(*rec), problem);
+      std::optional<RawRecord> complete = merger.feed(std::move(*rec), problem);
       if (!problem.empty()) {
         result.warnings.push_back("line " + std::to_string(lineno) + ": " + problem);
         break;
@@ -61,12 +59,12 @@ ReadResult read_trace_buffer(std::shared_ptr<TraceBuffer> buffer, const ReadOpti
   return result;
 }
 
-ReadResult read_trace_text(std::string_view text, const ReadOptions& opts) {
-  return read_trace_buffer(std::make_shared<TraceBuffer>(std::string(text)), opts);
+ReadResult read_trace_text(std::string_view text) {
+  return read_trace_buffer(std::make_shared<TraceBuffer>(std::string(text)));
 }
 
-ReadResult read_trace_file(const std::string& path, const ReadOptions& opts) {
-  return read_trace_buffer(TraceBuffer::from_file_mmap(path), opts);
+ReadResult read_trace_file(const std::string& path) {
+  return read_trace_buffer(TraceBuffer::from_file_mmap(path));
 }
 
 }  // namespace st::strace

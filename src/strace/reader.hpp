@@ -5,8 +5,9 @@
 //   2. merge unfinished/resumed pairs by pid,
 //   3. drop signal and exit records (not system calls),
 //   4. drop ERESTARTSYS-interrupted calls,
-// and collects row-level problems as warnings instead of aborting the
-// whole file (real strace logs contain truncation and noise).
+// and collects row-level problems (a malformed line, a resumed half
+// with no unfinished one) as warnings instead of aborting the whole
+// file: real strace logs contain truncation and noise.
 //
 // Ingestion is zero-copy: the trace bytes are read once into a
 // TraceBuffer and records view into it (plus a small arena for merged
@@ -39,12 +40,6 @@ class ThreadPool;
 
 namespace st::strace {
 
-/// The Sec. III rules (merge, drop signals, exits and ERESTARTSYS
-/// calls) always apply; only the handling of malformed lines varies.
-struct ReadOptions {
-  bool strict = false;  ///< rethrow line parse errors instead of warning
-};
-
 struct ReadResult {
   std::vector<RawRecord> records;
   std::vector<std::string> warnings;  ///< one entry per skipped/incomplete line
@@ -56,18 +51,17 @@ struct ReadResult {
 /// Parses a trace held in a TraceBuffer (zero-copy). Parsing interns
 /// into the buffer's arena: do not run two read_trace_* calls on the
 /// same buffer concurrently (sequential reuse is fine).
-[[nodiscard]] ReadResult read_trace_buffer(std::shared_ptr<TraceBuffer> buffer,
-                                           const ReadOptions& opts = {});
+[[nodiscard]] ReadResult read_trace_buffer(std::shared_ptr<TraceBuffer> buffer);
 
 /// Parses a whole trace text (multiple lines). The text is copied once
 /// into the result's TraceBuffer so the caller's string may die.
-[[nodiscard]] ReadResult read_trace_text(std::string_view text, const ReadOptions& opts = {});
+[[nodiscard]] ReadResult read_trace_text(std::string_view text);
 
 /// Reads and parses a trace file from disk with a single read into the
 /// result's TraceBuffer. Throws IoError if the file cannot be opened.
-[[nodiscard]] ReadResult read_trace_file(const std::string& path, const ReadOptions& opts = {});
+[[nodiscard]] ReadResult read_trace_file(const std::string& path);
 
-struct ParallelReadOptions : ReadOptions {
+struct ParallelReadOptions {
   std::size_t min_chunk_bytes = 1 << 20;  ///< lower bound per parse chunk
   ThreadPool* pool = nullptr;             ///< required: the pool every parse task runs on
 };
@@ -123,9 +117,9 @@ class StreamedParse {
   void join();
 
   /// After join(): the earliest failure in input order — lowest file
-  /// index first, lowest chunk within the file; join errors
-  /// (strict-mode parse errors surface there) and exceptions escaping
-  /// the on_file_done callback rank after the file's chunk errors.
+  /// index first, lowest chunk within the file; an exception escaping
+  /// the join or the on_file_done callback ranks after the file's
+  /// chunk errors.
   [[nodiscard]] std::optional<Error> error() const;
 
   /// After join(): every failed file's earliest error, sorted by file

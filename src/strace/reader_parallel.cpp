@@ -6,10 +6,9 @@
 // every unfinished or resumed half stays in place, with its line
 // number. The join concatenates the chunks and, only when the file has
 // halves, feeds them in line order to one ResumeMerger — the rule the
-// sequential reader applies — so records, their order, every warning
-// string and the strict-mode exception are byte-identical to
-// read_trace_buffer. test_parallel_reader asserts this on adversarial
-// multi-PID corpora.
+// sequential reader applies — so records, their order and every
+// warning string are byte-identical to read_trace_buffer.
+// test_parallel_reader asserts this on adversarial multi-PID corpora.
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
@@ -50,8 +49,6 @@ struct Chunk {
   std::vector<Half> halves;
   std::vector<LineWarning> warnings;
   std::size_t lines = 0;
-  std::exception_ptr error;  // strict mode: the chunk's first parse error
-  std::size_t error_line = 0;
   StringArena arena;
 };
 
@@ -66,7 +63,7 @@ bool is_half(const RawRecord& rec) {
 
 /// Parses the byte range [begin, end) of `text`. `begin` is a line
 /// start; `end` is one past a '\n' or text.size().
-Chunk parse_chunk(std::string_view text, std::size_t begin, std::size_t end, bool strict) {
+Chunk parse_chunk(std::string_view text, std::size_t begin, std::size_t end) {
   FAULT_POINT("reader.chunk");
   Chunk chunk;
   const auto newlines = std::count(text.begin() + static_cast<std::ptrdiff_t>(begin),
@@ -86,12 +83,7 @@ Chunk parse_chunk(std::string_view text, std::size_t begin, std::size_t end, boo
     try {
       rec = parse_line(line, chunk.arena);
     } catch (const ParseError& e) {
-      if (!strict) {
-        chunk.warnings.push_back({lineno, e.what()});
-      } else if (!chunk.error) {
-        chunk.error = std::current_exception();
-        chunk.error_line = lineno;
-      }
+      chunk.warnings.push_back({lineno, e.what()});
       continue;
     }
     if (!rec) continue;
@@ -109,27 +101,19 @@ Chunk parse_chunk(std::string_view text, std::size_t begin, std::size_t end, boo
 /// read_trace_buffer returns for `buffer`. The halves go through a
 /// ResumeMerger in line order: a merged record takes the resumed
 /// half's slot if keep_record holds, and every other half is dropped.
-/// Merge warnings interleave with parse warnings by line, strict mode
-/// rethrows the earliest error, and the chunk arenas move into the
-/// buffer so every view stays alive.
-ReadResult join_chunks(std::vector<Chunk>& chunks, std::shared_ptr<TraceBuffer> buffer,
-                       const ReadOptions& opts) {
+/// Merge warnings interleave with parse warnings by line, and the
+/// chunk arenas move into the buffer so every view stays alive.
+ReadResult join_chunks(std::vector<Chunk>& chunks, std::shared_ptr<TraceBuffer> buffer) {
   ReadResult result;
   result.buffer = std::move(buffer);
   std::vector<Half> halves;
   std::vector<LineWarning> warnings;
-  std::exception_ptr error;
-  std::size_t error_line = std::numeric_limits<std::size_t>::max();
   std::size_t lines = 0;
   for (Chunk& chunk : chunks) {
     for (const Half& h : chunk.halves) {
       halves.push_back({result.records.size() + h.record, lines + h.line});
     }
     for (LineWarning& w : chunk.warnings) warnings.push_back({lines + w.line, std::move(w.text)});
-    if (chunk.error && !error) {
-      error = chunk.error;
-      error_line = lines + chunk.error_line;
-    }
     if (result.records.empty()) {
       result.records = std::move(chunk.records);
     } else {
@@ -145,9 +129,8 @@ ReadResult join_chunks(std::vector<Chunk>& chunks, std::shared_ptr<TraceBuffer> 
     ResumeMerger merger(result.buffer->arena());
     std::string problem;
     for (const Half& h : halves) {
-      if (h.line > error_line) break;  // strict: that parse error comes first
       RawRecord& slot = result.records[h.record];
-      auto merged = opts.strict ? merger.feed(slot) : merger.feed(slot, problem);
+      auto merged = merger.feed(slot, problem);
       if (!problem.empty()) {
         warnings.push_back({h.line, std::move(problem)});
       } else if (merged && keep_record(*merged)) {
@@ -161,7 +144,6 @@ ReadResult join_chunks(std::vector<Chunk>& chunks, std::shared_ptr<TraceBuffer> 
     never_resumed = merger.take_pending();
     std::erase_if(result.records, is_half);
   }
-  if (error) std::rethrow_exception(error);
 
   result.warnings.reserve(warnings.size() + never_resumed.size());
   for (const LineWarning& w : warnings) {
@@ -273,8 +255,7 @@ struct StreamedParse::State {
   /// recorded via note_error so propagation stays deterministic.
   void run_chunk(FileState& fs, std::size_t c) {
     try {
-      fs.parsed[c] =
-          parse_chunk(fs.buffer->text(), fs.chunks[c].first, fs.chunks[c].second, opts.strict);
+      fs.parsed[c] = parse_chunk(fs.buffer->text(), fs.chunks[c].first, fs.chunks[c].second);
     } catch (...) {
       note_error(fs, c, std::current_exception());
     }
@@ -286,9 +267,9 @@ struct StreamedParse::State {
   void file_done(FileState& fs) {
     if (!fs.failed.load(std::memory_order_acquire)) {
       try {
-        // join_chunks rethrows strict-mode parse errors — recorded
-        // below so the lowest-input-index contract covers them too.
-        ReadResult result = join_chunks(fs.parsed, std::move(fs.buffer), opts);
+        // A failure here (the callback's, or an allocation in the
+        // join) is recorded below under the lowest-input-index rule.
+        ReadResult result = join_chunks(fs.parsed, std::move(fs.buffer));
         if (on_file) on_file(fs.index, std::move(result));
       } catch (...) {
         note_error(fs, kJoinStage, std::current_exception());

@@ -36,8 +36,7 @@ void append_result(std::string& out, const RawRecord& rec) {
 
 }  // namespace
 
-std::string format_record(const RawRecord& rec, const WriteOptions& opts) {
-  (void)opts;
+std::string format_record(const RawRecord& rec) {
   std::string out;
   out.reserve(128);
   append_header(out, rec);
@@ -78,16 +77,16 @@ std::string format_record(const RawRecord& rec, const WriteOptions& opts) {
   return out;
 }
 
-std::string format_trace(const std::vector<RawRecord>& records, const WriteOptions& opts) {
+std::string format_trace(const std::vector<RawRecord>& records) {
   std::string out;
   for (const auto& rec : records) {
-    out += format_record(rec, opts);
+    out += format_record(rec);
     out += '\n';
   }
   return out;
 }
 
-std::string format_trace_interleaved(std::vector<RawRecord> records, const WriteOptions& opts) {
+std::string format_trace_interleaved(std::vector<RawRecord> records) {
   std::stable_sort(records.begin(), records.end(),
                    [](const RawRecord& a, const RawRecord& b) { return a.timestamp < b.timestamp; });
 
@@ -120,7 +119,7 @@ std::string format_trace_interleaved(std::vector<RawRecord> records, const Write
   for (std::size_t i = 0; i < records.size(); ++i) {
     const RawRecord& r = records[i];
     if (r.kind != RecordKind::Complete || !must_split(i)) {
-      lines.push_back({r.timestamp, seq++, format_record(r, opts)});
+      lines.push_back({r.timestamp, seq++, format_record(r)});
       continue;
     }
     // Split: the first argument (the -y fd annotation) stays on the
@@ -140,8 +139,8 @@ std::string format_trace_interleaved(std::vector<RawRecord> records, const Write
     resumed.kind = RecordKind::Resumed;
     resumed.args = tail;
     resumed.timestamp = r.timestamp + r.duration.value_or(0);
-    lines.push_back({unfinished.timestamp, seq++, format_record(unfinished, opts)});
-    lines.push_back({resumed.timestamp, seq++, format_record(resumed, opts)});
+    lines.push_back({unfinished.timestamp, seq++, format_record(unfinished)});
+    lines.push_back({resumed.timestamp, seq++, format_record(resumed)});
   }
   std::sort(lines.begin(), lines.end(), [](const Line& a, const Line& b) {
     return a.at < b.at || (a.at == b.at && a.seq < b.seq);

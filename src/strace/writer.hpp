@@ -13,19 +13,12 @@
 
 namespace st::strace {
 
-struct WriteOptions {
-  /// Payload placeholder: strace abbreviates long buffers as "..."; we
-  /// write a short literal followed by "..." the same way.
-  bool abbreviate_payload = true;
-};
-
 /// Formats a Complete record as one strace line (no trailing newline).
 /// Unfinished/Resumed records format as their respective line shapes.
-[[nodiscard]] std::string format_record(const RawRecord& rec, const WriteOptions& opts = {});
+[[nodiscard]] std::string format_record(const RawRecord& rec);
 
 /// Convenience: renders a full trace text from a record sequence.
-[[nodiscard]] std::string format_trace(const std::vector<RawRecord>& records,
-                                       const WriteOptions& opts = {});
+[[nodiscard]] std::string format_trace(const std::vector<RawRecord>& records);
 
 /// Renders records from multiple pids the way `strace -f` does when
 /// calls overlap in time (Fig. 2c): a call during which another event
@@ -34,7 +27,6 @@ struct WriteOptions {
 /// return; return value and duration appear only on the resumed line.
 /// Non-overlapping records render as ordinary complete lines. The
 /// output parses back (through ResumeMerger) to the input records.
-[[nodiscard]] std::string format_trace_interleaved(std::vector<RawRecord> records,
-                                                   const WriteOptions& opts = {});
+[[nodiscard]] std::string format_trace_interleaved(std::vector<RawRecord> records);
 
 }  // namespace st::strace

@@ -33,8 +33,7 @@ void add_threads_flag(CliParser& cli, const std::string& what = "worker");
 void add_keep_going_flag(CliParser& cli, const std::string& quarantines);
 
 /// --keep-going as the shared RunPolicy (support/run_policy.hpp) —
-/// brace-init any of StreamOptions / ElogReadOptions / V2ReadOptions
-/// from the result.
+/// brace-init StreamOptions or ElogReadOptions from the result.
 [[nodiscard]] RunPolicy run_policy(const CliParser& cli);
 
 /// --map <name>: activity mapping by registry short name.

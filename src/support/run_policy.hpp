@@ -1,13 +1,12 @@
 // RunPolicy — the keep-going family of execution policy, in one place.
 //
-// Streaming ingest (pipeline::StreamOptions), path-level elog reads
-// (elog::ElogReadOptions) and mapped elog reads (elog::V2ReadOptions)
-// all offer the same decision: abort on the first data error, or quarantine
-// the bad unit (line / file / section) and keep going. Before ISSUE 9
-// each of the three option structs re-declared its own `keep_going`
-// bool; now they inherit this struct, so code that threads policy
-// through layers (the serve loop, the CLIs' --keep-going flag) sets it
-// once and brace-inits any of the three with `{policy}`.
+// Streaming ingest (pipeline::StreamOptions) and elog reads
+// (elog::ElogReadOptions, for paths and mapped containers alike) offer
+// the same decision: abort on the first data error, or quarantine the
+// bad unit (file / case section) and keep going. Both option structs
+// inherit this one, so code that threads policy through layers (the
+// serve loop, the CLIs' --keep-going flag) sets it once and brace-inits
+// either with `{policy}`.
 //
 // ShardOptions carries its policy inside its embedded StreamOptions
 // (`shard.stream.keep_going`) rather than inheriting a fourth copy —

@@ -84,9 +84,8 @@ TEST_F(CatalogTest, ContainersSharingACaseIdAreRejectedLikeAnyMerge) {
   const std::string a = write_file("a.elog", "");
   const std::string b = write_file("b.elog", "");
   elog::write_event_log_v2_file(a, log);
-  elog::write_event_log_v2_file(b, log.filter_cases([](const model::Case& c) {
-    return c.id().cid == "s2";
-  }));
+  elog::write_event_log_v2_file(
+      b, log.partition([](const model::Case& c) { return c.id().cid == "s2"; }).first);
   for (const bool keep_going : {false, true}) {
     try {
       (void)load_corpus({a, b}, pool, RunPolicy{keep_going});

@@ -84,21 +84,9 @@ TEST(EdgeStats, EdgeCountsMatchDfgCounts) {
   EXPECT_EQ(stats.find("x", "y")->count, 2u);
 }
 
-TEST(EdgeStats, SlowestEdge) {
-  model::EventLog log;
-  log.add_case(make_case("c", 1, {ev("a", "", 0, 10), ev("b", "", 20, 10),    // a->b gap 10
-                                  ev("c", "", 1030, 10)}));                   // b->c gap 1000
-  const auto stats = EdgeStatistics::compute(log, model::Mapping::call_only());
-  const auto* slowest = stats.slowest_edge();
-  ASSERT_NE(slowest, nullptr);
-  EXPECT_EQ(slowest->first, "b");
-  EXPECT_EQ(slowest->second, "c");
-}
-
-TEST(EdgeStats, EmptyLogHasNoEdgesAndNoSlowest) {
+TEST(EdgeStats, EmptyLogHasNoEdges) {
   const auto stats = EdgeStatistics::compute(model::EventLog{}, model::Mapping::call_only());
   EXPECT_TRUE(stats.per_edge().empty());
-  EXPECT_EQ(stats.slowest_edge(), nullptr);
 }
 
 TEST(EdgeStats, BarrierStallVisibleInIorShape) {
@@ -114,11 +102,13 @@ TEST(EdgeStats, BarrierStallVisibleInIorShape) {
                                    }));
   const auto f = model::Mapping::call_only();
   const auto stats = EdgeStatistics::compute(log, f);
-  const auto* slowest = stats.slowest_edge();
-  ASSERT_NE(slowest, nullptr);
-  EXPECT_EQ(slowest->first, "write");
-  EXPECT_EQ(slowest->second, "openat");
-  EXPECT_GT(stats.find("write", "openat")->mean_gap(), 49000.0);
+  const double stall = stats.find("write", "openat")->mean_gap();
+  EXPECT_GT(stall, 49000.0);
+  for (const auto& [edge, s] : stats.per_edge()) {
+    if (edge != EdgeStatistics::Edge{"write", "openat"}) {
+      EXPECT_LT(s.mean_gap(), stall);
+    }
+  }
 }
 
 }  // namespace

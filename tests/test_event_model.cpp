@@ -141,12 +141,6 @@ TEST(EventLog, FilterFpKeepsMatchingEventsAndEmptyCases) {
   EXPECT_EQ(filtered.total_events(), 2u);
 }
 
-TEST(EventLog, FilterCases) {
-  const auto only_b =
-      two_command_log().filter_cases([](const Case& c) { return c.id().cid == "b"; });
-  EXPECT_EQ(only_b.case_count(), 1u);
-}
-
 TEST(EventLog, PartitionSplitsGreenRed) {
   const auto [green, red] =
       two_command_log().partition([](const Case& c) { return c.id().cid == "a"; });

@@ -4,7 +4,6 @@
 
 #include <sstream>
 
-#include "dfg/builder.hpp"
 #include "testing_util.hpp"
 
 namespace st::dfg {
@@ -52,41 +51,6 @@ TEST(StatsCsv, ActivitiesWithoutBytesHaveEmptyField) {
   const std::string csv = stats_to_csv(stats);
   // openat,1,rel,dur,<empty bytes>,<empty rate>,...
   EXPECT_NE(csv.find("openat,1,1.000000,25,,,"), std::string::npos);
-}
-
-TEST(EdgesCsv, CountsAndMarkers) {
-  Dfg g;
-  g.add_trace({"a", "b"}, 3);
-  const std::string csv = edges_to_csv(g);
-  EXPECT_NE(csv.find("a,b,3"), std::string::npos);
-  EXPECT_NE(csv.find("●,a,3"), std::string::npos);
-  EXPECT_NE(csv.find("b,■,3"), std::string::npos);
-}
-
-TEST(EdgesCsv, ActivityNewlinesFlattened) {
-  Dfg g;
-  g.add_trace({"read\n/usr/lib"});
-  const std::string csv = edges_to_csv(g);
-  EXPECT_NE(csv.find("read /usr/lib"), std::string::npos);
-  EXPECT_EQ(csv.find("read\n/usr"), std::string::npos);
-}
-
-TEST(EdgeStatsCsv, GapColumns) {
-  model::EventLog log;
-  log.add_case(make_case("c", 1, {ev("a", "", 0, 10), ev("b", "", 30, 10)}));
-  const auto stats = EdgeStatistics::compute(log, model::Mapping::call_only());
-  const std::string csv = edge_stats_to_csv(stats);
-  EXPECT_NE(csv.find("from,to,count,mean_gap_us,max_gap_us,overlapped"), std::string::npos);
-  EXPECT_NE(csv.find("a,b,1,20.0,20,0"), std::string::npos);
-}
-
-TEST(Csv, RowCountsMatchGraph) {
-  const auto f = model::Mapping::call_top_dirs(2);
-  const auto log = sample();
-  const auto g = build_serial(log, f);
-  const std::string csv = edges_to_csv(g);
-  const auto lines = static_cast<std::size_t>(std::count(csv.begin(), csv.end(), '\n'));
-  EXPECT_EQ(lines, 1 + g.edges().size());  // header + one row per edge
 }
 
 }  // namespace

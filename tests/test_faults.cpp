@@ -1,14 +1,15 @@
-// ISSUE 8 acceptance: the site x kind fault matrix. Every injected
-// fault must end in exactly one of
+// The site x kind fault matrix. Every injected fault must end in
+// exactly one of
 //   - byte-identical recovered output (supervision retried or fell
 //     back, or a hang merely delayed the run),
-//   - a typed IoError/ParseError (the documented strict-mode contract),
+//   - a typed IoError/ParseError (the documented fail-fast contract),
 //   - a clean quarantine under keep_going (structured warning, the run
 //     completes over the surviving inputs),
 // and NEVER in a hang, a crash of the coordinating process, or a
 // half-merged sink. The subprocess half of the matrix (shard.child
 // sites, env-inherited injection, deadline kills) is gated on
-// ST_ELOG_TOOL like test_shard's spawned cases.
+// ST_ELOG_TOOL like test_shard's spawned cases; a child that fails on
+// every attempt is /bin/false.
 #include "support/faultpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -526,21 +527,16 @@ TEST_F(SpawnedFaults, KilledChildAtShard2Of4IsByteIdenticalAfterRecovery) {
 }
 
 TEST_F(SpawnedFaults, PersistentChildFailureFallsBackInProcess) {
-  const char* exe = elog_tool_exe();
-  if (exe == nullptr) GTEST_SKIP() << "ST_ELOG_TOOL unset or not built";
+  // A child that fails on every attempt: retries cannot heal, only the
+  // in-process fallback can, and it yields the in-process run's bytes.
   const auto paths = make_corpus();
-  const std::string reference = clean_html(paths, exe, 2);
-
-  // exit:0 fires on every hit and keep_faults_on_retry preserves the
-  // injection across respawns: retries cannot heal, only the
-  // in-process fallback can — and the parent's registry is disarmed,
-  // so the fallback folds clean.
-  const EnvFault env("shard.child=exit:0");
-  auto opts = spawned_options(exe, 2);
+  const auto f = model::mapping_by_name("top2");
+  auto opts = spawned_options("/bin/false", 2);
   opts.max_attempts = 2;
-  opts.keep_faults_on_retry = true;
   const auto analytics = pipeline::run_sharded(paths, opts);
-  EXPECT_EQ(report::render_sharded_report(analytics, model::mapping_by_name("top2")), reference);
+  opts.fold_shard_exe.clear();
+  EXPECT_EQ(report::render_sharded_report(analytics, f),
+            report::render_sharded_report(pipeline::run_sharded(paths, opts), f));
   EXPECT_EQ(analytics.shard_report.total_fallbacks(), 2u);
   for (const auto& s : analytics.shard_report.shards) {
     EXPECT_EQ(s.attempts, 2u);
@@ -549,22 +545,21 @@ TEST_F(SpawnedFaults, PersistentChildFailureFallsBackInProcess) {
   }
 }
 
-TEST_F(SpawnedFaults, ExhaustedShardWithoutFallbackIsALowestIndexIoError) {
-  const char* exe = elog_tool_exe();
-  if (exe == nullptr) GTEST_SKIP() << "ST_ELOG_TOOL unset or not built";
-  const auto paths = make_corpus();
-
-  const EnvFault env("shard.child=exit:0");
-  auto opts = spawned_options(exe, 2);
+TEST_F(SpawnedFaults, ExhaustedShardWhoseFallbackFailsIsALowestIndexIoError) {
+  // Both shards exhaust their attempts and both fallbacks fail on a
+  // missing trace: the run's IoError names the lower shard.
+  auto paths = make_corpus();
+  paths.insert(paths.begin(), (dir_ / "ghost_h_1.st").string());
+  paths.push_back((dir_ / "ghost_h_2.st").string());
+  auto opts = spawned_options("/bin/false", 2);
   opts.max_attempts = 2;
-  opts.keep_faults_on_retry = true;
-  opts.fallback_in_process = false;
   try {
     (void)pipeline::run_sharded(paths, opts);
     FAIL() << "expected IoError";
   } catch (const IoError& e) {
-    EXPECT_NE(std::string(e.what()).find("shard 0"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("2 attempt(s)"), std::string::npos);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("shard 0: in-process fallback failed"), std::string::npos) << what;
+    EXPECT_NE(what.find("ghost_h_1.st"), std::string::npos) << what;
   }
 }
 

@@ -154,28 +154,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- fold_cases error paths ------------------------------------------
 
-/// Throws while folding any case whose cid is poisoned; counts merges.
-class ThrowingSink final : public pipeline::CaseSink {
- public:
-  explicit ThrowingSink(std::set<std::string> poisoned) : poisoned_(std::move(poisoned)) {}
-
-  std::unique_ptr<pipeline::SinkPartial> make_partial() const override {
-    return std::make_unique<pipeline::SinkPartial>();
-  }
-  void fold(pipeline::SinkPartial&, const pipeline::CaseContext& ctx) const override {
-    if (poisoned_.contains(ctx.c.id().cid)) {
-      throw std::runtime_error("sink poisoned on " + ctx.c.id().cid);
-    }
-  }
-  void absorb(pipeline::SinkPartial&, std::unique_ptr<pipeline::SinkPartial>) const override {}
-  void merge(std::unique_ptr<pipeline::SinkPartial>) override { ++merges_; }
-
-  [[nodiscard]] int merges() const { return merges_; }
-
- private:
-  std::set<std::string> poisoned_;
-  int merges_ = 0;
-};
+using testing::ThrowingSink;
 
 /// 32 one-event cases c0..c31 — on a 4-worker pool, 16 chunks of two.
 model::EventLog numbered_log() {

@@ -42,16 +42,6 @@ TEST(ThreadPool, ManyTasksAllComplete) {
   EXPECT_EQ(counter.load(), 500);
 }
 
-TEST(ThreadPool, WaitIdleDrains) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    (void)pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
 TEST(ThreadPool, SizeReflectsWorkers) {
   ThreadPool pool(5);
   EXPECT_EQ(pool.size(), 5u);

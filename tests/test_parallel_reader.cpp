@@ -3,7 +3,7 @@
 //
 // The streamed reader (read_trace_buffers_streamed) promises output
 // byte-identical to read_trace_buffer: same records in the same order,
-// same warning strings, same strict-mode exception. The corpus
+// same warning strings. The corpus
 // generator below is adversarial on purpose — multi-PID interleaved
 // unfinished/resumed pairs (often spanning chunk boundaries),
 // overwritten unfinished records, resumed records with no match,
@@ -126,39 +126,20 @@ void expect_same_records(const ReadResult& seq, const ReadResult& par) {
 }
 
 /// One text through the streamed reader (tiny chunks on `workers`).
-ReadResult read_text_streamed(std::string_view text, const ReadOptions& opts = {},
-                              std::size_t workers = 3) {
+ReadResult read_text_streamed(std::string_view text, std::size_t workers = 3) {
   return std::move(
-      read_streamed({std::make_shared<TraceBuffer>(std::string(text))}, opts, workers).front());
-}
-
-/// The ParseError message `read` throws, or "" when it returns.
-template <class Read>
-std::string parse_error_of(Read read) {
-  try {
-    (void)read();
-  } catch (const ParseError& e) {
-    return e.what();
-  }
-  return {};
+      read_streamed({std::make_shared<TraceBuffer>(std::string(text))}, workers).front());
 }
 
 TEST(ParallelReader, EquivalentOnAdversarialCorpusAt1234Workers) {
-  ReadOptions strict;
-  strict.strict = true;
   for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 1234ULL}) {
     const std::string text = make_corpus(seed, 600);
-    const ReadOptions opts;  // strict=false
-    const auto seq = read_trace_text(text, opts);
-    const std::string seq_error = parse_error_of([&] { return read_trace_text(text, strict); });
-    ASSERT_FALSE(seq_error.empty());
+    const auto seq = read_trace_text(text);
+    ASSERT_FALSE(seq.warnings.empty()) << "seed " << seed;  // the corpus is adversarial
     for (const std::size_t workers : {1u, 2u, 3u, 4u}) {
-      const auto par = read_text_streamed(text, opts, workers);
+      const auto par = read_text_streamed(text, workers);
       expect_same_records(seq, par);
       EXPECT_EQ(seq.warnings, par.warnings) << "seed " << seed << ", workers " << workers;
-      EXPECT_EQ(seq_error,
-                parse_error_of([&] { return read_text_streamed(text, strict, workers); }))
-          << "seed " << seed << ", workers " << workers;
     }
   }
 }
@@ -191,7 +172,7 @@ TEST(ParallelReader, EquivalentOnCleanSingleChunkAndManyChunks) {
   const auto seq = read_trace_text(text);
   for (const std::size_t chunk_bytes : {std::size_t{1} << 20, std::size_t{128}}) {
     const auto par = std::move(
-        read_streamed({std::make_shared<TraceBuffer>(text)}, {}, 2, chunk_bytes).front());
+        read_streamed({std::make_shared<TraceBuffer>(text)}, 2, chunk_bytes).front());
     expect_same_records(seq, par);
     EXPECT_TRUE(par.warnings.empty());
   }
@@ -228,23 +209,6 @@ TEST(ParallelReader, CrossChunkResumePairsMerge) {
   // The interrupted pair merged and was dropped (Sec. III).
   EXPECT_TRUE(std::none_of(par.records.begin(), par.records.end(),
                            [](const RawRecord& r) { return r.pid == 3; }));
-}
-
-TEST(ParallelReader, StrictModeThrowsSameErrorAsSequential) {
-  std::string text;
-  Micros t = 36000000000;
-  for (int i = 0; i < 30; ++i) {
-    text += "7  " + ts(t += 10) + " read(3</p/f>, \"\"..., 512) = 512 <0.000040>\n";
-  }
-  text += "garbage line\n";  // first error, mid-corpus
-  for (int i = 0; i < 30; ++i) {
-    text += "8  " + ts(t += 10) + " <... read resumed> ) = 1 <0.000001>\n";  // later errors
-  }
-  ReadOptions opts;
-  opts.strict = true;
-  const std::string seq_what = parse_error_of([&] { return read_trace_text(text, opts); });
-  ASSERT_FALSE(seq_what.empty());
-  EXPECT_EQ(seq_what, parse_error_of([&] { return read_text_streamed(text, opts); }));
 }
 
 TEST(TraceBufferLifetime, RecordsOutliveTheSourceString) {

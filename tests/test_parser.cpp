@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "support/errors.hpp"
 
 namespace st::strace {
@@ -160,14 +162,16 @@ TEST(ParseLine, ResumedRecord) {
 
 TEST(Merger, Fig2cPairMergesIntoOneRecord) {
   ResumeMerger merger;
+  std::string problem;
   auto unfinished = parse_line(
       "77423  16:56:40.452431 read(3</usr/lib/x86_64-linux-gnu/libselinux.so.1>, "
       "<unfinished ...>");
   auto resumed =
       parse_line("77423  16:56:40.452660 <... read resumed> ..., 405) = 404 <0.000223>");
-  EXPECT_FALSE(merger.feed(std::move(*unfinished)));
-  const auto merged = merger.feed(std::move(*resumed));
+  EXPECT_FALSE(merger.feed(std::move(*unfinished), problem));
+  const auto merged = merger.feed(std::move(*resumed), problem);
   ASSERT_TRUE(merged);
+  EXPECT_TRUE(problem.empty());
   EXPECT_EQ(merged->kind, RecordKind::Complete);
   // Start from the unfinished part, result from the resumed part.
   EXPECT_EQ(merged->timestamp, *parse_time_of_day("16:56:40.452431"));
@@ -179,46 +183,58 @@ TEST(Merger, Fig2cPairMergesIntoOneRecord) {
 
 TEST(Merger, InterleavedPidsMatchCorrectly) {
   ResumeMerger merger;
-  (void)merger.feed(*parse_line("1  10:00:00.000001 read(3</a>, <unfinished ...>"));
-  (void)merger.feed(*parse_line("2  10:00:00.000002 write(4</b>, <unfinished ...>"));
-  const auto m2 = merger.feed(*parse_line("2  10:00:00.000005 <... write resumed> , 7) = 7 <0.000003>"));
+  std::string problem;
+  (void)merger.feed(*parse_line("1  10:00:00.000001 read(3</a>, <unfinished ...>"), problem);
+  (void)merger.feed(*parse_line("2  10:00:00.000002 write(4</b>, <unfinished ...>"), problem);
+  const auto m2 = merger.feed(
+      *parse_line("2  10:00:00.000005 <... write resumed> , 7) = 7 <0.000003>"), problem);
   ASSERT_TRUE(m2);
   EXPECT_EQ(m2->call, "write");
   EXPECT_EQ(m2->path, "/b");
-  const auto m1 = merger.feed(*parse_line("1  10:00:00.000009 <... read resumed> , 5) = 5 <0.000008>"));
+  const auto m1 = merger.feed(
+      *parse_line("1  10:00:00.000009 <... read resumed> , 5) = 5 <0.000008>"), problem);
   ASSERT_TRUE(m1);
   EXPECT_EQ(m1->call, "read");
   EXPECT_EQ(m1->path, "/a");
 }
 
-TEST(Merger, ResumedWithoutUnfinishedThrows) {
+TEST(Merger, ResumedWithoutUnfinishedIsAProblem) {
   ResumeMerger merger;
-  EXPECT_THROW((void)merger.feed(*parse_line(
-                   "9  10:00:00.000000 <... read resumed> , 5) = 5 <0.000001>")),
-               ParseError);
+  std::string problem;
+  EXPECT_FALSE(merger.feed(
+      *parse_line("9  10:00:00.000000 <... read resumed> , 5) = 5 <0.000001>"), problem));
+  EXPECT_EQ(problem,
+            "parse error: resumed record for pid 9 without matching unfinished record");
 }
 
-TEST(Merger, CallNameMismatchThrows) {
+TEST(Merger, CallNameMismatchIsAProblem) {
   ResumeMerger merger;
-  (void)merger.feed(*parse_line("5  10:00:00.000000 read(3</a>, <unfinished ...>"));
-  EXPECT_THROW(
-      (void)merger.feed(*parse_line("5  10:00:00.000001 <... write resumed> , 5) = 5 <0.000001>")),
-      ParseError);
+  std::string problem;
+  (void)merger.feed(*parse_line("5  10:00:00.000000 read(3</a>, <unfinished ...>"), problem);
+  EXPECT_FALSE(merger.feed(
+      *parse_line("5  10:00:00.000001 <... write resumed> , 5) = 5 <0.000001>"), problem));
+  EXPECT_EQ(problem,
+            "parse error: resumed call 'write' does not match unfinished 'read' for pid 5");
+  // The mismatched half is dropped: nothing is left pending.
+  EXPECT_TRUE(merger.take_pending().empty());
 }
 
 TEST(Merger, TakePendingReturnsDanglingCalls) {
   ResumeMerger merger;
-  (void)merger.feed(*parse_line("5  10:00:00.000000 read(3</a>, <unfinished ...>"));
-  EXPECT_EQ(merger.pending_count(), 1u);
+  std::string problem;
+  (void)merger.feed(*parse_line("5  10:00:00.000000 read(3</a>, <unfinished ...>"), problem);
   const auto pending = merger.take_pending();
   ASSERT_EQ(pending.size(), 1u);
   EXPECT_EQ(pending.front().call, "read");
-  EXPECT_EQ(merger.pending_count(), 0u);
+  EXPECT_TRUE(merger.take_pending().empty());
 }
 
 TEST(Merger, CompleteRecordsPassThrough) {
   ResumeMerger merger;
-  const auto rec = merger.feed(*parse_line("5  10:00:00.000000 close(3</a>) = 0 <0.000004>"));
+  std::string problem = "stale";
+  const auto rec =
+      merger.feed(*parse_line("5  10:00:00.000000 close(3</a>) = 0 <0.000004>"), problem);
+  EXPECT_TRUE(problem.empty());  // a clean feed clears the last verdict
   ASSERT_TRUE(rec);
   EXPECT_EQ(rec->call, "close");
 }

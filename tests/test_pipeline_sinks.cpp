@@ -13,7 +13,7 @@
 //     match their own oracle,
 //   - a sink whose fold throws mid-stream follows the
 //     lowest-input-index-wins error contract — against other sink
-//     failures AND against strict-mode parse errors — never merges a
+//     failures AND against failed parses — never merges a
 //     partial into any sink, never leaks a queued continuation
 //     (ASan-verified, extending the PR 4 pool-destruction regressions),
 //     and leaves the pool usable.
@@ -38,6 +38,7 @@
 #include "parallel/thread_pool.hpp"
 #include "strace/filename.hpp"
 #include "support/errors.hpp"
+#include "support/faultpoint.hpp"
 #include "testing_corpus.hpp"
 #include "testing_util.hpp"
 
@@ -46,6 +47,7 @@ namespace {
 
 using testing::expect_same_log;
 using testing::make_clean_trace;
+using testing::ThrowingSink;
 
 class PipelineSinks : public testing::CorpusTest {
  protected:
@@ -169,37 +171,6 @@ TEST_F(PipelineSinks, EmptyInputs) {
 
 // ---- error paths -------------------------------------------------------
 
-/// Throws while folding the case whose cid matches; counts merges so
-/// tests can assert that failing runs never merge anything. A
-/// `data_error` sink throws an IoError, which keep_going quarantines;
-/// otherwise a std::runtime_error, which fails any run.
-class ThrowingSink final : public pipeline::CaseSink {
- public:
-  explicit ThrowingSink(std::string poison_cid, bool data_error = false)
-      : poison_cid_(std::move(poison_cid)), data_error_(data_error) {}
-
-  std::unique_ptr<pipeline::SinkPartial> make_partial() const override {
-    return std::make_unique<pipeline::SinkPartial>();
-  }
-
-  void fold(pipeline::SinkPartial&, const pipeline::CaseContext& ctx) const override {
-    if (ctx.c.id().cid == poison_cid_) {
-      if (data_error_) throw IoError("sink poisoned on " + poison_cid_);
-      throw std::runtime_error("sink poisoned on " + poison_cid_);
-    }
-  }
-
-  void absorb(pipeline::SinkPartial&, std::unique_ptr<pipeline::SinkPartial>) const override {}
-  void merge(std::unique_ptr<pipeline::SinkPartial>) override { ++merges_; }
-
-  [[nodiscard]] int merges() const { return merges_; }
-
- private:
-  std::string poison_cid_;
-  bool data_error_;
-  int merges_ = 0;
-};
-
 TEST_F(PipelineSinks, ThrowingFoldIsDeterministicAndMergesNothing) {
   std::vector<std::string> paths;
   paths.push_back(write_file("a_nodeA_1.st", make_clean_trace(500, 40)));
@@ -215,8 +186,8 @@ TEST_F(PipelineSinks, ThrowingFoldIsDeterministicAndMergesNothing) {
     // Two sinks poisoned on different files: the error of the LOWER
     // input index ("b", index 1) must win every round, regardless of
     // scheduling — same contract as competing parse errors.
-    ThrowingSink early("b");
-    ThrowingSink late("d");
+    ThrowingSink early({"b"});
+    ThrowingSink late({"d"});
     pipeline::DfgSink graph_sink(f);
     try {
       (void)pipeline::run(paths, pool, {&graph_sink, &late, &early}, opts);
@@ -234,7 +205,7 @@ TEST_F(PipelineSinks, ThrowingFoldIsDeterministicAndMergesNothing) {
     // Only the LAST input poisoned: the merge cursor has absorbed every
     // file before it when it reaches the failure, and still no sink
     // sees a merge.
-    ThrowingSink last("d");
+    ThrowingSink last({"d"});
     pipeline::DfgSink last_graph(f);
     pipeline::IoStatsSink last_io(f);
     try {
@@ -253,44 +224,54 @@ TEST_F(PipelineSinks, ThrowingFoldIsDeterministicAndMergesNothing) {
 }
 
 TEST_F(PipelineSinks, SinkErrorCompetesWithParseErrorByInputIndex) {
+#ifdef ST_NO_FAULT_POINTS
+  GTEST_SKIP() << "fault points are compiled out: no parse can fail";
+#else
+  // The parse that fails is file 1's: one worker parses each file as
+  // one chunk in input order, so the second reader.chunk hit is it.
   std::vector<std::string> paths;
   paths.push_back(write_file("a_nodeA_1.st", make_clean_trace(400, 40)));
-  paths.push_back(write_file("bad_nodeA_2.st", "8  10:00:00.000000 garbage line\n"));
+  paths.push_back(write_file("bad_nodeA_2.st", make_clean_trace(100, 45)));
   paths.push_back(write_file("c_nodeA_3.st", make_clean_trace(300, 50)));
+  fault::Spec second;
+  second.nth = 2;
 
-  ThreadPool pool(4);
-  pipeline::StreamOptions opts;
-  opts.strict = true;
-  opts.min_chunk_bytes = 256;
-  for (int round = 0; round < 10; ++round) {
-    {
-      // Sink poisoned on index 0, parse error at index 1: sink wins.
-      ThrowingSink sink("a");
-      try {
-        (void)pipeline::run(paths, pool, {&sink}, opts);
-        FAIL() << "expected an error, round " << round;
-      } catch (const std::runtime_error& e) {
-        // A ParseError here would mean the later parse error outranked
-        // the earlier sink error — its message would not match.
-        EXPECT_NE(std::string(e.what()).find("poisoned on a"), std::string::npos)
-            << "round " << round << ": " << e.what();
-      }
+  ThreadPool pool(1);
+  {
+    // Sink poisoned on index 0, parse error at index 1: sink wins.
+    ThrowingSink sink({"a"});
+    const fault::ScopedFault parse_fails("reader.chunk", second);
+    try {
+      (void)pipeline::run(paths, pool, {&sink});
+      FAIL() << "expected an error";
+    } catch (const std::runtime_error& e) {
+      // An IoError here would mean the later parse error outranked the
+      // earlier sink error — its message would not match.
+      EXPECT_NE(std::string(e.what()).find("poisoned on a"), std::string::npos) << e.what();
     }
-    {
-      // Sink poisoned on index 2, parse error at index 1: parse wins.
-      ThrowingSink sink("c");
-      EXPECT_THROW((void)pipeline::run(paths, pool, {&sink}, opts), ParseError)
-          << "round " << round;
-    }
+    // One hit per file, so the second — file 1's — did fire.
+    EXPECT_EQ(fault::hits("reader.chunk"), paths.size());
   }
+  {
+    // Sink poisoned on index 2, parse error at index 1: parse wins.
+    ThrowingSink sink({"c"});
+    const fault::ScopedFault parse_fails("reader.chunk", second);
+    EXPECT_THROW((void)pipeline::run(paths, pool, {&sink}), fault::FaultInjected);
+    EXPECT_EQ(sink.merges(), 0);
+  }
+#endif
 }
 
 TEST_F(PipelineSinks, UnopenableFileOutranksAnEarlierParseErrorWhenFailingFast) {
+#ifdef ST_NO_FAULT_POINTS
+  GTEST_SKIP() << "fault points are compiled out: no parse can fail";
+#else
   // Files open on the calling thread while earlier files parse; an
-  // open error still fails the run whatever failed before it.
+  // open error still fails the run whatever failed before it — here
+  // the first chunk parse of the run, in one of the files before it.
   std::vector<std::string> paths;
   paths.push_back(write_file("a_nodeA_1.st", make_clean_trace(300, 40)));
-  paths.push_back(write_file("bad_nodeA_2.st", "8  10:00:00.000000 garbage line\n"));
+  paths.push_back(write_file("bad_nodeA_2.st", make_clean_trace(100, 45)));
   paths.push_back(write_file("c_nodeA_3.st", make_clean_trace(300, 50)));
   paths.push_back((dir_ / "ghost_nodeA_4.st").string());
   paths.push_back(write_file("e_nodeA_5.st", make_clean_trace(300, 60)));
@@ -298,21 +279,25 @@ TEST_F(PipelineSinks, UnopenableFileOutranksAnEarlierParseErrorWhenFailingFast) 
   const auto f = model::Mapping::call_only();
   ThreadPool pool(4);
   pipeline::StreamOptions opts;
-  opts.strict = true;
   opts.min_chunk_bytes = 256;
   for (int round = 0; round < 10; ++round) {
-    ThrowingSink sink("zzz");
+    ThrowingSink sink({"zzz"});
     pipeline::DfgSink graph_sink(f);
+    const fault::ScopedFault parse_fails("reader.chunk", fault::Spec{});
     try {
       (void)pipeline::run(paths, pool, {&graph_sink, &sink}, opts);
       FAIL() << "expected an error, round " << round;
+    } catch (const fault::FaultInjected& e) {
+      FAIL() << "the earlier parse error won, round " << round << ": " << e.what();
     } catch (const IoError& e) {
       EXPECT_NE(std::string(e.what()).find("ghost_nodeA_4.st"), std::string::npos)
           << "round " << round << ": " << e.what();
     }
+    EXPECT_GE(fault::hits("reader.chunk"), 1u) << round;  // a parse failed
     EXPECT_EQ(sink.merges(), 0) << round;
     EXPECT_TRUE(graph_sink.graph().empty()) << round;
   }
+#endif
 }
 
 TEST_F(PipelineSinks, KeepGoingCursorMatchesTheStagedOracleAt124Workers) {
@@ -361,7 +346,7 @@ TEST_F(PipelineSinks, KeepGoingCursorMatchesTheStagedOracleAt124Workers) {
     pipeline::StreamOptions opts;
     opts.keep_going = true;
     opts.min_chunk_bytes = 64;
-    ThrowingSink quarantine(poisoned, /*data_error=*/true);
+    ThrowingSink quarantine({poisoned}, /*data_error=*/true);
     pipeline::DfgSink graph(f);
     pipeline::CaseStatsSink cases;
     pipeline::VariantsSink variants(f);
@@ -408,7 +393,7 @@ TEST_F(PipelineSinks, PoolDestructionAfterThrowingRunLeaksNoContinuation) {
     ThreadPool pool(4);
     pipeline::StreamOptions opts;
     opts.min_chunk_bytes = 256;
-    ThrowingSink sink("b");
+    ThrowingSink sink({"b"});
     pipeline::DfgSink graph_sink(f);
     EXPECT_THROW((void)pipeline::run(paths, pool, {&graph_sink, &sink}, opts),
                  std::runtime_error)

@@ -13,8 +13,8 @@
 //   - a directory named like a trace is a typed IoError, skipped with a
 //     warning under keep_going,
 //   - error propagation is deterministic (lowest input index wins) and
-//     a malformed file mid-batch shuts the pipeline down cleanly with
-//     no task left touching destroyed state (ASan-verified).
+//     a file failing mid-batch shuts the pipeline down cleanly with no
+//     task left touching destroyed state (ASan-verified).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +24,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,7 @@
 #include "support/errors.hpp"
 #include "support/faultpoint.hpp"
 #include "testing_corpus.hpp"
+#include "testing_util.hpp"
 
 namespace st {
 namespace {
@@ -44,6 +46,7 @@ using testing::expect_same_log;
 using testing::make_clean_trace;
 using testing::make_trace;
 using testing::staged_log;
+using testing::ThrowingSink;
 
 class PipelineStream : public testing::CorpusTest {
  protected:
@@ -337,11 +340,12 @@ TEST_F(PipelineStream, DirectoryNamedLikeATraceIsAnIoErrorOrSkipped) {
 }
 
 TEST_F(PipelineStream, MalformedFileMidBatchShutsDownCleanly) {
-  // Regression for pipeline shutdown ordering: a strict-mode parse
-  // error in the MIDDLE of the batch throws while later files are
-  // still parsing and other files are still converting. Every task must
-  // be awaited before the rethrow — under ASan this test fails loudly
-  // if any continuation touches a destroyed arena or stack slot.
+  // Regression for pipeline shutdown ordering: the file in the MIDDLE
+  // of the batch fails on the pool thread that finished its parse,
+  // while later files are still parsing and other files are still
+  // converting. Every task must be awaited before the rethrow — under
+  // ASan this test fails loudly if any continuation touches a
+  // destroyed arena or stack slot.
   std::vector<std::string> paths;
   paths.push_back(write_file("a_nodeA_1.st", make_clean_trace(600, 40)));
   paths.push_back(write_file("b_nodeA_2.st", make_clean_trace(400, 50)));
@@ -353,48 +357,59 @@ TEST_F(PipelineStream, MalformedFileMidBatchShutsDownCleanly) {
 
   ThreadPool pool(4);
   pipeline::StreamOptions opts;
-  opts.strict = true;
   opts.min_chunk_bytes = 256;
   const auto f = model::Mapping::call_only();
+  // The last file fails too, and must not outrank the middle one.
+  const auto error_of = [&](std::initializer_list<pipeline::CaseSink*> sinks) -> std::string {
+    try {
+      (void)pipeline::run(paths, pool, sinks, opts);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
   for (int round = 0; round < 10; ++round) {
-    EXPECT_THROW((void)pipeline::run(paths, pool, {}, opts), ParseError) << "round " << round;
+    ThrowingSink poisoned({"bad", "d"});
+    EXPECT_EQ(error_of({&poisoned}), "sink poisoned on bad") << "round " << round;
     pipeline::DfgSink sink(f);
-    EXPECT_THROW((void)pipeline::run(paths, pool, {&sink}, opts), ParseError)
-        << "round " << round;
+    EXPECT_EQ(error_of({&sink, &poisoned}), "sink poisoned on bad") << "round " << round;
+    EXPECT_TRUE(sink.graph().empty()) << "round " << round;
+    EXPECT_EQ(poisoned.merges(), 0) << "round " << round;
   }
   // The pool survives the failed runs and is still usable.
   EXPECT_EQ(pool.submit([] { return 42; }).get(), 42);
-  // Non-strict, the same batch builds fine and the defect is a warning.
-  pipeline::StreamOptions lenient;
-  lenient.min_chunk_bytes = 256;
-  const auto log = pipeline::run(paths, pool, {}, lenient);
+  // Without the poisoned sink the same batch builds fine, and the
+  // malformed line is a warning.
+  const auto log = pipeline::run(paths, pool, {}, opts);
   EXPECT_EQ(log.case_count(), paths.size());
   ASSERT_FALSE(log.warnings().empty());
   EXPECT_NE(log.warnings().front().find("bad_nodeA_3.st"), std::string::npos);
 }
 
 TEST_F(PipelineStream, LowestInputIndexErrorWinsDeterministically) {
-  // Two malformed files; the error must always name the earlier one,
-  // no matter how the pool schedules the work.
+  // Two failing files — the small one last, so it tends to settle
+  // first; the error must always name the earlier one, no matter how
+  // the pool schedules the work.
   std::vector<std::string> paths;
   paths.push_back(write_file("ok_nodeA_1.st", make_clean_trace(400, 30)));
-  paths.push_back(write_file("bad1_nodeA_2.st", "8  10:00:00.000000 garbage one\n"));
+  paths.push_back(write_file("bad1_nodeA_2.st", make_clean_trace(300, 50)));
   paths.push_back(write_file("ok_nodeA_3.st", make_clean_trace(200, 40)));
-  paths.push_back(write_file("bad2_nodeA_4.st", "9  10:00:00.000000 garbage two\n"));
+  paths.push_back(write_file("bad2_nodeA_4.st", make_clean_trace(2, 60)));
 
   ThreadPool pool(4);
   pipeline::StreamOptions opts;
-  opts.strict = true;
   opts.min_chunk_bytes = 256;
   for (int round = 0; round < 15; ++round) {
+    ThrowingSink poisoned({"bad1", "bad2"});
     try {
-      (void)pipeline::run(paths, pool, {}, opts);
-      FAIL() << "expected ParseError, round " << round;
-    } catch (const ParseError& e) {
-      // The strict error for bad1 (input index 1) must win over bad2's.
-      EXPECT_NE(std::string(e.what()).find("garbage one"), std::string::npos)
+      (void)pipeline::run(paths, pool, {&poisoned}, opts);
+      FAIL() << "expected an error, round " << round;
+    } catch (const std::runtime_error& e) {
+      // bad1's error (input index 1) must win over bad2's.
+      EXPECT_NE(std::string(e.what()).find("poisoned on bad1"), std::string::npos)
           << "round " << round << ": " << e.what();
     }
+    EXPECT_EQ(poisoned.merges(), 0) << "round " << round;
   }
 }
 

@@ -5,9 +5,9 @@
 //     previous file byte-identical and no temporary behind; a new file
 //     gets mode 0666 & ~umask; a non-regular destination is written in
 //     place;
-//   - elog_tool: a failed import, convert, filter and fold-shard each
-//     leave the previous output byte-identical (gated on ST_ELOG_TOOL,
-//     which ctest exports).
+//   - elog_tool: a failed import, convert, filter, merge and fold-shard
+//     each leave the previous output byte-identical (gated on
+//     ST_ELOG_TOOL, which ctest exports).
 #include "support/publish.hpp"
 
 #include <gtest/gtest.h>
@@ -150,11 +150,12 @@ class PublishCli : public Publish {
   }
 
   /// Runs elog_tool with `args`, ST_FAULTS set to `faults` for the
-  /// child only; returns its exit status.
-  int tool(const std::string& args, const std::string& faults = "") const {
+  /// child only and stderr to `err`; returns its exit status.
+  int tool(const std::string& args, const std::string& faults = "",
+           const std::string& err = "/dev/null") const {
     std::string cmd;
     if (!faults.empty()) cmd += "ST_FAULTS='" + faults + "' ";
-    cmd += "'" + exe_ + "' " + args + " >/dev/null 2>&1";
+    cmd += "'" + exe_ + "' " + args + " >/dev/null 2>'" + err + "'";
     const int status = std::system(cmd.c_str());
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   }
@@ -207,6 +208,28 @@ TEST_F(PublishCli, FailedConvertAndFilterLeaveThePreviousOutput) {
   EXPECT_EQ(listing(), before);
   // Control: the same verbs succeed without the fault.
   EXPECT_EQ(tool("convert '" + out + "' '" + source + "'"), 0);
+  EXPECT_NE(slurp(out), "previous output");
+}
+
+TEST_F(PublishCli, FailedMergeLeavesThePreviousOutput) {
+  // Two containers that share a case id: the merge is rejected after
+  // both inputs load, before anything is written.
+  const auto paths = make_corpus();
+  const std::string a = (dir_ / "a.elog").string();
+  const std::string b = (dir_ / "b.elog").string();
+  const std::string c = (dir_ / "c.elog").string();
+  ASSERT_EQ(tool("import '" + a + "'" + quoted({paths[0], paths[1]})), 0);
+  ASSERT_EQ(tool("import '" + b + "'" + quoted({paths[1], paths[2]})), 0);
+  ASSERT_EQ(tool("import '" + c + "'" + quoted({paths[3], paths[4]})), 0);
+  const std::string out = write_file("merged.elog", "previous output");
+  const std::string err = write_file("merge.err", "");
+  const auto before = listing();
+  EXPECT_EQ(tool("merge '" + out + "' '" + a + "' '" + b + "'", "", err), 1);
+  EXPECT_NE(slurp(err).find("duplicate case"), std::string::npos) << slurp(err);
+  EXPECT_EQ(slurp(out), "previous output");
+  EXPECT_EQ(listing(), before);
+  // Control: disjoint inputs merge.
+  EXPECT_EQ(tool("merge '" + out + "' '" + a + "' '" + c + "'"), 0);
   EXPECT_NE(slurp(out), "previous output");
 }
 

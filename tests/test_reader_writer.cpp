@@ -73,12 +73,6 @@ TEST(Reader, MalformedLineBecomesWarning) {
   EXPECT_NE(result.warnings[0].find("line 1"), std::string::npos);
 }
 
-TEST(Reader, StrictModeThrows) {
-  ReadOptions opts;
-  opts.strict = true;
-  EXPECT_THROW((void)read_trace_text("garbage\n", opts), ParseError);
-}
-
 TEST(Reader, DanglingUnfinishedBecomesWarning) {
   const auto result = read_trace_text("1  10:00:00.000001 read(3</a>, <unfinished ...>\n");
   EXPECT_TRUE(result.records.empty());

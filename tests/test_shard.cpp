@@ -197,14 +197,5 @@ TEST_F(Shard, MissingFoldShardExecutableRecoversViaInProcessFallback) {
   EXPECT_FALSE(analytics.shard_report.to_lines().empty());
 }
 
-TEST_F(Shard, MissingFoldShardExecutableIsIoErrorWithoutTheFallback) {
-  const auto paths = make_corpus();
-  auto opts = base_options(2);
-  opts.fold_shard_exe = "/nonexistent/st_fold_shard_binary";
-  opts.max_attempts = 1;
-  opts.fallback_in_process = false;
-  EXPECT_THROW((void)pipeline::run_sharded(paths, opts), IoError);
-}
-
 }  // namespace
 }  // namespace st

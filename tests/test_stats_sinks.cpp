@@ -5,9 +5,6 @@
 //   - every double is summed once, in finalize(), through the
 //     fixed-shape pairwise tree (deterministic_pairwise_sum),
 //   - EdgeStatistics partials are all-integer.
-// Plus the satellite regression: EdgeStatistics::slowest_edge breaks
-// mean-gap ties toward the lexicographically smallest edge on every
-// path.
 #include "pipeline/sink.hpp"
 
 #include <gtest/gtest.h>
@@ -172,37 +169,6 @@ TEST(EdgeStatsPartial, MergeGroupingCannotChangeMaps) {
   serial.add_case(c1, f);
   EXPECT_EQ(merged, serial);
   EXPECT_EQ(merged.finalize().per_edge(), serial.finalize().per_edge());
-}
-
-// ---- slowest_edge tie-break regression (ISSUE 7 satellite) -------------
-
-TEST(EdgeStats, SlowestEdgeTieBreaksLexicographically) {
-  // Two edges with the SAME mean gap (10): (a,b) and (a,c). The pinned
-  // contract picks the lexicographically smallest — (a,b) — on every
-  // path, so sharded and in-process reports render identical labels.
-  const auto f = model::Mapping::call_only();
-  model::EventLog log;
-  log.add_case(make_case("r1", 1, {ev("a", "", 0, 10), ev("b", "", 20, 5)}));
-  log.add_case(make_case("r2", 2, {ev("a", "", 0, 10), ev("c", "", 20, 5)}));
-  // A third, faster edge that must never win.
-  log.add_case(make_case("r3", 3, {ev("b", "", 0, 10), ev("c", "", 11, 5)}));
-
-  const auto stats = dfg::EdgeStatistics::compute(log, f);
-  ASSERT_EQ(stats.find("a", "b")->mean_gap(), stats.find("a", "c")->mean_gap());
-  const auto* slowest = stats.slowest_edge();
-  ASSERT_NE(slowest, nullptr);
-  EXPECT_EQ(slowest->first, "a");
-  EXPECT_EQ(slowest->second, "b");
-
-  // Reversed case order cannot flip the winner (the map is ordered,
-  // selection uses strict >).
-  model::EventLog reversed;
-  reversed.add_case(make_case("r2", 2, {ev("a", "", 0, 10), ev("c", "", 20, 5)}));
-  reversed.add_case(make_case("r1", 1, {ev("a", "", 0, 10), ev("b", "", 20, 5)}));
-  const auto rstats = dfg::EdgeStatistics::compute(reversed, f);
-  const auto* rslowest = rstats.slowest_edge();
-  ASSERT_NE(rslowest, nullptr);
-  EXPECT_EQ(*rslowest, *slowest);
 }
 
 }  // namespace

@@ -296,10 +296,11 @@ TEST_F(V2SelectCatalog, ConcurrentFilteredStampedeAgrees) {
   const auto expect = q.apply(*catalog.base());
   std::vector<std::shared_ptr<const model::EventLog>> results(8);
   ThreadPool clients(4);
+  std::vector<std::future<void>> done;
   for (auto& slot : results) {
-    clients.submit([&catalog, &q, &slot] { slot = catalog.filtered(q); });
+    done.push_back(clients.submit([&catalog, &q, &slot] { slot = catalog.filtered(q); }));
   }
-  clients.wait_idle();
+  for (auto& d : done) d.get();
   for (const auto& r : results) {
     ASSERT_NE(r, nullptr);
     expect_logs_identical(expect, *r, "stampede");

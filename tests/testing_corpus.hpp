@@ -68,9 +68,9 @@ inline std::string make_trace(std::size_t lines, bool with_noise, std::uint64_t 
   return text;
 }
 
-/// A strict-clean trace: one pid, every unfinished/resumed pair
-/// matches, no noise — parses without a single warning, so strict-mode
-/// tests can inject failures precisely where they want them.
+/// A clean trace: one pid, every unfinished/resumed pair matches, no
+/// noise — parses without a single warning, so tests can inject
+/// failures precisely where they want them.
 inline std::string make_clean_trace(std::size_t lines, std::uint64_t pid) {
   std::string text;
   Micros t = 36000000000;  // 10:00:00
@@ -107,11 +107,10 @@ inline model::EventLog staged_log(const std::vector<std::string>& paths) {
 /// Results come back in input order; the first failure is rethrown
 /// like StreamedParse::wait().
 inline std::vector<strace::ReadResult> read_streamed(
-    std::vector<std::shared_ptr<strace::TraceBuffer>> buffers, const strace::ReadOptions& base = {},
-    std::size_t workers = 3, std::size_t min_chunk_bytes = 256) {
+    std::vector<std::shared_ptr<strace::TraceBuffer>> buffers, std::size_t workers = 3,
+    std::size_t min_chunk_bytes = 256) {
   ThreadPool pool(workers);
   strace::ParallelReadOptions opts;
-  static_cast<strace::ReadOptions&>(opts) = base;
   opts.pool = &pool;
   opts.min_chunk_bytes = min_chunk_bytes;
   std::vector<strace::ReadResult> results(buffers.size());

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "model/mapping.hpp"
 #include "pipeline/sink.hpp"
 #include "strace/arena.hpp"
+#include "support/errors.hpp"
 
 namespace st::testing {
 
@@ -112,5 +115,34 @@ inline dfg::Dfg dfg_via_sink(const model::EventLog& log, const model::Mapping& f
   }
   return sink.take_graph();
 }
+
+/// Throws while folding any case whose cid is poisoned, and counts
+/// merges so tests can assert that failing runs never merge anything.
+/// A `data_error` sink throws an IoError, which keep_going
+/// quarantines; otherwise a std::runtime_error, which fails any run.
+class ThrowingSink final : public pipeline::CaseSink {
+ public:
+  explicit ThrowingSink(std::set<std::string> poisoned, bool data_error = false)
+      : poisoned_(std::move(poisoned)), data_error_(data_error) {}
+
+  std::unique_ptr<pipeline::SinkPartial> make_partial() const override {
+    return std::make_unique<pipeline::SinkPartial>();
+  }
+  void fold(pipeline::SinkPartial&, const pipeline::CaseContext& ctx) const override {
+    if (!poisoned_.contains(ctx.c.id().cid)) return;
+    const std::string what = "sink poisoned on " + ctx.c.id().cid;
+    if (data_error_) throw IoError(what);
+    throw std::runtime_error(what);
+  }
+  void absorb(pipeline::SinkPartial&, std::unique_ptr<pipeline::SinkPartial>) const override {}
+  void merge(std::unique_ptr<pipeline::SinkPartial>) override { ++merges_; }
+
+  [[nodiscard]] int merges() const { return merges_; }
+
+ private:
+  std::set<std::string> poisoned_;
+  bool data_error_;
+  int merges_ = 0;
+};
 
 }  // namespace st::testing
