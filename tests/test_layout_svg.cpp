@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "../bench/testdata.hpp"
 #include "dfg/builder.hpp"
 #include "dfg/layout.hpp"
@@ -245,6 +247,49 @@ TEST(Layout, EdgeBoxIndicesPointAtTheirEndpoints) {
   }
   // The orphan on a path is laid out like any node.
   EXPECT_NE(find_box(layout_dfg(orphan_endpoint_graph(), nullptr), "ghost"), nullptr);
+}
+
+/// Activities whose labels need escaping (& < > ") and span two lines
+/// under top2. The case revisits them, so the graph has self loops and
+/// back edges, and the statistics add Load/DR lines.
+model::EventLog escape_log() {
+  using testing::ev;
+  model::EventLog log;
+  log.add_case(testing::make_case(
+      "esc", 1,
+      {ev("openat", "/p<&>/a\"b\"/x", 0, 5), ev("read", "/q&/<r>/f", 10, 20, 512),
+       ev("read", "/q&/<r>/f", 40, 20, 512), ev("write", "/p<&>/a\"b\"/x", 70, 30, 4096),
+       ev("read", "/q&/<r>/f", 110, 5, 100), ev("openat", "/p<&>/a\"b\"/x", 120, 3),
+       ev("close", "/p<&>/a\"b\"/x", 130, 1)}));
+  log.add_case(testing::make_case(
+      "esc", 2,
+      {ev("openat", "/p<&>/a\"b\"/x", 0, 4), ev("write", "/p<&>/a\"b\"/x", 10, 50, 8192),
+       ev("write", "/p<&>/a\"b\"/x", 70, 40, 8192), ev("close", "/p<&>/a\"b\"/x", 120, 2)}));
+  return log;
+}
+
+TEST(SvgGolden, PartitionColoring) {
+  const auto ls = iosim::make_ls_traces().to_event_log();
+  const auto ls_l = iosim::make_ls_l_traces().to_event_log();
+  const auto f = model::Mapping::call_top_dirs(2);
+  const auto g = dfg::build_serial(model::EventLog::merge(ls, ls_l), f);
+  const PartitionColoring styler(dfg::build_serial(ls, f), dfg::build_serial(ls_l, f));
+  EXPECT_EQ(svg_digest(g, nullptr, &styler), 0x97ebc085u);
+}
+
+TEST(SvgGolden, EscapedMultiLineLabelsWithLoops) {
+  const auto log = escape_log();
+  const auto f = model::Mapping::call_top_dirs(2);
+  const auto g = dfg::build_serial(log, f);
+  const auto stats = IoStatistics::compute(log, f);
+  const StatisticsColoring styler(stats);
+  const auto layout = layout_dfg(g, &stats);
+  EXPECT_TRUE(std::any_of(layout.edges.begin(), layout.edges.end(),
+                          [](const EdgeGeom& e) { return e.self_loop; }));
+  EXPECT_TRUE(std::any_of(layout.edges.begin(), layout.edges.end(),
+                          [](const EdgeGeom& e) { return e.back_edge; }));
+  EXPECT_EQ(svg_digest(g, &stats, &styler), 0xb9429e91u);
+  EXPECT_EQ(svg_digest(g), 0x06795188u);
 }
 
 TEST(SvgGolden, SyntheticLogLast1WithStatistics) {

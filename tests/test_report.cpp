@@ -11,8 +11,10 @@
 #include "model/from_strace.hpp"
 #include "paper_oracles.hpp"
 #include "parallel/thread_pool.hpp"
+#include "support/crc32.hpp"
 #include "support/errors.hpp"
 #include "support/timeparse.hpp"
+#include "testing_util.hpp"
 
 namespace st::report {
 namespace {
@@ -187,6 +189,69 @@ TEST_F(StreamingReportTest, WorkerCountDoesNotChangeTheHtml) {
   const auto a = streaming_report(paths_, f, pool1);
   const auto b = streaming_report(paths_, f, pool4);
   EXPECT_EQ(a.html, b.html);
+}
+
+// -- golden bytes ------------------------------------------------------
+//
+// CRC-32 digests of render_report with every section filled: the
+// statistics, cases, edges, variants, data-health and timeline tables,
+// the partition legend, and names that need escaping.
+
+ReportData every_section(const model::EventLog& log, const model::Mapping& f,
+                         const ReportOptions& opts) {
+  ReportData data = report_data(log, f, opts);
+  data.variants = model::ActivityLog::build(log, f).variants();
+  pipeline::DataHealth health;
+  health.files_requested = 9;
+  health.files_ingested = 7;
+  health.files_skipped = 2;
+  health.cases_quarantined = 1;
+  health.warnings_by_class = {{"malformed <line> & \"co\"", 3}, {"unfinished", 12}};
+  data.health = health;
+  return data;
+}
+
+model::EventLog escaped_ls_log() {
+  using testing::ev;
+  model::EventLog log = ls_log();
+  log.add_case(testing::make_case(
+      "esc", 1,
+      {ev("openat", "/usr/<a&b>/x", 0, 5), ev("read", "/usr/\"q\">/f", 10, 20, 512),
+       ev("read", "/usr/\"q\">/f", 40, 20, 512), ev("write", "/usr/<a&b>/x", 70, 30, 4096),
+       ev("read", "/usr/\"q\">/f", 110, 5, 100), ev("close", "/usr/<a&b>/x", 130, 1)}));
+  return log;
+}
+
+ReportOptions golden_options() {
+  ReportOptions opts;
+  opts.title = "ls <vs> ls -l & \"friends\"";
+  opts.description = "a & b < c";
+  opts.timeline_activity = "read\n/usr/lib";
+  opts.partition_legend = "green = ls, red = ls -l & <esc>";
+  return opts;
+}
+
+TEST(ReportGolden, EverySectionPartitionColored) {
+  const auto log = escaped_ls_log();
+  const auto f = model::Mapping::call_top_dirs(2);
+  const auto [green, red] =
+      log.partition([](const model::Case& c) { return c.id().cid == "a"; });
+  const dfg::PartitionColoring styler(dfg::build_serial(green, f), dfg::build_serial(red, f));
+  const ReportOptions opts = golden_options();
+  const std::string html = render_report(every_section(log, f, opts), f, &styler, opts);
+  EXPECT_EQ(Crc32::of(html.data(), html.size()), 0x9107586bu);
+}
+
+TEST(ReportGolden, EverySectionStatisticsColored) {
+  const auto log = escaped_ls_log();
+  const auto f = model::Mapping::call_top_dirs(2);
+  const ReportOptions opts = golden_options();
+  const ReportData data = every_section(log, f, opts);
+  const dfg::StatisticsColoring styler(data.stats);
+  const std::string html = render_report(data, f, &styler, opts);
+  EXPECT_EQ(Crc32::of(html.data(), html.size()), 0x8a988cffu);
+  const std::string plain = render_report(data, f, nullptr, opts);
+  EXPECT_EQ(Crc32::of(plain.data(), plain.size()), 0x774fd9f3u);
 }
 
 TEST(Report, FullCampaignReportBuilds) {
