@@ -5,6 +5,7 @@
 #include "dfg/builder.hpp"
 #include "dfg/render.hpp"
 #include "dfg/render_svg.hpp"
+#include "report/report.hpp"
 #include "testdata.hpp"
 
 namespace {
@@ -91,6 +92,47 @@ void BM_LayoutWide(benchmark::State& state) {
   state.counters["edges"] = static_cast<double>(g.edges().size());
 }
 BENCHMARK(BM_LayoutWide)->Unit(benchmark::kMillisecond);
+
+/// A report-sized graph: 955 activities and 3,148 edges under
+/// last1, about the 1,082 nodes and 1,767 edges of an imported 96-rank
+/// corpus (perfbench's wide_report), colored by its statistics.
+struct WideReport {
+  model::Mapping f = model::Mapping::call_last_components(1);
+  report::ReportData data = report::report_data(bench::synthetic_log(42, 96, 32, 250), f);
+  dfg::StatisticsColoring styler{data.stats};
+};
+
+void wide_counters(benchmark::State& state, const WideReport& w, std::size_t bytes) {
+  state.counters["activities"] = static_cast<double>(w.data.graph.nodes().size());
+  state.counters["edges"] = static_cast<double>(w.data.graph.edges().size());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * bytes));
+}
+
+/// Layout plus the SVG text.
+void BM_RenderSvgWide(benchmark::State& state) {
+  const WideReport w;
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string svg = dfg::render_svg(w.data.graph, &w.data.stats, &w.styler);
+    bytes = svg.size();
+    benchmark::DoNotOptimize(svg.data());
+  }
+  wide_counters(state, w, bytes);
+}
+BENCHMARK(BM_RenderSvgWide)->Unit(benchmark::kMillisecond);
+
+/// The whole page: the SVG plus the statistics, cases and edges tables.
+void BM_RenderReportWide(benchmark::State& state) {
+  const WideReport w;
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string html = report::render_report(w.data, w.f, &w.styler);
+    bytes = html.size();
+    benchmark::DoNotOptimize(html.data());
+  }
+  wide_counters(state, w, bytes);
+}
+BENCHMARK(BM_RenderReportWide)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,8 +1,7 @@
 #include "dfg/coloring.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cstdio>
+#include <initializer_list>
 
 #include "support/si.hpp"
 
@@ -16,7 +15,15 @@ StatisticsColoring::StatisticsColoring(const IoStatistics& stats)
 }
 
 NodeStyle StatisticsColoring::node_style(const Activity& a) const {
-  const ActivityStat* stat = stats_.find(a);
+  return style_of(stats_.find(a));
+}
+
+NodeStyle StatisticsColoring::node_style_given(const Activity& a, const IoStatistics* stats,
+                                               const ActivityStat* stat) const {
+  return stats == &stats_ ? style_of(stat) : node_style(a);
+}
+
+NodeStyle StatisticsColoring::style_of(const ActivityStat* stat) const {
   if (stat == nullptr || max_rel_dur_ <= 0.0) return {};
   // Interpolate white (weight 0) -> steel blue (weight 1) in RGB.
   const double w = std::clamp(stat->rel_dur / max_rel_dur_, 0.0, 1.0);
@@ -24,15 +31,15 @@ NodeStyle StatisticsColoring::node_style(const Activity& a) const {
     return static_cast<int>(static_cast<double>(light) +
                             w * static_cast<double>(dark - light));
   };
-  const int r = channel(0xFF, 0x1F);
-  const int g = channel(0xFF, 0x77);
-  const int b = channel(0xFF, 0xB4);
-  std::array<char, 16> hex{};
-  std::snprintf(hex.data(), hex.size(), "#%02X%02X%02X", r, g, b);
   NodeStyle style;
-  style.fill = hex.data();
+  style.fill = "#";
+  for (const int c : {channel(0xFF, 0x1F), channel(0xFF, 0x77), channel(0xFF, 0xB4)}) {
+    style.fill += "0123456789ABCDEF"[c >> 4];
+    style.fill += "0123456789ABCDEF"[c & 0xF];
+  }
   style.fontcolor = w > 0.6 ? "white" : "black";
-  style.tag = "load=" + format_ratio(stat->rel_dur);
+  style.tag = "load=";
+  append_fixed(style.tag, stat->rel_dur, 2);
   return style;
 }
 

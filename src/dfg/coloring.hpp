@@ -29,6 +29,16 @@ class Styler {
  public:
   virtual ~Styler() = default;
   [[nodiscard]] virtual NodeStyle node_style(const Activity& a) const = 0;
+  /// node_style(a) for a renderer that has already looked `a` up in
+  /// `stats` (`stat` is its entry there, or null): a styler that colors
+  /// by those same statistics takes `stat` instead of a second lookup.
+  /// The style is the same either way.
+  [[nodiscard]] virtual NodeStyle node_style_given(const Activity& a, const IoStatistics* stats,
+                                                   const ActivityStat* stat) const {
+    (void)stats;
+    (void)stat;
+    return node_style(a);
+  }
   /// DOT color for an edge; "" = default black.
   [[nodiscard]] virtual std::string edge_color(const Activity& from, const Activity& to) const = 0;
 };
@@ -41,9 +51,13 @@ class StatisticsColoring final : public Styler {
   explicit StatisticsColoring(const IoStatistics& stats);
 
   [[nodiscard]] NodeStyle node_style(const Activity& a) const override;
+  [[nodiscard]] NodeStyle node_style_given(const Activity& a, const IoStatistics* stats,
+                                           const ActivityStat* stat) const override;
   [[nodiscard]] std::string edge_color(const Activity& from, const Activity& to) const override;
 
  private:
+  [[nodiscard]] NodeStyle style_of(const ActivityStat* stat) const;
+
   const IoStatistics& stats_;
   double max_rel_dur_;
 };

@@ -1,7 +1,6 @@
 #include "dfg/layout.hpp"
 
 #include <algorithm>
-#include <map>
 #include <string_view>
 #include <utility>
 
@@ -25,26 +24,38 @@ struct IdGraph {
 };
 
 IdGraph intern(const Dfg& g) {
-  std::map<std::string_view, std::size_t> ids;
-  for (const auto& [node, count] : g.nodes()) ids.try_emplace(ids.end(), node);
-  for (const auto& [edge, count] : g.edges()) {
-    if (edge.first == edge.second) continue;
-    ids.try_emplace(edge.first);
-    ids.try_emplace(edge.second);
-  }
   IdGraph ig;
-  ig.names.reserve(ids.size());
-  for (auto& [name, id] : ids) {
-    id = ig.names.size();
-    ig.names.push_back(name);
-  }
+  ig.names.reserve(g.nodes().size());
+  for (const auto& [node, count] : g.nodes()) ig.names.emplace_back(node);
   const auto id_of = [&](std::string_view a) {
-    const auto it = ids.find(a);
-    return it == ids.end() ? kNone : it->second;
+    const auto it = std::lower_bound(ig.names.begin(), ig.names.end(), a);
+    return it != ig.names.end() && *it == a ? static_cast<std::size_t>(it - ig.names.begin())
+                                            : kNone;
+  };
+  const auto edge_ids = [&] {
+    ig.edges.clear();
+    for (const auto& [edge, count] : g.edges()) {
+      ig.edges.emplace_back(id_of(edge.first), id_of(edge.second));
+    }
   };
   ig.edges.reserve(g.edges().size());
+  edge_ids();
+  // Endpoints of non-self edges that nodes() lacks join the ids in
+  // Activity order, which renumbers the ids after them.
+  std::vector<std::string_view> orphans;
+  auto ids = ig.edges.begin();
   for (const auto& [edge, count] : g.edges()) {
-    ig.edges.emplace_back(id_of(edge.first), id_of(edge.second));
+    const auto [from, to] = *ids++;
+    if ((from != kNone && to != kNone) || edge.first == edge.second) continue;
+    if (from == kNone) orphans.emplace_back(edge.first);
+    if (to == kNone) orphans.emplace_back(edge.second);
+  }
+  if (!orphans.empty()) {
+    std::sort(orphans.begin(), orphans.end());
+    orphans.erase(std::unique(orphans.begin(), orphans.end()), orphans.end());
+    const auto old_end = ig.names.insert(ig.names.end(), orphans.begin(), orphans.end());
+    std::inplace_merge(ig.names.begin(), old_end, ig.names.end());
+    edge_ids();
   }
   ig.end = id_of(Dfg::end_node());
   return ig;
@@ -77,15 +88,12 @@ std::vector<std::size_t> assign_layers(const IdGraph& ig, std::size_t rounds) {
   return layer;
 }
 
-std::vector<std::string> label_lines_for(const Activity& a, const IoStatistics* stats,
-                                         bool show_stats) {
+std::vector<std::string> label_lines_for(const Activity& a, const ActivityStat* stat) {
   std::vector<std::string> lines;
   for (const auto part : split(a, '\n')) lines.emplace_back(part);
-  if (show_stats && stats != nullptr) {
-    if (const ActivityStat* s = stats->find(a)) {
-      lines.push_back(s->load_label());
-      if (const std::string dr = s->dr_label(); !dr.empty()) lines.push_back(dr);
-    }
+  if (stat != nullptr) {
+    lines.push_back(stat->load_label());
+    if (std::string dr = stat->dr_label(); !dr.empty()) lines.push_back(std::move(dr));
   }
   return lines;
 }
@@ -155,7 +163,8 @@ Layout layout_dfg(const Dfg& g, const IoStatistics* stats, const LayoutOptions& 
       box_of[v] = boxes++;
       NodeBox box;
       box.activity = Activity(ig.names[v]);
-      box.label_lines = label_lines_for(box.activity, stats, opts.show_stats);
+      if (stats != nullptr) box.stat = stats->find(box.activity);
+      box.label_lines = label_lines_for(box.activity, opts.show_stats ? box.stat : nullptr);
       std::size_t longest = 1;
       for (const auto& line : box.label_lines) longest = std::max(longest, line.size());
       box.width = static_cast<double>(longest) * opts.char_width + 2 * opts.node_padding;

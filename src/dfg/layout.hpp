@@ -32,6 +32,10 @@ namespace st::dfg {
 
 struct NodeBox {
   Activity activity;
+  /// The activity's entry in the statistics the layout was given; null
+  /// without statistics or without an entry. The Load/DR label lines
+  /// come from it, and a renderer hands it to Styler::node_style_given.
+  const ActivityStat* stat = nullptr;
   std::vector<std::string> label_lines;
   double x = 0;  ///< left edge
   double y = 0;  ///< top edge

@@ -1,57 +1,55 @@
 #include "dfg/render_svg.hpp"
 
-#include <cmath>
+#include <algorithm>
+#include <string_view>
 
 #include "support/si.hpp"
+#include "support/strings.hpp"
 
 namespace st::dfg {
 
 namespace {
 
-std::string xml_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c;
-    }
-  }
-  return out;
+/// Text appended with & < > " escaped.
+struct Escaped {
+  std::string_view text;
+};
+
+void put_one(std::string& svg, std::string_view s) { svg += s; }
+/// Coordinates and sizes carry one decimal.
+void put_one(std::string& svg, double v) { append_fixed(svg, v, 1); }
+void put_one(std::string& svg, std::uint64_t n) { append_int(svg, n); }
+void put_one(std::string& svg, Escaped e) { append_markup_escaped(svg, e.text, true); }
+
+/// Appends the parts in order.
+template <typename... Parts>
+void put(std::string& svg, const Parts&... parts) {
+  (put_one(svg, parts), ...);
 }
 
-std::string num(double v) { return format_fixed(v, 1); }
-
-void draw_node(std::string& svg, const NodeBox& box, const Styler* styler,
-               const LayoutOptions& layout) {
-  std::string fill = "#FFFFFF";
-  std::string fontcolor = "black";
-  if (styler != nullptr) {
-    const NodeStyle style = styler->node_style(box.activity);
-    if (!style.fill.empty()) fill = style.fill;
-    if (!style.fontcolor.empty()) fontcolor = style.fontcolor;
-  }
-  const bool marker = box.activity == Dfg::start_node() || box.activity == Dfg::end_node();
-  if (marker) {
-    if (box.activity == Dfg::start_node()) {
-      svg += "<circle cx=\"" + num(box.cx()) + "\" cy=\"" + num(box.cy()) + "\" r=\"9\" fill=\"black\"/>\n";
-    } else {
-      svg += "<rect x=\"" + num(box.cx() - 8) + "\" y=\"" + num(box.cy() - 8) +
-             "\" width=\"16\" height=\"16\" fill=\"black\"/>\n";
-    }
+void draw_node(std::string& svg, const NodeBox& box, const IoStatistics* stats,
+               const Styler* styler, const LayoutOptions& layout) {
+  if (box.activity == Dfg::start_node()) {
+    put(svg, "<circle cx=\"", box.cx(), "\" cy=\"", box.cy(), "\" r=\"9\" fill=\"black\"/>\n");
     return;
   }
-  svg += "<rect x=\"" + num(box.x) + "\" y=\"" + num(box.y) + "\" width=\"" + num(box.width) +
-         "\" height=\"" + num(box.height) + "\" rx=\"6\" fill=\"" + fill +
-         "\" stroke=\"#333333\"/>\n";
+  if (box.activity == Dfg::end_node()) {
+    put(svg, "<rect x=\"", box.cx() - 8, "\" y=\"", box.cy() - 8,
+        "\" width=\"16\" height=\"16\" fill=\"black\"/>\n");
+    return;
+  }
+  const NodeStyle style =
+      styler != nullptr ? styler->node_style_given(box.activity, stats, box.stat) : NodeStyle{};
+  const std::string_view fill = style.fill.empty() ? "#FFFFFF" : std::string_view(style.fill);
+  const std::string_view fontcolor =
+      style.fontcolor.empty() ? "black" : std::string_view(style.fontcolor);
+  put(svg, "<rect x=\"", box.x, "\" y=\"", box.y, "\" width=\"", box.width, "\" height=\"",
+      box.height, "\" rx=\"6\" fill=\"", fill, "\" stroke=\"#333333\"/>\n");
   double ty = box.y + layout.node_padding + layout.line_height * 0.75;
   for (const auto& line : box.label_lines) {
-    svg += "<text x=\"" + num(box.cx()) + "\" y=\"" + num(ty) +
-           "\" text-anchor=\"middle\" font-family=\"monospace\" font-size=\"11\" fill=\"" +
-           fontcolor + "\">" + xml_escape(line) + "</text>\n";
+    put(svg, "<text x=\"", box.cx(), "\" y=\"", ty,
+        "\" text-anchor=\"middle\" font-family=\"monospace\" font-size=\"11\" fill=\"", fontcolor,
+        "\">", Escaped{line}, "</text>\n");
     ty += layout.line_height;
   }
 }
@@ -61,22 +59,19 @@ void draw_edge(std::string& svg, const Layout& layout, const EdgeGeom& edge,
   if (edge.from_box == EdgeGeom::npos || edge.to_box == EdgeGeom::npos) return;
   const NodeBox* from = &layout.nodes[edge.from_box];
   const NodeBox* to = &layout.nodes[edge.to_box];
-  std::string color = "#555555";
-  if (styler != nullptr) {
-    if (const std::string c = styler->edge_color(edge.from, edge.to); !c.empty()) color = c;
-  }
-  const std::string label = std::to_string(edge.count);
+  const std::string styled = styler != nullptr ? styler->edge_color(edge.from, edge.to) : "";
+  const std::string_view color = styled.empty() ? "#555555" : std::string_view(styled);
 
   if (edge.self_loop) {
     // Side arc on the right edge of the box.
     const double x = from->x + from->width;
     const double y = from->cy();
-    svg += "<path d=\"M " + num(x) + " " + num(y - 8) + " C " + num(x + 26) + " " + num(y - 14) +
-           ", " + num(x + 26) + " " + num(y + 14) + ", " + num(x) + " " + num(y + 8) +
-           "\" fill=\"none\" stroke=\"" + color + "\" marker-end=\"url(#arrow)\"/>\n";
-    svg += "<text x=\"" + num(x + 30) + "\" y=\"" + num(y + 4) +
-           "\" font-family=\"monospace\" font-size=\"10\" fill=\"" + color + "\">" + label +
-           "</text>\n";
+    put(svg, "<path d=\"M ", x, " ", y - 8, " C ", x + 26, " ", y - 14, ", ", x + 26, " ",
+        y + 14, ", ", x, " ", y + 8, "\" fill=\"none\" stroke=\"", color,
+        "\" marker-end=\"url(#arrow)\"/>\n");
+    put(svg, "<text x=\"", x + 30, "\" y=\"", y + 4,
+        "\" font-family=\"monospace\" font-size=\"10\" fill=\"", color, "\">", edge.count,
+        "</text>\n");
     return;
   }
 
@@ -87,42 +82,45 @@ void draw_edge(std::string& svg, const Layout& layout, const EdgeGeom& edge,
   if (edge.back_edge) {
     // Route around the left side.
     const double detour = std::min(from->x, to->x) - 24;
-    svg += "<path d=\"M " + num(from->x) + " " + num(from->cy()) + " C " + num(detour) + " " +
-           num(from->cy()) + ", " + num(detour) + " " + num(to->cy()) + ", " + num(to->x) + " " +
-           num(to->cy()) + "\" fill=\"none\" stroke=\"" + color +
-           "\" stroke-dasharray=\"4 2\" marker-end=\"url(#arrow)\"/>\n";
-    svg += "<text x=\"" + num(detour + 4) + "\" y=\"" + num((from->cy() + to->cy()) / 2) +
-           "\" font-family=\"monospace\" font-size=\"10\" fill=\"" + color + "\">" + label +
-           "</text>\n";
+    put(svg, "<path d=\"M ", from->x, " ", from->cy(), " C ", detour, " ", from->cy(), ", ",
+        detour, " ", to->cy(), ", ", to->x, " ", to->cy(), "\" fill=\"none\" stroke=\"", color,
+        "\" stroke-dasharray=\"4 2\" marker-end=\"url(#arrow)\"/>\n");
+    put(svg, "<text x=\"", detour + 4, "\" y=\"", (from->cy() + to->cy()) / 2,
+        "\" font-family=\"monospace\" font-size=\"10\" fill=\"", color, "\">", edge.count,
+        "</text>\n");
     return;
   }
   const double midy = (y1 + y2) / 2;
-  svg += "<path d=\"M " + num(x1) + " " + num(y1) + " C " + num(x1) + " " + num(midy) + ", " +
-         num(x2) + " " + num(midy) + ", " + num(x2) + " " + num(y2) +
-         "\" fill=\"none\" stroke=\"" + color + "\" marker-end=\"url(#arrow)\"/>\n";
-  svg += "<text x=\"" + num((x1 + x2) / 2 + 4) + "\" y=\"" + num(midy) +
-         "\" font-family=\"monospace\" font-size=\"10\" fill=\"" + color + "\">" + label +
-         "</text>\n";
+  put(svg, "<path d=\"M ", x1, " ", y1, " C ", x1, " ", midy, ", ", x2, " ", midy, ", ", x2, " ",
+      y2, "\" fill=\"none\" stroke=\"", color, "\" marker-end=\"url(#arrow)\"/>\n");
+  put(svg, "<text x=\"", (x1 + x2) / 2 + 4, "\" y=\"", midy,
+      "\" font-family=\"monospace\" font-size=\"10\" fill=\"", color, "\">", edge.count,
+      "</text>\n");
 }
 
 }  // namespace
 
-std::string render_svg(const Dfg& g, const IoStatistics* stats, const Styler* styler,
-                       const SvgOptions& opts) {
+void append_svg(std::string& out, const Dfg& g, const IoStatistics* stats, const Styler* styler,
+                const SvgOptions& opts) {
   const Layout layout = layout_dfg(g, stats, opts.layout);
-  std::string svg = "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" + num(layout.width) +
-                    "\" height=\"" + num(layout.height) + "\" viewBox=\"0 0 " +
-                    num(layout.width) + " " + num(layout.height) + "\">\n";
-  svg += "<title>" + xml_escape(opts.title) + "</title>\n";
-  svg +=
+  put(out, "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"", layout.width, "\" height=\"",
+      layout.height, "\" viewBox=\"0 0 ", layout.width, " ", layout.height, "\">\n");
+  put(out, "<title>", Escaped{opts.title}, "</title>\n");
+  out +=
       "<defs><marker id=\"arrow\" viewBox=\"0 0 10 10\" refX=\"9\" refY=\"5\" "
       "markerWidth=\"7\" markerHeight=\"7\" orient=\"auto-start-reverse\">"
       "<path d=\"M 0 0 L 10 5 L 0 10 z\" fill=\"#555555\"/></marker></defs>\n";
-  svg += "<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n";
+  out += "<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n";
   // Edges below nodes.
-  for (const auto& edge : layout.edges) draw_edge(svg, layout, edge, styler);
-  for (const auto& box : layout.nodes) draw_node(svg, box, styler, opts.layout);
-  svg += "</svg>\n";
+  for (const auto& edge : layout.edges) draw_edge(out, layout, edge, styler);
+  for (const auto& box : layout.nodes) draw_node(out, box, stats, styler, opts.layout);
+  out += "</svg>\n";
+}
+
+std::string render_svg(const Dfg& g, const IoStatistics* stats, const Styler* styler,
+                       const SvgOptions& opts) {
+  std::string svg;
+  append_svg(svg, g, stats, styler, opts);
   return svg;
 }
 

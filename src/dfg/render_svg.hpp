@@ -5,6 +5,12 @@
 // lines, ● and ■ markers, arrowed edges with frequency labels, self
 // loops as side arcs, and node fills/edge colors taken from a Styler
 // (statistics shading or green/red partition).
+//
+// append_svg is the one writer: it lays the graph out and appends each
+// element straight onto the caller's string — coordinates by
+// append_fixed (support/si.hpp), text escaped in place — with no string
+// per element or per number. The report writes its page through it;
+// render_svg is it into a fresh string.
 #pragma once
 
 #include <string>
@@ -19,7 +25,12 @@ struct SvgOptions {
   std::string title = "DFG";
 };
 
-/// Renders the graph to SVG markup. `stats` and `styler` may be null.
+/// Appends the graph's SVG markup to `out`. `stats` and `styler` may be
+/// null.
+void append_svg(std::string& out, const Dfg& g, const IoStatistics* stats, const Styler* styler,
+                const SvgOptions& opts = {});
+
+/// The graph's SVG markup: append_svg into a new string.
 [[nodiscard]] std::string render_svg(const Dfg& g, const IoStatistics* stats,
                                      const Styler* styler, const SvgOptions& opts = {});
 

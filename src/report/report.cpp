@@ -2,46 +2,74 @@
 
 #include <algorithm>
 #include <array>
+#include <concepts>
+#include <cstdint>
+#include <string_view>
 
 #include "dfg/render.hpp"
 #include "dfg/render_svg.hpp"
 #include "support/publish.hpp"
 #include "support/si.hpp"
+#include "support/strings.hpp"
 
 namespace st::report {
 
 namespace {
 
-std::string html_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
+/// Text appended with & < > escaped.
+struct Html {
+  std::string_view text;
+};
 
-std::string flat(const model::Activity& a) {
-  std::string out = a;
-  std::replace(out.begin(), out.end(), '\n', ' ');
-  return out;
+/// An activity appended on one line (each '\n' as a space), escaped.
+struct Flat {
+  std::string_view activity;
+};
+
+struct Fixed {
+  double value;
+  int decimals;
+};
+
+/// A byte total as format_bytes prints it.
+struct Bytes {
+  std::int64_t bytes;
+};
+
+/// A data rate as format_rate_mbps prints it.
+struct Rate {
+  double bytes_per_second;
+};
+
+void put_one(std::string& html, std::string_view s) { html += s; }
+template <std::integral T>
+void put_one(std::string& html, T n) {
+  append_int(html, n);
+}
+void put_one(std::string& html, Html h) { append_markup_escaped(html, h.text, false); }
+void put_one(std::string& html, Flat f) {
+  const std::size_t at = html.size();
+  append_markup_escaped(html, f.activity, false);
+  std::replace(html.begin() + static_cast<std::ptrdiff_t>(at), html.end(), '\n', ' ');
+}
+void put_one(std::string& html, Fixed f) { append_fixed(html, f.value, f.decimals); }
+void put_one(std::string& html, Bytes b) { append_bytes(html, static_cast<double>(b.bytes)); }
+void put_one(std::string& html, Rate r) { append_rate_mbps(html, r.bytes_per_second); }
+
+/// Appends the parts in order.
+template <typename... Parts>
+void put(std::string& html, const Parts&... parts) {
+  (put_one(html, parts), ...);
 }
 
 void cases_table(std::string& html, const std::vector<model::CaseSummary>& summaries) {
   html += "<h2>Cases</h2>\n<table>\n<tr><th>case</th><th>events</th><th>read</th>"
           "<th>written</th><th>I/O time</th><th>span</th></tr>\n";
   for (const auto& s : summaries) {
-    html += "<tr><td>" + html_escape(s.id.to_string()) + "</td><td>" +
-            std::to_string(s.events) + "</td><td>" +
-            format_bytes(static_cast<double>(s.bytes_read)) + "</td><td>" +
-            format_bytes(static_cast<double>(s.bytes_written)) + "</td><td>" +
-            std::to_string(s.total_dur) + " &micro;s</td><td>" + std::to_string(s.span()) +
-            " &micro;s</td></tr>\n";
+    // The case column is CaseId::to_string, escaped.
+    put(html, "<tr><td>", Html{s.id.cid}, "_", Html{s.id.host}, "_", s.id.rid, "</td><td>",
+        s.events, "</td><td>", Bytes{s.bytes_read}, "</td><td>", Bytes{s.bytes_written},
+        "</td><td>", s.total_dur, " &micro;s</td><td>", s.span(), " &micro;s</td></tr>\n");
   }
   html += "</table>\n";
 }
@@ -51,13 +79,20 @@ void stats_table(std::string& html, const dfg::IoStatistics& stats) {
           "<tr><th>activity</th><th>events</th><th>Load</th><th>bytes</th>"
           "<th>DR</th><th>max-conc</th><th>ranks</th></tr>\n";
   for (const auto& [activity, s] : stats.per_activity()) {
-    html += "<tr><td>" + html_escape(flat(activity)) + "</td><td>" +
-            std::to_string(s.event_count) + "</td><td>" + format_ratio(s.rel_dur) + "</td><td>" +
-            (s.has_bytes ? format_bytes(static_cast<double>(s.bytes)) : std::string("&ndash;")) +
-            "</td><td>" +
-            (s.rate_samples > 0 ? format_rate_mbps(s.mean_rate) : std::string("&ndash;")) +
-            "</td><td>" + std::to_string(s.max_concurrency) + "</td><td>" +
-            std::to_string(s.rank_count) + "</td></tr>\n";
+    put(html, "<tr><td>", Flat{activity}, "</td><td>", s.event_count, "</td><td>",
+        Fixed{s.rel_dur, 2}, "</td><td>");
+    if (s.has_bytes) {
+      put(html, Bytes{s.bytes});
+    } else {
+      html += "&ndash;";
+    }
+    html += "</td><td>";
+    if (s.rate_samples > 0) {
+      put(html, Rate{s.mean_rate});
+    } else {
+      html += "&ndash;";
+    }
+    put(html, "</td><td>", s.max_concurrency, "</td><td>", s.rank_count, "</td></tr>\n");
   }
   html += "</table>\n";
 }
@@ -67,11 +102,9 @@ void edges_table(std::string& html, const dfg::EdgeStatistics& stats) {
           "<tr><th>from</th><th>to</th><th>count</th><th>mean gap</th><th>max gap</th>"
           "<th>overlapped</th></tr>\n";
   for (const auto& [edge, s] : stats.per_edge()) {
-    html += "<tr><td>" + html_escape(flat(edge.first)) + "</td><td>" +
-            html_escape(flat(edge.second)) + "</td><td>" + std::to_string(s.count) +
-            "</td><td>" + format_fixed(s.mean_gap(), 1) + " &micro;s</td><td>" +
-            std::to_string(s.max_gap) + " &micro;s</td><td>" + std::to_string(s.overlapped) +
-            "</td></tr>\n";
+    put(html, "<tr><td>", Flat{edge.first}, "</td><td>", Flat{edge.second}, "</td><td>", s.count,
+        "</td><td>", Fixed{s.mean_gap(), 1}, " &micro;s</td><td>", s.max_gap,
+        " &micro;s</td><td>", s.overlapped, "</td></tr>\n");
   }
   html += "</table>\n";
 }
@@ -80,30 +113,30 @@ void variants_table(std::string& html, const model::VariantCounts& variants) {
   html += "<h2>Trace variants</h2>\n<table>\n"
           "<tr><th>count</th><th>length</th><th>sequence</th></tr>\n";
   for (const auto& [trace, mult] : variants) {
-    std::string seq;
+    put(html, "<tr><td>x", mult, "</td><td>", trace.size(), "</td><td>&lt;");
+    // ", " goes between activities once the sequence is non-empty, so
+    // an empty activity at its head adds no separator.
+    const std::size_t seq = html.size();
     for (const auto& a : trace) {
-      if (!seq.empty()) seq += ", ";
-      seq += flat(a);
+      if (html.size() != seq) html += ", ";
+      put(html, Flat{a});
     }
-    html += "<tr><td>x" + std::to_string(mult) + "</td><td>" + std::to_string(trace.size()) +
-            "</td><td>&lt;" + html_escape(seq) + "&gt;</td></tr>\n";
+    html += "&gt;</td></tr>\n";
   }
   html += "</table>\n";
 }
 
 void health_table(std::string& html, const pipeline::DataHealth& health) {
-  html += "<h2>Data health</h2>\n<table>\n"
-          "<tr><th>files requested</th><th>ingested</th><th>skipped</th>"
-          "<th>cases quarantined</th></tr>\n<tr><td>" +
-          std::to_string(health.files_requested) + "</td><td>" +
-          std::to_string(health.files_ingested) + "</td><td>" +
-          std::to_string(health.files_skipped) + "</td><td>" +
-          std::to_string(health.cases_quarantined) + "</td></tr>\n</table>\n";
+  put(html,
+      "<h2>Data health</h2>\n<table>\n"
+      "<tr><th>files requested</th><th>ingested</th><th>skipped</th>"
+      "<th>cases quarantined</th></tr>\n<tr><td>",
+      health.files_requested, "</td><td>", health.files_ingested, "</td><td>",
+      health.files_skipped, "</td><td>", health.cases_quarantined, "</td></tr>\n</table>\n");
   if (!health.warnings_by_class.empty()) {
     html += "<table>\n<tr><th>warning class</th><th>count</th></tr>\n";
     for (const auto& [cls, count] : health.warnings_by_class) {
-      html += "<tr><td>" + html_escape(cls) + "</td><td>" + std::to_string(count) +
-              "</td></tr>\n";
+      put(html, "<tr><td>", Html{cls}, "</td><td>", count, "</td></tr>\n");
     }
     html += "</table>\n";
   }
@@ -113,9 +146,9 @@ void health_table(std::string& html, const pipeline::DataHealth& health) {
 
 std::string render_report(const ReportData& data, const model::Mapping& f,
                           const dfg::Styler* styler, const ReportOptions& opts) {
-  std::string html =
-      "<!DOCTYPE html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n<title>" +
-      html_escape(opts.title) +
+  std::string html;
+  put(html, "<!DOCTYPE html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n<title>",
+      Html{opts.title},
       "</title>\n<style>\n"
       "body{font-family:sans-serif;margin:2em;max-width:72em}\n"
       "table{border-collapse:collapse;margin:1em 0}\n"
@@ -123,23 +156,22 @@ std::string render_report(const ReportData& data, const model::Mapping& f,
       "font-family:monospace;text-align:left}\n"
       "th{background:#eee}\n"
       "pre{background:#f6f6f6;padding:8px;overflow-x:auto}\n"
-      ".meta{color:#555}\n</style>\n</head>\n<body>\n";
-  html += "<h1>" + html_escape(opts.title) + "</h1>\n";
+      ".meta{color:#555}\n</style>\n</head>\n<body>\n");
+  put(html, "<h1>", Html{opts.title}, "</h1>\n");
   if (!opts.description.empty()) {
-    html += "<p class=\"meta\">" + html_escape(opts.description) + "</p>\n";
+    put(html, "<p class=\"meta\">", Html{opts.description}, "</p>\n");
   }
-  html += "<p class=\"meta\">mapping: <code>" + html_escape(f.name()) + "</code> &mdash; " +
-          std::to_string(data.case_count) + " cases, " + std::to_string(data.total_events) +
-          " events, total I/O time " + std::to_string(data.stats.total_duration()) +
-          " &micro;s</p>\n";
+  put(html, "<p class=\"meta\">mapping: <code>", Html{f.name()}, "</code> &mdash; ",
+      data.case_count, " cases, ", data.total_events, " events, total I/O time ",
+      data.stats.total_duration(), " &micro;s</p>\n");
   if (!opts.partition_legend.empty()) {
-    html += "<p class=\"meta\">partition: " + html_escape(opts.partition_legend) + "</p>\n";
+    put(html, "<p class=\"meta\">partition: ", Html{opts.partition_legend}, "</p>\n");
   }
 
   html += "<h2>Directly-Follows-Graph</h2>\n";
   dfg::SvgOptions svg_opts;
   svg_opts.title = opts.title;
-  html += render_svg(data.graph, &data.stats, styler, svg_opts);
+  dfg::append_svg(html, data.graph, &data.stats, styler, svg_opts);
 
   stats_table(html, data.stats);
   cases_table(html, data.case_summaries);
@@ -148,8 +180,8 @@ std::string render_report(const ReportData& data, const model::Mapping& f,
   if (data.health) health_table(html, *data.health);
 
   if (opts.timeline_activity) {
-    html += "<h2>Timeline of " + html_escape(flat(*opts.timeline_activity)) + "</h2>\n<pre>" +
-            html_escape(dfg::render_timeline(data.timeline, 80)) + "</pre>\n";
+    put(html, "<h2>Timeline of ", Flat{*opts.timeline_activity}, "</h2>\n<pre>",
+        Html{dfg::render_timeline(data.timeline, 80)}, "</pre>\n");
   }
 
   html += "</body>\n</html>\n";

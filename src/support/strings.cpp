@@ -122,6 +122,27 @@ std::string last_components(std::string_view path, int n) {
   return join(keep, "/");
 }
 
+void append_markup_escaped(std::string& out, std::string_view s, bool quote) {
+  std::size_t run = 0;  // start of the bytes not yet appended
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    std::string_view entity;
+    switch (s[i]) {
+      case '&': entity = "&amp;"; break;
+      case '<': entity = "&lt;"; break;
+      case '>': entity = "&gt;"; break;
+      case '"':
+        if (quote) entity = "&quot;";
+        break;
+      default: break;
+    }
+    if (entity.empty()) continue;
+    out.append(s.data() + run, i - run);
+    out += entity;
+    run = i + 1;
+  }
+  out.append(s.data() + run, s.size() - run);
+}
+
 std::string dot_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());

@@ -2,7 +2,8 @@
 //
 // Everything operates on std::string_view and returns either views into
 // the input (zero-copy splitting) or freshly allocated std::string where
-// ownership is required. All functions are pure.
+// ownership is required; append_markup_escaped writes onto the end of
+// the caller's string instead. All functions are pure.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +50,10 @@ namespace st {
 /// last_components("/usr/lib/x86_64-linux-gnu/libc.so.6", 2)
 ///   == "x86_64-linux-gnu/libc.so.6"  (the Fig. 4 node naming).
 [[nodiscard]] std::string last_components(std::string_view path, int n);
+
+/// Appends `s` to `out` with & < > written as entities, and " too when
+/// `quote` is set: text for an SVG or HTML page, escaped in place.
+void append_markup_escaped(std::string& out, std::string_view s, bool quote);
 
 /// Escapes a string for embedding inside a DOT double-quoted label.
 [[nodiscard]] std::string dot_escape(std::string_view s);

@@ -114,5 +114,33 @@ TEST(StatisticsColoring, UnknownActivityUnstyled) {
   EXPECT_TRUE(styler.edge_color("x", "x").empty());
 }
 
+// A renderer that already found the activity's statistics passes them
+// in; the style is node_style's, and statistics other than the
+// styler's own are looked up again rather than trusted.
+TEST(StatisticsColoring, GivenStatisticsMatchTheLookup) {
+  model::EventLog log;
+  log.add_case(testing::make_case("a", 1,
+                                  {testing::ev("slow", "/f", 0, 900, 10),
+                                   testing::ev("fast", "/f", 1000, 100, 10)}));
+  const auto stats = IoStatistics::compute(log, model::Mapping::call_only());
+  const StatisticsColoring styler(stats);
+  const auto same = [](const NodeStyle& a, const NodeStyle& b) {
+    return a.fill == b.fill && a.fontcolor == b.fontcolor && a.tag == b.tag;
+  };
+  for (const char* a : {"slow", "fast", "unknown"}) {
+    EXPECT_TRUE(same(styler.node_style_given(a, &stats, stats.find(a)), styler.node_style(a)))
+        << a;
+  }
+  const IoStatistics other;
+  EXPECT_TRUE(same(styler.node_style_given("slow", &other, nullptr), styler.node_style("slow")));
+  EXPECT_TRUE(same(styler.node_style_given("slow", nullptr, nullptr), styler.node_style("slow")));
+
+  Dfg green;
+  green.add_trace({"slow"});
+  const PartitionColoring partition(green, Dfg{});
+  EXPECT_TRUE(same(partition.node_style_given("slow", &stats, stats.find("slow")),
+                   partition.node_style("slow")));
+}
+
 }  // namespace
 }  // namespace st::dfg

@@ -126,5 +126,17 @@ TEST(DotEscape, NewlineBecomesLiteralEscape) { EXPECT_EQ(dot_escape("a\nb"), "a\
 
 TEST(DotEscape, PlainUntouched) { EXPECT_EQ(dot_escape("read:/usr/lib"), "read:/usr/lib"); }
 
+TEST(MarkupEscape, AppendsEntitiesAfterWhatIsThere) {
+  std::string out = "<p>";
+  append_markup_escaped(out, "a&b <c> \"d\"\n", true);
+  EXPECT_EQ(out, "<p>a&amp;b &lt;c&gt; &quot;d&quot;\n");
+  out.clear();
+  append_markup_escaped(out, "\"&\"", false);
+  EXPECT_EQ(out, "\"&amp;\"");
+  append_markup_escaped(out, "", true);
+  append_markup_escaped(out, "plain", true);
+  EXPECT_EQ(out, "\"&amp;\"plain");
+}
+
 }  // namespace
 }  // namespace st
