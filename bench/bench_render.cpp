@@ -116,6 +116,7 @@ void BM_RenderSvgWide(benchmark::State& state) {
     const std::string svg = dfg::render_svg(w.data.graph, &w.data.stats, &w.styler);
     bytes = svg.size();
     benchmark::DoNotOptimize(svg.data());
+    benchmark::ClobberMemory();
   }
   wide_counters(state, w, bytes);
 }
@@ -129,6 +130,7 @@ void BM_RenderReportWide(benchmark::State& state) {
     const std::string html = report::render_report(w.data, w.f, &w.styler);
     bytes = html.size();
     benchmark::DoNotOptimize(html.data());
+    benchmark::ClobberMemory();
   }
   wide_counters(state, w, bytes);
 }

@@ -16,14 +16,23 @@
 namespace st::dfg {
 
 std::string ActivityStat::load_label() const {
-  std::string out = "Load:" + format_ratio(rel_dur);
-  if (has_bytes) out += " (" + format_bytes(static_cast<double>(bytes)) + ")";
+  std::string out = "Load:";
+  append_fixed(out, rel_dur, 2);
+  if (has_bytes) {
+    out += " (";
+    append_bytes(out, static_cast<double>(bytes));
+    out += ')';
+  }
   return out;
 }
 
 std::string ActivityStat::dr_label() const {
   if (rate_samples == 0) return {};
-  return "DR: " + std::to_string(max_concurrency) + "x" + format_rate_mbps(mean_rate);
+  std::string out = "DR: ";
+  append_int(out, max_concurrency);
+  out += 'x';
+  append_rate_mbps(out, mean_rate);
+  return out;
 }
 
 double deterministic_pairwise_sum(std::span<const double> xs) {

@@ -36,11 +36,6 @@ struct Bytes {
   std::int64_t bytes;
 };
 
-/// A data rate as format_rate_mbps prints it.
-struct Rate {
-  double bytes_per_second;
-};
-
 void put_one(std::string& html, std::string_view s) { html += s; }
 template <std::integral T>
 void put_one(std::string& html, T n) {
@@ -54,7 +49,6 @@ void put_one(std::string& html, Flat f) {
 }
 void put_one(std::string& html, Fixed f) { append_fixed(html, f.value, f.decimals); }
 void put_one(std::string& html, Bytes b) { append_bytes(html, static_cast<double>(b.bytes)); }
-void put_one(std::string& html, Rate r) { append_rate_mbps(html, r.bytes_per_second); }
 
 /// Appends the parts in order.
 template <typename... Parts>
@@ -82,13 +76,13 @@ void stats_table(std::string& html, const dfg::IoStatistics& stats) {
     put(html, "<tr><td>", Flat{activity}, "</td><td>", s.event_count, "</td><td>",
         Fixed{s.rel_dur, 2}, "</td><td>");
     if (s.has_bytes) {
-      put(html, Bytes{s.bytes});
+      append_bytes(html, static_cast<double>(s.bytes));
     } else {
       html += "&ndash;";
     }
     html += "</td><td>";
     if (s.rate_samples > 0) {
-      put(html, Rate{s.mean_rate});
+      append_rate_mbps(html, s.mean_rate);
     } else {
       html += "&ndash;";
     }
