@@ -57,12 +57,4 @@ std::string format_bytes(double bytes) {
   return out;
 }
 
-std::string format_rate_mbps(double bytes_per_second) {
-  std::string out;
-  append_rate_mbps(out, bytes_per_second);
-  return out;
-}
-
-std::string format_ratio(double r) { return format_fixed(r, 2); }
-
 }  // namespace st

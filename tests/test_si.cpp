@@ -25,18 +25,25 @@ TEST(FormatBytes, SubKilo) { EXPECT_EQ(format_bytes(12), "0.01 KB"); }
 TEST(FormatBytes, Zero) { EXPECT_EQ(format_bytes(0), "0.00 KB"); }
 TEST(FormatBytes, Terabytes) { EXPECT_EQ(format_bytes(2.5e12), "2.50 TB"); }
 
-TEST(FormatRate, PaperStyle) {
-  EXPECT_EQ(format_rate_mbps(10.15e6), "10.15 MB/s");
-  EXPECT_EQ(format_rate_mbps(3175.20e6), "3175.20 MB/s");
+std::string rate(double bytes_per_second) {
+  std::string out;
+  append_rate_mbps(out, bytes_per_second);
+  return out;
 }
 
-TEST(FormatRate, SubMegabyte) { EXPECT_EQ(format_rate_mbps(0.61e6), "0.61 MB/s"); }
+TEST(FormatRate, PaperStyle) {
+  EXPECT_EQ(rate(10.15e6), "10.15 MB/s");
+  EXPECT_EQ(rate(3175.20e6), "3175.20 MB/s");
+}
 
+TEST(FormatRate, SubMegabyte) { EXPECT_EQ(rate(0.61e6), "0.61 MB/s"); }
+
+// Load is a bare ratio at two decimals.
 TEST(FormatRatio, TwoDecimals) {
-  EXPECT_EQ(format_ratio(0.21843), "0.22");
-  EXPECT_EQ(format_ratio(0.0), "0.00");
-  EXPECT_EQ(format_ratio(1.0), "1.00");
-  EXPECT_EQ(format_ratio(0.005), "0.01");
+  EXPECT_EQ(format_fixed(0.21843, 2), "0.22");
+  EXPECT_EQ(format_fixed(0.0, 2), "0.00");
+  EXPECT_EQ(format_fixed(1.0, 2), "1.00");
+  EXPECT_EQ(format_fixed(0.005, 2), "0.01");
 }
 
 TEST(FormatFixed, Decimals) {
@@ -83,7 +90,7 @@ TEST(FormatFixed, LargeValuesKeepEveryDigit) {
   EXPECT_EQ(format_fixed(DBL_MAX, 6).size(), 316u);
   EXPECT_EQ(format_fixed(-DBL_MAX, 6).size(), 317u);
   EXPECT_EQ(format_bytes(1e80), printf_fixed(1e68, 2) + " TB");
-  EXPECT_EQ(format_rate_mbps(1e80), printf_fixed(1e74, 2) + " MB/s");
+  EXPECT_EQ(rate(1e80), printf_fixed(1e74, 2) + " MB/s");
 }
 
 TEST(FormatFixed, NegativeDecimalsPrintSixAsPrintfDoes) {
