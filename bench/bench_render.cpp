@@ -2,6 +2,8 @@
 // a dense DFG has an edge between every pair of its m nodes.
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "dfg/builder.hpp"
 #include "dfg/render.hpp"
 #include "dfg/render_svg.hpp"
@@ -98,7 +100,12 @@ BENCHMARK(BM_LayoutWide)->Unit(benchmark::kMillisecond);
 /// corpus (perfbench's wide_report), colored by its statistics.
 struct WideReport {
   model::Mapping f = model::Mapping::call_last_components(1);
-  report::ReportData data = report::report_data(bench::synthetic_log(42, 96, 32, 250), f);
+  report::ReportData data = [this] {
+    const model::EventLog log = bench::synthetic_log(42, 96, 32, 250);
+    const pipeline::CaseSpan cases(log.cases());
+    const std::array<const pipeline::CaseSource*, 1> sources{&cases};
+    return report::report_data(sources, f);
+  }();
   dfg::StatisticsColoring styler{data.stats};
 };
 

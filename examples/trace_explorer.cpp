@@ -4,6 +4,15 @@
 // apply a query and a mapping, and inspect the resulting DFG,
 // statistics, trace variants or an activity timeline.
 //
+// Every render folds the report's sinks over case sources
+// (pipeline::fold_cases): the trace files' cases, then each
+// container's, folded in column space — a container's cases are
+// decoded one at a time per fold task and mapped through one read-only
+// dictionary per container (elog::ContainerCases), never collected
+// into an EventLog (corpus::open_corpus). Only --query/--filter
+// materialize the corpus (corpus::load_corpus), since a query selects
+// events; the renders then fold its view.
+//
 //   ./trace_explorer a_host1_9042.st b_host1_9157.st \
 //       --filter /usr/lib --map last2 --render dot
 //   ./trace_explorer run.elog --map site1 --timeline "read\n$SCRATCH/ssf"
@@ -27,6 +36,7 @@
 #include <array>
 #include <cstdint>
 #include <iostream>
+#include <string_view>
 #include <utility>
 
 #include "corpus/catalog.hpp"
@@ -157,55 +167,74 @@ int main(int argc, char** argv) {
       std::cout << result.html;
       return 0;
     }
+    // The renders, checked before any input is read.
+    const std::string render = cli.get("render");
+    constexpr std::array<std::string_view, 7> kRenders{"ascii", "dot",      "svg",    "report",
+                                                       "variants", "stats", "summary"};
+    if (!cli.has("timeline") && std::find(kRenders.begin(), kRenders.end(), render) ==
+                                    kRenders.end()) {
+      throw ParseError("unknown --render: " + render);
+    }
     const auto query = query_from_flags(cli);
+    const bool filtered = cli.has("filter") || cli.has("query");
     ThreadPool pool(cliargs::thread_count(cli));
+    // The cases every render folds: the demo's, a query's view, or the
+    // inputs opened as case sources — containers are read in column
+    // space and never become an EventLog.
     model::EventLog log;
-    std::vector<elog::IndexedSegment> segments;
+    corpus::OpenedCorpus opened;
+    std::vector<const pipeline::CaseSource*> sources;
     if (cli.positional().empty()) {
       std::cerr << "(no inputs; demoing on the built-in ls / ls -l traces)\n";
       log = model::EventLog::merge(iosim::make_ls_traces().to_event_log(),
                                    iosim::make_ls_l_traces().to_event_log());
-    } else {
-      // The loader serve mode uses too: traces stream through the
-      // pipeline (zero-copy mmap parse on the pool, each file converted
-      // on the thread that finished its parse), containers open by mmap, and everything
-      // is unioned into one log. Every render below folds that log's
-      // cases, whichever kind of input they came from.
+      if (filtered) log = elog::apply_query_indexed(query, log, {});
+    } else if (filtered) {
+      // A query selects events, so it needs them: the loader serve mode
+      // uses too, then the indexed selection over its containers.
       auto loaded = corpus::load_corpus(cli.positional(), pool, cliargs::run_policy(cli));
       for (const auto& w : loaded.warnings) std::cerr << "warning: " << w << "\n";
-      log = std::move(loaded.log);
-      segments = std::move(loaded.segments);
+      log = elog::apply_query_indexed(query, loaded.log, loaded.segments);
+    } else {
+      // Traces stream through the pipeline (zero-copy mmap parse on the
+      // pool, each file converted on the thread that finished its
+      // parse); each container opens by mmap, is checked and scanned
+      // on the pool, and gets one dictionary for f.
+      const std::array<const model::Mapping*, 1> mappings{&f};
+      opened = corpus::open_corpus(cli.positional(), pool, cliargs::run_policy(cli), mappings);
+      for (const auto& w : opened.warnings) std::cerr << "warning: " << w << "\n";
+      sources = opened.sources;
     }
-    if (cli.has("filter") || cli.has("query")) {
-      log = elog::apply_query_indexed(query, log, segments);
-    }
+    const pipeline::CaseSpan view(log.cases());
+    if (sources.empty()) sources.push_back(&view);
 
     // -- analyze -----------------------------------------------------
     // The renders that need no graph and no statistics come first.
     if (cli.has("timeline")) {
-      const auto entries = dfg::IoStatistics::timeline(log, f, timeline_activity(cli));
-      std::cout << dfg::render_timeline(entries);
+      pipeline::IoStatsSink io_sink(f);
+      const std::array<pipeline::CaseSink*, 1> sinks{&io_sink};
+      pipeline::fold_cases(sources, sinks, &pool);
+      std::cout << dfg::render_timeline(io_sink.partial().timeline(timeline_activity(cli)));
       return 0;
     }
 
-    const std::string render = cli.get("render");
     if (render == "report") {
       // The serve path's own report function, so the served report
       // bytes and this offline invocation stay cmp-identical.
-      std::cout << corpus::query_report(log, query, f, &pool);
+      std::cout << corpus::query_report(sources, query, f, &pool);
       return 0;
     }
     if (render == "summary") {
       pipeline::CaseStatsSink cases;
       const std::array<pipeline::CaseSink*, 1> sinks{&cases};
-      pipeline::fold_cases(log.cases(), sinks, &pool);
+      pipeline::fold_cases(sources, sinks, &pool);
       std::cout << model::render_case_summaries(cases.summaries());
       return 0;
     }
     if (render == "variants") {
       pipeline::VariantsSink variants(f);
       const std::array<pipeline::CaseSink*, 1> sinks{&variants};
-      pipeline::fold_cases(log.cases(), sinks, &pool);
+      pipeline::fold_cases(sources, sinks, &pool);
       for (const auto& [trace, mult] : variants.variants()) {
         std::cout << "x" << mult << ": <";
         bool first = true;
@@ -222,7 +251,7 @@ int main(int argc, char** argv) {
     pipeline::DfgSink graph_sink(f);
     pipeline::IoStatsSink io_sink(f);
     const std::array<pipeline::CaseSink*, 2> sinks{&graph_sink, &io_sink};
-    pipeline::fold_cases(log.cases(), sinks, &pool);
+    pipeline::fold_cases(sources, sinks, &pool);
     const auto g = graph_sink.take_graph();
     const auto stats = io_sink.finalize(&pool);
     dfg::RenderOptions opts;
@@ -234,7 +263,7 @@ int main(int argc, char** argv) {
       std::cout << dfg::render_svg(g, &stats, &styler);
     } else if (render == "ascii") {
       std::cout << dfg::render_ascii(g, &stats, &styler, opts);
-    } else if (render == "stats") {
+    } else {
       for (const auto& [a, s] : stats.per_activity()) {
         std::string flat = a;
         std::replace(flat.begin(), flat.end(), '\n', ' ');
@@ -242,8 +271,6 @@ int main(int argc, char** argv) {
         if (const auto dr = s.dr_label(); !dr.empty()) std::cout << " | " << dr;
         std::cout << " | events: " << s.event_count << " | ranks: " << s.rank_count << "\n";
       }
-    } else {
-      throw ParseError("unknown --render: " + render);
     }
   } catch (const Error& e) {
     std::cerr << e.what() << "\n" << cli.usage("trace_explorer");

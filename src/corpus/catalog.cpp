@@ -7,27 +7,51 @@
 
 #include "dfg/coloring.hpp"
 #include "elog/store.hpp"
+#include "elog/v2_fold.hpp"
 #include "pipeline/sink.hpp"
 #include "support/errors.hpp"
 
 namespace st::corpus {
 
-LoadedCorpus load_corpus(const std::vector<std::string>& inputs, ThreadPool& pool,
-                         const RunPolicy& policy) {
-  std::vector<std::string> elogs;
+namespace {
+
+/// The trace files of `inputs`, through pipeline::run (an empty log
+/// when there are none), and its containers, in input order.
+model::EventLog load_traces(const std::vector<std::string>& inputs, ThreadPool& pool,
+                            const RunPolicy& policy, std::vector<std::string>& elogs) {
   std::vector<std::string> traces;
   for (const auto& p : inputs) {
     (p.ends_with(".elog") ? elogs : traces).push_back(p);
   }
-  LoadedCorpus out;
-  if (!traces.empty()) {
-    pipeline::StreamOptions stream_opts;
-    static_cast<RunPolicy&>(stream_opts) = policy;
-    out.log = pipeline::run(traces, pool, {}, stream_opts);
+  if (traces.empty()) return {};
+  pipeline::StreamOptions stream_opts;
+  static_cast<RunPolicy&>(stream_opts) = policy;
+  return pipeline::run(traces, pool, {}, stream_opts);
+}
+
+/// Reads container `path` with `read`; an IoError skips the container
+/// with a "<path>: skipped: ..." warning under keep_going.
+template <typename Read>
+void read_container(const std::string& path, const RunPolicy& policy,
+                    std::vector<std::string>& warnings, Read read) {
+  try {
+    read();
+  } catch (const IoError& e) {
+    if (!policy.keep_going) throw;
+    warnings.push_back(path + ": skipped: " + e.what());
   }
+}
+
+}  // namespace
+
+LoadedCorpus load_corpus(const std::vector<std::string>& inputs, ThreadPool& pool,
+                         const RunPolicy& policy) {
+  std::vector<std::string> elogs;
+  LoadedCorpus out;
+  out.log = load_traces(inputs, pool, policy, elogs);
   out.warnings = out.log.warnings();
   for (const auto& p : elogs) {
-    try {
+    read_container(p, policy, out.warnings, [&] {
       auto part = elog::read_event_log_file_indexed(p, elog::ElogReadOptions{policy}, &pool);
       for (const auto& w : part.log.warnings()) out.warnings.push_back(p + ": " + w);
       if (part.mapped) {
@@ -39,11 +63,38 @@ LoadedCorpus load_corpus(const std::vector<std::string>& inputs, ThreadPool& poo
                                                     std::move(part.mapped)});
       }
       out.log = model::EventLog::merge(std::move(out.log), std::move(part.log));
-    } catch (const IoError& e) {
-      if (!policy.keep_going) throw;
-      out.warnings.push_back(p + ": skipped: " + e.what());
-    }
+    });
   }
+  return out;
+}
+
+OpenedCorpus open_corpus(const std::vector<std::string>& inputs, ThreadPool& pool,
+                         const RunPolicy& policy,
+                         std::span<const model::Mapping* const> mappings) {
+  std::vector<std::string> elogs;
+  OpenedCorpus out;
+  out.traces = load_traces(inputs, pool, policy, elogs);
+  out.warnings = out.traces.warnings();
+  out.owned.push_back(std::make_unique<pipeline::CaseSpan>(out.traces.cases()));
+  // EventLog::merge's check, as load_corpus's merges would meet the ids:
+  // the union so far (the trace cases first, at the first merge), then
+  // each container's cases.
+  model::CaseIdSet ids;
+  bool merged = false;
+  for (const auto& p : elogs) {
+    read_container(p, policy, out.warnings, [&] {
+      auto container = std::make_unique<elog::ContainerCases>(elog::open_v2(p), mappings,
+                                                              policy, &pool);
+      for (const auto& w : container->warnings()) out.warnings.push_back(p + ": " + w);
+      if (!merged) {
+        for (const auto& c : out.traces.cases()) ids.add(c.id());
+        merged = true;
+      }
+      for (std::size_t k = 0; k < container->case_count(); ++k) ids.add(container->case_id(k));
+      out.owned.push_back(std::move(container));
+    });
+  }
+  for (const auto& source : out.owned) out.sources.push_back(source.get());
   return out;
 }
 
@@ -54,8 +105,8 @@ report::ReportOptions query_report_options(const model::Query& q, const model::M
   return opts;
 }
 
-std::string query_report(const model::EventLog& view, const model::Query& q,
-                         const model::Mapping& f, ThreadPool* pool) {
+std::string query_report(std::span<const pipeline::CaseSource* const> view,
+                         const model::Query& q, const model::Mapping& f, ThreadPool* pool) {
   const auto opts = query_report_options(q, f);
   const auto data = report::report_data(view, f, opts, pool);
   const dfg::StatisticsColoring styler(data.stats);
@@ -208,7 +259,10 @@ std::shared_ptr<const void> Catalog::compute_summaries(const model::Query& q) {
 }
 
 std::shared_ptr<const void> Catalog::compute_report(const model::Query& q) {
-  return std::make_shared<const std::string>(query_report(*filtered(q), q, mapping_));
+  const auto view = filtered(q);
+  const pipeline::CaseSpan cases(view->cases());
+  const std::array<const pipeline::CaseSource*, 1> sources{&cases};
+  return std::make_shared<const std::string>(query_report(sources, q, mapping_));
 }
 
 }  // namespace st::corpus

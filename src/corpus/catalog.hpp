@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -46,6 +47,7 @@
 #include "model/mapping.hpp"
 #include "model/query.hpp"
 #include "parallel/thread_pool.hpp"
+#include "pipeline/sink.hpp"
 #include "report/report.hpp"
 #include "support/run_policy.hpp"
 
@@ -97,6 +99,30 @@ struct LoadedCorpus {
 [[nodiscard]] LoadedCorpus load_corpus(const std::vector<std::string>& inputs, ThreadPool& pool,
                                        const RunPolicy& policy);
 
+/// The same inputs as load_corpus, opened for a fold instead of a log:
+/// the trace files' cases, then each container's, as case sources —
+/// containers stay mapped and fold in column space
+/// (elog::ContainerCases), no case of theirs is materialized. What the
+/// load reports is load_corpus's: the same order (traces, then
+/// containers in input order), the same warnings, and the same errors —
+/// an unreadable container, the lowest failing case of a container
+/// under fail fast, EventLog::merge's LogicError for a case id the
+/// union already holds. `mappings` are the ones the fold will use;
+/// each container builds one read-only dictionary per kCallFp mapping.
+struct OpenedCorpus {
+  /// The trace files' cases, through pipeline::run.
+  model::EventLog traces;
+  /// traces' cases (pipeline::CaseSpan), then each readable container.
+  std::vector<std::unique_ptr<pipeline::CaseSource>> owned;
+  /// `owned`, as fold_cases and report::report_data take them.
+  std::vector<const pipeline::CaseSource*> sources;
+  /// As LoadedCorpus::warnings.
+  std::vector<std::string> warnings;
+};
+[[nodiscard]] OpenedCorpus open_corpus(const std::vector<std::string>& inputs, ThreadPool& pool,
+                                       const RunPolicy& policy,
+                                       std::span<const model::Mapping* const> mappings);
+
 /// The ReportOptions of a query-driven report — ONE place, so the
 /// serve path and trace_explorer's offline --render report produce
 /// byte-identical HTML by construction.
@@ -107,12 +133,15 @@ struct LoadedCorpus {
 /// folded over its cases (report::report_data on `pool`, inline when
 /// null), a StatisticsColoring of the statistics, render_report with
 /// query_report_options — the one definition behind the served
-/// `report` verb and trace_explorer's --render report. The bytes do not
-/// depend on the pool. Catalog misses pass none: under serve_forever a
-/// miss already runs on a pool worker, and a fold that waited on its
-/// own pool could starve it.
-[[nodiscard]] std::string query_report(const model::EventLog& view, const model::Query& q,
-                                       const model::Mapping& f, ThreadPool* pool = nullptr);
+/// `report` verb and trace_explorer's --render report (over a query's
+/// view, or over an OpenedCorpus's sources for the unfiltered corpus).
+/// The bytes do not depend on the pool nor on the kind of source.
+/// Catalog misses pass none: under serve_forever a miss already runs on
+/// a pool worker, and a fold that waited on its own pool could starve
+/// it.
+[[nodiscard]] std::string query_report(std::span<const pipeline::CaseSource* const> view,
+                                       const model::Query& q, const model::Mapping& f,
+                                       ThreadPool* pool = nullptr);
 
 class Catalog {
  public:

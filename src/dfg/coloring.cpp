@@ -18,9 +18,9 @@ NodeStyle StatisticsColoring::node_style(const Activity& a) const {
   return style_of(stats_.find(a));
 }
 
-NodeStyle StatisticsColoring::node_style_given(const Activity& a, const IoStatistics* stats,
+NodeStyle StatisticsColoring::node_style_given(std::string_view a, const IoStatistics* stats,
                                                const ActivityStat* stat) const {
-  return stats == &stats_ ? style_of(stat) : node_style(a);
+  return stats == &stats_ ? style_of(stat) : node_style(Activity(a));
 }
 
 NodeStyle StatisticsColoring::style_of(const ActivityStat* stat) const {
@@ -43,7 +43,7 @@ NodeStyle StatisticsColoring::style_of(const ActivityStat* stat) const {
   return style;
 }
 
-std::string StatisticsColoring::edge_color(const Activity& from, const Activity& to) const {
+std::string StatisticsColoring::edge_color(std::string_view from, std::string_view to) const {
   (void)from;
   (void)to;
   return {};
@@ -61,8 +61,8 @@ NodeStyle PartitionColoring::node_style(const Activity& a) const {
   return {};
 }
 
-std::string PartitionColoring::edge_color(const Activity& from, const Activity& to) const {
-  switch (diff_.classify_edge(from, to)) {
+std::string PartitionColoring::edge_color(std::string_view from, std::string_view to) const {
+  switch (diff_.classify_edge(Activity(from), Activity(to))) {
     case PartitionClass::GreenOnly:
       return "green";
     case PartitionClass::RedOnly:

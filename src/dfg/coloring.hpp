@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "dfg/dfg.hpp"
 #include "dfg/diff.hpp"
@@ -32,15 +33,18 @@ class Styler {
   /// node_style(a) for a renderer that has already looked `a` up in
   /// `stats` (`stat` is its entry there, or null): a styler that colors
   /// by those same statistics takes `stat` instead of a second lookup.
-  /// The style is the same either way.
-  [[nodiscard]] virtual NodeStyle node_style_given(const Activity& a, const IoStatistics* stats,
+  /// The style is the same either way. `a` is a view (a layout's name,
+  /// dfg/layout.hpp): a styler that needs the name copies it.
+  [[nodiscard]] virtual NodeStyle node_style_given(std::string_view a, const IoStatistics* stats,
                                                    const ActivityStat* stat) const {
     (void)stats;
     (void)stat;
-    return node_style(a);
+    return node_style(Activity(a));
   }
-  /// DOT color for an edge; "" = default black.
-  [[nodiscard]] virtual std::string edge_color(const Activity& from, const Activity& to) const = 0;
+  /// DOT color for an edge; "" = default black. Views, as for
+  /// node_style_given.
+  [[nodiscard]] virtual std::string edge_color(std::string_view from,
+                                               std::string_view to) const = 0;
 };
 
 /// Darker blue == larger relative duration. The shade scales against
@@ -51,9 +55,9 @@ class StatisticsColoring final : public Styler {
   explicit StatisticsColoring(const IoStatistics& stats);
 
   [[nodiscard]] NodeStyle node_style(const Activity& a) const override;
-  [[nodiscard]] NodeStyle node_style_given(const Activity& a, const IoStatistics* stats,
+  [[nodiscard]] NodeStyle node_style_given(std::string_view a, const IoStatistics* stats,
                                            const ActivityStat* stat) const override;
-  [[nodiscard]] std::string edge_color(const Activity& from, const Activity& to) const override;
+  [[nodiscard]] std::string edge_color(std::string_view from, std::string_view to) const override;
 
  private:
   [[nodiscard]] NodeStyle style_of(const ActivityStat* stat) const;
@@ -68,7 +72,7 @@ class PartitionColoring final : public Styler {
   PartitionColoring(const Dfg& green, const Dfg& red) : diff_(green, red) {}
 
   [[nodiscard]] NodeStyle node_style(const Activity& a) const override;
-  [[nodiscard]] std::string edge_color(const Activity& from, const Activity& to) const override;
+  [[nodiscard]] std::string edge_color(std::string_view from, std::string_view to) const override;
 
   [[nodiscard]] const GraphDiff& diff() const { return diff_; }
 

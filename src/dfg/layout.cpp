@@ -18,7 +18,7 @@ constexpr std::size_t kNone = EdgeGeom::npos;
 /// and those are laid out like any node. An endpoint named only by its
 /// own self loop gets no id (kNone), so it gets no box either.
 struct IdGraph {
-  std::vector<std::string_view> names;                     ///< id -> activity
+  std::vector<const Activity*> names;                      ///< id -> activity, in g
   std::vector<std::pair<std::size_t, std::size_t>> edges;  ///< edge-map order
   std::size_t end = kNone;                                 ///< the end marker's id
 };
@@ -26,11 +26,12 @@ struct IdGraph {
 IdGraph intern(const Dfg& g) {
   IdGraph ig;
   ig.names.reserve(g.nodes().size());
-  for (const auto& [node, count] : g.nodes()) ig.names.emplace_back(node);
-  const auto id_of = [&](std::string_view a) {
-    const auto it = std::lower_bound(ig.names.begin(), ig.names.end(), a);
-    return it != ig.names.end() && *it == a ? static_cast<std::size_t>(it - ig.names.begin())
-                                            : kNone;
+  for (const auto& [node, count] : g.nodes()) ig.names.push_back(&node);
+  const auto by_name = [](const Activity* a, const Activity* b) { return *a < *b; };
+  const auto id_of = [&](const Activity& a) {
+    const auto it = std::lower_bound(ig.names.begin(), ig.names.end(), &a, by_name);
+    return it != ig.names.end() && **it == a ? static_cast<std::size_t>(it - ig.names.begin())
+                                             : kNone;
   };
   const auto edge_ids = [&] {
     ig.edges.clear();
@@ -42,19 +43,21 @@ IdGraph intern(const Dfg& g) {
   edge_ids();
   // Endpoints of non-self edges that nodes() lacks join the ids in
   // Activity order, which renumbers the ids after them.
-  std::vector<std::string_view> orphans;
+  std::vector<const Activity*> orphans;
   auto ids = ig.edges.begin();
   for (const auto& [edge, count] : g.edges()) {
     const auto [from, to] = *ids++;
     if ((from != kNone && to != kNone) || edge.first == edge.second) continue;
-    if (from == kNone) orphans.emplace_back(edge.first);
-    if (to == kNone) orphans.emplace_back(edge.second);
+    if (from == kNone) orphans.push_back(&edge.first);
+    if (to == kNone) orphans.push_back(&edge.second);
   }
   if (!orphans.empty()) {
-    std::sort(orphans.begin(), orphans.end());
-    orphans.erase(std::unique(orphans.begin(), orphans.end()), orphans.end());
+    std::sort(orphans.begin(), orphans.end(), by_name);
+    orphans.erase(std::unique(orphans.begin(), orphans.end(),
+                              [](const Activity* a, const Activity* b) { return *a == *b; }),
+                  orphans.end());
     const auto old_end = ig.names.insert(ig.names.end(), orphans.begin(), orphans.end());
-    std::inplace_merge(ig.names.begin(), old_end, ig.names.end());
+    std::inplace_merge(ig.names.begin(), old_end, ig.names.end(), by_name);
     edge_ids();
   }
   ig.end = id_of(Dfg::end_node());
@@ -88,7 +91,7 @@ std::vector<std::size_t> assign_layers(const IdGraph& ig, std::size_t rounds) {
   return layer;
 }
 
-std::vector<std::string> label_lines_for(const Activity& a, const ActivityStat* stat) {
+std::vector<std::string> label_lines_for(std::string_view a, const ActivityStat* stat) {
   std::vector<std::string> lines;
   for (const auto part : split(a, '\n')) lines.emplace_back(part);
   if (stat != nullptr) {
@@ -162,8 +165,8 @@ Layout layout_dfg(const Dfg& g, const IoStatistics* stats, const LayoutOptions& 
     for (const std::size_t v : rows[l]) {
       box_of[v] = boxes++;
       NodeBox box;
-      box.activity = Activity(ig.names[v]);
-      if (stats != nullptr) box.stat = stats->find(box.activity);
+      box.activity = *ig.names[v];
+      if (stats != nullptr) box.stat = stats->find(*ig.names[v]);
       box.label_lines = label_lines_for(box.activity, opts.show_stats ? box.stat : nullptr);
       std::size_t longest = 1;
       for (const auto& line : box.label_lines) longest = std::max(longest, line.size());

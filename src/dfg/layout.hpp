@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dfg/dfg.hpp"
@@ -30,8 +31,12 @@
 
 namespace st::dfg {
 
+// The activity names of a Layout are views into the Dfg it was
+// computed from: the graph must outlive the layout (layout_dfg of a
+// temporary graph does not compile).
+
 struct NodeBox {
-  Activity activity;
+  std::string_view activity;
   /// The activity's entry in the statistics the layout was given; null
   /// without statistics or without an entry. The Load/DR label lines
   /// come from it, and a renderer hands it to Styler::node_style_given.
@@ -50,8 +55,8 @@ struct NodeBox {
 struct EdgeGeom {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-  Activity from;
-  Activity to;
+  std::string_view from;
+  std::string_view to;
   /// Indices into Layout::nodes of the two endpoint boxes; npos for an
   /// endpoint that has no box (one named only by its own self loop).
   std::size_t from_box = npos;
@@ -78,9 +83,10 @@ struct LayoutOptions {
   bool show_stats = true;  ///< include Load/DR lines in labels
 };
 
-/// Computes the layout. `stats` may be null (labels are then just the
-/// activity text).
+/// Computes the layout of `g`, whose names it views. `stats` may be
+/// null (labels are then just the activity text).
 [[nodiscard]] Layout layout_dfg(const Dfg& g, const IoStatistics* stats,
                                 const LayoutOptions& opts = {});
+Layout layout_dfg(Dfg&& g, const IoStatistics* stats, const LayoutOptions& opts = {}) = delete;
 
 }  // namespace st::dfg

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <numeric>
 #include <unordered_map>
 #include <utility>
 
@@ -657,7 +658,9 @@ MappedElog::ColumnView MappedElog::case_columns(std::size_t i) const {
   return v;
 }
 
-model::Case MappedElog::case_at(std::size_t i) const {
+template <bool kEvents, bool kPairs>
+model::CaseId MappedElog::decode(std::size_t i, std::vector<model::Event>* events,
+                                std::vector<std::uint64_t>* pairs) const {
   if (i >= cases_.size()) throw LogicError("MappedElog::case_at: index out of range");
   const CaseRef& cr = cases_[i];
   validate_section(pool_section_);
@@ -666,16 +669,20 @@ model::Case MappedElog::case_at(std::size_t i) const {
   const std::string_view cid = pool_string(cr.cid_id);
   const std::string_view host = pool_string(cr.host_id);
   const auto rows = static_cast<std::size_t>(cr.rows);
+  if constexpr (kEvents) events->assign(rows, model::Event{});
+  if constexpr (kPairs) pairs->reserve(pairs->size() + rows);
 
-  std::vector<model::Event> events(rows);
+  const auto put_start = [events](std::size_t r, std::int64_t start) {
+    if constexpr (kEvents) (*events)[r].start = start;
+  };
   const SectionEntry& start_e = entries_[cr.col[2]];
   if (start_e.aux == kStartEncodingVarint) {
     const char* p = file_.data() + start_e.offset;
     const char* end = p + start_e.length;
     std::int64_t prev = 0;
-    for (model::Event& e : events) {
+    for (std::size_t r = 0; r < rows; ++r) {
       prev = wrap_add(prev, zigzag_decode(read_uvarint(&p, end)));
-      e.start = prev;
+      put_start(r, prev);
     }
     if (p != end) throw IoError("elog v2: start column has trailing bytes");
   } else {
@@ -683,7 +690,7 @@ model::Case MappedElog::case_at(std::size_t i) const {
     std::int64_t prev = 0;
     for (std::size_t r = 0; r < rows; ++r) {
       prev = wrap_add(prev, load_i64(p + r * 8));
-      events[r].start = prev;
+      put_start(r, prev);
     }
   }
 
@@ -694,18 +701,63 @@ model::Case MappedElog::case_at(std::size_t i) const {
   const char* size = file_.data() + entries_[cr.col[5]].offset;
 
   for (std::size_t r = 0; r < rows; ++r) {
-    model::Event& e = events[r];
-    e.cid = cid;
-    e.host = host;
-    e.rid = cr.rid;
-    e.pid = load_u64(pid + r * 8);
-    e.call = pool_string(load_u32(call + r * 4));
-    e.dur = load_i64(dur + r * 8);
-    e.fp = pool_string(load_u32(fp + r * 4));
-    e.size = load_i64(size + r * 8);
+    const std::uint32_t call_id = load_u32(call + r * 4);
+    const std::uint32_t fp_id = load_u32(fp + r * 4);
+    const std::string_view call_s = pool_string(call_id);
+    const std::string_view fp_s = pool_string(fp_id);
+    if constexpr (kPairs) pairs->push_back(static_cast<std::uint64_t>(call_id) << 32 | fp_id);
+    if constexpr (kEvents) {
+      model::Event& e = (*events)[r];
+      e.cid = cid;
+      e.host = host;
+      e.rid = cr.rid;
+      e.pid = load_u64(pid + r * 8);
+      e.call = call_s;
+      e.dur = load_i64(dur + r * 8);
+      e.fp = fp_s;
+      e.size = load_i64(size + r * 8);
+    }
   }
-  return model::Case(model::CaseId{std::string(cid), std::string(host), cr.rid},
-                     std::move(events));
+  return model::CaseId{std::string(cid), std::string(host), cr.rid};
+}
+
+model::Case MappedElog::case_at(std::size_t i) const {
+  std::vector<model::Event> events;
+  model::CaseId id = decode<true, false>(i, &events, nullptr);
+  return model::Case(std::move(id), std::move(events));
+}
+
+void MappedElog::case_at(std::size_t i, model::Case& out,
+                         std::vector<std::uint64_t>& pairs) const {
+  std::vector<model::Event> events = std::move(out).take_events();
+  pairs.clear();
+  model::CaseId id = decode<true, true>(i, &events, &pairs);
+  if (!std::is_sorted(events.begin(), events.end(),
+                      [](const model::Event& a, const model::Event& b) {
+                        return a.start < b.start;
+                      })) {
+    // The Case's stable sort by start, applied to the pairs too.
+    std::vector<std::size_t> order(events.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return events[a].start < events[b].start;
+    });
+    std::vector<model::Event> sorted_events;
+    std::vector<std::uint64_t> sorted_pairs;
+    sorted_events.reserve(order.size());
+    sorted_pairs.reserve(order.size());
+    for (const std::size_t r : order) {
+      sorted_events.push_back(events[r]);
+      sorted_pairs.push_back(pairs[r]);
+    }
+    events = std::move(sorted_events);
+    pairs = std::move(sorted_pairs);
+  }
+  out = model::Case(std::move(id), std::move(events));
+}
+
+void MappedElog::check_case(std::size_t i, std::vector<std::uint64_t>& pairs) const {
+  (void)decode<false, true>(i, nullptr, &pairs);
 }
 
 void MappedElog::verify() const {
@@ -775,28 +827,33 @@ model::EventLog read_event_log_v2(std::shared_ptr<MappedElog> mapped,
   }
   model::EventLog log;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!errors[i]) {
+    if (errors[i]) {
+      log.add_warning(quarantine_warning(*mapped, i, errors[i], opts));
+    } else {
       log.add_case(std::move(cases[i]));
-      continue;
-    }
-    if (!opts.keep_going) std::rethrow_exception(errors[i]);
-    try {
-      std::rethrow_exception(errors[i]);
-    } catch (const IoError& e) {
-      // One corrupt section loses its case, not the corpus. The label
-      // prefers the case id, but the pool holding it may itself be the
-      // corrupt section — fall back to the index alone.
-      std::string label = "case " + std::to_string(i);
-      try {
-        label += " (" + mapped->case_id(i).to_string() + ")";
-      } catch (const IoError&) {
-      }
-      log.add_warning(label + " quarantined: " + e.what());
     }
   }
   // The events view straight into the mapping; the log owns it now.
   log.adopt(std::move(mapped));
   return log;
+}
+
+std::string quarantine_warning(const MappedElog& mapped, std::size_t i,
+                               const std::exception_ptr& error, const RunPolicy& policy) {
+  if (!policy.keep_going) std::rethrow_exception(error);
+  try {
+    std::rethrow_exception(error);
+  } catch (const IoError& e) {
+    // One corrupt section loses its case, not the corpus. The label
+    // prefers the case id, but the pool holding it may itself be the
+    // corrupt section — fall back to the index alone.
+    std::string label = "case " + std::to_string(i);
+    try {
+      label += " (" + mapped.case_id(i).to_string() + ")";
+    } catch (const IoError&) {
+    }
+    return label + " quarantined: " + e.what();
+  }
 }
 
 // ---- streaming sink ----------------------------------------------------

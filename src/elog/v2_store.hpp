@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <limits>
 #include <map>
 #include <memory>
@@ -188,6 +189,17 @@ class MappedElog {
   /// into any log that escapes.
   [[nodiscard]] model::Case case_at(std::size_t i) const;
 
+  /// case_at(i) into `out`, reusing its event storage, with the
+  /// (call id, fp id) pool-id pair of each of its events, in event
+  /// order, in `pairs` (key: call id << 32 | fp id). Same checks, same
+  /// errors.
+  void case_at(std::size_t i, model::Case& out, std::vector<std::uint64_t>& pairs) const;
+
+  /// Every check case_at(i) makes, in its order — so it throws the
+  /// IoError case_at would — without materializing an event; appends
+  /// the pool-id pair of each row, in row order, to `pairs`.
+  void check_case(std::size_t i, std::vector<std::uint64_t>& pairs) const;
+
   /// Full integrity pass: every section CRC plus zero inter-section
   /// padding, so all file bytes are covered — including the structural
   /// invariants of any index sections present. Throws IoError.
@@ -263,6 +275,12 @@ class MappedElog {
  private:
   MappedElog() = default;
   void validate_section(std::size_t index) const;
+  /// case_at's decode: validates case i's sections and strings and
+  /// writes its rows into `events` (when kEvents) and their pool-id
+  /// pairs into `pairs` (when kPairs). Returns the case's id.
+  template <bool kEvents, bool kPairs>
+  model::CaseId decode(std::size_t i, std::vector<model::Event>* events,
+                       std::vector<std::uint64_t>* pairs) const;
   void validate_index_structure(const IndexView& iv) const;
 
   /// Per-case references into entries_ (indexes of the six column
@@ -321,6 +339,15 @@ class MappedElog {
 [[nodiscard]] model::EventLog read_event_log_v2(std::shared_ptr<MappedElog> mapped,
                                                 const ElogReadOptions& opts = {},
                                                 ThreadPool* pool = nullptr);
+
+/// read_event_log_v2's rule for case i of `mapped` failing with
+/// `error`: fail fast (or anything but an IoError) rethrows it;
+/// keep_going returns the case's quarantine warning, "case N (id)
+/// quarantined: <error>" (the id is left out when the pool holding it
+/// is itself corrupt).
+[[nodiscard]] std::string quarantine_warning(const MappedElog& mapped, std::size_t i,
+                                             const std::exception_ptr& error,
+                                             const RunPolicy& policy);
 
 /// CaseSink writing elog v2 in the same streamed pipeline::run pass as
 /// any other analytic: fold() encodes the case's columns on the pool

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <unordered_set>
 
 #include "support/errors.hpp"
 #include "support/strings.hpp"
@@ -77,14 +76,16 @@ EventLog EventLog::merge(const EventLog& a, const EventLog& b) {
   return merge(EventLog(a), EventLog(b));
 }
 
+void CaseIdSet::add(const CaseId& id) {
+  if (!ids_.insert(id).second) {
+    throw LogicError("EventLog::merge: duplicate case " + id.to_string());
+  }
+}
+
 EventLog EventLog::merge(EventLog&& a, EventLog&& b) {
-  std::unordered_set<CaseId> seen;
+  CaseIdSet seen;
   for (const auto* log : {&a, &b}) {
-    for (const auto& c : log->cases()) {
-      if (!seen.insert(c.id()).second) {
-        throw LogicError("EventLog::merge: duplicate case " + c.id().to_string());
-      }
-    }
+    for (const auto& c : log->cases()) seen.add(c.id());
   }
   EventLog out;
   out.cases_ = std::move(a.cases_);

@@ -28,6 +28,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "model/event.hpp"
@@ -50,12 +51,29 @@ class Case {
   [[nodiscard]] std::size_t size() const { return events_.size(); }
   [[nodiscard]] bool empty() const { return events_.empty(); }
 
+  /// Hands the event storage back and leaves the case empty — for a
+  /// decoder that refills one case buffer, reusing its capacity.
+  [[nodiscard]] std::vector<Event> take_events() && { return std::move(events_); }
+
   /// New case containing only events satisfying `pred` (order kept).
   [[nodiscard]] Case filtered(const std::function<bool(const Event&)>& pred) const;
 
  private:
   CaseId id_;
   std::vector<Event> events_;
+};
+
+/// The union's identity rule (Sec. IV): no two cases share a CaseId.
+/// EventLog::merge checks it, and so does a fold over several case
+/// sources that never become one log (corpus::open_corpus).
+class CaseIdSet {
+ public:
+  /// Adds `id`; throws merge's LogicError ("EventLog::merge: duplicate
+  /// case <id>") when it is already in the set.
+  void add(const CaseId& id);
+
+ private:
+  std::unordered_set<CaseId> ids_;
 };
 
 class EventLog {

@@ -11,11 +11,16 @@
 // the dictionary only when a sink's partial turns into its string-keyed
 // output, so the bytes downstream are unchanged.
 //
-// A dictionary belongs to one task (one file of a run, one chunk of a
-// fold) and is never shared across threads; ids mean nothing outside
-// it. The start and end markers of the DFG are always ids 0 and 1, so
-// an activity that f maps to "●" or "■" merges with the marker, as it
-// does in the string-keyed Dfg.
+// A dictionary that map_case fills belongs to one task (one file of a
+// run, one chunk of a fold) and is never shared across threads; ids
+// mean nothing outside it. A container's dictionary is the one
+// exception (elog/v2_fold.hpp): it is built once per (container,
+// mapping) before the fold, from the container's distinct (call, fp)
+// pool-id pairs, and is read-only from then on — every task of the
+// fold reads it (name(), size()) and none interns into it. The start
+// and end markers of the DFG are always ids 0 and 1, so an activity
+// that f maps to "●" or "■" merges with the marker, as it does in the
+// string-keyed Dfg.
 //
 // The memo. A mapping keyed by (call, fp) (Mapping::Key::kCallFp: the
 // four factories, and filtered_fp over one of them) is evaluated once

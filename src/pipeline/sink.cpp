@@ -3,6 +3,7 @@
 #include <malloc.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -59,27 +60,44 @@ struct MappingPlan {
 };
 
 /// One task's fold — a file in run(), a chunk in fold_cases: a partial
-/// per sink, and per distinct mapping an activity dictionary that lives
-/// as long as the task, so each case is mapped once per mapping however
-/// many sinks fold it.
+/// per sink, and per distinct mapping a dictionary — the source's
+/// shared one, or the task's own, which lives as long as the task —
+/// so each case is mapped once per mapping however many sinks fold it.
 class TaskFold {
  public:
-  TaskFold(std::span<CaseSink* const> sinks, const MappingPlan& plan)
-      : sinks_(sinks), plan_(plan), dicts_(plan.mappings.size()), mapped_(plan.mappings.size()) {
+  /// `shared[m]`, when non-null, is the source's dictionary for
+  /// mapping m; an empty span means the task's own for every mapping.
+  TaskFold(std::span<CaseSink* const> sinks, const MappingPlan& plan,
+           std::span<const model::ActivityDict* const> shared = {})
+      : sinks_(sinks),
+        plan_(plan),
+        own_(plan.mappings.size()),
+        dicts_(plan.mappings.size()),
+        mapped_(plan.mappings.size()) {
+    for (std::size_t m = 0; m < dicts_.size(); ++m) {
+      dicts_[m] = m < shared.size() && shared[m] != nullptr ? shared[m] : &own_[m];
+    }
     partials_.reserve(sinks.size());
     for (const CaseSink* sink : sinks) partials_.push_back(sink->make_partial());
   }
 
+  /// Folds `c`; a mapping with a shared dictionary reads its mapped
+  /// case off `cursor`, which last loaded `c`.
   void fold(const model::Case& c, const std::shared_ptr<strace::StringArena>& arena,
-            const std::shared_ptr<strace::TraceBuffer>& buffer) {
+            const std::shared_ptr<strace::TraceBuffer>& buffer,
+            CaseSource::Cursor* cursor = nullptr) {
     for (std::size_t m = 0; m < mapped_.size(); ++m) {
-      model::map_case(c, *plan_.mappings[m], dicts_[m], mapped_[m]);
+      if (dicts_[m] == &own_[m]) {
+        model::map_case(c, *plan_.mappings[m], own_[m], mapped_[m]);
+      } else {
+        cursor->map(*plan_.mappings[m], mapped_[m]);
+      }
     }
     for (std::size_t s = 0; s < sinks_.size(); ++s) {
       const std::size_t m = plan_.of_sink[s];
       const bool mapped = m != kUnmapped;
       sinks_[s]->fold(*partials_[s], CaseContext{c, arena, buffer, mapped ? &mapped_[m] : nullptr,
-                                                 mapped ? &dicts_[m] : nullptr});
+                                                 mapped ? dicts_[m] : nullptr});
     }
   }
 
@@ -88,7 +106,7 @@ class TaskFold {
   std::vector<std::unique_ptr<SinkPartial>> seal() && {
     for (std::size_t s = 0; s < sinks_.size(); ++s) {
       const std::size_t m = plan_.of_sink[s];
-      sinks_[s]->seal(*partials_[s], m == kUnmapped ? nullptr : &dicts_[m]);
+      sinks_[s]->seal(*partials_[s], m == kUnmapped ? nullptr : dicts_[m]);
     }
     return std::move(partials_);
   }
@@ -96,7 +114,8 @@ class TaskFold {
  private:
   std::span<CaseSink* const> sinks_;
   const MappingPlan& plan_;
-  std::vector<model::ActivityDict> dicts_;
+  std::vector<model::ActivityDict> own_;
+  std::vector<const model::ActivityDict*> dicts_;  ///< by mapping: shared, or &own_[m]
   std::vector<model::MappedCase> mapped_;
   std::vector<std::unique_ptr<SinkPartial>> partials_;
 };
@@ -408,21 +427,61 @@ model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
              health);
 }
 
-void fold_cases(std::span<const model::Case> cases, std::span<CaseSink* const> sinks,
+namespace {
+
+class SpanCursor final : public CaseSource::Cursor {
+ public:
+  explicit SpanCursor(std::span<const model::Case> cases) : cases_(cases) {}
+
+  const model::Case& load(std::size_t i) override { return cases_[i]; }
+  void map(const model::Mapping& /*f*/, model::MappedCase& /*out*/) override {
+    throw LogicError("CaseSpan has no shared dictionary to map into");
+  }
+
+ private:
+  std::span<const model::Case> cases_;
+};
+
+}  // namespace
+
+std::unique_ptr<CaseSource::Cursor> CaseSpan::cursor() const {
+  return std::make_unique<SpanCursor>(cases_);
+}
+
+void fold_cases(std::span<const CaseSource* const> sources, std::span<CaseSink* const> sinks,
                 ThreadPool* pool) {
-  // One chunk inline; on a pool, parallel_for's chunk count.
-  const std::size_t target = pool == nullptr ? 1 : default_chunks(*pool, cases.size());
-  const std::size_t per = std::max<std::size_t>(1, (cases.size() + target - 1) / target);
-  std::vector<std::vector<std::unique_ptr<SinkPartial>>> parts((cases.size() + per - 1) / per);
+  // One chunk per source inline; on a pool, about parallel_for's chunk
+  // count over all the cases, each source cut on its own.
+  std::size_t total = 0;
+  for (const CaseSource* source : sources) total += source->case_count();
+  const std::size_t target = pool == nullptr ? 1 : default_chunks(*pool, total);
+  const std::size_t per = std::max<std::size_t>(1, (total + target - 1) / target);
+  struct Chunk {
+    std::size_t source;
+    std::size_t begin;
+    std::size_t end;
+  };
+  std::vector<Chunk> chunks;
   const MappingPlan plan(sinks);
-  // The cases' owner holds their storage; there is nothing to adopt.
+  // Per source, its shared dictionary of each mapping (or null).
+  std::vector<std::vector<const model::ActivityDict*>> shared(sources.size());
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    const std::size_t n = sources[s]->case_count();
+    const std::size_t step = pool == nullptr ? std::max<std::size_t>(1, n) : per;
+    for (std::size_t b = 0; b < n; b += step) chunks.push_back({s, b, std::min(n, b + step)});
+    for (const model::Mapping* f : plan.mappings) shared[s].push_back(sources[s]->dictionary(*f));
+  }
+  std::vector<std::vector<std::unique_ptr<SinkPartial>>> parts(chunks.size());
+  // The sources hold their cases' storage; there is nothing to adopt.
   const std::shared_ptr<strace::StringArena> no_arena;
   const std::shared_ptr<strace::TraceBuffer> no_buffer;
   const auto fold_chunk = [&](std::size_t k) {
     FAULT_POINT("sink.fold");
-    TaskFold task(sinks, plan);
-    for (const model::Case& c : cases.subspan(k * per, std::min(per, cases.size() - k * per))) {
-      task.fold(c, no_arena, no_buffer);
+    const Chunk& chunk = chunks[k];
+    TaskFold task(sinks, plan, shared[chunk.source]);
+    const auto cursor = sources[chunk.source]->cursor();
+    for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
+      task.fold(cursor->load(i), no_arena, no_buffer, cursor.get());
     }
     parts[k] = std::move(task).seal();
   };
@@ -441,6 +500,13 @@ void fold_cases(std::span<const model::Case> cases, std::span<CaseSink* const> s
   Accumulators acc(sinks);
   for (auto& partials : parts) acc.absorb(partials);
   std::move(acc).merge();
+}
+
+void fold_cases(std::span<const model::Case> cases, std::span<CaseSink* const> sinks,
+                ThreadPool* pool) {
+  const CaseSpan source(cases);
+  const std::array<const CaseSource*, 1> sources{&source};
+  fold_cases(sources, sinks, pool);
 }
 
 // ---- DfgSink -----------------------------------------------------------

@@ -46,7 +46,10 @@
 // per case, into a MappedCase of activity ids interned in the task's
 // ActivityDict (model/mapped_case.hpp), and pass both in the
 // CaseContext. A registry mapping runs once per distinct (call, fp) of
-// the task, through the dictionary's memo. So DfgSink, VariantsSink, IoStatsSink and EdgeStatsSink
+// the task, through the dictionary's memo — or, over a container, once
+// per distinct (call id, fp id) of the whole file, into one read-only
+// dictionary every task shares (CaseSource::dictionary). So DfgSink,
+// VariantsSink, IoStatsSink and EdgeStatsSink
 // count in id-indexed vectors and integer-keyed maps, and strings come
 // back once per (partial, key) in seal() — once per (case, activity)
 // for the I/O statistics — into the same Dfg, VariantCounts and
@@ -78,12 +81,18 @@
 //       st::pipeline::run(paths, pool, {&graph, &stats, &variants});
 //   use(graph.take_graph(), stats.take_summaries(), variants.take_variants());
 //
-//   // Cases already in a log (a container's, a query's view): the same
-//   // sinks, folded in chunks on the pool (inline with a null pool).
+//   // Cases from sources (CaseSource): a log's or a query view's cases
+//   // (CaseSpan), a container's read in column space without an
+//   // EventLog (elog::ContainerCases, one read-only dictionary per
+//   // container and mapping). The same sinks, folded in chunks on the
+//   // pool (inline with a null pool).
+//   const std::array<const st::model::Mapping*, 1> mappings{&f};
+//   const st::elog::ContainerCases container(st::elog::open_v2("c.elog"), mappings, {}, &pool);
 //   st::pipeline::DfgSink g(f);
 //   st::pipeline::IoStatsSink io(f);
 //   const std::array<st::pipeline::CaseSink*, 2> sinks{&g, &io};
-//   st::pipeline::fold_cases(log.cases(), sinks, &pool);
+//   const std::array<const st::pipeline::CaseSource*, 1> sources{&container};
+//   st::pipeline::fold_cases(sources, sinks, &pool);
 //   use(g.take_graph(), io.finalize());
 #pragma once
 
@@ -236,14 +245,65 @@ class CaseSink {
                                   std::initializer_list<CaseSink*> sinks,
                                   const StreamOptions& opts = {}, DataHealth* health = nullptr);
 
-/// Folds cases already in memory into every sink: contiguous chunks on
-/// `pool` (one chunk inline when it is null), one partial and one
-/// activity dictionary per mapping per chunk, absorbed in chunk order
-/// on the calling thread and merged once — the output is the staged
-/// computation's at any worker count. fold() sees a null arena and buffer: the cases' owner
-/// keeps their storage alive. run()'s
-/// error contract: every chunk is awaited, the lowest chunk's error is
-/// rethrown and no sink sees a merge. Not callable from a task on `pool`.
+/// Cases by index: what fold_cases folds. Each fold task reads its
+/// chunk through its own cursor(). A source may hold, per mapping, a
+/// dictionary built before the fold and read-only during it, shared by
+/// every task, and then maps its cases into it itself (Cursor::map) —
+/// a container does (elog/v2_fold.hpp). For any other mapping each
+/// task maps the cases it loads into its own dictionary (map_case).
+class CaseSource {
+ public:
+  /// One task's reader of the source: not shared across threads, and
+  /// used only while the source lives.
+  class Cursor {
+   public:
+    virtual ~Cursor() = default;
+    /// Case i (< case_count()), valid until the next load.
+    [[nodiscard]] virtual const model::Case& load(std::size_t i) = 0;
+    /// The last loaded case under `f`, ids in dictionary(f); only for
+    /// an f the source has a dictionary for.
+    virtual void map(const model::Mapping& f, model::MappedCase& out) = 0;
+  };
+
+  virtual ~CaseSource() = default;
+  [[nodiscard]] virtual std::size_t case_count() const = 0;
+  /// The read-only dictionary every task shares for `f` (by address),
+  /// or null: the tasks map f themselves.
+  [[nodiscard]] virtual const model::ActivityDict* dictionary(const model::Mapping& /*f*/) const {
+    return nullptr;
+  }
+  [[nodiscard]] virtual std::unique_ptr<Cursor> cursor() const = 0;
+};
+
+/// Cases already in memory (a log's, a query's view) as a source. The
+/// cases' owner keeps them alive while the source is folded.
+class CaseSpan final : public CaseSource {
+ public:
+  explicit CaseSpan(std::span<const model::Case> cases) : cases_(cases) {}
+
+  [[nodiscard]] std::size_t case_count() const override { return cases_.size(); }
+  [[nodiscard]] std::unique_ptr<Cursor> cursor() const override;
+
+ private:
+  std::span<const model::Case> cases_;
+};
+
+/// Folds the sources' cases, in source order, into every sink:
+/// contiguous chunks on `pool` (inline when it is null: one chunk per
+/// source), a chunk never spanning two sources. Each chunk folds into
+/// one partial per sink, with one dictionary per mapping — the
+/// source's shared one, or the chunk's own — and seals there; the
+/// partials are absorbed in chunk order on the calling thread and
+/// merged once, so the output is the staged computation's over the
+/// concatenated cases at any worker count. fold() sees a null arena
+/// and buffer: the sources keep their storage alive. run()'s error
+/// contract: every chunk is awaited, the lowest chunk's error is
+/// rethrown and no sink sees a merge. Not callable from a task on
+/// `pool`.
+void fold_cases(std::span<const CaseSource* const> sources, std::span<CaseSink* const> sinks,
+                ThreadPool* pool);
+
+/// fold_cases over one CaseSpan.
 void fold_cases(std::span<const model::Case> cases, std::span<CaseSink* const> sinks,
                 ThreadPool* pool);
 

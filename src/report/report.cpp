@@ -182,28 +182,30 @@ std::string render_report(const ReportData& data, const model::Mapping& f,
   return html;
 }
 
-ReportData report_data(const model::EventLog& log, const model::Mapping& f,
-                       const ReportOptions& opts, ThreadPool* pool) {
+ReportData report_data(std::span<const pipeline::CaseSource* const> sources,
+                       const model::Mapping& f, const ReportOptions& opts, ThreadPool* pool) {
   pipeline::DfgSink graph(f);
   pipeline::CaseStatsSink cases;
   pipeline::IoStatsSink io(f);
   pipeline::EdgeStatsSink edges(f);
   const std::array<pipeline::CaseSink*, 4> sinks{&graph, &cases, &io, &edges};
-  pipeline::fold_cases(log.cases(), sinks, pool);
+  pipeline::fold_cases(sources, sinks, pool);
   ReportData data;
   data.graph = graph.take_graph();
   data.stats = io.finalize(pool);
   data.edge_stats = edges.finalize();
   data.case_summaries = cases.take_summaries();
-  data.case_count = log.case_count();
-  data.total_events = log.total_events();
+  data.case_count = data.case_summaries.size();
+  for (const auto& s : data.case_summaries) data.total_events += s.events;
   if (opts.timeline_activity) data.timeline = io.partial().timeline(*opts.timeline_activity);
   return data;
 }
 
 std::string build_report(const model::EventLog& log, const model::Mapping& f,
                          const dfg::Styler* styler, const ReportOptions& opts) {
-  return render_report(report_data(log, f, opts), f, styler, opts);
+  const pipeline::CaseSpan cases(log.cases());
+  const std::array<const pipeline::CaseSource*, 1> sources{&cases};
+  return render_report(report_data(sources, f, opts), f, styler, opts);
 }
 
 void write_report_file(const std::string& path, const model::EventLog& log,

@@ -13,20 +13,25 @@
 // Everything is embedded: one .html file, no external assets.
 //
 // One way to fill its ReportData: the report's sinks (pipeline/sink.hpp)
-// folded over cases, from one of two case sources —
-//   - report_data(log, ..., pool): an EventLog's cases, folded in
-//     contiguous chunks on the caller's pool (pipeline::fold_cases) —
-//     build_report, the served and trace_explorer query reports;
-//   - render_sharded_report(analytics, ...): trace files, folded on the
-//     pool WHILE they parse (pipeline::fold_report) and merged from
+// folded over cases, either
+//   - by report_data(sources, ..., pool): cases that are already
+//     parsed, folded in contiguous chunks on the caller's pool
+//     (pipeline::fold_cases over pipeline::CaseSource) — an EventLog's
+//     or a query view's cases (pipeline::CaseSpan: build_report, the
+//     served report, trace_explorer --query), or a container's, read
+//     in column space with one read-only dictionary per container
+//     (elog::ContainerCases: trace_explorer's report over .elog
+//     inputs); or
+//   - by render_sharded_report(analytics, ...): trace files, folded on
+//     the pool WHILE they parse (pipeline::fold_report) and merged from
 //     pipeline::ShardPartial "report partials" — streaming_report is
 //     this over a single in-process fold; fold-shard / merge-partials /
-//     report-sharded are it over many. This source also renders the
+//     report-sharded are it over many. This way also renders the
 //     variants and data-health sections.
 // The doubles match the staged IoStatistics::compute bit for bit at any
 // chunking, thanks to the deterministic summation tree in dfg/stats.hpp,
-// and both sources render through render_report, so a section looks
-// identical no matter which source produced it.
+// and both ways render through render_report, so a section looks
+// identical whichever filled it.
 #pragma once
 
 #include <optional>
@@ -62,7 +67,7 @@ struct ReportOptions {
 };
 
 /// The precomputed pieces every report section renders from.
-/// report_data fills it from an EventLog; render_sharded_report fills
+/// report_data fills it from case sources; render_sharded_report fills
 /// it from merged report partials.
 struct ReportData {
   dfg::Dfg graph;
@@ -86,15 +91,18 @@ struct ReportData {
 [[nodiscard]] std::string render_report(const ReportData& data, const model::Mapping& f,
                                         const dfg::Styler* styler, const ReportOptions& opts = {});
 
-/// Computes the ReportData of a materialized log — every section but
-/// variants and data health — in one fold of the report's sinks over
-/// its cases and the I/O statistics' finalize: on `pool`, or inline
-/// when it is null. The bytes do not depend on the pool.
-[[nodiscard]] ReportData report_data(const model::EventLog& log, const model::Mapping& f,
-                                     const ReportOptions& opts = {}, ThreadPool* pool = nullptr);
+/// Computes the ReportData of the sources' cases, in source order —
+/// every section but variants and data health — in one fold of the
+/// report's sinks (pipeline::fold_cases) and the I/O statistics'
+/// finalize: on `pool`, or inline when it is null. The case and event
+/// counts are those of the folded cases. The bytes do not depend on the
+/// pool, nor on which kind of source holds a case.
+[[nodiscard]] ReportData report_data(std::span<const pipeline::CaseSource* const> sources,
+                                     const model::Mapping& f, const ReportOptions& opts = {},
+                                     ThreadPool* pool = nullptr);
 
 /// Builds the full report from a materialized log: render_report over
-/// report_data. `styler` may be null (uncolored DFG).
+/// report_data of its cases. `styler` may be null (uncolored DFG).
 [[nodiscard]] std::string build_report(const model::EventLog& log, const model::Mapping& f,
                                        const dfg::Styler* styler, const ReportOptions& opts = {});
 

@@ -27,7 +27,8 @@ Dfg chain_graph() {
 }
 
 TEST(Layout, StartAtTopEndAtBottom) {
-  const auto layout = layout_dfg(chain_graph(), nullptr);
+  const Dfg g = chain_graph();
+  const auto layout = layout_dfg(g, nullptr);
   const auto* start = find_box(layout, Dfg::start_node());
   const auto* end = find_box(layout, Dfg::end_node());
   ASSERT_NE(start, nullptr);
@@ -38,7 +39,8 @@ TEST(Layout, StartAtTopEndAtBottom) {
 }
 
 TEST(Layout, ChainLayersAreSequential) {
-  const auto layout = layout_dfg(chain_graph(), nullptr);
+  const Dfg g = chain_graph();
+  const auto layout = layout_dfg(g, nullptr);
   EXPECT_EQ(find_box(layout, "a")->layer, 1u);
   EXPECT_EQ(find_box(layout, "b")->layer, 2u);
   EXPECT_EQ(find_box(layout, "c")->layer, 3u);
@@ -66,7 +68,8 @@ TEST(Layout, NoOverlapsWithinLayer) {
   const auto log = model::EventLog::merge(iosim::make_ls_traces().to_event_log(),
                                           iosim::make_ls_l_traces().to_event_log());
   const auto f = model::Mapping::call_top_dirs(2);
-  const auto layout = layout_dfg(dfg::build_serial(log, f), nullptr);
+  const auto g = dfg::build_serial(log, f);
+  const auto layout = layout_dfg(g, nullptr);
   for (const auto& a : layout.nodes) {
     for (const auto& b : layout.nodes) {
       if (a.activity == b.activity || a.layer != b.layer) continue;
@@ -103,7 +106,8 @@ TEST(Layout, LabelsIncludeStatsWhenProvided) {
   log.add_case(testing::make_case("a", 1, {testing::ev("read", "/usr/lib/x", 0, 10, 832)}));
   const auto f = model::Mapping::call_top_dirs(2);
   const auto stats = IoStatistics::compute(log, f);
-  const auto layout = layout_dfg(dfg::build_serial(log, f), &stats);
+  const auto g = dfg::build_serial(log, f);
+  const auto layout = layout_dfg(g, &stats);
   const auto* node = find_box(layout, "read\n/usr/lib");
   ASSERT_NE(node, nullptr);
   ASSERT_GE(node->label_lines.size(), 3u);  // call, path, Load, (DR)
@@ -113,7 +117,8 @@ TEST(Layout, LabelsIncludeStatsWhenProvided) {
 }
 
 TEST(Layout, EmptyGraph) {
-  const auto layout = layout_dfg(Dfg{}, nullptr);
+  const Dfg g;
+  const auto layout = layout_dfg(g, nullptr);
   EXPECT_TRUE(layout.nodes.empty());
   EXPECT_TRUE(layout.edges.empty());
 }
@@ -246,7 +251,8 @@ TEST(Layout, EdgeBoxIndicesPointAtTheirEndpoints) {
     }
   }
   // The orphan on a path is laid out like any node.
-  EXPECT_NE(find_box(layout_dfg(orphan_endpoint_graph(), nullptr), "ghost"), nullptr);
+  const Dfg orphans = orphan_endpoint_graph();
+  EXPECT_NE(find_box(layout_dfg(orphans, nullptr), "ghost"), nullptr);
 }
 
 /// Activities whose labels need escaping (& < > ") and span two lines

@@ -1,7 +1,7 @@
-// The log-side report fold: report::report_data folds the report's
-// sinks over an EventLog's cases through pipeline::fold_cases, and
-// must reproduce the staged oracle (testing::staged_report_data, one
-// serial pass per section):
+// The report fold over already-parsed cases: report::report_data folds
+// the report's sinks over case sources through pipeline::fold_cases,
+// and must reproduce the staged oracle (testing::staged_report_data,
+// one serial pass per section):
 //   - field by field — graph, activity statistics with bit-exact
 //     doubles, edge statistics, case summaries, counts and timeline —
 //     and in the rendered bytes, with no pool and on 1, 2 and 4
@@ -10,24 +10,40 @@
 //     it evenly), an empty log and a log whose cases map no events,
 //     under every mapping of testing::mappings_under_test (the seven
 //     registry names, a filtered one, one naming events like the DFG's
-//     markers and one that maps nothing), with and without a timeline;
+//     markers and one that maps nothing) and a custom one reading the
+//     pid, with and without a timeline — each log folded as its cases
+//     (pipeline::CaseSpan) and as a v2 container of them
+//     (elog::ContainerCases: column space, one read-only dictionary per
+//     container and registry mapping, per-chunk ones for custom);
+//   - the container source's load policy against read_event_log_v2's:
+//     the same quarantine warning and the same missing case under
+//     keep_going, the lower corrupt case's error under fail fast, and
+//     corpus::open_corpus's duplicate case id error against
+//     load_corpus's;
 //   - fold_cases' error contract: a sink throwing in two chunks
 //     surfaces the lower chunk's error every time, no sink sees a
 //     merge and the pool stays usable; an armed sink.fold fault is a
 //     typed IoError that leaves every sink empty.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "../bench/testdata.hpp"
+#include "corpus/catalog.hpp"
 #include "dfg/coloring.hpp"
+#include "elog/format.hpp"
+#include "elog/v2_fold.hpp"
+#include "elog/v2_store.hpp"
 #include "iosim/commands.hpp"
 #include "paper_oracles.hpp"
 #include "parallel/thread_pool.hpp"
@@ -53,7 +69,29 @@ std::string source_name(Source s) {
   return "?";
 }
 
-using Param = std::tuple<Source, std::string, bool>;  // source, mapping, timeline
+/// Which case source folds the log: its cases, or a v2 container of
+/// them.
+enum class Kind { kCases, kContainer };
+
+using Param = std::tuple<Source, std::string, bool, Kind>;  // source, mapping, timeline, kind
+
+std::string v2_bytes(const model::EventLog& log) {
+  std::ostringstream out(std::ios::binary);
+  elog::write_event_log_v2(out, log);
+  return std::move(out).str();
+}
+
+std::shared_ptr<elog::MappedElog> open_bytes(std::string bytes) {
+  return elog::MappedElog::from_buffer(std::make_shared<strace::TraceBuffer>(std::move(bytes)));
+}
+
+/// A kEvent mapping that reads more than (call, fp): mapping it per
+/// (call id, fp id) pair would be wrong.
+model::Mapping by_pid() {
+  return model::Mapping::custom("by-pid", [](const model::Event& e) {
+    return model::Activity(e.call) + "\n" + std::to_string(e.pid % 3);
+  });
+}
 
 class LogFold : public testing::CorpusTest, public ::testing::WithParamInterface<Param> {
  protected:
@@ -105,9 +143,15 @@ std::string render(const report::ReportData& data, const model::Mapping& f,
 }
 
 TEST_P(LogFold, MatchesTheStagedOracleAtAnyPool) {
-  const auto& [source, mapping, with_timeline] = GetParam();
-  const model::EventLog log = log_of(source);
-  model::Mapping f = testing::mapping_under_test(mapping);
+  const auto& [source, mapping, with_timeline, kind] = GetParam();
+  model::EventLog log = log_of(source);
+  std::shared_ptr<elog::MappedElog> mapped;
+  if (kind == Kind::kContainer) {
+    // The oracle reads what the container holds.
+    mapped = open_bytes(v2_bytes(log));
+    log = elog::read_event_log_v2(mapped);
+  }
+  model::Mapping f = mapping == "by-pid" ? by_pid() : testing::mapping_under_test(mapping);
   if (source == Source::kUnmapped) {
     f = f.filtered(mapping + "-none", [](const model::Event&) { return false; });
   }
@@ -134,23 +178,195 @@ TEST_P(LogFold, MatchesTheStagedOracleAtAnyPool) {
   ThreadPool pool1(1);
   ThreadPool pool2(2);
   ThreadPool pool4(4);
+  const std::array<const model::Mapping*, 1> mappings{&f};
   for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool1, &pool2, &pool4}) {
     const std::string what = "workers " + std::to_string(pool ? pool->size() : 0);
-    const auto folded = report::report_data(log, f, opts, pool);
+    std::unique_ptr<pipeline::CaseSource> cases;
+    if (kind == Kind::kContainer) {
+      auto container = std::make_unique<elog::ContainerCases>(mapped, mappings, RunPolicy{}, pool);
+      // A registry mapping gets the container's dictionary; a custom
+      // one is mapped per chunk.
+      EXPECT_EQ(container->dictionary(f) != nullptr,
+                f.key() == model::Mapping::Key::kCallFp)
+          << what;
+      cases = std::move(container);
+    } else {
+      cases = std::make_unique<pipeline::CaseSpan>(log.cases());
+    }
+    const std::array<const pipeline::CaseSource*, 1> sources{cases.get()};
+    const auto folded = report::report_data(sources, f, opts, pool);
     expect_same_report_data(folded, staged, what);
     EXPECT_EQ(render(folded, f, opts), staged_html) << what;
   }
+}
+
+std::vector<std::string> log_fold_mappings() {
+  auto names = testing::mappings_under_test();
+  names.push_back("by-pid");
+  return names;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     SourcesMappingsTimelines, LogFold,
     ::testing::Combine(::testing::Values(Source::kLs, Source::kNoisyCorpus, Source::kSynthetic,
                                          Source::kEmpty, Source::kUnmapped),
-                       ::testing::ValuesIn(testing::mappings_under_test()), ::testing::Bool()),
+                       ::testing::ValuesIn(log_fold_mappings()), ::testing::Bool(),
+                       ::testing::Values(Kind::kCases, Kind::kContainer)),
     [](const ::testing::TestParamInfo<Param>& info) {
-      return source_name(std::get<0>(info.param)) + "_" + std::get<1>(info.param) +
-             (std::get<2>(info.param) ? "_timeline" : "");
+      std::string name = source_name(std::get<0>(info.param)) + "_" + std::get<1>(info.param) +
+                         (std::get<2>(info.param) ? "_timeline" : "") +
+                         (std::get<3>(info.param) == Kind::kContainer ? "_elog" : "");
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
     });
+
+// ---- the container source's load policy --------------------------------
+
+/// `bytes` with one bit flipped mid-section in `kind` of case `k`.
+std::string flip_column(std::string bytes, elog::SectionKind kind, std::uint32_t k) {
+  const auto clean = open_bytes(bytes);
+  for (const elog::SectionEntry& e : clean->sections()) {
+    if (e.kind == kind && e.case_index == k && e.length > 0) {
+      bytes[e.offset + e.length / 2] ^= 0x04;
+      return bytes;
+    }
+  }
+  ADD_FAILURE() << "no section for case " << k;
+  return bytes;
+}
+
+TEST(ContainerCases, ARegistryActivityNamedLikeAMarkerMergesWithIt) {
+  // Under `call` these events map to "●" and "■" through the shared
+  // dictionary, which hands out the markers' own ids for them.
+  model::EventLog log;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    log.add_case(testing::make_case(
+        "m" + std::to_string(i), i,
+        {testing::ev("read", "/p/a", 10, 2, 8), testing::ev(model::kStartActivity, "/p/a", 20, 1),
+         testing::ev(model::kEndActivity, "/p/b", 30, 1), testing::ev("write", "/p/b", 40, 3, 16)}));
+  }
+  const auto mapped = open_bytes(v2_bytes(log));
+  const auto read = elog::read_event_log_v2(mapped);
+  const auto f = model::mapping_by_name("call");
+  const std::array<const model::Mapping*, 1> mappings{&f};
+  const auto staged = testing::staged_report_data(read, f);
+  ASSERT_GT(staged.graph.node_count(dfg::Dfg::start_node()), staged.graph.trace_count());
+  ThreadPool pool(2);
+  const elog::ContainerCases container(mapped, mappings, RunPolicy{}, &pool);
+  ASSERT_NE(container.dictionary(f), nullptr);
+  const std::array<const pipeline::CaseSource*, 1> sources{&container};
+  expect_same_report_data(report::report_data(sources, f, {}, &pool), staged, "markers");
+}
+
+TEST(ContainerCases, ACaseStoredOutOfStartOrderFoldsInStartOrder) {
+  // A checksummed container whose case rows are not in start order:
+  // case_at sorts the events like Case does, and their pool-id pairs
+  // must follow them.
+  const model::EventLog log = [] {
+    model::EventLog l;
+    l.add_case(testing::make_case("u", 1,
+                                  {testing::ev("read", "/p/a", 10, 2, 8),
+                                   testing::ev("write", "/p/b", 20, 3, 16),
+                                   testing::ev("openat", "/p/c", 30, 1)}));
+    return l;
+  }();
+  elog::EncodedCase ec = elog::encode_case(log.cases()[0]);
+  ec.col_start.clear();
+  for (const std::int64_t delta : {30, -20, 10}) elog::put_i64(ec.col_start, delta);  // 30, 10, 20
+  ec.start_encoding = elog::kStartEncodingFixed;
+  std::ostringstream out(std::ios::binary);
+  elog::ElogV2Writer writer(out);
+  writer.append_encoded(std::move(ec));
+  writer.finalize();
+  const auto mapped = open_bytes(std::move(out).str());
+  const auto read = elog::read_event_log_v2(mapped);
+  ASSERT_EQ(read.cases()[0].events()[0].call, "write");
+  const auto f = model::mapping_by_name("call");
+  const std::array<const model::Mapping*, 1> mappings{&f};
+  const elog::ContainerCases container(mapped, mappings, RunPolicy{}, nullptr);
+  const std::array<const pipeline::CaseSource*, 1> sources{&container};
+  const report::ReportOptions opts{.timeline_activity = model::Activity("read")};
+  expect_same_report_data(report::report_data(sources, f, opts, nullptr),
+                          testing::staged_report_data(read, f, opts), "unsorted");
+}
+
+TEST(ContainerCases, KeepGoingQuarantinesWhatTheReadQuarantines) {
+  const model::EventLog log = bench::synthetic_log(12, 29, 40, 12);
+  const std::string corrupt = flip_column(v2_bytes(log), elog::SectionKind::kColFp, 13);
+  const auto read = elog::read_event_log_v2(open_bytes(corrupt), elog::ElogReadOptions{true});
+  ASSERT_EQ(read.warnings().size(), 1u);
+  ASSERT_EQ(read.warnings()[0].rfind("case 13 (bench_node1_14) quarantined: io error: ", 0), 0u)
+      << read.warnings()[0];
+  const auto f = model::mapping_by_name("top2");
+  const std::array<const model::Mapping*, 1> mappings{&f};
+  const auto staged = testing::staged_report_data(read, f);
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const elog::ContainerCases container(open_bytes(corrupt), mappings, RunPolicy{true}, p);
+    EXPECT_EQ(container.warnings(), read.warnings());
+    ASSERT_EQ(container.case_count(), read.case_count());
+    for (std::size_t k = 0; k < container.case_count(); ++k) {
+      EXPECT_EQ(container.case_id(k), read.cases()[k].id()) << k;
+    }
+    const std::array<const pipeline::CaseSource*, 1> sources{&container};
+    expect_same_report_data(report::report_data(sources, f, {}, p), staged,
+                            p ? "pool" : "inline");
+  }
+}
+
+TEST(ContainerCases, FailFastThrowsTheLowerCorruptCasesError) {
+  const model::EventLog log = bench::synthetic_log(13, 29, 40, 12);
+  const std::string one = flip_column(v2_bytes(log), elog::SectionKind::kColFp, 13);
+  const std::string two = flip_column(one, elog::SectionKind::kColDur, 27);
+  std::string expected;
+  try {
+    (void)elog::read_event_log_v2(open_bytes(two));
+  } catch (const IoError& e) {
+    expected = e.what();
+  }
+  ASSERT_NE(expected.find("crc mismatch"), std::string::npos) << expected;
+  ASSERT_NE(expected.find("case 13"), std::string::npos) << expected;
+  const std::array<const model::Mapping*, 0> none{};
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (int round = 0; round < 5; ++round) {
+      try {
+        const elog::ContainerCases container(open_bytes(two), none, RunPolicy{}, p);
+        ADD_FAILURE() << "a corrupt container opened as a source";
+      } catch (const IoError& e) {
+        EXPECT_EQ(e.what(), expected) << round;
+      }
+    }
+  }
+}
+
+TEST_F(LogFold, ContainersSharingACaseIdFailLikeTheirMerge) {
+  const model::EventLog log = bench::synthetic_log(14, 6, 20, 8);
+  model::EventLog other;
+  other.add_case(testing::make_case("other", 1, {testing::ev("read", "/p/x", 10, 2, 8)}));
+  other.add_case(log.cases()[4]);  // bench_node1_5, again
+  const std::string a = write_file("a.elog", v2_bytes(log));
+  const std::string b = write_file("b.elog", v2_bytes(other));
+  ThreadPool pool(2);
+  std::string expected;
+  try {
+    (void)corpus::load_corpus({a, b}, pool, RunPolicy{});
+  } catch (const LogicError& e) {
+    expected = e.what();
+  }
+  ASSERT_EQ(expected, "logic error: EventLog::merge: duplicate case " +
+                          log.cases()[4].id().to_string());
+  const auto f = model::mapping_by_name("top2");
+  const std::array<const model::Mapping*, 1> mappings{&f};
+  for (const bool keep_going : {false, true}) {
+    try {
+      (void)corpus::open_corpus({a, b}, pool, RunPolicy{keep_going}, mappings);
+      ADD_FAILURE() << "a duplicate case id opened, keep_going " << keep_going;
+    } catch (const LogicError& e) {
+      EXPECT_EQ(e.what(), expected) << keep_going;
+    }
+  }
+}
 
 // ---- fold_cases error paths ------------------------------------------
 

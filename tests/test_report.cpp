@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include <filesystem>
 #include <fstream>
 
@@ -199,7 +201,9 @@ TEST_F(StreamingReportTest, WorkerCountDoesNotChangeTheHtml) {
 
 ReportData every_section(const model::EventLog& log, const model::Mapping& f,
                          const ReportOptions& opts) {
-  ReportData data = report_data(log, f, opts);
+  const pipeline::CaseSpan cases(log.cases());
+  const std::array<const pipeline::CaseSource*, 1> sources{&cases};
+  ReportData data = report_data(sources, f, opts);
   data.variants = model::ActivityLog::build(log, f).variants();
   pipeline::DataHealth health;
   health.files_requested = 9;
