@@ -188,15 +188,14 @@ int main(int argc, char** argv) {
   const auto stats = catalog.cache_stats();
   const double lookups = static_cast<double>(stats.hits + stats.misses);
   const double hit_rate = lookups > 0 ? static_cast<double>(stats.hits) / lookups : 0.0;
-  const auto base = catalog.base();
 
   std::printf("{\n");
   std::printf("  \"clients\": %zu,\n", o.clients);
   std::printf("  \"requests_per_client\": %zu,\n", o.requests);
   std::printf("  \"total_requests\": %zu,\n", all_us.size());
   std::printf("  \"failed_requests\": %zu,\n", failures.load());
-  std::printf("  \"corpus\": {\"cases\": %zu, \"events\": %zu},\n", base->case_count(),
-              base->total_events());
+  std::printf("  \"corpus\": {\"cases\": %zu, \"events\": %llu},\n", catalog.case_count(),
+              static_cast<unsigned long long>(catalog.total_events()));
   std::printf("  \"wall_seconds\": %.4f,\n", wall_s);
   std::printf("  \"requests_per_second\": %.1f,\n",
               wall_s > 0 ? static_cast<double>(all_us.size()) / wall_s : 0.0);

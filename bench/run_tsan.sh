@@ -13,8 +13,9 @@
 # skipping) plus the supervisor's kill/retry path under injected faults
 # (test_faults), the serve-mode catalog (test_catalog: single-flight
 # stampedes and concurrent mixed access against the LRU memo table) and
-# pipeline::fold_cases' chunk folds on the pool (test_log_fold), the
-# pooled container decode (test_elog_v2) and map_case's memo under
+# pipeline::fold_cases' chunk folds and the container scan on the pool
+# (test_log_fold), the streamed v2 writer sink (test_elog_v2) and
+# map_case's memo under
 # pipeline::run (test_mapping). ASan
 # proves the pipeline's lifetime story; this proves its
 # synchronization story. CI's tsan job runs the same --target and -R

@@ -9,9 +9,9 @@
 // container's, folded in column space — a container's cases are
 // decoded one at a time per fold task and mapped through one read-only
 // dictionary per container (elog::ContainerCases), never collected
-// into an EventLog (corpus::open_corpus). Only --query/--filter
-// materialize the corpus (corpus::load_corpus), since a query selects
-// events; the renders then fold its view.
+// into an EventLog (corpus::open_corpus). --query/--filter select over
+// the same sources (corpus::select): a container decodes only the
+// rows the query keeps, the trace cases go through Query::apply_case.
 //
 //   ./trace_explorer a_host1_9042.st b_host1_9157.st \
 //       --filter /usr/lib --map last2 --render dot
@@ -43,7 +43,6 @@
 #include "corpus/serve.hpp"
 #include "dfg/render.hpp"
 #include "dfg/render_svg.hpp"
-#include "elog/v2_select.hpp"
 #include "iosim/commands.hpp"
 #include "model/case_stats.hpp"
 #include "model/from_strace.hpp"
@@ -94,7 +93,7 @@ int run_serve(const st::CliParser& cli) {
     return 0;
   }
   corpus::Server server(catalog, static_cast<std::uint16_t>(cli.get_int("port")));
-  std::cerr << "serving " << catalog.base()->case_count() << " cases on 127.0.0.1:"
+  std::cerr << "serving " << catalog.case_count() << " cases on 127.0.0.1:"
             << server.port() << "\n";
   server.serve_forever(pool);
   return 0;
@@ -178,23 +177,18 @@ int main(int argc, char** argv) {
     const auto query = query_from_flags(cli);
     const bool filtered = cli.has("filter") || cli.has("query");
     ThreadPool pool(cliargs::thread_count(cli));
-    // The cases every render folds: the demo's, a query's view, or the
-    // inputs opened as case sources — containers are read in column
-    // space and never become an EventLog.
+    // The cases every render folds: the demo's, or the inputs opened as
+    // case sources — containers are read in column space and never
+    // become an EventLog — or what the query keeps of them.
     model::EventLog log;
     corpus::OpenedCorpus opened;
+    corpus::CorpusSelection selection;
     std::vector<const pipeline::CaseSource*> sources;
     if (cli.positional().empty()) {
       std::cerr << "(no inputs; demoing on the built-in ls / ls -l traces)\n";
       log = model::EventLog::merge(iosim::make_ls_traces().to_event_log(),
                                    iosim::make_ls_l_traces().to_event_log());
-      if (filtered) log = elog::apply_query_indexed(query, log, {});
-    } else if (filtered) {
-      // A query selects events, so it needs them: the loader serve mode
-      // uses too, then the indexed selection over its containers.
-      auto loaded = corpus::load_corpus(cli.positional(), pool, cliargs::run_policy(cli));
-      for (const auto& w : loaded.warnings) std::cerr << "warning: " << w << "\n";
-      log = elog::apply_query_indexed(query, loaded.log, loaded.segments);
+      if (filtered) log = query.apply(log);
     } else {
       // Traces stream through the pipeline (zero-copy mmap parse on the
       // pool, each file converted on the thread that finished its
@@ -203,7 +197,12 @@ int main(int argc, char** argv) {
       const std::array<const model::Mapping*, 1> mappings{&f};
       opened = corpus::open_corpus(cli.positional(), pool, cliargs::run_policy(cli), mappings);
       for (const auto& w : opened.warnings) std::cerr << "warning: " << w << "\n";
-      sources = opened.sources;
+      if (filtered) {
+        selection = corpus::select(opened, query);
+        sources = selection.sources;
+      } else {
+        sources = opened.sources;
+      }
     }
     const pipeline::CaseSpan view(log.cases());
     if (sources.empty()) sources.push_back(&view);

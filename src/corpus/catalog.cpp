@@ -6,93 +6,61 @@
 #include <utility>
 
 #include "dfg/coloring.hpp"
-#include "elog/store.hpp"
 #include "elog/v2_fold.hpp"
 #include "pipeline/sink.hpp"
 #include "support/errors.hpp"
 
 namespace st::corpus {
 
-namespace {
-
-/// The trace files of `inputs`, through pipeline::run (an empty log
-/// when there are none), and its containers, in input order.
-model::EventLog load_traces(const std::vector<std::string>& inputs, ThreadPool& pool,
-                            const RunPolicy& policy, std::vector<std::string>& elogs) {
+OpenedCorpus open_corpus(const std::vector<std::string>& inputs, ThreadPool& pool,
+                         const RunPolicy& policy,
+                         std::span<const model::Mapping* const> mappings) {
   std::vector<std::string> traces;
-  for (const auto& p : inputs) {
-    (p.ends_with(".elog") ? elogs : traces).push_back(p);
-  }
-  if (traces.empty()) return {};
-  pipeline::StreamOptions stream_opts;
-  static_cast<RunPolicy&>(stream_opts) = policy;
-  return pipeline::run(traces, pool, {}, stream_opts);
-}
-
-/// Reads container `path` with `read`; an IoError skips the container
-/// with a "<path>: skipped: ..." warning under keep_going.
-template <typename Read>
-void read_container(const std::string& path, const RunPolicy& policy,
-                    std::vector<std::string>& warnings, Read read) {
-  try {
-    read();
-  } catch (const IoError& e) {
-    if (!policy.keep_going) throw;
-    warnings.push_back(path + ": skipped: " + e.what());
-  }
-}
-
-}  // namespace
-
-LoadedCorpus load_corpus(const std::vector<std::string>& inputs, ThreadPool& pool,
-                         const RunPolicy& policy) {
   std::vector<std::string> elogs;
-  LoadedCorpus out;
-  out.log = load_traces(inputs, pool, policy, elogs);
-  out.warnings = out.log.warnings();
+  for (const auto& p : inputs) (p.ends_with(".elog") ? elogs : traces).push_back(p);
+  OpenedCorpus out;
+  if (!traces.empty()) {
+    pipeline::StreamOptions stream_opts;
+    static_cast<RunPolicy&>(stream_opts) = policy;
+    out.traces = pipeline::run(traces, pool, {}, stream_opts);
+  }
+  out.warnings = out.traces.warnings();
+  out.trace_cases = std::make_unique<pipeline::CaseSpan>(out.traces.cases());
+  out.sources.push_back(out.trace_cases.get());
+  model::CaseIdSet ids;
+  for (const auto& c : out.traces.cases()) ids.add(c.id());
   for (const auto& p : elogs) {
-    read_container(p, policy, out.warnings, [&] {
-      auto part = elog::read_event_log_file_indexed(p, elog::ElogReadOptions{policy}, &pool);
-      for (const auto& w : part.log.warnings()) out.warnings.push_back(p + ": " + w);
-      if (part.mapped) {
-        // A cleanly-read v2 container: its cases land contiguously at
-        // the current tail of the merged log, so record the slice for
-        // the indexed query planner.
-        out.segments.push_back(elog::IndexedSegment{out.log.case_count(),
-                                                    part.log.case_count(),
-                                                    std::move(part.mapped)});
-      }
-      out.log = model::EventLog::merge(std::move(out.log), std::move(part.log));
-    });
+    std::unique_ptr<elog::ContainerCases> container;
+    try {
+      container = std::make_unique<elog::ContainerCases>(elog::open_v2(p), mappings, policy, &pool);
+    } catch (const IoError& e) {
+      if (!policy.keep_going) throw;
+      out.warnings.push_back(p + ": skipped: " + e.what());
+      continue;
+    }
+    for (const auto& w : container->warnings()) out.warnings.push_back(p + ": " + w);
+    for (std::size_t k = 0; k < container->case_count(); ++k) ids.add(container->case_id(k));
+    out.sources.push_back(container.get());
+    out.containers.push_back(std::move(container));
   }
   return out;
 }
 
-OpenedCorpus open_corpus(const std::vector<std::string>& inputs, ThreadPool& pool,
-                         const RunPolicy& policy,
-                         std::span<const model::Mapping* const> mappings) {
-  std::vector<std::string> elogs;
-  OpenedCorpus out;
-  out.traces = load_traces(inputs, pool, policy, elogs);
-  out.warnings = out.traces.warnings();
-  out.owned.push_back(std::make_unique<pipeline::CaseSpan>(out.traces.cases()));
-  // EventLog::merge's check, as load_corpus's merges would meet the ids:
-  // the union so far (the trace cases first, at the first merge), then
-  // each container's cases.
-  model::CaseIdSet ids;
-  bool merged = false;
-  for (const auto& p : elogs) {
-    read_container(p, policy, out.warnings, [&] {
-      auto container = std::make_unique<elog::ContainerCases>(elog::open_v2(p), mappings,
-                                                              policy, &pool);
-      for (const auto& w : container->warnings()) out.warnings.push_back(p + ": " + w);
-      if (!merged) {
-        for (const auto& c : out.traces.cases()) ids.add(c.id());
-        merged = true;
-      }
-      for (std::size_t k = 0; k < container->case_count(); ++k) ids.add(container->case_id(k));
-      out.owned.push_back(std::move(container));
-    });
+CorpusSelection select(const OpenedCorpus& corpus, const model::Query& q) {
+  CorpusSelection out;
+  for (const auto& c : corpus.traces.cases()) {
+    if (auto kept = q.apply_case(c)) {
+      out.total_events += kept->size();
+      out.trace_cases.push_back(std::move(*kept));
+    }
+  }
+  out.case_count = out.trace_cases.size();
+  out.owned.push_back(std::make_unique<pipeline::CaseSpan>(out.trace_cases));
+  for (const auto& container : corpus.containers) {
+    auto selected = std::make_unique<elog::ContainerCases::Selected>(container->select(q));
+    out.case_count += selected->case_count();
+    out.total_events += selected->total_events();
+    out.owned.push_back(std::move(selected));
   }
   for (const auto& source : out.owned) out.sources.push_back(source.get());
   return out;
@@ -130,9 +98,11 @@ struct Catalog::Cache {
   std::uint64_t next_id = 0;
 };
 
-Catalog::Catalog(CatalogOptions opts) : opts_(std::move(opts)), cache_(new Cache) {
+Catalog::Catalog(CatalogOptions opts)
+    : opts_(std::move(opts)),
+      mapping_(std::make_unique<const model::Mapping>(model::mapping_by_name(opts_.mapping))),
+      cache_(new Cache) {
   if (opts_.cache_capacity == 0) opts_.cache_capacity = 1;
-  mapping_ = model::mapping_by_name(opts_.mapping);
 }
 
 Catalog::~Catalog() = default;
@@ -140,15 +110,25 @@ Catalog::Catalog(Catalog&&) noexcept = default;
 Catalog& Catalog::operator=(Catalog&&) noexcept = default;
 
 void Catalog::load(const std::vector<std::string>& inputs, ThreadPool& pool) {
-  if (base_) throw LogicError("Catalog::load: already loaded (the catalog is immutable)");
-  auto loaded = load_corpus(inputs, pool, opts_.policy);
-  segments_ = std::move(loaded.segments);
-  load_warnings_ = std::move(loaded.warnings);
-  base_ = std::make_shared<const model::EventLog>(std::move(loaded.log));
+  if (corpus_) throw LogicError("Catalog::load: already loaded (the catalog is immutable)");
+  const std::array<const model::Mapping*, 1> mappings{mapping_.get()};
+  corpus_ = std::make_unique<const OpenedCorpus>(
+      open_corpus(inputs, pool, opts_.policy, mappings));
+  cases_ = corpus_->traces.case_count();
+  events_ = corpus_->traces.total_events();
+  for (const auto& container : corpus_->containers) {
+    cases_ += container->case_count();
+    events_ += container->total_events();
+  }
 }
 
-std::shared_ptr<const model::EventLog> Catalog::filtered(const model::Query& q) {
-  return artifact<model::EventLog>("filtered", &Catalog::compute_filtered, q);
+const std::vector<std::string>& Catalog::load_warnings() const {
+  static const std::vector<std::string> kNone;
+  return corpus_ ? corpus_->warnings : kNone;
+}
+
+std::shared_ptr<const CorpusSelection> Catalog::filtered(const model::Query& q) {
+  return artifact<CorpusSelection>("filtered", &Catalog::compute_filtered, q);
 }
 
 std::shared_ptr<const dfg::Dfg> Catalog::graph(const model::Query& q) {
@@ -229,40 +209,37 @@ std::shared_ptr<const void> Catalog::memoized(const std::string& key,
 }
 
 std::shared_ptr<const void> Catalog::compute_filtered(const model::Query& q) {
-  if (!base_) throw LogicError("Catalog: load() the corpus before querying it");
-  // Byte-identical to q.apply(*base_) by the v2_select contract (the
-  // equivalence tests and the CI serve cmp hold it there), so the cache
-  // key and every derived artifact are unchanged.
-  return std::make_shared<const model::EventLog>(
-      elog::apply_query_indexed(q, *base_, segments_));
+  if (!corpus_) throw LogicError("Catalog: load() the corpus before querying it");
+  return std::make_shared<const CorpusSelection>(select(*corpus_, q));
 }
 
-// Misses fold inline (a null pool): they already run on a pool worker.
+void Catalog::fold_view(const model::Query& q, pipeline::CaseSink& sink) {
+  const auto view = filtered(q);
+  const std::array<pipeline::CaseSink*, 1> sinks{&sink};
+  pipeline::fold_cases(view->sources, sinks, nullptr);
+}
 
 std::shared_ptr<const void> Catalog::compute_graph(const model::Query& q) {
-  pipeline::DfgSink graph(mapping_);
-  const std::array<pipeline::CaseSink*, 1> sinks{&graph};
-  pipeline::fold_cases(filtered(q)->cases(), sinks, nullptr);
+  pipeline::DfgSink graph(*mapping_);
+  fold_view(q, graph);
   return std::make_shared<const dfg::Dfg>(graph.take_graph());
 }
 
 std::shared_ptr<const void> Catalog::compute_io_stats(const model::Query& q) {
-  pipeline::IoStatsSink io(mapping_);
-  const std::array<pipeline::CaseSink*, 1> sinks{&io};
-  pipeline::fold_cases(filtered(q)->cases(), sinks, nullptr);
+  pipeline::IoStatsSink io(*mapping_);
+  fold_view(q, io);
   return std::make_shared<const dfg::IoStatistics>(io.finalize());
 }
 
 std::shared_ptr<const void> Catalog::compute_summaries(const model::Query& q) {
-  return std::make_shared<const std::vector<model::CaseSummary>>(
-      model::summarize_cases(*filtered(q)));
+  pipeline::CaseStatsSink cases;
+  fold_view(q, cases);
+  return std::make_shared<const std::vector<model::CaseSummary>>(cases.take_summaries());
 }
 
 std::shared_ptr<const void> Catalog::compute_report(const model::Query& q) {
   const auto view = filtered(q);
-  const pipeline::CaseSpan cases(view->cases());
-  const std::array<const pipeline::CaseSource*, 1> sources{&cases};
-  return std::make_shared<const std::string>(query_report(sources, q, mapping_));
+  return std::make_shared<const std::string>(query_report(view->sources, q, *mapping_));
 }
 
 }  // namespace st::corpus

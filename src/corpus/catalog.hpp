@@ -1,12 +1,13 @@
 // corpus::Catalog — the resident, immutable corpus behind serve mode.
 //
-// ROADMAP's "production-scale analysis system" needs the batch tools'
-// primitives re-packaged for heavy concurrent READ traffic: load the
-// corpus once (elog v2 containers open by mmap with zero reparse;
-// trace files stream through pipeline::run), hold it immutably behind
-// shared_ptr ownership, and memoize every derived artifact the serve
-// verbs read — query-filtered logs, DFGs, I/O statistics, case
-// summaries, full HTML reports — in a thread-safe LRU cache.
+// The corpus is opened once (open_corpus: elog v2 containers by mmap,
+// folded in column space; trace files through pipeline::run) and held
+// immutably. Every artifact the serve verbs read is memoized in a
+// thread-safe LRU cache: a query's selection — which cases it keeps,
+// and whether all, none or some of their rows — and, folded from it,
+// DFGs, I/O statistics, case summaries and full HTML reports. No
+// artifact is a copy of the corpus's events: a fold decodes the
+// selected rows one case at a time.
 //
 // The cache key IS the wire format: artifacts are keyed by the
 // canonical Query::describe() fingerprint (plus the artifact kind), so
@@ -21,13 +22,13 @@
 //   - a computation that throws is NOT cached (the error propagates to
 //     every waiter of that flight; the next request retries);
 //   - artifacts are returned as shared_ptr<const T>: eviction never
-//     invalidates a handle a caller still holds.
+//     invalidates a handle a caller still holds, while the catalog
+//     lives.
 //
 // Determinism contract: every artifact is byte-identical to the
-// offline CLI path over the same inputs — filtered logs use the same
-// serial Query::apply, reports the same query_report below that
-// trace_explorer --render report calls, so CI can cmp served bytes
-// against the batch tool.
+// offline CLI path over the same inputs — trace_explorer --query
+// selects and folds through the same select and query_report below,
+// so CI can cmp served bytes against the batch tool.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +42,7 @@
 
 #include "dfg/dfg.hpp"
 #include "dfg/stats.hpp"
-#include "elog/v2_select.hpp"
+#include "elog/v2_fold.hpp"
 #include "model/case_stats.hpp"
 #include "model/event_log.hpp"
 #include "model/mapping.hpp"
@@ -75,53 +76,43 @@ struct CacheStats {
   std::size_t entries = 0;
 };
 
-/// A loaded corpus: the base log, its v2-backed slices for the indexed
-/// query planner, and every warning the load produced.
-struct LoadedCorpus {
-  model::EventLog log;
-  /// Cleanly-read v2 containers, as (sorted, non-overlapping) slices
-  /// of `log`. Empty = queries always scan.
-  std::vector<elog::IndexedSegment> segments;
+/// The inputs — .elog containers and cid_host_rid.st trace files, mixed
+/// freely — opened on `pool` for a fold: the trace files' cases through
+/// pipeline::run, then each container's in column space
+/// (elog::ContainerCases, one read-only dictionary per kCallFp mapping
+/// of `mappings`). `policy.keep_going` quarantines CRC-failing container
+/// cases and skips unreadable containers with a warning. A case id met
+/// twice anywhere in the union is EventLog::merge's LogicError, under
+/// keep_going too.
+struct OpenedCorpus {
+  model::EventLog traces;
+  /// traces' cases, behind a pointer so that `sources` survives a move.
+  std::unique_ptr<pipeline::CaseSpan> trace_cases;
+  std::vector<std::unique_ptr<elog::ContainerCases>> containers;  ///< in input order
+  /// trace_cases, then containers, as fold_cases takes them.
+  std::vector<const pipeline::CaseSource*> sources;
   /// Trace ingestion warnings ("<path>: line N: ..."), then per
   /// container in input order "<path>: <quarantine warning>" and, under
-  /// keep_going, "<path>: skipped: <error>". Collected here because
-  /// EventLog::merge drops every input log's own warnings.
-  std::vector<std::string> warnings;
-};
-
-/// The one loader behind Catalog::load and trace_explorer's positional
-/// inputs: .elog containers and cid_host_rid.st trace files mix
-/// freely. Traces stream through pipeline::run on `pool`, then each
-/// container's cases decode on `pool` and move (no event is copied)
-/// into the log, containers in input order. `policy.keep_going` quarantines
-/// CRC-failing container cases and skips unreadable containers with a
-/// warning.
-[[nodiscard]] LoadedCorpus load_corpus(const std::vector<std::string>& inputs, ThreadPool& pool,
-                                       const RunPolicy& policy);
-
-/// The same inputs as load_corpus, opened for a fold instead of a log:
-/// the trace files' cases, then each container's, as case sources —
-/// containers stay mapped and fold in column space
-/// (elog::ContainerCases), no case of theirs is materialized. What the
-/// load reports is load_corpus's: the same order (traces, then
-/// containers in input order), the same warnings, and the same errors —
-/// an unreadable container, the lowest failing case of a container
-/// under fail fast, EventLog::merge's LogicError for a case id the
-/// union already holds. `mappings` are the ones the fold will use;
-/// each container builds one read-only dictionary per kCallFp mapping.
-struct OpenedCorpus {
-  /// The trace files' cases, through pipeline::run.
-  model::EventLog traces;
-  /// traces' cases (pipeline::CaseSpan), then each readable container.
-  std::vector<std::unique_ptr<pipeline::CaseSource>> owned;
-  /// `owned`, as fold_cases and report::report_data take them.
-  std::vector<const pipeline::CaseSource*> sources;
-  /// As LoadedCorpus::warnings.
+  /// keep_going, "<path>: skipped: <error>".
   std::vector<std::string> warnings;
 };
 [[nodiscard]] OpenedCorpus open_corpus(const std::vector<std::string>& inputs, ThreadPool& pool,
                                        const RunPolicy& policy,
                                        std::span<const model::Mapping* const> mappings);
+
+/// What a query keeps of an OpenedCorpus, as case sources in the
+/// corpus's order: the trace cases through Query::apply_case, each
+/// container through ContainerCases::select. Their cases are
+/// q.apply's over the corpus materialized as one log. Valid while the
+/// corpus lives.
+struct CorpusSelection {
+  std::vector<model::Case> trace_cases;  ///< apply_case's of the trace cases
+  std::vector<std::unique_ptr<pipeline::CaseSource>> owned;
+  std::vector<const pipeline::CaseSource*> sources;  ///< `owned`, for fold_cases
+  std::size_t case_count = 0;
+  std::uint64_t total_events = 0;
+};
+[[nodiscard]] CorpusSelection select(const OpenedCorpus& corpus, const model::Query& q);
 
 /// The ReportOptions of a query-driven report — ONE place, so the
 /// serve path and trace_explorer's offline --render report produce
@@ -129,16 +120,14 @@ struct OpenedCorpus {
 [[nodiscard]] report::ReportOptions query_report_options(const model::Query& q,
                                                          const model::Mapping& f);
 
-/// The HTML report of a query's filtered `view`: the report's sinks
-/// folded over its cases (report::report_data on `pool`, inline when
-/// null), a StatisticsColoring of the statistics, render_report with
-/// query_report_options — the one definition behind the served
-/// `report` verb and trace_explorer's --render report (over a query's
-/// view, or over an OpenedCorpus's sources for the unfiltered corpus).
-/// The bytes do not depend on the pool nor on the kind of source.
-/// Catalog misses pass none: under serve_forever a miss already runs on
-/// a pool worker, and a fold that waited on its own pool could starve
-/// it.
+/// The HTML report of a query's view: the report's sinks folded over
+/// its cases (report::report_data on `pool`, inline when null), a
+/// StatisticsColoring of the statistics, render_report with
+/// query_report_options — the one definition behind the served `report`
+/// verb and trace_explorer's --render report. The bytes do not depend
+/// on the pool nor on the kind of source. Catalog misses pass none:
+/// under serve_forever a miss already runs on a pool worker, and a fold
+/// that waited on its own pool could starve it.
 [[nodiscard]] std::string query_report(std::span<const pipeline::CaseSource* const> view,
                                        const model::Query& q, const model::Mapping& f,
                                        ThreadPool* pool = nullptr);
@@ -150,34 +139,34 @@ class Catalog {
   Catalog(Catalog&&) noexcept;        // movable (hand a catalog to the server)
   Catalog& operator=(Catalog&&) noexcept;
 
-  /// Loads the corpus through load_corpus, so the base log is
-  /// byte-identical to trace_explorer's over the same inputs. Call
+  /// Opens the corpus through open_corpus with the catalog mapping, so
+  /// every artifact is trace_explorer's over the same inputs. Call
   /// once, before serving; the catalog is immutable afterwards.
   void load(const std::vector<std::string>& inputs, ThreadPool& pool);
 
-  /// The unfiltered corpus (shared, immutable).
-  [[nodiscard]] std::shared_ptr<const model::EventLog> base() const { return base_; }
   /// Warnings collected during load (keep_going quarantines).
-  [[nodiscard]] const std::vector<std::string>& load_warnings() const { return load_warnings_; }
-  [[nodiscard]] const model::Mapping& mapping() const { return mapping_; }
+  [[nodiscard]] const std::vector<std::string>& load_warnings() const;
+  [[nodiscard]] const model::Mapping& mapping() const { return *mapping_; }
+  /// The corpus's cases and events (0 before load).
+  [[nodiscard]] std::size_t case_count() const { return cases_; }
+  [[nodiscard]] std::uint64_t total_events() const { return events_; }
 
   // -- memoized derived artifacts ------------------------------------
   // All single-flight, LRU-cached under the canonical describe() key.
 
-  /// The query-filtered view of the corpus. Cases backed by cleanly-
-  /// loaded v2 containers are selected through the indexed planner
-  /// (elog/v2_select.hpp) — byte-identical to Query::apply by contract,
-  /// so cache keys, wire bytes and the offline path are unchanged; the
-  /// other cases go through Query::apply_case.
-  [[nodiscard]] std::shared_ptr<const model::EventLog> filtered(const model::Query& q);
-  /// DFG of the filtered view under the catalog mapping.
+  /// The query's view of the corpus (select over the opened corpus):
+  /// per container, the kept cases and which of their rows survive;
+  /// the trace cases through Query::apply_case. Every other artifact
+  /// folds it.
+  [[nodiscard]] std::shared_ptr<const CorpusSelection> filtered(const model::Query& q);
+  /// DFG of the query's view under the catalog mapping.
   [[nodiscard]] std::shared_ptr<const dfg::Dfg> graph(const model::Query& q);
-  /// Activity/I-O statistics of the filtered view.
+  /// Activity/I-O statistics of the query's view.
   [[nodiscard]] std::shared_ptr<const dfg::IoStatistics> io_stats(const model::Query& q);
-  /// Per-case summary rows of the filtered view.
+  /// Per-case summary rows of the query's view.
   [[nodiscard]] std::shared_ptr<const std::vector<model::CaseSummary>> summaries(
       const model::Query& q);
-  /// The full self-contained HTML report of the filtered view —
+  /// The full self-contained HTML report of the query's view —
   /// byte-identical to `trace_explorer --query <q> --render report`.
   [[nodiscard]] std::shared_ptr<const std::string> report_html(const model::Query& q);
 
@@ -200,6 +189,9 @@ class Catalog {
                                                       compute, q));
   }
 
+  /// Folds the query's view into `sink` inline: misses run on a pool worker.
+  void fold_view(const model::Query& q, pipeline::CaseSink& sink);
+
   std::shared_ptr<const void> compute_filtered(const model::Query& q);
   std::shared_ptr<const void> compute_graph(const model::Query& q);
   std::shared_ptr<const void> compute_io_stats(const model::Query& q);
@@ -207,12 +199,14 @@ class Catalog {
   std::shared_ptr<const void> compute_report(const model::Query& q);
 
   CatalogOptions opts_;
-  model::Mapping mapping_;
-  std::shared_ptr<const model::EventLog> base_;
-  /// v2-backed slices of base_ (sorted, non-overlapping), recorded by
-  /// load() for the indexed query path. Empty = always scan.
-  std::vector<elog::IndexedSegment> segments_;
-  std::vector<std::string> load_warnings_;
+  /// Behind a pointer: the containers key their dictionaries by the
+  /// mapping's address, which must survive a move of the catalog.
+  std::unique_ptr<const model::Mapping> mapping_;
+  /// Null until load(). Declared before cache_, so cached selections,
+  /// which point into it, are destroyed first.
+  std::unique_ptr<const OpenedCorpus> corpus_;
+  std::size_t cases_ = 0;
+  std::uint64_t events_ = 0;
 
   struct Cache;                   // mutex + LRU list + map (catalog.cpp)
   std::unique_ptr<Cache> cache_;  // pointer so the header stays light

@@ -91,7 +91,7 @@ std::string render_diff(const dfg::GraphDiff& d) {
   return std::move(out).str();
 }
 
-std::string render_stat(const Catalog& catalog, std::size_t cases, std::size_t events) {
+std::string render_stat(const Catalog& catalog, std::size_t cases, std::uint64_t events) {
   const CacheStats s = catalog.cache_stats();
   std::ostringstream out;
   out << "{\"cases\":" << cases << ",\"events\":" << events << ",\"cache\":{\"hits\":" << s.hits
@@ -140,15 +140,13 @@ Response handle_request(Catalog& catalog, std::string_view line) {
     }
     if (verb == "stat") {
       if (arg.empty()) {
-        const auto base = catalog.base();
-        const std::size_t cases = base ? base->case_count() : 0;
-        const std::size_t events = base ? base->total_events() : 0;
-        return ok_response("stat", "", render_stat(catalog, cases, events));
+        return ok_response("stat", "",
+                           render_stat(catalog, catalog.case_count(), catalog.total_events()));
       }
       const auto q = model::Query::parse(arg);
       const auto view = catalog.filtered(q);
       return ok_response("stat", q.describe(),
-                         render_stat(catalog, view->case_count(), view->total_events()));
+                         render_stat(catalog, view->case_count, view->total_events));
     }
     return error_response("unknown verb (ping/describe/query/report/diff/stat/shutdown): " +
                           std::string(verb));

@@ -16,7 +16,7 @@
 // Verbs:
 //   ping                  liveness probe ("pong" payload)
 //   describe <q>          parse + echo the canonical form (no compute)
-//   query <q>             per-case summary table of the filtered view —
+//   query <q>             per-case summary table of the query's view —
 //                         byte-identical to `trace_explorer --query <q>
 //                         --render summary`
 //   report <q>            the full HTML report — byte-identical to
@@ -24,7 +24,7 @@
 //   diff <qa> :: <qb>     green/red/common partition of the two views'
 //                         DFGs (deterministic text listing)
 //   stat [<q>]            corpus + cache counters as one JSON line;
-//                         with a query, counts the filtered view
+//                         with a query, counts the query's view
 //   shutdown              end the session after replying "bye"
 //
 // serve_lines() is the transport-free core (one request line in, one

@@ -8,12 +8,10 @@ model::EventLog read_event_log_file(const std::string& path, const ElogReadOptio
   return read_event_log_file_indexed(path, opts).log;
 }
 
-LoadedElog read_event_log_file_indexed(const std::string& path, const ElogReadOptions& opts,
-                                       ThreadPool* pool) {
+LoadedElog read_event_log_file_indexed(const std::string& path, const ElogReadOptions& opts) {
   auto mapped = open_v2(path);
-  model::EventLog log = read_event_log_v2(mapped, opts, pool);
-  // Quarantines break the 1:1 case correspondence the planner needs;
-  // such a log is served by the materialized path.
+  model::EventLog log = read_event_log_v2(mapped, opts);
+  // Quarantines break the 1:1 case correspondence.
   const bool clean = log.warnings().empty() && log.case_count() == mapped->case_count();
   return {std::move(log), clean ? std::move(mapped) : nullptr};
 }

@@ -14,10 +14,6 @@
 #include "model/event_log.hpp"
 #include "support/run_policy.hpp"
 
-namespace st {
-class ThreadPool;
-}  // namespace st
-
 namespace st::elog {
 
 class MappedElog;
@@ -35,19 +31,14 @@ struct ElogReadOptions : RunPolicy {};
 
 /// read_event_log_file plus the mapped container handle when (and only
 /// when) the read was CLEAN: no quarantined cases, so the log's case
-/// numbering lines up 1:1 with the container's and the indexed query
-/// planner (elog/v2_select.hpp) may evaluate predicates directly on
-/// the mapped columns. A read that quarantined anything under
-/// keep_going comes back with mapped == nullptr — queries over it take
-/// the materialized path.
+/// numbering lines up 1:1 with the container's (elog::IndexedSegment).
+/// A read that quarantined anything under keep_going comes back with
+/// mapped == nullptr. perfbench's trace driver is its one other caller.
 struct LoadedElog {
   model::EventLog log;
   std::shared_ptr<MappedElog> mapped;
 };
-/// With a `pool`, the cases decode on it (read_event_log_v2's pooled
-/// read; same log, same warnings and errors).
 [[nodiscard]] LoadedElog read_event_log_file_indexed(const std::string& path,
-                                                     const ElogReadOptions& opts = {},
-                                                     ThreadPool* pool = nullptr);
+                                                     const ElogReadOptions& opts = {});
 
 }  // namespace st::elog

@@ -16,13 +16,19 @@ constexpr std::uint32_t kUnmapped = std::numeric_limits<std::uint32_t>::max();
 }  // namespace
 
 /// A fold task's reader: decodes one case at a time into a reused
-/// buffer, with the pair index of each of its events.
+/// buffer, with the pair index of each of its events — kept case k of
+/// the container, or of `selection` when there is one.
 class ContainerCases::PairCursor final : public pipeline::CaseSource::Cursor {
  public:
-  explicit PairCursor(const ContainerCases& source) : source_(source) {}
+  PairCursor(const ContainerCases& source, const Selection* selection)
+      : source_(source), selection_(selection) {}
 
   const model::Case& load(std::size_t k) override {
-    source_.mapped_->case_at(source_.cases_[k], case_, pairs_);
+    if (selection_ == nullptr) {
+      source_.mapped_->case_at(source_.cases_[k], case_, pairs_);
+    } else {
+      load_selected(*source_.mapped_, *selection_, k, case_, pairs_);
+    }
     slots_.clear();
     slots_.reserve(pairs_.size());
     for (const std::uint64_t pair : pairs_) {
@@ -52,6 +58,7 @@ class ContainerCases::PairCursor final : public pipeline::CaseSource::Cursor {
 
  private:
   const ContainerCases& source_;
+  const Selection* selection_;
   model::Case case_;
   std::vector<std::uint64_t> pairs_;
   std::vector<std::uint32_t> slots_;
@@ -92,6 +99,7 @@ ContainerCases::ContainerCases(std::shared_ptr<MappedElog> mapped,
       continue;
     }
     cases_.push_back(i);
+    events_ += mapped_->case_rows(i);
     for (const std::uint64_t pair : pairs_of[i]) {
       if (pair_index_.try_emplace(pair, static_cast<std::uint32_t>(pairs_.size())).second) {
         pairs_.push_back(pair);
@@ -130,7 +138,15 @@ const model::ActivityDict* ContainerCases::dictionary(const model::Mapping& f) c
 }
 
 std::unique_ptr<pipeline::CaseSource::Cursor> ContainerCases::cursor() const {
-  return std::make_unique<PairCursor>(*this);
+  return std::make_unique<PairCursor>(*this, nullptr);
+}
+
+ContainerCases::Selected ContainerCases::select(const model::Query& q) const {
+  return Selected(*this, elog::select(*mapped_, q, cases_));
+}
+
+std::unique_ptr<pipeline::CaseSource::Cursor> ContainerCases::Selected::cursor() const {
+  return std::make_unique<PairCursor>(container_, &selection_);
 }
 
 }  // namespace st::elog

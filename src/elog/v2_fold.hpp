@@ -39,6 +39,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "elog/v2_select.hpp"
 #include "elog/v2_store.hpp"
 #include "model/mapped_case.hpp"
 #include "model/mapping.hpp"
@@ -62,8 +63,11 @@ class ContainerCases final : public pipeline::CaseSource {
                  std::span<const model::Mapping* const> mappings, const RunPolicy& policy,
                  ThreadPool* pool);
 
+  class Selected;
   /// The kept cases.
   [[nodiscard]] std::size_t case_count() const override { return cases_.size(); }
+  /// The events of the kept cases.
+  [[nodiscard]] std::uint64_t total_events() const { return events_; }
   [[nodiscard]] const model::ActivityDict* dictionary(const model::Mapping& f) const override;
   [[nodiscard]] std::unique_ptr<Cursor> cursor() const override;
 
@@ -72,6 +76,10 @@ class ContainerCases final : public pipeline::CaseSource {
   /// One read_event_log_v2 quarantine warning per left-out case, in
   /// case order (keep_going only).
   [[nodiscard]] const std::vector<std::string>& warnings() const { return warnings_; }
+
+  /// What `q` keeps of the kept cases (elog/v2_select.hpp), as a source
+  /// sharing this one's dictionaries, valid while this one lives.
+  [[nodiscard]] Selected select(const model::Query& q) const;
 
  private:
   class PairCursor;
@@ -87,10 +95,31 @@ class ContainerCases final : public pipeline::CaseSource {
 
   std::shared_ptr<MappedElog> mapped_;
   std::vector<std::size_t> cases_;  ///< container index of each kept case
+  std::uint64_t events_ = 0;        ///< rows of the kept cases
   std::vector<std::uint64_t> pairs_;  ///< distinct pool-id pairs, first-seen order
   std::unordered_map<std::uint64_t, std::uint32_t> pair_index_;  ///< pair -> its index in pairs_
   std::vector<Table> tables_;
   std::vector<std::string> warnings_;
+};
+
+/// ContainerCases::select's source: its cursor decodes the surviving
+/// rows of each case (load_selected) and maps them by the pair tables.
+class ContainerCases::Selected final : public pipeline::CaseSource {
+ public:
+  Selected(const ContainerCases& container, Selection selection)
+      : container_(container), selection_(std::move(selection)) {}
+
+  [[nodiscard]] std::size_t case_count() const override { return selection_.cases.size(); }
+  [[nodiscard]] const model::ActivityDict* dictionary(const model::Mapping& f) const override {
+    return container_.dictionary(f);
+  }
+  [[nodiscard]] std::unique_ptr<Cursor> cursor() const override;
+  /// The surviving events.
+  [[nodiscard]] std::uint64_t total_events() const { return selection_.events; }
+
+ private:
+  const ContainerCases& container_;
+  Selection selection_;
 };
 
 }  // namespace st::elog

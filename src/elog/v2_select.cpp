@@ -1,7 +1,9 @@
 #include "elog/v2_select.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
+#include <ranges>
 #include <string_view>
 
 #include "elog/format.hpp"
@@ -37,6 +39,8 @@ std::int64_t wrap_add(std::int64_t a, std::int64_t b) {
                                    static_cast<std::uint64_t>(b));
 }
 
+}  // namespace
+
 /// A Query compiled against one file's dictionary: every string
 /// restriction becomes a bitmap over pool ids, built in a single pass
 /// over the pool. After construction, selection never compares strings.
@@ -57,7 +61,14 @@ struct CompiledQuery {
   /// Set when exactly one pool id is accepted by the call restriction —
   /// unlocks the SWAR equality prefilter over the call column.
   std::optional<std::uint32_t> single_call_id;
+  /// The index sections the prune reads.
+  MappedElog::IndexView iv;
+  /// Cases that can contain an accepted call, from the posting list
+  /// (only when a call restriction meets a present posting section).
+  std::optional<Bitmap> candidates;
 };
+
+namespace {
 
 CompiledQuery compile(const MappedElog& m, const model::Query& q) {
   CompiledQuery cq;
@@ -130,53 +141,26 @@ void fill_eq_mask_u32(const char* data, std::size_t rows, std::uint32_t accept,
     mask[r >> 6] |= std::uint64_t{1} << (r & 63);
 }
 
-// ---- per-segment selection ---------------------------------------------
+// ---- selection -----------------------------------------------------------
 
-struct SegmentState {
-  CompiledQuery cq;
-  MappedElog::IndexView iv;
-  /// Cases that can contain an accepted call, from the posting list
-  /// (only when a call restriction meets a present posting section).
-  std::optional<Bitmap> candidates;
-};
-
-SegmentState make_state(const MappedElog& m, const model::Query& q) {
-  SegmentState st;
-  st.cq = compile(m, q);
-  if (m.has_index()) st.iv = m.index_view();
-  if (st.cq.has_calls && st.iv.posting_table != nullptr) {
-    Bitmap b(m.case_count());
-    for (const std::uint32_t want : st.cq.call_ids) {
-      // Binary search the posting key table (keys ascend).
-      std::uint32_t lo = 0;
-      std::uint32_t hi = st.iv.posting_keys;
-      while (lo < hi) {
-        const std::uint32_t mid = lo + (hi - lo) / 2;
-        const std::uint32_t key =
-            load_u32(st.iv.posting_table + static_cast<std::uint64_t>(mid) * 8);
-        if (key < want) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      if (lo >= st.iv.posting_keys ||
-          load_u32(st.iv.posting_table + static_cast<std::uint64_t>(lo) * 8) != want) {
-        continue;
-      }
-      const std::uint32_t begin =
-          lo == 0 ? 0
-                  : load_u32(st.iv.posting_table +
-                             static_cast<std::uint64_t>(lo - 1) * 8 + 4);
-      const std::uint32_t end =
-          load_u32(st.iv.posting_table + static_cast<std::uint64_t>(lo) * 8 + 4);
-      for (std::uint32_t k = begin; k < end; ++k) {
-        b.set(load_u32(st.iv.posting_cases + static_cast<std::uint64_t>(k) * 4));
-      }
+/// The cases that can contain an accepted call, from the posting list.
+Bitmap posting_candidates(const MappedElog& m, const CompiledQuery& cq) {
+  // Posting table entry k: (call id, end of its run of posting_cases).
+  const auto entry = [&cq](std::uint32_t k, std::uint32_t field) {
+    return load_u32(cq.iv.posting_table + static_cast<std::uint64_t>(k) * 8 + field * 4);
+  };
+  Bitmap b(m.case_count());
+  for (const std::uint32_t want : cq.call_ids) {
+    // The keys ascend: binary search them.
+    const std::uint32_t k = *std::ranges::partition_point(
+        std::views::iota(std::uint32_t{0}, cq.iv.posting_keys),
+        [&](std::uint32_t j) { return entry(j, 0) < want; });
+    if (k == cq.iv.posting_keys || entry(k, 0) != want) continue;
+    for (std::uint32_t p = k == 0 ? 0 : entry(k - 1, 1); p < entry(k, 1); ++p) {
+      b.set(load_u32(cq.iv.posting_cases + static_cast<std::uint64_t>(p) * 4));
     }
-    st.candidates = std::move(b);
   }
-  return st;
+  return b;
 }
 
 /// True when case `i`'s distinct-id set (callset/fpset section layout)
@@ -190,22 +174,26 @@ bool set_intersects(const char* ends, const char* ids, std::size_t i, const Bitm
   return false;
 }
 
-/// The residual columnar scan: decode starts (delta chains force a full
-/// walk), test the compiled predicate per row, materialize survivors
-/// only. Matches case_at + Query::matches exactly, including the
-/// trailing-bytes check on varint columns.
-model::Case scan_case(const MappedElog& m, const CompiledQuery& cq, std::size_t i) {
+/// The residual predicate over case i's rows, in row order: decodes
+/// the start column (delta chains force a full walk) and counts the
+/// rows that pass — with kBuild, also builds them into `events`, as
+/// copies of `proto` (the case's cid, host and rid), and their pool-id
+/// pairs into `pairs`. Every dictionary id
+/// is checked before the predicate may skip its row, and so is the
+/// start column's end: a hostile (checksummed) column throws the
+/// IoError case_at would, never silently filters.
+template <bool kBuild>
+std::size_t walk_rows(const MappedElog& m, const CompiledQuery& cq, std::size_t i,
+                      const model::Event& proto, std::vector<model::Event>* events,
+                      std::vector<std::uint64_t>* pairs) {
   const MappedElog::ColumnView cols = m.case_columns(i);
   const auto rows = static_cast<std::size_t>(cols.rows);
-  const std::string_view cid = m.pool_string(m.case_cid_id(i));
-  const std::string_view host = m.pool_string(m.case_host_id(i));
-  model::CaseId id = m.case_id(i);
 
   std::vector<std::uint64_t> call_mask;
   const bool use_mask = cq.single_call_id.has_value() && rows >= 8;
   if (use_mask) fill_eq_mask_u32(cols.call, rows, *cq.single_call_id, call_mask);
 
-  std::vector<model::Event> events;
+  std::size_t kept = 0;
   const bool varint = cols.start_encoding == kStartEncodingVarint;
   const char* sp = cols.start;
   const char* send = cols.start + cols.start_len;
@@ -216,9 +204,6 @@ model::Case scan_case(const MappedElog& m, const CompiledQuery& cq, std::size_t 
     } else {
       prev = wrap_add(prev, load_i64(cols.start + r * 8));
     }
-    // Validate BOTH dictionary ids before any predicate skips a row —
-    // exactly the rows case_at would reject — so a hostile (checksummed)
-    // column throws here too instead of silently filtering.
     const std::uint32_t call_id = load_u32(cols.call + r * 4);
     if (call_id >= cq.pool_n) throw IoError("elog v2: call column id out of pool range");
     const std::uint32_t fp_id = load_u32(cols.fp + r * 4);
@@ -230,87 +215,109 @@ model::Case scan_case(const MappedElog& m, const CompiledQuery& cq, std::size_t 
     }
     if (cq.has_window && (prev < cq.from || prev >= cq.to)) continue;
     if (cq.has_fp && !cq.fp_ok.test(fp_id)) continue;
-    model::Event e;
-    e.cid = cid;
-    e.host = host;
-    e.rid = id.rid;
-    e.pid = load_u64(cols.pid + r * 8);
-    e.call = m.pool_string(call_id);
-    e.start = prev;
-    e.dur = load_i64(cols.dur + r * 8);
-    e.fp = m.pool_string(fp_id);
-    e.size = load_i64(cols.size + r * 8);
-    events.push_back(e);
+    ++kept;
+    if constexpr (kBuild) {
+      model::Event& e = events->emplace_back(proto);
+      e.pid = load_u64(cols.pid + r * 8);
+      e.call = m.pool_string(call_id);
+      e.start = prev;
+      e.dur = load_i64(cols.dur + r * 8);
+      e.fp = m.pool_string(fp_id);
+      e.size = load_i64(cols.size + r * 8);
+      pairs->push_back(static_cast<std::uint64_t>(call_id) << 32 | fp_id);
+    }
   }
   if (varint && sp != send) throw IoError("elog v2: start column has trailing bytes");
-  return model::Case(std::move(id), std::move(events));
+  return kept;
 }
 
-/// One case through the compiled plan. nullopt = case dropped (cid/host
-/// miss — the only droppers, same as apply_case); an index prune yields
-/// the same EMPTY case apply produces for event-restricted cases.
-std::optional<model::Case> select_case(const MappedElog& m, const SegmentState& st,
-                                       std::size_t i) {
-  const CompiledQuery& cq = st.cq;
-  if (cq.has_cids && !cq.cid_ok.test(m.case_cid_id(i))) return std::nullopt;
-  if (cq.has_hosts && !cq.host_ok.test(m.case_host_id(i))) return std::nullopt;
-  if (!(cq.has_calls || cq.has_fp || cq.has_window)) return m.case_at(i);
-
-  bool pruned = false;
-  if (st.candidates && !st.candidates->test(i)) pruned = true;
-  if (!pruned && cq.has_window && st.iv.zones != nullptr) {
-    const MappedElog::ZoneMap z = st.iv.zone(i);
-    if (z.max_start < cq.from || z.min_start >= cq.to) pruned = true;
+/// Whether the index sections rule out every row of case i.
+bool pruned(const CompiledQuery& cq, std::size_t i) {
+  const MappedElog::IndexView& iv = cq.iv;
+  if (cq.candidates && !cq.candidates->test(i)) return true;
+  if (cq.has_window && iv.zones != nullptr) {
+    const MappedElog::ZoneMap z = iv.zone(i);
+    if (z.max_start < cq.from || z.min_start >= cq.to) return true;
   }
-  if (!pruned && cq.has_calls && !st.candidates && st.iv.call_ends != nullptr) {
-    pruned = !set_intersects(st.iv.call_ends, st.iv.call_ids, i, cq.call_ok);
+  if (cq.has_calls && !cq.candidates && iv.call_ends != nullptr &&
+      !set_intersects(iv.call_ends, iv.call_ids, i, cq.call_ok)) {
+    return true;
   }
-  if (!pruned && cq.has_fp && st.iv.fp_ends != nullptr) {
-    pruned = !set_intersects(st.iv.fp_ends, st.iv.fp_ids, i, cq.fp_ok);
-  }
-  if (pruned) return model::Case(m.case_id(i), {});
-  return scan_case(m, cq, i);
+  return cq.has_fp && iv.fp_ends != nullptr && !set_intersects(iv.fp_ends, iv.fp_ids, i, cq.fp_ok);
 }
 
 }  // namespace
 
-model::EventLog select_v2(const std::shared_ptr<MappedElog>& mapped,
-                          const model::Query& q) {
-  if (!mapped) throw LogicError("select_v2: null MappedElog");
-  const SegmentState st = make_state(*mapped, q);
-  model::EventLog out;
-  out.adopt(mapped);
-  for (std::size_t i = 0; i < mapped->case_count(); ++i) {
-    if (auto c = select_case(*mapped, st, i)) out.add_case(std::move(*c));
+Selection select(const MappedElog& mapped, const model::Query& q,
+                 std::span<const std::size_t> cases) {
+  auto compiled = std::make_shared<CompiledQuery>(compile(mapped, q));
+  CompiledQuery& cq = *compiled;
+  if (mapped.has_index()) cq.iv = mapped.index_view();
+  if (cq.has_calls && cq.iv.posting_table) cq.candidates = posting_candidates(mapped, cq);
+  const bool event_restricted = cq.has_calls || cq.has_fp || cq.has_window;
+  Selection out;
+  for (const std::size_t i : cases) {
+    // cid/host misses are the only droppers, as in apply_case.
+    if (cq.has_cids && !cq.cid_ok.test(mapped.case_cid_id(i))) continue;
+    if (cq.has_hosts && !cq.host_ok.test(mapped.case_host_id(i))) continue;
+    Selection::Kept& kept = out.cases.emplace_back(Selection::Kept{i, Selection::Rows::kAll});
+    const std::uint64_t rows = mapped.case_rows(i);
+    if (!event_restricted) {
+      out.events += rows;
+      continue;
+    }
+    const std::size_t n =
+        pruned(cq, i) ? 0 : walk_rows<false>(mapped, cq, i, {}, nullptr, nullptr);
+    kept.rows = n == 0 ? Selection::Rows::kNone
+                : n == rows ? Selection::Rows::kAll
+                            : Selection::Rows::kSome;
+    out.events += n;
   }
+  out.predicate = std::move(compiled);
   return out;
 }
 
-model::EventLog apply_query_indexed(const model::Query& q, const model::EventLog& base,
-                                    std::span<const IndexedSegment> segments) {
-  const std::span<const model::Case> cases = base.cases();
-  model::EventLog out;
-  out.adopt_owners_of(base);
-  std::size_t next = 0;
-  const auto scan_one = [&](std::size_t i) {
-    if (auto c = q.apply_case(cases[i])) out.add_case(std::move(*c));
-  };
-  for (const IndexedSegment& seg : segments) {
-    if (seg.first_case < next || seg.first_case + seg.case_count > cases.size()) {
-      throw LogicError("apply_query_indexed: segments unsorted, overlapping, or out of range");
-    }
-    for (; next < seg.first_case; ++next) scan_one(next);
-    if (!seg.mapped || seg.mapped->case_count() != seg.case_count) {
-      // Not (or no longer) a clean v2 slice — plain per-case path.
-      for (std::size_t k = 0; k < seg.case_count; ++k, ++next) scan_one(next);
-      continue;
-    }
-    const SegmentState st = make_state(*seg.mapped, q);
-    for (std::size_t k = 0; k < seg.case_count; ++k, ++next) {
-      if (auto c = select_case(*seg.mapped, st, k)) out.add_case(std::move(*c));
+void load_selected(const MappedElog& mapped, const Selection& s, std::size_t k,
+                   model::Case& out, std::vector<std::uint64_t>& pairs) {
+  const Selection::Kept& kept = s.cases[k];
+  switch (kept.rows) {
+    case Selection::Rows::kAll:
+      mapped.case_at(kept.index, out, pairs);
+      return;
+    case Selection::Rows::kNone:
+      pairs.clear();
+      out = model::Case(mapped.case_id(kept.index), {});
+      return;
+    case Selection::Rows::kSome: {
+      std::vector<model::Event> events = std::move(out).take_events();
+      events.clear();
+      pairs.clear();
+      model::CaseId id = mapped.case_id(kept.index);
+      model::Event proto;
+      proto.cid = mapped.pool_string(mapped.case_cid_id(kept.index));
+      proto.host = mapped.pool_string(mapped.case_host_id(kept.index));
+      proto.rid = id.rid;
+      walk_rows<true>(mapped, *s.predicate, kept.index, proto, &events, &pairs);
+      assemble_case(std::move(id), std::move(events), pairs, out);
+      return;
     }
   }
-  for (; next < cases.size(); ++next) scan_one(next);
+}
+
+model::EventLog select_v2(const std::shared_ptr<MappedElog>& mapped,
+                          const model::Query& q) {
+  if (!mapped) throw LogicError("select_v2: null MappedElog");
+  std::vector<std::size_t> every(mapped->case_count());
+  std::iota(every.begin(), every.end(), std::size_t{0});
+  const Selection s = select(*mapped, q, every);
+  model::EventLog out;
+  out.adopt(mapped);
+  std::vector<std::uint64_t> pairs;
+  for (std::size_t k = 0; k < s.cases.size(); ++k) {
+    model::Case c;
+    load_selected(*mapped, s, k, c, pairs);
+    out.add_case(std::move(c));
+  }
   return out;
 }
 

@@ -1,39 +1,35 @@
-// Indexed query selection over elog v2 — evaluate a compiled Query
-// directly on the columnar sections, materializing only survivors.
-//
-// Query::apply materializes every case into Events and string-compares
-// every one of them; over an mmap'd v2 corpus that walk IS the query
-// cost, and it grows with corpus size, not selectivity. This module
-// makes selectivity the cost instead (ISSUE 10):
+// Query selection over elog v2 — evaluate a compiled Query directly on
+// the columnar sections, so that selectivity, not corpus size, is the
+// cost of a query:
 //
 //   1. COMPILE  the Query once against the file's string dictionary:
-//      call/cid/host restrictions become bitmaps over pool ids (one
-//      binary search per pool string), fp~ substrings scan the (tiny)
-//      dictionary once into a matching fp-id bitmap. After this no
-//      string is ever compared again.
+//      call/cid/host restrictions become bitmaps over pool ids, fp~
+//      substrings scan the (tiny) dictionary once into a matching
+//      fp-id bitmap. After this no string is ever compared again.
 //   2. PRUNE    whole cases without touching their columns: the call
-//      posting list narrows to candidate cases, zone maps reject
-//      disjoint time windows, the per-case call/fp id sets reject
-//      cases whose dictionary footprint cannot match. A pruned case
-//      still appears in the result as an EMPTY case — exactly the
-//      apply() contract (event restrictions keep emptied cases).
-//   3. SCAN     the residual predicate over the raw u32/varint columns
-//      of surviving cases, materializing Events only for rows that
-//      pass (a SWAR two-lane u32 matcher prefilters the call column
-//      of cases with 8 or more rows when the accept set is a single
-//      id).
+//      posting list, zone maps and per-case call/fp id sets reject
+//      cases that cannot match. A pruned case stays in the result as
+//      an EMPTY case, as apply() keeps event-restriction-emptied ones.
+//   3. COUNT    the residual predicate over the raw columns of the
+//      cases left, with every check case_at makes of what it reads (a
+//      SWAR matcher prefilters the call column when one call id is
+//      accepted).
 //
-// The contract throughout: the result is BYTE-IDENTICAL to
-// Query::apply on the fully materialized log — same cases in the same
-// order, same events, same (empty) warnings, same ownership
-// propagation. Every index structure is advisory-by-absence only:
-// missing sections degrade to the column scan, but a present-and-
-// corrupt index surfaces as IoError, never as wrong pruning.
+// The result is a Selection: per kept case, its container index and
+// whether all, none or some of its rows survive, plus the survivor
+// count — 16 bytes a kept case. No row mask is stored: load_selected
+// walks a kSome case's rows again with the same predicate as it decodes
+// them. The kept cases, decoded in order, are BYTE-IDENTICAL to
+// Query::apply on the materialized log. Index sections are advisory by
+// absence only: a missing one degrades to the column scan, a corrupt
+// one is an IoError, never a wrong prune.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "elog/v2_store.hpp"
 #include "model/event_log.hpp"
@@ -41,30 +37,47 @@
 
 namespace st::elog {
 
-/// One v2-backed slice of a merged corpus: cases [first_case,
-/// first_case + case_count) of the base log are, in order, the cases
-/// of `mapped`. Catalog::load and the CLI loaders record one segment
-/// per cleanly-read v2 container (quarantines disqualify a file — its
-/// case numbering no longer lines up).
+/// A Query compiled against one file's dictionary (v2_select.cpp).
+struct CompiledQuery;
+
+/// What a query keeps of a container's cases.
+struct Selection {
+  /// Which of a kept case's rows survive.
+  enum class Rows : std::uint8_t { kAll, kNone, kSome };
+  struct Kept {
+    std::size_t index = 0;  ///< the case's index in the container
+    Rows rows = Rows::kAll;
+  };
+  std::vector<Kept> cases;    ///< in container order
+  std::uint64_t events = 0;   ///< surviving rows over every kept case
+  /// The predicate load_selected re-derives kSome rows from.
+  std::shared_ptr<const CompiledQuery> predicate;
+};
+
+/// Selects `q` over cases `cases` (container indices, ascending) of
+/// `mapped`: compile, prune, count. Throws the IoError case_at would
+/// for a column the count reads.
+[[nodiscard]] Selection select(const MappedElog& mapped, const model::Query& q,
+                               std::span<const std::size_t> cases);
+
+/// Kept case k of `s` into `out`, reusing its event storage, with the
+/// pool-id pair of each event in `pairs` (as MappedElog::case_at).
+void load_selected(const MappedElog& mapped, const Selection& s, std::size_t k,
+                   model::Case& out, std::vector<std::uint64_t>& pairs);
+
+/// Cases [first_case, first_case + case_count) of a merged log are, in
+/// order, the cases of `mapped`. perfbench's trace driver records one
+/// per container it reads (read_event_log_file_indexed).
 struct IndexedSegment {
   std::size_t first_case = 0;
   std::size_t case_count = 0;
   std::shared_ptr<MappedElog> mapped;
 };
 
-/// Indexed selection over one mapped corpus. Byte-identical to
-/// q.apply(read_event_log_v2(mapped)); the result adopts `mapped`.
+/// Selects `q` over every case of `mapped`, then materializes the kept
+/// cases: q.apply(read_event_log_v2(mapped)); the result adopts
+/// `mapped`.
 [[nodiscard]] model::EventLog select_v2(const std::shared_ptr<MappedElog>& mapped,
                                         const model::Query& q);
-
-/// Byte-identical to q.apply(base), with every case covered by a
-/// segment routed through the indexed columnar path and everything
-/// else through Query::apply_case. Segments must be sorted by
-/// first_case and non-overlapping (LogicError otherwise); a segment
-/// with a null mapped pointer is simply not indexed. With no segments
-/// this is exactly Query::apply.
-[[nodiscard]] model::EventLog apply_query_indexed(const model::Query& q,
-                                                  const model::EventLog& base,
-                                                  std::span<const IndexedSegment> segments);
 
 }  // namespace st::elog

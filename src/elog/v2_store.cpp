@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "parallel/algorithms.hpp"
 #include "support/crc32.hpp"
 #include "support/errors.hpp"
 #include "support/faultpoint.hpp"
@@ -732,28 +731,7 @@ void MappedElog::case_at(std::size_t i, model::Case& out,
   std::vector<model::Event> events = std::move(out).take_events();
   pairs.clear();
   model::CaseId id = decode<true, true>(i, &events, &pairs);
-  if (!std::is_sorted(events.begin(), events.end(),
-                      [](const model::Event& a, const model::Event& b) {
-                        return a.start < b.start;
-                      })) {
-    // The Case's stable sort by start, applied to the pairs too.
-    std::vector<std::size_t> order(events.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return events[a].start < events[b].start;
-    });
-    std::vector<model::Event> sorted_events;
-    std::vector<std::uint64_t> sorted_pairs;
-    sorted_events.reserve(order.size());
-    sorted_pairs.reserve(order.size());
-    for (const std::size_t r : order) {
-      sorted_events.push_back(events[r]);
-      sorted_pairs.push_back(pairs[r]);
-    }
-    events = std::move(sorted_events);
-    pairs = std::move(sorted_pairs);
-  }
-  out = model::Case(std::move(id), std::move(events));
+  assemble_case(std::move(id), std::move(events), pairs, out);
 }
 
 void MappedElog::check_case(std::size_t i, std::vector<std::uint64_t>& pairs) const {
@@ -798,39 +776,44 @@ void MappedElog::verify() const {
 
 bool MappedElog::is_mapped() const { return buffer_->is_mapped(); }
 
+void assemble_case(model::CaseId id, std::vector<model::Event> events,
+                   std::vector<std::uint64_t>& pairs, model::Case& out) {
+  if (!std::is_sorted(events.begin(), events.end(),
+                      [](const model::Event& a, const model::Event& b) {
+                        return a.start < b.start;
+                      })) {
+    // The Case's stable sort by start, applied to the pairs too.
+    std::vector<std::size_t> order(events.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return events[a].start < events[b].start;
+    });
+    std::vector<model::Event> sorted_events;
+    std::vector<std::uint64_t> sorted_pairs;
+    sorted_events.reserve(order.size());
+    sorted_pairs.reserve(order.size());
+    for (const std::size_t r : order) {
+      sorted_events.push_back(events[r]);
+      sorted_pairs.push_back(pairs[r]);
+    }
+    events = std::move(sorted_events);
+    pairs = std::move(sorted_pairs);
+  }
+  out = model::Case(std::move(id), std::move(events));
+}
+
 std::shared_ptr<MappedElog> open_v2(const std::string& path) {
   return MappedElog::from_buffer(strace::TraceBuffer::from_file_mmap(path));
 }
 
 model::EventLog read_event_log_v2(std::shared_ptr<MappedElog> mapped,
-                                  const ElogReadOptions& opts, ThreadPool* pool) {
-  // Each case decodes into its own slot; a failure is kept, not
-  // thrown, so the pass below meets every case in case order whatever
-  // the workers' schedule.
-  const std::size_t n = mapped->case_count();
-  std::vector<model::Case> cases(n);
-  std::vector<std::exception_ptr> errors(n);
-  const auto decode = [&](std::size_t i) {
-    try {
-      cases[i] = mapped->case_at(i);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  };
-  if (pool != nullptr) {
-    parallel_for(*pool, 0, n, decode);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      decode(i);
-      if (errors[i] && !opts.keep_going) break;  // fail fast: touch nothing more
-    }
-  }
+                                  const ElogReadOptions& opts) {
   model::EventLog log;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (errors[i]) {
-      log.add_warning(quarantine_warning(*mapped, i, errors[i], opts));
-    } else {
-      log.add_case(std::move(cases[i]));
+  for (std::size_t i = 0; i < mapped->case_count(); ++i) {
+    try {
+      log.add_case(mapped->case_at(i));
+    } catch (...) {
+      log.add_warning(quarantine_warning(*mapped, i, std::current_exception(), opts));
     }
   }
   // The events view straight into the mapping; the log owns it now.

@@ -317,6 +317,10 @@ class MappedElog {
   mutable std::atomic<bool> index_checked_{false};
 };
 
+/// `out` = Case(id, events), which sorts the events by start: `pairs`, one per event, alike.
+void assemble_case(model::CaseId id, std::vector<model::Event> events,
+                   std::vector<std::uint64_t>& pairs, model::Case& out);
+
 /// Maps `path` (read fallback where mmap is unavailable) and opens it.
 [[nodiscard]] std::shared_ptr<MappedElog> open_v2(const std::string& path);
 
@@ -325,20 +329,11 @@ class MappedElog {
 /// == true: a case whose sections fail CRC (or decode) is quarantined
 /// with a "case N (id) quarantined: ..." warning on the returned log
 /// instead of aborting the read; false: the first IoError propagates.
-///
-/// The cases decode on `pool` when it is non-null: case_at(i) for
-/// every i, in contiguous chunks on the workers, each into its own
-/// slot, then one pass in case order assembles the log. The result does not depend on the pool or
-/// its width: fail fast rethrows the error of the LOWEST failing case
-/// (after every chunk has finished), keep_going quarantines every
-/// failing case with the serial reader's warning text, in case order.
-/// Without a pool the cases decode in order on the calling thread and
-/// fail fast stops at the first failure, so the section CRCs are
-/// validated in a fixed order (the "elog.crc" fault point counts on it).
-/// Not callable from a task on `pool`.
+/// The cases decode in order and fail fast stops at the first failure,
+/// so the section CRCs are validated in a fixed order (the "elog.crc"
+/// fault point counts on it).
 [[nodiscard]] model::EventLog read_event_log_v2(std::shared_ptr<MappedElog> mapped,
-                                                const ElogReadOptions& opts = {},
-                                                ThreadPool* pool = nullptr);
+                                                const ElogReadOptions& opts = {});
 
 /// read_event_log_v2's rule for case i of `mapped` failing with
 /// `error`: fail fast (or anything but an IoError) rethrows it;

@@ -12,8 +12,16 @@ CaseSummary summarize_case(const Case& c) {
   s.id = c.id();
   s.events = c.size();
   bool first = true;
+  std::size_t* count = nullptr;  // the last call's slot: runs of one call are common
+  std::string_view last_call;
   for (const Event& e : c.events()) {
-    ++s.calls[std::string(e.call)];
+    if (count == nullptr || e.call != last_call) {
+      auto it = s.calls.find(e.call);
+      if (it == s.calls.end()) it = s.calls.emplace(e.call, 0).first;
+      count = &it->second;
+      last_call = e.call;
+    }
+    ++*count;
     if (e.has_size()) {
       if (call_in_family(e.call, "read")) s.bytes_read += e.size;
       if (call_in_family(e.call, "write")) s.bytes_written += e.size;

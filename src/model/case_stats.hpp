@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -15,7 +16,7 @@ namespace st::model {
 struct CaseSummary {
   CaseId id;
   std::size_t events = 0;
-  std::map<std::string, std::size_t> calls;  ///< call name -> count
+  std::map<std::string, std::size_t, std::less<>> calls;  ///< call name -> count
   std::int64_t bytes_read = 0;               ///< read-family transfers
   std::int64_t bytes_written = 0;            ///< write-family transfers
   Micros total_dur = 0;                      ///< Σ e[dur]

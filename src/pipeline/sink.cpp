@@ -502,13 +502,6 @@ void fold_cases(std::span<const CaseSource* const> sources, std::span<CaseSink* 
   std::move(acc).merge();
 }
 
-void fold_cases(std::span<const model::Case> cases, std::span<CaseSink* const> sinks,
-                ThreadPool* pool) {
-  const CaseSpan source(cases);
-  const std::array<const CaseSource*, 1> sources{&source};
-  fold_cases(sources, sinks, pool);
-}
-
 // ---- DfgSink -----------------------------------------------------------
 
 namespace {

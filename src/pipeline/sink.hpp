@@ -81,11 +81,11 @@
 //       st::pipeline::run(paths, pool, {&graph, &stats, &variants});
 //   use(graph.take_graph(), stats.take_summaries(), variants.take_variants());
 //
-//   // Cases from sources (CaseSource): a log's or a query view's cases
-//   // (CaseSpan), a container's read in column space without an
-//   // EventLog (elog::ContainerCases, one read-only dictionary per
-//   // container and mapping). The same sinks, folded in chunks on the
-//   // pool (inline with a null pool).
+//   // Cases from sources (CaseSource): a log's cases (CaseSpan), a
+//   // container's read in column space without an EventLog
+//   // (elog::ContainerCases, one read-only dictionary per container and
+//   // mapping, or a query's selection of it). The same sinks, folded in
+//   // chunks on the pool (inline with a null pool).
 //   const std::array<const st::model::Mapping*, 1> mappings{&f};
 //   const st::elog::ContainerCases container(st::elog::open_v2("c.elog"), mappings, {}, &pool);
 //   st::pipeline::DfgSink g(f);
@@ -275,7 +275,7 @@ class CaseSource {
   [[nodiscard]] virtual std::unique_ptr<Cursor> cursor() const = 0;
 };
 
-/// Cases already in memory (a log's, a query's view) as a source. The
+/// Cases already in memory (a log's, a query's trace cases) as a source. The
 /// cases' owner keeps them alive while the source is folded.
 class CaseSpan final : public CaseSource {
  public:
@@ -301,10 +301,6 @@ class CaseSpan final : public CaseSource {
 /// rethrown and no sink sees a merge. Not callable from a task on
 /// `pool`.
 void fold_cases(std::span<const CaseSource* const> sources, std::span<CaseSink* const> sinks,
-                ThreadPool* pool);
-
-/// fold_cases over one CaseSpan.
-void fold_cases(std::span<const model::Case> cases, std::span<CaseSink* const> sinks,
                 ThreadPool* pool);
 
 // ---- the analytics, re-expressed as sinks ------------------------------

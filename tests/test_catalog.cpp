@@ -1,9 +1,10 @@
 // corpus::Catalog (ISSUE 9): the resident corpus with memoized
 // artifacts, and the serve request loop in front of it.
 //
-//   - loading mixes traces like the offline pipeline (byte-identical
-//     base log), and a keep-going load reports quarantined container
-//     cases;
+//   - loading mixes traces like the offline pipeline (the unrestricted
+//     selection decodes to its log), a case id met twice fails the
+//     load, and a keep-going load reports quarantined container cases
+//     and counts only the kept ones;
 //   - hit/miss/evict semantics of the LRU memo table, including
 //     single-flight deduplication under a stampede;
 //   - cached artifacts are byte-identical to uncached recomputation
@@ -32,6 +33,7 @@
 #include "corpus/catalog.hpp"
 #include "corpus/serve.hpp"
 #include "dfg/coloring.hpp"
+#include "elog/store.hpp"
 #include "elog/v2_store.hpp"
 #include "model/query.hpp"
 #include "paper_oracles.hpp"
@@ -70,15 +72,19 @@ TEST_F(CatalogTest, LoadMatchesTheOfflinePipeline) {
   auto catalog = make_catalog();
   ThreadPool pool(2);
   const auto offline = pipeline::run(corpus_, pool, {});
-  st::testing::expect_same_log(*catalog.base(), offline);
-  // warnings live on load_warnings(), the base log itself keeps them too
+  // The unrestricted selection holds every case, whole.
+  const auto all = catalog.filtered(Query());
+  st::testing::expect_same_log(st::testing::decoded_log(all->sources), Query().apply(offline));
+  EXPECT_EQ(all->case_count, offline.case_count());
+  EXPECT_EQ(all->total_events, offline.total_events());
+  EXPECT_EQ(catalog.case_count(), offline.case_count());
+  EXPECT_EQ(catalog.total_events(), offline.total_events());
   EXPECT_EQ(catalog.load_warnings(), offline.warnings());
 }
 
 TEST_F(CatalogTest, ContainersSharingACaseIdAreRejectedLikeAnyMerge) {
-  // Containers move into the base log; a case id in two of them is the
-  // merge's LogicError, under keep_going too (it is no data fault of
-  // either file).
+  // A case id in two containers is the merge's LogicError, under
+  // keep_going too (it is no data fault of either file).
   ThreadPool pool(2);
   const auto log = pipeline::run(corpus_, pool, {});
   const std::string a = write_file("a.elog", "");
@@ -87,20 +93,26 @@ TEST_F(CatalogTest, ContainersSharingACaseIdAreRejectedLikeAnyMerge) {
   elog::write_event_log_v2_file(
       b, log.partition([](const model::Case& c) { return c.id().cid == "s2"; }).first);
   for (const bool keep_going : {false, true}) {
+    CatalogOptions opts;
+    opts.policy.keep_going = keep_going;
+    Catalog catalog(opts);
     try {
-      (void)load_corpus({a, b}, pool, RunPolicy{keep_going});
+      catalog.load({a, b}, pool);
       ADD_FAILURE() << "a duplicate case loaded";
     } catch (const LogicError& e) {
       EXPECT_EQ(std::string(e.what()), "logic error: EventLog::merge: duplicate case s2_nodeC_9102");
     }
   }
-  EXPECT_EQ(load_corpus({a}, pool, RunPolicy{}).log.case_count(), log.case_count());
+  Catalog one;
+  one.load({a}, pool);
+  EXPECT_EQ(one.case_count(), log.case_count());
+  EXPECT_EQ(one.total_events(), log.total_events());
 }
 
 TEST_F(CatalogTest, KeepGoingLoadReportsQuarantinedContainerCases) {
   // A container whose first case fails its CRC: a strict load throws,
-  // a keep_going load drops the case AND says so — the warning must
-  // survive the merge into the base log, which drops the part's own.
+  // a keep_going load drops the case AND says so, and counts only the
+  // cases it kept.
   ThreadPool pool(2);
   const auto log = pipeline::run(corpus_, pool, {});
   const std::string path = write_file("corpus.elog", "");
@@ -123,21 +135,23 @@ TEST_F(CatalogTest, KeepGoingLoadReportsQuarantinedContainerCases) {
     f.put(byte);
   }
 
-  EXPECT_THROW((void)load_corpus({path}, pool, RunPolicy{}), IoError);
-
-  const auto loaded = load_corpus({path}, pool, RunPolicy{true});
-  EXPECT_EQ(loaded.log.case_count(), log.case_count() - 1);
-  EXPECT_TRUE(loaded.segments.empty());  // quarantines disable the index
-  ASSERT_EQ(loaded.warnings.size(), 1u);
-  const std::string expected = path + ": case 0 (big_nodeA_9001) quarantined: ";
-  EXPECT_EQ(loaded.warnings[0].substr(0, expected.size()), expected);
+  {
+    Catalog strict;
+    EXPECT_THROW(strict.load({path}, pool), IoError);
+  }
 
   CatalogOptions opts;
   opts.policy.keep_going = true;
   Catalog catalog(opts);
   catalog.load({path}, pool);
-  EXPECT_EQ(catalog.load_warnings(), loaded.warnings);
-  EXPECT_EQ(catalog.base()->case_count(), log.case_count() - 1);
+  ASSERT_EQ(catalog.load_warnings().size(), 1u);
+  const std::string expected = path + ": case 0 (big_nodeA_9001) quarantined: ";
+  EXPECT_EQ(catalog.load_warnings()[0].substr(0, expected.size()), expected);
+  const auto read = elog::read_event_log_file(path, elog::ElogReadOptions{true});
+  EXPECT_EQ(catalog.case_count(), log.case_count() - 1);
+  EXPECT_EQ(catalog.total_events(), read.total_events());
+  st::testing::expect_same_log(st::testing::decoded_log(catalog.filtered(Query())->sources),
+                               Query().apply(read));
 }
 
 TEST_F(CatalogTest, HitMissEvictSemantics) {
@@ -179,7 +193,8 @@ TEST_F(CatalogTest, EvictedHandlesStayValid) {
   (void)catalog.filtered(Query().fp_contains("/p/scratch"));  // evicts q
   EXPECT_GE(catalog.cache_stats().evictions, 1u);
   // The shared_ptr keeps the artifact alive past eviction.
-  EXPECT_GT(held->case_count(), 0u);
+  EXPECT_GT(held->case_count, 0u);
+  EXPECT_EQ(st::testing::decoded_log(held->sources).case_count(), held->case_count);
 }
 
 TEST_F(CatalogTest, CacheIdentityIsTheCanonicalDescribe) {
@@ -207,7 +222,8 @@ TEST_F(CatalogTest, CachedArtifactsMatchUncachedRecomputation) {
 
   // And the staged oracle over Query::apply with the shared options —
   // what query_report's fold must reproduce.
-  const auto view = q.apply(*cold.base());
+  ThreadPool pool(2);
+  const auto view = q.apply(pipeline::run(corpus_, pool, {}));
   const auto opts = query_report_options(q, cold.mapping());
   const auto data = testing::staged_report_data(view, cold.mapping(), opts);
   const dfg::StatisticsColoring styler(data.stats);
@@ -274,7 +290,11 @@ TEST_F(CatalogTest, ConcurrentMixedAccessStaysCoherent) {
   EXPECT_LE(s.entries, 3u);
   auto cold = make_catalog();
   for (const auto& q : queries) {
-    st::testing::expect_same_log(*catalog.filtered(q), *cold.filtered(q));
+    const auto warm_view = catalog.filtered(q);
+    const auto cold_view = cold.filtered(q);
+    st::testing::expect_same_log(st::testing::decoded_log(warm_view->sources),
+                                 st::testing::decoded_log(cold_view->sources));
+    EXPECT_EQ(warm_view->total_events, cold_view->total_events);
   }
 }
 
@@ -355,10 +375,22 @@ TEST_F(CatalogTest, StatReportsCorpusAndCacheCounters) {
   (void)catalog.filtered(Query());  // one miss
   const auto r = handle_request(catalog, "stat");
   ASSERT_TRUE(r.ok);
-  EXPECT_NE(r.payload.find("\"cases\":" + std::to_string(catalog.base()->case_count())),
+  EXPECT_NE(r.payload.find("\"cases\":" + std::to_string(catalog.case_count()) +
+                           ",\"events\":" + std::to_string(catalog.total_events())),
             std::string::npos)
       << r.payload;
   EXPECT_NE(r.payload.find("\"misses\":1"), std::string::npos) << r.payload;
+
+  // With a query, the counts are the query's view's: Query::apply's.
+  ThreadPool pool(2);
+  const auto view = Query().calls({"read"}).apply(pipeline::run(corpus_, pool, {}));
+  const auto rq = handle_request(catalog, "stat calls{read}");
+  ASSERT_TRUE(rq.ok);
+  EXPECT_EQ(rq.payload.rfind("{\"cases\":" + std::to_string(view.case_count()) +
+                                ",\"events\":" + std::to_string(view.total_events()) + ",",
+                            0),
+            0u)
+      << rq.payload;
 }
 
 // -- the TCP server ----------------------------------------------------

@@ -11,7 +11,6 @@
 #include <map>
 #include <sstream>
 
-#include "../bench/testdata.hpp"
 #include "elog/store.hpp"
 #include "elog/v2_format.hpp"
 #include "elog/v2_store.hpp"
@@ -450,81 +449,6 @@ TEST(ElogV2Corruption, CrcValidationIsLazyAndPerSection) {
   EXPECT_NO_THROW((void)mapped->case_at(0));
   EXPECT_THROW((void)mapped->case_at(1), IoError);
   EXPECT_THROW(mapped->verify(), IoError);
-}
-
-// ---- the pooled read ----------------------------------------------------
-
-/// `bytes` with one bit flipped mid-section in `kind` of case `k`.
-std::string flip_column(std::string bytes, SectionKind kind, std::uint32_t k) {
-  const auto clean = open_bytes(bytes);
-  for (const SectionEntry& e : clean->sections()) {
-    if (e.kind == kind && e.case_index == k && e.length > 0) {
-      bytes[e.offset + e.length / 2] ^= 0x04;
-      return bytes;
-    }
-  }
-  ADD_FAILURE() << "no " << section_kind_name(kind) << " section for case " << k;
-  return bytes;
-}
-
-/// The read's IoError text, or "" when it does not throw one.
-std::string read_error(const std::string& bytes, ThreadPool* pool) {
-  try {
-    (void)read_event_log_v2(open_bytes(bytes), ElogReadOptions{}, pool);
-  } catch (const IoError& e) {
-    return e.what();
-  }
-  return "";
-}
-
-TEST(ElogV2PooledRead, EqualsTheSerialReadAtAnyWidth) {
-  // 29 cases: no chunking divides them evenly; one of them is empty.
-  model::EventLog log = bench::synthetic_log(11, 29, 60, 16);
-  log.add_case(make_case("empty", 7, {}));
-  const std::string bytes = v2_bytes(log);
-  const auto serial = read_event_log_v2(open_bytes(bytes));
-  EXPECT_TRUE(logs_equal(log, serial));
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    SCOPED_TRACE("workers " + std::to_string(workers));
-    ThreadPool pool(workers);
-    for (const bool keep_going : {false, true}) {
-      testing::expect_same_log(
-          serial, read_event_log_v2(open_bytes(bytes), ElogReadOptions{keep_going}, &pool));
-    }
-  }
-}
-
-TEST(ElogV2PooledRead, KeepGoingQuarantinesTheSameCaseWithTheSameWarning) {
-  const model::EventLog log = bench::synthetic_log(12, 29, 40, 12);
-  const std::string corrupt = flip_column(v2_bytes(log), SectionKind::kColFp, 13);
-  const auto serial = read_event_log_v2(open_bytes(corrupt), ElogReadOptions{true});
-  ASSERT_EQ(serial.case_count(), log.case_count() - 1);
-  ASSERT_EQ(serial.warnings().size(), 1u);
-  EXPECT_EQ(serial.warnings()[0].rfind("case 13 (bench_node1_14) quarantined: io error: ", 0), 0u)
-      << serial.warnings()[0];
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    SCOPED_TRACE("workers " + std::to_string(workers));
-    ThreadPool pool(workers);
-    const auto pooled = read_event_log_v2(open_bytes(corrupt), ElogReadOptions{true}, &pool);
-    testing::expect_same_log(serial, pooled);  // same cases, same warnings
-    EXPECT_EQ(pooled.find_case(log.cases()[13].id()), nullptr);
-  }
-}
-
-TEST(ElogV2PooledRead, FailFastThrowsTheLowestFailingCasesError) {
-  const model::EventLog log = bench::synthetic_log(13, 29, 40, 12);
-  const std::string one = flip_column(v2_bytes(log), SectionKind::kColFp, 13);
-  // A second corrupt case after it: the serial read never reaches it,
-  // the pooled read decodes it too, and must still report case 13.
-  const std::string two = flip_column(one, SectionKind::kColDur, 27);
-  for (const std::string* bytes : {&one, &two}) {
-    const std::string expected = read_error(*bytes, nullptr);
-    EXPECT_EQ(expected, "io error: elog v2: crc mismatch in section fp of case 13");
-    for (const std::size_t workers : {1u, 2u, 4u}) {
-      ThreadPool pool(workers);
-      EXPECT_EQ(read_error(*bytes, &pool), expected) << "workers " << workers;
-    }
-  }
 }
 
 // ---- index sections (zone maps, id sets, posting list) -----------------

@@ -15,11 +15,15 @@
 //     (pipeline::CaseSpan) and as a v2 container of them
 //     (elog::ContainerCases: column space, one read-only dictionary per
 //     container and registry mapping, per-chunk ones for custom);
+//   - a query's selection of an opened union (corpus::select: trace
+//     cases through Query::apply_case, a container's kept rows decoded
+//     in column space) against the oracle over Query::apply on the
+//     materialized union, with no pool and on 1 and 4 workers;
 //   - the container source's load policy against read_event_log_v2's:
 //     the same quarantine warning and the same missing case under
 //     keep_going, the lower corrupt case's error under fail fast, and
-//     corpus::open_corpus's duplicate case id error against
-//     load_corpus's;
+//     corpus::open_corpus's union rule: a case id met twice in trace
+//     files, containers or both is EventLog::merge's LogicError;
 //   - fold_cases' error contract: a sink throwing in two chunks
 //     surfaces the lower chunk's error every time, no sink sees a
 //     merge and the pool stays usable; an armed sink.fold fault is a
@@ -28,6 +32,7 @@
 
 #include <algorithm>
 #include <array>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <set>
@@ -36,6 +41,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "../bench/testdata.hpp"
@@ -340,30 +346,78 @@ TEST(ContainerCases, FailFastThrowsTheLowerCorruptCasesError) {
   }
 }
 
-TEST_F(LogFold, ContainersSharingACaseIdFailLikeTheirMerge) {
+TEST_F(LogFold, AUnionWithARepeatedCaseIdFails) {
+  // The union's identity rule holds over every kind of input: a case id
+  // met twice — in two trace files, in two containers, or in a trace
+  // file and a container — is EventLog::merge's LogicError, under
+  // keep_going too (it is no data fault of either input).
   const model::EventLog log = bench::synthetic_log(14, 6, 20, 8);
   model::EventLog other;
   other.add_case(testing::make_case("other", 1, {testing::ev("read", "/p/x", 10, 2, 8)}));
   other.add_case(log.cases()[4]);  // bench_node1_5, again
   const std::string a = write_file("a.elog", v2_bytes(log));
   const std::string b = write_file("b.elog", v2_bytes(other));
-  ThreadPool pool(2);
-  std::string expected;
-  try {
-    (void)corpus::load_corpus({a, b}, pool, RunPolicy{});
-  } catch (const LogicError& e) {
-    expected = e.what();
-  }
-  ASSERT_EQ(expected, "logic error: EventLog::merge: duplicate case " +
-                          log.cases()[4].id().to_string());
+  std::filesystem::create_directories(dir_ / "x");
+  std::filesystem::create_directories(dir_ / "y");
+  const std::string trace = testing::make_clean_trace(10, 7);
+  const std::string x = write_file("x/dup_nodeA_1.st", trace);
+  const std::string y = write_file("y/dup_nodeA_1.st", trace);
+  const std::string again = write_file("bench_node1_5.st", trace);
+  const std::vector<std::pair<std::vector<std::string>, std::string>> unions = {
+      {{x, y}, "dup_nodeA_1"}, {{a, b}, "bench_node1_5"}, {{again, a}, "bench_node1_5"}};
   const auto f = model::mapping_by_name("top2");
   const std::array<const model::Mapping*, 1> mappings{&f};
-  for (const bool keep_going : {false, true}) {
-    try {
-      (void)corpus::open_corpus({a, b}, pool, RunPolicy{keep_going}, mappings);
-      ADD_FAILURE() << "a duplicate case id opened, keep_going " << keep_going;
-    } catch (const LogicError& e) {
-      EXPECT_EQ(e.what(), expected) << keep_going;
+  ThreadPool pool(2);
+  for (const auto& [inputs, id] : unions) {
+    for (const bool keep_going : {false, true}) {
+      try {
+        (void)corpus::open_corpus(inputs, pool, RunPolicy{keep_going}, mappings);
+        ADD_FAILURE() << "a duplicate case id opened: " << id << ", keep_going " << keep_going;
+      } catch (const LogicError& e) {
+        EXPECT_EQ(std::string(e.what()), "logic error: EventLog::merge: duplicate case " + id)
+            << keep_going;
+      }
+    }
+  }
+  // Without the repeat, each of them opens.
+  for (const auto& inputs : {std::vector<std::string>{x, again}, std::vector<std::string>{a}}) {
+    EXPECT_NO_THROW((void)corpus::open_corpus(inputs, pool, RunPolicy{}, mappings));
+  }
+}
+
+TEST_F(LogFold, AQuerysSelectionFoldsLikeItsFilteredLog) {
+  // A query's selection of an opened union — trace cases through
+  // Query::apply_case, a container's kept rows decoded in column space
+  // — folds to the staged oracle over Query::apply on the materialized
+  // union, with no pool and on 1 and 4 workers.
+  std::vector<std::string> inputs = make_corpus();
+  const std::vector<std::string> traces = inputs;
+  inputs.push_back(write_file("c.elog", v2_bytes(bench::synthetic_log(15, 23, 30, 6))));
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  const model::EventLog whole = model::EventLog::merge(
+      pipeline::run(traces, pool4, {}), elog::read_event_log_v2(elog::open_v2(inputs.back())));
+  const std::vector<std::string> queries = {
+      "all", "calls{read}", "fp~/p/scratch", "cids{bench}", "hosts{nodeA}",
+      "calls{write} fp~/data/dir1", "t[0,500)", "t[36000000000,36000040000)",
+      "cids{bench,s1} calls{lseek,read}", "calls{unlinkat}"};
+  for (const std::string mapping : {"top2", "last1", "by-pid"}) {
+    const model::Mapping f = mapping == "by-pid" ? by_pid() : model::mapping_by_name(mapping);
+    const std::array<const model::Mapping*, 1> mappings{&f};
+    const auto opened = corpus::open_corpus(inputs, pool4, RunPolicy{}, mappings);
+    for (const auto& text : queries) {
+      const auto q = model::Query::parse(text);
+      const auto opts = corpus::query_report_options(q, f);
+      const auto staged = testing::staged_report_data(q.apply(whole), f, opts);
+      const std::string staged_html = render(staged, f, opts);
+      const auto view = corpus::select(opened, q);
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool1, &pool4}) {
+        const std::string what = mapping + " [" + text + "] workers " +
+                                 std::to_string(pool ? pool->size() : 0);
+        const auto folded = report::report_data(view.sources, f, opts, pool);
+        expect_same_report_data(folded, staged, what);
+        EXPECT_EQ(render(folded, f, opts), staged_html) << what;
+      }
     }
   }
 }
@@ -384,6 +438,8 @@ model::EventLog numbered_log() {
 
 TEST(FoldCases, LowerChunkErrorWinsAndNothingMerges) {
   const model::EventLog log = numbered_log();
+  const pipeline::CaseSpan cases(log.cases());
+  const std::array<const pipeline::CaseSource*, 1> sources{&cases};
   const auto f = model::mapping_by_name("call");
   ThreadPool pool(4);
   for (int round = 0; round < 10; ++round) {
@@ -392,7 +448,7 @@ TEST(FoldCases, LowerChunkErrorWinsAndNothingMerges) {
     pipeline::DfgSink graph(f);
     const std::array<pipeline::CaseSink*, 2> sinks{&graph, &sink};
     try {
-      pipeline::fold_cases(log.cases(), sinks, &pool);
+      pipeline::fold_cases(sources, sinks, &pool);
       FAIL() << "expected the poisoned fold to throw, round " << round;
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("poisoned on c5"), std::string::npos)
@@ -406,12 +462,14 @@ TEST(FoldCases, LowerChunkErrorWinsAndNothingMerges) {
   // ...and so is the inline path: one chunk, the same error, no merge.
   ThrowingSink sink({"c27", "c5"});
   const std::array<pipeline::CaseSink*, 1> sinks{&sink};
-  EXPECT_THROW(pipeline::fold_cases(log.cases(), sinks, nullptr), std::runtime_error);
+  EXPECT_THROW(pipeline::fold_cases(sources, sinks, nullptr), std::runtime_error);
   EXPECT_EQ(sink.merges(), 0);
 }
 
 TEST(FoldCases, ArmedSinkFoldFaultIsATypedErrorAndMergesNothing) {
   const model::EventLog log = numbered_log();
+  const pipeline::CaseSpan span(log.cases());
+  const std::array<const pipeline::CaseSource*, 1> sources{&span};
   const auto f = model::mapping_by_name("top2");
   ThreadPool pool(4);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
@@ -420,12 +478,12 @@ TEST(FoldCases, ArmedSinkFoldFaultIsATypedErrorAndMergesNothing) {
     const std::array<pipeline::CaseSink*, 2> sinks{&graph, &cases};
     {
       const fault::ScopedFault armed("sink.fold", fault::Spec{});
-      EXPECT_THROW(pipeline::fold_cases(log.cases(), sinks, p), fault::FaultInjected);
+      EXPECT_THROW(pipeline::fold_cases(sources, sinks, p), fault::FaultInjected);
     }
     EXPECT_TRUE(graph.graph().empty());
     EXPECT_TRUE(cases.summaries().empty());
     // Disarmed, the same sinks fold the whole log.
-    pipeline::fold_cases(log.cases(), sinks, p);
+    pipeline::fold_cases(sources, sinks, p);
     EXPECT_EQ(graph.graph(), dfg::build_serial(log, f));
     EXPECT_EQ(cases.summaries(), model::summarize_cases(log));
   }

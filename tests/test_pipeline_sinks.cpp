@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -143,7 +145,9 @@ TEST_F(PipelineSinks, SinksUnderTwoMappingsEachMatchTheirOracle) {
     if (streamed) {
       (void)pipeline::run(paths, pool, std::span<pipeline::CaseSink* const>(sinks));
     } else {
-      pipeline::fold_cases(reference.cases(), sinks, &pool);
+      const pipeline::CaseSpan cases_of(reference.cases());
+      const std::array<const pipeline::CaseSource*, 1> sources{&cases_of};
+      pipeline::fold_cases(sources, sinks, &pool);
     }
     EXPECT_EQ(graph_f.graph(), dfg::build_serial(reference, f));
     EXPECT_EQ(graph_g.graph(), dfg::build_serial(reference, g));

@@ -1,13 +1,18 @@
-// Indexed query selection (elog/v2_select) — the byte-identity
-// contract: for ANY query over ANY corpus, the indexed path returns
-// exactly what Query::apply returns over the materialized log — same
-// cases in the same order (including event-restriction-emptied cases),
-// same events, same warnings — whether the file carries indexes or
-// not, and through corpus::Catalog at any worker count. Randomized
-// corpora x all 32 restriction combos x selectivities from 0% to 100%
-// hold it there.
+// Query selection over elog v2 (elog/v2_select) — the byte-identity
+// contract: for ANY query over ANY corpus, the kept cases, decoded,
+// are exactly what Query::apply returns over the materialized log —
+// same cases in the same order (including event-restriction-emptied
+// cases), same events — whether the file carries indexes or not,
+// whether they are decoded by select_v2 or through a container's
+// selection (elog::ContainerCases::select, the fold source behind
+// trace_explorer --query and corpus::Catalog) at any worker count.
+// Randomized corpora x all 32 restriction combos x selectivities from
+// 0% to 100% hold it there, and serve_mix's query shapes hold it over
+// an indexed container, a bare one, a case stored out of start order
+// and a keep-going quarantine.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -18,12 +23,17 @@
 #include <vector>
 
 #include "corpus/catalog.hpp"
+#include "dfg/builder.hpp"
+#include "elog/format.hpp"
+#include "elog/store.hpp"
+#include "elog/v2_fold.hpp"
 #include "elog/v2_select.hpp"
 #include "elog/v2_store.hpp"
 #include "model/query.hpp"
 #include "parallel/thread_pool.hpp"
 #include "strace/trace_buffer.hpp"
 #include "support/errors.hpp"
+#include "testing_corpus.hpp"
 #include "testing_util.hpp"
 
 namespace st::elog {
@@ -31,7 +41,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
+using testing::decoded_log;
 using testing::ev;
+using testing::expect_same_log;
 using testing::make_case;
 
 std::string v2_bytes(const model::EventLog& log, bool write_index = true) {
@@ -143,14 +155,17 @@ TEST(V2Select, ByteIdenticalToApplyAcrossAllRestrictionCombos) {
     const auto src = random_log(rng, 24, 1000u * static_cast<unsigned>(trial + 1));
     const auto mapped = open_bytes(v2_bytes(src));
     const auto base = read_event_log_v2(mapped);
-    const std::vector<IndexedSegment> segs = {{0, mapped->case_count(), mapped}};
+    const ContainerCases container(mapped, {}, RunPolicy{}, nullptr);
     for (unsigned mask = 0; mask < 32; ++mask) {
       for (int variant = 0; variant < 4; ++variant) {
         const auto q = make_query(mask, variant);
         const std::string ctx = "trial " + std::to_string(trial) + " query [" + q.describe() + "]";
         const auto expect = q.apply(base);
         expect_logs_identical(expect, select_v2(mapped, q), ctx + " select_v2");
-        expect_logs_identical(expect, apply_query_indexed(q, base, segs), ctx + " indexed");
+        const auto selected = container.select(q);
+        const std::array<const pipeline::CaseSource*, 1> sources{&selected};
+        expect_logs_identical(expect, decoded_log(sources), ctx + " selection");
+        EXPECT_EQ(selected.total_events(), expect.total_events()) << ctx;
       }
     }
   }
@@ -209,44 +224,104 @@ TEST(V2Select, AdoptsTheMappingSoViewsOutliveTheHandle) {
   }
 }
 
-// ---- merged corpora: segment routing -----------------------------------
+// ---- selections over serve_mix's query shapes ---------------------------
 
-TEST(V2Select, MixedSegmentsRouteV2SlicesThroughIndexAndRestThroughApply) {
-  std::mt19937 rng(31337);
-  const auto head = random_log(rng, 7, 10000);  // in-memory, no segment
-  const auto log_a = random_log(rng, 9, 20000);
-  const auto log_b = random_log(rng, 11, 30000);
-  const auto mapped_a = open_bytes(v2_bytes(log_a));
-  const auto mapped_b = open_bytes(v2_bytes(log_b, /*write_index=*/false));
-  auto merged = model::EventLog::merge(head, read_event_log_v2(mapped_a));
-  merged = model::EventLog::merge(merged, read_event_log_v2(mapped_b));
-  const std::vector<IndexedSegment> segs = {
-      {head.case_count(), mapped_a->case_count(), mapped_a},
-      {head.case_count() + mapped_a->case_count(), mapped_b->case_count(), mapped_b},
-  };
-  for (unsigned mask = 0; mask < 32; ++mask) {
-    for (int variant = 1; variant < 3; ++variant) {
-      const auto q = make_query(mask, variant);
-      expect_logs_identical(q.apply(merged), apply_query_indexed(q, merged, segs),
-                            "[" + q.describe() + "]");
+/// serve_mix's query shapes (perfbench/run.py request_keys), spelled for
+/// random_log's cids, hosts and paths.
+std::vector<model::Query> serve_mix_shapes() {
+  std::vector<model::Query> out;
+  for (const char* text :
+       {"all", "calls{write}", "calls{read}", "calls{lseek}", "calls{read,write}",
+        "calls{unlinkat}", "fp~/p/scratch", "fp~/p/scratch/ssf", "fp~/dev/pts", "cids{c1}",
+        "cids{c0,c2}", "hosts{node1}", "t[5000,20000)", "t[0,1)", "cids{c1} calls{write}",
+        "cids{c3} calls{read}", "fp~/p/ calls{read,write} t[1000,30000) hosts{node0,node2}"}) {
+    out.push_back(model::Query::parse(text));
+  }
+  return out;
+}
+
+/// Each shape's selection of `mapped`, opened at no pool and on 1 and 4
+/// workers, against q.apply on `read` (the container read the same
+/// way): its cases decoded through the source's cursor, its counts, and
+/// its DFG under `call` folded through the container's dictionary (the
+/// decoded events' pool-id pairs must follow them).
+void expect_selections_apply(const std::shared_ptr<MappedElog>& mapped,
+                             const model::EventLog& read, const RunPolicy& policy,
+                             const std::string& what) {
+  const auto f = model::mapping_by_name("call");
+  const std::array<const model::Mapping*, 1> mappings{&f};
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool1, &pool4}) {
+    const ContainerCases container(mapped, mappings, policy, pool);
+    for (const auto& q : serve_mix_shapes()) {
+      SCOPED_TRACE(what + " [" + q.describe() + "] workers " +
+                   std::to_string(pool ? pool->size() : 0));
+      const auto expect = q.apply(read);
+      const auto selected = container.select(q);
+      const std::array<const pipeline::CaseSource*, 1> sources{&selected};
+      expect_same_log(decoded_log(sources), expect);
+      EXPECT_EQ(selected.case_count(), expect.case_count());
+      EXPECT_EQ(selected.total_events(), expect.total_events());
+      ASSERT_NE(selected.dictionary(f), nullptr);
+      pipeline::DfgSink graph(f);
+      const std::array<pipeline::CaseSink*, 1> sinks{&graph};
+      pipeline::fold_cases(sources, sinks, pool);
+      EXPECT_EQ(graph.graph(), dfg::build_serial(expect, f));
     }
   }
 }
 
-TEST(V2Select, MalformedSegmentsThrowLogicError) {
-  std::mt19937 rng(2);
-  const auto src = random_log(rng, 4, 1);
-  const auto mapped = open_bytes(v2_bytes(src));
-  const auto base = read_event_log_v2(mapped);
-  const model::Query q;
-  {  // overlapping
-    const std::vector<IndexedSegment> segs = {{0, 3, mapped}, {2, 2, mapped}};
-    EXPECT_THROW((void)apply_query_indexed(q, base, segs), LogicError);
+TEST(V2Selection, DecodesToApplyOverAnIndexedAndABareContainer) {
+  std::mt19937 rng(31);
+  const auto src = random_log(rng, 40, 1);
+  for (const bool write_index : {true, false}) {
+    const auto mapped = open_bytes(v2_bytes(src, write_index));
+    ASSERT_EQ(mapped->has_index(), write_index);
+    expect_selections_apply(mapped, read_event_log_v2(mapped), RunPolicy{},
+                            write_index ? "indexed" : "bare");
   }
-  {  // out of range
-    const std::vector<IndexedSegment> segs = {{2, 10, mapped}};
-    EXPECT_THROW((void)apply_query_indexed(q, base, segs), LogicError);
+}
+
+TEST(V2Selection, DecodesACaseStoredOutOfStartOrderInStartOrder) {
+  // A checksummed case whose rows are not in start order: the kept rows
+  // come back sorted by start, like Case sorts them, with their pool-id
+  // pairs alongside (the fold maps through them).
+  model::EventLog src;
+  src.add_case(make_case("c1", 1,
+                         {ev("read", "/p/scratch/a", 10, 2, 8), ev("write", "/p/scratch/b", 20, 3, 16),
+                          ev("openat", "/p/data/c", 30, 1), ev("read", "/p/scratch/d", 40, 2, 8),
+                          ev("lseek", "/p/scratch/a", 50, 1), ev("write", "/dev/pts/0", 60, 1, 4)},
+                         "node1"));
+  EncodedCase ec = encode_case(src.cases()[0]);
+  ec.col_start.clear();
+  for (const std::int64_t delta : {30, -20, 10, 20, -10, 30}) put_i64(ec.col_start, delta);
+  ec.start_encoding = kStartEncodingFixed;
+  std::ostringstream out(std::ios::binary);
+  ElogV2Writer writer(out, ElogV2WriterOptions{false});
+  writer.append_encoded(std::move(ec));
+  writer.finalize();
+  const auto mapped = open_bytes(std::move(out).str());
+  const auto read = read_event_log_v2(mapped);
+  ASSERT_EQ(read.cases()[0].events()[0].call, "write");  // really reordered
+  expect_selections_apply(mapped, read, RunPolicy{}, "unsorted");
+}
+
+TEST(V2Selection, SelectsOnlyTheCasesAKeepGoingOpenKept) {
+  std::mt19937 rng(32);
+  std::string bytes = v2_bytes(random_log(rng, 20, 1));
+  const auto clean = open_bytes(bytes);
+  for (const SectionEntry& e : clean->sections()) {
+    if (e.kind == SectionKind::kColDur && e.case_index == 7 && e.length > 0) {
+      bytes[e.offset + e.length / 2] ^= 0x10;
+      break;
+    }
   }
+  const auto mapped = open_bytes(bytes);
+  const auto read = read_event_log_v2(mapped, ElogReadOptions{true});
+  ASSERT_EQ(read.warnings().size(), 1u);
+  ASSERT_EQ(read.case_count(), mapped->case_count() - 1);
+  expect_selections_apply(mapped, read, RunPolicy{true}, "quarantine");
 }
 
 // ---- through corpus::Catalog -------------------------------------------
@@ -271,19 +346,29 @@ class V2SelectCatalog : public ::testing::Test {
     ASSERT_TRUE(out.good());
   }
 
+  /// The containers read and merged into one log, in input order.
+  [[nodiscard]] model::EventLog materialized() const {
+    return model::EventLog::merge(read_event_log_file(inputs_[0]), read_event_log_file(inputs_[1]));
+  }
+
   fs::path dir_;
   std::vector<std::string> inputs_;
 };
 
 TEST_F(V2SelectCatalog, FilteredIsByteIdenticalToApplyAtAnyWorkerCount) {
+  const auto base = materialized();
   for (const std::size_t workers : {1u, 2u, 4u}) {
     corpus::Catalog catalog;
     ThreadPool pool(workers);
     catalog.load(inputs_, pool);
     for (unsigned mask = 0; mask < 32; mask += 3) {
       const auto q = make_query(mask, 1);
-      expect_logs_identical(q.apply(*catalog.base()), *catalog.filtered(q),
-                            "workers " + std::to_string(workers) + " [" + q.describe() + "]");
+      const auto expect = q.apply(base);
+      const auto view = catalog.filtered(q);
+      const std::string ctx = "workers " + std::to_string(workers) + " [" + q.describe() + "]";
+      expect_logs_identical(expect, decoded_log(view->sources), ctx);
+      EXPECT_EQ(view->case_count, expect.case_count()) << ctx;
+      EXPECT_EQ(view->total_events, expect.total_events()) << ctx;
     }
   }
 }
@@ -293,8 +378,8 @@ TEST_F(V2SelectCatalog, ConcurrentFilteredStampedeAgrees) {
   ThreadPool pool(4);
   catalog.load(inputs_, pool);
   const auto q = make_query(3, 2);
-  const auto expect = q.apply(*catalog.base());
-  std::vector<std::shared_ptr<const model::EventLog>> results(8);
+  const auto expect = q.apply(materialized());
+  std::vector<std::shared_ptr<const corpus::CorpusSelection>> results(8);
   ThreadPool clients(4);
   std::vector<std::future<void>> done;
   for (auto& slot : results) {
@@ -303,7 +388,8 @@ TEST_F(V2SelectCatalog, ConcurrentFilteredStampedeAgrees) {
   for (auto& d : done) d.get();
   for (const auto& r : results) {
     ASSERT_NE(r, nullptr);
-    expect_logs_identical(expect, *r, "stampede");
+    EXPECT_EQ(r.get(), results[0].get());
+    expect_logs_identical(expect, decoded_log(r->sources), "stampede");
   }
 }
 

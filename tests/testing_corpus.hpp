@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "model/event_log.hpp"
 #include "model/from_strace.hpp"
 #include "parallel/thread_pool.hpp"
+#include "pipeline/sink.hpp"
 #include "strace/filename.hpp"
 #include "strace/reader.hpp"
 #include "support/timeparse.hpp"
@@ -209,6 +211,17 @@ inline void expect_same_log(const model::EventLog& a, const model::EventLog& b) 
     }
   }
   EXPECT_EQ(a.warnings(), b.warnings());
+}
+
+/// The cases of `sources`, in order, decoded through their cursors into
+/// one log (whose events view the sources' storage).
+inline model::EventLog decoded_log(std::span<const pipeline::CaseSource* const> sources) {
+  model::EventLog log;
+  for (const pipeline::CaseSource* source : sources) {
+    const auto cursor = source->cursor();
+    for (std::size_t i = 0; i < source->case_count(); ++i) log.add_case(cursor->load(i));
+  }
+  return log;
 }
 
 }  // namespace st::testing
