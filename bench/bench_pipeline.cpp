@@ -1,11 +1,12 @@
 // CPLX-MAP — the mapping application is O(n) and row-independent
 // (Sec. V step 2), plus an end-to-end pipeline benchmark covering
 // Fig. 6's steps: filter -> map -> DFG -> statistics, and the streamed
-// trace -> EventLog -> DFG pass (pipeline::run with one DfgSink, and
+// trace -> DFG pass (pipeline::ingest with one DfgSink, and
 // with DFG + case stats + variants sinks) at 1/2/4 workers, feeding
 // BENCH_pipeline.json's pipeline_scaling and multi_sink_scaling.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -161,9 +162,10 @@ void BM_PipelineStreamed(benchmark::State& state) {
   std::uint64_t traces = 0;
   for (auto _ : state) {
     pipeline::DfgSink sink(f);
-    const auto log = pipeline::run(paths, pool, {&sink});
+    const std::array<pipeline::CaseSink*, 1> sinks{&sink};
+    const auto summary = pipeline::ingest(paths, pool, sinks);
     traces += sink.graph().trace_count();
-    benchmark::DoNotOptimize(log);
+    benchmark::DoNotOptimize(summary);
     benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(traces));
@@ -173,7 +175,7 @@ BENCHMARK(BM_PipelineStreamed)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()
 
 // ---- multi-sink single pass -------------------------------------------
 
-/// One pipeline::run pass: three analytics fold on the pool while the
+/// One pipeline::ingest pass: three analytics fold on the pool while the
 /// files parse — no barrier, no re-walks.
 void BM_MultiSinkSinglePass(benchmark::State& state) {
   const auto& paths = TraceCorpus::paths();
@@ -184,10 +186,10 @@ void BM_MultiSinkSinglePass(benchmark::State& state) {
     pipeline::DfgSink graph_sink(f);
     pipeline::CaseStatsSink stats_sink;
     pipeline::VariantsSink variants_sink(f);
-    const auto log =
-        pipeline::run(paths, pool, {&graph_sink, &stats_sink, &variants_sink});
+    const std::array<pipeline::CaseSink*, 3> sinks{&graph_sink, &stats_sink, &variants_sink};
+    const auto summary = pipeline::ingest(paths, pool, sinks);
     traces += graph_sink.graph().trace_count();
-    benchmark::DoNotOptimize(log);
+    benchmark::DoNotOptimize(summary);
     benchmark::DoNotOptimize(graph_sink);
     benchmark::DoNotOptimize(stats_sink);
     benchmark::DoNotOptimize(variants_sink);

@@ -19,6 +19,7 @@
 // v2 format ("import once, analyze many times"), with the advisory
 // index sections unless --no-index asks for a bare file.
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -232,11 +233,12 @@ int main(int argc, char** argv) {
                 << " events; wrote " << args[1] << "\n";
     } else if (command == "import") {
       // strace text -> elog container, through the streaming pipeline:
-      // zero-copy mmap parse on one pool, each file converted to a Case
-      // on the thread that finished its parse (cid_host_rid.st naming
-      // required). The container is written by a sink ON that pass —
-      // cases stream into the file as they convert, byte-identical to a
-      // staged write at any worker count.
+      // zero-copy parse on one pool, each file converted to a Case on
+      // the thread that finished its parse (cid_host_rid.st naming
+      // required, no case id twice) and freed once folded. The
+      // container is written by a sink ON that pass — cases stream
+      // into the file as they convert, byte-identical to a staged
+      // write at any worker count.
       if (args.size() < 3) throw ParseError("import takes an output and >= 1 trace files");
       const std::vector<std::string> files(args.begin() + 2, args.end());
       ThreadPool pool(cliargs::thread_count(cli));
@@ -244,30 +246,23 @@ int main(int argc, char** argv) {
       static_cast<RunPolicy&>(stream_opts) = cliargs::run_policy(cli);
       elog::ElogV2Writer writer(args[1], writer_options(cli));
       elog::ElogV2WriterSink sink(writer);
-      const std::vector<pipeline::CaseSink*> extra{&sink};
-      model::EventLog log;
+      const std::array<pipeline::CaseSink*, 1> extra{&sink};
+      pipeline::IngestSummary summary;
       if (cli.has("stream-report")) {
-        // One streamed pass, three artifact families: the report's
-        // sinks, the container sink and the assembled log.
+        // One streamed pass, two artifacts: the report's sinks and the
+        // container sink.
         auto result =
             report::streaming_report(files, cliargs::mapping(cli), pool, {}, stream_opts, extra);
         publish_file(cli.get("stream-report"), result.html);
-        log = std::move(result.log);
+        summary = std::move(result.summary);
         std::cout << "wrote single-pass report to " << cli.get("stream-report") << "\n";
       } else {
-        log = pipeline::run(files, pool, extra, stream_opts);
+        summary = pipeline::ingest(files, pool, extra, stream_opts);
       }
-      // Publish the container on the now idle pool while this thread
-      // prints the warnings and frees the log: replacing a large file
-      // costs about as long as that teardown. Nothing here throws before
-      // get(), so the task never outlives the writer.
-      auto published = pool.submit([&writer] { writer.finalize(); });
-      for (const auto& w : log.warnings()) std::cerr << "warning: " << w << "\n";
-      const std::uint64_t events = log.total_events();
-      log = model::EventLog{};
-      published.get();
-      std::cout << "imported " << files.size() << " trace files (" << events << " events) into "
-                << args[1] << "\n";
+      for (const auto& w : summary.warnings) std::cerr << "warning: " << w << "\n";
+      writer.finalize();
+      std::cout << "imported " << files.size() << " trace files (" << summary.total_events
+                << " events) into " << args[1] << "\n";
     } else if (command == "convert") {
       // Lossless re-encode. The write rebuilds the index sections, so
       // converting an index-free file (or one written before the index
@@ -283,7 +278,7 @@ int main(int argc, char** argv) {
       stat_elog(args[1], cli, sources);
     } else if (command == "fold-shard") {
       // One shard of a sharded analysis: stream the given trace files
-      // through pipeline::run with EVERY analytic sink and write the
+      // through pipeline::ingest with EVERY analytic sink and write the
       // encoded ShardPartial blob. Silent on success (the coordinator
       // owns all reporting); diagnostics go to stderr via the error
       // path like every other command.

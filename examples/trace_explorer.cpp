@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
       if (cli.has("timeline")) report_opts.timeline_activity = timeline_activity(cli);
       const auto result =
           report::streaming_report(cli.positional(), f, pool, report_opts, stream_opts);
-      for (const auto& w : result.log.warnings()) std::cerr << "warning: " << w << "\n";
+      for (const auto& w : result.summary.warnings) std::cerr << "warning: " << w << "\n";
       std::cout << result.html;
       return 0;
     }
@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
                                    iosim::make_ls_l_traces().to_event_log());
       if (filtered) log = query.apply(log);
     } else {
-      // Traces stream through the pipeline (zero-copy mmap parse on the
+      // Traces stream through the pipeline (zero-copy parse on the
       // pool, each file converted on the thread that finished its
       // parse); each container opens by mmap, is checked and scanned
       // on the pool, and gets one dictionary for f.

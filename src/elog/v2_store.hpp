@@ -50,9 +50,9 @@ namespace st::elog {
 /// case's owners (ElogV2WriterSink keeps the arena and TraceBuffer in
 /// its partial).
 struct EncodedCase {
-  /// Owned (not views): the CaseId they come from is moved into the
-  /// assembled log before absorb() runs, and SSO moves would dangle a
-  /// view. The event-column views below point into the case's arena /
+  /// Owned (not views): the CaseId they come from is moved into
+  /// run()'s log, or freed, when the cursor absorbs the case, and SSO
+  /// moves would dangle a view. The event-column views below point into the case's arena /
   /// TraceBuffer instead, which the partial keeps alive.
   std::string cid;
   std::string host;
@@ -344,7 +344,7 @@ void assemble_case(model::CaseId id, std::vector<model::Event> events,
                                              const std::exception_ptr& error,
                                              const RunPolicy& policy);
 
-/// CaseSink writing elog v2 in the same streamed pipeline::run pass as
+/// CaseSink writing elog v2 in the same streamed pipeline::ingest pass as
 /// any other analytic: fold() encodes the case's columns on the pool
 /// thread (carrying the case's owners in the partial), absorb() appends
 /// to the writer strictly in input order at the merge cursor, while

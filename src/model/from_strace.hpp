@@ -11,7 +11,7 @@
 // point into the records' storage (TraceBuffer/arena), cid/host are
 // interned once per case into the arena the caller passes (usually
 // EventLog::arena()). event_log_from_files wires all of this up: it
-// mmaps the files, parses them with mixed per-file + intra-file
+// reads or maps the files, parses them with mixed per-file + intra-file
 // parallelism on one shared pool, adopts every TraceBuffer into the
 // returned log, and surfaces reader warnings via EventLog::warnings()
 // prefixed with the originating path (ordered by file, then line).
@@ -44,9 +44,11 @@ namespace st::model {
 
 /// Reads a set of trace files from disk into an event log. File names
 /// must follow the cid_host_rid.st convention; files that do not parse
-/// as such throw ParseError (checked for every path before any I/O;
-/// first offender in input order wins). Built on the streaming
-/// pipeline (pipeline::run): files are mmapped and parsed with
+/// as such throw ParseError, and a case id named twice throws
+/// LogicError (checked for every path before any I/O; first offender
+/// in input order wins). Built on the streaming pipeline
+/// (pipeline::run): files are read (up to one parse chunk) or mapped
+/// and parsed with
 /// mixed per-file + intra-file parallelism over `threads` workers
 /// (0 = hardware concurrency), and each file's record -> Case
 /// conversion runs on the pool thread that finished that file's parse

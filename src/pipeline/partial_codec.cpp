@@ -439,7 +439,7 @@ void ShardPartial::merge(ShardPartial&& other) {
   case_count += other.case_count;
   total_events += other.total_events;
   health.merge_counters(other.health);
-  // Same consecutive-duplicate collapse pipeline::run applies while
+  // Same consecutive-duplicate collapse pipeline::ingest applies while
   // assembling warnings, re-applied at the shard seam so the
   // concatenation equals one in-process run's warning list.
   for (std::string& warning : other.warnings) {

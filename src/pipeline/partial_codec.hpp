@@ -4,7 +4,7 @@
 // Every analytic the pipeline folds is a monoid; this codec makes the
 // monoid's elements portable across process (and eventually machine)
 // boundaries: an `elog_tool fold-shard` worker streams its file split
-// through pipeline::run and encodes ONE blob holding every partial;
+// through pipeline::ingest and encodes ONE blob holding every partial;
 // the coordinator decodes the blobs and merges them in input order,
 // so the sharded result is bit-identical to the in-process run.
 //
@@ -120,7 +120,7 @@ class PartialReader {
 
 // ---- the shard unit ----------------------------------------------------
 
-/// Everything one pipeline::run pass folds for the report: the partial
+/// Everything one pipeline::ingest pass folds for the report: the partial
 /// of each of the report's sinks plus the run metadata. The unit
 /// fold-shard encodes, the coordinator merges, and the in-process
 /// streamed report finalizes as a single shard.

@@ -20,7 +20,6 @@
 
 #include "model/mapping.hpp"
 #include "parallel/thread_pool.hpp"
-#include "strace/filename.hpp"
 #include "support/errors.hpp"
 #include "support/faultpoint.hpp"
 
@@ -336,9 +335,9 @@ std::vector<std::string> ShardRunReport::to_lines() const {
   return lines;
 }
 
-ReportFold fold_report(const std::vector<std::string>& paths, const model::Mapping& f,
-                       ThreadPool& pool, const StreamOptions& stream_opts,
-                       std::span<CaseSink* const> extra_sinks) {
+ShardPartial fold_report(const std::vector<std::string>& paths, const model::Mapping& f,
+                         ThreadPool& pool, const StreamOptions& stream_opts,
+                         std::span<CaseSink* const> extra_sinks) {
   DfgSink graph_sink(f);
   CaseStatsSink stats_sink;
   VariantsSink variants_sink(f);
@@ -348,24 +347,24 @@ ReportFold fold_report(const std::vector<std::string>& paths, const model::Mappi
                                   &edge_sink};
   sinks.insert(sinks.end(), extra_sinks.begin(), extra_sinks.end());
 
-  ReportFold out;
-  ShardPartial& p = out.partial;
-  out.log = run(paths, pool, std::span<CaseSink* const>(sinks), stream_opts, &p.health);
-  p.case_count = out.log.case_count();
-  p.total_events = out.log.total_events();
-  p.warnings = out.log.warnings();
+  IngestSummary summary = ingest(paths, pool, std::span<CaseSink* const>(sinks), stream_opts);
+  ShardPartial p;
+  p.case_count = summary.case_count;
+  p.total_events = summary.total_events;
+  p.warnings = std::move(summary.warnings);
+  p.health = std::move(summary.health);
   p.graph = graph_sink.take_graph();
   p.case_summaries = stats_sink.take_summaries();
   p.variants = variants_sink.take_variants();
   p.io = io_sink.take_partial();
   p.edges = edge_sink.take_partial();
-  return out;
+  return p;
 }
 
 std::string fold_shard(const std::vector<std::string>& paths, const ShardOptions& opts) {
   const model::Mapping f = model::mapping_by_name(opts.mapping);
   ThreadPool pool(opts.worker_threads);
-  return encode_shard_partial(fold_report(paths, f, pool, opts.stream).partial);
+  return encode_shard_partial(fold_report(paths, f, pool, opts.stream));
 }
 
 ShardedAnalytics finalize_shards(std::vector<ShardPartial> parts, ThreadPool* pool) {
@@ -393,17 +392,12 @@ ShardedAnalytics finalize_shards(std::vector<ShardPartial> parts, ThreadPool* po
 ShardedAnalytics run_sharded(const std::vector<std::string>& paths, const ShardOptions& opts) {
   if (opts.shards == 0) throw LogicError("run_sharded: shards must be >= 1");
   if (opts.max_attempts == 0) throw LogicError("run_sharded: max_attempts must be >= 1");
-  // Same pre-I/O filename validation (and first-offender-in-input-order
-  // error) as pipeline::run, BEFORE any subprocess spawns. Under
-  // keep_going the offenders stay in their split — each shard's run
-  // quarantines them with the exact warning the streamed run emits.
-  if (!opts.stream.keep_going) {
-    for (const std::string& path : paths) {
-      if (!strace::parse_trace_filename(path)) {
-        throw ParseError("trace file name does not follow cid_host_rid.st: " + path);
-      }
-    }
-  }
+  // pipeline::ingest's pre-I/O checks over every shard's files, BEFORE
+  // any subprocess spawns: a case id repeated across shards is caught
+  // only here. Under keep_going the bad names stay in their split —
+  // each shard's ingest quarantines them with the exact warning the
+  // streamed run emits.
+  (void)check_trace_names(paths, opts.stream.keep_going);
 
   std::vector<std::vector<std::string>> splits;
   const std::size_t n = paths.size();

@@ -1,13 +1,13 @@
 // pipeline::run_sharded — "one pass, any scale" (ISSUE 7 tentpole).
 //
-// The streamed pipeline::run already folds every analytic in one pass
+// The streamed pipeline::ingest already folds every analytic in one pass
 // inside one process. This layer splits the input FILES across shards
 // and runs that same pass once per shard, each shard emitting one
 // serialized ShardPartial blob (partial_codec.hpp). The coordinator
 // decodes the blobs and merges them strictly in shard (= input) order,
 // then finalizes — the exact add_case -> merge -> finalize path the
 // in-process run takes, so the sharded output is bit-identical to
-// pipeline::run at ANY shard count, doubles included (the FP sums all
+// pipeline::ingest at ANY shard count, doubles included (the FP sums all
 // happen in finalize(), through the fixed-shape pairwise tree of
 // dfg/stats.hpp).
 //
@@ -111,7 +111,7 @@ struct ShardRunReport {
 };
 
 /// Everything the merged shard partials finalize into: the same
-/// analytics one pipeline::run pass over all files produces.
+/// analytics one pipeline::ingest pass over all files produces.
 struct ShardedAnalytics {
   std::uint64_t case_count = 0;
   std::uint64_t total_events = 0;
@@ -131,22 +131,16 @@ struct ShardedAnalytics {
   ShardRunReport shard_report;
 };
 
-/// What one report fold produced: the report partial and the
-/// assembled log of the same pass.
-struct ReportFold {
-  ShardPartial partial;
-  model::EventLog log;
-};
-
-/// The report's one fold: a single pipeline::run over `paths` with the
-/// report's five sinks (DFG, case table, variants, activity statistics,
-/// edge statistics) plus `extra_sinks`, which ride the same pass after
-/// them. Every sink-side report goes through here — fold_shard encodes
-/// the partial, report::streaming_report finalizes it as one shard.
-[[nodiscard]] ReportFold fold_report(const std::vector<std::string>& paths,
-                                     const model::Mapping& f, ThreadPool& pool,
-                                     const StreamOptions& stream_opts = {},
-                                     std::span<CaseSink* const> extra_sinks = {});
+/// The report's one fold: a single pipeline::ingest over `paths` with
+/// the report's five sinks (DFG, case table, variants, activity
+/// statistics, edge statistics) plus `extra_sinks`, which ride the
+/// same pass after them, returned as the report partial. Every
+/// sink-side report goes through here — fold_shard encodes the
+/// partial, report::streaming_report finalizes it as one shard.
+[[nodiscard]] ShardPartial fold_report(const std::vector<std::string>& paths,
+                                       const model::Mapping& f, ThreadPool& pool,
+                                       const StreamOptions& stream_opts = {},
+                                       std::span<CaseSink* const> extra_sinks = {});
 
 /// One shard's whole job: fold_report over `paths` on a fresh pool of
 /// opts.worker_threads, returned as the encoded ShardPartial blob. This

@@ -5,12 +5,15 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -18,7 +21,6 @@
 #include "model/from_strace.hpp"
 #include "parallel/algorithms.hpp"
 #include "parallel/thread_pool.hpp"
-#include "strace/filename.hpp"
 #include "support/errors.hpp"
 #include "support/faultpoint.hpp"
 
@@ -148,7 +150,8 @@ struct FileSlot {
   std::exception_ptr error;   ///< a parse, convert or fold failure
   Disp on_error = Disp::kOk;  ///< what `error` makes of the file under keep_going
   Disp disp = Disp::kOk;
-  std::string reason;  ///< why the file was skipped or quarantined
+  std::string reason;     ///< why the file was skipped or quarantined
+  std::size_t bytes = 0;  ///< the opened trace's size, while in the window
 
   /// Settles a file this thread skipped before its parse.
   void settle_skipped(std::string why) {
@@ -229,51 +232,110 @@ void DataHealth::merge_counters(const DataHealth& other) {
   cases_quarantined += other.cases_quarantined;
 }
 
-model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
-                    std::span<CaseSink* const> sinks, const StreamOptions& opts,
-                    DataHealth* health) {
+namespace {
+
+ParseError bad_trace_name(const std::string& path) {
+  return ParseError("trace file name does not follow cid_host_rid.st: " + path);
+}
+
+}  // namespace
+
+std::vector<std::optional<strace::TraceFileId>> check_trace_names(
+    const std::vector<std::string>& paths, bool keep_going) {
+  std::vector<std::optional<strace::TraceFileId>> ids;
+  ids.reserve(paths.size());
+  model::CaseIdSet seen;
+  for (const std::string& path : paths) {
+    auto id = strace::parse_trace_filename(path);
+    if (id) {
+      seen.add(model::CaseId{id->cid, id->host, id->rid});
+    } else if (!keep_going) {
+      throw bad_trace_name(path);
+    }
+    ids.push_back(std::move(id));
+  }
+  return ids;
+}
+
+namespace {
+
+/// The open-ahead bound: the bytes the calling thread opened that the
+/// merge cursor has not absorbed yet, against a cap, and whether the
+/// cursor stalled (it then absorbs nothing more).
+class OpenWindow {
+ public:
+  explicit OpenWindow(std::size_t cap) : cap_(cap) {}
+
+  /// Blocks while the open bytes exceed the cap and the cursor still
+  /// advances. False when the cursor stalled with the window full: no
+  /// absorb will ever make room.
+  bool wait_for_room() {
+    std::unique_lock lock(mutex_);
+    room_.wait(lock, [this] { return open_ <= cap_ || stalled_; });
+    return open_ <= cap_;
+  }
+
+  void opened(std::size_t bytes) {
+    const std::lock_guard lock(mutex_);
+    open_ += bytes;
+  }
+
+  /// The cursor absorbed files holding `bytes`, and stopped if `stalled`.
+  void absorbed(std::size_t bytes, bool stalled) {
+    {
+      const std::lock_guard lock(mutex_);
+      open_ -= bytes;
+      stalled_ = stalled_ || stalled;
+    }
+    room_.notify_one();
+  }
+
+ private:
+  const std::size_t cap_;
+  std::mutex mutex_;
+  std::condition_variable room_;
+  std::size_t open_ = 0;
+  bool stalled_ = false;
+};
+
+/// ingest(), moving each absorbed case and its owners into `log` when
+/// it is non-null, and freeing them otherwise.
+IngestSummary ingest_into(const std::vector<std::string>& paths, ThreadPool& pool,
+                          std::span<CaseSink* const> sinks, const StreamOptions& opts,
+                          model::EventLog* log) {
   const std::size_t n = paths.size();
   const bool keep_going = opts.keep_going;
   std::vector<FileSlot> slots(n);
 
-  // Validate every file name before any I/O: the error for a bad name
-  // is deterministic (first offender in input order) and cheap.
-  std::vector<strace::TraceFileId> ids(n);
+  const auto ids = check_trace_names(paths, keep_going);
   for (std::size_t i = 0; i < n; ++i) {
-    auto id = strace::parse_trace_filename(paths[i]);
-    if (!id) {
-      const ParseError err("trace file name does not follow cid_host_rid.st: " + paths[i]);
-      if (!keep_going) throw err;
-      slots[i].settle_skipped(err.what());
-      continue;
-    }
-    ids[i] = std::move(*id);
+    if (!ids[i]) slots[i].settle_skipped(bad_trace_name(paths[i]).what());
   }
 
-  // The merge cursor: input-order assembly of the log, the health
-  // counters and every sink's accumulator, run by whichever pool
-  // thread settles a file while no other thread holds it. Everything
-  // below is touched only by the cursor's holder (and, after the join,
-  // by this thread).
-  model::EventLog log;
-  DataHealth h;
+  // The merge cursor: input-order absorption of the summary, the
+  // health counters and every sink's accumulator, run by whichever
+  // pool thread settles a file while no other thread holds it.
+  // Everything below is touched only by the cursor's holder (and,
+  // after the join, by this thread).
+  IngestSummary summary;
+  DataHealth& h = summary.health;
   h.files_requested = n;
   Accumulators acc(sinks);
-  std::size_t next = 0;           // the first slot not yet assembled
+  std::size_t next = 0;           // the first slot not yet absorbed
   bool stalled = false;           // slot `next` fails the run
   std::atomic<bool> busy{false};  // the cursor's try-lock
   std::string prefixed;  // reused "<path>: <warning>" buffer
-  const auto add_warning = [&log](std::string& text) {
+  const auto add_warning = [&summary](std::string& text) {
     // A malformed region repeating the same defect floods the log
     // with copies of one message; keep the first of each run.
-    if (!log.warnings().empty() && log.warnings().back() == text) return;
-    log.add_warning(text);
+    if (!summary.warnings.empty() && summary.warnings.back() == text) return;
+    summary.warnings.push_back(text);
   };
-  // Assembles slot i: case order, event order and warning order come
-  // out byte-identical to the staged path. Skipped and quarantined
-  // files contribute their structured warning at their input-order
-  // slot and nothing else. False when the slot's error fails the run.
-  const auto assemble = [&](std::size_t i) {
+  // Absorbs slot i: case order, event order and warning order come out
+  // byte-identical to the staged path. Skipped and quarantined files
+  // contribute their structured warning at their input-order slot and
+  // nothing else. False when the slot's error fails the run.
+  const auto absorb = [&](std::size_t i) {
     FileSlot& slot = slots[i];
     if (slot.error) {
       if (!keep_going || !quarantinable(slot.error, slot.reason)) return false;
@@ -289,9 +351,8 @@ model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
       return true;
     }
     Converted& cv = slot.converted;
-    if (cv.arena) log.adopt(std::move(cv.arena));
-    log.add_case(std::move(cv.c));
-    if (cv.buffer) log.adopt(std::move(cv.buffer));
+    ++summary.case_count;
+    summary.total_events += cv.c.events().size();
     for (const auto& warning : cv.warnings) {
       prefixed.clear();
       prefixed.reserve(paths[i].size() + 2 + warning.size());
@@ -300,31 +361,41 @@ model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
       prefixed += warning;
       add_warning(prefixed);
     }
+    if (log != nullptr) {
+      if (cv.arena) log->adopt(std::move(cv.arena));
+      log->add_case(std::move(cv.c));
+      if (cv.buffer) log->adopt(std::move(cv.buffer));
+    }
     acc.absorb(cv.partials);
-    cv = Converted{};
+    cv = Converted{};  // the file's case, arena and buffer, unless the log took them
     return true;
   };
-  // Try-lock, assemble every settled prefix slot, unlock. A slot that
+  OpenWindow window(opts.min_chunk_bytes > std::numeric_limits<std::size_t>::max() / pool.size()
+                        ? std::numeric_limits<std::size_t>::max()
+                        : pool.size() * opts.min_chunk_bytes);
+  // Try-lock, absorb every settled prefix slot, unlock. A slot that
   // settles while another thread holds the cursor is picked up by that
   // thread's re-check after it unlocks (all seq_cst: either the holder
   // sees the flag or the settler wins the lock), so no settled prefix
   // waits for the join.
   const auto advance = [&] {
     while (!busy.exchange(true)) {
+      std::size_t freed = 0;
       while (!stalled && next < n && slots[next].settled.load()) {
         try {
-          stalled = !assemble(next);
+          stalled = !absorb(next);
         } catch (...) {
           // An absorb that throws leaves the accumulators half-folded:
           // that fails the run under either policy.
           slots[next].error = std::current_exception();
           stalled = true;
         }
-        if (!stalled) ++next;
+        if (!stalled) freed += slots[next++].bytes;
       }
       const std::size_t at = next;
       const bool stop = stalled;
       busy.store(false);
+      if (freed > 0 || stop) window.absorbed(freed, stop);
       if (stop || at == n || !slots[at].settled.load()) return;
     }
   };
@@ -356,7 +427,7 @@ model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
           // cid/host, and a swarm of small trace files must not pin a
           // 64 KiB block each.
           out.arena = std::make_shared<strace::StringArena>(256);
-          out.c = model::case_from_records(ids[i], result.records, *out.arena);
+          out.c = model::case_from_records(*ids[i], result.records, *out.arena);
           out.warnings = std::move(result.warnings);
           out.buffer = std::move(result.buffer);
           FAULT_POINT("sink.fold");
@@ -379,30 +450,46 @@ model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
         advance();
       });
 
+  const auto open = [&](std::size_t i) {
+    return strace::TraceBuffer::from_file_read_small(paths[i], opts.min_chunk_bytes);
+  };
   std::size_t live = 0;
   // Open each surviving file in input order, on this thread, and submit
-  // its chunks before opening the next, so the opens overlap the parse.
-  // Fail fast: an unopenable file is the run's error, whatever failed
-  // before it — stop submitting, join (the handle's destructor) and
-  // rethrow; nothing merges.
+  // its chunks before opening the next, so the opens overlap the parse,
+  // as far as the window lets them run ahead of the cursor. Fail fast:
+  // an unopenable file is the run's error, whatever failed before it —
+  // stop submitting, join (the handle's destructor) and rethrow;
+  // nothing merges.
   for (std::size_t i = 0; i < n; ++i) {
     if (slots[i].settled.load()) continue;  // a bad name, under keep_going
+    if (!window.wait_for_room()) {
+      // The cursor stalled on an error and will free nothing more: the
+      // run fails either way. Failing fast, an unopenable file among
+      // the rest still outranks it, so open them (no parse) to find
+      // one.
+      if (!keep_going) {
+        for (std::size_t j = i; j < n; ++j) (void)open(j);
+      }
+      break;
+    }
     std::shared_ptr<strace::TraceBuffer> buffer;
     try {
-      buffer = strace::TraceBuffer::from_file_mmap(paths[i]);
+      buffer = open(i);
     } catch (const IoError& e) {
       if (!keep_going) throw;
       slots[i].settle_skipped(e.what());
       continue;
     }
+    slots[i].bytes = buffer->text().size();
+    window.opened(slots[i].bytes);
     orig_of[live++] = i;
     (void)parse.add(std::move(buffer));
   }
 
-  // Every file has settled once the parse joins; the cursor then takes
-  // whatever no settle hook got to, and stops at the lowest input
-  // index whose error fails the run (a sink fold that threw competes
-  // with parse errors under that one rule).
+  // Every submitted file has settled once the parse joins; the cursor
+  // then takes whatever no settle hook got to, and stops at the lowest
+  // input index whose error fails the run (a sink fold that threw
+  // competes with parse errors under that one rule).
   parse.join();
   advance();
   if (stalled) std::rethrow_exception(slots[next].error);  // sinks stay empty
@@ -412,11 +499,25 @@ model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
   // never half-merged.
   FAULT_POINT("sink.merge");
   std::move(acc).merge();
-  if (health != nullptr) {
-    h.files_ingested = n - h.files_skipped - h.cases_quarantined;
-    h.classify(log.warnings());
-    *health = std::move(h);
-  }
+  h.files_ingested = n - h.files_skipped - h.cases_quarantined;
+  h.classify(summary.warnings);
+  return summary;
+}
+
+}  // namespace
+
+IngestSummary ingest(const std::vector<std::string>& paths, ThreadPool& pool,
+                     std::span<CaseSink* const> sinks, const StreamOptions& opts) {
+  return ingest_into(paths, pool, sinks, opts, nullptr);
+}
+
+model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
+                    std::span<CaseSink* const> sinks, const StreamOptions& opts,
+                    DataHealth* health) {
+  model::EventLog log;
+  IngestSummary summary = ingest_into(paths, pool, sinks, opts, &log);
+  for (std::string& warning : summary.warnings) log.add_warning(std::move(warning));
+  if (health != nullptr) *health = std::move(summary.health);
   return log;
 }
 

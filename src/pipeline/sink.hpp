@@ -11,7 +11,7 @@
 // always used (refs [24][25] of the paper):
 //
 //   make_partial()      a fresh accumulator: one per task (one
-//                       converted file in run(), one chunk of cases in
+//                       converted file in ingest(), one chunk of cases in
 //                       fold_cases), created on the pool thread running
 //                       it, and one per run, the run-local accumulator
 //                       the tasks' partials are absorbed into;
@@ -28,7 +28,7 @@
 //                       and drops its id-keyed state, which would
 //                       otherwise wait for the absorb;
 //   absorb(acc, partial) folds a task's partial into the run-local
-//                       accumulator, strictly in input order. In run()
+//                       accumulator, strictly in input order. In ingest()
 //                       it runs at the merge cursor: on whichever pool
 //                       thread settles a file while no other thread
 //                       holds the cursor, which then absorbs every
@@ -42,7 +42,7 @@
 //                       thread after the join.
 //
 // Map each event once. A sink that folds activities names its mapping
-// f through mapping(); run() and fold_cases apply each distinct f once
+// f through mapping(); ingest() and fold_cases apply each distinct f once
 // per case, into a MappedCase of activity ids interned in the task's
 // ActivityDict (model/mapped_case.hpp), and pass both in the
 // CaseContext. A registry mapping runs once per distinct (call, fp) of
@@ -67,9 +67,12 @@
 // container sink's absorb has an effect outside the run (it appends to
 // its writer, whose unpublished file a failed run discards).
 // Lifetime: the per-task arena and TraceBuffer of a case reach fold()
-// through the context, so sinks whose output keeps views into the case
-// (the elog v2 writer sink) can adopt them; the run adopts them into
-// its primary EventLog before anything escapes either way.
+// through the context; a sink whose partial keeps views into the case
+// (the elog v2 writer sink, until absorb) copies the shared_ptrs. The
+// run itself keeps a file only until the merge cursor absorbs it:
+// ingest() then frees the file's case, arena and buffer, so it holds
+// about one window of files at a time (see ingest), while run() moves
+// them into the log it returns.
 //
 // Usage — one pass, many analytics:
 //
@@ -77,9 +80,13 @@
 //   st::pipeline::DfgSink graph(f);
 //   st::pipeline::CaseStatsSink stats;
 //   st::pipeline::VariantsSink variants(f);
-//   st::model::EventLog log =
-//       st::pipeline::run(paths, pool, {&graph, &stats, &variants});
+//   const std::array<st::pipeline::CaseSink*, 3> all{&graph, &stats, &variants};
+//   const st::pipeline::IngestSummary summary = st::pipeline::ingest(paths, pool, all);
 //   use(graph.take_graph(), stats.take_summaries(), variants.take_variants());
+//   for (const auto& w : summary.warnings) warn(w);
+//
+//   // The same pass, also assembling the cases into a log:
+//   st::model::EventLog log = st::pipeline::run(paths, pool, {&graph});
 //
 //   // Cases from sources (CaseSource): a log's cases (CaseSpan), a
 //   // container's read in column space without an EventLog
@@ -100,6 +107,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -113,6 +121,7 @@
 #include "model/event_log.hpp"
 #include "model/mapped_case.hpp"
 #include "model/mapping.hpp"
+#include "strace/filename.hpp"
 #include "strace/reader.hpp"
 #include "support/run_policy.hpp"
 
@@ -133,7 +142,9 @@ namespace st::pipeline {
 /// foreign exceptions still abort either way.
 struct StreamOptions : RunPolicy {
   /// Lower bound per parse chunk (strace::ParallelReadOptions). It
-  /// changes how a file splits across the pool, never an output byte.
+  /// changes how a file splits across the pool, which files ingest
+  /// reads rather than maps, and how many bytes it opens ahead, never
+  /// an output byte.
   std::size_t min_chunk_bytes = 1 << 20;
 };
 
@@ -213,29 +224,65 @@ class CaseSink {
   virtual void absorb(SinkPartial& acc, std::unique_ptr<SinkPartial> p) const = 0;
 
   /// Folds the run's accumulator into the sink's output: once per
-  /// successful run, on the thread that called run() or fold_cases,
+  /// successful run, on the thread that called ingest() or fold_cases,
   /// after every task finished. Never on a failing run.
   virtual void merge(std::unique_ptr<SinkPartial> acc) = 0;
 };
 
+/// What an ingest leaves besides its sinks' outputs.
+struct IngestSummary {
+  /// Every counter, and the classes of `warnings`.
+  DataHealth health;
+  /// "<path>: <warning>" in input order, then line order within a file
+  /// (identical consecutive warnings collapsed to the first): reader
+  /// warnings, and under keep_going each skipped or quarantined file's.
+  std::vector<std::string> warnings;
+  std::uint64_t case_count = 0;    ///< cases folded (files ingested)
+  std::uint64_t total_events = 0;  ///< their events
+};
+
+/// ingest()'s checks before any I/O, in input order, so the first
+/// offender is the error: a name that does not follow cid_host_rid.st
+/// is a ParseError (nullopt under keep_going, where ingest skips the
+/// file), and a case id named twice is a LogicError with
+/// model::CaseIdSet's text under either policy — every reader of the
+/// output would refuse it. Returns each path's parsed name.
+[[nodiscard]] std::vector<std::optional<strace::TraceFileId>> check_trace_names(
+    const std::vector<std::string>& paths, bool keep_going);
+
 /// Drives one streamed parse -> convert pass over `paths` and folds
-/// every completed Case into every sink, all on `pool`: the calling
-/// thread opens file i and submits its parse before opening file i+1;
-/// a file converts and folds on the pool thread that finished its last
-/// parse chunk, so with one worker file i folds right after file i
-/// parses, before file i+1 starts; the merge cursor then assembles the
-/// log and absorbs the partials of every settled prefix file as it
-/// goes. Returns the assembled EventLog — byte-identical to the
-/// staged per-file build (case, event and warning order), with
-/// per-task arenas and TraceBuffers adopted before it escapes. File
-/// names must follow cid_host_rid.st (ParseError for the first
-/// offender, checked before any I/O); on any failure every task is
-/// awaited, the lowest-input-index error is rethrown and no sink sees
-/// a merge — except that an unopenable file, found while earlier files
-/// parse, is the error whatever failed before it. Under
-/// opts.keep_going data failures quarantine their file instead (see
-/// StreamOptions). `health`, when non-null, receives the run's
-/// DataHealth either way.
+/// every completed Case into every sink, all on `pool`:
+///   - before any I/O, check_trace_names(paths, opts.keep_going);
+///   - the calling thread opens file i and submits its parse before
+///     opening file i+1. A file that fits one parse chunk (at most
+///     opts.min_chunk_bytes) is read into the heap, a larger one
+///     mapped (strace::TraceBuffer::from_file_read_small). The opens
+///     pause while the files opened but not yet absorbed hold more
+///     than pool.size() x opts.min_chunk_bytes bytes (one file always
+///     opens);
+///   - a file converts and folds on the pool thread that finished its
+///     last parse chunk, so with one worker file i folds right after
+///     file i parses, before file i+1 starts;
+///   - the merge cursor then absorbs every settled prefix file's
+///     partials, warnings and counts, in input order, and frees the
+///     file's case, arena and buffer.
+/// On any failure every task is awaited, the lowest-input-index error
+/// is rethrown and no sink sees a merge — except that an unopenable
+/// file, found while earlier files parse, is the error whatever failed
+/// before it (when the cursor stalls on an error while the opens
+/// pause, the remaining files are opened, not parsed, to find one).
+/// Under opts.keep_going data failures quarantine their file instead
+/// (see StreamOptions).
+[[nodiscard]] IngestSummary ingest(const std::vector<std::string>& paths, ThreadPool& pool,
+                                   std::span<CaseSink* const> sinks,
+                                   const StreamOptions& opts = {});
+
+/// ingest(), also assembling the cases into the returned EventLog:
+/// byte-identical to the staged per-file build (case, event and
+/// warning order). Each case, its arena and its TraceBuffer move into
+/// the log at the cursor, never copied, so the log holds every file
+/// it ingested until it dies. `health`, when non-null, receives the
+/// run's DataHealth.
 [[nodiscard]] model::EventLog run(const std::vector<std::string>& paths, ThreadPool& pool,
                                   std::span<CaseSink* const> sinks,
                                   const StreamOptions& opts = {}, DataHealth* health = nullptr);
@@ -296,7 +343,7 @@ class CaseSpan final : public CaseSource {
 /// partials are absorbed in chunk order on the calling thread and
 /// merged once, so the output is the staged computation's over the
 /// concatenated cases at any worker count. fold() sees a null arena
-/// and buffer: the sources keep their storage alive. run()'s error
+/// and buffer: the sources keep their storage alive. ingest()'s error
 /// contract: every chunk is awaited, the lowest chunk's error is
 /// rethrown and no sink sees a merge. Not callable from a task on
 /// `pool`.

@@ -218,11 +218,16 @@ StreamingReport streaming_report(const std::vector<std::string>& paths, const mo
                                  ThreadPool& pool, const ReportOptions& opts,
                                  const pipeline::StreamOptions& stream_opts,
                                  std::span<pipeline::CaseSink* const> extra_sinks) {
-  pipeline::ReportFold fold = pipeline::fold_report(paths, f, pool, stream_opts, extra_sinks);
   std::vector<pipeline::ShardPartial> parts;
-  parts.push_back(std::move(fold.partial));
-  return {render_sharded_report(pipeline::finalize_shards(std::move(parts), &pool), f, opts),
-          std::move(fold.log)};
+  parts.push_back(pipeline::fold_report(paths, f, pool, stream_opts, extra_sinks));
+  pipeline::ShardedAnalytics analytics = pipeline::finalize_shards(std::move(parts), &pool);
+  StreamingReport out;
+  out.html = render_sharded_report(analytics, f, opts);
+  out.summary.health = std::move(analytics.health);
+  out.summary.warnings = std::move(analytics.warnings);
+  out.summary.case_count = analytics.case_count;
+  out.summary.total_events = analytics.total_events;
+  return out;
 }
 
 std::string render_sharded_report(const pipeline::ShardedAnalytics& analytics,

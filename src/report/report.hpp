@@ -113,9 +113,10 @@ void write_report_file(const std::string& path, const model::EventLog& log,
 
 struct StreamingReport {
   std::string html;
-  /// The ingested log from the same pass — reusable (e.g. elog_tool
-  /// import writes it to a container alongside the report).
-  model::EventLog log;
+  /// What the pass ingested: warnings, counts and data health. Its
+  /// files are freed as they fold — no log is kept (elog_tool import
+  /// writes its container through an extra sink on the same pass).
+  pipeline::IngestSummary summary;
 };
 
 /// Single-pass report straight from trace files: pipeline::fold_report
@@ -123,8 +124,9 @@ struct StreamingReport {
 /// same pool, and the one resulting partial renders through
 /// render_sharded_report(finalize_shards({partial})) — so this IS the
 /// one-shard sharded report. Compared to build_report over a
-/// pipeline::run log, this removes the ingestion barrier plus the
-/// post-hoc fold, and adds the variants and data-health sections.
+/// pipeline::run log, this removes the ingestion barrier, the post-hoc
+/// fold and the log itself (it holds about one open-ahead window of
+/// files at a time), and adds the variants and data-health sections.
 /// `extra_sinks` ride the same pass after the report's own sinks —
 /// elog_tool import hangs its ElogV2WriterSink here, so one streamed
 /// pass yields both the report and the container.

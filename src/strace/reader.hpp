@@ -12,7 +12,10 @@
 // Ingestion is zero-copy: the trace bytes are read once into a
 // TraceBuffer and records view into it (plus a small arena for merged
 // argument lists and decoded C paths). ReadResult carries the buffer,
-// so records stay valid as long as the result is alive.
+// so records stay valid as long as the result is alive. The file
+// entry points here map their files (TraceBuffer::from_file_mmap);
+// pipeline::ingest reads a file that fits one parse chunk into the
+// heap instead (TraceBuffer::from_file_read_small) and maps the rest.
 //
 // read_trace_buffer is the sequential reference. The parallel reader,
 // read_trace_buffers_streamed, splits every buffer into line chunks and

@@ -44,6 +44,11 @@ std::shared_ptr<TraceBuffer> TraceBuffer::from_file(const std::string& path) {
 }
 
 std::shared_ptr<TraceBuffer> TraceBuffer::from_file_mmap(const std::string& path) {
+  return from_file_read_small(path, 0);
+}
+
+std::shared_ptr<TraceBuffer> TraceBuffer::from_file_read_small(const std::string& path,
+                                                               std::size_t read_at_most) {
 #ifdef ST_HAVE_MMAP
   // Hits twice on the rare mmap-failure fallback into from_file — nth
   // targeting in tests should use the common one-hit-per-open case.
@@ -75,7 +80,21 @@ std::shared_ptr<TraceBuffer> TraceBuffer::from_file_mmap(const std::string& path
     return std::make_shared<TraceBuffer>(std::move(text));
   }
   const auto size = static_cast<std::size_t>(st.st_size);
-  if (size == 0) return std::make_shared<TraceBuffer>(std::string());
+  if (size <= read_at_most) {
+    std::string text(size, '\0');
+    std::size_t got = 0;
+    while (got < size) {
+      const ssize_t n = ::pread(fd, text.data() + got, size - got, static_cast<off_t>(got));
+      if (n == 0) break;  // the file shrank since the stat
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        throw IoError("cannot read trace file: " + path);
+      }
+      got += static_cast<std::size_t>(n);
+    }
+    text.resize(got);
+    return std::make_shared<TraceBuffer>(std::move(text));
+  }
   void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
   if (map == MAP_FAILED) return from_file(path);
 #ifdef MADV_SEQUENTIAL
@@ -87,6 +106,7 @@ std::shared_ptr<TraceBuffer> TraceBuffer::from_file_mmap(const std::string& path
   buffer->view_ = std::string_view(static_cast<const char*>(map), size);
   return buffer;
 #else
+  (void)read_at_most;
   return from_file(path);
 #endif
 }

@@ -8,8 +8,8 @@
 // buffer as a shared_ptr so the contract is upheld by construction.
 //
 // Storage is either an owned std::string (from_file, text
-// construction) or a read-only mmap of the trace file (from_file_mmap)
-// — callers only ever see text() as a string_view, so the two are
+// construction, the small files of from_file_read_small) or a
+// read-only mmap of the trace file (from_file_mmap) — callers only ever see text() as a string_view, so the two are
 // interchangeable and produce byte-identical parses. The buffer is
 // neither copyable nor movable (views into text_ would dangle under
 // SSO moves); it always lives behind the shared_ptr its factories
@@ -22,6 +22,7 @@
 // Records and text() may be read freely once parsing has returned.
 #pragma once
 
+#include <cstddef>
 #include <deque>
 #include <memory>
 #include <string>
@@ -51,6 +52,14 @@ class TraceBuffer {
   /// and failed mappings fall back to from_file — the returned buffer
   /// is indistinguishable to callers. A directory is an IoError.
   [[nodiscard]] static std::shared_ptr<TraceBuffer> from_file_mmap(const std::string& path);
+
+  /// from_file_mmap, except that a regular file of at most
+  /// `read_at_most` bytes is read into the heap with one sized pread
+  /// instead of mapped. pipeline::run opens its inputs this way (the
+  /// bound is one parse chunk): it frees each file once folded, on a
+  /// pool thread, where a heap free costs less than an munmap.
+  [[nodiscard]] static std::shared_ptr<TraceBuffer> from_file_read_small(
+      const std::string& path, std::size_t read_at_most);
 
   [[nodiscard]] std::string_view text() const { return view_; }
 

@@ -275,7 +275,7 @@ TEST_F(Faults, KeepGoingShardedMatchesKeepGoingStreamedByteForByte) {
   opts.worker_threads = 2;
   opts.stream.keep_going = true;
   const auto analytics = pipeline::run_sharded(paths, opts);
-  EXPECT_EQ(analytics.warnings, reference.log.warnings());
+  EXPECT_EQ(analytics.warnings, reference.summary.warnings);
   EXPECT_EQ(report::render_sharded_report(analytics, f), reference.html);
 
   // And across the process boundary: --keep-going must reach the
@@ -284,7 +284,7 @@ TEST_F(Faults, KeepGoingShardedMatchesKeepGoingStreamedByteForByte) {
   if (const char* exe = elog_tool_exe()) {
     opts.fold_shard_exe = exe;
     const auto spawned = pipeline::run_sharded(paths, opts);
-    EXPECT_EQ(spawned.warnings, reference.log.warnings());
+    EXPECT_EQ(spawned.warnings, reference.summary.warnings);
     EXPECT_EQ(report::render_sharded_report(spawned, f), reference.html);
   }
 }

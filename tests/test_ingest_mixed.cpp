@@ -1,7 +1,8 @@
 // End-to-end coverage for the mmap + arena + mixed-parallel ingestion
 // architecture:
-//   - from_file_mmap and from_file produce byte-identical ReadResults,
-//     read pipes to their end and reject a directory with an IoError,
+//   - from_file_mmap, from_file_read_small and from_file produce
+//     byte-identical ReadResults, read pipes to their end and reject a
+//     directory with an IoError,
 //   - read_trace_files_streamed (one work queue of (file, chunk)
 //     tasks on the caller's pool) matches the sequential reader file
 //     by file,
@@ -24,6 +25,7 @@
 #include "iosim/ior.hpp"
 #include "model/from_strace.hpp"
 #include "parallel/thread_pool.hpp"
+#include "pipeline/sink.hpp"
 #include "strace/reader.hpp"
 #include "strace/writer.hpp"
 #include "support/errors.hpp"
@@ -66,6 +68,27 @@ TEST_F(MmapVsRead, ByteIdenticalReadResults) {
   EXPECT_TRUE(via_mmap.buffer->is_mapped());
   EXPECT_FALSE(via_read.buffer->is_mapped());
 #endif
+}
+
+TEST_F(MmapVsRead, SmallFilesAreReadAndLargerOnesMapped) {
+  // from_file_read_small reads a regular file up to its bound into the
+  // heap and maps a larger one; the bytes and the parse are the same.
+  const auto path = write_file("a_host1_5.st", make_trace(400, /*with_noise=*/true));
+  const std::size_t size = std::filesystem::file_size(path);
+  const auto reference = strace::read_trace_buffer(strace::TraceBuffer::from_file(path));
+  for (const std::size_t bound : {std::size_t{0}, size - 1, size, size + 1}) {
+    const auto buffer = strace::TraceBuffer::from_file_read_small(path, bound);
+    EXPECT_EQ(buffer->text(), reference.buffer->text()) << bound;
+#if defined(__unix__) || defined(__APPLE__)
+    EXPECT_EQ(buffer->is_mapped(), bound < size) << bound;
+#endif
+    expect_same_result(strace::read_trace_buffer(buffer), reference);
+  }
+  EXPECT_TRUE(strace::TraceBuffer::from_file_read_small(write_file("a_host1_6.st", ""), 1 << 20)
+                  ->text()
+                  .empty());
+  EXPECT_THROW((void)strace::TraceBuffer::from_file_read_small((dir_ / "nope.st").string(), 64),
+               IoError);
 }
 
 TEST_F(MmapVsRead, EmptyFile) {
@@ -203,16 +226,34 @@ TEST_F(MixedParallel, WarningsOrderedByFileThenLine) {
 
 TEST_F(MixedParallel, IdenticalConsecutiveWarningsAreDeduped) {
   // A file whose only defect is one never-resumed unfinished call
-  // produces exactly one warning; listing the file twice would repeat
-  // it back to back — the builder collapses the run.
+  // produces exactly one warning.
   const auto path = write_file(
       "dup_host1_1.st", "7  10:00:00.000000 read(3</p/f>, <unfinished ...>\n");
   const auto once = model::event_log_from_files({path});
   ASSERT_EQ(once.warnings().size(), 1u);
   EXPECT_EQ(once.warnings()[0], path + ": unfinished call never resumed: pid 7 read");
 
-  const auto twice = model::event_log_from_files({path, path});
-  EXPECT_EQ(twice.warnings(), once.warnings());
+  // Listing the file twice names its case twice: refused before any
+  // read, with the union's error.
+  try {
+    (void)model::event_log_from_files({path, path});
+    ADD_FAILURE() << "a repeated case id was ingested";
+  } catch (const LogicError& e) {
+    EXPECT_STREQ(e.what(), "logic error: EventLog::merge: duplicate case dup_host1_1");
+  }
+
+  // A name skipped twice under keep_going would repeat its warning back
+  // to back — the builder collapses the run.
+  const std::string bad = (dir_ / "nounderscore.st").string();
+  ThreadPool pool(2);
+  pipeline::StreamOptions opts;
+  opts.keep_going = true;
+  const auto skipped = pipeline::run({bad, bad, path}, pool, {}, opts);
+  ASSERT_EQ(skipped.warnings().size(), 2u);
+  EXPECT_EQ(skipped.warnings()[0],
+            bad + ": skipped: parse error: trace file name does not follow cid_host_rid.st: " +
+                bad);
+  EXPECT_EQ(skipped.warnings()[1], once.warnings()[0]);
 
   // Distinct consecutive warnings are all kept.
   const auto other = write_file(

@@ -9,7 +9,11 @@
 //   - per-file fold completion (read_trace_files_streamed) matches the
 //     sequential reader file by file; the streamed reader runs only on
 //     a caller-provided pool,
-//   - lifetime: the log owns every view after all intermediates die,
+//   - lifetime: the log owns every view after all intermediates die;
+//     ingest frees every file's buffer before it returns, run's log
+//     keeps them; a one-file open-ahead window changes no byte, and a
+//     stall under a full window neither hangs nor hides an unopenable
+//     file; a repeated case id is refused before any I/O,
 //   - a directory named like a trace is a typed IoError, skipped with a
 //     warning under keep_going,
 //   - error propagation is deterministic (lowest input index wins) and
@@ -18,17 +22,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dfg/builder.hpp"
+#include "elog/v2_store.hpp"
 #include "model/from_strace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "pipeline/sink.hpp"
@@ -289,6 +296,166 @@ TEST_F(PipelineStream, LogOwnsEveryViewAfterIntermediatesDie) {
       EXPECT_FALSE(e.call.empty());
       EXPECT_EQ(e.cid, c.id().cid);
       EXPECT_EQ(e.host, c.id().host);
+    }
+  }
+}
+
+// ---- what a run holds, and the open-ahead window ----------------------
+
+/// Keeps a weak_ptr to every folded file's TraceBuffer, in input order.
+class BufferProbe final : public pipeline::CaseSink {
+ public:
+  struct Partial final : pipeline::SinkPartial {
+    std::vector<std::weak_ptr<strace::TraceBuffer>> buffers;
+  };
+
+  [[nodiscard]] std::unique_ptr<pipeline::SinkPartial> make_partial() const override {
+    return std::make_unique<Partial>();
+  }
+  void fold(pipeline::SinkPartial& p, const pipeline::CaseContext& ctx) const override {
+    static_cast<Partial&>(p).buffers.emplace_back(ctx.buffer);
+  }
+  void absorb(pipeline::SinkPartial& acc, std::unique_ptr<pipeline::SinkPartial> p) const override {
+    auto& into = static_cast<Partial&>(acc).buffers;
+    for (auto& b : static_cast<Partial&>(*p).buffers) into.push_back(std::move(b));
+  }
+  void merge(std::unique_ptr<pipeline::SinkPartial> acc) override {
+    buffers = std::move(static_cast<Partial&>(*acc).buffers);
+  }
+
+  [[nodiscard]] std::size_t alive() const {
+    return static_cast<std::size_t>(std::count_if(
+        buffers.begin(), buffers.end(), [](const auto& b) { return !b.expired(); }));
+  }
+
+  std::vector<std::weak_ptr<strace::TraceBuffer>> buffers;
+};
+
+TEST_F(PipelineStream, IngestFreesEveryFileAndRunsLogKeepsThem) {
+  const auto paths = make_salted_corpus(17);
+  // 256-byte chunks map every non-empty file; the default reads them.
+  for (const std::size_t chunk : {std::size_t{256}, std::size_t{1} << 20}) {
+    for (const std::size_t workers : {1u, 4u}) {
+      ThreadPool pool(workers);
+      pipeline::StreamOptions opts;
+      opts.min_chunk_bytes = chunk;
+      {
+        // The container sink holds each file's owners until its absorb.
+        std::ostringstream out;
+        elog::ElogV2Writer writer(out);
+        elog::ElogV2WriterSink container(writer);
+        BufferProbe probe;
+        const std::array<pipeline::CaseSink*, 2> sinks{&container, &probe};
+        const auto summary = pipeline::ingest(paths, pool, sinks, opts);
+        EXPECT_EQ(summary.case_count, paths.size());
+        ASSERT_EQ(probe.buffers.size(), paths.size());
+        EXPECT_EQ(probe.alive(), 0u) << chunk << " " << workers;
+      }
+      BufferProbe probe;
+      auto log = pipeline::run(paths, pool, {&probe}, opts);
+      ASSERT_EQ(probe.buffers.size(), paths.size());
+      EXPECT_EQ(probe.alive(), paths.size()) << chunk << " " << workers;
+      log = model::EventLog{};
+      EXPECT_EQ(probe.alive(), 0u) << chunk << " " << workers;
+    }
+  }
+}
+
+TEST_F(PipelineStream, OneFileWindowIsByteIdenticalAt1And4Workers) {
+  // One-byte chunks: the window (workers x 1 byte) lets one file at a
+  // time be open, and every file splits into as many chunks as it can.
+  const auto paths = make_salted_corpus(19);
+  const auto reference = staged_log(paths);
+  const auto f = model::Mapping::call_top_dirs(2);
+  std::optional<std::string> container;
+  for (const std::size_t workers : {1u, 4u}) {
+    ThreadPool pool(workers);
+    pipeline::StreamOptions opts;
+    opts.min_chunk_bytes = 1;
+    std::ostringstream out;
+    elog::ElogV2Writer writer(out);
+    elog::ElogV2WriterSink sink(writer);
+    pipeline::DfgSink graph(f);
+    const std::array<pipeline::CaseSink*, 2> sinks{&sink, &graph};
+    const auto summary = pipeline::ingest(paths, pool, sinks, opts);
+    writer.finalize();
+    EXPECT_EQ(summary.warnings, reference.warnings()) << workers;
+    EXPECT_EQ(summary.case_count, reference.case_count()) << workers;
+    EXPECT_EQ(summary.total_events, reference.total_events()) << workers;
+    EXPECT_EQ(graph.graph(), dfg::build_serial(reference, f)) << workers;
+    if (!container) container = out.str();
+    EXPECT_EQ(out.str(), *container) << workers;
+    expect_same_log(reference, pipeline::run(paths, pool, {}, opts));
+  }
+}
+
+TEST_F(PipelineStream, StallUnderAFullWindowStillFindsAnUnopenableFile) {
+  // File 0's fold fails, so the cursor stalls on it while it holds the
+  // whole one-file window: the opens can never resume. Failing fast,
+  // the missing file later in the list is still the run's error; with
+  // nothing unopenable, the fold's error is; and under keep_going a
+  // foreign error aborts the run. None of them may hang.
+  std::vector<std::string> paths;
+  paths.push_back(write_file("a_nodeA_1.st", make_clean_trace(300, 40)));
+  paths.push_back(write_file("b_nodeA_2.st", make_clean_trace(100, 45)));
+  paths.push_back((dir_ / "ghost_nodeA_3.st").string());
+  paths.push_back(write_file("d_nodeA_4.st", make_clean_trace(300, 50)));
+  const std::vector<std::string> openable = {paths[0], paths[1], paths[3]};
+  const auto error_of = [](const std::vector<std::string>& p, ThreadPool& pool,
+                           const pipeline::StreamOptions& opts) -> std::string {
+    ThrowingSink poisoned({"a"});
+    const std::array<pipeline::CaseSink*, 1> sinks{&poisoned};
+    try {
+      (void)pipeline::ingest(p, pool, sinks, opts);
+    } catch (const std::exception& e) {
+      EXPECT_EQ(poisoned.merges(), 0);
+      return e.what();
+    }
+    return "no error";
+  };
+  for (const std::size_t workers : {1u, 4u}) {
+    ThreadPool pool(workers);
+    pipeline::StreamOptions opts;
+    opts.min_chunk_bytes = 1;
+    for (int round = 0; round < 5; ++round) {
+      opts.keep_going = false;
+      EXPECT_EQ(error_of(paths, pool, opts), "io error: cannot open trace file: " + paths[2])
+          << workers << " round " << round;
+      EXPECT_EQ(error_of(openable, pool, opts), "sink poisoned on a")
+          << workers << " round " << round;
+      opts.keep_going = true;
+      EXPECT_EQ(error_of(paths, pool, opts), "sink poisoned on a")
+          << workers << " round " << round;
+    }
+  }
+}
+
+TEST_F(PipelineStream, RepeatedCaseIdIsRefusedBeforeAnyIo) {
+  // Two directories, one file name: one case id twice. The missing file
+  // ahead of them would be the error if anything were opened.
+  std::filesystem::create_directories(dir_ / "a");
+  std::filesystem::create_directories(dir_ / "b");
+  const std::string text = make_clean_trace(50, 40);
+  const std::vector<std::string> paths = {
+      (dir_ / "ghost_nodeA_1.st").string(), write_file("a/x_nodeA_2.st", text),
+      write_file("y_nodeA_3.st", text), write_file("b/x_nodeA_2.st", text)};
+  const auto f = model::Mapping::call_only();
+  for (const std::size_t workers : {1u, 4u}) {
+    ThreadPool pool(workers);
+    for (const bool keep_going : {false, true}) {
+      pipeline::StreamOptions opts;
+      opts.keep_going = keep_going;
+      pipeline::DfgSink graph(f);
+      const std::array<pipeline::CaseSink*, 1> sinks{&graph};
+      try {
+        (void)pipeline::ingest(paths, pool, sinks, opts);
+        ADD_FAILURE() << "a repeated case id was ingested";
+      } catch (const LogicError& e) {
+        EXPECT_STREQ(e.what(), "logic error: EventLog::merge: duplicate case x_nodeA_2")
+            << workers << " " << keep_going;
+      }
+      EXPECT_TRUE(graph.graph().empty());
+      EXPECT_THROW((void)pipeline::run(paths, pool, {}, opts), LogicError);
     }
   }
 }

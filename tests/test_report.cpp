@@ -146,7 +146,10 @@ TEST_F(StreamingReportTest, SinglePassReportHasEverySectionPlusVariants) {
   const auto f = model::Mapping::call_top_dirs(2);
   ThreadPool pool(3);
   const auto result = streaming_report(paths_, f, pool);
-  EXPECT_EQ(result.log.case_count(), 3u);
+  EXPECT_EQ(result.summary.case_count, 3u);
+  EXPECT_EQ(result.summary.total_events, 120u);
+  EXPECT_TRUE(result.summary.warnings.empty());
+  EXPECT_EQ(result.summary.health.files_ingested, 3u);
   for (const char* section :
        {"<!DOCTYPE html>", "Directly-Follows-Graph", "<svg", "Activity statistics", "Cases",
         "Directly-follows gaps", "Trace variants", "Data health", "</html>"}) {

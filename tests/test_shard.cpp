@@ -48,16 +48,21 @@ TEST_F(Shard, AnyShardCountIsBitIdenticalToTheStreamedRun) {
   ThreadPool pool(3);
   report::ReportOptions report_opts;
   const auto reference = report::streaming_report(paths, f, pool, report_opts);
-  const auto ref_io = dfg::IoStatistics::compute(reference.log, f);
-  const auto ref_edges = dfg::EdgeStatistics::compute(reference.log, f);
-  ASSERT_FALSE(reference.log.warnings().empty());  // the corpus has noise
+  const model::EventLog log = pipeline::run(paths, pool, {});
+  const auto ref_io = dfg::IoStatistics::compute(log, f);
+  const auto ref_edges = dfg::EdgeStatistics::compute(log, f);
+  ASSERT_FALSE(log.warnings().empty());  // the corpus has noise
+  // The report's pass counts and warns like the log's.
+  EXPECT_EQ(reference.summary.case_count, log.case_count());
+  EXPECT_EQ(reference.summary.total_events, log.total_events());
+  EXPECT_EQ(reference.summary.warnings, log.warnings());
 
   // More shards than files (64) degenerates to one file per shard.
   for (const std::size_t shards : {1u, 2u, 3u, 5u, 64u}) {
     const auto analytics = pipeline::run_sharded(paths, base_options(shards));
-    EXPECT_EQ(analytics.case_count, reference.log.case_count()) << shards;
-    EXPECT_EQ(analytics.total_events, reference.log.total_events()) << shards;
-    EXPECT_EQ(analytics.warnings, reference.log.warnings()) << shards;
+    EXPECT_EQ(analytics.case_count, log.case_count()) << shards;
+    EXPECT_EQ(analytics.total_events, log.total_events()) << shards;
+    EXPECT_EQ(analytics.warnings, log.warnings()) << shards;
     expect_same_io_stats(analytics.io_stats, ref_io);
     EXPECT_EQ(analytics.edge_stats.per_edge(), ref_edges.per_edge()) << shards;
     // The rendered report: BYTE-identical to the streamed one.
@@ -74,8 +79,7 @@ TEST_F(Shard, TimelineSectionSurvivesTheShardBoundary) {
   report::ReportOptions report_opts;
   {
     // Pick a real activity to embed as the timeline section.
-    const auto probe = report::streaming_report(paths, f, pool);
-    const auto stats = dfg::IoStatistics::compute(probe.log, f);
+    const auto stats = dfg::IoStatistics::compute(pipeline::run(paths, pool, {}), f);
     ASSERT_FALSE(stats.per_activity().empty());
     report_opts.timeline_activity = stats.per_activity().begin()->first;
   }
@@ -97,6 +101,28 @@ TEST_F(Shard, BlobCarriesOnlyReportSections) {
   }
   for (const int retired : {5, 7}) {
     EXPECT_FALSE(r.has_section(static_cast<K>(retired))) << retired;
+  }
+}
+
+TEST_F(Shard, RepeatedCaseIdAcrossShardsIsRefusedBeforeAnyFold) {
+  // Each shard would see one copy only: the coordinator's check is the
+  // one that can refuse it, before any shard runs.
+  auto paths = make_corpus();
+  std::filesystem::create_directories(dir_ / "again");
+  paths.push_back(write_file("again/big_nodeA_9001.st", "garbage\n"));
+  for (const std::size_t workers : {1u, 4u}) {
+    for (const bool keep_going : {false, true}) {
+      auto opts = base_options(3);
+      opts.worker_threads = workers;
+      opts.stream.keep_going = keep_going;
+      try {
+        (void)pipeline::run_sharded(paths, opts);
+        ADD_FAILURE() << "a repeated case id was folded";
+      } catch (const LogicError& e) {
+        EXPECT_STREQ(e.what(), "logic error: EventLog::merge: duplicate case big_nodeA_9001")
+            << workers << " " << keep_going;
+      }
+    }
   }
 }
 
@@ -127,7 +153,7 @@ TEST_F(Shard, SpawnedFoldShardMatchesInProcessByteForByte) {
     auto opts = base_options(shards);
     opts.fold_shard_exe = exe;
     const auto analytics = pipeline::run_sharded(paths, opts);
-    EXPECT_EQ(analytics.warnings, reference.log.warnings()) << shards;
+    EXPECT_EQ(analytics.warnings, reference.summary.warnings) << shards;
     EXPECT_EQ(report::render_sharded_report(analytics, f, report_opts), reference.html)
         << shards;
   }
