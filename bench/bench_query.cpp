@@ -1,31 +1,23 @@
-// OVH-QUERY — the indexed query planner vs the materialize-then-filter
-// scan, over the SAME stored corpus (this PR's acceptance metric:
-// >= 5x at <= 1% selectivity).
+// OVH-QUERY — Query::apply over the resident EventLog vs select_v2
+// over the same corpus's mmap'd container, per selectivity tier.
 //
 // The corpus is built so call-restricted queries hit four selectivity
 // tiers exactly:
 //
-//   sel0     calls{statx}   no case contains it — pure index prune
-//   sel1     calls{openat}  1 case in 128 (~0.8%) — posting-list prune,
-//                           residual scan over the survivors only
-//   sel50    calls{write}   every second case — zone/set pruning is
-//                           useless, the win is dictionary-id compare
-//                           over raw columns instead of string match
-//   sel100   calls{read}    every case — worst case for the planner;
-//                           parity with the scan is the goal here
+//   sel0     calls{statx}   no case contains it
+//   sel1     calls{openat}  1 case in 128 (~0.8%)
+//   sel50    calls{write}   every second case
+//   sel100   calls{read}    every case
 //
-// BM_QueryScan    Query::apply over the fully materialized EventLog
-//                 (what serve mode did before the planner);
-// BM_QueryIndexed select_v2 over the mmap'd container: compile the
-//                 query against the file dictionary once, prune via
-//                 posting lists / zone maps / id sets, materialize
-//                 survivors only;
-// BM_QueryNoIndex select_v2 over the same corpus written WITHOUT index
-//                 sections — the column-scan fallback path, so the
-//                 json records what the fallback costs relative to both.
+// BM_QueryScan   Query::apply over the fully materialized EventLog
+//                (string compares per event, a copy per kept event);
+// BM_QuerySelect select_v2 over the container: compile the query
+//                against the file dictionary once, walk each case's
+//                raw columns with dictionary-id compares, materialize
+//                the kept rows only.
 //
 // run_bench.sh turns these into BENCH_query.json's
-// indexed_speedup_by_selectivity / indexed_speedup_at_1pct_selectivity.
+// select_speedup_by_selectivity.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -96,12 +88,11 @@ model::EventLog selectivity_log() {
   return log;
 }
 
-/// One corpus, three views: the materialized log (scan baseline), the
-/// indexed container, and the same bytes written without indexes.
+/// One corpus, two views: the materialized log (scan baseline) and the
+/// container.
 struct QueryCorpus {
   model::EventLog base;
-  std::shared_ptr<elog::MappedElog> indexed;
-  std::shared_ptr<elog::MappedElog> bare;
+  std::shared_ptr<elog::MappedElog> mapped;
 };
 
 const QueryCorpus& corpus() {
@@ -110,16 +101,11 @@ const QueryCorpus& corpus() {
     const fs::path dir = fs::temp_directory_path() / "st_bench_query_corpus";
     fs::remove_all(dir);
     fs::create_directories(dir);
-    const auto log = selectivity_log();
-    const std::string indexed_path = (dir / "indexed.elog").string();
-    const std::string bare_path = (dir / "bare.elog").string();
-    elog::write_event_log_v2_file(indexed_path, log);
-    elog::write_event_log_v2_file(bare_path, log, elog::ElogV2WriterOptions{false});
-    out.indexed = elog::open_v2(indexed_path);
-    out.bare = elog::open_v2(bare_path);
-    // The scan baseline materializes from the same container, exactly
-    // the EventLog serve mode holds resident.
-    out.base = elog::read_event_log_v2(out.indexed);
+    const std::string path = (dir / "corpus.elog").string();
+    elog::write_event_log_v2_file(path, selectivity_log());
+    out.mapped = elog::open_v2(path);
+    // The scan baseline materializes from the same container.
+    out.base = elog::read_event_log_v2(out.mapped);
     return out;
   }();
   return c;
@@ -140,20 +126,11 @@ void BM_QueryScan(benchmark::State& state, const char* text) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kCases * kEventsPerCase));
 }
 
-void BM_QueryIndexed(benchmark::State& state, const char* text) {
+void BM_QuerySelect(benchmark::State& state, const char* text) {
   const auto& cor = corpus();
   const auto q = model::Query::parse(text);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(survivors(elog::select_v2(cor.indexed, q)));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kCases * kEventsPerCase));
-}
-
-void BM_QueryNoIndex(benchmark::State& state, const char* text) {
-  const auto& cor = corpus();
-  const auto q = model::Query::parse(text);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(survivors(elog::select_v2(cor.bare, q)));
+    benchmark::DoNotOptimize(survivors(elog::select_v2(cor.mapped, q)));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kCases * kEventsPerCase));
 }
@@ -163,21 +140,17 @@ BENCHMARK_CAPTURE(BM_QueryScan, sel1, "calls{openat}")->Unit(benchmark::kMicrose
 BENCHMARK_CAPTURE(BM_QueryScan, sel50, "calls{write}")->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_QueryScan, sel100, "calls{read}")->Unit(benchmark::kMicrosecond);
 
-BENCHMARK_CAPTURE(BM_QueryIndexed, sel0, "calls{statx}")->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_QueryIndexed, sel1, "calls{openat}")->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_QueryIndexed, sel50, "calls{write}")->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_QueryIndexed, sel100, "calls{read}")->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_QuerySelect, sel0, "calls{statx}")->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_QuerySelect, sel1, "calls{openat}")->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_QuerySelect, sel50, "calls{write}")->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_QuerySelect, sel100, "calls{read}")->Unit(benchmark::kMicrosecond);
 
-BENCHMARK_CAPTURE(BM_QueryNoIndex, sel1, "calls{openat}")->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_QueryNoIndex, sel50, "calls{write}")->Unit(benchmark::kMicrosecond);
-
-// Combined restrictions at the ~1% tier: the posting-list prune plus a
-// residual fp + window predicate over the survivors — the interactive
-// "narrow it down" query shape serve mode sees most.
+// Combined restrictions at the ~1% tier: a call, fp and window
+// predicate — the interactive "narrow it down" query shape.
 BENCHMARK_CAPTURE(BM_QueryScan, sel1_combined,
                   "calls{openat} fp~/p/scratch t[0,2000000000000)")
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_QueryIndexed, sel1_combined,
+BENCHMARK_CAPTURE(BM_QuerySelect, sel1_combined,
                   "calls{openat} fp~/p/scratch t[0,2000000000000)")
     ->Unit(benchmark::kMicrosecond);
 

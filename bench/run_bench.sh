@@ -92,6 +92,7 @@ ST_ELOG_TOOL="$build_dir/examples/elog_tool" \
 "$build_dir/bench/bench_query" \
   --benchmark_format=json \
   --benchmark_min_time=0.2 \
+  --benchmark_repetitions=10 \
   >"$query_raw"
 
 # bench_serve is a plain main (latency distribution, not throughput —
@@ -361,61 +362,59 @@ EOF
 
 # BENCH_query.json layout:
 #   {
-#     "indexed_speedup_by_selectivity": {"sel0": .., "sel1": ..,
-#         "sel50": .., "sel100": ..} — Query::apply over the resident
-#         EventLog divided by select_v2 over the mmap'd indexed
-#         container, per selectivity tier (sel1 is one case in 128),
-#     "indexed_speedup_at_1pct_selectivity": <the sel1 point — this
-#         PR's acceptance metric: >= 5x; byte-identity of the two paths
-#         is enforced by test_v2_select and the CI serve-mode cmp>,
+#     "select_speedup_by_selectivity": {"sel0": .., "sel1": ..,
+#         "sel50": .., "sel100": ..} — median Query::apply time over
+#         the resident EventLog divided by the median select_v2 time
+#         over the mmap'd container, per selectivity tier (sel1 is one
+#         case in 128); byte-identity of the two paths is enforced by
+#         test_v2_select and the CI serve-mode cmp,
 #     "combined_restriction_speedup": <calls + fp + window at the sel1
 #         tier — the interactive narrow-it-down query shape>,
-#     "noindex_vs_scan": <select_v2 over an index-free file divided by
-#         Query::apply — the column-scan fallback, per tier>,
-#     "scan_micros" / "indexed_micros": <real time per tier>,
+#     "scan_micros" / "select_micros": <real time per tier over the
+#         repetitions: median, q1 and q3>,
+#     "repetitions": <google-benchmark repetitions per benchmark>,
 #     "current": <google-benchmark JSON of bench_query>
 #   }
 python3 - "$query_raw" "$out_dir/BENCH_query.json" <<'EOF'
 import json
+import statistics
 import sys
 
 current = json.load(open(sys.argv[1]))
 
-def metric(name, key):
-    for bench in current.get("benchmarks", []):
-        if bench.get("name") == name and key in bench:
-            return bench[key]
-    return None
+def times(name):
+    """real_time of every repetition of one benchmark (no aggregates)."""
+    return [b["real_time"] for b in current.get("benchmarks", [])
+            if b.get("run_name") == name and b.get("run_type", "iteration") == "iteration"]
+
+def spread(xs):
+    if not xs:
+        return None
+    q1, med, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
+    return {"median": round(med, 1), "q1": round(q1, 1), "q3": round(q3, 1)}
 
 def ratio(num, den):
-    if num is None or den is None or den == 0:
+    if num is None or den is None or den["median"] == 0:
         return None
-    return round(num / den, 2)
+    return round(num["median"] / den["median"], 2)
 
-tiers = ("sel0", "sel1", "sel50", "sel100")
-scan = {t: metric(f"BM_QueryScan/{t}", "real_time") for t in tiers}
-indexed = {t: metric(f"BM_QueryIndexed/{t}", "real_time") for t in tiers}
-speedup = {t: ratio(scan[t], indexed[t]) for t in tiers}
-
-noindex = {t: ratio(scan[t], metric(f"BM_QueryNoIndex/{t}", "real_time"))
-           for t in ("sel1", "sel50")}
-
-combined = ratio(metric("BM_QueryScan/sel1_combined", "real_time"),
-                 metric("BM_QueryIndexed/sel1_combined", "real_time"))
+tiers = ("sel0", "sel1", "sel50", "sel100", "sel1_combined")
+scan = {t: spread(times(f"BM_QueryScan/{t}")) for t in tiers}
+select = {t: spread(times(f"BM_QuerySelect/{t}")) for t in tiers}
+speedup = {t: ratio(scan[t], select[t]) for t in tiers if t != "sel1_combined"}
+combined = ratio(scan["sel1_combined"], select["sel1_combined"])
 
 out = {
-    "indexed_speedup_by_selectivity": speedup,
-    "indexed_speedup_at_1pct_selectivity": speedup.get("sel1"),
+    "select_speedup_by_selectivity": speedup,
     "combined_restriction_speedup": combined,
-    "noindex_vs_scan": noindex,
-    "scan_micros": {t: round(v, 1) for t, v in scan.items() if v is not None},
-    "indexed_micros": {t: round(v, 1) for t, v in indexed.items() if v is not None},
+    "scan_micros": scan,
+    "select_micros": select,
+    "repetitions": len(times("BM_QueryScan/sel0")),
     "current": current,
 }
 json.dump(out, open(sys.argv[2], "w"), indent=1)
-print(f"wrote {sys.argv[2]} (indexed_speedup_at_1pct_selectivity = "
-      f"{out['indexed_speedup_at_1pct_selectivity']}x, by_selectivity = {speedup}, "
-      f"combined_restriction_speedup = {combined}x, noindex_vs_scan = {noindex})")
+print(f"wrote {sys.argv[2]} (select_speedup_by_selectivity = {speedup}, "
+      f"combined_restriction_speedup = {combined}x)")
 EOF
 
 # BENCH_serve.json layout:

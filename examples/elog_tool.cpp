@@ -7,17 +7,17 @@
 //   ./elog_tool import out.elog a_host1_9042.st... # strace -> elog
 //   ./elog_tool import out.elog a_host1_9042.st... --stream-report r.html
 //                       # same single pass also folds the HTML report
-//   ./elog_tool convert out.elog in.elog           # re-encode + (re)index
+//   ./elog_tool convert out.elog in.elog           # lossless re-encode
 //   ./elog_tool stat run.elog [source.st...]       # format/section stats
 //   ./elog_tool fold-shard out.partial a_h1_1.st.. # one shard's partials
 //   ./elog_tool merge-partials r.html s0.partial.. # reduce + render
+//                       # (--map must name the partials' mapping)
 //   ./elog_tool report-sharded r.html --shards 4 a_h1_1.st...
 //                       # spawn fold-shard workers, merge, render —
 //                       # byte-identical to import --stream-report
 //
 // Commands that write a container produce the columnar mmap-able elog
-// v2 format ("import once, analyze many times"), with the advisory
-// index sections unless --no-index asks for a bare file.
+// v2 format ("import once, analyze many times").
 #include <algorithm>
 #include <array>
 #include <cstdint>
@@ -75,17 +75,6 @@ std::string self_exe(const char* argv0) {
   return argv0;
 }
 
-/// The writer options of every container-writing verb: index
-/// sections unless --no-index asks for a bare file.
-st::elog::ElogV2WriterOptions writer_options(const st::CliParser& cli) {
-  return st::elog::ElogV2WriterOptions{!cli.get_bool("no-index")};
-}
-
-void write_log(const std::string& path, const st::model::EventLog& log,
-               const st::CliParser& cli) {
-  st::elog::write_event_log_v2_file(path, log, writer_options(cli));
-}
-
 std::uint64_t file_bytes(const std::string& path) {
   std::error_code ec;
   const auto size = std::filesystem::file_size(path, ec);
@@ -108,7 +97,9 @@ void stat_elog(const std::string& path, const st::CliParser& cli,
   std::map<std::uint32_t, KindStats> kinds;
   std::size_t varint_cases = 0;
   for (const st::elog::SectionEntry& e : mapped->sections()) {
-    auto& k = kinds[static_cast<std::uint32_t>(e.kind)];
+    // The reserved kinds (9..12) share one line.
+    auto& k = kinds[std::min(static_cast<std::uint32_t>(e.kind),
+                             static_cast<std::uint32_t>(SectionKind::kColSize) + 1)];
     ++k.count;
     k.bytes += e.length;
     if (e.kind == SectionKind::kColStart && e.aux == st::elog::kStartEncodingVarint) {
@@ -129,21 +120,6 @@ void stat_elog(const std::string& path, const st::CliParser& cli,
     }
     std::cout << "\n";
   }
-  if (mapped->has_index()) {
-    // index_view() CRC- and structurally validates whatever is present,
-    // so a corrupt index fails stat the same way queries would.
-    const auto iv = mapped->index_view();
-    std::vector<std::string> parts;
-    if (iv.zones != nullptr) parts.emplace_back("zone maps");
-    if (iv.call_ends != nullptr) parts.emplace_back("call sets");
-    if (iv.fp_ends != nullptr) parts.emplace_back("fp sets");
-    if (iv.posting_table != nullptr) {
-      parts.emplace_back("posting list (" + std::to_string(iv.posting_keys) + " keys)");
-    }
-    std::cout << "index: " << st::join(parts, ", ") << "\n";
-  } else {
-    std::cout << "index: none (queries fall back to scan)\n";
-  }
   if (!sources.empty()) {
     std::uint64_t source_bytes = 0;
     for (const auto& s : sources) source_bytes += file_bytes(s);
@@ -159,7 +135,7 @@ void stat_elog(const std::string& path, const st::CliParser& cli,
   }
   if (cli.get_bool("verify")) {
     mapped->verify();
-    std::cout << "verify: ok (all section crcs + index invariants + padding)\n";
+    std::cout << "verify: ok (all section crcs + padding)\n";
   }
 }
 
@@ -178,10 +154,6 @@ int main(int argc, char** argv) {
       "folded in the same streamed pass that fills the elog) to this file",
       /*takes_path=*/true);
   cli.add_flag("verify", "stat: run the full per-section crc pass", std::nullopt, true);
-  cli.add_flag("no-index",
-               "write the container without the advisory index sections (zone maps, id "
-               "sets, posting list); readers fall back to the column scan",
-               std::nullopt, true);
   cliargs::add_shards_flag(cli, "report-sharded: number of fold-shard worker processes", "2");
   cliargs::add_keep_going_flag(cli, "unreadable trace files / CRC-failing v2 cases");
   cli.add_flag("shard-index",
@@ -215,7 +187,7 @@ int main(int argc, char** argv) {
       for (std::size_t i = 2; i < args.size(); ++i) {
         merged = model::EventLog::merge(std::move(merged), read_elog(args[i], cli));
       }
-      write_log(args[1], merged, cli);
+      elog::write_event_log_v2_file(args[1], merged);
       std::cout << "wrote " << merged.case_count() << " cases to " << args[1] << "\n";
     } else if (command == "filter") {
       if (args.size() != 3) throw ParseError("filter takes an output and one input");
@@ -228,7 +200,7 @@ int main(int argc, char** argv) {
       }
       ThreadPool pool(cliargs::thread_count(cli));
       const auto filtered = query.apply(read_elog(args[2], cli), pool);
-      write_log(args[1], filtered, cli);
+      elog::write_event_log_v2_file(args[1], filtered);
       std::cout << "query [" << query.describe() << "] kept " << filtered.total_events()
                 << " events; wrote " << args[1] << "\n";
     } else if (command == "import") {
@@ -244,7 +216,7 @@ int main(int argc, char** argv) {
       ThreadPool pool(cliargs::thread_count(cli));
       pipeline::StreamOptions stream_opts;
       static_cast<RunPolicy&>(stream_opts) = cliargs::run_policy(cli);
-      elog::ElogV2Writer writer(args[1], writer_options(cli));
+      elog::ElogV2Writer writer(args[1]);
       elog::ElogV2WriterSink sink(writer);
       const std::array<pipeline::CaseSink*, 1> extra{&sink};
       pipeline::IngestSummary summary;
@@ -264,12 +236,11 @@ int main(int argc, char** argv) {
       std::cout << "imported " << files.size() << " trace files (" << summary.total_events
                 << " events) into " << args[1] << "\n";
     } else if (command == "convert") {
-      // Lossless re-encode. The write rebuilds the index sections, so
-      // converting an index-free file (or one written before the index
-      // existed) upgrades it; --no-index strips them instead.
+      // Lossless re-encode: the same cases in a fresh container, which
+      // drops any reserved sections (kinds 9..12) the input carried.
       if (args.size() != 3) throw ParseError("convert takes an output and one input");
       const auto log = read_elog(args[2], cli);
-      write_log(args[1], log, cli);
+      elog::write_event_log_v2_file(args[1], log);
       std::cout << "converted " << args[2] << " -> " << args[1] << " (" << log.case_count()
                 << " cases)\n";
     } else if (command == "stat") {
@@ -297,6 +268,8 @@ int main(int argc, char** argv) {
       // (any corruption -> IoError via the codec's CRCs), merge them
       // in argument order, render the report. Byte-identical to
       // import --stream-report over the same files in the same order.
+      // Partials folded under different mappings, or under another
+      // mapping than --map, are refused.
       if (args.size() < 3) throw ParseError("merge-partials takes an output and >= 1 partials");
       std::vector<pipeline::ShardPartial> parts;
       parts.reserve(args.size() - 2);
@@ -310,8 +283,14 @@ int main(int argc, char** argv) {
       }
       ThreadPool pool(cliargs::thread_count(cli));
       const auto analytics = pipeline::finalize_shards(std::move(parts), &pool);
+      const model::Mapping f = cliargs::mapping(cli);
+      if (analytics.mapping != f.name()) {
+        // The report's label and its activities must name one mapping.
+        throw ParseError("--map " + cli.get("map") + " is " + f.name() +
+                         ", but the partials were folded under " + analytics.mapping);
+      }
       for (const auto& w : analytics.warnings) std::cerr << "warning: " << w << "\n";
-      publish_file(args[1], report::render_sharded_report(analytics, cliargs::mapping(cli)));
+      publish_file(args[1], report::render_sharded_report(analytics, f));
       std::cout << "merged " << (args.size() - 2) << " shard partials ("
                 << analytics.case_count << " cases) into " << args[1] << "\n";
     } else if (command == "report-sharded") {

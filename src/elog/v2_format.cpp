@@ -14,12 +14,8 @@ std::string_view section_kind_name(SectionKind kind) {
     case SectionKind::kColDur: return "dur";
     case SectionKind::kColFp: return "fp";
     case SectionKind::kColSize: return "size";
-    case SectionKind::kZoneMap: return "zonemap";
-    case SectionKind::kCallSet: return "callset";
-    case SectionKind::kFpSet: return "fpset";
-    case SectionKind::kPosting: return "posting";
   }
-  return "unknown";
+  return "reserved";
 }
 
 void put_section_entry(std::string& out, const SectionEntry& e) {

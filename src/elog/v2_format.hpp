@@ -35,32 +35,13 @@
 //   6 ColDur         rows x i64
 //   7 ColFp          rows x u32 pool ids
 //   8 ColSize        rows x i64
-//
-// Index sections (optional, file-level, written after the directory;
-// ISSUE 10). They are ADVISORY: a file without them is fully readable
-// and queries fall back to scanning the columns, but when present
-// they are covered by the same CRC + structural-validation contract as
-// every other section — a corrupt index is an IoError on use, never a
-// wrong query result. The cid/host of a case live in the directory
-// already, so per-case id sets exist only for the two per-EVENT
-// dictionary columns (call, fp):
-//   9  ZoneMap       case_count x 32 bytes, in case order:
-//                    i64 min_start | i64 max_start
-//                    | u64 min_pid | u64 max_pid
-//                    (inclusive ranges over the case's events; an
-//                    empty case writes the empty-range sentinels
-//                    min_start=INT64_MAX, max_start=INT64_MIN,
-//                    min_pid=UINT64_MAX, max_pid=0 — min > max marks
-//                    "no events", so window probes prune it for free).
-//   10 CallSet       u32 ends[case_count] | u32 ids[total]: case i's
-//                    DISTINCT call ids, sorted ascending, are
-//                    ids[ends[i-1] .. ends[i]) with ends[-1] = 0.
-//   11 FpSet         same layout over the fp column's ids.
-//   12 Posting       u32 key_count | u32 reserved(0)
-//                    | key_count x (u32 call_id | u32 end)
-//                    | u32 case_indices[total]: the inverted CallSet —
-//                    keys sorted ascending by call_id, key k's sorted
-//                    case-index list is case_indices[end[k-1] .. end[k]).
+//   9..12            reserved. Files written before the retired
+//                    query index carry a zone map, call and fp id sets
+//                    and a call posting list under these kinds, all
+//                    file-level (case_index 0). Open and every read
+//                    skip them; verify() still covers their CRCs and
+//                    padding, so they stay part of the file's bytes.
+//                    No writer emits them and nothing reads them.
 //
 // Integrity: each section carries a crc32 in its table entry,
 // validated lazily — once, the first time the section's bytes are
@@ -86,7 +67,6 @@ inline constexpr std::size_t kSectionAlign = 8;
 inline constexpr std::size_t kSectionEntryBytes = 32;
 inline constexpr std::size_t kFooterBytes = 32;
 inline constexpr std::size_t kDirEntryBytes = 24;
-inline constexpr std::size_t kZoneEntryBytes = 32;
 
 enum class SectionKind : std::uint32_t {
   kStringPool = 1,
@@ -97,24 +77,14 @@ enum class SectionKind : std::uint32_t {
   kColDur = 6,
   kColFp = 7,
   kColSize = 8,
-  // Optional, advisory index sections (spec comment above).
-  kZoneMap = 9,
-  kCallSet = 10,
-  kFpSet = 11,
-  kPosting = 12,
 };
 
+/// Kinds a reader accepts: 1..8 above, and 9..12, reserved (skipped).
 inline constexpr std::uint32_t kSectionKindMin = 1;
 inline constexpr std::uint32_t kSectionKindMax = 12;
 
-/// True for the file-level index kinds 9..12 (optional sections; the
-/// query planner falls back to a column scan when they are absent).
-[[nodiscard]] constexpr bool section_kind_is_index(SectionKind kind) {
-  return kind == SectionKind::kZoneMap || kind == SectionKind::kCallSet ||
-         kind == SectionKind::kFpSet || kind == SectionKind::kPosting;
-}
-
-/// Human-readable kind name ("pool", "pid", ...) for stat/error output.
+/// Human-readable kind name ("pool", "pid", ...) for stat/error output;
+/// "reserved" for kinds 9..12.
 [[nodiscard]] std::string_view section_kind_name(SectionKind kind);
 
 /// ColStart encodings (the `aux` field of its table entry).

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
-#include <ranges>
 #include <string_view>
 
 #include "elog/format.hpp"
@@ -16,8 +14,8 @@ namespace {
 
 // ---- compiled query ----------------------------------------------------
 
-/// Dense bit-set over pool ids (or case indices) — the compiled form of
-/// every set-valued restriction.
+/// Dense bit-set over pool ids — the compiled form of every set-valued
+/// restriction.
 class Bitmap {
  public:
   Bitmap() = default;
@@ -57,15 +55,6 @@ struct CompiledQuery {
   Bitmap fp_ok;
   Bitmap cid_ok;
   Bitmap host_ok;
-  std::vector<std::uint32_t> call_ids;  ///< accepted pool ids, ascending
-  /// Set when exactly one pool id is accepted by the call restriction —
-  /// unlocks the SWAR equality prefilter over the call column.
-  std::optional<std::uint32_t> single_call_id;
-  /// The index sections the prune reads.
-  MappedElog::IndexView iv;
-  /// Cases that can contain an accepted call, from the posting list
-  /// (only when a call restriction meets a present posting section).
-  std::optional<Bitmap> candidates;
 };
 
 namespace {
@@ -90,10 +79,7 @@ CompiledQuery compile(const MappedElog& m, const model::Query& q) {
   const auto& calls = q.compiled_calls();  // sorted
   for (std::uint32_t id = 0; id < cq.pool_n; ++id) {
     const std::string_view s = m.pool_string(id);
-    if (cq.has_calls && std::binary_search(calls.begin(), calls.end(), s)) {
-      cq.call_ok.set(id);
-      cq.call_ids.push_back(id);
-    }
+    if (cq.has_calls && std::binary_search(calls.begin(), calls.end(), s)) cq.call_ok.set(id);
     if (cq.has_fp) {
       bool all = true;
       for (const std::string& needle : q.fp_substrings()) {
@@ -107,112 +93,50 @@ CompiledQuery compile(const MappedElog& m, const model::Query& q) {
     if (cq.has_cids && q.cid_set()->count(std::string(s)) != 0) cq.cid_ok.set(id);
     if (cq.has_hosts && q.host_set()->count(std::string(s)) != 0) cq.host_ok.set(id);
   }
-  if (cq.has_calls && cq.call_ids.size() == 1) cq.single_call_id = cq.call_ids[0];
   return cq;
-}
-
-// ---- SWAR call-column prefilter ----------------------------------------
-
-/// Fills `mask` with one bit per row: row r's u32 equals `accept`.
-/// SWAR two-lanes-per-u64: XOR against the broadcast pattern turns
-/// matches into zero lanes; the classic zero-lane detector
-/// ((x - 1·lanes) & ~x & high-bits) rejects most words in four ALU ops.
-/// The detector can report a false candidate in the high lane when the
-/// low lane is zero, so candidates are confirmed with exact lane
-/// compares — the mask itself is always exact.
-void fill_eq_mask_u32(const char* data, std::size_t rows, std::uint32_t accept,
-                      std::vector<std::uint64_t>& mask) {
-  mask.assign((rows + 63) / 64, 0);
-  const std::uint64_t pattern =
-      (static_cast<std::uint64_t>(accept) << 32) | accept;
-  constexpr std::uint64_t kLaneOnes = 0x0000000100000001ULL;
-  constexpr std::uint64_t kLaneHighs = 0x8000000080000000ULL;
-  std::size_t r = 0;
-  for (; r + 2 <= rows; r += 2) {
-    const std::uint64_t x = load_u64(data + r * 4) ^ pattern;
-    if ((((x - kLaneOnes) & ~x) & kLaneHighs) != 0) {
-      if (static_cast<std::uint32_t>(x) == 0)
-        mask[r >> 6] |= std::uint64_t{1} << (r & 63);
-      if ((x >> 32) == 0)
-        mask[(r + 1) >> 6] |= std::uint64_t{1} << ((r + 1) & 63);
-    }
-  }
-  if (r < rows && load_u32(data + r * 4) == accept)
-    mask[r >> 6] |= std::uint64_t{1} << (r & 63);
 }
 
 // ---- selection -----------------------------------------------------------
 
-/// The cases that can contain an accepted call, from the posting list.
-Bitmap posting_candidates(const MappedElog& m, const CompiledQuery& cq) {
-  // Posting table entry k: (call id, end of its run of posting_cases).
-  const auto entry = [&cq](std::uint32_t k, std::uint32_t field) {
-    return load_u32(cq.iv.posting_table + static_cast<std::uint64_t>(k) * 8 + field * 4);
-  };
-  Bitmap b(m.case_count());
-  for (const std::uint32_t want : cq.call_ids) {
-    // The keys ascend: binary search them.
-    const std::uint32_t k = *std::ranges::partition_point(
-        std::views::iota(std::uint32_t{0}, cq.iv.posting_keys),
-        [&](std::uint32_t j) { return entry(j, 0) < want; });
-    if (k == cq.iv.posting_keys || entry(k, 0) != want) continue;
-    for (std::uint32_t p = k == 0 ? 0 : entry(k - 1, 1); p < entry(k, 1); ++p) {
-      b.set(load_u32(cq.iv.posting_cases + static_cast<std::uint64_t>(p) * 4));
-    }
-  }
-  return b;
-}
-
-/// True when case `i`'s distinct-id set (callset/fpset section layout)
-/// intersects the accept bitmap.
-bool set_intersects(const char* ends, const char* ids, std::size_t i, const Bitmap& ok) {
-  const std::uint32_t begin = i == 0 ? 0 : load_u32(ends + (i - 1) * 4);
-  const std::uint32_t end = load_u32(ends + i * 4);
-  for (std::uint32_t k = begin; k < end; ++k) {
-    if (ok.test(load_u32(ids + static_cast<std::uint64_t>(k) * 4))) return true;
-  }
-  return false;
-}
-
-/// The residual predicate over case i's rows, in row order: decodes
-/// the start column (delta chains force a full walk) and counts the
+/// The residual predicate over case i's rows, in row order: counts the
 /// rows that pass — with kBuild, also builds them into `events`, as
 /// copies of `proto` (the case's cid, host and rid), and their pool-id
-/// pairs into `pairs`. Every dictionary id
-/// is checked before the predicate may skip its row, and so is the
-/// start column's end: a hostile (checksummed) column throws the
-/// IoError case_at would, never silently filters.
+/// pairs into `pairs`. A count reads only the columns its predicate
+/// tests (the start column's delta chain only under a window); a build
+/// reads them all. Every dictionary id read is checked before the
+/// predicate may skip its row, and so is the end of a start column
+/// read: a hostile (checksummed) column throws the IoError case_at
+/// would, never silently filters.
 template <bool kBuild>
 std::size_t walk_rows(const MappedElog& m, const CompiledQuery& cq, std::size_t i,
                       const model::Event& proto, std::vector<model::Event>* events,
                       std::vector<std::uint64_t>* pairs) {
   const MappedElog::ColumnView cols = m.case_columns(i);
   const auto rows = static_cast<std::size_t>(cols.rows);
-
-  std::vector<std::uint64_t> call_mask;
-  const bool use_mask = cq.single_call_id.has_value() && rows >= 8;
-  if (use_mask) fill_eq_mask_u32(cols.call, rows, *cq.single_call_id, call_mask);
-
+  const bool read_start = kBuild || cq.has_window;
+  const bool read_call = kBuild || cq.has_calls;
+  const bool read_fp = kBuild || cq.has_fp;
   std::size_t kept = 0;
   const bool varint = cols.start_encoding == kStartEncodingVarint;
   const char* sp = cols.start;
   const char* send = cols.start + cols.start_len;
   std::int64_t prev = 0;
   for (std::size_t r = 0; r < rows; ++r) {
-    if (varint) {
-      prev = wrap_add(prev, zigzag_decode(read_uvarint(&sp, send)));
-    } else {
-      prev = wrap_add(prev, load_i64(cols.start + r * 8));
+    if (read_start) {
+      prev = wrap_add(prev, varint ? zigzag_decode(read_uvarint(&sp, send))
+                                   : load_i64(cols.start + r * 8));
     }
-    const std::uint32_t call_id = load_u32(cols.call + r * 4);
-    if (call_id >= cq.pool_n) throw IoError("elog v2: call column id out of pool range");
-    const std::uint32_t fp_id = load_u32(cols.fp + r * 4);
-    if (fp_id >= cq.pool_n) throw IoError("elog v2: fp column id out of pool range");
-    if (use_mask) {
-      if (((call_mask[r >> 6] >> (r & 63)) & 1) == 0) continue;
-    } else if (cq.has_calls && !cq.call_ok.test(call_id)) {
-      continue;
+    std::uint32_t call_id = 0;
+    if (read_call) {
+      call_id = load_u32(cols.call + r * 4);
+      if (call_id >= cq.pool_n) throw IoError("elog v2: call column id out of pool range");
     }
+    std::uint32_t fp_id = 0;
+    if (read_fp) {
+      fp_id = load_u32(cols.fp + r * 4);
+      if (fp_id >= cq.pool_n) throw IoError("elog v2: fp column id out of pool range");
+    }
+    if (cq.has_calls && !cq.call_ok.test(call_id)) continue;
     if (cq.has_window && (prev < cq.from || prev >= cq.to)) continue;
     if (cq.has_fp && !cq.fp_ok.test(fp_id)) continue;
     ++kept;
@@ -227,23 +151,10 @@ std::size_t walk_rows(const MappedElog& m, const CompiledQuery& cq, std::size_t 
       pairs->push_back(static_cast<std::uint64_t>(call_id) << 32 | fp_id);
     }
   }
-  if (varint && sp != send) throw IoError("elog v2: start column has trailing bytes");
+  if (read_start && varint && sp != send) {
+    throw IoError("elog v2: start column has trailing bytes");
+  }
   return kept;
-}
-
-/// Whether the index sections rule out every row of case i.
-bool pruned(const CompiledQuery& cq, std::size_t i) {
-  const MappedElog::IndexView& iv = cq.iv;
-  if (cq.candidates && !cq.candidates->test(i)) return true;
-  if (cq.has_window && iv.zones != nullptr) {
-    const MappedElog::ZoneMap z = iv.zone(i);
-    if (z.max_start < cq.from || z.min_start >= cq.to) return true;
-  }
-  if (cq.has_calls && !cq.candidates && iv.call_ends != nullptr &&
-      !set_intersects(iv.call_ends, iv.call_ids, i, cq.call_ok)) {
-    return true;
-  }
-  return cq.has_fp && iv.fp_ends != nullptr && !set_intersects(iv.fp_ends, iv.fp_ids, i, cq.fp_ok);
 }
 
 }  // namespace
@@ -251,9 +162,7 @@ bool pruned(const CompiledQuery& cq, std::size_t i) {
 Selection select(const MappedElog& mapped, const model::Query& q,
                  std::span<const std::size_t> cases) {
   auto compiled = std::make_shared<CompiledQuery>(compile(mapped, q));
-  CompiledQuery& cq = *compiled;
-  if (mapped.has_index()) cq.iv = mapped.index_view();
-  if (cq.has_calls && cq.iv.posting_table) cq.candidates = posting_candidates(mapped, cq);
+  const CompiledQuery& cq = *compiled;
   const bool event_restricted = cq.has_calls || cq.has_fp || cq.has_window;
   Selection out;
   for (const std::size_t i : cases) {
@@ -266,8 +175,7 @@ Selection select(const MappedElog& mapped, const model::Query& q,
       out.events += rows;
       continue;
     }
-    const std::size_t n =
-        pruned(cq, i) ? 0 : walk_rows<false>(mapped, cq, i, {}, nullptr, nullptr);
+    const std::size_t n = walk_rows<false>(mapped, cq, i, {}, nullptr, nullptr);
     kept.rows = n == 0 ? Selection::Rows::kNone
                 : n == rows ? Selection::Rows::kAll
                             : Selection::Rows::kSome;

@@ -1,28 +1,21 @@
 // Query selection over elog v2 — evaluate a compiled Query directly on
-// the columnar sections, so that selectivity, not corpus size, is the
-// cost of a query:
+// the columnar sections:
 //
 //   1. COMPILE  the Query once against the file's string dictionary:
 //      call/cid/host restrictions become bitmaps over pool ids, fp~
 //      substrings scan the (tiny) dictionary once into a matching
 //      fp-id bitmap. After this no string is ever compared again.
-//   2. PRUNE    whole cases without touching their columns: the call
-//      posting list, zone maps and per-case call/fp id sets reject
-//      cases that cannot match. A pruned case stays in the result as
-//      an EMPTY case, as apply() keeps event-restriction-emptied ones.
-//   3. COUNT    the residual predicate over the raw columns of the
-//      cases left, with every check case_at makes of what it reads (a
-//      SWAR matcher prefilters the call column when one call id is
-//      accepted).
+//   2. COUNT    cid/host misses drop a case from its directory entry
+//      alone; an event restriction walks the columns it tests of the
+//      cases left, in row order, with every check case_at makes of what
+//      it reads, and counts the rows that pass.
 //
 // The result is a Selection: per kept case, its container index and
 // whether all, none or some of its rows survive, plus the survivor
 // count — 16 bytes a kept case. No row mask is stored: load_selected
 // walks a kSome case's rows again with the same predicate as it decodes
 // them. The kept cases, decoded in order, are BYTE-IDENTICAL to
-// Query::apply on the materialized log. Index sections are advisory by
-// absence only: a missing one degrades to the column scan, a corrupt
-// one is an IoError, never a wrong prune.
+// Query::apply on the materialized log.
 #pragma once
 
 #include <cstddef>
@@ -55,7 +48,7 @@ struct Selection {
 };
 
 /// Selects `q` over cases `cases` (container indices, ascending) of
-/// `mapped`: compile, prune, count. Throws the IoError case_at would
+/// `mapped`: compile, count. Throws the IoError case_at would
 /// for a column the count reads.
 [[nodiscard]] Selection select(const MappedElog& mapped, const model::Query& q,
                                std::span<const std::size_t> cases);

@@ -64,19 +64,6 @@ EncodedCase encode_case(const model::Case& c) {
     local.emplace(s, id);
     return id;
   };
-  // Distinct-id sets for the index sections: first-seen collection
-  // here, sorted at the end (ids are local; append_encoded re-sorts
-  // after the file-level remap anyway).
-  std::vector<char> seen_call;
-  std::vector<char> seen_fp;
-  const auto note = [](std::vector<char>& seen, std::vector<std::uint32_t>& set,
-                       std::uint32_t id) {
-    if (id >= seen.size()) seen.resize(id + 1, 0);
-    if (!seen[id]) {
-      seen[id] = 1;
-      set.push_back(id);
-    }
-  };
 
   std::string fixed;
   std::string varint;
@@ -89,25 +76,15 @@ EncodedCase encode_case(const model::Case& c) {
   std::int64_t prev = 0;
   for (const model::Event& e : events) {
     put_u64(ec.col_pid, e.pid);
-    const std::uint32_t call_id = intern_local(e.call);
-    put_u32(ec.col_call, call_id);
-    note(seen_call, ec.call_set, call_id);
+    put_u32(ec.col_call, intern_local(e.call));
     const std::int64_t delta = wrap_sub(e.start, prev);
     prev = e.start;
     put_i64(fixed, delta);
     put_uvarint(varint, zigzag_encode(delta));
     put_i64(ec.col_dur, e.dur);
-    const std::uint32_t fp_id = intern_local(e.fp);
-    put_u32(ec.col_fp, fp_id);
-    note(seen_fp, ec.fp_set, fp_id);
+    put_u32(ec.col_fp, intern_local(e.fp));
     put_i64(ec.col_size, e.size);
-    ec.min_start = std::min(ec.min_start, e.start);
-    ec.max_start = std::max(ec.max_start, e.start);
-    ec.min_pid = std::min(ec.min_pid, e.pid);
-    ec.max_pid = std::max(ec.max_pid, e.pid);
   }
-  std::sort(ec.call_set.begin(), ec.call_set.end());
-  std::sort(ec.fp_set.begin(), ec.fp_set.end());
   // Write-time choice, deterministic per case: whichever start encoding
   // is strictly smaller (ties keep fixed width — cheaper to decode).
   if (varint.size() < fixed.size()) {
@@ -122,13 +99,10 @@ EncodedCase encode_case(const model::Case& c) {
 
 // ---- writer ------------------------------------------------------------
 
-ElogV2Writer::ElogV2Writer(std::ostream& out, ElogV2WriterOptions opts)
-    : out_(&out), opts_(opts) {
-  write_raw(kMagicV2);
-}
+ElogV2Writer::ElogV2Writer(std::ostream& out) : out_(&out) { write_raw(kMagicV2); }
 
-ElogV2Writer::ElogV2Writer(const std::string& path, ElogV2WriterOptions opts)
-    : file_(std::make_unique<PublishedFile>(path)), out_(&file_->stream()), opts_(opts) {
+ElogV2Writer::ElogV2Writer(const std::string& path)
+    : file_(std::make_unique<PublishedFile>(path)), out_(&file_->stream()) {
   write_raw(kMagicV2);
 }
 
@@ -193,30 +167,6 @@ void ElogV2Writer::append_encoded(EncodedCase&& ec) {
   put_u64(directory_, ec.rows);
 
   const auto case_index = static_cast<std::uint32_t>(cases_);
-  if (opts_.write_index) {
-    put_i64(zones_, ec.min_start);
-    put_i64(zones_, ec.max_start);
-    put_u64(zones_, ec.min_pid);
-    put_u64(zones_, ec.max_pid);
-    // The remap permutes ids arbitrarily (file-level interning order),
-    // so the sets must be re-sorted; it is injective per case (distinct
-    // strings get distinct file ids), so no re-dedup is needed.
-    for (std::uint32_t& id : ec.call_set) id = remap[id];
-    for (std::uint32_t& id : ec.fp_set) id = remap[id];
-    std::sort(ec.call_set.begin(), ec.call_set.end());
-    std::sort(ec.fp_set.begin(), ec.fp_set.end());
-    if (call_set_ids_.size() + ec.call_set.size() > 0xFFFFFFFFull ||
-        fp_set_ids_.size() + ec.fp_set.size() > 0xFFFFFFFFull) {
-      throw IoError("elog v2: index sets exceed u32 offsets");
-    }
-    for (const std::uint32_t id : ec.call_set) {
-      call_set_ids_.push_back(id);
-      postings_[id].push_back(case_index);
-    }
-    call_set_ends_.push_back(static_cast<std::uint32_t>(call_set_ids_.size()));
-    fp_set_ids_.insert(fp_set_ids_.end(), ec.fp_set.begin(), ec.fp_set.end());
-    fp_set_ends_.push_back(static_cast<std::uint32_t>(fp_set_ids_.size()));
-  }
   add_section(SectionKind::kColPid, case_index, ec.col_pid);
   add_section(SectionKind::kColCall, case_index, ec.col_call);
   add_section(SectionKind::kColStart, case_index, ec.col_start, ec.start_encoding);
@@ -239,33 +189,6 @@ void ElogV2Writer::finalize() {
   for (const auto& s : pool_strings_) pool_payload.append(s);
   add_section(SectionKind::kStringPool, 0, pool_payload);
   add_section(SectionKind::kCaseDirectory, 0, directory_);
-  if (opts_.write_index) {
-    add_section(SectionKind::kZoneMap, 0, zones_);
-    const auto set_payload = [](const std::vector<std::uint32_t>& ends,
-                                const std::vector<std::uint32_t>& ids) {
-      std::string out;
-      out.reserve((ends.size() + ids.size()) * 4);
-      for (const std::uint32_t e : ends) put_u32(out, e);
-      for (const std::uint32_t id : ids) put_u32(out, id);
-      return out;
-    };
-    add_section(SectionKind::kCallSet, 0, set_payload(call_set_ends_, call_set_ids_));
-    add_section(SectionKind::kFpSet, 0, set_payload(fp_set_ends_, fp_set_ids_));
-    std::string posting;
-    posting.reserve(8 + postings_.size() * 8 + call_set_ids_.size() * 4);
-    put_u32(posting, static_cast<std::uint32_t>(postings_.size()));
-    put_u32(posting, 0);  // reserved; readers require zero
-    std::uint64_t end = 0;
-    for (const auto& [id, list] : postings_) {
-      end += list.size();
-      put_u32(posting, id);
-      put_u32(posting, static_cast<std::uint32_t>(end));
-    }
-    for (const auto& [id, list] : postings_) {
-      for (const std::uint32_t c : list) put_u32(posting, c);
-    }
-    add_section(SectionKind::kPosting, 0, posting);
-  }
 
   static constexpr char kZeros[kSectionAlign] = {};
   const std::size_t pad = (kSectionAlign - offset_ % kSectionAlign) % kSectionAlign;
@@ -288,16 +211,14 @@ void ElogV2Writer::finalize() {
   if (file_) file_->publish();
 }
 
-void write_event_log_v2(std::ostream& out, const model::EventLog& log,
-                        ElogV2WriterOptions opts) {
-  ElogV2Writer writer(out, opts);
+void write_event_log_v2(std::ostream& out, const model::EventLog& log) {
+  ElogV2Writer writer(out);
   for (const model::Case& c : log.cases()) writer.append(c);
   writer.finalize();
 }
 
-void write_event_log_v2_file(const std::string& path, const model::EventLog& log,
-                             ElogV2WriterOptions opts) {
-  ElogV2Writer writer(path, opts);
+void write_event_log_v2_file(const std::string& path, const model::EventLog& log) {
+  ElogV2Writer writer(path);
   for (const model::Case& c : log.cases()) writer.append(c);
   writer.finalize();
 }
@@ -357,24 +278,8 @@ std::shared_ptr<MappedElog> MappedElog::from_buffer(
       if (dir_index != kNoSection) throw IoError("elog v2: duplicate case directory");
       if (e.case_index != 0) throw IoError("elog v2: case directory has a case index");
       dir_index = i;
-    } else if (section_kind_is_index(e.kind)) {
-      // Optional file-level index sections. Discovery only here: their
-      // CRCs and structural invariants are validated by index_view()
-      // the first time a query consults them (and by verify()).
-      std::uint32_t* slot = nullptr;
-      switch (e.kind) {
-        case SectionKind::kZoneMap: slot = &m->zone_section_; break;
-        case SectionKind::kCallSet: slot = &m->callset_section_; break;
-        case SectionKind::kFpSet: slot = &m->fpset_section_; break;
-        default: slot = &m->posting_section_; break;
-      }
-      if (*slot != kNoSection) {
-        throw IoError("elog v2: duplicate section (" + section_label(e) + ")");
-      }
-      if (e.case_index != 0) {
-        throw IoError("elog v2: index section has a case index (" + section_label(e) + ")");
-      }
-      *slot = i;
+    } else if (kind_raw > static_cast<std::uint32_t>(SectionKind::kColSize)) {
+      // A reserved kind (v2_format.hpp): skipped; verify() covers it.
     } else {
       if (e.case_index >= f.case_count) {
         throw IoError("elog v2: section case index out of range");
@@ -457,24 +362,6 @@ std::shared_ptr<MappedElog> MappedElog::from_buffer(
     expect_width(m->entries_[cr.col[4]], 4);  // fp
     expect_width(m->entries_[cr.col[5]], 8);  // size
   }
-  // Index sections: only the O(1) size checks here — the CRC + content
-  // passes stay lazy (index_view), like every other section body.
-  if (m->zone_section_ != kNoSection &&
-      m->entries_[m->zone_section_].length !=
-          static_cast<std::uint64_t>(f.case_count) * kZoneEntryBytes) {
-    throw IoError("elog v2: zone map size mismatch");
-  }
-  for (const std::uint32_t s : {m->callset_section_, m->fpset_section_}) {
-    if (s == kNoSection) continue;
-    const SectionEntry& e = m->entries_[s];
-    if (e.length % 4 != 0 || e.length / 4 < f.case_count) {
-      throw IoError("elog v2: id-set section too small (" + section_label(e) + ")");
-    }
-  }
-  if (m->posting_section_ != kNoSection && (m->entries_[m->posting_section_].length < 8 ||
-                                            m->entries_[m->posting_section_].length % 4 != 0)) {
-    throw IoError("elog v2: posting section too small");
-  }
   return m;
 }
 
@@ -523,119 +410,6 @@ std::uint32_t MappedElog::case_cid_id(std::size_t i) const {
 std::uint32_t MappedElog::case_host_id(std::size_t i) const {
   if (i >= cases_.size()) throw LogicError("MappedElog::case_host_id: index out of range");
   return cases_[i].host_id;
-}
-
-MappedElog::ZoneMap MappedElog::IndexView::zone(std::size_t case_index) const {
-  const char* p = zones + case_index * kZoneEntryBytes;
-  return {load_i64(p), load_i64(p + 8), load_u64(p + 16), load_u64(p + 24)};
-}
-
-bool MappedElog::has_index() const {
-  return zone_section_ != kNoSection || callset_section_ != kNoSection ||
-         fpset_section_ != kNoSection || posting_section_ != kNoSection;
-}
-
-MappedElog::IndexView MappedElog::index_view() const {
-  FAULT_POINT("elog.index");
-  IndexView iv;
-  const auto cases = static_cast<std::uint64_t>(cases_.size());
-  if (zone_section_ != kNoSection) {
-    validate_section(zone_section_);
-    iv.zones = file_.data() + entries_[zone_section_].offset;
-  }
-  if (callset_section_ != kNoSection) {
-    validate_section(callset_section_);
-    const SectionEntry& e = entries_[callset_section_];
-    iv.call_ends = file_.data() + e.offset;
-    iv.call_ids = iv.call_ends + cases * 4;
-  }
-  if (fpset_section_ != kNoSection) {
-    validate_section(fpset_section_);
-    const SectionEntry& e = entries_[fpset_section_];
-    iv.fp_ends = file_.data() + e.offset;
-    iv.fp_ids = iv.fp_ends + cases * 4;
-  }
-  if (posting_section_ != kNoSection) {
-    validate_section(posting_section_);
-    const SectionEntry& e = entries_[posting_section_];
-    const char* p = file_.data() + e.offset;
-    iv.posting_keys = load_u32(p);
-    if (load_u32(p + 4) != 0) throw IoError("elog v2: posting reserved field not zero");
-    if (static_cast<std::uint64_t>(iv.posting_keys) * 8 > e.length - 8) {
-      throw IoError("elog v2: posting key count exceeds section");
-    }
-    iv.posting_table = p + 8;
-    iv.posting_cases = p + 8 + static_cast<std::uint64_t>(iv.posting_keys) * 8;
-  }
-  // Structural pass once per mapping (CRCs alone do not rule out a
-  // hostile-but-checksummed index, and pruning from a malformed one
-  // would be a WRONG RESULT, not a crash — the one failure mode this
-  // format forbids).
-  if (!index_checked_.load(std::memory_order_acquire)) {
-    validate_index_structure(iv);
-    index_checked_.store(true, std::memory_order_release);
-  }
-  return iv;
-}
-
-void MappedElog::validate_index_structure(const IndexView& iv) const {
-  const auto cases = static_cast<std::uint64_t>(cases_.size());
-  const auto check_sets = [&](const char* ends, const char* ids, std::uint32_t section,
-                              const char* what) {
-    if (!ends) return;
-    const SectionEntry& e = entries_[section];
-    const std::uint64_t id_slots = e.length / 4 - cases;  // open checked length
-    std::uint32_t prev_end = 0;
-    for (std::uint64_t i = 0; i < cases; ++i) {
-      const std::uint32_t end = load_u32(ends + i * 4);
-      if (end < prev_end || end > id_slots) {
-        throw IoError(std::string("elog v2: ") + what + " ends not monotonic");
-      }
-      std::uint32_t prev_id = 0;
-      for (std::uint32_t k = prev_end; k < end; ++k) {
-        const std::uint32_t id = load_u32(ids + static_cast<std::uint64_t>(k) * 4);
-        if (id >= pool_count_ || (k > prev_end && id <= prev_id)) {
-          throw IoError(std::string("elog v2: ") + what + " ids unsorted or out of range");
-        }
-        prev_id = id;
-      }
-      prev_end = end;
-    }
-    if (prev_end != id_slots) {
-      throw IoError(std::string("elog v2: ") + what + " has trailing ids");
-    }
-  };
-  check_sets(iv.call_ends, iv.call_ids, callset_section_, "call set");
-  check_sets(iv.fp_ends, iv.fp_ids, fpset_section_, "fp set");
-  if (iv.posting_table) {
-    const SectionEntry& e = entries_[posting_section_];
-    const std::uint64_t entry_slots =
-        (e.length - 8 - static_cast<std::uint64_t>(iv.posting_keys) * 8) / 4;
-    std::uint32_t prev_key = 0;
-    std::uint32_t prev_end = 0;
-    for (std::uint32_t k = 0; k < iv.posting_keys; ++k) {
-      const std::uint32_t key = load_u32(iv.posting_table + static_cast<std::uint64_t>(k) * 8);
-      const std::uint32_t end =
-          load_u32(iv.posting_table + static_cast<std::uint64_t>(k) * 8 + 4);
-      if (key >= pool_count_ || (k > 0 && key <= prev_key)) {
-        throw IoError("elog v2: posting keys unsorted or out of range");
-      }
-      if (end < prev_end || end > entry_slots) {
-        throw IoError("elog v2: posting ends not monotonic");
-      }
-      std::uint32_t prev_case = 0;
-      for (std::uint32_t i = prev_end; i < end; ++i) {
-        const std::uint32_t c = load_u32(iv.posting_cases + static_cast<std::uint64_t>(i) * 4);
-        if (c >= cases || (i > prev_end && c <= prev_case)) {
-          throw IoError("elog v2: posting case list unsorted or out of range");
-        }
-        prev_case = c;
-      }
-      prev_key = key;
-      prev_end = end;
-    }
-    if (prev_end != entry_slots) throw IoError("elog v2: posting has trailing entries");
-  }
 }
 
 MappedElog::ColumnView MappedElog::case_columns(std::size_t i) const {
@@ -740,10 +514,6 @@ void MappedElog::check_case(std::size_t i, std::vector<std::uint64_t>& pairs) co
 
 void MappedElog::verify() const {
   for (std::size_t i = 0; i < entries_.size(); ++i) validate_section(i);
-  // Index sections also carry structural invariants (sorted sets,
-  // monotonic offsets) that CRCs cannot enforce — include them so a
-  // full verify covers hostile-but-checksummed index content too.
-  if (has_index()) (void)index_view();
   // Every byte of the file is now accounted for: magic and footer by
   // open, the table by its footer crc, sections by their entry crcs.
   // What remains is the alignment padding — require it zero (and

@@ -25,8 +25,6 @@
 #include <atomic>
 #include <cstdint>
 #include <exception>
-#include <limits>
-#include <map>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -69,17 +67,6 @@ struct EncodedCase {
   std::string col_fp;     ///< rows x u32 LOCAL ids (remapped on append)
   std::string col_size;   ///< rows x i64
   std::uint32_t start_encoding = kStartEncodingFixed;
-  /// Zone-map ranges (inclusive; the defaults are the empty-range
-  /// sentinels the format writes for a case with no events).
-  std::int64_t min_start = std::numeric_limits<std::int64_t>::max();
-  std::int64_t max_start = std::numeric_limits<std::int64_t>::min();
-  std::uint64_t min_pid = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t max_pid = 0;
-  /// Distinct LOCAL ids appearing in col_call / col_fp, sorted
-  /// ascending (remapped to file ids — and re-sorted, since interning
-  /// does not preserve order — by append_encoded).
-  std::vector<std::uint32_t> call_set;
-  std::vector<std::uint32_t> fp_set;
 };
 
 /// Encodes one case's columns. Pure function of the case: delta-encodes
@@ -87,17 +74,9 @@ struct EncodedCase {
 /// call/fp against a local pool.
 [[nodiscard]] EncodedCase encode_case(const model::Case& c);
 
-struct ElogV2WriterOptions {
-  /// Write the advisory index sections (zone maps, per-case call/fp id
-  /// sets, the call posting list — v2_format.hpp kinds 9..12). false
-  /// produces an index-free file every reader accepts; queries over it
-  /// fall back to the column scan.
-  bool write_index = true;
-};
-
 /// Streaming v2 writer: cases are appended one at a time; the string
-/// pool, case directory, index sections and section table/footer are
-/// written by finalize(). No seeking — any ostream works. The path
+/// pool, case directory and section table/footer are written by
+/// finalize(). No seeking — any ostream works. The path
 /// constructor writes a sibling temporary (support/publish.hpp) that
 /// finalize() renames over `path`: a writer destroyed WITHOUT
 /// finalize() removes it and leaves whatever `path` held untouched.
@@ -106,8 +85,8 @@ struct ElogV2WriterOptions {
 /// be mistaken for corpora.
 class ElogV2Writer {
  public:
-  explicit ElogV2Writer(std::ostream& out, ElogV2WriterOptions opts = {});
-  explicit ElogV2Writer(const std::string& path, ElogV2WriterOptions opts = {});
+  explicit ElogV2Writer(std::ostream& out);
+  explicit ElogV2Writer(const std::string& path);
   ElogV2Writer(const ElogV2Writer&) = delete;
   ElogV2Writer& operator=(const ElogV2Writer&) = delete;
   ~ElogV2Writer() = default;
@@ -145,23 +124,12 @@ class ElogV2Writer {
   std::string directory_;
   std::size_t cases_ = 0;
   bool finalized_ = false;
-  ElogV2WriterOptions opts_;
-  // Index accumulators (write_index only). All derived deterministically
-  // from the append order, so streamed and staged files stay identical.
-  std::string zones_;                           ///< kZoneMap payload
-  std::vector<std::uint32_t> call_set_ends_;    ///< cumulative, per case
-  std::vector<std::uint32_t> call_set_ids_;
-  std::vector<std::uint32_t> fp_set_ends_;
-  std::vector<std::uint32_t> fp_set_ids_;
-  std::map<std::uint32_t, std::vector<std::uint32_t>> postings_;  ///< call id -> case indices
 };
 
 /// Bulk writes (staged counterparts of the streamed sink path; the
 /// bytes are identical for the same case sequence).
-void write_event_log_v2(std::ostream& out, const model::EventLog& log,
-                        ElogV2WriterOptions opts = {});
-void write_event_log_v2_file(const std::string& path, const model::EventLog& log,
-                             ElogV2WriterOptions opts = {});
+void write_event_log_v2(std::ostream& out, const model::EventLog& log);
+void write_event_log_v2_file(const std::string& path, const model::EventLog& log);
 
 /// An open v2 corpus: the mapped bytes plus the decoded section table
 /// and case directory — O(sections) open work, no per-event parsing.
@@ -200,47 +168,12 @@ class MappedElog {
   /// the pool-id pair of each row, in row order, to `pairs`.
   void check_case(std::size_t i, std::vector<std::uint64_t>& pairs) const;
 
-  /// Full integrity pass: every section CRC plus zero inter-section
-  /// padding, so all file bytes are covered — including the structural
-  /// invariants of any index sections present. Throws IoError.
+  /// Full integrity pass: every section CRC (reserved kinds included)
+  /// plus zero inter-section padding, so all file bytes are covered.
+  /// Throws IoError.
   void verify() const;
 
-  // -- index + raw-column access (elog/v2_select) ----------------------
-
-  /// One case's zone-map entry (inclusive ranges; min > max marks a
-  /// case with no events).
-  struct ZoneMap {
-    std::int64_t min_start = 0;
-    std::int64_t max_start = 0;
-    std::uint64_t min_pid = 0;
-    std::uint64_t max_pid = 0;
-  };
-
-  /// Validated pointers into whichever index sections the file carries
-  /// (null/zero when a section is absent — each prune step of the
-  /// planner is independently optional). Returned by index_view().
-  struct IndexView {
-    const char* zones = nullptr;          ///< case_count x 32 bytes
-    const char* call_ends = nullptr;      ///< u32[case_count], cumulative
-    const char* call_ids = nullptr;       ///< sorted distinct ids per case
-    const char* fp_ends = nullptr;
-    const char* fp_ids = nullptr;
-    std::uint32_t posting_keys = 0;
-    const char* posting_table = nullptr;  ///< (u32 call_id, u32 end)[keys]
-    const char* posting_cases = nullptr;  ///< sorted case indices
-
-    [[nodiscard]] ZoneMap zone(std::size_t case_index) const;
-  };
-
-  /// True when the file carries any of the index sections.
-  [[nodiscard]] bool has_index() const;
-
-  /// CRC-validates and structurally validates the present index
-  /// sections (once; later calls only re-check the cheap CRC flags)
-  /// and returns pointers into them. A present-but-corrupt index is an
-  /// IoError — the advisory rule covers ABSENCE only, never silently
-  /// wrong pruning.
-  [[nodiscard]] IndexView index_view() const;
+  // -- raw-column access (elog/v2_select) ------------------------------
 
   /// Directory ids of one case (for dictionary-id case predicates —
   /// no string compare, no pool touch).
@@ -281,7 +214,6 @@ class MappedElog {
   template <bool kEvents, bool kPairs>
   model::CaseId decode(std::size_t i, std::vector<model::Event>* events,
                        std::vector<std::uint64_t>* pairs) const;
-  void validate_index_structure(const IndexView& iv) const;
 
   /// Per-case references into entries_ (indexes of the six column
   /// sections, in kind order ColPid..ColSize).
@@ -303,18 +235,10 @@ class MappedElog {
   const char* pool_ends_ = nullptr;
   const char* pool_blob_ = nullptr;
   std::uint64_t pool_blob_len_ = 0;
-  /// Index section indices into entries_ (kNoSection sentinel absent).
-  std::uint32_t zone_section_ = 0xFFFFFFFFu;
-  std::uint32_t callset_section_ = 0xFFFFFFFFu;
-  std::uint32_t fpset_section_ = 0xFFFFFFFFu;
-  std::uint32_t posting_section_ = 0xFFFFFFFFu;
   /// Lazily-set CRC flags, one per section. Racing validations of the
   /// same section both compute the same CRC — benign, and atomic so
   /// concurrent readers stay clean under TSan.
   mutable std::unique_ptr<std::atomic<bool>[]> validated_;
-  /// One-shot flag for the O(index bytes) structural pass of
-  /// index_view(); racing validators recompute the same answer.
-  mutable std::atomic<bool> index_checked_{false};
 };
 
 /// `out` = Case(id, events), which sorts the events by start: `pairs`, one per event, alike.

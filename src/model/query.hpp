@@ -128,10 +128,10 @@ class Query {
   /// when their canonical forms coincide.
   [[nodiscard]] bool operator==(const Query& other) const;
 
-  // -- read access for the indexed planner (elog/v2_select.hpp) --------
-  // The planner compiles these against a file's string dictionary; the
+  // -- read access for container selection (elog/v2_select.hpp) -------
+  // elog::select compiles these against a file's string dictionary; the
   // semantics stay defined by matches()/matches_case() above, which the
-  // equivalence tests hold the indexed path to byte-for-byte.
+  // equivalence tests hold the selection to byte-for-byte.
 
   /// Conjunctive path substrings (sorted + deduplicated).
   [[nodiscard]] const std::vector<std::string>& fp_substrings() const { return fp_substrings_; }

@@ -54,6 +54,14 @@ class Cursor {
 
   [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
 
+  /// A length-prefixed byte string.
+  [[nodiscard]] std::string_view text() {
+    const std::size_t n = count();
+    const std::string_view v(p_, n);
+    p_ += n;
+    return v;
+  }
+
   [[nodiscard]] bool boolean() {
     if (remaining() < 1) fail("truncated section payload");
     const unsigned char b = static_cast<unsigned char>(*p_++);
@@ -457,6 +465,8 @@ void ShardPartial::merge(ShardPartial&& other) {
 std::string encode_shard_partial(const ShardPartial& p) {
   PartialWriter w;
   std::string meta;
+  put_uvarint(meta, p.mapping.size());
+  meta.append(p.mapping);
   put_uvarint(meta, p.case_count);
   put_uvarint(meta, p.total_events);
   put_uvarint(meta, p.warnings.size());
@@ -483,6 +493,7 @@ ShardPartial decode_shard_partial(std::string_view blob) {
   const PartialReader r(blob);
   ShardPartial p;
   Cursor meta(r.section(PartialSection::kMeta));
+  p.mapping = std::string(meta.text());
   p.case_count = meta.uvarint();
   p.total_events = meta.uvarint();
   const std::size_t warnings = meta.count();

@@ -10,7 +10,7 @@
 //
 // Blob layout (all integers little-endian, elog primitives):
 //
-//   blob    := magic "STPART1\0" | u32 section_count | section*
+//   blob    := magic "STPART2\0" | u32 section_count | section*
 //   section := u32 kind | u32 reserved(0) | u64 length
 //            | payload[length] | u32 crc32(payload)
 //
@@ -26,9 +26,10 @@
 //
 // Section kinds:
 //   1 StringPool   u32 count | u32 reserved(0) | u32 end_offset[count] | blob
-//   2 Meta         case_count, total_events, ingestion warnings,
-//                  data-health counters (requested/ingested/skipped/
-//                  quarantined)
+//   2 Meta         the name of the mapping the partial was folded
+//                  under (length-prefixed bytes), case_count,
+//                  total_events, ingestion warnings, data-health
+//                  counters (requested/ingested/skipped/quarantined)
 //   3 Dfg          nodes, edges, trace count
 //   4 CaseStats    CaseSummary sequence (input order)
 //   6 Variants     the variant multiset
@@ -38,7 +39,8 @@
 // Every section is one the report renders from (report/report.hpp's
 // render_sharded_report). Kinds 5 and 7 are retired and rejected like
 // any unassigned kind, so a blob from an older writer that still
-// carries them fails loudly instead of decoding partially.
+// carries them fails loudly instead of decoding partially. STPART1
+// blobs (no mapping name) are refused by their magic.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +59,7 @@
 
 namespace st::pipeline {
 
-inline constexpr std::string_view kPartialMagic{"STPART1\0", 8};
+inline constexpr std::string_view kPartialMagic{"STPART2\0", 8};
 
 enum class PartialSection : std::uint32_t {
   kStringPool = 1,
@@ -125,6 +127,9 @@ class PartialReader {
 /// fold-shard encodes, the coordinator merges, and the in-process
 /// streamed report finalizes as a single shard.
 struct ShardPartial {
+  /// Mapping::name() of the mapping the activity partials were folded
+  /// under; finalize_shards refuses to merge partials that differ.
+  std::string mapping;
   std::uint64_t case_count = 0;
   std::uint64_t total_events = 0;
   std::vector<std::string> warnings;  ///< path-prefixed, input order

@@ -349,6 +349,7 @@ ShardPartial fold_report(const std::vector<std::string>& paths, const model::Map
 
   IngestSummary summary = ingest(paths, pool, std::span<CaseSink* const>(sinks), stream_opts);
   ShardPartial p;
+  p.mapping = f.name();
   p.case_count = summary.case_count;
   p.total_events = summary.total_events;
   p.warnings = std::move(summary.warnings);
@@ -368,10 +369,17 @@ std::string fold_shard(const std::vector<std::string>& paths, const ShardOptions
 }
 
 ShardedAnalytics finalize_shards(std::vector<ShardPartial> parts, ThreadPool* pool) {
-  ShardPartial total;
-  for (ShardPartial& p : parts) total.merge(std::move(p));
-
   ShardedAnalytics out;
+  if (!parts.empty()) out.mapping = parts.front().mapping;
+  ShardPartial total;
+  for (ShardPartial& p : parts) {
+    if (p.mapping != out.mapping) {
+      throw LogicError("finalize_shards: partials folded under different mappings (" +
+                       out.mapping + ", " + p.mapping + ")");
+    }
+    total.merge(std::move(p));
+  }
+
   out.case_count = total.case_count;
   out.total_events = total.total_events;
   out.warnings = std::move(total.warnings);

@@ -113,6 +113,8 @@ struct ShardRunReport {
 /// Everything the merged shard partials finalize into: the same
 /// analytics one pipeline::ingest pass over all files produces.
 struct ShardedAnalytics {
+  /// Mapping::name() every merged partial was folded under.
+  std::string mapping;
   std::uint64_t case_count = 0;
   std::uint64_t total_events = 0;
   std::vector<std::string> warnings;
@@ -153,7 +155,8 @@ struct ShardedAnalytics {
 /// reduce step, also run by merge-partials and (over one partial) by
 /// report::streaming_report. With a `pool`, the activity statistics
 /// finalize on it (IoStatistics::Partial::finalize); the bytes are the
-/// same either way.
+/// same either way. Partials folded under different mappings are a
+/// LogicError.
 [[nodiscard]] ShardedAnalytics finalize_shards(std::vector<ShardPartial> parts,
                                                ThreadPool* pool = nullptr);
 

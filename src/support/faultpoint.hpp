@@ -15,8 +15,6 @@
 //   codec.decode      decode_shard_partial (data site: the blob)
 //   elog.open         MappedElog::from_buffer
 //   elog.crc          one elog v2 section CRC validation
-//   elog.index        MappedElog::index_view — the indexed query
-//                     planner's first touch of the index sections
 //   shard.spawn       one fold-shard subprocess spawn attempt
 //   shard.blob_read   reading a shard's partial blob (data site)
 //   shard.child       elog_tool's fold-shard verb (subprocess only;

@@ -8,7 +8,6 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <sstream>
 
 #include "elog/store.hpp"
@@ -451,144 +450,61 @@ TEST(ElogV2Corruption, CrcValidationIsLazyAndPerSection) {
   EXPECT_THROW(mapped->verify(), IoError);
 }
 
-// ---- index sections (zone maps, id sets, posting list) -----------------
+// ---- reserved kinds 9..12 (the retired query index) -------------------
 
-TEST(ElogV2Index, IndexSectionsPresentAndDiscoverable) {
-  const auto mapped = open_bytes(v2_bytes(sample_log()));
-  EXPECT_TRUE(mapped->has_index());
-  std::size_t zones = 0;
-  std::size_t callsets = 0;
-  std::size_t fpsets = 0;
-  std::size_t postings = 0;
+TEST(ElogV2Reserved, ALegacyContainerOpensVerifiesAndReencodesWithoutThem) {
+  const std::string bytes = testing::legacy_index_elog();
+  const auto mapped = open_bytes(bytes);
+  std::vector<std::uint32_t> reserved;
   for (const SectionEntry& e : mapped->sections()) {
-    if (e.kind == SectionKind::kZoneMap) ++zones;
-    if (e.kind == SectionKind::kCallSet) ++callsets;
-    if (e.kind == SectionKind::kFpSet) ++fpsets;
-    if (e.kind == SectionKind::kPosting) ++postings;
+    const auto raw = static_cast<std::uint32_t>(e.kind);
+    if (raw <= static_cast<std::uint32_t>(SectionKind::kColSize)) continue;
+    reserved.push_back(raw);
+    EXPECT_EQ(section_kind_name(e.kind), "reserved");
   }
-  EXPECT_EQ(zones, 1u);
-  EXPECT_EQ(callsets, 1u);
-  EXPECT_EQ(fpsets, 1u);
-  EXPECT_EQ(postings, 1u);
-
-  const auto iv = mapped->index_view();
-  ASSERT_NE(iv.zones, nullptr);
-  ASSERT_NE(iv.call_ends, nullptr);
-  ASSERT_NE(iv.fp_ends, nullptr);
-  ASSERT_NE(iv.posting_table, nullptr);
-  // Case 0 of sample_log: starts 100/400/600, pid = rid + 12 = 9054.
-  const auto z0 = iv.zone(0);
-  EXPECT_EQ(z0.min_start, 100);
-  EXPECT_EQ(z0.max_start, 600);
-  EXPECT_EQ(z0.min_pid, 9054u);
-  EXPECT_EQ(z0.max_pid, 9054u);
-}
-
-TEST(ElogV2Index, PostingListMapsEveryCallToItsCases) {
-  const auto mapped = open_bytes(v2_bytes(sample_log()));
-  const auto iv = mapped->index_view();
-  std::map<std::string, std::vector<std::uint32_t>> by_call;
-  std::uint32_t begin = 0;
-  for (std::uint32_t k = 0; k < iv.posting_keys; ++k) {
-    const std::uint32_t id = load_u32(iv.posting_table + k * 8);
-    const std::uint32_t end = load_u32(iv.posting_table + k * 8 + 4);
-    auto& cases = by_call[std::string(mapped->pool_string(id))];
-    for (std::uint32_t i = begin; i < end; ++i) {
-      cases.push_back(load_u32(iv.posting_cases + i * 4));
-    }
-    begin = end;
-  }
-  const std::map<std::string, std::vector<std::uint32_t>> expected = {
-      {"read", {0}}, {"write", {0}}, {"openat", {1}}};
-  EXPECT_EQ(by_call, expected);
-}
-
-TEST(ElogV2Index, EmptyCaseWritesEmptyRangeSentinels) {
-  model::EventLog log;
-  log.add_case(make_case("a", 1, {}));
-  log.add_case(make_case("b", 2, {ev("read", "/p/x", 50, 1, 8)}));
-  const auto mapped = open_bytes(v2_bytes(log));
-  const auto iv = mapped->index_view();
-  const auto z = iv.zone(0);
-  EXPECT_EQ(z.min_start, std::numeric_limits<std::int64_t>::max());
-  EXPECT_EQ(z.max_start, std::numeric_limits<std::int64_t>::min());
-  EXPECT_EQ(z.min_pid, std::numeric_limits<std::uint64_t>::max());
-  EXPECT_EQ(z.max_pid, 0u);
-  // Its distinct-call set is empty: ends[0] == 0.
-  EXPECT_EQ(load_u32(iv.call_ends), 0u);
+  EXPECT_EQ(reserved, (std::vector<std::uint32_t>{9, 10, 11, 12}));
   mapped->verify();
-}
+  const auto log = read_event_log_v2(mapped);
+  ASSERT_EQ(log.case_count(), 3u);
+  EXPECT_EQ(log.total_events(), 23u);
+  EXPECT_EQ(log.cases()[1].id().to_string(), "c1_node1_2");
 
-TEST(ElogV2Index, NoIndexFileIsReadableAndReportsNoIndex) {
-  std::ostringstream out(std::ios::binary);
-  write_event_log_v2(out, sample_log(), ElogV2WriterOptions{false});
-  const auto mapped = open_bytes(std::move(out).str());
-  EXPECT_FALSE(mapped->has_index());
-  for (const SectionEntry& e : mapped->sections()) {
-    EXPECT_FALSE(section_kind_is_index(e.kind)) << section_kind_name(e.kind);
+  // The re-encode carries no reserved kind, holds the same cases, and is
+  // the legacy file's bytes up to its table: the reserved sections came
+  // after the case directory.
+  const std::string fresh = v2_bytes(log);
+  const auto reencoded = open_bytes(fresh);
+  for (const SectionEntry& e : reencoded->sections()) {
+    EXPECT_LE(static_cast<std::uint32_t>(e.kind),
+              static_cast<std::uint32_t>(SectionKind::kColSize));
   }
-  mapped->verify();
-  EXPECT_TRUE(logs_equal(sample_log(), read_event_log_v2(mapped)));
+  EXPECT_TRUE(logs_equal(log, read_event_log_v2(reencoded)));
+  const std::uint64_t table = load_footer(fresh).table_offset;
+  EXPECT_EQ(bytes.substr(0, table), fresh.substr(0, table));
+  EXPECT_EQ(v2_bytes(read_event_log_v2(reencoded)), fresh);
 }
 
-TEST(ElogV2Index, ReencodeIsByteStableAndReindexesBareFiles) {
-  const auto log = sample_log();
-  const std::string indexed = v2_bytes(log);
-  std::ostringstream bare_out(std::ios::binary);
-  write_event_log_v2(bare_out, log, ElogV2WriterOptions{false});
-  const std::string bare = std::move(bare_out).str();
-  ASSERT_NE(indexed, bare);
-  // convert's core contract: re-encoding a log read from an
-  // index-free file produces exactly the indexed bytes, and re-encoding
-  // an already-indexed file is byte-stable.
-  EXPECT_EQ(v2_bytes(read_event_log_v2(open_bytes(bare))), indexed);
-  EXPECT_EQ(v2_bytes(read_event_log_v2(open_bytes(indexed))), indexed);
-}
-
-TEST(ElogV2IndexCorruption, FlippedBitInEachIndexSectionThrowsOnVerifyAndUse) {
-  const std::string data = v2_bytes(sample_log());
-  const auto clean = open_bytes(data);
+TEST(ElogV2Reserved, AFlippedBitInAReservedSectionFailsVerifyButNoRead) {
+  const std::string bytes = testing::legacy_index_elog();
+  const auto original = open_bytes(bytes);
+  const auto clean = read_event_log_v2(original);
   std::size_t tested = 0;
-  for (const SectionEntry& e : clean->sections()) {
-    if (!section_kind_is_index(e.kind) || e.length == 0) continue;
-    std::string corrupt = data;
+  for (const SectionEntry& e : original->sections()) {
+    if (static_cast<std::uint32_t>(e.kind) <= static_cast<std::uint32_t>(SectionKind::kColSize)) {
+      continue;
+    }
+    std::string corrupt = bytes;
     corrupt[e.offset + e.length / 2] ^= 0x04;
     const auto mapped = open_bytes(std::move(corrupt));
-    // The index is advisory by ABSENCE only: present + corrupt is an
-    // IoError on every path that would consult it...
-    EXPECT_THROW((void)mapped->index_view(), IoError) << section_kind_name(e.kind);
-    EXPECT_THROW(mapped->verify(), IoError) << section_kind_name(e.kind);
-    // ...while the plain materializing read stays untouched.
-    EXPECT_TRUE(logs_equal(sample_log(), read_event_log_v2(mapped)));
+    EXPECT_THROW(mapped->verify(), IoError) << static_cast<std::uint32_t>(e.kind);
+    EXPECT_TRUE(logs_equal(clean, read_event_log_v2(mapped)));
+    for (std::size_t i = 0; i < mapped->case_count(); ++i) {
+      std::vector<std::uint64_t> pairs;
+      mapped->check_case(i, pairs);
+    }
     ++tested;
   }
   EXPECT_EQ(tested, 4u);
-}
-
-TEST(ElogV2IndexCorruption, HostileButChecksummedIndexStillThrows) {
-  // Beyond bit rot: a callset whose cumulative ends overrun the id
-  // array, with all CRCs recomputed, must still be IoError on use.
-  std::string data = v2_bytes(sample_log());
-  const FooterV2 f = load_footer(data);
-  const char* table = data.data() + f.table_offset;
-  bool patched = false;
-  for (std::uint32_t i = 0; i < f.section_count; ++i) {
-    char* entry_bytes = data.data() + f.table_offset + i * kSectionEntryBytes;
-    const SectionEntry e = load_section_entry(entry_bytes);
-    if (e.kind != SectionKind::kCallSet) continue;
-    store_u32(data.data() + e.offset, 0xFFFFu);  // ends[0] far past the ids
-    store_u32(entry_bytes + 24, Crc32::of(data.data() + e.offset, e.length));
-    patched = true;
-  }
-  ASSERT_TRUE(patched);
-  std::string footer_patch;
-  put_u32(footer_patch,
-          Crc32::of(table, static_cast<std::size_t>(f.section_count) * kSectionEntryBytes));
-  data.replace(data.size() - kFooterBytes + 16, 4, footer_patch);
-  const auto mapped = open_bytes(std::move(data));
-  EXPECT_THROW((void)mapped->index_view(), IoError);
-  EXPECT_THROW(mapped->verify(), IoError);
-  EXPECT_NO_THROW((void)mapped->case_at(0));  // columns are untouched
 }
 
 TEST(ElogV2Corruption, OutOfRangePoolIdThrowsEvenWithValidCrcs) {

@@ -20,10 +20,8 @@
 #include <vector>
 
 #include "elog/store.hpp"
-#include "elog/v2_select.hpp"
 #include "elog/v2_store.hpp"
 #include "model/mapping.hpp"
-#include "model/query.hpp"
 #include "parallel/thread_pool.hpp"
 #include "pipeline/shard.hpp"
 #include "pipeline/sink.hpp"
@@ -385,26 +383,6 @@ TEST_F(Faults, ElogOpenFaultIsStructuralEvenUnderKeepGoing) {
   elog::write_event_log_v2_file(elog_path, pipeline::run(paths, pool, {}));
   const ScopedFault f("elog.open", spec(Kind::kError));
   EXPECT_THROW((void)elog::read_event_log_file(elog_path, elog::ElogReadOptions{true}), IoError);
-}
-
-TEST_F(Faults, ElogIndexFaultFailsIndexedQueriesButNotPlainReads) {
-  // elog.index fires at the planner's first touch of the index sections
-  // (MappedElog::index_view): an indexed query is a typed IoError, the
-  // materializing read path never consults the index and stays whole,
-  // and the disarmed query is byte-identical to the scan.
-  const auto paths = make_corpus();
-  ThreadPool pool(2);
-  const std::string elog_path = (dir_ / "corpus.elog").string();
-  elog::write_event_log_v2_file(elog_path, pipeline::run(paths, pool, {}));
-  const auto mapped = elog::open_v2(elog_path);
-  const auto base = elog::read_event_log_v2(mapped);
-  const auto q = model::Query::parse("calls{read}");
-  {
-    const ScopedFault f("elog.index", spec(Kind::kError));
-    EXPECT_THROW((void)elog::select_v2(mapped, q), IoError);
-    expect_same_log(base, elog::read_event_log_v2(mapped));  // plain read unaffected
-  }
-  expect_same_log(q.apply(base), elog::select_v2(mapped, q));  // disarmed: heals
 }
 
 // ---- shard supervision (in-process sites) ------------------------------

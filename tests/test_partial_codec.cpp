@@ -63,6 +63,7 @@ model::EventLog other_log() {
 ShardPartial sample_partial(const model::EventLog& log, std::vector<std::string> warnings) {
   const auto f = model::Mapping::call_top_dirs(2);
   ShardPartial p;
+  p.mapping = f.name();
   p.case_count = log.case_count();
   p.total_events = log.total_events();
   p.warnings = std::move(warnings);
@@ -91,6 +92,7 @@ std::string blob_with(PartialWriter& w, PartialSection kind, std::string payload
 }
 
 void expect_same_shard_partial(const ShardPartial& a, const ShardPartial& b) {
+  EXPECT_EQ(a.mapping, b.mapping);
   EXPECT_EQ(a.case_count, b.case_count);
   EXPECT_EQ(a.total_events, b.total_events);
   EXPECT_EQ(a.warnings, b.warnings);

@@ -12,6 +12,8 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -135,6 +137,29 @@ TEST_F(Shard, EmptyInputProducesEmptyAnalytics) {
   EXPECT_TRUE(analytics.io_partial.empty());
 }
 
+TEST_F(Shard, PartialsFoldedUnderDifferentMappingsAreRefused) {
+  // A blob names the mapping it was folded under: finalize_shards will
+  // not merge activities of two mappings into one graph.
+  const auto paths = make_corpus();
+  auto last1 = base_options(1);
+  last1.mapping = "last1";
+  std::vector<pipeline::ShardPartial> parts;
+  parts.push_back(pipeline::decode_shard_partial(
+      pipeline::fold_shard({paths.begin(), paths.begin() + 2}, base_options(1))));
+  parts.push_back(pipeline::decode_shard_partial(
+      pipeline::fold_shard({paths.begin() + 2, paths.end()}, last1)));
+  EXPECT_EQ(parts[0].mapping, "call_top_dirs(2)");
+  EXPECT_EQ(parts[1].mapping, "call_last_components(1)");
+  try {
+    (void)pipeline::finalize_shards(std::move(parts));
+    ADD_FAILURE() << "partials of two mappings were merged";
+  } catch (const LogicError& e) {
+    EXPECT_STREQ(e.what(),
+                 "logic error: finalize_shards: partials folded under different mappings "
+                 "(call_top_dirs(2), call_last_components(1))");
+  }
+}
+
 // ---- the subprocess path (gated on the built elog_tool) ----------------
 
 TEST_F(Shard, SpawnedFoldShardMatchesInProcessByteForByte) {
@@ -181,6 +206,49 @@ TEST_F(Shard, ReportShardedRejectsQueryFlags) {
   }
   // Control: the same invocation without the query flags succeeds.
   EXPECT_EQ(report_sharded(""), 0);
+  EXPECT_TRUE(std::filesystem::exists(out));
+}
+
+TEST_F(Shard, MergePartialsRefusesMixedMappingsAndAnotherMap) {
+  // merge-partials renders under --map: partials folded under two
+  // mappings, or under one other than --map, exit 1 and write nothing.
+  const char* exe = std::getenv("ST_ELOG_TOOL");
+  if (exe == nullptr || *exe == '\0' || !std::filesystem::exists(exe)) {
+    GTEST_SKIP() << "ST_ELOG_TOOL unset or not built (ctest exports the path)";
+  }
+  const auto paths = make_corpus();
+  const std::string err = (dir_ / "err.txt").string();
+  const auto tool = [&](const std::string& args) {
+    const std::string cmd = std::string("'") + exe + "' " + args + " >/dev/null 2>'" + err + "'";
+    const int status = std::system(cmd.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+  const std::string s0 = (dir_ / "s0.partial").string();
+  const std::string s1 = (dir_ / "s1.partial").string();
+  ASSERT_EQ(tool("fold-shard '" + s0 + "' --map top2 '" + paths[0] + "'"), 0);
+  ASSERT_EQ(tool("fold-shard '" + s1 + "' --map last1 '" + paths[1] + "'"), 0);
+  const std::string out = (dir_ / "r.html").string();
+  const auto error_text = [&] {
+    std::ifstream in(err);
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  };
+
+  EXPECT_EQ(tool("merge-partials '" + out + "' --map site1 '" + s0 + "' '" + s1 + "'"), 1);
+  EXPECT_FALSE(std::filesystem::exists(out));
+  EXPECT_NE(error_text().find("logic error: finalize_shards: partials folded under different "
+                              "mappings (call_top_dirs(2), call_last_components(1))"),
+            std::string::npos)
+      << error_text();
+
+  EXPECT_EQ(tool("merge-partials '" + out + "' --map site1 '" + s0 + "'"), 1);
+  EXPECT_FALSE(std::filesystem::exists(out));
+  EXPECT_NE(error_text().find("parse error: --map site1 is call_site(+1), but the partials "
+                              "were folded under call_top_dirs(2)"),
+            std::string::npos)
+      << error_text();
+
+  // Control: the partial's own mapping renders.
+  EXPECT_EQ(tool("merge-partials '" + out + "' --map top2 '" + s0 + "'"), 0);
   EXPECT_TRUE(std::filesystem::exists(out));
 }
 

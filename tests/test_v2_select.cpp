@@ -2,14 +2,14 @@
 // contract: for ANY query over ANY corpus, the kept cases, decoded,
 // are exactly what Query::apply returns over the materialized log —
 // same cases in the same order (including event-restriction-emptied
-// cases), same events — whether the file carries indexes or not,
-// whether they are decoded by select_v2 or through a container's
-// selection (elog::ContainerCases::select, the fold source behind
-// trace_explorer --query and corpus::Catalog) at any worker count.
-// Randomized corpora x all 32 restriction combos x selectivities from
-// 0% to 100% hold it there, and serve_mix's query shapes hold it over
-// an indexed container, a bare one, a case stored out of start order
-// and a keep-going quarantine.
+// cases), same events — whether they are decoded by select_v2 or
+// through a container's selection (elog::ContainerCases::select, the
+// fold source behind trace_explorer --query and corpus::Catalog) at
+// any worker count. Randomized corpora x all 32 restriction combos x
+// selectivities from 0% to 100% hold it there, and serve_mix's query
+// shapes hold it over a container, a case stored out of start order, a
+// keep-going quarantine and a container written with the reserved
+// (retired index) sections 9..12, which must answer like its re-encode.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -46,9 +46,9 @@ using testing::ev;
 using testing::expect_same_log;
 using testing::make_case;
 
-std::string v2_bytes(const model::EventLog& log, bool write_index = true) {
+std::string v2_bytes(const model::EventLog& log) {
   std::ostringstream out(std::ios::binary);
-  write_event_log_v2(out, log, ElogV2WriterOptions{write_index});
+  write_event_log_v2(out, log);
   return std::move(out).str();
 }
 
@@ -171,23 +171,10 @@ TEST(V2Select, ByteIdenticalToApplyAcrossAllRestrictionCombos) {
   }
 }
 
-TEST(V2Select, IndexFreeFilesFallBackToColumnScanWithIdenticalResults) {
-  std::mt19937 rng(7);
-  const auto src = random_log(rng, 16, 1);
-  const auto mapped = open_bytes(v2_bytes(src, /*write_index=*/false));
-  ASSERT_FALSE(mapped->has_index());
-  const auto base = read_event_log_v2(mapped);
-  for (unsigned mask = 0; mask < 32; ++mask) {
-    const auto q = make_query(mask, 2);
-    expect_logs_identical(q.apply(base), select_v2(mapped, q), "[" + q.describe() + "]");
-  }
-}
-
-TEST(V2Select, SingleCallPrefilterMatchesApply) {
-  // A call restriction that accepts one pool id arms the SWAR prefilter
-  // over the call column of cases with 8 or more rows; shorter cases
-  // test the call bitmap. Both sides, odd tails and multi-word masks
-  // must give Query::apply's bytes, with and without index sections.
+TEST(V2Select, SingleCallRestrictionMatchesApplyAtEveryRowCount) {
+  // A call restriction that accepts one pool id, over cases from empty
+  // to several 64-row words long, alone and with an fp or window
+  // restriction: every case must give Query::apply's bytes.
   static const std::vector<std::string> kCalls = {"read", "lseek", "write"};
   std::mt19937 rng(99);
   model::EventLog src;
@@ -201,13 +188,10 @@ TEST(V2Select, SingleCallPrefilterMatchesApply) {
     src.add_case(make_case("c0", rid++, std::move(events), "node0"));
   }
   const auto lseek = model::Query().calls({"lseek"});  // single accepted pool id
-  for (const bool write_index : {true, false}) {
-    const auto mapped = open_bytes(v2_bytes(src, write_index));
-    const auto base = read_event_log_v2(mapped);
-    for (const auto& q : {lseek, lseek.fp_contains("/p/"), lseek.between(100, 500)}) {
-      expect_logs_identical(q.apply(base), select_v2(mapped, q),
-                            "index " + std::to_string(write_index) + " [" + q.describe() + "]");
-    }
+  const auto mapped = open_bytes(v2_bytes(src));
+  const auto base = read_event_log_v2(mapped);
+  for (const auto& q : {lseek, lseek.fp_contains("/p/"), lseek.between(100, 500)}) {
+    expect_logs_identical(q.apply(base), select_v2(mapped, q), "[" + q.describe() + "]");
   }
 }
 
@@ -272,15 +256,10 @@ void expect_selections_apply(const std::shared_ptr<MappedElog>& mapped,
   }
 }
 
-TEST(V2Selection, DecodesToApplyOverAnIndexedAndABareContainer) {
+TEST(V2Selection, DecodesToApply) {
   std::mt19937 rng(31);
-  const auto src = random_log(rng, 40, 1);
-  for (const bool write_index : {true, false}) {
-    const auto mapped = open_bytes(v2_bytes(src, write_index));
-    ASSERT_EQ(mapped->has_index(), write_index);
-    expect_selections_apply(mapped, read_event_log_v2(mapped), RunPolicy{},
-                            write_index ? "indexed" : "bare");
-  }
+  const auto mapped = open_bytes(v2_bytes(random_log(rng, 40, 1)));
+  expect_selections_apply(mapped, read_event_log_v2(mapped), RunPolicy{}, "container");
 }
 
 TEST(V2Selection, DecodesACaseStoredOutOfStartOrderInStartOrder) {
@@ -298,7 +277,7 @@ TEST(V2Selection, DecodesACaseStoredOutOfStartOrderInStartOrder) {
   for (const std::int64_t delta : {30, -20, 10, 20, -10, 30}) put_i64(ec.col_start, delta);
   ec.start_encoding = kStartEncodingFixed;
   std::ostringstream out(std::ios::binary);
-  ElogV2Writer writer(out, ElogV2WriterOptions{false});
+  ElogV2Writer writer(out);
   writer.append_encoded(std::move(ec));
   writer.finalize();
   const auto mapped = open_bytes(std::move(out).str());
@@ -322,6 +301,39 @@ TEST(V2Selection, SelectsOnlyTheCasesAKeepGoingOpenKept) {
   ASSERT_EQ(read.warnings().size(), 1u);
   ASSERT_EQ(read.case_count(), mapped->case_count() - 1);
   expect_selections_apply(mapped, read, RunPolicy{true}, "quarantine");
+}
+
+TEST(V2Selection, ALegacyContainerAnswersLikeItsReencode) {
+  // A container written with the retired query index (reserved kinds
+  // 9..12, testing::legacy_index_elog) answers every query as its
+  // re-encode, which has none, does, and so does a copy with a bit
+  // flipped in any one of those sections.
+  const std::string bytes = testing::legacy_index_elog();
+  const auto legacy = open_bytes(bytes);
+  const auto reencode = open_bytes(v2_bytes(read_event_log_v2(legacy)));
+  const auto expect = read_event_log_v2(reencode);
+  std::vector<std::pair<std::string, std::string>> copies{{"legacy", bytes}};
+  for (const SectionEntry& e : legacy->sections()) {
+    if (static_cast<std::uint32_t>(e.kind) <= static_cast<std::uint32_t>(SectionKind::kColSize)) {
+      continue;
+    }
+    std::string flipped = bytes;
+    flipped[e.offset + e.length / 2] ^= 0x04;
+    copies.emplace_back("flipped kind " + std::to_string(static_cast<std::uint32_t>(e.kind)),
+                        std::move(flipped));
+  }
+  ASSERT_EQ(copies.size(), 5u);
+  for (const auto& [what, copy] : copies) {
+    const auto mapped = open_bytes(copy);
+    expect_selections_apply(mapped, expect, RunPolicy{}, what);
+    for (unsigned mask = 0; mask < 32; ++mask) {
+      for (int variant = 0; variant < 4; ++variant) {
+        const auto q = make_query(mask, variant);
+        expect_logs_identical(select_v2(reencode, q), select_v2(mapped, q),
+                              what + " [" + q.describe() + "]");
+      }
+    }
+  }
 }
 
 // ---- through corpus::Catalog -------------------------------------------

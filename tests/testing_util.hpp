@@ -7,6 +7,8 @@
 #pragma once
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <set>
@@ -144,5 +146,17 @@ class ThrowingSink final : public pipeline::CaseSink {
   bool data_error_;
   int merges_ = 0;
 };
+
+/// tests/data/legacy_index.elog: `elog_tool import` of three short
+/// traces (c0_node0_1, c1_node1_2 and c2_node2_3: 23 events of openat,
+/// read, lseek, write, pwrite64 and close under /p/scratch, /p/data
+/// and /dev/pts), written by a build that still wrote the retired query
+/// index, so it carries one section of each reserved kind 9..12 after
+/// its case directory.
+inline std::string legacy_index_elog() {
+  std::ifstream in(ST_TEST_DATA_DIR "/legacy_index.elog", std::ios::binary);
+  if (!in) throw IoError("cannot open tests/data/legacy_index.elog");
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
 
 }  // namespace st::testing
