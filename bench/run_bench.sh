@@ -12,6 +12,10 @@
 # the widest vector ISA of the machine; an explicit build-dir is used
 # as-is and must already contain bench_parse.
 #
+# Every record written carries "build_type": the build directory's
+# CMAKE_BUILD_TYPE. google-benchmark's context.library_build_type names
+# how the benchmark library itself was built, not this build.
+#
 # BENCH_parse.json layout:
 #   {
 #     "baseline_seed": <bench/baseline_seed.json — pre-zero-copy numbers>,
@@ -463,4 +467,15 @@ print(f"wrote {sys.argv[2]} (p50_us = {out['p50_us']}, p99_us = {out['p99_us']},
       f"report_warm_p50_us = {out['report_warm_p50_us']}, "
       f"cache_hit_rate = {out['cache_hit_rate']}, "
       f"requests_per_second = {out['requests_per_second']})")
+EOF
+
+build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$build_dir/CMakeCache.txt")"
+python3 - "$build_type" "$out_dir"/BENCH_{parse,pipeline,elog,shard,query,serve}.json <<'EOF'
+import json
+import sys
+
+for path in sys.argv[2:]:
+    record = {"build_type": sys.argv[1], **json.load(open(path))}
+    json.dump(record, open(path, "w"), indent=1)
+print(f"build_type = {sys.argv[1]!r} recorded in {len(sys.argv) - 2} files")
 EOF

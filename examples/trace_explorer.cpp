@@ -4,14 +4,15 @@
 // apply a query and a mapping, and inspect the resulting DFG,
 // statistics, trace variants or an activity timeline.
 //
-// Every render folds the report's sinks over case sources
-// (pipeline::fold_cases): the trace files' cases, then each
-// container's, folded in column space — a container's cases are
-// decoded one at a time per fold task and mapped through one read-only
-// dictionary per container (elog::ContainerCases), never collected
-// into an EventLog (corpus::open_corpus). --query/--filter select over
-// the same sources (corpus::select): a container decodes only the
-// rows the query keeps, the trace cases go through Query::apply_case.
+// Every render folds the report's sinks over containers in column
+// space (pipeline::fold_cases over elog::ContainerCases): the trace
+// files, ingested once into one in-memory container as `elog_tool
+// import` writes it, then each .elog. A container's cases are decoded
+// one at a time per fold task and mapped through one read-only
+// dictionary per container, never collected into an EventLog
+// (corpus::open_corpus). --query/--filter select over the same
+// containers (corpus::select): each decodes only the rows the query
+// keeps.
 //
 //   ./trace_explorer a_host1_9042.st b_host1_9157.st \
 //       --filter /usr/lib --map last2 --render dot
@@ -82,6 +83,7 @@ int run_serve(const st::CliParser& cli) {
   copts.cache_capacity =
       static_cast<std::size_t>(std::max<std::int64_t>(1, cli.get_int("cache-entries")));
   copts.policy = cliargs::run_policy(cli);
+  const auto port = static_cast<std::uint16_t>(cli.get_int("port", 0, 65535));
   corpus::Catalog catalog(copts);
   ThreadPool pool(cliargs::thread_count(cli));
   const std::vector<std::string> inputs(cli.positional().begin() + 1, cli.positional().end());
@@ -92,7 +94,7 @@ int run_serve(const st::CliParser& cli) {
     corpus::serve_lines(catalog, std::cin, std::cout);
     return 0;
   }
-  corpus::Server server(catalog, static_cast<std::uint16_t>(cli.get_int("port")));
+  corpus::Server server(catalog, port);
   std::cerr << "serving " << catalog.case_count() << " cases on 127.0.0.1:"
             << server.port() << "\n";
   server.serve_forever(pool);
@@ -178,8 +180,8 @@ int main(int argc, char** argv) {
     const bool filtered = cli.has("filter") || cli.has("query");
     ThreadPool pool(cliargs::thread_count(cli));
     // The cases every render folds: the demo's, or the inputs opened as
-    // case sources — containers are read in column space and never
-    // become an EventLog — or what the query keeps of them.
+    // containers — read in column space, never an EventLog — or what
+    // the query keeps of them.
     model::EventLog log;
     corpus::OpenedCorpus opened;
     corpus::CorpusSelection selection;
@@ -192,8 +194,9 @@ int main(int argc, char** argv) {
     } else {
       // Traces stream through the pipeline (zero-copy parse on the
       // pool, each file converted on the thread that finished its
-      // parse); each container opens by mmap, is checked and scanned
-      // on the pool, and gets one dictionary for f.
+      // parse) into one in-memory container; each container opens
+      // (an .elog by mmap), is checked and scanned on the pool, and
+      // gets one dictionary for f.
       const std::array<const model::Mapping*, 1> mappings{&f};
       opened = corpus::open_corpus(cli.positional(), pool, cliargs::run_policy(cli), mappings);
       for (const auto& w : opened.warnings) std::cerr << "warning: " << w << "\n";

@@ -3,11 +3,15 @@
 #include <array>
 #include <future>
 #include <mutex>
+#include <sstream>
 #include <utility>
 
 #include "dfg/coloring.hpp"
 #include "elog/v2_fold.hpp"
+#include "elog/v2_store.hpp"
+#include "model/event_log.hpp"
 #include "pipeline/sink.hpp"
+#include "strace/trace_buffer.hpp"
 #include "support/errors.hpp"
 
 namespace st::corpus {
@@ -19,16 +23,26 @@ OpenedCorpus open_corpus(const std::vector<std::string>& inputs, ThreadPool& poo
   std::vector<std::string> elogs;
   for (const auto& p : inputs) (p.ends_with(".elog") ? elogs : traces).push_back(p);
   OpenedCorpus out;
+  model::CaseIdSet ids;
+  const auto add = [&](std::unique_ptr<elog::ContainerCases> container) {
+    for (std::size_t k = 0; k < container->case_count(); ++k) ids.add(container->case_id(k));
+    out.sources.push_back(container.get());
+    out.containers.push_back(std::move(container));
+  };
   if (!traces.empty()) {
+    // The trace files as `elog_tool import` writes them, in memory.
+    std::ostringstream bytes(std::ios::binary);
+    elog::ElogV2Writer writer(bytes);
+    elog::ElogV2WriterSink sink(writer);
+    const std::array<pipeline::CaseSink*, 1> sinks{&sink};
     pipeline::StreamOptions stream_opts;
     static_cast<RunPolicy&>(stream_opts) = policy;
-    out.traces = pipeline::run(traces, pool, {}, stream_opts);
+    out.warnings = pipeline::ingest(traces, pool, sinks, stream_opts).warnings;
+    writer.finalize();
+    auto mapped = elog::MappedElog::from_buffer(
+        std::make_shared<strace::TraceBuffer>(std::move(bytes).str()));
+    add(std::make_unique<elog::ContainerCases>(std::move(mapped), mappings, policy, &pool));
   }
-  out.warnings = out.traces.warnings();
-  out.trace_cases = std::make_unique<pipeline::CaseSpan>(out.traces.cases());
-  out.sources.push_back(out.trace_cases.get());
-  model::CaseIdSet ids;
-  for (const auto& c : out.traces.cases()) ids.add(c.id());
   for (const auto& p : elogs) {
     std::unique_ptr<elog::ContainerCases> container;
     try {
@@ -39,30 +53,20 @@ OpenedCorpus open_corpus(const std::vector<std::string>& inputs, ThreadPool& poo
       continue;
     }
     for (const auto& w : container->warnings()) out.warnings.push_back(p + ": " + w);
-    for (std::size_t k = 0; k < container->case_count(); ++k) ids.add(container->case_id(k));
-    out.sources.push_back(container.get());
-    out.containers.push_back(std::move(container));
+    add(std::move(container));
   }
   return out;
 }
 
 CorpusSelection select(const OpenedCorpus& corpus, const model::Query& q) {
   CorpusSelection out;
-  for (const auto& c : corpus.traces.cases()) {
-    if (auto kept = q.apply_case(c)) {
-      out.total_events += kept->size();
-      out.trace_cases.push_back(std::move(*kept));
-    }
-  }
-  out.case_count = out.trace_cases.size();
-  out.owned.push_back(std::make_unique<pipeline::CaseSpan>(out.trace_cases));
   for (const auto& container : corpus.containers) {
     auto selected = std::make_unique<elog::ContainerCases::Selected>(container->select(q));
     out.case_count += selected->case_count();
     out.total_events += selected->total_events();
+    out.sources.push_back(selected.get());
     out.owned.push_back(std::move(selected));
   }
-  for (const auto& source : out.owned) out.sources.push_back(source.get());
   return out;
 }
 
@@ -114,8 +118,6 @@ void Catalog::load(const std::vector<std::string>& inputs, ThreadPool& pool) {
   const std::array<const model::Mapping*, 1> mappings{mapping_.get()};
   corpus_ = std::make_unique<const OpenedCorpus>(
       open_corpus(inputs, pool, opts_.policy, mappings));
-  cases_ = corpus_->traces.case_count();
-  events_ = corpus_->traces.total_events();
   for (const auto& container : corpus_->containers) {
     cases_ += container->case_count();
     events_ += container->total_events();

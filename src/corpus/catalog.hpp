@@ -1,7 +1,7 @@
 // corpus::Catalog — the resident, immutable corpus behind serve mode.
 //
 // The corpus is opened once (open_corpus: elog v2 containers by mmap,
-// folded in column space; trace files through pipeline::run) and held
+// trace files imported in memory, all folded in column space) and held
 // immutably. Every artifact the serve verbs read is memoized in a
 // thread-safe LRU cache: a query's selection — which cases it keeps,
 // and whether all, none or some of their rows — and, folded from it,
@@ -44,7 +44,6 @@
 #include "dfg/stats.hpp"
 #include "elog/v2_fold.hpp"
 #include "model/case_stats.hpp"
-#include "model/event_log.hpp"
 #include "model/mapping.hpp"
 #include "model/query.hpp"
 #include "parallel/thread_pool.hpp"
@@ -77,19 +76,18 @@ struct CacheStats {
 };
 
 /// The inputs — .elog containers and cid_host_rid.st trace files, mixed
-/// freely — opened on `pool` for a fold: the trace files' cases through
-/// pipeline::run, then each container's in column space
+/// freely — opened on `pool` as containers folded in column space
 /// (elog::ContainerCases, one read-only dictionary per kCallFp mapping
-/// of `mappings`). `policy.keep_going` quarantines CRC-failing container
-/// cases and skips unreadable containers with a warning. A case id met
-/// twice anywhere in the union is EventLog::merge's LogicError, under
-/// keep_going too.
+/// of `mappings`): the trace files first, ingested once
+/// (pipeline::ingest) into one in-memory container as `elog_tool
+/// import` writes it, then each .elog in input order.
+/// `policy.keep_going` quarantines unreadable trace files, CRC-failing
+/// container cases and unreadable containers with a warning. A case id
+/// met twice anywhere in the union is EventLog::merge's LogicError,
+/// under keep_going too.
 struct OpenedCorpus {
-  model::EventLog traces;
-  /// traces' cases, behind a pointer so that `sources` survives a move.
-  std::unique_ptr<pipeline::CaseSpan> trace_cases;
   std::vector<std::unique_ptr<elog::ContainerCases>> containers;  ///< in input order
-  /// trace_cases, then containers, as fold_cases takes them.
+  /// containers, as fold_cases takes them.
   std::vector<const pipeline::CaseSource*> sources;
   /// Trace ingestion warnings ("<path>: line N: ..."), then per
   /// container in input order "<path>: <quarantine warning>" and, under
@@ -100,14 +98,12 @@ struct OpenedCorpus {
                                        const RunPolicy& policy,
                                        std::span<const model::Mapping* const> mappings);
 
-/// What a query keeps of an OpenedCorpus, as case sources in the
-/// corpus's order: the trace cases through Query::apply_case, each
-/// container through ContainerCases::select. Their cases are
+/// What a query keeps of an OpenedCorpus: each container through
+/// ContainerCases::select, in the corpus's order. Their cases are
 /// q.apply's over the corpus materialized as one log. Valid while the
 /// corpus lives.
 struct CorpusSelection {
-  std::vector<model::Case> trace_cases;  ///< apply_case's of the trace cases
-  std::vector<std::unique_ptr<pipeline::CaseSource>> owned;
+  std::vector<std::unique_ptr<elog::ContainerCases::Selected>> owned;
   std::vector<const pipeline::CaseSource*> sources;  ///< `owned`, for fold_cases
   std::size_t case_count = 0;
   std::uint64_t total_events = 0;
@@ -155,9 +151,8 @@ class Catalog {
   // All single-flight, LRU-cached under the canonical describe() key.
 
   /// The query's view of the corpus (select over the opened corpus):
-  /// per container, the kept cases and which of their rows survive;
-  /// the trace cases through Query::apply_case. Every other artifact
-  /// folds it.
+  /// per container, the kept cases and which of their rows survive.
+  /// Every other artifact folds it.
   [[nodiscard]] std::shared_ptr<const CorpusSelection> filtered(const model::Query& q);
   /// DFG of the query's view under the catalog mapping.
   [[nodiscard]] std::shared_ptr<const dfg::Dfg> graph(const model::Query& q);

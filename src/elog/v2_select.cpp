@@ -166,7 +166,7 @@ Selection select(const MappedElog& mapped, const model::Query& q,
   const bool event_restricted = cq.has_calls || cq.has_fp || cq.has_window;
   Selection out;
   for (const std::size_t i : cases) {
-    // cid/host misses are the only droppers, as in apply_case.
+    // cid/host misses are the only droppers, as in Query::apply.
     if (cq.has_cids && !cq.cid_ok.test(mapped.case_cid_id(i))) continue;
     if (cq.has_hosts && !cq.host_ok.test(mapped.case_host_id(i))) continue;
     Selection::Kept& kept = out.cases.emplace_back(Selection::Kept{i, Selection::Rows::kAll});

@@ -201,6 +201,13 @@ void sort_unique(std::vector<std::string>& v) {
   v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
+/// What both apply() overloads keep of a case: nothing when the case-level
+/// restrictions drop it, else its matching events (an empty case stays).
+std::optional<Case> apply_case(const Query& q, const Case& c) {
+  if (!q.matches_case(c)) return std::nullopt;
+  return c.filtered([&q](const Event& e) { return q.matches(e); });
+}
+
 }  // namespace
 
 bool call_in_family(std::string_view call, std::string_view family) {
@@ -288,16 +295,11 @@ bool Query::matches_case(const Case& c) const {
   return true;
 }
 
-std::optional<Case> Query::apply_case(const Case& c) const {
-  if (!matches_case(c)) return std::nullopt;
-  return c.filtered([this](const Event& e) { return matches(e); });
-}
-
 EventLog Query::apply(const EventLog& log) const {
   EventLog out;
   out.adopt_owners_of(log);  // the view keeps the source's strings alive
   for (const Case& c : log.cases()) {
-    if (auto filtered = apply_case(c)) out.add_case(std::move(*filtered));
+    if (auto filtered = apply_case(*this, c)) out.add_case(std::move(*filtered));
   }
   return out;
 }
@@ -310,7 +312,8 @@ EventLog Query::apply(const EventLog& log, ThreadPool& pool) const {
   // case-level restrictions drop. Collecting in input order afterwards
   // reproduces the serial apply() byte for byte.
   std::vector<std::optional<Case>> kept(cases.size());
-  parallel_for(pool, 0, cases.size(), [&](std::size_t i) { kept[i] = apply_case(cases[i]); });
+  parallel_for(pool, 0, cases.size(),
+               [&](std::size_t i) { kept[i] = apply_case(*this, cases[i]); });
   for (auto& k : kept) {
     if (k) out.add_case(std::move(*k));
   }

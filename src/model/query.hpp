@@ -98,13 +98,6 @@ class Query {
   /// True iff the case satisfies all case-level restrictions.
   [[nodiscard]] bool matches_case(const Case& c) const;
 
-  /// The per-case unit of apply(): nullopt when the case-level
-  /// restrictions drop the case, otherwise the case filtered to the
-  /// matching events (possibly empty — empty cases are kept, like
-  /// filter_fp). Both apply() overloads are folds of this over the
-  /// cases; thread-safe (const, uses the precompiled call set).
-  [[nodiscard]] std::optional<Case> apply_case(const Case& c) const;
-
   /// Applies case restrictions, then event restrictions.
   [[nodiscard]] EventLog apply(const EventLog& log) const;
 

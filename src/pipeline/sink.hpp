@@ -322,8 +322,9 @@ class CaseSource {
   [[nodiscard]] virtual std::unique_ptr<Cursor> cursor() const = 0;
 };
 
-/// Cases already in memory (a log's, a query's trace cases) as a source. The
-/// cases' owner keeps them alive while the source is folded.
+/// Cases already in memory (a log's: build_report, trace_explorer's
+/// demo) as a source. The cases' owner keeps them alive while the
+/// source is folded.
 class CaseSpan final : public CaseSource {
  public:
   explicit CaseSpan(std::span<const model::Case> cases) : cases_(cases) {}

@@ -17,11 +17,11 @@
 //   - by report_data(sources, ..., pool): cases that are already
 //     parsed, folded in contiguous chunks on the caller's pool
 //     (pipeline::fold_cases over pipeline::CaseSource) — an EventLog's
-//     cases (pipeline::CaseSpan: build_report, trace files), or a
-//     container's, read in column space with one read-only dictionary
-//     per container (elog::ContainerCases), or a query's selection of
-//     either (corpus::select: the served report, trace_explorer
-//     --query); or
+//     cases (pipeline::CaseSpan: build_report), or a container's, read
+//     in column space with one read-only dictionary per container
+//     (elog::ContainerCases: an .elog, or trace files imported in
+//     memory by corpus::open_corpus), or a query's selection of one
+//     (corpus::select: the served report, trace_explorer --query); or
 //   - by render_sharded_report(analytics, ...): trace files, folded on
 //     the pool WHILE they parse (pipeline::fold_report) and merged from
 //     pipeline::ShardPartial "report partials" — streaming_report is

@@ -59,9 +59,13 @@ std::string CliParser::get(std::string_view name) const {
   return *it->second.value;
 }
 
-std::int64_t CliParser::get_int(std::string_view name) const {
+std::int64_t CliParser::get_int(std::string_view name, std::int64_t lo, std::int64_t hi) const {
   const auto v = parse_i64(get(name));
   if (!v) throw ParseError("flag --" + std::string(name) + " is not an integer");
+  if (*v < lo || *v > hi) {
+    throw ParseError("flag --" + std::string(name) + " must lie in " + std::to_string(lo) +
+                     ".." + std::to_string(hi));
+  }
   return *v;
 }
 

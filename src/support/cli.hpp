@@ -26,7 +26,9 @@ class CliParser {
 
   [[nodiscard]] bool has(std::string_view name) const;
   [[nodiscard]] std::string get(std::string_view name) const;
-  [[nodiscard]] std::int64_t get_int(std::string_view name) const;
+  /// The flag as an integer; a ParseError unless it lies in [lo, hi].
+  [[nodiscard]] std::int64_t get_int(std::string_view name, std::int64_t lo = INT64_MIN,
+                                     std::int64_t hi = INT64_MAX) const;
   [[nodiscard]] double get_double(std::string_view name) const;
   [[nodiscard]] bool get_bool(std::string_view name) const;
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }

@@ -9,7 +9,9 @@
 //     single-flight deduplication under a stampede;
 //   - cached artifacts are byte-identical to uncached recomputation
 //     and to the staged oracle (testing::staged_report_data rendered
-//     with the shared query_report_options);
+//     with the shared query_report_options), also over trace files that
+//     warn or fail, against a catalog of the same files imported as a
+//     container;
 //   - concurrent lookup/evict/insert is clean (this test is in the
 //     TSan job's target list);
 //   - handle_request/serve_lines: canonical echo, payload framing,
@@ -22,6 +24,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -34,6 +37,7 @@
 #include "corpus/serve.hpp"
 #include "dfg/coloring.hpp"
 #include "elog/store.hpp"
+#include "elog/v2_fold.hpp"
 #include "elog/v2_store.hpp"
 #include "model/query.hpp"
 #include "paper_oracles.hpp"
@@ -228,6 +232,94 @@ TEST_F(CatalogTest, CachedArtifactsMatchUncachedRecomputation) {
   const auto data = testing::staged_report_data(view, cold.mapping(), opts);
   const dfg::StatisticsColoring styler(data.stats);
   EXPECT_EQ(report::render_report(data, cold.mapping(), &styler, opts), *cached_first);
+
+  // Every artifact over trace files that warn (a malformed line, calls
+  // never resumed) or fail (a directory named like a trace, a misnamed
+  // file), loaded on 1 and 4 workers under fail fast and keep_going,
+  // equals the staged oracle over pipeline::run's log and the artifact
+  // of a catalog over the same files imported as a container.
+  const std::string unresumed = write_file(
+      "open_nodeD_1.st",
+      "7  10:00:00.000100 read(3</p/data/f>, \"\"..., 512) = 512 <0.000040>\n"
+      "7  10:00:00.000200 not_a_call_line\n"
+      "7  10:00:00.000300 read(3</p/data/f>, <unfinished ...>\n");
+  const std::string misnamed = write_file("no-trace-name.st", "");
+  const std::string folder = (dir_ / "dir_nodeD_2.st").string();
+  std::filesystem::create_directories(folder);
+  std::vector<std::string> warned = corpus_;
+  warned.insert(warned.begin() + 1, unresumed);
+  std::vector<std::string> refused = warned;
+  refused.insert(refused.begin() + 2, folder);
+  refused.insert(refused.begin() + 4, misnamed);
+  const std::vector<Query> queries = {Query(), q, Query().calls({"read"}),
+                                      Query().between(36000000000, 36000040000)};
+  for (const std::size_t workers : {1u, 4u}) {
+    ThreadPool pool_n(workers);
+    for (const bool keep_going : {false, true}) {
+      const std::string what =
+          "workers " + std::to_string(workers) + (keep_going ? " keep_going" : "");
+      CatalogOptions copts;
+      copts.policy.keep_going = keep_going;
+      pipeline::StreamOptions sopts;
+      sopts.keep_going = keep_going;
+      if (!keep_going) {
+        for (const auto& defect : {folder, misnamed}) {
+          std::vector<std::string> inputs = warned;
+          inputs.insert(inputs.begin() + 3, defect);
+          std::string expected;
+          try {
+            (void)pipeline::run(inputs, pool_n, {}, sopts);
+          } catch (const Error& e) {
+            expected = e.what();
+          }
+          ASSERT_FALSE(expected.empty()) << defect;
+          Catalog strict(copts);
+          try {
+            strict.load(inputs, pool_n);
+            ADD_FAILURE() << defect << " loaded, " << what;
+          } catch (const Error& e) {
+            EXPECT_EQ(std::string(e.what()), expected) << what;
+          }
+        }
+      }
+      const auto& inputs = keep_going ? refused : warned;
+      const auto log = pipeline::run(inputs, pool_n, {}, sopts);
+      const std::string imported = write_file("imported.elog", "");
+      elog::write_event_log_v2_file(imported, log);
+      Catalog traces(copts);
+      traces.load(inputs, pool_n);
+      Catalog container(copts);
+      container.load({imported}, pool_n);
+      EXPECT_EQ(traces.load_warnings(), log.warnings()) << what;
+      EXPECT_EQ(traces.case_count(), log.case_count()) << what;
+      EXPECT_EQ(traces.total_events(), log.total_events()) << what;
+      const model::Mapping& f = traces.mapping();
+      for (const auto& query : queries) {
+        SCOPED_TRACE(what + " [" + query.describe() + "]");
+        const auto view = query.apply(log);
+        const auto selection = traces.filtered(query);
+        for (const pipeline::CaseSource* source : selection->sources) {
+          EXPECT_NE(dynamic_cast<const elog::ContainerCases::Selected*>(source), nullptr);
+        }
+        st::testing::expect_same_log(st::testing::decoded_log(selection->sources), view);
+        st::testing::expect_same_log(st::testing::decoded_log(selection->sources),
+                                     st::testing::decoded_log(container.filtered(query)->sources));
+        EXPECT_EQ(*traces.graph(query), dfg::build_serial(view, f));
+        EXPECT_EQ(*traces.graph(query), *container.graph(query));
+        st::testing::expect_same_io_stats(*traces.io_stats(query),
+                                          dfg::IoStatistics::compute(view, f));
+        st::testing::expect_same_io_stats(*traces.io_stats(query), *container.io_stats(query));
+        EXPECT_EQ(*traces.summaries(query), model::summarize_cases(view));
+        EXPECT_EQ(*traces.summaries(query), *container.summaries(query));
+        const auto query_opts = query_report_options(query, f);
+        const auto staged = testing::staged_report_data(view, f, query_opts);
+        const dfg::StatisticsColoring staged_styler(staged.stats);
+        EXPECT_EQ(*traces.report_html(query),
+                  report::render_report(staged, f, &staged_styler, query_opts));
+        EXPECT_EQ(*traces.report_html(query), *container.report_html(query));
+      }
+    }
+  }
 }
 
 TEST_F(CatalogTest, SingleFlightUnderStampede) {

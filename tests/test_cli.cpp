@@ -108,6 +108,27 @@ TEST(Cli, NonIntegerThrows) {
   EXPECT_THROW((void)p.get_int("ranks"), ParseError);
 }
 
+TEST(Cli, IntegerOutsideItsRangeThrows) {
+  // serve's --port: 70000 and -1 would wrap into another port.
+  for (const char* value : {"70000", "-1", "65536"}) {
+    CliParser p = make_parser();
+    const char* argv[] = {"prog", "--ranks", value};
+    p.parse(3, argv);
+    try {
+      (void)p.get_int("ranks", 0, 65535);
+      ADD_FAILURE() << value << " was accepted";
+    } catch (const ParseError& e) {
+      EXPECT_STREQ(e.what(), "parse error: flag --ranks must lie in 0..65535") << value;
+    }
+  }
+  for (const char* value : {"0", "65535"}) {
+    CliParser p = make_parser();
+    const char* argv[] = {"prog", "--ranks", value};
+    p.parse(3, argv);
+    EXPECT_EQ(p.get_int("ranks", 0, 65535), std::stoll(value));
+  }
+}
+
 TEST(Cli, UsageListsFlags) {
   CliParser p = make_parser();
   const std::string usage = p.usage("prog");

@@ -15,15 +15,20 @@
 //     (pipeline::CaseSpan) and as a v2 container of them
 //     (elog::ContainerCases: column space, one read-only dictionary per
 //     container and registry mapping, per-chunk ones for custom);
-//   - a query's selection of an opened union (corpus::select: trace
-//     cases through Query::apply_case, a container's kept rows decoded
-//     in column space) against the oracle over Query::apply on the
-//     materialized union, with no pool and on 1 and 4 workers;
+//   - a query's selection of an opened union (corpus::select: the
+//     trace files imported into one in-memory container, an .elog, each
+//     container's kept rows decoded in column space) against the oracle
+//     over Query::apply on the materialized union and against the same
+//     union with the trace files imported as an .elog, with no pool and
+//     on 1 and 4 workers, over trace files that warn (a malformed line,
+//     calls never resumed) or fail (a directory, a misnamed file) under
+//     fail fast and keep_going;
 //   - the container source's load policy against read_event_log_v2's:
 //     the same quarantine warning and the same missing case under
 //     keep_going, the lower corrupt case's error under fail fast, and
 //     corpus::open_corpus's union rule: a case id met twice in trace
-//     files, containers or both is EventLog::merge's LogicError;
+//     files, containers or both is EventLog::merge's LogicError, and
+//     where it falls among misnamed and unreadable trace files;
 //   - fold_cases' error contract: a sink throwing in two chunks
 //     surfaces the lower chunk's error every time, no sink sees a
 //     merge and the pool stays usable; an armed sink.fold fault is a
@@ -33,6 +38,7 @@
 #include <algorithm>
 #include <array>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <set>
@@ -346,11 +352,48 @@ TEST(ContainerCases, FailFastThrowsTheLowerCorruptCasesError) {
   }
 }
 
+/// The text of the st::Error `f` throws, or "" when it throws none.
+template <typename F>
+std::string error_of(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Trace inputs every reader warns about or refuses, in `dir`: a file
+/// with a malformed line and a call never resumed, a directory named
+/// like a trace, and a file whose name is no cid_host_rid.st.
+struct DefectiveTraces {
+  std::string warned;
+  std::string folder;
+  std::string misnamed;
+};
+
+DefectiveTraces defective_traces(const std::filesystem::path& dir) {
+  DefectiveTraces out{(dir / "open_nodeD_1.st").string(), (dir / "dir_nodeD_2.st").string(),
+                      (dir / "no-trace-name.st").string()};
+  const std::string text =
+      "7  10:00:00.000100 read(3</p/data/f>, \"\"..., 512) = 512 <0.000040>\n"
+      "7  10:00:00.000200 not_a_call_line\n"
+      "7  10:00:00.000300 read(3</p/data/f>, <unfinished ...>\n";
+  for (const auto& path : {out.warned, out.misnamed}) {
+    std::ofstream(path, std::ios::binary) << text;
+  }
+  std::filesystem::create_directories(out.folder);
+  return out;
+}
+
 TEST_F(LogFold, AUnionWithARepeatedCaseIdFails) {
   // The union's identity rule holds over every kind of input: a case id
   // met twice — in two trace files, in two containers, or in a trace
   // file and a container — is EventLog::merge's LogicError, under
-  // keep_going too (it is no data fault of either input).
+  // keep_going too (it is no data fault of either input). Names and ids
+  // are checked before any trace file is read, in input order; a
+  // directory fails when it is read; the trace files fail before any
+  // container opens.
   const model::EventLog log = bench::synthetic_log(14, 6, 20, 8);
   model::EventLog other;
   other.add_case(testing::make_case("other", 1, {testing::ev("read", "/p/x", 10, 2, 8)}));
@@ -363,60 +406,136 @@ TEST_F(LogFold, AUnionWithARepeatedCaseIdFails) {
   const std::string x = write_file("x/dup_nodeA_1.st", trace);
   const std::string y = write_file("y/dup_nodeA_1.st", trace);
   const std::string again = write_file("bench_node1_5.st", trace);
-  const std::vector<std::pair<std::vector<std::string>, std::string>> unions = {
-      {{x, y}, "dup_nodeA_1"}, {{a, b}, "bench_node1_5"}, {{again, a}, "bench_node1_5"}};
+  const auto bad = defective_traces(dir_);
+  const std::string dup1 = "logic error: EventLog::merge: duplicate case dup_nodeA_1";
+  const std::string dup5 = "logic error: EventLog::merge: duplicate case bench_node1_5";
+  const std::string misnamed =
+      "parse error: trace file name does not follow cid_host_rid.st: " + bad.misnamed;
+  const std::string folder = "io error: trace file is a directory: " + bad.folder;
+  struct Union {
+    std::vector<std::string> inputs;
+    std::string fail_fast;
+    std::string keep_going;
+  };
+  const std::vector<Union> unions = {
+      {{x, y}, dup1, dup1},
+      {{a, b}, dup5, dup5},
+      {{again, a}, dup5, dup5},
+      {{bad.warned, x, bad.folder, y}, dup1, dup1},
+      {{bad.misnamed, x, y}, misnamed, dup1},
+      {{x, bad.misnamed, y}, misnamed, dup1},
+      {{bad.warned, again, bad.folder, a}, folder, dup5},
+      {{again, bad.misnamed, a, b}, misnamed, dup5},
+  };
   const auto f = model::mapping_by_name("top2");
   const std::array<const model::Mapping*, 1> mappings{&f};
-  ThreadPool pool(2);
-  for (const auto& [inputs, id] : unions) {
-    for (const bool keep_going : {false, true}) {
-      try {
-        (void)corpus::open_corpus(inputs, pool, RunPolicy{keep_going}, mappings);
-        ADD_FAILURE() << "a duplicate case id opened: " << id << ", keep_going " << keep_going;
-      } catch (const LogicError& e) {
-        EXPECT_EQ(std::string(e.what()), "logic error: EventLog::merge: duplicate case " + id)
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  for (ThreadPool* pool : {&pool1, &pool4}) {
+    for (const auto& u : unions) {
+      for (const bool keep_going : {false, true}) {
+        EXPECT_EQ(error_of([&] {
+                    (void)corpus::open_corpus(u.inputs, *pool, RunPolicy{keep_going}, mappings);
+                  }),
+                  keep_going ? u.keep_going : u.fail_fast)
+            << u.inputs.front() << ", workers " << pool->size() << ", keep_going "
             << keep_going;
       }
     }
-  }
-  // Without the repeat, each of them opens.
-  for (const auto& inputs : {std::vector<std::string>{x, again}, std::vector<std::string>{a}}) {
-    EXPECT_NO_THROW((void)corpus::open_corpus(inputs, pool, RunPolicy{}, mappings));
+    // Without the repeat, each of them opens.
+    for (const auto& inputs : {std::vector<std::string>{x, again}, std::vector<std::string>{a},
+                               std::vector<std::string>{bad.warned, x, a}}) {
+      EXPECT_NO_THROW((void)corpus::open_corpus(inputs, *pool, RunPolicy{}, mappings));
+    }
   }
 }
 
 TEST_F(LogFold, AQuerysSelectionFoldsLikeItsFilteredLog) {
-  // A query's selection of an opened union — trace cases through
-  // Query::apply_case, a container's kept rows decoded in column space
-  // — folds to the staged oracle over Query::apply on the materialized
-  // union, with no pool and on 1 and 4 workers.
-  std::vector<std::string> inputs = make_corpus();
-  const std::vector<std::string> traces = inputs;
-  inputs.push_back(write_file("c.elog", v2_bytes(bench::synthetic_log(15, 23, 30, 6))));
-  ThreadPool pool1(1);
-  ThreadPool pool4(4);
-  const model::EventLog whole = model::EventLog::merge(
-      pipeline::run(traces, pool4, {}), elog::read_event_log_v2(elog::open_v2(inputs.back())));
+  // A query's selection of an opened union — the trace files imported
+  // into one in-memory container, then an .elog, each selected in column
+  // space — folds to the staged oracle over Query::apply on the
+  // materialized union, and to the selection of the same union with the
+  // trace files imported as an .elog, with no pool and on 1 and 4
+  // workers. Among the trace files are a malformed line, calls never
+  // resumed, a directory named like a trace and a misnamed file: fail
+  // fast refuses the last two with pipeline::run's error, keep_going
+  // opens what run keeps, with run's warnings.
+  const std::vector<std::string> files = make_corpus();
+  const auto bad = defective_traces(dir_);
+  const std::vector<std::string> warned = {files[0], files[1], bad.warned, files[2],
+                                           files[3], files[4], files[5]};
+  const std::vector<std::string> refused = {files[0], files[1], bad.warned,  bad.folder,
+                                            files[2], files[3], bad.misnamed, files[4],
+                                            files[5]};
+  const std::string elog = write_file("c.elog", v2_bytes(bench::synthetic_log(15, 23, 30, 6)));
+  const auto with_elog = [&](std::vector<std::string> inputs) {
+    inputs.push_back(elog);
+    return inputs;
+  };
   const std::vector<std::string> queries = {
       "all", "calls{read}", "fp~/p/scratch", "cids{bench}", "hosts{nodeA}",
       "calls{write} fp~/data/dir1", "t[0,500)", "t[36000000000,36000040000)",
       "cids{bench,s1} calls{lseek,read}", "calls{unlinkat}"};
-  for (const std::string mapping : {"top2", "last1", "by-pid"}) {
-    const model::Mapping f = mapping == "by-pid" ? by_pid() : model::mapping_by_name(mapping);
-    const std::array<const model::Mapping*, 1> mappings{&f};
-    const auto opened = corpus::open_corpus(inputs, pool4, RunPolicy{}, mappings);
-    for (const auto& text : queries) {
-      const auto q = model::Query::parse(text);
-      const auto opts = corpus::query_report_options(q, f);
-      const auto staged = testing::staged_report_data(q.apply(whole), f, opts);
-      const std::string staged_html = render(staged, f, opts);
-      const auto view = corpus::select(opened, q);
-      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool1, &pool4}) {
-        const std::string what = mapping + " [" + text + "] workers " +
-                                 std::to_string(pool ? pool->size() : 0);
-        const auto folded = report::report_data(view.sources, f, opts, pool);
-        expect_same_report_data(folded, staged, what);
-        EXPECT_EQ(render(folded, f, opts), staged_html) << what;
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  for (ThreadPool* pool : {&pool1, &pool4}) {
+    const auto top2 = model::mapping_by_name("top2");
+    const std::array<const model::Mapping*, 1> one{&top2};
+    for (const auto& defect : {bad.folder, bad.misnamed}) {
+      const std::vector<std::string> traces = {files[0], bad.warned, defect, files[1]};
+      const std::string expected = error_of([&] { (void)pipeline::run(traces, *pool, {}); });
+      ASSERT_FALSE(expected.empty()) << defect;
+      EXPECT_EQ(error_of([&] {
+                  (void)corpus::open_corpus(with_elog(traces), *pool, RunPolicy{}, one);
+                }),
+                expected);
+    }
+    for (const bool keep_going : {false, true}) {
+      const std::vector<std::string>& traces = keep_going ? refused : warned;
+      const RunPolicy policy{keep_going};
+      pipeline::StreamOptions stream_opts;
+      stream_opts.keep_going = keep_going;
+      const model::EventLog ingested = pipeline::run(traces, *pool, {}, stream_opts);
+      ASSERT_EQ(ingested.case_count(), warned.size());
+      const std::vector<std::string> imported_inputs = {
+          write_file("imported.elog", v2_bytes(ingested)), elog};
+      const model::EventLog whole =
+          model::EventLog::merge(pipeline::run(traces, *pool, {}, stream_opts),
+                                 elog::read_event_log_v2(elog::open_v2(elog)));
+      for (const std::string mapping : {"top2", "last1", "by-pid"}) {
+        const model::Mapping f = mapping == "by-pid" ? by_pid() : model::mapping_by_name(mapping);
+        const std::array<const model::Mapping*, 1> mappings{&f};
+        const auto opened = corpus::open_corpus(with_elog(traces), *pool, policy, mappings);
+        EXPECT_EQ(opened.warnings, ingested.warnings());
+        const auto imported = corpus::open_corpus(imported_inputs, *pool, policy, mappings);
+        // Every source is a container: the trace files' own, then c.elog.
+        ASSERT_EQ(opened.sources.size(), 2u);
+        for (const pipeline::CaseSource* source : opened.sources) {
+          EXPECT_NE(dynamic_cast<const elog::ContainerCases*>(source), nullptr);
+        }
+        for (const auto& text : queries) {
+          const auto q = model::Query::parse(text);
+          const auto opts = corpus::query_report_options(q, f);
+          const auto staged = testing::staged_report_data(q.apply(whole), f, opts);
+          const std::string staged_html = render(staged, f, opts);
+          const auto view = corpus::select(opened, q);
+          const auto imported_view = corpus::select(imported, q);
+          for (const pipeline::CaseSource* source : view.sources) {
+            EXPECT_NE(dynamic_cast<const elog::ContainerCases::Selected*>(source), nullptr);
+          }
+          for (ThreadPool* fold_pool : {static_cast<ThreadPool*>(nullptr), pool}) {
+            const std::string what = mapping + " [" + text + "] workers " +
+                                     std::to_string(pool->size()) + (fold_pool ? "" : " inline") +
+                                     (keep_going ? " keep_going" : "");
+            const auto folded = report::report_data(view.sources, f, opts, fold_pool);
+            expect_same_report_data(folded, staged, what);
+            EXPECT_EQ(render(folded, f, opts), staged_html) << what;
+            EXPECT_EQ(render(report::report_data(imported_view.sources, f, opts, fold_pool), f,
+                             opts),
+                      staged_html)
+                << what;
+          }
+        }
       }
     }
   }
