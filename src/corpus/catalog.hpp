@@ -67,7 +67,8 @@ struct CatalogOptions {
 };
 
 /// Cache observability — returned by Catalog::cache_stats() and
-/// reported by the serve `stat` verb and bench_serve's hit-rate.
+/// reported by the serve `stat` verb, whose counts perfbench's
+/// serve_mix records as its cache hit ratio.
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;      ///< flights started (stampede = 1 miss)

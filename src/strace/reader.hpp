@@ -125,12 +125,6 @@ class StreamedParse {
   /// chunk errors.
   [[nodiscard]] std::optional<Error> error() const;
 
-  /// After join(): every failed file's earliest error, sorted by file
-  /// index. A file either appears here or fired on_file_done — never
-  /// both. keep_going consumers quarantine these per file instead of
-  /// rethrowing the first.
-  [[nodiscard]] std::vector<Error> errors() const;
-
   /// join(), then rethrow the recorded error, if any.
   void wait();
 

@@ -368,16 +368,6 @@ std::optional<StreamedParse::Error> StreamedParse::error() const {
   return Error{state_->err_file, state_->err};
 }
 
-std::vector<StreamedParse::Error> StreamedParse::errors() const {
-  std::vector<Error> out;
-  if (!state_) return out;
-  std::lock_guard lock(state_->err_mutex);
-  for (const State::FileState& fs : state_->files) {
-    if (fs.error) out.push_back({fs.index, fs.error});
-  }
-  return out;
-}
-
 void StreamedParse::wait() {
   join();
   if (const auto e = error()) std::rethrow_exception(e->error);

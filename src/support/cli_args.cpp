@@ -1,8 +1,5 @@
 #include "support/cli_args.hpp"
 
-#include <algorithm>
-#include <cstdint>
-
 namespace st::cliargs {
 
 void add_threads_flag(CliParser& cli, const std::string& what) {
@@ -10,7 +7,7 @@ void add_threads_flag(CliParser& cli, const std::string& what) {
 }
 
 std::size_t thread_count(const CliParser& cli) {
-  return static_cast<std::size_t>(std::max<std::int64_t>(0, cli.get_int("threads")));
+  return static_cast<std::size_t>(cli.get_int("threads", 0, kMaxThreads));
 }
 
 void add_keep_going_flag(CliParser& cli, const std::string& quarantines) {
@@ -37,7 +34,7 @@ void add_shards_flag(CliParser& cli, const std::string& what, const std::string&
 }
 
 std::size_t shard_count(const CliParser& cli) {
-  return static_cast<std::size_t>(std::max<std::int64_t>(1, cli.get_int("shards")));
+  return static_cast<std::size_t>(cli.get_int("shards", 1, kMaxShards));
 }
 
 void add_stream_report_flag(CliParser& cli, const std::string& help, bool takes_path) {

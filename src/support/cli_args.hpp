@@ -5,13 +5,14 @@
 // with its own registration string and its own decode helper. This
 // header defines every shared flag ONCE as an add_*_flag / decoder
 // pair, so a new surface (the serve subcommand) inherits the exact
-// semantics (negative-thread clamping, the mapping registry) instead
-// of re-implementing them. Per-tool wording that genuinely differs
-// (what "keep going" quarantines, what the mapping is used for) stays
-// a parameter; behavior does not.
+// semantics (the --threads/--shards ranges, the mapping registry)
+// instead of re-implementing them. Per-tool wording that genuinely
+// differs (what "keep going" quarantines, what the mapping is used
+// for) stays a parameter; behavior does not.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "model/mapping.hpp"
@@ -20,11 +21,16 @@
 
 namespace st::cliargs {
 
+/// The largest --threads: a pool starts that many OS threads.
+inline constexpr std::int64_t kMaxThreads = 1024;
+/// The largest --shards: report-sharded spawns up to that many
+/// children at once.
+inline constexpr std::int64_t kMaxShards = 256;
+
 /// --threads <n>: worker-thread count, 0 = hardware concurrency.
 void add_threads_flag(CliParser& cli, const std::string& what = "worker");
 
-/// --threads as a pool size: negative values would wrap through the
-/// size_t cast into a SIZE_MAX-worker pool; clamp them to 0 (hardware).
+/// --threads as a pool size; a ParseError outside 0..kMaxThreads.
 [[nodiscard]] std::size_t thread_count(const CliParser& cli);
 
 /// --keep-going (boolean): quarantine-and-continue error policy.
@@ -46,7 +52,7 @@ void add_map_flag(CliParser& cli, const std::string& what, const std::string& de
 /// --shards <n>: worker-process count for sharded runs.
 void add_shards_flag(CliParser& cli, const std::string& what, const std::string& default_count);
 
-/// --shards as a worker count, clamped to >= 1.
+/// --shards as a worker count; a ParseError outside 1..kMaxShards.
 [[nodiscard]] std::size_t shard_count(const CliParser& cli);
 
 /// --stream-report: single-pass streamed HTML report. Value-taking

@@ -46,10 +46,7 @@
 // in-process fallback does). truncate/bitflip at a control-only site
 // degrade to `error`.
 //
-// Cost: one relaxed atomic load per site when nothing is armed, and
-// nothing at all under -DST_DISABLE_FAULT_POINTS=ON (the macros
-// compile out; bench/run_bench.sh records the delta as
-// faultpoint_disabled_overhead).
+// Cost: one relaxed atomic load per site when nothing is armed.
 #pragma once
 
 #include <atomic>
@@ -85,11 +82,7 @@ extern std::atomic<bool> g_armed;
 /// The disabled fast path: one relaxed load. False whenever no site is
 /// armed (the overwhelmingly common case).
 [[nodiscard]] inline bool armed() noexcept {
-#ifdef ST_NO_FAULT_POINTS
-  return false;
-#else
   return detail::g_armed.load(std::memory_order_relaxed);
-#endif
 }
 
 /// Parses one spec string: "error", "exit", "hang_ms250", "bitflip:0",
@@ -148,12 +141,7 @@ class ScopedFault {
 
 }  // namespace st::fault
 
-#ifdef ST_NO_FAULT_POINTS
-#define FAULT_POINT(site) ((void)0)
-#define FAULT_POINT_DATA(site, bytes) ((void)0)
-#else
 #define FAULT_POINT(site) \
   (::st::fault::armed() ? ::st::fault::point(site) : (void)0)
 #define FAULT_POINT_DATA(site, bytes) \
   (::st::fault::armed() ? ::st::fault::point_data((site), (bytes)) : (void)0)
-#endif

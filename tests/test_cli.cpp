@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/cli_args.hpp"
 #include "support/errors.hpp"
 
 namespace st {
@@ -127,6 +128,40 @@ TEST(Cli, IntegerOutsideItsRangeThrows) {
     p.parse(3, argv);
     EXPECT_EQ(p.get_int("ranks", 0, 65535), std::stoll(value));
   }
+}
+
+TEST(Cli, ThreadAndShardCountsOutsideTheirRangeThrowBeforeAnyPool) {
+  // The decoders throw on the parsed value, so a tool that sizes its
+  // pool or its children from them builds neither. No pool is built
+  // here: the accepted bounds are only read back.
+  const auto parsed = [](const char* flag, const char* value) {
+    CliParser p;
+    cliargs::add_threads_flag(p);
+    cliargs::add_shards_flag(p, "shard processes", "2");
+    const char* argv[] = {"prog", flag, value};
+    p.parse(3, argv);
+    return p;
+  };
+  for (const char* value : {"-1", "1025", "999999999999"}) {
+    try {
+      (void)cliargs::thread_count(parsed("--threads", value));
+      ADD_FAILURE() << "--threads " << value << " was accepted";
+    } catch (const ParseError& e) {
+      EXPECT_STREQ(e.what(), "parse error: flag --threads must lie in 0..1024") << value;
+    }
+  }
+  for (const char* value : {"0", "-3", "257"}) {
+    try {
+      (void)cliargs::shard_count(parsed("--shards", value));
+      ADD_FAILURE() << "--shards " << value << " was accepted";
+    } catch (const ParseError& e) {
+      EXPECT_STREQ(e.what(), "parse error: flag --shards must lie in 1..256") << value;
+    }
+  }
+  EXPECT_EQ(cliargs::thread_count(parsed("--threads", "0")), 0u);  // hardware
+  EXPECT_EQ(cliargs::thread_count(parsed("--threads", "1024")), 1024u);
+  EXPECT_EQ(cliargs::shard_count(parsed("--shards", "1")), 1u);
+  EXPECT_EQ(cliargs::shard_count(parsed("--shards", "256")), 256u);
 }
 
 TEST(Cli, UsageListsFlags) {

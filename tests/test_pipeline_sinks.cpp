@@ -228,9 +228,6 @@ TEST_F(PipelineSinks, ThrowingFoldIsDeterministicAndMergesNothing) {
 }
 
 TEST_F(PipelineSinks, SinkErrorCompetesWithParseErrorByInputIndex) {
-#ifdef ST_NO_FAULT_POINTS
-  GTEST_SKIP() << "fault points are compiled out: no parse can fail";
-#else
   // The parse that fails is file 1's: one worker parses each file as
   // one chunk in input order, so the second reader.chunk hit is it.
   std::vector<std::string> paths;
@@ -263,13 +260,9 @@ TEST_F(PipelineSinks, SinkErrorCompetesWithParseErrorByInputIndex) {
     EXPECT_THROW((void)pipeline::run(paths, pool, {&sink}), fault::FaultInjected);
     EXPECT_EQ(sink.merges(), 0);
   }
-#endif
 }
 
 TEST_F(PipelineSinks, UnopenableFileOutranksAnEarlierParseErrorWhenFailingFast) {
-#ifdef ST_NO_FAULT_POINTS
-  GTEST_SKIP() << "fault points are compiled out: no parse can fail";
-#else
   // Files open on the calling thread while earlier files parse; an
   // open error still fails the run whatever failed before it — here
   // the first chunk parse of the run, in one of the files before it.
@@ -301,7 +294,6 @@ TEST_F(PipelineSinks, UnopenableFileOutranksAnEarlierParseErrorWhenFailingFast) 
     EXPECT_EQ(sink.merges(), 0) << round;
     EXPECT_TRUE(graph_sink.graph().empty()) << round;
   }
-#endif
 }
 
 TEST_F(PipelineSinks, KeepGoingCursorMatchesTheStagedOracleAt124Workers) {

@@ -164,9 +164,6 @@ class ChunkCountProbe final : public pipeline::CaseSink {
 };
 
 TEST_F(PipelineStream, EachFileFoldsBeforeTheNextFileParses) {
-#ifdef ST_NO_FAULT_POINTS
-  GTEST_SKIP() << "fault points are compiled out: there are no chunk hits to count";
-#else
   // One worker parses every file as one chunk and runs tasks in
   // submission order, so file i's fold must follow exactly i+1 chunk
   // parses — it may not wait until every file has parsed.
@@ -191,7 +188,6 @@ TEST_F(PipelineStream, EachFileFoldsBeforeTheNextFileParses) {
   for (std::size_t i = 0; i < paths.size(); ++i) {
     EXPECT_EQ(probe.seen[i], i + 1) << "file " << i;
   }
-#endif
 }
 
 // ---- per-file fold completion (reader layer) ---------------------------

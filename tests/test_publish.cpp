@@ -30,12 +30,6 @@
 namespace st {
 namespace {
 
-#ifdef ST_NO_FAULT_POINTS
-constexpr bool kFaultPoints = false;
-#else
-constexpr bool kFaultPoints = true;
-#endif
-
 class Publish : public testing::CorpusTest {
  protected:
   Publish() : CorpusTest("st_publish") {}
@@ -86,7 +80,6 @@ TEST_F(Publish, UnpublishedFileLeavesThePreviousOneAndNoTemporary) {
 }
 
 TEST_F(Publish, FaultBeforeTheRenameLeavesThePreviousFile) {
-  if (!kFaultPoints) GTEST_SKIP() << "fault points are compiled out";
   const std::string path = write_file("out.bin", "previous");
   fault::Spec error;
   const fault::ScopedFault f("publish", error);
@@ -188,14 +181,12 @@ TEST_F(PublishCli, FailedImportLeavesThePreviousContainerAndReport) {
   EXPECT_EQ(listing(), before);
 
   // The container's rename fails.
-  if (!kFaultPoints) return;
   EXPECT_EQ(tool("import '" + elog + "'" + quoted(paths), "publish=error"), 1);
   EXPECT_EQ(slurp(elog), elog_bytes);
   EXPECT_EQ(listing(), before);
 }
 
 TEST_F(PublishCli, FailedConvertAndFilterLeaveThePreviousOutput) {
-  if (!kFaultPoints) GTEST_SKIP() << "fault points are compiled out";
   const auto paths = make_corpus();
   const std::string source = (dir_ / "source.elog").string();
   ASSERT_EQ(tool("import '" + source + "'" + quoted(paths)), 0);
@@ -237,10 +228,8 @@ TEST_F(PublishCli, FailedFoldShardLeavesThePreviousBlob) {
   const auto paths = make_corpus();
   const std::string blob = write_file("shard.partial", "previous blob");
   const auto before = listing();
-  if (kFaultPoints) {
-    EXPECT_EQ(tool("fold-shard '" + blob + "'" + quoted(paths), "publish=error"), 1);
-    EXPECT_EQ(slurp(blob), "previous blob");
-  }
+  EXPECT_EQ(tool("fold-shard '" + blob + "'" + quoted(paths), "publish=error"), 1);
+  EXPECT_EQ(slurp(blob), "previous blob");
   auto broken = paths;
   broken.push_back((dir_ / "missing_node1_1.st").string());
   EXPECT_EQ(tool("fold-shard '" + blob + "'" + quoted(broken)), 1);
