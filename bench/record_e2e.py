@@ -52,7 +52,7 @@ def run_once(workload, extra):
 
 
 def spread(values):
-    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": float("%.6g" % median), "q1": float("%.6g" % q1),
             "q3": float("%.6g" % q3), "runs": len(values)}
 

@@ -122,7 +122,7 @@ def spread(current, name, key="real_time"):
           and key in b]
     if not xs:
         return None
-    q1, med, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
+    q1, med, q3 = statistics.quantiles(xs, n=4)
     return {"median": round(med, 1), "q1": round(q1, 1), "q3": round(q3, 1)}
 
 
